@@ -1,4 +1,5 @@
-//! Dynamic TSD-index maintenance under edge insertions and deletions.
+//! Dynamic TSD- and GCT-index maintenance under edge insertions and
+//! deletions.
 //!
 //! The paper's Section 5.3 remarks that "TSD-index can support efficient
 //! updates in dynamic graphs … the updating techniques are still promising
@@ -13,18 +14,53 @@
 //!
 //! No other vertex's ego-network contains the pair, so rebuilding those
 //! `2 + |N(u) ∩ N(v)|` forests — each `O(ρ_v · m_v)` local work — restores
-//! the exact index. Equivalence with a from-scratch rebuild is
-//! property-tested under random edit scripts (`tests/dynamic_updates.rs`).
+//! the exact index. Over a batch, the union of those sets covers every ego
+//! the batch changed (a vertex never touched as an endpoint keeps its
+//! neighbor set, so it is a common neighbor of every edit inside its ego),
+//! so each distinct affected vertex is rebuilt once, against the final
+//! graph. Equivalence with a from-scratch rebuild is property-tested under
+//! random edit scripts (`tests/dynamic_updates.rs`).
+//!
+//! The GCT-index entry of a vertex compresses the same maximum spanning
+//! forest, so one ego extraction and one truss decomposition per affected
+//! vertex repair both indexes.
 
 use std::sync::Arc;
 
-use sd_graph::{CowStats, CsrGraph, Dsu, DynamicGraph, GraphUpdate, VertexId};
-use sd_truss::truss_decomposition;
+use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
+use sd_truss::{truss_decomposition, vertex_trussness};
 
 use crate::egonet::EgoNetwork;
+use crate::gct::{GctBuilder, GctIndex};
 use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
 
-/// A TSD-index that stays consistent while the graph mutates.
+/// What one [`DynamicTsd::apply_batch`] did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchRepair {
+    /// Updates that changed the graph.
+    pub applied: usize,
+    /// Updates rejected as no-ops (duplicate or self-loop inserts, removes
+    /// of absent edges).
+    pub rejected: usize,
+    /// `2 + |N(u) ∩ N(v)|` per applied update: the ego-networks each update
+    /// touched, counted once per update that touched them.
+    pub touched: usize,
+    /// Distinct ego-networks rebuilt — each once, however many updates
+    /// touched it.
+    pub repaired: usize,
+}
+
+/// A TSD-index — and, once one is adopted, its GCT compression — kept
+/// consistent while the graph mutates.
+///
+/// Every level is copy-on-write: the graph is a [`DynamicGraph`] over a
+/// shared CSR base, and the indexes are shared [`Arc`]s that no update
+/// writes into. [`Self::apply_batch`] rebuilds each distinct affected
+/// ego-network once against the batch's final graph and splices the
+/// rebuilt entries into fresh flat indexes, copying everything else in
+/// contiguous runs. An update therefore costs its affected region plus one
+/// `O(index)` copy, and leaves behind indexes a serving layer can publish
+/// as they are ([`Self::index`], [`Self::gct_index`]).
 ///
 /// ```
 /// use sd_graph::GraphBuilder;
@@ -40,12 +76,23 @@ use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
 /// // … but at k=3 the H1 blob now splits: 2 -> 3 contexts.
 /// assert_eq!(index.score(0, 3), 3);
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct DynamicTsd {
     graph: DynamicGraph,
-    /// Per-vertex maximum spanning forest, weight-descending
-    /// `(u, w, weight)` triples — the same content as one `TsdIndex` slice.
-    forests: Vec<Vec<(VertexId, VertexId, u32)>>,
+    /// The TSD-index of `graph`, exactly.
+    tsd: Arc<TsdIndex>,
+    /// The GCT-index of `graph`, when one was adopted.
+    gct: Option<Arc<GctIndex>>,
+}
+
+impl Default for DynamicTsd {
+    fn default() -> Self {
+        DynamicTsd {
+            graph: DynamicGraph::default(),
+            tsd: Arc::new(TsdBuilder::new(0).finish()),
+            gct: None,
+        }
+    }
 }
 
 impl DynamicTsd {
@@ -57,13 +104,8 @@ impl DynamicTsd {
     /// Builds from a shared static graph, adopting it as copy-on-write
     /// adjacency storage (no per-vertex list is copied until edited).
     pub fn from_shared_csr(g: Arc<CsrGraph>) -> Self {
-        let n = g.n();
-        let graph = DynamicGraph::from_base(g);
-        let mut index = DynamicTsd { graph, forests: vec![Vec::new(); n] };
-        for v in 0..n as VertexId {
-            index.rebuild_vertex(v);
-        }
-        index
+        let index = Arc::new(TsdIndex::build(&g));
+        Self::from_shared_index(g, index)
     }
 
     /// An empty dynamic index.
@@ -72,32 +114,39 @@ impl DynamicTsd {
     }
 
     /// Adopts an already-built static [`TsdIndex`] over `g` without
-    /// recomputing anything: the per-vertex forest slices are copied as-is
-    /// (`O(index size)`, no ego extraction or truss decomposition). This is
-    /// how a serving layer *carries* its TSD-index into a mutable session
-    /// instead of paying a full rebuild.
+    /// recomputing anything (one `O(index size)` copy of the index; no ego
+    /// extraction or truss decomposition). [`Self::from_shared_index`]
+    /// shares the index instead of copying it.
     ///
     /// # Panics
     /// In debug builds, panics if the index covers a different vertex count
     /// than `g` — the caller pairs an index with the graph it was built
     /// from (the fingerprinted envelope layer enforces this upstream).
     pub fn from_index(g: &CsrGraph, index: &TsdIndex) -> Self {
-        Self::from_shared_index(Arc::new(g.clone()), index)
+        Self::from_shared_index(Arc::new(g.clone()), Arc::new(index.clone()))
     }
 
-    /// [`Self::from_index`] over a shared graph: the carry is `O(index
-    /// size)` for the forests plus `O(n)` copy-on-write slots — the
-    /// adjacency itself stays shared with `g` until edits touch it, so a
-    /// retained updater no longer doubles the graph's memory.
-    pub fn from_shared_index(g: Arc<CsrGraph>, index: &TsdIndex) -> Self {
+    /// [`Self::from_index`] over a shared graph and a shared index: the
+    /// carry costs `O(n)` copy-on-write slots and two `Arc` clones — the
+    /// adjacency stays shared with `g` until edits touch it, and the index
+    /// until an update replaces it.
+    pub fn from_shared_index(g: Arc<CsrGraph>, index: Arc<TsdIndex>) -> Self {
         debug_assert_eq!(g.n(), index.n(), "index and graph vertex counts must agree");
-        let forests = (0..g.n() as VertexId).map(|v| index.forest(v).collect()).collect();
-        DynamicTsd { graph: DynamicGraph::from_base(g), forests }
+        DynamicTsd { graph: DynamicGraph::from_base(g), tsd: index, gct: None }
+    }
+
+    /// Co-maintains `index`, the GCT-index of the current graph, from now
+    /// on: every later update repairs its entries alongside the TSD
+    /// forests, from the same decompositions.
+    pub fn adopt_gct(&mut self, index: Arc<GctIndex>) {
+        debug_assert_eq!(index.n(), self.n(), "index and graph vertex counts must agree");
+        self.gct = Some(index);
     }
 
     /// Re-arms copy-on-write sharing against a freshly published CSR
     /// snapshot of this graph (see [`DynamicGraph::rebase`]); owned
-    /// overlay vectors accumulated during the last batch are released.
+    /// overlay vectors accumulated during the last batch are released. The
+    /// indexes need no rebase: a publish shares them as they are.
     pub fn rebase(&mut self, g: Arc<CsrGraph>) {
         self.graph.rebase(g);
     }
@@ -107,50 +156,77 @@ impl DynamicTsd {
         self.graph.cow_stats()
     }
 
-    /// Snapshots the maintained forests as a static [`TsdIndex`] — the
-    /// inverse of [`Self::from_index`], again a pure `O(index size)` copy.
-    /// The result equals `TsdIndex::build(&self.graph().to_csr())`
-    /// (property-tested in `tests/dynamic_updates.rs`) at none of its cost.
+    /// The maintained TSD-index, shared: equal to
+    /// `TsdIndex::build(&self.graph().to_csr())` (property-tested in
+    /// `tests/dynamic_updates.rs`) at none of its cost.
+    pub fn index(&self) -> &Arc<TsdIndex> {
+        &self.tsd
+    }
+
+    /// The co-maintained GCT-index, if one was adopted.
+    pub fn gct_index(&self) -> Option<&Arc<GctIndex>> {
+        self.gct.as_ref()
+    }
+
+    /// An owned copy of the maintained TSD-index.
     pub fn to_index(&self) -> TsdIndex {
-        let mut builder = TsdBuilder::new(self.n());
-        for forest in &self.forests {
-            builder.push_forest(forest);
-        }
-        builder.finish()
+        (*self.tsd).clone()
     }
 
-    /// Applies one [`GraphUpdate`], repairing the affected forests.
-    /// Returns the number of ego-networks rebuilt — 0 iff the update was
-    /// rejected (duplicate/self-loop insert, absent remove); an applied
-    /// update always repairs at least its two endpoints.
+    /// Applies one [`GraphUpdate`] (a batch of one: see
+    /// [`Self::apply_batch`]). Returns the number of ego-networks rebuilt
+    /// — 0 iff the update was rejected (duplicate/self-loop insert, absent
+    /// remove); an applied update always repairs at least its two
+    /// endpoints.
     pub fn apply(&mut self, update: GraphUpdate) -> usize {
-        let mut affected = Vec::new();
-        self.apply_into(update, &mut affected)
+        self.apply_batch(&[update]).repaired
     }
 
-    /// [`Self::apply`], additionally appending every repaired vertex to
-    /// `affected` (with repetitions across updates; callers dedup). This
-    /// is the hook a co-maintained index (e.g. a dynamic GCT) uses to
-    /// repair exactly the same ego-networks without re-deriving the
-    /// affected region.
-    pub fn apply_into(&mut self, update: GraphUpdate, affected: &mut Vec<VertexId>) -> usize {
-        let (u, v) = update.endpoints();
-        let applied = match update {
-            GraphUpdate::Insert { .. } => {
-                if !self.graph.insert_edge(u, v) {
-                    return 0;
-                }
-                if self.forests.len() < self.graph.n() {
-                    self.forests.resize(self.graph.n(), Vec::new());
-                }
-                true
+    /// Applies `batch` in order, then rebuilds each distinct affected
+    /// ego-network once against the final graph — one extraction and one
+    /// truss decomposition per vertex, feeding its TSD forest and, when a
+    /// GCT-index is co-maintained, its GCT entry — and splices the rebuilt
+    /// entries into fresh indexes. A batch that applies nothing leaves the
+    /// indexes untouched.
+    pub fn apply_batch(&mut self, batch: &[GraphUpdate]) -> BatchRepair {
+        let mut out = BatchRepair::default();
+        let mut affected: Vec<VertexId> = Vec::new();
+        for &update in batch {
+            if !self.graph.apply(update) {
+                out.rejected += 1;
+                continue;
             }
-            GraphUpdate::Remove { .. } => self.graph.remove_edge(u, v),
-        };
-        if !applied {
-            return 0;
+            out.applied += 1;
+            let (u, v) = update.endpoints();
+            let before = affected.len();
+            affected.extend(self.graph.common_neighbors(u, v));
+            affected.extend([u, v]);
+            out.touched += affected.len() - before;
         }
-        self.repair_into(u, v, affected)
+        if out.applied == 0 {
+            return out;
+        }
+        affected.sort_unstable();
+        affected.dedup();
+        out.repaired = affected.len();
+
+        let mut tsd = TsdBuilder::new(affected.len());
+        let mut gct = self.gct.as_ref().map(|_| GctBuilder::new(affected.len()));
+        for &v in &affected {
+            let ego = extract_ego_dynamic(&self.graph, v);
+            let decomposition = truss_decomposition(&ego.graph);
+            let forest = max_spanning_forest(&ego.graph, &decomposition);
+            tsd.push_local_forest(&ego, &forest);
+            if let Some(gct) = gct.as_mut() {
+                gct.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
+            }
+        }
+        let n = self.graph.n();
+        self.tsd = Arc::new(self.tsd.splice(n, &affected, &tsd.finish()));
+        if let (Some(index), Some(patch)) = (self.gct.as_mut(), gct) {
+            *index = Arc::new(index.splice(n, &affected, &patch.finish()));
+        }
+        out
     }
 
     /// Read access to the maintained graph.
@@ -160,7 +236,7 @@ impl DynamicTsd {
 
     /// Number of vertices currently indexed.
     pub fn n(&self) -> usize {
-        self.forests.len()
+        self.tsd.n()
     }
 
     /// Inserts edge `{u, v}` and repairs the affected forests.
@@ -175,77 +251,20 @@ impl DynamicTsd {
         self.apply(GraphUpdate::Remove { u, v })
     }
 
-    /// Rebuilds the forests of `u`, `v`, and their common neighbors,
-    /// appending each repaired vertex to `affected`.
-    fn repair_into(&mut self, u: VertexId, v: VertexId, affected: &mut Vec<VertexId>) -> usize {
-        let start = affected.len();
-        affected.extend(self.graph.common_neighbors(u, v));
-        affected.push(u);
-        affected.push(v);
-        for &v in &affected[start..] {
-            self.rebuild_vertex(v);
-        }
-        affected.len() - start
-    }
-
-    /// Recomputes the forest of a single vertex from its current ego-network.
-    fn rebuild_vertex(&mut self, v: VertexId) {
-        let ego = extract_ego_dynamic(&self.graph, v);
-        let decomposition = truss_decomposition(&ego.graph);
-        self.forests[v as usize] = max_spanning_forest(&ego, &decomposition);
-    }
-
     /// `score(v)` at threshold `k` (counting form of Algorithm 6).
     pub fn score(&self, v: VertexId, k: u32) -> u32 {
-        let forest = &self.forests[v as usize];
-        let len = forest.partition_point(|&(_, _, w)| w >= k);
-        let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * len);
-        for &(a, b, _) in &forest[..len] {
-            endpoints.push(a);
-            endpoints.push(b);
-        }
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        (endpoints.len() - len) as u32
+        self.tsd.score(v, k, &mut Vec::new())
     }
 
     /// Social contexts of `v` at threshold `k` (retrieval form).
     pub fn social_contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-        let forest = &self.forests[v as usize];
-        let len = forest.partition_point(|&(_, _, w)| w >= k);
-        let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * len);
-        for &(a, b, _) in &forest[..len] {
-            endpoints.push(a);
-            endpoints.push(b);
-        }
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        // sd-lint: allow(no-panic) endpoints was just built from exactly these forest edges
-        let local = |x: VertexId| endpoints.binary_search(&x).expect("endpoint") as u32;
-        let mut dsu = Dsu::new(endpoints.len());
-        for &(a, b, _) in &forest[..len] {
-            dsu.union(local(a), local(b));
-        }
-        let mut root_to_group: Vec<i32> = vec![-1; endpoints.len()];
-        let mut groups: Vec<Vec<VertexId>> = Vec::new();
-        for (i, &global) in endpoints.iter().enumerate() {
-            let root = dsu.find(i as u32) as usize;
-            let gi = if root_to_group[root] >= 0 {
-                root_to_group[root] as usize
-            } else {
-                root_to_group[root] = groups.len() as i32;
-                groups.push(Vec::new());
-                groups.len() - 1
-            };
-            groups[gi].push(global);
-        }
-        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-        groups
+        self.tsd.social_contexts_among(self.graph.neighbors(v), v, k)
     }
 
     /// Scores of all vertices at threshold `k` (for top-r or comparisons).
     pub fn all_scores(&self, k: u32) -> Vec<u32> {
-        (0..self.n() as VertexId).map(|v| self.score(v, k)).collect()
+        let mut scratch = Vec::new();
+        (0..self.n() as VertexId).map(|v| self.tsd.score(v, k, &mut scratch)).collect()
     }
 }
 
@@ -352,30 +371,68 @@ mod tests {
     }
 
     #[test]
-    fn apply_into_reports_exactly_the_repaired_egos() {
+    fn apply_batch_repairs_each_affected_ego_once() {
         let (g, _, _) = paper_figure1_graph();
         let mut dynamic = DynamicTsd::from_csr(&g);
-        let mut affected = Vec::new();
-        let rebuilt = dynamic.apply_into(GraphUpdate::Remove { u: 2, v: 5 }, &mut affected);
-        assert_eq!(rebuilt, affected.len());
-        assert!(affected.contains(&2) && affected.contains(&5), "endpoints always repaired");
-        // Rejected updates repair (and report) nothing.
-        assert_eq!(dynamic.apply_into(GraphUpdate::Remove { u: 2, v: 5 }, &mut affected), 0);
-        assert_eq!(affected.len(), rebuilt, "rejected update appended nothing");
+        let one = dynamic.clone().apply_batch(&[GraphUpdate::Remove { u: 2, v: 5 }]);
+        assert_eq!((one.applied, one.rejected), (1, 0));
+        assert_eq!(one.touched, one.repaired, "one update touches each ego once");
+        // Three updates around vertex 0 and 1: both are touched by every
+        // one of them, yet rebuilt once each.
+        let batch = [
+            GraphUpdate::Insert { u: 1, v: 6 },
+            GraphUpdate::Remove { u: 0, v: 1 },
+            GraphUpdate::Insert { u: 0, v: 1 },
+            GraphUpdate::Insert { u: 0, v: 1 }, // duplicate by now
+        ];
+        let repair = dynamic.apply_batch(&batch);
+        assert_eq!((repair.applied, repair.rejected), (3, 1));
+        assert!(repair.touched >= 2 * repair.applied);
+        assert!(repair.repaired < repair.touched, "{repair:?}");
+        let now = dynamic.graph().to_csr();
+        assert_eq!(dynamic.to_index(), TsdIndex::build(&now), "batch repair == full rebuild");
+        // A batch that applies nothing keeps the very same index.
+        let before = dynamic.index().clone();
+        let noop = dynamic.apply_batch(&[GraphUpdate::Remove { u: 2, v: 40 }]);
+        assert_eq!((noop.applied, noop.rejected, noop.repaired), (0, 1, 0));
+        assert!(Arc::ptr_eq(&before, dynamic.index()));
+    }
+
+    /// The co-maintained GCT-index follows every batch — vertex-set growth
+    /// included — and equals a full rebuild of the final graph.
+    #[test]
+    fn adopted_gct_matches_full_rebuild() {
+        let (g, _, _) = paper_figure1_graph();
+        let mut dynamic = DynamicTsd::from_csr(&g);
+        dynamic.adopt_gct(Arc::new(GctIndex::build(&g)));
+        let batches = [
+            vec![GraphUpdate::Insert { u: 1, v: 6 }, GraphUpdate::Remove { u: 2, v: 5 }],
+            vec![GraphUpdate::Insert { u: 0, v: 20 }, GraphUpdate::Insert { u: 6, v: 20 }],
+            vec![GraphUpdate::Remove { u: 1, v: 6 }],
+        ];
+        for batch in &batches {
+            dynamic.apply_batch(batch);
+            let now = dynamic.graph().to_csr();
+            assert_eq!(dynamic.n(), now.n());
+            assert_eq!(**dynamic.gct_index().unwrap(), GctIndex::build(&now), "after {batch:?}");
+            assert_eq!(**dynamic.index(), TsdIndex::build(&now), "after {batch:?}");
+        }
     }
 
     #[test]
     fn shared_carry_keeps_adjacency_cow_until_edits() {
         let (g, _, _) = paper_figure1_graph();
         let shared = Arc::new(g);
-        let built = TsdIndex::build(&shared);
-        let mut dynamic = DynamicTsd::from_shared_index(shared.clone(), &built);
+        let built = Arc::new(TsdIndex::build(&shared));
+        let mut dynamic = DynamicTsd::from_shared_index(shared.clone(), built.clone());
+        assert!(Arc::ptr_eq(dynamic.index(), &built), "the carry shares the index");
         let before = dynamic.cow_stats();
         assert_eq!(before.owned, 0, "carry materializes no adjacency");
         assert_eq!(before.shared, shared.n());
         dynamic.insert_edge(1, 6);
         assert!(dynamic.cow_stats().owned >= 2, "edit materializes only touched slots");
         assert!(dynamic.cow_stats().shared >= shared.n() - 6);
+        assert_eq!(*built, TsdIndex::build(&shared), "an update never writes a shared index");
         // Rebase against the published snapshot releases the overlay.
         let snapshot = Arc::new(dynamic.graph().to_csr());
         dynamic.rebase(snapshot.clone());

@@ -283,21 +283,21 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
         Err(SearchError::SerializationUnsupported { engine: self.name() })
     }
 
-    /// The engine's [`TsdIndex`], if it is the TSD engine — the hook that
-    /// lets [`crate::SearchService::apply_updates`] *carry* an already-built
-    /// index into a [`crate::dynamic::DynamicTsd`] maintenance session
-    /// instead of rebuilding from scratch. Every other engine returns
-    /// `None`.
-    fn tsd_index(&self) -> Option<&TsdIndex> {
+    /// The engine's shared [`TsdIndex`], if it is the TSD engine — the
+    /// hook that lets [`crate::SearchService::apply_updates`] *carry* an
+    /// already-built index into a [`crate::dynamic::DynamicTsd`]
+    /// maintenance session (an `Arc` clone) instead of rebuilding from
+    /// scratch. Every other engine returns `None`.
+    fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         None
     }
 
-    /// The engine's [`GctIndex`], if it is the GCT engine — the analogous
-    /// carry hook: [`crate::SearchService::apply_updates`] seeds a
-    /// [`crate::gct::DynamicGct`] from it and repairs only the affected
-    /// ego-networks instead of re-decomposing the whole graph. Every
+    /// The engine's shared [`GctIndex`], if it is the GCT engine — the
+    /// analogous carry hook: [`crate::SearchService::apply_updates`] hands
+    /// it to its [`crate::dynamic::DynamicTsd`], which repairs only the
+    /// affected entries instead of re-decomposing the whole graph. Every
     /// other engine returns `None`.
-    fn gct_index(&self) -> Option<&GctIndex> {
+    fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         None
     }
 }
@@ -494,27 +494,34 @@ impl DiversityEngine for TsdEngine {
         Ok(self.index.to_bytes())
     }
 
-    fn tsd_index(&self) -> Option<&TsdIndex> {
+    fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         Some(&self.index)
     }
 }
 
-/// Algorithms 7–8 behind the trait: the compressed GCT-index.
+/// Algorithms 7–8 behind the trait: the compressed GCT-index, held behind
+/// an [`Arc`] like [`TsdEngine`]'s so an update carry can share it.
 #[derive(Clone, Debug)]
 pub struct GctEngine {
     g: Arc<CsrGraph>,
-    index: GctIndex,
+    index: Arc<GctIndex>,
 }
 
 impl GctEngine {
     /// Builds the GCT-index of `g` (Algorithm 7).
     pub fn build(g: Arc<CsrGraph>) -> Self {
-        let index = GctIndex::build(&g);
+        let index = Arc::new(GctIndex::build(&g));
         GctEngine { g, index }
     }
 
     /// Attaches a prebuilt index to its graph, verifying vertex counts.
     pub fn from_parts(g: Arc<CsrGraph>, index: GctIndex) -> Result<Self, SearchError> {
+        Self::from_shared(g, Arc::new(index))
+    }
+
+    /// As [`Self::from_parts`] for an index that is already shared — the
+    /// epoch-publish path hands the update carry's own `Arc` to the engine.
+    pub fn from_shared(g: Arc<CsrGraph>, index: Arc<GctIndex>) -> Result<Self, SearchError> {
         if index.n() != g.n() {
             return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
         }
@@ -524,6 +531,11 @@ impl GctEngine {
     /// The underlying index (size accounting, per-vertex entries).
     pub fn index(&self) -> &GctIndex {
         &self.index
+    }
+
+    /// The underlying index, shared (the epoch-carry handle).
+    pub fn shared_index(&self) -> Arc<GctIndex> {
+        self.index.clone()
     }
 }
 
@@ -552,7 +564,7 @@ impl DiversityEngine for GctEngine {
         Ok(self.index.to_bytes())
     }
 
-    fn gct_index(&self) -> Option<&GctIndex> {
+    fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         Some(&self.index)
     }
 }

@@ -9,12 +9,13 @@
 //! and `M_k` superedges with weight ≥ k — here O(log) per vertex because
 //! both arrays are stored sorted descending.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use sd_graph::{CsrGraph, Dsu, DynamicGraph, VertexId};
-use sd_truss::{truss_decomposition, vertex_trussness, TrussDecomposition};
+use sd_graph::{CsrGraph, Dsu, VertexId};
+use sd_truss::{vertex_trussness, TrussDecomposition};
 
 use crate::bound::finish_entries;
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
@@ -22,6 +23,7 @@ use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::error::DecodeError;
 use crate::score::EgoDecomposition;
 use crate::topr::TopRCollector;
+use crate::tsd::max_spanning_forest;
 
 /// Serialized-format magic ("GCT1").
 const MAGIC: u32 = 0x4743_5431;
@@ -30,33 +32,22 @@ const MAGIC: u32 = 0x4743_5431;
 /// (the bitmap needs `n²` bits; 8192 vertices ≈ 8 MiB, a sane ceiling).
 pub const BITMAP_FALLBACK_THRESHOLD: usize = 8192;
 
-/// Per-vertex compressed structure: supernodes and superedges
-/// (Figure 7(b) of the paper).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct GctEntry {
+/// One vertex's compressed structure — supernodes and superedges
+/// (Figure 7(b) of the paper) — borrowed from its [`GctIndex`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GctEntry<'a> {
     /// Supernode trussness `τ(S)`, sorted descending.
-    sn_tau: Vec<u32>,
-    /// `sn_offsets[i]..sn_offsets[i+1]` slices `sn_vertices` for supernode i.
-    sn_offsets: Vec<u32>,
+    sn_tau: &'a [u32],
+    /// Supernode `i`'s members end at `sn_end[i]` in `members` (and start
+    /// where supernode `i − 1`'s end).
+    sn_end: &'a [u32],
     /// Concatenated supernode member lists (global vertex ids, each ascending).
-    sn_vertices: Vec<VertexId>,
+    members: &'a [VertexId],
     /// Superedges `(a, b, w)` — supernode indices + weight — weight descending.
-    se: Vec<(u32, u32, u32)>,
+    se: &'a [(u32, u32, u32)],
 }
 
-impl GctEntry {
-    /// The entry of an isolated vertex — identical to what
-    /// [`Self::from_ego`] produces for an empty ego-network (the offsets
-    /// array keeps its leading sentinel 0).
-    pub fn empty() -> Self {
-        GctEntry {
-            sn_tau: Vec::new(),
-            sn_offsets: vec![0],
-            sn_vertices: Vec::new(),
-            se: Vec::new(),
-        }
-    }
-
+impl<'a> GctEntry<'a> {
     /// Number of supernodes.
     pub fn supernodes(&self) -> usize {
         self.sn_tau.len()
@@ -68,33 +59,23 @@ impl GctEntry {
     }
 
     /// Members of supernode `i`.
-    pub fn members(&self, i: usize) -> &[VertexId] {
-        &self.sn_vertices[self.sn_offsets[i] as usize..self.sn_offsets[i + 1] as usize]
-    }
-
-    /// `N_k`: supernodes with trussness ≥ k (prefix, since sorted desc).
-    fn n_k(&self, k: u32) -> usize {
-        self.sn_tau.partition_point(|&t| t >= k)
-    }
-
-    /// `M_k`: superedges with weight ≥ k (prefix, since sorted desc).
-    fn m_k(&self, k: u32) -> usize {
-        self.se.partition_point(|&(_, _, w)| w >= k)
+    pub fn members(&self, i: usize) -> &'a [VertexId] {
+        let start = if i == 0 { 0 } else { self.sn_end[i - 1] as usize };
+        &self.members[start..self.sn_end[i] as usize]
     }
 
     /// Lemma 3: `score = N_k − M_k` (the filtered structure is a forest of
     /// supernodes, every superedge of weight ≥ k joining two qualifying
     /// supernodes).
     pub fn score(&self, k: u32) -> u32 {
-        (self.n_k(k) - self.m_k(k)) as u32
+        lemma_3(self.sn_tau, self.se, k)
     }
 
     /// Social contexts at threshold `k`: union-find over qualifying
     /// supernodes along qualifying superedges, member lists merged,
     /// ordered (size desc, first vertex asc).
     pub fn social_contexts(&self, k: u32) -> Vec<Vec<VertexId>> {
-        let n_k = self.n_k(k);
-        let m_k = self.m_k(k);
+        let (n_k, m_k) = (n_k(self.sn_tau, k), m_k(self.se, k));
         let mut dsu = Dsu::new(n_k);
         for &(a, b, _) in &self.se[..m_k] {
             debug_assert!((a as usize) < n_k && (b as usize) < n_k);
@@ -119,92 +100,21 @@ impl GctEntry {
         groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
         groups
     }
+}
 
-    /// Algorithm 8: builds the entry from an ego-network, its truss
-    /// decomposition, and per-local-vertex trussness.
-    pub fn from_ego(ego: &EgoNetwork, decomposition: &TrussDecomposition, tau_v: &[u32]) -> Self {
-        let local = &ego.graph;
-        let n = local.n();
-        // `snode` tracks supernode membership (merges only); `conn` tracks
-        // forest connectivity (merges + superedges).
-        let mut snode = Dsu::new(n);
-        let mut conn = Dsu::new(n);
-        let snode_tau: Vec<u32> = tau_v.to_vec();
-        let mut raw_superedges: Vec<(u32, u32, u32)> = Vec::new();
+/// `N_k`: supernodes with trussness ≥ k (prefix, since sorted desc).
+fn n_k(sn_tau: &[u32], k: u32) -> usize {
+    sn_tau.partition_point(|&t| t >= k)
+}
 
-        // Process edges in descending trussness (counting buckets).
-        let max_w = decomposition.max_trussness;
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_w as usize + 1];
-        for (e, &t) in decomposition.trussness.iter().enumerate() {
-            buckets[t as usize].push(e as u32);
-        }
-        for t in (2..=max_w).rev() {
-            for &e in &buckets[t as usize] {
-                let (u, w) = local.edge(e);
-                let su = snode.find(u);
-                let sw = snode.find(w);
-                if su == sw || conn.connected(u, w) {
-                    continue;
-                }
-                if snode_tau[su as usize] == t && snode_tau[sw as usize] == t {
-                    snode.union(su, sw);
-                    // Root keeps tau = t (both sides equal).
-                } else {
-                    raw_superedges.push((u, w, t));
-                }
-                conn.union(u, w);
-            }
-        }
+/// `M_k`: superedges with weight ≥ k (prefix, since sorted desc).
+fn m_k(se: &[(u32, u32, u32)], k: u32) -> usize {
+    se.partition_point(|&(_, _, w)| w >= k)
+}
 
-        // Collect supernodes over vertices with trussness ≥ 2 (isolated ego
-        // vertices can never join a k-truss, k ≥ 2).
-        let mut root_to_sn: Vec<i32> = vec![-1; n];
-        let mut sn_tau = Vec::new();
-        let mut member_lists: Vec<Vec<VertexId>> = Vec::new();
-        for (l, &tau) in tau_v.iter().enumerate() {
-            if tau < 2 {
-                continue;
-            }
-            let root = snode.find(l as u32) as usize;
-            let idx = if root_to_sn[root] >= 0 {
-                root_to_sn[root] as usize
-            } else {
-                root_to_sn[root] = sn_tau.len() as i32;
-                sn_tau.push(snode_tau[root]);
-                member_lists.push(Vec::new());
-                sn_tau.len() - 1
-            };
-            member_lists[idx].push(ego.vertices[l]);
-        }
-
-        // Sort supernodes by trussness descending (stable order for queries).
-        let mut perm: Vec<usize> = (0..sn_tau.len()).collect();
-        perm.sort_by(|&a, &b| sn_tau[b].cmp(&sn_tau[a]));
-        let mut inv = vec![0u32; perm.len()];
-        for (new_idx, &old_idx) in perm.iter().enumerate() {
-            inv[old_idx] = new_idx as u32;
-        }
-        let sorted_tau: Vec<u32> = perm.iter().map(|&i| sn_tau[i]).collect();
-        let mut sn_offsets = Vec::with_capacity(perm.len() + 1);
-        let mut sn_vertices = Vec::new();
-        sn_offsets.push(0u32);
-        for &i in &perm {
-            sn_vertices.extend_from_slice(&member_lists[i]);
-            sn_offsets.push(sn_vertices.len() as u32);
-        }
-
-        let mut se: Vec<(u32, u32, u32)> = raw_superedges
-            .into_iter()
-            .map(|(u, w, t)| {
-                let a = inv[root_to_sn[snode.find(u) as usize] as usize];
-                let b = inv[root_to_sn[snode.find(w) as usize] as usize];
-                (a.min(b), a.max(b), t)
-            })
-            .collect();
-        se.sort_unstable_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)));
-
-        GctEntry { sn_tau: sorted_tau, sn_offsets, sn_vertices, se }
-    }
+/// Lemma 3 over one entry's supernode trussness and superedges.
+fn lemma_3(sn_tau: &[u32], se: &[(u32, u32, u32)], k: u32) -> u32 {
+    (n_k(sn_tau, k) - m_k(se, k)) as u32
 }
 
 /// Phase timings of GCT/TSD index construction (Table 4 of the paper).
@@ -218,7 +128,22 @@ pub struct BuildPhaseStats {
     pub assembly: Duration,
 }
 
-/// The GCT-index of a whole graph.
+/// Where one vertex's entry starts in each of a [`GctIndex`]'s shared
+/// arrays.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Start {
+    /// First supernode, into `sn_tau` and `sn_end`.
+    sn: usize,
+    /// First member, into `members`.
+    member: usize,
+    /// First superedge, into `se`.
+    se: usize,
+}
+
+/// The GCT-index of a whole graph: every vertex's supernodes, members and
+/// superedges in three shared flat arrays (four, counting the member
+/// ends), sliced per vertex by offsets — the layout [`crate::TsdIndex`]
+/// uses for its forests.
 ///
 /// ```
 /// use sd_graph::GraphBuilder;
@@ -232,7 +157,19 @@ pub struct BuildPhaseStats {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GctIndex {
-    entries: Vec<GctEntry>,
+    /// Per-vertex starts into the arrays below; length n + 1, the last
+    /// closing vertex n − 1.
+    starts: Vec<Start>,
+    /// Supernode trussness, descending within each vertex.
+    sn_tau: Vec<u32>,
+    /// Per supernode, the end of its members relative to its vertex's
+    /// first member (the serialized per-entry offsets, verbatim).
+    sn_end: Vec<u32>,
+    /// Member lists, global ids, each ascending.
+    members: Vec<VertexId>,
+    /// Superedges `(a, b, w)`, supernode indices local to their vertex,
+    /// weight descending within each vertex.
+    se: Vec<(u32, u32, u32)>,
 }
 
 impl GctIndex {
@@ -249,7 +186,7 @@ impl GctIndex {
         let all = AllEgoNetworks::build(g);
         stats.extraction += t0.elapsed();
 
-        let mut entries = Vec::with_capacity(g.n());
+        let mut builder = GctBuilder::new(g.n());
         for v in g.vertices() {
             let t1 = Instant::now();
             let ego = all.ego_graph(g, v);
@@ -266,36 +203,39 @@ impl GctIndex {
             stats.decomposition += t2.elapsed();
 
             let t3 = Instant::now();
-            entries.push(GctEntry::from_ego(&ego, &decomposition, &tau_v));
+            builder.push_ego(&ego, &decomposition, &tau_v);
             stats.assembly += t3.elapsed();
         }
-        (GctIndex { entries }, stats)
-    }
-
-    /// Assembles an index from per-vertex entries (entry `i` belongs to
-    /// vertex `i`); used by the parallel builder.
-    pub fn from_entries(entries: Vec<GctEntry>) -> Self {
-        GctIndex { entries }
+        (builder.finish(), stats)
     }
 
     /// Number of indexed vertices.
     pub fn n(&self) -> usize {
-        self.entries.len()
+        self.starts.len() - 1
     }
 
-    /// Per-vertex entry.
-    pub fn entry(&self, v: VertexId) -> &GctEntry {
-        &self.entries[v as usize]
+    /// Per-vertex entry, borrowed from the index.
+    pub fn entry(&self, v: VertexId) -> GctEntry<'_> {
+        let (s, e) = (self.starts[v as usize], self.starts[v as usize + 1]);
+        GctEntry {
+            sn_tau: &self.sn_tau[s.sn..e.sn],
+            sn_end: &self.sn_end[s.sn..e.sn],
+            members: &self.members[s.member..e.member],
+            se: &self.se[s.se..e.se],
+        }
     }
 
     /// `score(v)` at threshold `k` (Lemma 3; O(log) per call).
     pub fn score(&self, v: VertexId, k: u32) -> u32 {
-        self.entries[v as usize].score(k)
+        // Only the two arrays Lemma 3 reads are sliced: this is the hot
+        // loop of `top_r`.
+        let (s, e) = (self.starts[v as usize], self.starts[v as usize + 1]);
+        lemma_3(&self.sn_tau[s.sn..e.sn], &self.se[s.se..e.se], k)
     }
 
     /// Social contexts of `v` at threshold `k`.
     pub fn social_contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-        self.entries[v as usize].social_contexts(k)
+        self.entry(v).social_contexts(k)
     }
 
     /// GCT top-r: exact scores are O(log) per vertex, so evaluate all and
@@ -304,9 +244,9 @@ impl GctIndex {
         let start = Instant::now();
         let mut collector = TopRCollector::new(config.r);
         let mut computations = 0usize;
-        for (v, entry) in self.entries.iter().enumerate() {
+        for v in 0..self.n() as VertexId {
             computations += 1;
-            collector.offer(v as u32, entry.score(config.k));
+            collector.offer(v, self.score(v, config.k));
         }
         let entries = finish_entries(collector, |v| self.social_contexts(v, config.k));
         TopRResult {
@@ -322,23 +262,24 @@ impl GctIndex {
 
     /// Serializes to a compact blob (Table 3 index-size accounting).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.index_size_bytes());
         buf.put_u32_le(MAGIC);
-        buf.put_u64_le(self.entries.len() as u64);
-        for e in &self.entries {
+        buf.put_u64_le(self.n() as u64);
+        for v in 0..self.n() as VertexId {
+            let e = self.entry(v);
             buf.put_u32_le(e.sn_tau.len() as u32);
-            buf.put_u32_le(e.sn_vertices.len() as u32);
+            buf.put_u32_le(e.members.len() as u32);
             buf.put_u32_le(e.se.len() as u32);
-            for &t in &e.sn_tau {
+            for &t in e.sn_tau {
                 buf.put_u32_le(t);
             }
-            for &o in &e.sn_offsets[1..] {
+            for &o in e.sn_end {
                 buf.put_u32_le(o);
             }
-            for &m in &e.sn_vertices {
+            for &m in e.members {
                 buf.put_u32_le(m);
             }
-            for &(a, b, w) in &e.se {
+            for &(a, b, w) in e.se {
                 buf.put_u32_le(a);
                 buf.put_u32_le(b);
                 buf.put_u32_le(w);
@@ -362,7 +303,7 @@ impl GctIndex {
         if n > data.remaining() / 12 {
             return Err(DecodeError::Truncated);
         }
-        let mut entries = Vec::with_capacity(n);
+        let mut index = GctBuilder::new(n);
         for _ in 0..n {
             if data.remaining() < 12 {
                 return Err(DecodeError::Truncated);
@@ -381,96 +322,192 @@ impl GctIndex {
             if data.remaining() < need {
                 return Err(DecodeError::Truncated);
             }
-            let sn_tau: Vec<u32> = (0..sn).map(|_| data.get_u32_le()).collect();
-            let mut sn_offsets = Vec::with_capacity(sn + 1);
-            sn_offsets.push(0);
-            for _ in 0..sn {
-                sn_offsets.push(data.get_u32_le());
-            }
-            let sn_vertices: Vec<u32> = (0..members).map(|_| data.get_u32_le()).collect();
-            let se: Vec<(u32, u32, u32)> = (0..ses)
-                .map(|_| (data.get_u32_le(), data.get_u32_le(), data.get_u32_le()))
-                .collect();
-            entries.push(GctEntry { sn_tau, sn_offsets, sn_vertices, se });
+            let out = &mut index.0;
+            out.sn_tau.extend((0..sn).map(|_| data.get_u32_le()));
+            out.sn_end.extend((0..sn).map(|_| data.get_u32_le()));
+            out.members.extend((0..members).map(|_| data.get_u32_le()));
+            out.se.extend(
+                (0..ses).map(|_| (data.get_u32_le(), data.get_u32_le(), data.get_u32_le())),
+            );
+            index.close();
         }
-        Ok(GctIndex { entries })
+        Ok(index.finish())
     }
 
     /// Serialized size in bytes.
     pub fn index_size_bytes(&self) -> usize {
-        12 + self
-            .entries
-            .iter()
-            .map(|e| 12 + e.sn_tau.len() * 8 + e.sn_vertices.len() * 4 + e.se.len() * 12)
-            .sum::<usize>()
-    }
-}
-
-/// Builds one GCT entry straight from a graph (testing/diagnostics helper).
-pub fn gct_entry_for(g: &CsrGraph, v: VertexId) -> GctEntry {
-    let ego = EgoNetwork::extract(g, v);
-    let decomposition = truss_decomposition(&ego.graph);
-    let tau_v = vertex_trussness(&ego.graph, &decomposition);
-    GctEntry::from_ego(&ego, &decomposition, &tau_v)
-}
-
-/// Builds one GCT entry from a mutable graph's current state — the repair
-/// primitive of [`DynamicGct`], sharing the sorted-merge ego kernel with
-/// the dynamic TSD path.
-pub fn dynamic_gct_entry_for(g: &DynamicGraph, v: VertexId) -> GctEntry {
-    let ego = crate::dynamic::extract_ego_dynamic(g, v);
-    let decomposition = truss_decomposition(&ego.graph);
-    let tau_v = vertex_trussness(&ego.graph, &decomposition);
-    GctEntry::from_ego(&ego, &decomposition, &tau_v)
-}
-
-/// A GCT-index that stays consistent under affected-region repair.
-///
-/// The GCT entry of vertex `v` is a pure function of `v`'s ego-network,
-/// so the *same* affected set the dynamic TSD derives for an update batch
-/// (endpoints + common neighbors per applied edit; see
-/// [`DynamicTsd::apply_into`](crate::dynamic::DynamicTsd::apply_into))
-/// bounds exactly which entries an update can change — re-decomposing
-/// only those restores the full index. The structure holds no adjacency
-/// of its own: callers lend the [`DynamicGraph`] the TSD updater already
-/// maintains, so carrying GCT across epochs costs `O(index)` entries and
-/// zero extra graph memory.
-#[derive(Clone, Debug, Default)]
-pub struct DynamicGct {
-    entries: Vec<GctEntry>,
-}
-
-impl DynamicGct {
-    /// Adopts an already-built static [`GctIndex`] without recomputing
-    /// anything (`O(index size)` entry copy — the epoch-carry path).
-    pub fn from_index(index: &GctIndex) -> Self {
-        DynamicGct { entries: index.entries.clone() }
+        12 + self.n() * 12 + self.sn_tau.len() * 8 + self.members.len() * 4 + self.se.len() * 12
     }
 
-    /// Number of indexed vertices.
-    pub fn n(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Re-decomposes the ego-networks of `affected` vertices against the
-    /// graph's current state, growing the entry table if the batch added
-    /// vertices. Returns the number of entries rebuilt. Callers pass a
-    /// deduplicated affected set; repairing a vertex twice is correct but
-    /// wasted work.
-    pub fn repair(&mut self, g: &DynamicGraph, affected: &[VertexId]) -> usize {
-        if self.entries.len() < g.n() {
-            self.entries.resize(g.n(), GctEntry::empty());
+    /// This index over `n ≥ self.n()` vertices with the entry of
+    /// `repaired[i]` (ascending) replaced by `patch`'s entry `i`: the
+    /// GCT twin of [`crate::TsdIndex`]'s splice, copying the runs between
+    /// repaired vertices contiguously.
+    pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &GctIndex) -> GctIndex {
+        let mut out = GctBuilder::new(n);
+        out.0.sn_tau.reserve(self.sn_tau.len() + patch.sn_tau.len());
+        out.0.sn_end.reserve(self.sn_end.len() + patch.sn_end.len());
+        out.0.members.reserve(self.members.len() + patch.members.len());
+        out.0.se.reserve(self.se.len() + patch.se.len());
+        let mut next = 0usize;
+        for (i, &v) in repaired.iter().enumerate() {
+            out.extend_from(self, next..v as usize);
+            out.extend_from(patch, i..i + 1);
+            next = v as usize + 1;
         }
-        for &v in affected {
-            self.entries[v as usize] = dynamic_gct_entry_for(g, v);
-        }
-        affected.len()
+        out.extend_from(self, next..n);
+        out.finish()
+    }
+}
+
+/// Builds a [`GctIndex`] vertex by vertex, straight into its flat arrays.
+pub(crate) struct GctBuilder(GctIndex);
+
+impl GctBuilder {
+    /// Builder for `n` vertices; entries must be pushed in id order.
+    pub(crate) fn new(n: usize) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(Start::default());
+        GctBuilder(GctIndex {
+            starts,
+            sn_tau: Vec::new(),
+            sn_end: Vec::new(),
+            members: Vec::new(),
+            se: Vec::new(),
+        })
     }
 
-    /// Snapshots the maintained entries as a static [`GctIndex`] — equal
-    /// to `GctIndex::build` of the current graph at none of its cost.
-    pub fn to_index(&self) -> GctIndex {
-        GctIndex { entries: self.entries.clone() }
+    /// Where the next entry starts: the ends of the arrays so far.
+    fn end(&self) -> Start {
+        let index = &self.0;
+        Start { sn: index.sn_tau.len(), member: index.members.len(), se: index.se.len() }
+    }
+
+    /// Closes the entry being appended.
+    fn close(&mut self) {
+        let end = self.end();
+        self.0.starts.push(end);
+    }
+
+    /// Appends the entry of the vertex whose ego-network is `ego`, from its
+    /// truss decomposition and per-local-vertex trussness.
+    pub(crate) fn push_ego(
+        &mut self,
+        ego: &EgoNetwork,
+        decomposition: &TrussDecomposition,
+        tau_v: &[u32],
+    ) {
+        self.push_forest(ego, &max_spanning_forest(&ego.graph, decomposition), tau_v);
+    }
+
+    /// Algorithm 8 over the ego's maximum spanning forest (local ids,
+    /// weight descending; [`max_spanning_forest`]) and per-local-vertex
+    /// trussness `tau_v`.
+    ///
+    /// Algorithm 8 walks the ego's edges by trussness descending and skips
+    /// every edge whose endpoints are already connected — exactly Kruskal,
+    /// so the edges it keeps are this forest's, in this order. A kept edge
+    /// whose endpoints both have its trussness merges their supernodes
+    /// (every member of a supernode shares one trussness); any other kept
+    /// edge becomes a superedge.
+    pub(crate) fn push_forest(
+        &mut self,
+        ego: &EgoNetwork,
+        forest: &[(u32, u32, u32)],
+        tau_v: &[u32],
+    ) {
+        let n = ego.graph.n();
+        let mut snode = Dsu::new(n);
+        let mut superedges: Vec<(u32, u32, u32)> = Vec::new();
+        for &(u, w, t) in forest {
+            if tau_v[u as usize] == t && tau_v[w as usize] == t {
+                snode.union(u, w);
+            } else {
+                superedges.push((u, w, t));
+            }
+        }
+
+        // Supernodes over vertices with trussness ≥ 2 (isolated ego
+        // vertices can never join a k-truss, k ≥ 2), numbered by first
+        // member.
+        const NONE: u32 = u32::MAX;
+        let mut sn_of_root = vec![NONE; n];
+        let mut sn_of = vec![NONE; n];
+        let (mut tau, mut size): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for (l, &t) in tau_v.iter().enumerate() {
+            if t < 2 {
+                continue;
+            }
+            let root = snode.find(l as u32) as usize;
+            if sn_of_root[root] == NONE {
+                sn_of_root[root] = tau.len() as u32;
+                tau.push(t);
+                size.push(0);
+            }
+            sn_of[l] = sn_of_root[root];
+            size[sn_of[l] as usize] += 1;
+        }
+
+        // Order supernodes by trussness descending (stable, so ties keep
+        // their numbering) and lay their member lists out in that order.
+        let mut order: Vec<u32> = (0..tau.len() as u32).collect();
+        order.sort_by(|&a, &b| tau[b as usize].cmp(&tau[a as usize]));
+        let index = &mut self.0;
+        let mut rank = vec![0u32; order.len()];
+        let mut fill = vec![0u32; order.len()];
+        let mut end = 0u32;
+        for (r, &s) in order.iter().enumerate() {
+            rank[s as usize] = r as u32;
+            fill[r] = end;
+            end += size[s as usize];
+            index.sn_tau.push(tau[s as usize]);
+            index.sn_end.push(end);
+        }
+        let base = index.members.len();
+        index.members.resize(base + end as usize, 0);
+        for (l, &s) in sn_of.iter().enumerate() {
+            if s != NONE {
+                let slot = &mut fill[rank[s as usize] as usize];
+                index.members[base + *slot as usize] = ego.vertices[l];
+                *slot += 1;
+            }
+        }
+
+        let first = index.se.len();
+        index.se.extend(superedges.into_iter().map(|(u, w, t)| {
+            let (a, b) = (rank[sn_of[u as usize] as usize], rank[sn_of[w as usize] as usize]);
+            (a.min(b), a.max(b), t)
+        }));
+        index.se[first..].sort_unstable_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)));
+        self.close();
+    }
+
+    /// Appends the entries of `vertices` from `index` with one contiguous
+    /// copy per array (member ends and superedge endpoints are relative to
+    /// their entry, so they copy verbatim); vertices at or past
+    /// `index.n()` get empty entries (new, isolated vertices).
+    pub(crate) fn extend_from(&mut self, index: &GctIndex, vertices: Range<usize>) {
+        let kept = vertices.start.min(index.n())..vertices.end.min(index.n());
+        let (first, last) = (index.starts[kept.start], index.starts[kept.end]);
+        let base = self.end();
+        let out = &mut self.0;
+        out.sn_tau.extend_from_slice(&index.sn_tau[first.sn..last.sn]);
+        out.sn_end.extend_from_slice(&index.sn_end[first.sn..last.sn]);
+        out.members.extend_from_slice(&index.members[first.member..last.member]);
+        out.se.extend_from_slice(&index.se[first.se..last.se]);
+        out.starts.extend(index.starts[kept.start + 1..=kept.end].iter().map(|s| Start {
+            sn: s.sn - first.sn + base.sn,
+            member: s.member - first.member + base.member,
+            se: s.se - first.se + base.se,
+        }));
+        for _ in kept.len()..vertices.len() {
+            self.close();
+        }
+    }
+
+    /// Finishes the index.
+    pub(crate) fn finish(self) -> GctIndex {
+        self.0
     }
 }
 
@@ -486,7 +523,8 @@ mod tests {
     #[test]
     fn paper_figure_7_structure() {
         let (g, v, _) = paper_figure1_graph();
-        let entry = gct_entry_for(&g, v);
+        let index = GctIndex::build(&g);
+        let entry = index.entry(v);
         assert_eq!(entry.supernodes(), 3);
         assert!(entry.sn_tau.iter().all(|&t| t == 4));
         assert_eq!(entry.superedges(), 1);
@@ -509,28 +547,28 @@ mod tests {
         }
     }
 
+    /// Splicing rebuilt entries over an index, with the vertex set grown,
+    /// equals building the grown graph's index from scratch.
     #[test]
-    fn dynamic_gct_repair_matches_full_rebuild() {
+    fn splice_replaces_entries_and_grows() {
         let (g, _, _) = paper_figure1_graph();
-        let built = GctIndex::build(&g);
-        let mut gct = DynamicGct::from_index(&built);
-        assert_eq!(gct.to_index(), built, "carry reproduces the static index exactly");
-        // Drive the graph with the TSD updater and repair the same region.
-        let mut tsd = crate::dynamic::DynamicTsd::from_csr(&g);
-        let mut affected = Vec::new();
-        for update in [
-            sd_graph::GraphUpdate::Insert { u: 1, v: 6 },
-            sd_graph::GraphUpdate::Remove { u: 2, v: 5 },
-            sd_graph::GraphUpdate::Insert { u: 0, v: 20 }, // grows the vertex set
-        ] {
-            tsd.apply_into(update, &mut affected);
+        let base = GctIndex::build(&g);
+        assert_eq!(base.splice(g.n(), &[], &GctBuilder::new(0).finish()), base);
+        let mut edges = g.edges().to_vec();
+        edges.extend([(1, 6), (0, 20)]);
+        let grown = sd_graph::GraphBuilder::new().extend_edges(edges).build();
+        let rebuilt = GctIndex::build(&grown);
+        // Repair the vertices whose entries changed, plus the new
+        // endpoint; 17..20 are new, isolated, and left to the splice.
+        let repaired: Vec<VertexId> = (0..grown.n() as VertexId)
+            .filter(|&v| v == 20 || (v as usize) < g.n() && base.entry(v) != rebuilt.entry(v))
+            .collect();
+        assert_eq!(repaired, vec![1, 6, 20], "the entries the inserts change");
+        let mut patch = GctBuilder::new(repaired.len());
+        for &v in &repaired {
+            patch.extend_from(&rebuilt, v as usize..v as usize + 1);
         }
-        affected.sort_unstable();
-        affected.dedup();
-        let repaired = gct.repair(tsd.graph(), &affected);
-        assert_eq!(repaired, affected.len());
-        let rebuilt = GctIndex::build(&tsd.graph().to_csr());
-        assert_eq!(gct.to_index(), rebuilt, "affected-region repair == full rebuild");
+        assert_eq!(base.splice(grown.n(), &repaired, &patch.finish()), rebuilt);
     }
 
     #[test]

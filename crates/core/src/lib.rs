@@ -92,7 +92,7 @@ pub use envelope::{
     BUNDLE_MAGIC, BUNDLE_VERSION, ENVELOPE_HEADER_BYTES, ENVELOPE_MAGIC, ENVELOPE_VERSION,
 };
 pub use error::{DecodeError, SearchError};
-pub use gct::{DynamicGct, GctIndex, BITMAP_FALLBACK_THRESHOLD};
+pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};
 pub use hybrid::HybridIndex;
 pub use online::all_scores;
 pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};

@@ -23,7 +23,7 @@
 //! | 6    | `server.batch`    | one tenant's query-coalescing accumulator            |
 //! | 7    | `server.frame`    | one request frame's reply-aggregation slots          |
 //! | 8    | `server.inflight` | the per-epoch in-flight gauge draining consults      |
-//! | 10   | `svc.updater`     | the retained carry state (COW [`crate::dynamic::DynamicTsd`] + [`crate::gct::DynamicGct`]); serializes `apply_updates` |
+//! | 10   | `svc.updater`     | the retained carry ([`crate::dynamic::DynamicTsd`]: COW adjacency + the published TSD/GCT `Arc`s); serializes `apply_updates` |
 //! | 20   | `epoch.ptr`       | the serving-epoch pointer swap                       |
 //! | 30   | `engine.slot`     | one engine cache slot of an epoch                    |
 //! | 40   | `batch.slot`      | one result slot of a `top_r_many` fan-out            |
@@ -45,8 +45,9 @@
 //!
 //! - `svc.updater → epoch.ptr` — `apply_updates` publishes the next epoch
 //!   while holding the updater carry.
-//! - `svc.updater → engine.slot` — the first batch seeds its carry from
-//!   the old epoch's TSD slot.
+//! - `svc.updater → engine.slot` — a batch seeds its carry from the old
+//!   epoch's TSD and GCT slots, and `updater_cow` compares the carry's
+//!   indexes with the current epoch's.
 //! - `epoch.ptr → engine.slot` — `import_index` installs into the epoch it
 //!   verified, under the epoch read lock.
 //! - `engine.slot → scan.chunk` — a foreground fallback build scans in
@@ -124,8 +125,8 @@ pub const SERVER_FRAME: LockClass = LockClass::new(7, "server.frame");
 pub const SERVER_INFLIGHT: LockClass = LockClass::new(8, "server.inflight");
 
 /// Serializes [`crate::SearchService::apply_updates`] batches and guards
-/// the retained carry state: the COW incremental-TSD graph plus the
-/// dynamic GCT entry table that repairs in place across publishes.
+/// the retained carry state: the COW graph plus the published TSD and GCT
+/// indexes the next batch repairs against.
 pub const SVC_UPDATER: LockClass = LockClass::new(10, "svc.updater");
 
 /// The serving-epoch pointer: readers pin a snapshot, updates swap it.

@@ -49,7 +49,7 @@ use sd_truss::{truss_decomposition, vertex_trussness};
 use crate::bound::{finish_entries, sparsify, upper_bounds, BoundOptions};
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::EgoNetwork;
-use crate::gct::{GctEntry, GctIndex};
+use crate::gct::{GctBuilder, GctIndex};
 use crate::pool::{Job, WorkerPool};
 use crate::score::{social_contexts, social_contexts_of_ego, EgoDecomposition};
 use crate::topr::TopRCollector;
@@ -96,15 +96,16 @@ pub fn all_scores_parallel(g: &CsrGraph, k: u32) -> Vec<u32> {
 }
 
 /// Builds the GCT-index in parallel (identical output to
-/// [`GctIndex::build`], which is deterministic per vertex).
+/// [`GctIndex::build`], which is deterministic per vertex): each chunk of
+/// vertices is built into its own flat index, and the chunks are then
+/// concatenated in vertex order.
 pub fn build_gct_parallel(g: &CsrGraph) -> GctIndex {
     let n = g.n();
     let threads = worker_count(16);
     let all = crate::egonet::AllEgoNetworks::build(g);
-    let mut entries: Vec<GctEntry> = vec![GctEntry::default(); n];
     let next = std::sync::atomic::AtomicUsize::new(0);
     const CHUNK: usize = 128;
-    let slots = crate::lock_order::SCAN_CHUNK.mutex(entries.chunks_mut(CHUNK).collect::<Vec<_>>());
+    let parts = crate::lock_order::SCAN_CHUNK.mutex(vec![None::<GctIndex>; n.div_ceil(CHUNK)]);
 
     crossbeam::scope(|scope| {
         for _ in 0..threads {
@@ -114,23 +115,24 @@ pub fn build_gct_parallel(g: &CsrGraph) -> GctIndex {
                 if start >= n {
                     break;
                 }
-                let slot = {
-                    let mut guard = slots.lock(); // lock: scan.chunk
-                    std::mem::take(&mut guard[chunk_idx])
-                };
-                for (offset, out) in slot.iter_mut().enumerate() {
-                    let v = (start + offset) as u32;
+                let end = (start + CHUNK).min(n);
+                let mut part = GctBuilder::new(end - start);
+                for v in start as u32..end as u32 {
                     let ego = all.ego_graph(g, v);
                     let decomposition = truss_decomposition(&ego.graph);
                     let tau_v = vertex_trussness(&ego.graph, &decomposition);
-                    *out = GctEntry::from_ego(&ego, &decomposition, &tau_v);
+                    part.push_ego(&ego, &decomposition, &tau_v);
                 }
+                parts.lock()[chunk_idx] = Some(part.finish()); // lock: scan.chunk
             });
         }
     })
     .expect("worker panicked"); // sd-lint: allow(no-panic) re-raises a scoped worker's panic on the caller
-    drop(slots);
-    GctIndex::from_entries(entries)
+    let mut index = GctBuilder::new(n);
+    for part in parts.into_inner().into_iter().flatten() {
+        index.extend_from(&part, 0..part.n());
+    }
+    index.finish()
 }
 
 /// Vertices per job in the pooled full scan ([`pool_all_scores`] and the

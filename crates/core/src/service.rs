@@ -36,12 +36,13 @@
 //!   surface what the pool is doing for this service;
 //! * **the graph is mutable under traffic**:
 //!   [`SearchService::apply_updates`] applies a batch of edge
-//!   insertions/deletions, carries the TSD-index across *incrementally*
-//!   (the [`DynamicTsd`] affected-ego-network repair — only the endpoints'
-//!   and their common neighbors' forests are recomputed, never the whole
-//!   index), derives the O(1) engines, re-enqueues the invalidated ones,
-//!   and publishes the next epoch with a single pointer swap; in-flight
-//!   queries keep reading their snapshot, new queries see the new graph;
+//!   insertions/deletions, carries the TSD- and GCT-indexes across
+//!   *incrementally* (the [`DynamicTsd`] affected-ego-network repair — only
+//!   the endpoints' and their common neighbors' entries are recomputed,
+//!   never the whole index), derives the O(1) engines, re-enqueues the
+//!   invalidated ones, and publishes the next epoch with a single pointer
+//!   swap; in-flight queries keep reading their snapshot, new queries see
+//!   the new graph;
 //! * [`SearchService::warmup`] is non-blocking (it enqueues); the matching
 //!   join is [`SearchService::wait_ready`], which returns once the named
 //!   engines are built — lending the calling thread to any build not yet
@@ -95,7 +96,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use sd_graph::{CowStats, CsrGraph, GraphUpdate, VertexId};
+use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
 
 use crate::config::TopRResult;
 use crate::dynamic::DynamicTsd;
@@ -105,7 +106,6 @@ use crate::engine::{
 };
 use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
 use crate::error::SearchError;
-use crate::gct::DynamicGct;
 use crate::lock_order;
 use crate::pool::{self, Job, WorkerPool};
 use crate::tsd::TsdIndex;
@@ -126,6 +126,16 @@ pub const AUTO_SMALL_GRAPH_EDGES: usize = crate::engine::AUTO_SMALL_GRAPH_EDGES;
 
 /// Batches below this size are not worth fanning out onto the pool.
 const FANOUT_MIN_SPECS: usize = 2;
+
+/// How far past the published graph's vertex count an update batch may
+/// reach: [`GROWTH_FLOOR`] ids, plus [`GROWTH_PER_OP`] per op in the
+/// batch. Every per-vertex table grows to the largest endpoint, so without
+/// this bound one op naming vertex `u32::MAX` would allocate for four
+/// billion vertices.
+const GROWTH_FLOOR: usize = 1 << 16;
+
+/// See [`GROWTH_FLOOR`]: each op may name two new vertices.
+const GROWTH_PER_OP: usize = 2;
 
 /// One `top_r_many` fan-out result slot, filled by its pool task.
 /// `Ok(None)` marks a slot whose query was cancelled at the slot
@@ -168,8 +178,7 @@ pub struct ServiceStats {
     /// instead of re-entering the background build queue.
     pub hybrid_carries: usize,
     /// GCT entries repaired in place by affected-region re-decomposition
-    /// across all update batches (the incremental alternative to a full
-    /// background GCT rebuild).
+    /// across all update batches ([`UpdateStats::gct_repairs`], summed).
     pub gct_repairs: usize,
     /// Successful queries answered per concrete engine, in
     /// [`EngineKind::ALL`] order. Fallback-served queries count toward the
@@ -207,24 +216,28 @@ pub struct UpdateStats {
     pub epoch: u64,
     /// Updates that mutated the graph.
     pub applied: usize,
-    /// Updates rejected as no-ops (duplicate or self-loop inserts, removes
-    /// of absent edges).
+    /// Updates rejected: no-ops (duplicate or self-loop inserts, removes
+    /// of absent edges) and ops naming a vertex past the batch's growth
+    /// bound (see [`SearchService::apply_updates`]).
     pub rejected: usize,
-    /// Ego-network forests the incremental TSD maintenance rebuilt — the
-    /// actual repair work, `2 + |N(u) ∩ N(v)|` per applied update, in place
-    /// of a full `O(n)`-forest rebuild.
+    /// Ego-network forests the applied updates invalidated, `2 + |N(u) ∩
+    /// N(v)|` per applied update — counted once per update that touched
+    /// them, so a vertex two updates touch counts twice here and is
+    /// re-decomposed once (`gct_repairs`).
     pub tsd_repairs: usize,
     /// Whether the new epoch's TSD-index was carried from retained state
     /// (an earlier batch's [`DynamicTsd`] or an already-built TSD engine)
     /// rather than seeded by a from-scratch build in this call.
     pub tsd_carried: bool,
-    /// GCT entries repaired in place for this batch. 0 when no GCT state
-    /// was retained or seedable, when the affected region exceeded the
-    /// repair threshold (full rebuild fallback), or when the batch
-    /// published nothing.
+    /// Distinct ego-networks re-decomposed for this batch, each once
+    /// against the final graph, with one decomposition feeding both its
+    /// TSD forest and its GCT entry. 0 when GCT was not carried (no built
+    /// GCT engine to seed from) or the batch published nothing.
     pub gct_repairs: usize,
     /// Whether the new epoch's GCT engine was published warm from
-    /// affected-region repair.
+    /// affected-region repair. False when the old epoch had no built GCT
+    /// engine to seed the carry from — then a GCT build that was scheduled
+    /// is re-queued on the new epoch — or when the batch published nothing.
     pub gct_carried: bool,
     /// Whether the new epoch's Hybrid engine was rebuilt inline from the
     /// carried TSD-index.
@@ -500,33 +513,11 @@ impl ServiceCore {
 pub struct SearchService {
     core: Arc<ServiceCore>,
     /// Serializes writers and retains the incremental maintenance state
-    /// between batches. Held only by [`Self::apply_updates`] (and the
-    /// read-only [`Self::updater_cow`] diagnostic) — the query path never
-    /// touches it.
-    updater: Mutex<Option<UpdaterState>>,
-}
-
-/// The state [`SearchService::apply_updates`] retains between batches:
-/// the incrementally maintained TSD-index (which owns the mutable
-/// copy-on-write graph) and, once seeded, the co-maintained GCT entries
-/// (which borrow that graph at repair time — no second adjacency).
-struct UpdaterState {
-    tsd: DynamicTsd,
-    /// `None` until a batch finds a built GCT engine to seed from, and
-    /// reset to `None` when an affected region exceeds
-    /// [`gct_repair_threshold`] (the entries would be stale; the next
-    /// batch re-seeds from the background rebuild it triggered).
-    gct: Option<DynamicGct>,
-}
-
-/// Largest affected region (distinct ego-networks) worth repairing in
-/// place for GCT. Past this, per-entry re-decomposition approaches the
-/// cost of the batched full rebuild (which shares triangle listing across
-/// vertices), so the updater drops its GCT state and falls back to the
-/// background build queue. The floor keeps small graphs always on the
-/// repair path.
-fn gct_repair_threshold(n: usize) -> usize {
-    (n / 4).max(64)
+    /// between batches: the copy-on-write graph and the published TSD (and
+    /// GCT, once seeded) indexes. Held only by [`Self::apply_updates`]
+    /// (and the read-only [`Self::updater_cow`] diagnostic) — the query
+    /// path never touches it.
+    updater: Mutex<Option<DynamicTsd>>,
 }
 
 /// Copy-on-write diagnostics for the retained updater
@@ -540,6 +531,11 @@ pub struct UpdaterCow {
     /// i.e. the updater is genuinely aliasing the published graph rather
     /// than holding a private copy.
     pub aliases_current_epoch: bool,
+    /// Whether the retained TSD-index — and GCT-index, when carried — is
+    /// the very `Arc` the current epoch's engine serves (pointer
+    /// identity): the publish handed the updater's indexes to the epoch
+    /// and kept no copy aside.
+    pub indexes_alias_current_epoch: bool,
 }
 
 impl std::fmt::Debug for SearchService {
@@ -670,14 +666,15 @@ impl SearchService {
 
     /// Copy-on-write diagnostics for the retained updater: `None` when no
     /// update session is active (nothing retained yet), otherwise the
-    /// shared/owned slot split plus whether the shared slots genuinely
-    /// alias the current epoch's CSR storage. Acquires `svc.updater` then
-    /// `epoch.ptr`, the same order as [`Self::apply_updates`].
+    /// shared/owned slot split plus whether the shared slots and the
+    /// retained indexes genuinely alias the current epoch's storage.
+    /// Acquires `svc.updater` then `epoch.ptr`, the same order as
+    /// [`Self::apply_updates`], and only try-reads the engine slots.
     pub fn updater_cow(&self) -> Option<UpdaterCow> {
         let retained = self.updater.lock(); // lock: svc.updater
-        let state = retained.as_ref()?;
+        let carry = retained.as_ref()?;
         let epoch = self.core.current();
-        let g = state.tsd.graph();
+        let g = carry.graph();
         let csr = &epoch.graph;
         let aliases_current_epoch = g.n() == csr.n()
             && (0..g.n() as VertexId).all(|v| {
@@ -686,7 +683,23 @@ impl SearchService {
                     ours.as_ptr() == theirs.as_ptr() && ours.len() == theirs.len()
                 }
             });
-        Some(UpdaterCow { stats: g.cow_stats(), aliases_current_epoch })
+        let (tsd, gct) = (epoch.cached(EngineKind::Tsd), epoch.cached(EngineKind::Gct));
+        let tsd_shared = tsd
+            .as_deref()
+            .and_then(DiversityEngine::tsd_index)
+            .is_some_and(|index| Arc::ptr_eq(index, carry.index()));
+        let gct_shared = match carry.gct_index() {
+            None => true,
+            Some(ours) => gct
+                .as_deref()
+                .and_then(DiversityEngine::gct_index)
+                .is_some_and(|index| Arc::ptr_eq(index, ours)),
+        };
+        Some(UpdaterCow {
+            stats: g.cow_stats(),
+            aliases_current_epoch,
+            indexes_alias_current_epoch: tsd_shared && gct_shared,
+        })
     }
 
     /// The worker pool this service schedules onto — the process-wide pool
@@ -813,23 +826,30 @@ impl SearchService {
     /// an update actually touches (its endpoints and their common
     /// neighbors, the Section 5.3 strategy) —
     ///
-    /// * **TSD** is maintained by a retained [`DynamicTsd`] — seeded, the
-    ///   first time, from the current epoch's already-built TSD engine —
-    ///   whose repaired forests are snapshotted (`O(index size)`, no
-    ///   decomposition) and pre-installed in the new epoch.
-    /// * **GCT** rides the *same* affected region: a retained
-    ///   [`DynamicGct`] (seeded from a built GCT engine) re-decomposes
-    ///   exactly those ego-networks and publishes warm, falling back to
-    ///   the background rebuild only when the region exceeds the repair
-    ///   threshold (`max(64, n/4)` egos).
+    /// * **TSD** and **GCT** are maintained by a retained [`DynamicTsd`],
+    ///   seeded with an `Arc` clone of the current epoch's built TSD
+    ///   engine's index (and its GCT engine's, once one is built). Each
+    ///   distinct affected vertex is re-decomposed once against the
+    ///   batch's final graph, the one decomposition feeding both its TSD
+    ///   forest and its GCT entry, and the repaired entries are spliced
+    ///   into fresh flat indexes with contiguous copies of the rest. The
+    ///   new epoch's TSD and GCT engines serve those very `Arc`s. A batch
+    ///   that lands while GCT is only scheduled, not yet built, has no GCT
+    ///   state to repair, so GCT re-enters the background queue.
     /// * **Hybrid** is rebuilt inline from the carried TSD-index
     ///   (`HybridIndex::build_from_tsd`, an `O(n · profile)` sweep).
     /// * The O(1) index-free kinds that were live are derived inline.
     ///
     /// The retained updater's adjacency is **copy-on-write** against the
-    /// published CSR ([`DynamicGraph::rebase`](sd_graph::DynamicGraph::rebase)
-    /// after every publish), so an idle update session holds `O(n)` slot
-    /// pointers instead of a second copy of the graph.
+    /// published CSR ([`DynamicGraph::rebase`] after every publish), so an
+    /// idle update session holds `O(n)` slot pointers and the published
+    /// indexes, not a second copy of either.
+    ///
+    /// Every per-vertex table grows to the largest vertex an op names, so
+    /// an op naming a vertex at or past `n + 65_536 + 2 · batch.len()`
+    /// (`n` the published vertex count) is rejected before anything is
+    /// allocated, and counted in [`UpdateStats::rejected`] like a
+    /// duplicate insert.
     ///
     /// Writers are serialized (batches apply in call order); the query
     /// path is affected only by the final pointer swap. A batch in which
@@ -847,116 +867,91 @@ impl SearchService {
         }
         let mut retained = self.updater.lock(); // lock: svc.updater
         let old = self.core.current();
+        let unchanged = |rejected: usize| UpdateStats {
+            epoch: old.id,
+            applied: 0,
+            rejected,
+            tsd_repairs: 0,
+            tsd_carried: false,
+            gct_repairs: 0,
+            gct_carried: false,
+            hybrid_carried: false,
+            n: old.graph.n(),
+            m: old.graph.m(),
+        };
+
+        // Drop the ops that would grow the vertex set past the batch's
+        // bound, before anything sized by a vertex id is allocated.
+        let limit = batch
+            .len()
+            .saturating_mul(GROWTH_PER_OP)
+            .saturating_add(GROWTH_FLOOR)
+            .saturating_add(old.graph.n());
+        let ops: Vec<GraphUpdate> = batch
+            .iter()
+            .copied()
+            .filter(|op| {
+                let (u, v) = op.endpoints();
+                (u.max(v) as usize) < limit
+            })
+            .collect();
+        let oversized = batch.len() - ops.len();
 
         // Seed or carry the incremental maintenance state. Anything but a
         // cold start (no retained state, no built TSD engine) is a carry.
-        // The seed probe *blocks* on the slot lock — unlike the serving
-        // path's `cached` — so an in-flight background TSD build is joined
-        // and carried rather than duplicated by a from-scratch rebuild.
+        // The seed probes *block* on the slot locks — unlike the serving
+        // path's `cached` — so an in-flight background build is joined and
+        // carried rather than duplicated by a from-scratch rebuild. Each
+        // guard is released at the end of its statement: the engine `Arc`
+        // is cloned *out* of the slot, so no seed path runs under a slot
+        // lock, where it would stall the old epoch's builders and
+        // importers.
         let mut carried = true;
-        let mut state = match retained.take() {
-            Some(state) => state,
+        let mut carry = match retained.take() {
+            Some(carry) => carry,
             None => {
-                // The guard is released at the end of this statement: the
-                // engine `Arc` is cloned *out* of the slot so neither seed
-                // path below (an `O(index)` copy, or a full cold-start
-                // build) runs under the slot lock, where it would stall
-                // the old epoch's builders and importers.
                 let seed = old.slots[Self::slot(EngineKind::Tsd)].read().clone(); // lock: engine.slot
-                                                                                  // A non-TSD engine in the TSD slot is impossible by
-                                                                                  // construction; should it ever happen, degrade to a cold
-                                                                                  // start instead of panicking the update path.
-                let tsd = match seed.as_deref().and_then(DiversityEngine::tsd_index) {
-                    Some(index) => DynamicTsd::from_shared_index(old.graph.clone(), index),
+                match seed.as_deref().and_then(DiversityEngine::tsd_index) {
+                    Some(index) => DynamicTsd::from_shared_index(old.graph.clone(), index.clone()),
                     None => {
                         // Cold start: seeding costs a full TSD build, so
                         // first make sure the batch mutates anything at
                         // all — an idempotent replay (all duplicates and
                         // absent removes) must return in copy-on-write
                         // probe time, not index-build time.
-                        let mut probe = sd_graph::DynamicGraph::from_base(old.graph.clone());
-                        if probe.apply_batch(batch).applied == 0 {
-                            return Ok(UpdateStats {
-                                epoch: old.id,
-                                applied: 0,
-                                rejected: batch.len(),
-                                tsd_repairs: 0,
-                                tsd_carried: false,
-                                gct_repairs: 0,
-                                gct_carried: false,
-                                hybrid_carried: false,
-                                n: old.graph.n(),
-                                m: old.graph.m(),
-                            });
+                        let mut probe = DynamicGraph::from_base(old.graph.clone());
+                        if probe.apply_batch(&ops).applied == 0 {
+                            return Ok(unchanged(batch.len()));
                         }
                         carried = false;
                         DynamicTsd::from_shared_csr(old.graph.clone())
                     }
-                };
-                UpdaterState { tsd, gct: None }
-            }
-        };
-        // Seed the GCT side opportunistically: whenever no entries are
-        // retained (first batch, or a prior fallback dropped them) but the
-        // old epoch has a built GCT engine, adopt its entries (`O(index)`
-        // copy). Same blocking-probe rationale as the TSD seed.
-        if state.gct.is_none() {
-            let seed = old.slots[Self::slot(EngineKind::Gct)].read().clone(); // lock: engine.slot
-            state.gct =
-                seed.as_deref().and_then(DiversityEngine::gct_index).map(DynamicGct::from_index);
-        }
-
-        let (mut applied, mut rejected, mut repairs) = (0usize, 0usize, 0usize);
-        let mut affected: Vec<VertexId> = Vec::new();
-        for &update in batch {
-            match state.tsd.apply_into(update, &mut affected) {
-                0 => rejected += 1,
-                r => {
-                    applied += 1;
-                    repairs += r;
                 }
             }
+        };
+        if carry.gct_index().is_none() {
+            let seed = old.slots[Self::slot(EngineKind::Gct)].read().clone(); // lock: engine.slot
+            if let Some(index) = seed.as_deref().and_then(DiversityEngine::gct_index) {
+                carry.adopt_gct(index.clone());
+            }
         }
 
-        if applied == 0 {
+        let repair = carry.apply_batch(&ops);
+        let rejected = repair.rejected + oversized;
+        if repair.applied == 0 {
             // Pure no-op batch: retain the state, publish nothing.
-            *retained = Some(state);
-            return Ok(UpdateStats {
-                epoch: old.id,
-                applied: 0,
-                rejected,
-                tsd_repairs: 0,
-                tsd_carried: false,
-                gct_repairs: 0,
-                gct_carried: false,
-                hybrid_carried: false,
-                n: old.graph.n(),
-                m: old.graph.m(),
-            });
-        }
-
-        // Repair the co-maintained GCT entries over the same affected
-        // region the TSD maintenance just derived — or drop them when the
-        // region is large enough that the batched full rebuild (shared
-        // triangle listing) wins; the fallback path below re-enqueues it.
-        affected.sort_unstable();
-        affected.dedup();
-        let mut gct_repairs = 0usize;
-        if state.gct.is_some() && affected.len() > gct_repair_threshold(state.tsd.n()) {
-            state.gct = None;
-        }
-        if let Some(gct) = state.gct.as_mut() {
-            gct_repairs = gct.repair(state.tsd.graph(), &affected);
+            *retained = Some(carry);
+            return Ok(unchanged(rejected));
         }
 
         // Assemble the next epoch off to the side: snapshot the mutated
-        // graph, recompute its fingerprint, and pre-install the carried
-        // engines so they are warm before anyone can query them. The
-        // snapshotted TSD-index is kept reachable from the epoch itself
-        // (`carried_tsd`) so Hybrid — now or lazily later — derives from
-        // it instead of re-entering a from-scratch build.
-        let graph = Arc::new(state.tsd.graph().to_csr());
-        let index = Arc::new(state.tsd.to_index());
+        // graph, recompute its fingerprint, and install the carried
+        // indexes — the carry's own `Arc`s — so they are warm before
+        // anyone can query them. The TSD-index is also kept reachable from
+        // the epoch itself (`carried_tsd`) so Hybrid — now or lazily later
+        // — derives from it instead of re-entering a from-scratch build.
+        let graph = Arc::new(carry.graph().to_csr());
+        let index = carry.index().clone();
         let mut next = EpochState::over(old.id + 1, graph.clone());
         next.carried_tsd = Some(index.clone());
         let next = Arc::new(next);
@@ -964,25 +959,19 @@ impl SearchService {
         // both sides here come from the same maintained state; surface a
         // broken carry as an error (nothing published, carry dropped)
         // rather than poisoning the service with a panic.
-        let tsd_engine = TsdEngine::from_shared(graph.clone(), index.clone()).map_err(|_| {
-            SearchError::Internal {
-                invariant: "the maintained TSD index covers exactly the maintained graph",
-            }
-        })?;
+        let mismatch = |_| SearchError::Internal {
+            invariant: "the maintained indexes cover exactly the maintained graph",
+        };
+        let tsd_engine = TsdEngine::from_shared(graph.clone(), index.clone()).map_err(mismatch)?;
         self.core.install(&next, EngineKind::Tsd, Arc::new(tsd_engine));
-
-        // Carry GCT warm when it was serving and the repair path held.
-        let gct_carried = match state.gct.as_ref() {
-            Some(gct) if old.is_live(EngineKind::Gct) => {
-                match GctEngine::from_parts(graph.clone(), gct.to_index()) {
-                    Ok(engine) => {
-                        self.core.install(&next, EngineKind::Gct, Arc::new(engine));
-                        true
-                    }
-                    Err(_) => false,
-                }
+        let gct_carried = match carry.gct_index() {
+            Some(gct) => {
+                let engine =
+                    GctEngine::from_shared(graph.clone(), gct.clone()).map_err(mismatch)?;
+                self.core.install(&next, EngineKind::Gct, Arc::new(engine));
+                true
             }
-            _ => false,
+            None => false,
         };
         // Rebuild Hybrid inline from the carried index when it was
         // serving: an `O(n · profile)` sweep at publish time in place of
@@ -998,16 +987,17 @@ impl SearchService {
         // epoch; everything after this line sees the new graph.
         *self.core.current.write() = next.clone(); // lock: epoch.ptr
         self.core.epochs.fetch_add(1, Ordering::Relaxed);
-        self.core.updates_applied.fetch_add(applied, Ordering::Relaxed);
+        self.core.updates_applied.fetch_add(repair.applied, Ordering::Relaxed);
         if carried {
             self.core.incremental_tsd_carries.fetch_add(1, Ordering::Relaxed);
         }
+        let gct_repairs = if gct_carried { repair.repaired } else { 0 };
         self.core.gct_repairs.fetch_add(gct_repairs, Ordering::Relaxed);
 
         // Re-establish whatever the old epoch was serving that the carry
         // paths above did not already install: the O(1) kinds are derived
         // inline; an index engine that could not be carried (today: GCT
-        // past the repair threshold, or never seeded) re-enters the
+        // scheduled but not yet built when the batch landed) re-enters the
         // background queue and its queries ride the fallback until the
         // rebuild lands.
         for kind in EngineKind::ALL {
@@ -1025,13 +1015,13 @@ impl SearchService {
         // the owned overlay this batch accumulated is released and the
         // idle updater goes back to `O(n)` slot pointers over the epoch's
         // own storage.
-        state.tsd.rebase(graph.clone());
-        *retained = Some(state);
+        carry.rebase(graph.clone());
+        *retained = Some(carry);
         Ok(UpdateStats {
             epoch: next.id,
-            applied,
+            applied: repair.applied,
             rejected,
-            tsd_repairs: repairs,
+            tsd_repairs: repair.touched,
             tsd_carried: carried,
             gct_repairs,
             gct_carried,
@@ -1746,6 +1736,9 @@ mod tests {
         );
         assert_eq!(after.hybrid_carries, before.hybrid_carries + 1);
         assert!(after.gct_repairs >= before.gct_repairs + stats.gct_repairs);
+        // The epoch serves the updater's own indexes, not copies.
+        let cow = s.updater_cow().unwrap();
+        assert!(cow.aliases_current_epoch && cow.indexes_alias_current_epoch, "{cow:?}");
         // And the carried engines answer directly (no fallback window).
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
@@ -1753,35 +1746,62 @@ mod tests {
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "hybrid");
     }
 
+    /// The fallback that remains: a batch landing while GCT is scheduled
+    /// but not yet built has no GCT index to repair, so the new epoch
+    /// re-queues the build and serves GCT queries through the index-free
+    /// fallback meanwhile; once a build lands, the next batch carries it.
     #[test]
     fn updates_without_gct_state_fall_back_to_the_background_queue() {
-        let s = service();
-        // Only GCT is live, and only as a *scheduled* interest (cold slot):
-        // there is nothing to seed the repair path from, so the update
-        // must requeue a full rebuild and serve through the fallback tier.
-        s.wait_ready([EngineKind::Gct]);
+        let (graph, _, _) = paper_figure1_graph();
+        let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(1)));
+        // Park the pool's only worker so the GCT build stays queued.
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        s.pool().submit(move || {
+            let _ = parked.recv();
+        });
+        assert_eq!(s.warmup([EngineKind::Gct]), vec![EngineKind::Gct]);
+        assert!(s.built_engines().is_empty(), "the GCT build is queued, not run");
+
         let stats = s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
-        assert!(stats.gct_carried, "a built GCT engine seeds the repair path");
-        // Now force the fallback: touch more distinct egos than
-        // `gct_repair_threshold` allows (a long path through fresh
-        // vertices affects every vertex on it).
-        let batch: Vec<GraphUpdate> =
-            (0..100).map(|i| GraphUpdate::Insert { u: 100 + i, v: 101 + i }).collect();
-        let stats = s.apply_updates(&batch).unwrap();
-        assert!(!stats.gct_carried, "region past the threshold is not repaired in place");
+        assert_eq!((stats.epoch, stats.applied), (1, 1));
+        assert!(!stats.gct_carried, "no built GCT index to carry");
         assert_eq!(stats.gct_repairs, 0);
-        // The rebuild was requeued; queries stay correct throughout —
-        // served by GCT if the background build already landed, else by
-        // whichever index-free fallback tier is available (a cached Bound
-        // when one exists, the online scan otherwise).
+        assert!(!s.built_engines().contains(&EngineKind::Gct));
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         let during = s.top_r(&spec).unwrap();
-        assert!(
-            ["gct", "bound", "online"].contains(&during.metrics.engine),
-            "unexpected serving engine {:?}",
-            during.metrics.engine
-        );
+        assert_eq!(during.metrics.engine, "online", "served by the fallback meanwhile");
+        let fresh = SearchService::new((*s.graph()).clone());
+        assert_eq!(during.scores(), fresh.top_r(&spec).unwrap().scores());
+
+        let _ = release.send(());
         s.wait_ready([EngineKind::Gct]);
+        assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct", "the re-queued build landed");
+        let stats = s.apply_updates(&[GraphUpdate::Remove { u: 1, v: 6 }]).unwrap();
+        assert!(stats.gct_carried, "a built GCT engine seeds the carry");
+        assert!(stats.gct_repairs > 0);
+    }
+
+    /// An op naming a vertex far past the graph is rejected before any
+    /// per-vertex table grows; the rest of its batch still applies.
+    #[test]
+    fn updates_reaching_past_the_growth_bound_are_rejected() {
+        let s = service();
+        s.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
+        let n = s.graph().n();
+        let stats = s.apply_updates(&[GraphUpdate::Insert { u: 0, v: u32::MAX }]).unwrap();
+        assert_eq!((stats.epoch, stats.applied, stats.rejected), (0, 0, 1));
+        assert_eq!((s.epoch(), s.graph().n()), (0, n), "nothing published");
+
+        let limit = n + GROWTH_FLOOR + 2 * GROWTH_PER_OP;
+        let stats = s
+            .apply_updates(&[
+                GraphUpdate::Insert { u: 0, v: limit as u32 },
+                GraphUpdate::Insert { u: 0, v: limit as u32 - 1 },
+            ])
+            .unwrap();
+        assert_eq!((stats.applied, stats.rejected), (1, 1), "the bound is exclusive");
+        assert_eq!(stats.n, limit);
+        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
     }
 

@@ -12,6 +12,7 @@
 //! Because the filtered forest is acyclic, `score(v)` needs no union-find:
 //! it is `#(endpoints touched) − #(edges kept)`.
 
+use std::ops::Range;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -136,7 +137,17 @@ impl TsdIndex {
     /// union-find over the filtered forest edges, in global vertex ids,
     /// ordered (size desc, first vertex asc) like Algorithm 2's output.
     pub fn social_contexts(&self, g: &CsrGraph, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-        let nbrs = g.neighbors(v);
+        self.social_contexts_among(g.neighbors(v), v, k)
+    }
+
+    /// [`Self::social_contexts`] given `v`'s sorted neighbor list `nbrs`
+    /// (which the forest's endpoints index into).
+    pub(crate) fn social_contexts_among(
+        &self,
+        nbrs: &[VertexId],
+        v: VertexId,
+        k: u32,
+    ) -> Vec<Vec<VertexId>> {
         // sd-lint: allow(no-panic) forest edges only connect members of N(v)
         let local = |x: VertexId| nbrs.binary_search(&x).expect("forest endpoint in N(v)");
         let s = self.offsets[v as usize];
@@ -294,17 +305,37 @@ impl TsdIndex {
     pub fn index_size_bytes(&self) -> usize {
         20 + self.n() * 4 + self.total_edges() * 12
     }
+
+    /// This index over `n ≥ self.n()` vertices with the forest of
+    /// `repaired[i]` (ascending) replaced by `patch`'s forest `i`. Every
+    /// other vertex keeps its forest — runs between repaired vertices are
+    /// copied contiguously — and vertices new to this index are empty.
+    pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &TsdIndex) -> TsdIndex {
+        let mut out = TsdBuilder::new(n);
+        let edges = self.total_edges() + patch.total_edges();
+        out.eu.reserve(edges);
+        out.ew.reserve(edges);
+        out.weight.reserve(edges);
+        let mut next = 0usize;
+        for (i, &v) in repaired.iter().enumerate() {
+            out.extend_from(self, next..v as usize);
+            out.extend_from(patch, i..i + 1);
+            next = v as usize + 1;
+        }
+        out.extend_from(self, next..n);
+        out.finish()
+    }
 }
 
 /// Core of Algorithm 5: the maximum spanning forest of the
-/// trussness-weighted ego-network, as `(global_u, global_w, weight)` triples
-/// sorted by weight descending. Kruskal with a counting sort over weights,
-/// `O(m_v + τ*)`.
-pub fn max_spanning_forest(
-    ego: &EgoNetwork,
+/// trussness-weighted ego-network, as `(u, w, weight)` triples in the ego's
+/// local ids, sorted by weight descending. Kruskal with a counting sort over
+/// weights, `O(m_v + τ*)`. The GCT-index compresses this same forest (see
+/// `GctBuilder::push_forest`), so one decomposition feeds both indexes.
+pub(crate) fn max_spanning_forest(
+    local: &CsrGraph,
     decomposition: &sd_truss::TrussDecomposition,
 ) -> Vec<(VertexId, VertexId, u32)> {
-    let local = &ego.graph;
     let max_w = decomposition.max_trussness;
     let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_w as usize + 1];
     for (e, &t) in decomposition.trussness.iter().enumerate() {
@@ -316,7 +347,7 @@ pub fn max_spanning_forest(
         for &e in &buckets[w as usize] {
             let (a, b) = local.edge(e);
             if dsu.union(a, b) {
-                forest.push((ego.vertices[a as usize], ego.vertices[b as usize], w));
+                forest.push((a, b, w));
             }
         }
     }
@@ -354,26 +385,34 @@ impl TsdBuilder {
         ego: &EgoNetwork,
         decomposition: &sd_truss::TrussDecomposition,
     ) {
-        for (u, w, weight) in max_spanning_forest(ego, decomposition) {
-            self.eu.push(u);
-            self.ew.push(w);
+        self.push_local_forest(ego, &max_spanning_forest(&ego.graph, decomposition));
+    }
+
+    /// Appends the forest of the vertex whose ego-network is `ego`, given
+    /// in the ego's local ids ([`max_spanning_forest`]).
+    pub(crate) fn push_local_forest(&mut self, ego: &EgoNetwork, forest: &[(u32, u32, u32)]) {
+        for &(a, b, weight) in forest {
+            self.eu.push(ego.vertices[a as usize]);
+            self.ew.push(ego.vertices[b as usize]);
             self.weight.push(weight);
         }
         self.offsets.push(self.weight.len());
     }
 
-    /// Appends an already-computed forest slice verbatim (weight-descending
-    /// `(u, w, weight)` triples). This is the carry path for incrementally
-    /// maintained forests ([`crate::dynamic::DynamicTsd::to_index`]): no
-    /// ego extraction or truss decomposition happens here.
-    pub fn push_forest(&mut self, forest: &[(VertexId, VertexId, u32)]) {
-        debug_assert!(forest.windows(2).all(|w| w[0].2 >= w[1].2), "weights must descend");
-        for &(u, w, weight) in forest {
-            self.eu.push(u);
-            self.ew.push(w);
-            self.weight.push(weight);
-        }
-        self.offsets.push(self.weight.len());
+    /// Appends the forests of `vertices` from `index` with one contiguous
+    /// copy per array; vertices at or past `index.n()` get empty forests
+    /// (new, isolated vertices).
+    pub(crate) fn extend_from(&mut self, index: &TsdIndex, vertices: Range<usize>) {
+        let kept = vertices.start.min(index.n())..vertices.end.min(index.n());
+        let (first, last) = (index.offsets[kept.start], index.offsets[kept.end]);
+        let base = self.weight.len();
+        self.eu.extend_from_slice(&index.eu[first..last]);
+        self.ew.extend_from_slice(&index.ew[first..last]);
+        self.weight.extend_from_slice(&index.weight[first..last]);
+        self.offsets
+            .extend(index.offsets[kept.start + 1..=kept.end].iter().map(|&o| o - first + base));
+        let end = self.weight.len();
+        self.offsets.resize(self.offsets.len() + vertices.len() - kept.len(), end);
     }
 
     /// Finishes the index.

@@ -762,7 +762,8 @@ pub struct UpdateResponse {
     pub epoch: u64,
     /// Updates that changed the graph.
     pub applied: u64,
-    /// No-op updates (duplicate inserts, absent removes, self-loops).
+    /// Rejected updates: no-ops (duplicate inserts, absent removes,
+    /// self-loops) and ops naming a vertex past the batch's growth bound.
     pub rejected: u64,
     /// Ego-networks repaired by the incremental TSD carry.
     pub tsd_repairs: u64,

@@ -301,6 +301,26 @@ fn live_server_rejects_update_with_unknown_op_in_place() {
     server.shutdown();
 }
 
+/// One op naming vertex `u32::MAX` used to grow every per-vertex table of
+/// the tenant to four billion entries and abort the process. It is now a
+/// rejected op: the reply counts it, nothing publishes, and the server
+/// keeps serving.
+#[test]
+fn live_server_rejects_an_update_reaching_past_the_growth_bound() {
+    let (server, key) = tiny_server();
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let resp = client
+        .update(key, vec![GraphUpdate::Insert { u: 0, v: u32::MAX }])
+        .expect("typed update reply");
+    assert_eq!((resp.applied, resp.rejected), (0, 1));
+    assert_eq!((resp.epoch, resp.n), (0, 17), "nothing published, nothing grew");
+    assert_eq!(client.tenant_stats(key).expect("stats").epoch, 0);
+    let answer = client.query(key, 0, vec![WireQuery::new(4, 1)]).expect("server still answers");
+    assert_eq!(answer.epoch, 0);
+    assert_eq!(answer.outcomes.len(), 1);
+    server.shutdown();
+}
+
 #[test]
 fn wrong_fingerprint_routes_to_typed_unknown_tenant() {
     let (server, key) = tiny_server();

@@ -1,0 +1,78 @@
+//! Golden blobs: the serialized TSD- and GCT-index of the paper's Figure-1
+//! graph, pinned word for word. `export_index` and `export_bundle` persist
+//! exactly these bytes inside their envelopes, so a change to either
+//! index's in-memory layout must leave `to_bytes` unchanged — and these
+//! tests fail on the first word that moves.
+
+use structural_diversity::graph::{CsrGraph, GraphBuilder};
+use structural_diversity::search::{paper_figure1_edges, GctIndex, TsdIndex};
+
+/// `TsdIndex::to_bytes` of Figure 1, as little-endian `u32` words: magic
+/// "TSD1", `n` and the forest-edge total (`u64`s, low word first), one
+/// forest length per vertex, then `(u, w, weight)` per forest edge.
+#[rustfmt::skip]
+const FIGURE1_TSD_WORDS: [u32; 223] = [
+    0x5453_4431, 17, 0, 67, 0, 12, 4, 4, 4, 4, 5, 3, 3, 3, 4, 4,
+    4, 4, 4, 4, 1, 0, 1, 2, 4, 1, 3, 4, 1, 4, 4, 5,
+    6, 4, 5, 7, 4, 5, 8, 4, 9, 10, 4, 9, 11, 4, 9, 13,
+    4, 9, 14, 4, 10, 12, 4, 2, 5, 3, 0, 2, 4, 0, 3, 4,
+    0, 4, 4, 3, 15, 2, 0, 1, 4, 0, 3, 4, 0, 4, 4, 0,
+    5, 3, 0, 1, 4, 0, 2, 4, 0, 4, 4, 1, 15, 2, 0, 1,
+    4, 0, 2, 4, 0, 3, 4, 0, 5, 3, 0, 6, 4, 0, 7, 4,
+    0, 8, 4, 0, 2, 3, 0, 4, 3, 0, 5, 4, 0, 7, 4, 0,
+    8, 4, 0, 5, 4, 0, 6, 4, 0, 8, 4, 0, 5, 4, 0, 6,
+    4, 0, 7, 4, 0, 10, 3, 0, 11, 3, 0, 13, 3, 0, 14, 3,
+    0, 9, 3, 0, 11, 3, 0, 12, 3, 0, 14, 3, 0, 9, 3, 0,
+    10, 3, 0, 12, 3, 0, 13, 3, 0, 10, 3, 0, 11, 3, 0, 13,
+    3, 0, 14, 3, 0, 9, 3, 0, 11, 3, 0, 12, 3, 0, 14, 3,
+    0, 9, 3, 0, 10, 3, 0, 12, 3, 0, 13, 3, 1, 3, 2,
+];
+
+/// `GctIndex::to_bytes` of Figure 1, as little-endian `u32` words: magic
+/// "GCT1", `n` (`u64`, low word first), then per vertex its supernode,
+/// member and superedge counts, the supernode trussness values, the
+/// per-supernode member end offsets, the members, and `(a, b, weight)`
+/// per superedge.
+#[rustfmt::skip]
+const FIGURE1_GCT_WORDS: [u32; 207] = [
+    0x4743_5431, 17, 0, 3, 14, 1, 4, 4, 4, 4, 8, 14, 1, 2, 3, 4,
+    5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0, 1, 3, 2, 5, 1,
+    4, 2, 4, 5, 0, 2, 3, 4, 15, 0, 1, 2, 2, 5, 1, 4,
+    3, 4, 5, 0, 1, 3, 4, 5, 0, 1, 3, 2, 5, 1, 4, 2,
+    4, 5, 0, 1, 2, 4, 15, 0, 1, 2, 2, 5, 1, 4, 3, 4,
+    5, 0, 1, 2, 3, 5, 0, 1, 3, 3, 6, 2, 4, 3, 3, 4,
+    5, 6, 0, 6, 7, 8, 2, 4, 0, 1, 3, 0, 2, 3, 1, 4,
+    0, 4, 4, 0, 5, 7, 8, 1, 4, 0, 4, 4, 0, 5, 6, 8,
+    1, 4, 0, 4, 4, 0, 5, 6, 7, 1, 5, 0, 3, 5, 0, 10,
+    11, 13, 14, 1, 5, 0, 3, 5, 0, 9, 11, 12, 14, 1, 5, 0,
+    3, 5, 0, 9, 10, 12, 13, 1, 5, 0, 3, 5, 0, 10, 11, 13,
+    14, 1, 5, 0, 3, 5, 0, 9, 11, 12, 14, 1, 5, 0, 3, 5,
+    0, 9, 10, 12, 13, 1, 2, 0, 2, 2, 1, 3, 0, 0, 0,
+];
+
+fn figure1() -> CsrGraph {
+    GraphBuilder::new().extend_edges(paper_figure1_edges()).build()
+}
+
+/// The blob as little-endian `u32` words (every field of both formats is
+/// a `u32` or a `u64`, so the blobs are whole words).
+fn words(blob: &[u8]) -> Vec<u32> {
+    assert_eq!(blob.len() % 4, 0, "blob is not a whole number of words");
+    blob.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect()
+}
+
+#[test]
+fn tsd_blob_of_figure_1_is_pinned() {
+    let index = TsdIndex::build(&figure1());
+    let blob = index.to_bytes();
+    assert_eq!(words(blob.as_ref()), FIGURE1_TSD_WORDS);
+    assert_eq!(TsdIndex::from_bytes(blob).unwrap(), index);
+}
+
+#[test]
+fn gct_blob_of_figure_1_is_pinned() {
+    let index = GctIndex::build(&figure1());
+    let blob = index.to_bytes();
+    assert_eq!(words(blob.as_ref()), FIGURE1_GCT_WORDS);
+    assert_eq!(GctIndex::from_bytes(blob).unwrap(), index);
+}

@@ -44,8 +44,80 @@ fn arb_batches(
     )
 }
 
+/// Strategy: batches whose ops all touch one hub vertex (drawn per batch),
+/// so several ops in a batch invalidate the same ego-networks.
+fn arb_hub_batches(
+    n: u32,
+    max_batches: usize,
+    max_ops: usize,
+) -> impl Strategy<Value = Vec<Vec<GraphUpdate>>> {
+    proptest::collection::vec(
+        (0..n, proptest::collection::vec((any::<bool>(), 0..n), 2..max_ops)).prop_map(
+            |(hub, ops)| {
+                ops.into_iter()
+                    .map(|(insert, v)| {
+                        if insert {
+                            GraphUpdate::Insert { u: hub, v }
+                        } else {
+                            GraphUpdate::Remove { u: hub, v }
+                        }
+                    })
+                    .collect()
+            },
+        ),
+        1..max_batches,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The carried indexes are the rebuilt ones, byte for byte: with TSD
+    /// and GCT warm, after random batches, hub batches (several ops on one
+    /// vertex) and a batch growing the vertex set, the exported TSD and
+    /// GCT indexes equal a fresh service's on the final graph, and every
+    /// publishing batch carried GCT into an epoch that serves the
+    /// updater's own index `Arc`s.
+    #[test]
+    fn carried_indexes_equal_a_fresh_rebuild_byte_for_byte(
+        g in arb_graph(14, 40),
+        batches in arb_batches(18, 4, 9),
+        hubs in arb_hub_batches(18, 4, 7),
+    ) {
+        let live = SearchService::new(g);
+        live.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
+        let fresh_vertex = live.graph().n() as u32;
+        let grow = vec![
+            GraphUpdate::Insert { u: 0, v: fresh_vertex },
+            GraphUpdate::Insert { u: 1, v: fresh_vertex },
+            GraphUpdate::Insert { u: fresh_vertex, v: fresh_vertex + 2 },
+            GraphUpdate::Remove { u: 0, v: fresh_vertex },
+        ];
+        let mut script: Vec<&Vec<GraphUpdate>> = vec![&grow];
+        for (batch, hub) in batches.iter().zip(hubs.iter().chain(std::iter::repeat(&grow))) {
+            script.push(batch);
+            script.push(hub);
+        }
+        for batch in script {
+            let stats = live.apply_updates(batch).unwrap();
+            prop_assert_eq!(stats.applied + stats.rejected, batch.len());
+            if stats.applied > 0 {
+                prop_assert!(stats.gct_carried, "warm GCT must carry, batch {:?}", batch);
+                prop_assert!(stats.gct_repairs <= stats.tsd_repairs);
+                // Pointer probe: the epoch serves the updater's own indexes.
+                let cow = live.updater_cow().expect("updater state is retained");
+                prop_assert!(cow.indexes_alias_current_epoch, "{:?}", cow);
+            }
+        }
+        let fresh = SearchService::new((*live.graph()).clone());
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
+            prop_assert_eq!(
+                live.export_index(kind).unwrap(),
+                fresh.export_index(kind).unwrap(),
+                "{} index diverged from the rebuild", kind
+            );
+        }
+    }
 
     /// The acceptance property: drive a live service through an arbitrary
     /// edit script (batched), then check that `top_r` through every engine
