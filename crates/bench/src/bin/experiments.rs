@@ -1,7 +1,7 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments <name> [--scale X] [--mc N] [--seed S]
+//! experiments <name> [--scale X] [--mc N] [--seed S] [--p P]
 //!
 //! <name>   one of: table1 fig3 table2 fig8 fig9 fig10 table3 table4
 //!          fig11 fig12 fig13 fig14 fig15 table5 case-study fig18 all,
@@ -12,11 +12,19 @@
 //! --scale  dataset scale in (0, 1]   (default 0.25)
 //! --mc     Monte-Carlo cascade samples (default 2000; paper used 10000)
 //! --seed   RNG seed for effectiveness experiments (default 0xD1CE)
+//! --p      independent-cascade activation probability in (0, 1] (default 0.03)
 //! ```
+//!
+//! Exit status: 0 on success and for `--help`, 1 when `bench-compare`
+//! finds a regression, 2 on an argument error (an unknown or malformed
+//! option, or a missing or unknown experiment name), with the usage on
+//! stderr.
+
+use std::process::ExitCode;
 
 use sd_bench::experiments::{run, ExpContext, EXPERIMENTS};
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = ExpContext::default();
     let mut name: Option<String> = None;
@@ -27,43 +35,50 @@ fn main() {
                 let v = iter.next().and_then(|s| s.parse::<f64>().ok());
                 match v {
                     Some(s) if s > 0.0 && s <= 1.0 => ctx.scale = s,
-                    _ => return usage("--scale expects a number in (0, 1]"),
+                    _ => return usage_error("--scale expects a number in (0, 1]"),
                 }
             }
             "--mc" => match iter.next().and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) if n > 0 => ctx.mc_samples = n,
-                _ => return usage("--mc expects a positive integer"),
+                _ => return usage_error("--mc expects a positive integer"),
             },
             "--seed" => match iter.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(s) => ctx.seed = s,
-                _ => return usage("--seed expects an integer"),
+                _ => return usage_error("--seed expects an integer"),
             },
             "--p" => match iter.next().and_then(|s| s.parse::<f64>().ok()) {
                 Some(p) if p > 0.0 && p <= 1.0 => ctx.ic_p = p,
-                _ => return usage("--p expects a probability in (0, 1]"),
+                _ => return usage_error("--p expects a probability in (0, 1]"),
             },
-            "--help" | "-h" => return usage(""),
+            "--help" | "-h" => {
+                usage();
+                return ExitCode::SUCCESS;
+            }
             other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
-            other => return usage(&format!("unknown argument {other:?}")),
+            other => return usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let Some(name) = name else {
-        return usage("missing experiment name");
+        return usage_error("missing experiment name");
     };
     eprintln!(
         "[ctx] scale={} mc_samples={} ic_p={} seed={:#x}",
         ctx.scale, ctx.mc_samples, ctx.ic_p, ctx.seed
     );
     if !run(&name, &ctx) {
-        usage(&format!("unknown experiment {name:?}"));
-        std::process::exit(1);
+        return usage_error(&format!("unknown experiment {name:?}"));
     }
+    ExitCode::SUCCESS
 }
 
-fn usage(err: &str) {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!("usage: experiments <name> [--scale X] [--mc N] [--seed S]");
+/// Reports an argument error with the usage, for exit status 2.
+fn usage_error(err: &str) -> ExitCode {
+    eprintln!("error: {err}\n");
+    usage();
+    ExitCode::from(2)
+}
+
+fn usage() {
+    eprintln!("usage: experiments <name> [--scale X] [--mc N] [--seed S] [--p P]");
     eprintln!("  names: {} all bench-json bench-compare", EXPERIMENTS.join(" "));
 }

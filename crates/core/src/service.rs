@@ -54,9 +54,12 @@
 //!   [`SearchService::export_index`] / [`SearchService::import_index`], or
 //!   every serializable index behind a single fingerprint via
 //!   [`SearchService::export_bundle`] / [`SearchService::import_bundle`].
-//!   The fingerprint is recomputed for every epoch, so both import paths
-//!   refuse blobs from any other graph — including this service's *own*
-//!   pre-update epochs.
+//!   Every epoch has its own fingerprint, so both import paths refuse
+//!   blobs from any other graph — including this service's *own*
+//!   pre-update epochs. It is computed once per epoch, on first use
+//!   (`O(m)`): an update publishes without hashing the edge list, and the
+//!   first export, import, [`SearchService::fingerprint`] call or tenant
+//!   stats request of the new epoch pays for it.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -91,7 +94,7 @@
 //! [`Bound`]: EngineKind::Bound
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -251,12 +254,17 @@ pub struct UpdateStats {
 /// Everything per-graph: one immutable serving snapshot. Queries pin an
 /// epoch by cloning its `Arc` and never observe a later one mid-flight;
 /// [`SearchService::apply_updates`] builds the next epoch off to the side
-/// and publishes it with a single pointer swap.
+/// and publishes it with a single pointer swap. The graph's fingerprint is
+/// computed once per epoch, on first use.
 struct EpochState {
     /// Monotonic epoch number (0 = construction).
     id: u64,
     graph: Arc<CsrGraph>,
-    fingerprint: GraphFingerprint,
+    /// `GraphFingerprint::of(&graph)`, filled in by the first caller of
+    /// [`Self::fingerprint`]: only export, import, tenant registration and
+    /// the stats verb read it, so neither construction nor a publish pays
+    /// the `O(m)` hash.
+    fingerprint: OnceLock<GraphFingerprint>,
     /// One slot per concrete engine, in [`EngineKind::ALL`] order.
     slots: [EngineSlot; 5],
     /// One latch per slot: set by the first thread to enqueue that kind in
@@ -273,18 +281,22 @@ struct EpochState {
 }
 
 impl EpochState {
-    /// A fresh epoch over `graph`: fingerprint computed (`O(m)`), all
-    /// engine slots cold.
+    /// A fresh epoch over `graph`, all engine slots cold and the
+    /// fingerprint not yet computed.
     fn over(id: u64, graph: Arc<CsrGraph>) -> Self {
-        let fingerprint = GraphFingerprint::of(&graph);
         EpochState {
             id,
             graph,
-            fingerprint,
+            fingerprint: OnceLock::new(),
             slots: std::array::from_fn(|_| lock_order::ENGINE_SLOT.rwlock(None)),
             scheduled: std::array::from_fn(|_| AtomicBool::new(false)),
             carried_tsd: None,
         }
+    }
+
+    /// The graph's fingerprint, computed once per epoch, on first use.
+    fn fingerprint(&self) -> GraphFingerprint {
+        *self.fingerprint.get_or_init(|| GraphFingerprint::of(&self.graph))
     }
 
     /// Non-blocking cache probe: `None` both when the engine was never
@@ -562,11 +574,11 @@ impl Drop for SearchService {
 
 impl SearchService {
     /// A service over `graph`, scheduling onto the **process-wide**
-    /// [`pool::global`] worker pool. No engine and no thread is built yet;
-    /// the graph's fingerprint is computed once per epoch, up front
-    /// (`O(m)`), and the shared pool spawns workers lazily when a cold
-    /// query or a warmup enqueues work — N services cost one pool's worth
-    /// of threads between them, not N private builder pairs.
+    /// [`pool::global`] worker pool. No engine and no thread is built yet,
+    /// and the graph is not hashed: its fingerprint is computed once per
+    /// epoch, on first use (`O(m)`). The shared pool spawns workers lazily
+    /// when a cold query or a warmup enqueues work — N services cost one
+    /// pool's worth of threads between them, not N private builder pairs.
     pub fn new(graph: CsrGraph) -> Self {
         Self::from_arc(Arc::new(graph))
     }
@@ -627,8 +639,12 @@ impl SearchService {
 
     /// The current epoch's identity as recorded in exported envelopes and
     /// bundles. Changes whenever [`Self::apply_updates`] publishes.
+    ///
+    /// Computed once per epoch, on first use: the first call after a
+    /// publish (or the first export or import) hashes the edge list in
+    /// `O(m)`, and later calls read the stored value.
     pub fn fingerprint(&self) -> GraphFingerprint {
-        self.core.current().fingerprint
+        self.core.current().fingerprint()
     }
 
     /// The current epoch number: 0 at construction, +1 per published
@@ -843,7 +859,10 @@ impl SearchService {
     /// The retained updater's adjacency is **copy-on-write** against the
     /// published CSR ([`DynamicGraph::rebase`] after every publish), so an
     /// idle update session holds `O(n)` slot pointers and the published
-    /// indexes, not a second copy of either.
+    /// indexes, not a second copy of either. The new epoch's CSR is
+    /// spliced from the published one ([`DynamicGraph::to_csr`]): the
+    /// batch's rows plus contiguous copies of the rest. Its fingerprint is
+    /// not computed here but by its first reader.
     ///
     /// Every per-vertex table grows to the largest vertex an op names, so
     /// an op naming a vertex at or past `n + 65_536 + 2 · batch.len()`
@@ -944,8 +963,9 @@ impl SearchService {
             return Ok(unchanged(rejected));
         }
 
-        // Assemble the next epoch off to the side: snapshot the mutated
-        // graph, recompute its fingerprint, and install the carried
+        // Assemble the next epoch off to the side: splice the mutated
+        // graph's snapshot from the published one (its fingerprint waits
+        // for its first reader), and install the carried
         // indexes — the carry's own `Arc`s — so they are warm before
         // anyone can query them. The TSD-index is also kept reachable from
         // the epoch itself (`carried_tsd`) so Hybrid — now or lazily later
@@ -1182,7 +1202,7 @@ impl SearchService {
         }
         let engine = self.core.build_if_absent(&epoch, kind).0;
         let payload = engine.to_bytes()?;
-        Ok(IndexEnvelope::new(kind, epoch.fingerprint, payload).encode())
+        Ok(IndexEnvelope::new(kind, epoch.fingerprint(), payload).encode())
     }
 
     /// Installs an engine from an envelope blob produced by
@@ -1199,9 +1219,9 @@ impl SearchService {
     pub fn import_index(&self, blob: Bytes) -> Result<EngineKind, SearchError> {
         let epoch = self.core.current();
         let envelope = IndexEnvelope::decode(blob)?;
-        if envelope.fingerprint != epoch.fingerprint {
+        if envelope.fingerprint != epoch.fingerprint() {
             return Err(SearchError::FingerprintMismatch {
-                expected: epoch.fingerprint,
+                expected: epoch.fingerprint(),
                 found: envelope.fingerprint,
             });
         }
@@ -1212,11 +1232,13 @@ impl SearchService {
         // import, not let it install into a superseded epoch and report
         // success. The fingerprint — not pointer identity — is the real
         // validity condition, so an update that round-trips back to the
-        // blob's exact edge set still imports.
+        // blob's exact edge set still imports. Only such a racing publish
+        // makes the check below hash under the lock; otherwise the guard
+        // holds the epoch whose fingerprint was just computed.
         let guard = self.core.current.read(); // lock: epoch.ptr
-        if guard.fingerprint != envelope.fingerprint {
+        if guard.fingerprint() != envelope.fingerprint {
             return Err(SearchError::FingerprintMismatch {
-                expected: guard.fingerprint,
+                expected: guard.fingerprint(),
                 found: envelope.fingerprint,
             });
         }
@@ -1253,7 +1275,7 @@ impl SearchService {
         for kind in kinds {
             entries.push((kind, self.core.build_if_absent(&epoch, kind).0.to_bytes()?));
         }
-        Ok(IndexBundle::new(epoch.fingerprint, entries).encode())
+        Ok(IndexBundle::new(epoch.fingerprint(), entries).encode())
     }
 
     /// Installs every engine carried by a bundle blob produced by
@@ -1269,9 +1291,9 @@ impl SearchService {
     pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
         let epoch = self.core.current();
         let bundle = IndexBundle::decode(blob)?;
-        if bundle.fingerprint != epoch.fingerprint {
+        if bundle.fingerprint != epoch.fingerprint() {
             return Err(SearchError::FingerprintMismatch {
-                expected: epoch.fingerprint,
+                expected: epoch.fingerprint(),
                 found: bundle.fingerprint,
             });
         }
@@ -1285,9 +1307,9 @@ impl SearchService {
         // `apply_updates` cannot turn the import into a silent no-op
         // against a superseded epoch.
         let guard = self.core.current.read(); // lock: epoch.ptr
-        if guard.fingerprint != fingerprint {
+        if guard.fingerprint() != fingerprint {
             return Err(SearchError::FingerprintMismatch {
-                expected: guard.fingerprint,
+                expected: guard.fingerprint(),
                 found: fingerprint,
             });
         }
@@ -1827,6 +1849,28 @@ mod tests {
         let blob = s.export_index(EngineKind::Tsd).unwrap();
         let fresh = SearchService::new((*s.graph()).clone());
         assert_eq!(fresh.import_index(blob).unwrap(), EngineKind::Tsd);
+    }
+
+    /// The fingerprint is computed on first use but is never stale: with
+    /// nothing asking for the new epoch's fingerprint between the batch
+    /// and the import, an envelope exported before the batch is refused,
+    /// and one exported after it imports.
+    #[test]
+    fn an_unread_fingerprint_still_refuses_a_pre_batch_envelope() {
+        let s = service();
+        let old_graph = s.graph();
+        let before = s.export_index(EngineKind::Tsd).unwrap();
+        s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
+        assert!(s.core.current().fingerprint.get().is_none(), "the publish hashed nothing");
+        assert_eq!(
+            s.import_index(before).unwrap_err(),
+            SearchError::FingerprintMismatch {
+                expected: GraphFingerprint::of(&s.graph()),
+                found: GraphFingerprint::of(&old_graph),
+            }
+        );
+        let after = s.export_index(EngineKind::Tsd).unwrap();
+        assert_eq!(s.import_index(after).unwrap(), EngineKind::Tsd);
     }
 
     #[test]

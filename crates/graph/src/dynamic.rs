@@ -16,6 +16,16 @@
 //! [`DynamicGraph::rebase`] re-arms the sharing against each freshly
 //! published CSR so the owned fraction stays proportional to the batch
 //! size, not to session length.
+//!
+//! A snapshot ([`DynamicGraph::to_csr`]) of a graph with a base is
+//! spliced from that base: untouched rows and the runs of the edge table
+//! between changed edges are copied in contiguous runs, each surviving
+//! edge id moved by one add, and only the owned rows and the changed
+//! edges cost a merge or a search. Rebased after every publish, a
+//! snapshot therefore costs the batch plus `O(n + m)` of copying, not a
+//! rebuild. This trusts the base: it must hold exactly the adjacency of
+//! every row the overlay does not own, which [`DynamicGraph::from_base`]
+//! and [`DynamicGraph::rebase`] establish.
 
 use std::sync::Arc;
 
@@ -116,13 +126,19 @@ impl DynamicGraph {
     /// The caller guarantees `base` has exactly this graph's current
     /// adjacency (the contract of [`Self::to_csr`] output); all owned
     /// overlay vectors are dropped and every slot reverts to shared.
+    /// Later snapshots are spliced from `base`, so they are only as right
+    /// as this guarantee.
     ///
     /// # Panics
     /// In debug builds, panics if `base` disagrees on vertex or edge
-    /// count — the cheap proxy for "same graph".
+    /// count, or on any vertex's neighbor list.
     pub fn rebase(&mut self, base: Arc<CsrGraph>) {
         debug_assert_eq!(base.n(), self.n(), "rebase target must match vertex count");
         debug_assert_eq!(base.m(), self.m(), "rebase target must match edge count");
+        debug_assert!(
+            (0..self.n() as VertexId).all(|v| self.neighbors(v) == base.neighbors(v)),
+            "rebase target must hold this graph's adjacency, row for row"
+        );
         self.overlay.clear();
         self.overlay.resize(base.n(), None);
         self.base = Some(base);
@@ -275,8 +291,42 @@ impl DynamicGraph {
         out
     }
 
-    /// Snapshots to an immutable CSR graph.
+    /// Snapshots to an immutable CSR graph, equal array for array to
+    /// [`CsrGraph::from_canonical_edges`] over the current edge set.
+    ///
+    /// A graph with a base is spliced from it: rows no edit touched, and
+    /// the edge table between changed edges, are copied in contiguous
+    /// runs; a surviving edge's id moves by a step function of its old id,
+    /// with one breakpoint per changed edge; only the owned rows are
+    /// merged against the base and only inserted edges are looked up. So
+    /// the cost is the owned rows plus `O(n + m)` of copying, and
+    /// [`Self::rebase`] keeps the owned rows at the last batch's. A graph
+    /// without a base is built canonically in `O(n + m)`.
+    ///
+    /// # Panics
+    /// In debug builds, panics if a spliced snapshot differs from the
+    /// canonical build.
     pub fn to_csr(&self) -> CsrGraph {
+        let Some(base) = &self.base else {
+            return self.canonical_csr();
+        };
+        let owned: Vec<(VertexId, &[VertexId])> = self
+            .overlay
+            .iter()
+            .enumerate()
+            .filter_map(|(v, slot)| Some((v as VertexId, slot.as_deref()?)))
+            .collect();
+        let csr = base.splice_rows(self.n(), &owned);
+        debug_assert!(
+            csr == self.canonical_csr(),
+            "spliced snapshot must equal the canonical build"
+        );
+        csr
+    }
+
+    /// The snapshot built from scratch: the flattened edge list through
+    /// [`CsrGraph::from_canonical_edges`].
+    fn canonical_csr(&self) -> CsrGraph {
         let mut edges = Vec::with_capacity(self.m);
         for u in 0..self.n() as VertexId {
             for &v in self.neighbors(u) {

@@ -26,6 +26,12 @@
 //! - While **writing**, interest is writable-only: a peer that
 //!   half-closes after sending a request still gets its response
 //!   flushed; a full reset surfaces as a write error and closes.
+//!
+//! The payload buffer grows as bytes arrive: it starts at 64 KiB (or the
+//! declared length, if smaller) and doubles each time it fills, never
+//! past the declared length. A peer that sends a header declaring the
+//! 16 MiB maximum and then stalls holds 64 KiB, not the length it
+//! declared.
 
 use bytes::Bytes;
 use polling::Interest;
@@ -36,11 +42,16 @@ use crate::proto::{
 };
 use crate::transport::TransportStream;
 
+/// The payload buffer a validated header gets before any payload byte
+/// has arrived (see the module docs).
+const PAYLOAD_CHUNK: usize = 64 * 1024;
+
 /// Where a [`Conn`] stands in the frame cycle.
 enum ConnState {
     /// Assembling the fixed-size frame header.
     ReadingHeader { buf: [u8; FRAME_HEADER_BYTES], filled: usize },
-    /// Header validated; assembling `payload_len` payload bytes.
+    /// Header validated; assembling `payload_len` payload bytes into
+    /// `buf`, which grows as it fills.
     ReadingPayload { header: FrameHeader, buf: Vec<u8>, filled: usize },
     /// A full frame was handed to dispatch; awaiting its response.
     Dispatched,
@@ -152,7 +163,8 @@ impl Conn {
                                     return ConnEvent::Frame(frame);
                                 }
                                 Ok(header) => {
-                                    let buf = vec![0u8; header.payload_len as usize];
+                                    let len = (header.payload_len as usize).min(PAYLOAD_CHUNK);
+                                    let buf = vec![0u8; len];
                                     self.state =
                                         ConnState::ReadingPayload { header, buf, filled: 0 };
                                 }
@@ -180,9 +192,8 @@ impl Conn {
                     }
                 }
                 ConnState::ReadingPayload { header, buf, filled } => {
-                    if *filled == buf.len() {
-                        // Zero-length payloads never get here, but a
-                        // spurious wakeup right at completion might.
+                    let len = header.payload_len as usize;
+                    if *filled == len {
                         let frame = Frame::new(
                             header.verb,
                             header.fingerprint,
@@ -191,23 +202,19 @@ impl Conn {
                         self.state = ConnState::Dispatched;
                         return ConnEvent::Frame(frame);
                     }
+                    if *filled == buf.len() {
+                        // Full but short of the declared length: double
+                        // the buffer, never past that length.
+                        let grown = len.min(2 * buf.len());
+                        buf.reserve_exact(grown - buf.len());
+                        buf.resize(grown, 0);
+                    }
                     match self.stream.read(&mut buf[*filled..]) {
                         Ok(0) => {
                             self.state = ConnState::Closed;
                             return ConnEvent::Close;
                         }
-                        Ok(n) => {
-                            *filled += n;
-                            if *filled == buf.len() {
-                                let frame = Frame::new(
-                                    header.verb,
-                                    header.fingerprint,
-                                    Bytes::from(std::mem::take(buf)),
-                                );
-                                self.state = ConnState::Dispatched;
-                                return ConnEvent::Frame(frame);
-                            }
-                        }
+                        Ok(n) => *filled += n,
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             return ConnEvent::Continue;
                         }
@@ -398,6 +405,59 @@ mod tests {
         };
         assert_eq!(frame.verb, Verb::Query);
         assert_eq!(frame.payload.len(), wire.len() - FRAME_HEADER_BYTES);
+    }
+
+    /// A header declaring the largest payload, then silence: the machine
+    /// holds one chunk, not the 16 MiB the header declared.
+    #[test]
+    fn a_stalled_maximal_header_holds_one_chunk() {
+        let mut wire = Request::Stats.to_frame(server_scope()).encode().as_ref().to_vec();
+        wire[8..16].copy_from_slice(&crate::proto::MAX_FRAME_PAYLOAD.to_le_bytes());
+        let (stream, _) = MockStream::new(vec![Step::Bytes(wire), Step::WouldBlock]);
+        let mut conn = Conn::new(Box::new(stream));
+        assert!(matches!(conn.on_readable(), ConnEvent::Continue), "no payload yet");
+        let ConnState::ReadingPayload { header, buf, filled: 0 } = &conn.state else {
+            panic!("a valid header moves to payload reading");
+        };
+        assert_eq!(header.payload_len, crate::proto::MAX_FRAME_PAYLOAD);
+        assert!(buf.capacity() <= PAYLOAD_CHUNK, "allocated {} bytes", buf.capacity());
+    }
+
+    /// A payload several chunks long, delivered in uneven pieces with
+    /// stalls between them, assembles into the frame that was sent, and
+    /// the buffer never outgrows the declared length.
+    #[test]
+    fn a_multi_chunk_payload_in_pieces_yields_the_identical_frame() {
+        let payload: Vec<u8> =
+            (0..3 * PAYLOAD_CHUNK + 12_345).map(|i| (i * 7 % 251) as u8).collect();
+        let sent = Frame::new(Verb::Query, server_scope(), Bytes::from(payload));
+        let wire = sent.encode();
+        let mut steps = Vec::new();
+        let mut rest = wire.as_ref();
+        for piece in [3, 40, 1, PAYLOAD_CHUNK - 1, 2, PAYLOAD_CHUNK + 17, 9_000].into_iter().cycle()
+        {
+            if rest.is_empty() {
+                break;
+            }
+            let (head, tail) = rest.split_at(piece.min(rest.len()));
+            steps.push(Step::Bytes(head.to_vec()));
+            steps.push(Step::WouldBlock);
+            rest = tail;
+        }
+        let (stream, _) = MockStream::new(steps);
+        let mut conn = Conn::new(Box::new(stream));
+        let received = loop {
+            match conn.on_readable() {
+                ConnEvent::Continue => {
+                    if let ConnState::ReadingPayload { buf, .. } = &conn.state {
+                        assert!(buf.capacity() <= sent.payload.len(), "outgrew the payload");
+                    }
+                }
+                ConnEvent::Frame(frame) => break frame,
+                other => panic!("unexpected event {other:?}"),
+            }
+        };
+        assert_eq!(received, sent);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -18,8 +18,41 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use structural_diversity::datasets;
-use structural_diversity::graph::{CsrGraph, GraphUpdate};
-use structural_diversity::search::{all_scores, EngineKind, QuerySpec, SearchError, SearchService};
+use structural_diversity::graph::{CsrGraph, GraphBuilder, GraphUpdate};
+use structural_diversity::search::{
+    all_scores, EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService,
+};
+
+/// The graph an update script should produce, replayed over a plain
+/// edge-set model and built from scratch: the oracle for the served
+/// graph, independent of the snapshot the service publishes.
+struct EdgeSetModel {
+    n: usize,
+    edges: BTreeSet<(u32, u32)>,
+}
+
+impl EdgeSetModel {
+    fn of(g: &CsrGraph) -> EdgeSetModel {
+        EdgeSetModel { n: g.n(), edges: g.edges().iter().copied().collect() }
+    }
+
+    fn apply(&mut self, op: GraphUpdate) {
+        match op {
+            GraphUpdate::Insert { u, v } => {
+                if u != v && self.edges.insert((u.min(v), u.max(v))) {
+                    self.n = self.n.max(u.max(v) as usize + 1);
+                }
+            }
+            GraphUpdate::Remove { u, v } => {
+                self.edges.remove(&(u.min(v), u.max(v)));
+            }
+        }
+    }
+
+    fn replay(&self) -> CsrGraph {
+        GraphBuilder::with_min_vertices(self.n).extend_edges(self.edges.iter().copied()).build()
+    }
+}
 
 /// Strategy: a sequence of update batches over vertex ids `0..n` (ids at or
 /// beyond the current vertex count grow the graph; self-loops and
@@ -77,13 +110,17 @@ proptest! {
     /// vertex) and a batch growing the vertex set, the exported TSD and
     /// GCT indexes equal a fresh service's on the final graph, and every
     /// publishing batch carried GCT into an epoch that serves the
-    /// updater's own index `Arc`s.
+    /// updater's own index `Arc`s. After every publishing batch the
+    /// served edge table and fingerprint equal those of a from-scratch
+    /// replay of the ops over an edge-set model, and the fresh service is
+    /// built from that replay, not from the served graph.
     #[test]
     fn carried_indexes_equal_a_fresh_rebuild_byte_for_byte(
         g in arb_graph(14, 40),
         batches in arb_batches(18, 4, 9),
         hubs in arb_hub_batches(18, 4, 7),
     ) {
+        let mut model = EdgeSetModel::of(&g);
         let live = SearchService::new(g);
         live.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
         let fresh_vertex = live.graph().n() as u32;
@@ -101,15 +138,21 @@ proptest! {
         for batch in script {
             let stats = live.apply_updates(batch).unwrap();
             prop_assert_eq!(stats.applied + stats.rejected, batch.len());
+            for &op in batch {
+                model.apply(op);
+            }
             if stats.applied > 0 {
                 prop_assert!(stats.gct_carried, "warm GCT must carry, batch {:?}", batch);
                 prop_assert!(stats.gct_repairs <= stats.tsd_repairs);
                 // Pointer probe: the epoch serves the updater's own indexes.
                 let cow = live.updater_cow().expect("updater state is retained");
                 prop_assert!(cow.indexes_alias_current_epoch, "{:?}", cow);
+                let (served, replay) = (live.graph(), model.replay());
+                prop_assert_eq!(served.edges(), replay.edges(), "after {:?}", batch);
+                prop_assert_eq!(live.fingerprint(), GraphFingerprint::of(&replay), "after {:?}", batch);
             }
         }
-        let fresh = SearchService::new((*live.graph()).clone());
+        let fresh = SearchService::new(model.replay());
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
             prop_assert_eq!(
                 live.export_index(kind).unwrap(),
