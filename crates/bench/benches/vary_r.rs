@@ -4,13 +4,14 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sd_core::{DiversityEngine, GctEngine, HybridEngine, QuerySpec, TsdEngine};
+use sd_core::hybrid::HybridIndex;
+use sd_core::{DiversityEngine, GctEngine, QuerySpec, TsdEngine};
 
 fn bench_vary_r(c: &mut Criterion) {
     let dataset = sd_datasets::dataset("gowalla-syn").expect("registry");
     let g = Arc::new(dataset.generate(0.03));
     let tsd = TsdEngine::build(g.clone());
-    let hybrid = HybridEngine::from_tsd(g.clone(), tsd.index());
+    let hybrid = HybridIndex::build_from_tsd(tsd.index());
     let gct = GctEngine::build(g.clone());
 
     let mut group = c.benchmark_group("vary_r");
@@ -24,7 +25,7 @@ fn bench_vary_r(c: &mut Criterion) {
             b.iter(|| gct.top_r(spec).expect("gct"))
         });
         group.bench_with_input(BenchmarkId::new("hybrid", r), &spec, |b, spec| {
-            b.iter(|| hybrid.top_r(spec).expect("hybrid"))
+            b.iter(|| hybrid.top_r(&g, spec.config()))
         });
     }
     group.finish();

@@ -1,8 +1,8 @@
-//! The uniform engine surface: all five search algorithms behind one
+//! The uniform engine surface: the four search algorithms behind one
 //! object-safe trait.
 //!
-//! The paper's experimental lineup (Algorithms 3–8) grew up as five
-//! differently shaped APIs — two free functions and three index structs
+//! The paper's experimental lineup (Algorithms 3–8) grew up as four
+//! differently shaped APIs — two free functions and two index structs
 //! whose `top_r` signatures disagreed. [`DiversityEngine`] unifies them:
 //! every engine is built from a graph via [`build_engine`] (or revived from
 //! a fingerprinted blob via [`crate::SearchService::import_index`] /
@@ -37,7 +37,6 @@ use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
 use crate::error::SearchError;
 use crate::gct::GctIndex;
-use crate::hybrid::HybridIndex;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
@@ -115,20 +114,13 @@ pub enum EngineKind {
     Tsd,
     /// Algorithms 7–8 + Lemma 3: the compressed GCT-index.
     Gct,
-    /// The Exp-4 competitor: materialized per-k rankings.
-    Hybrid,
 }
 
 impl EngineKind {
-    /// The five concrete engines (everything but [`EngineKind::Auto`]), in
+    /// The four concrete engines (everything but [`EngineKind::Auto`]), in
     /// the paper's presentation order.
-    pub const ALL: [EngineKind; 5] = [
-        EngineKind::Online,
-        EngineKind::Bound,
-        EngineKind::Tsd,
-        EngineKind::Gct,
-        EngineKind::Hybrid,
-    ];
+    pub const ALL: [EngineKind; 4] =
+        [EngineKind::Online, EngineKind::Bound, EngineKind::Tsd, EngineKind::Gct];
 
     /// Stable lowercase name (used in metrics and error messages).
     pub fn name(self) -> &'static str {
@@ -138,7 +130,6 @@ impl EngineKind {
             EngineKind::Bound => "bound",
             EngineKind::Tsd => "tsd",
             EngineKind::Gct => "gct",
-            EngineKind::Hybrid => "hybrid",
         }
     }
 
@@ -147,12 +138,12 @@ impl EngineKind {
     /// [`crate::SearchService::import_index`] /
     /// [`crate::SearchService::import_bundle`]).
     pub fn serializable(self) -> bool {
-        matches!(self, EngineKind::Tsd | EngineKind::Gct | EngineKind::Hybrid)
+        matches!(self, EngineKind::Tsd | EngineKind::Gct)
     }
 
     /// Whether a cold engine of this kind is constructed inline on the
     /// serving path — true for the index-free kinds, whose construction is
-    /// `O(1)`. The index-building kinds (TSD, GCT, Hybrid) go through the
+    /// `O(1)`. The index-building kinds (TSD, GCT) go through the
     /// [`crate::SearchService`] background build queue instead.
     pub fn builds_inline(self) -> bool {
         matches!(self, EngineKind::Online | EngineKind::Bound)
@@ -160,7 +151,8 @@ impl EngineKind {
 
     /// Stable on-disk tag used by the [`crate::envelope::IndexEnvelope`]
     /// header. [`EngineKind::Auto`] has no tag (it never names a concrete
-    /// index); tags are append-only across format revisions.
+    /// index); tags are append-only across format revisions. Tag 5 is
+    /// retired and never reused: decoders refuse it as an unknown tag.
     pub fn tag(self) -> u8 {
         match self {
             EngineKind::Auto => 0,
@@ -168,7 +160,6 @@ impl EngineKind {
             EngineKind::Bound => 2,
             EngineKind::Tsd => 3,
             EngineKind::Gct => 4,
-            EngineKind::Hybrid => 5,
         }
     }
 
@@ -180,7 +171,6 @@ impl EngineKind {
             2 => Some(EngineKind::Bound),
             3 => Some(EngineKind::Tsd),
             4 => Some(EngineKind::Gct),
-            5 => Some(EngineKind::Hybrid),
             _ => None,
         }
     }
@@ -236,7 +226,7 @@ impl QuerySpec {
     }
 }
 
-/// One of the paper's five interchangeable search engines, behind an
+/// One of the paper's four interchangeable search engines, behind an
 /// object-safe interface.
 ///
 /// All engines answering the same [`QuerySpec`] on the same graph return
@@ -414,9 +404,8 @@ impl DiversityEngine for BoundEngine {
 
 /// Algorithms 5–6 behind the trait: the TSD-index.
 ///
-/// The index is held behind an [`Arc`] so an epoch can keep the same
-/// `TsdIndex` reachable from its own state (and hand it to the Hybrid
-/// carry path) without a second copy.
+/// The index is held behind an [`Arc`] so an update carry can share the
+/// same `TsdIndex` with the epoch that serves it, without a second copy.
 #[derive(Debug)]
 pub struct TsdEngine {
     g: Arc<CsrGraph>,
@@ -449,8 +438,8 @@ impl TsdEngine {
     }
 
     /// As [`Self::from_parts`] for an index that is already shared — the
-    /// epoch-publish path hands the same `Arc` to the engine, the epoch
-    /// state, and the Hybrid rebuild without copying the forests.
+    /// epoch-publish path hands the update carry's own `Arc` to the engine
+    /// without copying the forests.
     pub fn from_shared(g: Arc<CsrGraph>, index: Arc<TsdIndex>) -> Result<Self, SearchError> {
         if index.n() != g.n() {
             return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
@@ -569,67 +558,6 @@ impl DiversityEngine for GctEngine {
     }
 }
 
-/// The Exp-4 Hybrid competitor behind the trait: materialized rankings,
-/// online context retrieval.
-#[derive(Clone, Debug)]
-pub struct HybridEngine {
-    g: Arc<CsrGraph>,
-    index: HybridIndex,
-}
-
-impl HybridEngine {
-    /// Builds the per-k rankings of `g` (via a throwaway TSD-index).
-    pub fn build(g: Arc<CsrGraph>) -> Self {
-        let index = HybridIndex::build(&g);
-        HybridEngine { g, index }
-    }
-
-    /// Builds from an existing TSD-index, sharing its decomposition work.
-    pub fn from_tsd(g: Arc<CsrGraph>, tsd: &TsdIndex) -> Self {
-        HybridEngine { g, index: HybridIndex::build_from_tsd(tsd) }
-    }
-
-    /// Attaches a prebuilt ranking index to its graph, verifying vertex
-    /// counts.
-    pub fn from_parts(g: Arc<CsrGraph>, index: HybridIndex) -> Result<Self, SearchError> {
-        if index.n() != g.n() {
-            return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
-        }
-        Ok(HybridEngine { g, index })
-    }
-
-    /// The underlying materialized rankings.
-    pub fn index(&self) -> &HybridIndex {
-        &self.index
-    }
-}
-
-impl DiversityEngine for HybridEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Hybrid
-    }
-
-    fn graph(&self) -> &CsrGraph {
-        &self.g
-    }
-
-    fn score(&self, v: VertexId, k: u32) -> u32 {
-        self.index.score(v, k)
-    }
-
-    fn social_contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-        crate::score::social_contexts(&self.g, v, k)
-    }
-
-    fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult {
-        self.index.top_r(&self.g, config)
-    }
-
-    fn to_bytes(&self) -> Result<Bytes, SearchError> {
-        Ok(self.index.to_bytes())
-    }
-}
-
 /// Graphs at or below this edge count resolve [`EngineKind::Auto`] straight
 /// to GCT in [`build_engine`]: the index build is cheap and every
 /// subsequent query is O(log) per vertex.
@@ -646,9 +574,9 @@ pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngi
 
 /// As [`build_engine`], with scans of the index-free engines placed by an
 /// explicit [`ScanPolicy`] — how a [`crate::SearchService`] threads its
-/// pool down to the engines it builds. Index construction (TSD, GCT,
-/// Hybrid) is unaffected by the policy; those engines differ only in where
-/// they were *scheduled* to build.
+/// pool down to the engines it builds. Index construction (TSD, GCT) is
+/// unaffected by the policy; those engines differ only in where they were
+/// *scheduled* to build.
 pub fn build_engine_in(
     kind: EngineKind,
     g: Arc<CsrGraph>,
@@ -664,13 +592,12 @@ pub fn build_engine_in(
         EngineKind::Bound => Box::new(BoundEngine::with_policy(g, BoundOptions::default(), scan)),
         EngineKind::Tsd => Box::new(TsdEngine::build(g)),
         EngineKind::Gct => Box::new(GctEngine::build(g)),
-        EngineKind::Hybrid => Box::new(HybridEngine::build(g)),
     }
 }
 
 /// Revives a *raw* serialized index (produced by
-/// [`DiversityEngine::to_bytes`]) as an engine over `g`. Only TSD, GCT, and
-/// Hybrid have serialized forms.
+/// [`DiversityEngine::to_bytes`]) as an engine over `g`. Only TSD and GCT
+/// have serialized forms.
 ///
 /// Crate-private since 0.4.0: the attachment check here is by vertex count
 /// only, so a raw blob serialized from a *different* graph with the same
@@ -693,10 +620,6 @@ pub(crate) fn decode_engine(
         EngineKind::Gct => {
             let index = GctIndex::from_bytes(bytes)?;
             Ok(Box::new(GctEngine::from_parts(g, index)?))
-        }
-        EngineKind::Hybrid => {
-            let index = HybridIndex::from_bytes(bytes)?;
-            Ok(Box::new(HybridEngine::from_parts(g, index)?))
         }
         other => Err(SearchError::SerializationUnsupported { engine: other.name() }),
     }
@@ -768,7 +691,7 @@ mod tests {
     #[test]
     fn trait_level_roundtrip() {
         let (g, v) = figure1();
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let engine = build_engine(kind, g.clone());
             let blob = engine.to_bytes().unwrap();
             let back = decode_engine(kind, g.clone(), blob).unwrap();

@@ -18,7 +18,7 @@
 //!
 //! * [`IndexEnvelope`] — one engine's index per blob (magic `"SDIE"`);
 //! * [`IndexBundle`] — N engines' indexes behind a single fingerprint
-//!   (magic `"SDIB"`), so a whole warmed service (TSD + GCT + Hybrid)
+//!   (magic `"SDIB"`), so a whole warmed service (TSD + GCT)
 //!   persists and reloads as **one** artifact via
 //!   [`crate::SearchService::export_bundle`] /
 //!   [`crate::SearchService::import_bundle`].
@@ -231,9 +231,9 @@ impl IndexEnvelope {
 
 /// A versioned frame around *several* engines' serialized indexes, all
 /// guarded by one [`GraphFingerprint`] — the persistence unit for a whole
-/// warmed service (the paper's TSD- and GCT-indexes plus the Hybrid
-/// rankings ship as one artifact, the way related index-serving systems
-/// persist all index layers together).
+/// warmed service (the paper's TSD- and GCT-indexes ship as one artifact,
+/// the way related index-serving systems persist all index layers
+/// together).
 ///
 /// Produced by [`crate::SearchService::export_bundle`] and consumed by
 /// [`crate::SearchService::import_bundle`]; [`Self::encode`]/[`Self::decode`]
@@ -463,7 +463,6 @@ mod tests {
             vec![
                 (EngineKind::Tsd, Bytes::from_static(b"tsd-payload")),
                 (EngineKind::Gct, Bytes::from_static(b"gct")),
-                (EngineKind::Hybrid, Bytes::new()),
             ],
         )
     }
@@ -474,11 +473,11 @@ mod tests {
         let blob = bundle.encode();
         assert_eq!(
             blob.len(),
-            BUNDLE_HEADER_BYTES + 3 * BUNDLE_ENTRY_HEADER_BYTES + b"tsd-payload".len() + 3
+            BUNDLE_HEADER_BYTES + 2 * BUNDLE_ENTRY_HEADER_BYTES + b"tsd-payload".len() + 3
         );
         let back = IndexBundle::decode(blob).unwrap();
         assert_eq!(back, bundle);
-        assert_eq!(back.kinds(), vec![EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid]);
+        assert_eq!(back.kinds(), vec![EngineKind::Tsd, EngineKind::Gct]);
     }
 
     #[test]
@@ -494,9 +493,9 @@ mod tests {
                 "cut at {cut}"
             );
         }
-        // Dropping the final (empty-payload Hybrid) entry leaves a frame
-        // whose count field promises one more entry than the body holds.
-        let missing_entry = good.slice(0..good.len() - BUNDLE_ENTRY_HEADER_BYTES);
+        // Dropping the final (GCT) entry leaves a frame whose count field
+        // promises one more entry than the body holds.
+        let missing_entry = good.slice(0..good.len() - BUNDLE_ENTRY_HEADER_BYTES - 3);
         assert_eq!(IndexBundle::decode(missing_entry), Err(DecodeError::Truncated));
 
         // Trailing bytes after the last entry.

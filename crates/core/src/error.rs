@@ -124,7 +124,7 @@ pub enum SearchError {
         /// Fingerprint recorded in the envelope.
         found: GraphFingerprint,
     },
-    /// The engine has no serialized form (only TSD, GCT, and Hybrid do).
+    /// The engine has no serialized form (only TSD and GCT do).
     SerializationUnsupported {
         /// Name of the engine that was asked to (de)serialize.
         engine: &'static str,

@@ -5,20 +5,17 @@
 //! directly and only pays for *social context* computation, which it performs
 //! online with Algorithm 2. The paper shows this is competitive at `r = 1`
 //! but loses to GCT as `r` grows — context recomputation dominates.
+//!
+//! It is not a serving engine: the Exp-4 reproduction in `sd-bench` calls
+//! it directly.
 
 use std::time::Instant;
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use sd_graph::{CsrGraph, VertexId};
 
 use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
-use crate::error::DecodeError;
 use crate::score::social_contexts;
 use crate::tsd::TsdIndex;
-
-/// Serialization magic ("HYB1").
-const MAGIC: u32 = 0x4859_4231;
 
 /// Precomputed per-k rankings of positive-score vertices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,72 +72,10 @@ impl HybridIndex {
         self.n
     }
 
-    /// Serializes to a compact binary blob: magic, vertex count, level
-    /// count, then each level's `(score, vertex)` ranking with its length.
-    /// Like the TSD/GCT blobs, this is both the persistence format and the
-    /// index-size accounting unit.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.index_size_bytes());
-        buf.put_u32_le(MAGIC);
-        buf.put_u64_le(self.n as u64);
-        buf.put_u64_le(self.rankings.len() as u64);
-        for ranking in &self.rankings {
-            buf.put_u64_le(ranking.len() as u64);
-            for &(score, vertex) in ranking {
-                buf.put_u32_le(score);
-                buf.put_u32_le(vertex);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a blob produced by [`Self::to_bytes`]. Length fields
-    /// are validated with checked arithmetic before any allocation, and
-    /// every recorded vertex id must fall below the declared vertex count —
-    /// a hostile blob must fail with a typed [`DecodeError`], never panic
-    /// at decode or query time.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, DecodeError> {
-        if data.remaining() < 20 {
-            return Err(DecodeError::Truncated);
-        }
-        if data.get_u32_le() != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let n = data.get_u64_le() as usize;
-        let levels = data.get_u64_le() as usize;
-        // Each level costs at least its 8-byte length header.
-        if levels.checked_mul(8).is_none_or(|need| data.remaining() < need) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut rankings = Vec::with_capacity(levels);
-        for _ in 0..levels {
-            if data.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            let len = data.get_u64_le() as usize;
-            let need = len.checked_mul(8).ok_or(DecodeError::Truncated)?;
-            if data.remaining() < need {
-                return Err(DecodeError::Truncated);
-            }
-            let mut ranking = Vec::with_capacity(len);
-            for _ in 0..len {
-                let score = data.get_u32_le();
-                let vertex = data.get_u32_le();
-                if vertex as usize >= n {
-                    return Err(DecodeError::InvalidEntry);
-                }
-                ranking.push((score, vertex));
-            }
-            rankings.push(ranking);
-        }
-        if data.remaining() != 0 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(HybridIndex { rankings, n })
-    }
-
-    /// Serialized size in bytes (the Hybrid column of the paper's
-    /// index-size comparison).
+    /// Size in bytes of the rankings in a compact encoding: a 20-byte
+    /// header, then per level an 8-byte length and 8 bytes per `(score,
+    /// vertex)` entry (the Hybrid column of the paper's index-size
+    /// comparison).
     pub fn index_size_bytes(&self) -> usize {
         20 + self.rankings.iter().map(|r| 8 + r.len() * 8).sum::<usize>()
     }
@@ -230,60 +165,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn binary_roundtrip_is_lossless() {
-        let (g, _, _) = paper_figure1_graph();
-        let index = HybridIndex::build(&g);
-        let blob = index.to_bytes();
-        assert_eq!(blob.len(), index.index_size_bytes());
-        assert_eq!(HybridIndex::from_bytes(blob), Ok(index));
-    }
-
-    #[test]
-    fn decoding_rejects_hostile_blobs() {
-        use bytes::{BufMut, Bytes, BytesMut};
-        assert_eq!(HybridIndex::from_bytes(Bytes::from_static(b"xx")), Err(DecodeError::Truncated));
-        assert_eq!(
-            HybridIndex::from_bytes(Bytes::from_static(b"not the magic word..")),
-            Err(DecodeError::BadMagic)
-        );
-
-        let (g, _, _) = paper_figure1_graph();
-        let index = HybridIndex::build(&g);
-        let blob = index.to_bytes();
-
-        // Truncation anywhere must be caught, as must trailing garbage.
-        for cut in [4usize, 12, 20, blob.len() - 1] {
-            assert_eq!(
-                HybridIndex::from_bytes(blob.slice(0..cut)),
-                Err(DecodeError::Truncated),
-                "cut at {cut}"
-            );
-        }
-        let mut extra = blob.as_ref().to_vec();
-        extra.push(0);
-        assert_eq!(HybridIndex::from_bytes(extra.into()), Err(DecodeError::Truncated));
-
-        // A level-count header promising more than the blob holds must not
-        // allocate, let alone decode.
-        let mut forged = BytesMut::new();
-        forged.put_u32_le(super::MAGIC);
-        forged.put_u64_le(4);
-        forged.put_u64_le(u64::MAX);
-        assert_eq!(HybridIndex::from_bytes(forged.freeze()), Err(DecodeError::Truncated));
-
-        // An in-range frame carrying an out-of-range vertex id must be
-        // refused — serving it would panic at query time.
-        let mut bad_vertex = BytesMut::new();
-        bad_vertex.put_u32_le(super::MAGIC);
-        bad_vertex.put_u64_le(2); // n = 2
-        bad_vertex.put_u64_le(1); // one level
-        bad_vertex.put_u64_le(1); // with one entry
-        bad_vertex.put_u32_le(1); // score
-        bad_vertex.put_u32_le(9); // vertex 9 >= n
-        assert_eq!(HybridIndex::from_bytes(bad_vertex.freeze()), Err(DecodeError::InvalidEntry));
     }
 
     #[test]

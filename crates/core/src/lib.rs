@@ -7,7 +7,7 @@
 //!
 //! ## The engine surface
 //!
-//! Five interchangeable engines, matching the paper's experimental lineup,
+//! Four interchangeable engines, matching the paper's experimental lineup,
 //! all behind the object-safe [`DiversityEngine`] trait:
 //!
 //! | engine | paper | [`EngineKind`] | preprocessing | serializable |
@@ -16,7 +16,9 @@
 //! | bound-pruned | Algorithm 4 (sparsify + Lemma 2) | `Bound` | none | no |
 //! | TSD-index | Algorithms 5–6 | `Tsd` | max spanning forests | yes |
 //! | GCT-index | Algorithms 7–8 + Lemma 3 | `Gct` | compressed forests | yes |
-//! | Hybrid | Exp-4 competitor | `Hybrid` | per-k rankings | yes |
+//!
+//! The paper's Exp-4 competitor (per-k rankings) is a plain index in
+//! [`hybrid`] for that experiment, not an engine.
 //!
 //! Build one engine with [`build_engine`], or let a [`SearchService`] own
 //! the graph, build engines *in the background* behind per-kind locks
@@ -49,7 +51,7 @@
 //! and every import refuses blobs built from a different graph; there is
 //! no fingerprint-less public decode path. (The 0.2 single-threaded
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
-//! the README's upgrade note.)
+//! the "Upgrade notes" section of the repository's CHANGES.md.)
 //!
 //! All engines return [`TopRResult`]s whose score multisets agree; this is
 //! enforced by cross-engine tests and property tests driving the engines
@@ -85,7 +87,7 @@ pub use dynamic::DynamicTsd;
 pub use egonet::{AllEgoNetworks, EgoNetwork};
 pub use engine::{
     build_engine, build_engine_in, BoundEngine, DiversityEngine, EngineKind, GctEngine,
-    HybridEngine, OnlineEngine, QuerySpec, ScanPolicy, TsdEngine, PARALLEL_MIN_VERTICES,
+    OnlineEngine, QuerySpec, ScanPolicy, TsdEngine, PARALLEL_MIN_VERTICES,
 };
 pub use envelope::{
     GraphFingerprint, IndexBundle, IndexEnvelope, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES,
@@ -93,7 +95,6 @@ pub use envelope::{
 };
 pub use error::{DecodeError, SearchError};
 pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};
-pub use hybrid::HybridIndex;
 pub use online::all_scores;
 pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};
 pub use parallel::pool_all_scores;

@@ -132,7 +132,7 @@ pub const SVC_UPDATER: LockClass = LockClass::new(10, "svc.updater");
 /// The serving-epoch pointer: readers pin a snapshot, updates swap it.
 pub const EPOCH_PTR: LockClass = LockClass::new(20, "epoch.ptr");
 
-/// One engine cache slot of an epoch (five per epoch, one per kind).
+/// One engine cache slot of an epoch (one per concrete kind).
 pub const ENGINE_SLOT: LockClass = LockClass::new(30, "engine.slot");
 
 /// One result slot of a [`crate::SearchService::top_r_many`] fan-out.

@@ -1,4 +1,4 @@
-//! [`SearchService`]: the concurrent serving layer — one shared graph, five
+//! [`SearchService`]: the concurrent serving layer — one shared graph, four
 //! lazily built engines, `&self` queries from any number of threads, a
 //! background build queue so no query ever blocks on index construction,
 //! and **epoch-swapped snapshots** so the graph itself can mutate under
@@ -10,7 +10,7 @@
 //! dynamic-update remark). `SearchService` is built for exactly that shape:
 //!
 //! * all per-graph state — the `Arc<CsrGraph>`, its [`GraphFingerprint`],
-//!   and the five engine slots — lives in one immutable *epoch*; queries
+//!   and the four engine slots — lives in one immutable *epoch*; queries
 //!   clone the current epoch's `Arc` and run entirely against that
 //!   snapshot, so a concurrent [`SearchService::apply_updates`] can never
 //!   tear a query between two graphs;
@@ -19,7 +19,7 @@
 //!   happens under the slot's write lock, double-checked, so every engine
 //!   is built exactly once per epoch no matter how many threads race;
 //! * **queries never wait for an index build**: [`SearchService::top_r`]
-//!   on a cold TSD/GCT/Hybrid engine enqueues the build onto the
+//!   on a cold TSD/GCT engine enqueues the build onto the
 //!   **process-wide [`WorkerPool`]** (shared by every service in the
 //!   process — N services no longer park 2·N private builder threads) and
 //!   answers the in-flight query via an index-free fallback — a cached
@@ -104,14 +104,13 @@ use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
 use crate::config::TopRResult;
 use crate::dynamic::DynamicTsd;
 use crate::engine::{
-    build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, HybridEngine,
-    QuerySpec, ScanPolicy, TsdEngine,
+    build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, QuerySpec, ScanPolicy,
+    TsdEngine,
 };
 use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
 use crate::error::SearchError;
 use crate::lock_order;
 use crate::pool::{self, Job, WorkerPool};
-use crate::tsd::TsdIndex;
 
 /// Number of [`EngineKind::Auto`] queries served with the index-free bound
 /// engine before the service decides the query stream is worth an index
@@ -157,8 +156,9 @@ type EngineSlot = RwLock<Option<Arc<dyn DiversityEngine>>>;
 pub struct ServiceStats {
     /// Successful queries served over the service's lifetime.
     pub queries_served: usize,
-    /// Engines constructed (cache misses across all epochs; grows past 5
-    /// when updates publish new epochs or indexes are re-imported).
+    /// Engines constructed (cache misses across all epochs; grows past one
+    /// per concrete kind when updates publish new epochs or indexes are
+    /// re-imported).
     pub engines_built: usize,
     /// Engines constructed by the background worker pool (a subset of
     /// `engines_built`).
@@ -176,10 +176,6 @@ pub struct ServiceStats {
     /// repaired per affected ego-network from retained state — rather than
     /// built from scratch. At most one less than `epochs`.
     pub incremental_tsd_carries: usize,
-    /// Epoch publications whose Hybrid engine was rebuilt inline from the
-    /// carried TSD-index (`O(n · profile)` sweep, no decomposition)
-    /// instead of re-entering the background build queue.
-    pub hybrid_carries: usize,
     /// GCT entries repaired in place by affected-region re-decomposition
     /// across all update batches ([`UpdateStats::gct_repairs`], summed).
     pub gct_repairs: usize,
@@ -187,7 +183,7 @@ pub struct ServiceStats {
     /// [`EngineKind::ALL`] order. Fallback-served queries count toward the
     /// engine that actually answered ([`EngineKind::Online`] or
     /// [`EngineKind::Bound`]).
-    pub queries_by_engine: [usize; 5],
+    pub queries_by_engine: [usize; EngineKind::ALL.len()],
     /// Worker threads currently alive in the [`WorkerPool`] this service
     /// schedules onto. The pool is process-wide by default, so this is a
     /// *shared* figure — N services over the global pool report the same
@@ -242,9 +238,6 @@ pub struct UpdateStats {
     /// engine to seed the carry from — then a GCT build that was scheduled
     /// is re-queued on the new epoch — or when the batch published nothing.
     pub gct_carried: bool,
-    /// Whether the new epoch's Hybrid engine was rebuilt inline from the
-    /// carried TSD-index.
-    pub hybrid_carried: bool,
     /// Vertex count of the published graph.
     pub n: usize,
     /// Edge count of the published graph.
@@ -266,18 +259,11 @@ struct EpochState {
     /// the `O(m)` hash.
     fingerprint: OnceLock<GraphFingerprint>,
     /// One slot per concrete engine, in [`EngineKind::ALL`] order.
-    slots: [EngineSlot; 5],
+    slots: [EngineSlot; EngineKind::ALL.len()],
     /// One latch per slot: set by the first thread to enqueue that kind in
     /// this epoch, so a cold-start spike of N threads produces one queue
     /// entry, not N.
-    scheduled: [AtomicBool; 5],
-    /// The TSD-index this epoch was published with, when it came through
-    /// the update path — the same `Arc` the pre-installed TSD engine
-    /// holds. Keeping it reachable from the epoch lets a later cold
-    /// Hybrid request rebuild inline via `HybridIndex::build_from_tsd`
-    /// instead of paying a from-scratch background build. `None` for
-    /// epoch 0 and for epochs whose TSD was never materialized.
-    carried_tsd: Option<Arc<TsdIndex>>,
+    scheduled: [AtomicBool; EngineKind::ALL.len()],
 }
 
 impl EpochState {
@@ -290,7 +276,6 @@ impl EpochState {
             fingerprint: OnceLock::new(),
             slots: std::array::from_fn(|_| lock_order::ENGINE_SLOT.rwlock(None)),
             scheduled: std::array::from_fn(|_| AtomicBool::new(false)),
-            carried_tsd: None,
         }
     }
 
@@ -342,10 +327,9 @@ struct ServiceCore {
     epochs: AtomicUsize,
     updates_applied: AtomicUsize,
     incremental_tsd_carries: AtomicUsize,
-    hybrid_carries: AtomicUsize,
     gct_repairs: AtomicUsize,
     parallel_queries: AtomicUsize,
-    queries_by_slot: [AtomicUsize; 5],
+    queries_by_slot: [AtomicUsize; EngineKind::ALL.len()],
 }
 
 impl ServiceCore {
@@ -355,7 +339,6 @@ impl ServiceCore {
             EngineKind::Bound => 1,
             EngineKind::Tsd => 2,
             EngineKind::Gct => 3,
-            EngineKind::Hybrid => 4,
             // sd-lint: allow(no-panic) every public entry resolves Auto via resolve_kind first
             EngineKind::Auto => unreachable!("Auto is resolved before slot lookup"),
         }
@@ -386,16 +369,8 @@ impl ServiceCore {
         if let Some(engine) = guard.as_ref() {
             return (engine.clone(), false);
         }
-        // A Hybrid build on an epoch that carries its TSD-index skips the
-        // from-scratch decomposition: `build_from_tsd` is an `O(n ·
-        // profile)` sweep over the index the epoch already holds.
-        let engine: Arc<dyn DiversityEngine> = match (kind, &epoch.carried_tsd) {
-            (EngineKind::Hybrid, Some(tsd)) => {
-                self.hybrid_carries.fetch_add(1, Ordering::Relaxed);
-                Arc::new(HybridEngine::from_tsd(epoch.graph.clone(), tsd))
-            }
-            _ => Arc::from(build_engine_in(kind, epoch.graph.clone(), self.scan.clone())),
-        };
+        let engine: Arc<dyn DiversityEngine> =
+            Arc::from(build_engine_in(kind, epoch.graph.clone(), self.scan.clone()));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         *guard = Some(engine.clone());
         (engine, true)
@@ -508,7 +483,7 @@ impl ServiceCore {
     }
 }
 
-/// Thread-safe facade over the five engines: owns the graph, builds
+/// Thread-safe facade over the four engines: owns the graph, builds
 /// engines in the background behind per-kind locks, routes [`QuerySpec`]s
 /// (including [`EngineKind::Auto`]) through `&self` methods without ever
 /// blocking a query on index construction, mutates the graph under traffic
@@ -617,7 +592,6 @@ impl SearchService {
             epochs: AtomicUsize::new(1),
             updates_applied: AtomicUsize::new(0),
             incremental_tsd_carries: AtomicUsize::new(0),
-            hybrid_carries: AtomicUsize::new(0),
             gct_repairs: AtomicUsize::new(0),
             parallel_queries: AtomicUsize::new(0),
             queries_by_slot: std::array::from_fn(|_| AtomicUsize::new(0)),
@@ -630,11 +604,6 @@ impl SearchService {
     /// many [`Self::apply_updates`] batches publish after this call.
     pub fn graph(&self) -> Arc<CsrGraph> {
         self.core.current().graph.clone()
-    }
-
-    /// Alias of [`Self::graph`], kept for 0.4 callers.
-    pub fn graph_arc(&self) -> Arc<CsrGraph> {
-        self.graph()
     }
 
     /// The current epoch's identity as recorded in exported envelopes and
@@ -670,7 +639,6 @@ impl SearchService {
             epochs: self.core.epochs.load(Ordering::Relaxed),
             updates_applied: self.core.updates_applied.load(Ordering::Relaxed),
             incremental_tsd_carries: self.core.incremental_tsd_carries.load(Ordering::Relaxed),
-            hybrid_carries: self.core.hybrid_carries.load(Ordering::Relaxed),
             gct_repairs: self.core.gct_repairs.load(Ordering::Relaxed),
             queries_by_engine: std::array::from_fn(|i| {
                 self.core.queries_by_slot[i].load(Ordering::Relaxed)
@@ -773,7 +741,7 @@ impl SearchService {
     /// the engines it promised are warming wherever traffic actually goes —
     /// not only on a superseded snapshot.
     pub fn warmup(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        let mut warmed = [false; 5];
+        let mut warmed = [false; EngineKind::ALL.len()];
         let mut epoch = self.core.current();
         let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
@@ -814,7 +782,7 @@ impl SearchService {
     /// serves queries without fallback* — holds for the epoch queries will
     /// actually hit, not a superseded snapshot.
     pub fn wait_ready(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        let mut waited = [false; 5];
+        let mut waited = [false; EngineKind::ALL.len()];
         let mut epoch = self.core.current();
         let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
@@ -852,8 +820,6 @@ impl SearchService {
     ///   new epoch's TSD and GCT engines serve those very `Arc`s. A batch
     ///   that lands while GCT is only scheduled, not yet built, has no GCT
     ///   state to repair, so GCT re-enters the background queue.
-    /// * **Hybrid** is rebuilt inline from the carried TSD-index
-    ///   (`HybridIndex::build_from_tsd`, an `O(n · profile)` sweep).
     /// * The O(1) index-free kinds that were live are derived inline.
     ///
     /// The retained updater's adjacency is **copy-on-write** against the
@@ -894,7 +860,6 @@ impl SearchService {
             tsd_carried: false,
             gct_repairs: 0,
             gct_carried: false,
-            hybrid_carried: false,
             n: old.graph.n(),
             m: old.graph.m(),
         };
@@ -965,16 +930,11 @@ impl SearchService {
 
         // Assemble the next epoch off to the side: splice the mutated
         // graph's snapshot from the published one (its fingerprint waits
-        // for its first reader), and install the carried
-        // indexes — the carry's own `Arc`s — so they are warm before
-        // anyone can query them. The TSD-index is also kept reachable from
-        // the epoch itself (`carried_tsd`) so Hybrid — now or lazily later
-        // — derives from it instead of re-entering a from-scratch build.
+        // for its first reader), and install the carried indexes — the
+        // carry's own `Arc`s — so they are warm before anyone can query
+        // them.
         let graph = Arc::new(carry.graph().to_csr());
-        let index = carry.index().clone();
-        let mut next = EpochState::over(old.id + 1, graph.clone());
-        next.carried_tsd = Some(index.clone());
-        let next = Arc::new(next);
+        let next = Arc::new(EpochState::over(old.id + 1, graph.clone()));
         // `from_shared` only rejects an index/graph size mismatch, and
         // both sides here come from the same maintained state; surface a
         // broken carry as an error (nothing published, carry dropped)
@@ -982,7 +942,8 @@ impl SearchService {
         let mismatch = |_| SearchError::Internal {
             invariant: "the maintained indexes cover exactly the maintained graph",
         };
-        let tsd_engine = TsdEngine::from_shared(graph.clone(), index.clone()).map_err(mismatch)?;
+        let tsd_engine =
+            TsdEngine::from_shared(graph.clone(), carry.index().clone()).map_err(mismatch)?;
         self.core.install(&next, EngineKind::Tsd, Arc::new(tsd_engine));
         let gct_carried = match carry.gct_index() {
             Some(gct) => {
@@ -993,15 +954,6 @@ impl SearchService {
             }
             None => false,
         };
-        // Rebuild Hybrid inline from the carried index when it was
-        // serving: an `O(n · profile)` sweep at publish time in place of
-        // a full background decomposition.
-        let hybrid_carried = old.is_live(EngineKind::Hybrid);
-        if hybrid_carried {
-            let engine = HybridEngine::from_tsd(graph.clone(), &index);
-            self.core.install(&next, EngineKind::Hybrid, Arc::new(engine));
-            self.core.hybrid_carries.fetch_add(1, Ordering::Relaxed);
-        }
 
         // Publish: one pointer swap. In-flight queries keep their pinned
         // epoch; everything after this line sees the new graph.
@@ -1045,7 +997,6 @@ impl SearchService {
             tsd_carried: carried,
             gct_repairs,
             gct_carried,
-            hybrid_carried,
             n: graph.n(),
             m: graph.m(),
         })
@@ -1053,8 +1004,8 @@ impl SearchService {
 
     /// Answers one top-r query, routing by the spec's engine kind —
     /// **never blocking on index construction**, and always against one
-    /// consistent epoch snapshot. A query routed to a cold TSD/GCT/Hybrid
-    /// engine schedules its build in the background and is served by an
+    /// consistent epoch snapshot. A query routed to a cold TSD/GCT engine
+    /// schedules its build in the background and is served by an
     /// index-free fallback instead (identical answers, bounded latency):
     /// a cached [`EngineKind::Bound`] engine when one exists — its
     /// sparsify-and-prune search beats the full scan — falling back to
@@ -1248,8 +1199,8 @@ impl SearchService {
 
     /// Serializes every named engine (building any that are missing — this
     /// path blocks, like [`Self::export_index`]) into one fingerprinted
-    /// [`IndexBundle`] blob, so a fully warmed service (TSD + GCT +
-    /// Hybrid) persists as a single artifact. Kinds are deduplicated and
+    /// [`IndexBundle`] blob, so a fully warmed service (TSD + GCT)
+    /// persists as a single artifact. Kinds are deduplicated and
     /// encoded in [`EngineKind::ALL`] order; [`EngineKind::Auto`] resolves
     /// first. Fails with [`SearchError::SerializationUnsupported`] if any
     /// requested kind is index-free — *before* building anything — and
@@ -1259,7 +1210,7 @@ impl SearchService {
         kinds: impl IntoIterator<Item = EngineKind>,
     ) -> Result<Bytes, SearchError> {
         let epoch = self.core.current();
-        let mut requested = [false; 5];
+        let mut requested = [false; EngineKind::ALL.len()];
         for kind in kinds {
             requested[Self::slot(self.core.resolve_on(&epoch, kind))] = true;
         }
@@ -1337,7 +1288,7 @@ mod tests {
     /// engine — the pre-0.4 deterministic behaviour, now behind
     /// `wait_ready`.
     #[test]
-    fn explicit_routing_reaches_all_five_engines_once_ready() {
+    fn explicit_routing_reaches_every_engine_once_ready() {
         let s = service();
         assert_eq!(s.warmup(EngineKind::ALL), EngineKind::ALL.to_vec());
         assert_eq!(s.wait_ready(EngineKind::ALL), EngineKind::ALL.to_vec());
@@ -1349,10 +1300,10 @@ mod tests {
             scores.push(result.scores());
         }
         assert!(scores.windows(2).all(|w| w[0] == w[1]), "engines disagree: {scores:?}");
-        assert_eq!(s.built_engines().len(), 5);
+        assert_eq!(s.built_engines(), EngineKind::ALL.to_vec());
         let stats = s.stats();
-        assert_eq!(stats.queries_served, 5);
-        assert_eq!(stats.engines_built, 5);
+        assert_eq!(stats.queries_served, EngineKind::ALL.len());
+        assert_eq!(stats.engines_built, EngineKind::ALL.len());
         assert_eq!(stats.foreground_fallbacks, 0, "ready engines must serve directly");
         assert!(EngineKind::ALL.into_iter().all(|k| stats.queries_for(k) == 1), "{stats:?}");
     }
@@ -1572,12 +1523,12 @@ mod tests {
     #[test]
     fn bundle_roundtrip_through_the_service() {
         let s = service();
-        let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+        let kinds = [EngineKind::Tsd, EngineKind::Gct];
         let blob = s.export_bundle(kinds).unwrap();
         let fresh = service();
         assert_eq!(fresh.import_bundle(blob).unwrap(), kinds.to_vec());
         assert_eq!(fresh.built_engines(), kinds.to_vec());
-        assert_eq!(fresh.stats().engines_built, 3);
+        assert_eq!(fresh.stats().engines_built, 2);
         for kind in kinds {
             let spec = QuerySpec::new(4, 1).unwrap().with_engine(kind);
             let result = fresh.top_r(&spec).unwrap();
@@ -1661,8 +1612,12 @@ mod tests {
         });
         s.wait_ready(EngineKind::ALL);
         let stats = s.stats();
-        assert_eq!(stats.engines_built, 5, "racing threads must not duplicate builds");
-        assert_eq!(stats.queries_served, 8 * 5);
+        assert_eq!(
+            stats.engines_built,
+            EngineKind::ALL.len(),
+            "racing threads must not duplicate builds"
+        );
+        assert_eq!(stats.queries_served, 8 * EngineKind::ALL.len());
     }
 
     #[test]
@@ -1742,10 +1697,9 @@ mod tests {
 
         // The new epoch publishes with *every* previously live engine
         // already warm: TSD repaired in place, GCT repaired over the same
-        // affected region, Hybrid swept from the carried TSD-index, and
-        // the O(1) kinds derived inline. Nothing re-enters the background
-        // queue.
-        assert!(stats.tsd_carried && stats.gct_carried && stats.hybrid_carried);
+        // affected region, and the O(1) kinds derived inline. Nothing
+        // re-enters the background queue.
+        assert!(stats.tsd_carried && stats.gct_carried);
         assert!(stats.gct_repairs > 0, "affected egos were re-decomposed");
         let built = s.built_engines();
         for kind in EngineKind::ALL {
@@ -1756,7 +1710,6 @@ mod tests {
             after.background_builds, before.background_builds,
             "a warm update must not enqueue any full rebuild"
         );
-        assert_eq!(after.hybrid_carries, before.hybrid_carries + 1);
         assert!(after.gct_repairs >= before.gct_repairs + stats.gct_repairs);
         // The epoch serves the updater's own indexes, not copies.
         let cow = s.updater_cow().unwrap();
@@ -1764,8 +1717,6 @@ mod tests {
         // And the carried engines answer directly (no fallback window).
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
-        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Hybrid);
-        assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "hybrid");
     }
 
     /// The fallback that remains: a batch landing while GCT is scheduled

@@ -220,7 +220,7 @@ impl TsdIndex {
     /// `score(v, k)` for every distinct threshold at which it changes:
     /// returns descending `(k, score)` pairs; `score(v, q) = score` for the
     /// entry with the smallest `k ≥ q`... i.e. piecewise-constant between
-    /// distinct forest weights. Used by the Hybrid index builder.
+    /// distinct forest weights. Used by the Exp-4 rankings builder.
     pub fn score_profile(&self, v: VertexId) -> Vec<(u32, u32)> {
         let s = self.offsets[v as usize];
         let e = self.offsets[v as usize + 1];

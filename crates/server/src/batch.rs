@@ -196,12 +196,9 @@ pub struct BatchStats {
     pub expired: u64,
     /// Queries shed because the accumulator was full.
     pub shed_queue_full: u64,
-    /// Queries answered [`BatchReply::Dropped`] because their
-    /// connection had disconnected (the *cause*; always moves in step
-    /// with [`BatchStats::cancelled`] today).
-    pub dropped_disconnected: u64,
     /// Queries skipped at a batch-slot boundary by a cancelled
-    /// [`CancelToken`] (the *mechanism*).
+    /// [`CancelToken`] and answered [`BatchReply::Dropped`]. A client
+    /// disconnect is the only thing that cancels a token.
     pub cancelled: u64,
 }
 
@@ -227,7 +224,6 @@ pub struct Batcher {
     batches_executed: AtomicU64,
     expired: AtomicU64,
     shed_queue_full: AtomicU64,
-    dropped_disconnected: AtomicU64,
     cancelled: AtomicU64,
 }
 
@@ -243,7 +239,6 @@ impl Batcher {
             batches_executed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             shed_queue_full: AtomicU64::new(0),
-            dropped_disconnected: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
         }
     }
@@ -255,7 +250,6 @@ impl Batcher {
             batches_executed: self.batches_executed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             shed_queue_full: self.shed_queue_full.load(Ordering::Relaxed),
-            dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
         }
     }
@@ -430,13 +424,10 @@ impl Batcher {
         // Counters are bumped *before* the reply that completes a frame is
         // delivered: the completion callback races this function's tail, and
         // a caller inspecting stats from it must see its own drops.
-        let drop_counted = |n: u64| {
-            self.dropped_disconnected.fetch_add(n, Ordering::Relaxed);
-            self.cancelled.fetch_add(n, Ordering::Relaxed);
-        };
         match service.top_r_many_pinned_cancellable(&specs, &cancels) {
             Ok((epoch, results)) => {
-                drop_counted(results.iter().filter(|r| r.is_none()).count() as u64);
+                let skipped = results.iter().filter(|r| r.is_none()).count() as u64;
+                self.cancelled.fetch_add(skipped, Ordering::Relaxed);
                 for (entry, result) in live.into_iter().zip(results) {
                     match result {
                         Some(result) => entry.reply.deliver(BatchReply::Answered { epoch, result }),
@@ -454,7 +445,7 @@ impl Batcher {
                 // the fallback is a fresh slot boundary per query.
                 for entry in live {
                     if entry.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                        drop_counted(1);
+                        self.cancelled.fetch_add(1, Ordering::Relaxed);
                         entry.reply.deliver(BatchReply::Dropped);
                         continue;
                     }
@@ -675,7 +666,6 @@ mod tests {
         let replies = rx.recv_timeout(Duration::from_secs(10)).expect("completion fires");
         assert!(replies.iter().all(|r| matches!(r, BatchReply::Dropped)), "got {replies:?}");
         let stats = tenant.batcher.stats();
-        assert_eq!(stats.dropped_disconnected, 2);
         assert_eq!(stats.cancelled, 2);
         assert_eq!(svc.queries_served(), 0, "cancelled slots never reach an engine");
         // An un-cancelled token executes normally.

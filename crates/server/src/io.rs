@@ -33,9 +33,8 @@
 //! peer-hangup only. If the poller then reports the peer gone, the loop
 //! flips the frame's [`CancelToken`] and closes the connection: queries
 //! still parked (or already coalesced into a batch) are skipped at
-//! their batch-slot boundary and counted `dropped_disconnected` /
-//! `cancelled` instead of burning pool time for a reader that no longer
-//! exists. The late `Complete` that the batcher still posts finds the
+//! their batch-slot boundary and counted `cancelled` instead of burning
+//! pool time for a reader that no longer exists. The late `Complete` that the batcher still posts finds the
 //! connection gone and is discarded.
 
 use std::collections::HashMap;

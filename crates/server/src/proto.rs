@@ -49,12 +49,10 @@ use sd_graph::GraphUpdate;
 pub const WIRE_MAGIC: u32 = 0x5344_5250;
 
 /// Current protocol version. Decoding rejects any other value with
-/// [`WireError::UnsupportedVersion`]. Version 2 widened the `StatsOk`
-/// payload: tenant scope gained `hybrid_carries`/`gct_repairs`, server
-/// scope gained `dropped_disconnected`. Version 3 widened it again:
-/// server scope gained `cancelled` (queries skipped at a batch-slot
-/// boundary after their connection disconnected).
-pub const WIRE_VERSION: u16 = 3;
+/// [`WireError::UnsupportedVersion`]. Versions 2 to 4 each changed the
+/// `StatsOk` layout; version 4 carries 10 server-scope and 18
+/// tenant-scope counters, and retired engine tag 5 from query frames.
+pub const WIRE_VERSION: u16 = 4;
 
 /// Fixed size of the frame header preceding the payload.
 pub const FRAME_HEADER_BYTES: usize = 40;
@@ -808,7 +806,7 @@ impl UpdateResponse {
     }
 }
 
-/// Server-scope counters inside [`StatsResponse::Server`] — 11 × `u64`
+/// Server-scope counters inside [`StatsResponse::Server`] — 10 × `u64`
 /// after the scope byte.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServerStatsWire {
@@ -827,12 +825,9 @@ pub struct ServerStatsWire {
     pub batches_executed: u64,
     /// Requests shed by admission control (all reasons).
     pub shed_overload: u64,
-    /// Batched queries answered `Dropped` because their connection had
-    /// already closed.
-    pub dropped_disconnected: u64,
-    /// Batched queries whose [`sd_core::CancelToken`] was cancelled
-    /// before their batch slot ran (today always equal to
-    /// `dropped_disconnected` — disconnects are the only cancel source).
+    /// Batched queries answered `Dropped` because their
+    /// [`sd_core::CancelToken`] was cancelled before their batch slot ran
+    /// (a client disconnect is the only cancel source).
     pub cancelled: u64,
     /// Worker threads alive in the process-wide pool.
     pub pool_threads: u64,
@@ -864,8 +859,6 @@ pub struct TenantStatsWire {
     pub updates_applied: u64,
     /// Epochs whose TSD index was carried incrementally.
     pub incremental_tsd_carries: u64,
-    /// Hybrid engines rebuilt inline from a carried TSD index.
-    pub hybrid_carries: u64,
     /// GCT entries repaired in place across epoch publishes.
     pub gct_repairs: u64,
     /// Queries answered through the parallel fan-out path.
@@ -874,7 +867,7 @@ pub struct TenantStatsWire {
     pub pool_threads: u64,
     /// Queries answered per concrete engine, in
     /// [`sd_core::EngineKind::ALL`] order.
-    pub queries_by_engine: [u64; 5],
+    pub queries_by_engine: [u64; EngineKind::ALL.len()],
 }
 
 /// Payload of [`Verb::StatsOk`]: `scope u8` (0 server, 1 tenant), then
@@ -901,7 +894,6 @@ impl StatsResponse {
                     s.queries_batched,
                     s.batches_executed,
                     s.shed_overload,
-                    s.dropped_disconnected,
                     s.cancelled,
                     s.pool_threads,
                     s.pool_queued_jobs,
@@ -923,7 +915,6 @@ impl StatsResponse {
                     t.epochs,
                     t.updates_applied,
                     t.incremental_tsd_carries,
-                    t.hybrid_carries,
                     t.gct_repairs,
                     t.parallel_queries,
                     t.pool_threads,
@@ -942,7 +933,7 @@ impl StatsResponse {
         need(&buf, 1)?;
         match buf.get_u8() {
             0 => {
-                need(&buf, 11 * 8)?;
+                need(&buf, 10 * 8)?;
                 let s = StatsResponse::Server(ServerStatsWire {
                     tenants: buf.get_u64_le(),
                     active_connections: buf.get_u64_le(),
@@ -951,7 +942,6 @@ impl StatsResponse {
                     queries_batched: buf.get_u64_le(),
                     batches_executed: buf.get_u64_le(),
                     shed_overload: buf.get_u64_le(),
-                    dropped_disconnected: buf.get_u64_le(),
                     cancelled: buf.get_u64_le(),
                     pool_threads: buf.get_u64_le(),
                     pool_queued_jobs: buf.get_u64_le(),
@@ -960,7 +950,9 @@ impl StatsResponse {
                 Ok(s)
             }
             1 => {
-                need(&buf, 20 * 8)?;
+                // 3 fingerprint words, the epoch, 10 counters, then one
+                // query count per engine.
+                need(&buf, (14 + EngineKind::ALL.len()) * 8)?;
                 let fingerprint = GraphFingerprint {
                     n: buf.get_u64_le(),
                     m: buf.get_u64_le(),
@@ -976,11 +968,10 @@ impl StatsResponse {
                     epochs: buf.get_u64_le(),
                     updates_applied: buf.get_u64_le(),
                     incremental_tsd_carries: buf.get_u64_le(),
-                    hybrid_carries: buf.get_u64_le(),
                     gct_repairs: buf.get_u64_le(),
                     parallel_queries: buf.get_u64_le(),
                     pool_threads: buf.get_u64_le(),
-                    queries_by_engine: [0; 5],
+                    queries_by_engine: [0; EngineKind::ALL.len()],
                 };
                 for slot in &mut t.queries_by_engine {
                     *slot = buf.get_u64_le();
@@ -1145,7 +1136,6 @@ mod tests {
                 queries_batched: 340,
                 batches_executed: 41,
                 shed_overload: 3,
-                dropped_disconnected: 2,
                 cancelled: 2,
                 pool_threads: 8,
                 pool_queued_jobs: 0,
@@ -1160,11 +1150,10 @@ mod tests {
                 epochs: 6,
                 updates_applied: 44,
                 incremental_tsd_carries: 6,
-                hybrid_carries: 4,
                 gct_repairs: 39,
                 parallel_queries: 70,
                 pool_threads: 4,
-                queries_by_engine: [1, 2, 3, 4, 5],
+                queries_by_engine: [1, 2, 3, 4],
             })),
             Response::Shutdown,
             Response::Error(ErrorResponse {

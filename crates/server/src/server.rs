@@ -361,7 +361,6 @@ pub(crate) fn handle_stats(shared: &ServerShared, frame: &Frame) -> Response {
         epochs: stats.epochs as u64,
         updates_applied: stats.updates_applied as u64,
         incremental_tsd_carries: stats.incremental_tsd_carries as u64,
-        hybrid_carries: stats.hybrid_carries as u64,
         gct_repairs: stats.gct_repairs as u64,
         parallel_queries: stats.parallel_queries as u64,
         pool_threads: stats.pool_threads as u64,
@@ -373,7 +372,6 @@ pub(crate) fn server_stats(shared: &ServerShared) -> ServerStatsWire {
     let mut queries_batched = 0u64;
     let mut batches_executed = 0u64;
     let mut shed_queue_full = 0u64;
-    let mut dropped_disconnected = 0u64;
     let mut cancelled = 0u64;
     // Walking tenants under the routing-table read lock while each
     // batcher snapshot runs is the documented
@@ -384,7 +382,6 @@ pub(crate) fn server_stats(shared: &ServerShared) -> ServerStatsWire {
         queries_batched += stats.queries_batched;
         batches_executed += stats.batches_executed;
         shed_queue_full += stats.shed_queue_full;
-        dropped_disconnected += stats.dropped_disconnected;
         cancelled += stats.cancelled;
     });
     let pool = sd_core::pool::global();
@@ -396,7 +393,6 @@ pub(crate) fn server_stats(shared: &ServerShared) -> ServerStatsWire {
         queries_batched,
         batches_executed,
         shed_overload: shared.shed_overload.load(Ordering::Relaxed) + shed_queue_full,
-        dropped_disconnected,
         cancelled,
         pool_threads: pool.spawned_threads() as u64,
         pool_queued_jobs: pool.queued_jobs() as u64,

@@ -111,17 +111,23 @@ fn decode_response(verb: Verb, payload: Vec<u8>) -> Result<Response, WireError> 
     Response::from_frame(&Frame::new(verb, server_scope(), Bytes::from(payload)))
 }
 
+/// Covers a tag never assigned and tag 5, which is retired and never
+/// reused.
 #[test]
 fn query_payload_with_unknown_engine_tag_is_rejected() {
-    let mut payload = QueryRequest { deadline_ms: 0, queries: vec![WireQuery::new(3, 4)] }
+    let good = QueryRequest { deadline_ms: 0, queries: vec![WireQuery::new(3, 4)] }
         .encode_payload()
         .as_ref()
         .to_vec();
-    *payload.last_mut().unwrap() = 0x99; // engine tag is the query's last byte
-    assert_eq!(
-        decode_request(Verb::Query, payload),
-        Err(WireError::InvalidPayload { what: "unknown engine tag" })
-    );
+    for tag in [0x99, 5] {
+        let mut payload = good.clone();
+        *payload.last_mut().unwrap() = tag; // engine tag is the query's last byte
+        assert_eq!(
+            decode_request(Verb::Query, payload),
+            Err(WireError::InvalidPayload { what: "unknown engine tag" }),
+            "tag {tag}"
+        );
+    }
 }
 
 #[test]

@@ -83,7 +83,7 @@ fn main() {
     }
     let stats = service.stats();
     println!(
-        "\nverified: live service == full rebuild across all five engines \
+        "\nverified: live service == full rebuild across all four engines \
          ({} epochs, {} updates applied, {} incremental TSD carries)",
         stats.epochs, stats.updates_applied, stats.incremental_tsd_carries,
     );

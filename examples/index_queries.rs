@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = dir.join("graph.sdie");
     std::fs::write(&path, &gct_blob)?;
     let blob = std::fs::read(&path)?;
-    let reloaded = SearchService::from_arc(service.graph_arc());
+    let reloaded = SearchService::from_arc(service.graph());
     let kind = reloaded.import_index(blob.into())?;
     println!("imported `{kind}` engine from {}", path.display());
 
@@ -60,13 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Or ship the whole warmed service as ONE artifact: a bundle packs
-    // every serializable index (TSD + GCT + Hybrid) behind a single
-    // fingerprint. One file on disk, one import, three engines ready.
-    let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+    // every serializable index (TSD + GCT) behind a single fingerprint.
+    // One file on disk, one import, both index engines ready.
+    let kinds = [EngineKind::Tsd, EngineKind::Gct];
     let bundle = service.export_bundle(kinds)?;
     let bundle_path = dir.join("graph.sdib");
     std::fs::write(&bundle_path, &bundle)?;
-    let revived = SearchService::from_arc(service.graph_arc());
+    let revived = SearchService::from_arc(service.graph());
     let installed = revived.import_bundle(std::fs::read(&bundle_path)?.into())?;
     println!(
         "bundle: {} bytes revived {:?} from {}",

@@ -30,7 +30,7 @@ fn main() -> Result<(), SearchError> {
     service.wait_ready(EngineKind::ALL);
     let spec = QuerySpec::new(4, 3)?;
 
-    // The five engines answer the same validated spec; only preprocessing
+    // The four engines answer the same validated spec; only preprocessing
     // and per-query work differ (metrics carry the search-space column).
     let mut last: Option<Vec<u32>> = None;
     for kind in EngineKind::ALL {

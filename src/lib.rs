@@ -23,7 +23,7 @@
 //! service.warmup([EngineKind::Gct]);
 //! service.wait_ready([EngineKind::Gct]);
 //! // `EngineKind::Auto` picks an engine by graph size and query rate;
-//! // `.with_engine(EngineKind::Tsd)` (or any of the five) routes explicitly.
+//! // `.with_engine(EngineKind::Tsd)` (or any of the four) routes explicitly.
 //! let result = service.top_r(&QuerySpec::new(4, 1)?)?;
 //! assert_eq!(result.entries[0].score, 3);
 //! assert_eq!(result.metrics.engine, EngineKind::Gct.name());
@@ -33,8 +33,8 @@
 //! See the crate-level docs of the members for details:
 //! * [`graph`] — CSR graphs, triangle listing, bitsets, union-find.
 //! * [`truss`] — truss/core decomposition.
-//! * [`search`] — the paper's algorithms (online, bound, TSD, GCT, hybrid,
-//!   baselines).
+//! * [`search`] — the paper's algorithms (online, bound, TSD, GCT, the
+//!   Exp-4 competitor, baselines).
 //! * [`influence`] — independent-cascade contagion simulation.
 //! * [`datasets`] — synthetic dataset generators and registry.
 

@@ -1,5 +1,5 @@
 //! The 0.4 background build queue: a cold `SearchService` must never make
-//! a query wait for a TSD/GCT/Hybrid construction. A first-query spike from
+//! a query wait for a TSD/GCT construction. A first-query spike from
 //! many threads is absorbed by the online fallback while the worker pool
 //! builds each cold engine exactly once; `warmup` is non-blocking and
 //! `wait_ready` is its join. Answers served during the cold window must be
@@ -14,9 +14,9 @@ use structural_diversity::search::{EngineKind, QuerySpec, SearchService};
 
 const THREADS: usize = 12;
 
-/// The three engine kinds whose construction is expensive enough to be
+/// The two engine kinds whose construction is expensive enough to be
 /// backgrounded (the index builders).
-const INDEX_KINDS: [EngineKind; 3] = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+const INDEX_KINDS: [EngineKind; 2] = [EngineKind::Tsd, EngineKind::Gct];
 
 fn sample_graph() -> CsrGraph {
     datasets::dataset("email-enron-syn").expect("registry").generate(0.05)

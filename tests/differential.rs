@@ -1,4 +1,4 @@
-//! Generator-driven differential harness: the five engines must return
+//! Generator-driven differential harness: the four engines must return
 //! identical top-r score multisets on graphs drawn from every `sd-datasets`
 //! family — G(n, m), R-MAT, and Holme–Kim power-law — across varied sizes,
 //! trussness thresholds, result budgets, and generator seeds. This is the
@@ -44,12 +44,12 @@ fn generate(family: usize, n: usize, edge_factor: usize, seed: u64) -> CsrGraph 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline differential property: on a generated graph, all five
-    /// engines agree with the online reference — identical rank-ordered
+    /// The headline differential property: on a generated graph, every
+    /// engine agrees with the online reference — identical rank-ordered
     /// score vectors (hence identical score multisets) for the same
     /// `(k, r)`.
     #[test]
-    fn all_five_engines_agree_on_generated_graphs(
+    fn all_engines_agree_on_generated_graphs(
         family in 0usize..3,
         n in 8usize..48,
         edge_factor in 1usize..5,
@@ -77,7 +77,7 @@ proptest! {
         }
     }
 
-    /// Persistence differential: a TSD + GCT + Hybrid bundle exported from
+    /// Persistence differential: a TSD + GCT bundle exported from
     /// one service and imported into a fresh one answers every probed
     /// `(k, r)` exactly like engines built from scratch — and the import
     /// really is served by the revived index, not the online fallback.
@@ -90,7 +90,7 @@ proptest! {
         k in 2u32..5,
     ) {
         let g = Arc::new(generate(family, n, edge_factor, seed));
-        let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+        let kinds = [EngineKind::Tsd, EngineKind::Gct];
 
         let donor = SearchService::from_arc(g.clone());
         let blob = donor.export_bundle(kinds).expect("export bundle");

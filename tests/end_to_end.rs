@@ -57,7 +57,7 @@ fn contagion_pipeline_runs_end_to_end() {
     assert_eq!(seeds.len(), 10);
 
     let service = SearchService::from_arc(std::sync::Arc::new(g));
-    let g = service.graph_arc();
+    let g = service.graph();
     let spec = QuerySpec::new(4, 30).expect("valid spec").with_engine(EngineKind::Gct);
     let truss_set = service.top_r(&spec).expect("gct").vertices();
     let random_set = random_top_r(&g, 30, &mut rng);
@@ -103,7 +103,7 @@ fn truss_picks_catch_more_contagion_than_random() {
     let model = IcModel { p: 0.08 };
     let seeds: Vec<u32> = (0..10).collect(); // the hubs
     let service = SearchService::from_arc(std::sync::Arc::new(g));
-    let g = service.graph_arc();
+    let g = service.graph();
     let spec = QuerySpec::new(4, 50).expect("valid spec").with_engine(EngineKind::Gct);
     let truss_set = service.top_r(&spec).expect("gct").vertices();
     let mut rng = StdRng::seed_from_u64(7);

@@ -1,12 +1,14 @@
-//! Cross-engine equivalence: the five search engines (online, bound, TSD,
-//! GCT, Hybrid) must produce identical score multisets and identical social
-//! context partitions on arbitrary graphs — the paper's correctness claims
-//! for Algorithm 4 (Property 1 + Lemma 2), the TSD-index (Observations 2–3),
-//! and the GCT-index (Lemma 3), all at once.
+//! Cross-engine equivalence: the four search engines (online, bound, TSD,
+//! GCT) and the Exp-4 Hybrid index must produce identical score multisets,
+//! and the engines identical social context partitions, on arbitrary
+//! graphs — the paper's correctness claims for Algorithm 4 (Property 1 +
+//! Lemma 2), the TSD-index (Observations 2–3), and the GCT-index
+//! (Lemma 3), all at once.
 //!
 //! The engines are driven exclusively through the unified surface:
 //! `Box<dyn DiversityEngine>` trait objects from the `build_engine` factory
 //! and the `SearchService` facade (including `EngineKind::Auto` routing).
+//! Hybrid is not an engine, so its index is queried directly.
 
 mod common;
 
@@ -15,12 +17,13 @@ use std::sync::Arc;
 use common::arb_graph;
 use proptest::prelude::*;
 
+use structural_diversity::search::hybrid::HybridIndex;
 use structural_diversity::search::{
     all_scores, build_engine, social_contexts, sparsify, upper_bounds, DiversityEngine, EngineKind,
     QuerySpec, SearchService,
 };
 
-/// All five engines over the same shared graph, as trait objects.
+/// Every engine over the same shared graph, as trait objects.
 fn all_engines(g: &Arc<structural_diversity::graph::CsrGraph>) -> Vec<Box<dyn DiversityEngine>> {
     EngineKind::ALL.iter().map(|&kind| build_engine(kind, g.clone())).collect()
 }
@@ -49,6 +52,8 @@ proptest! {
             );
             prop_assert_eq!(result.metrics.engine, engine.name());
         }
+        let hybrid = HybridIndex::build(&g).top_r(&g, spec.config());
+        prop_assert_eq!(&reference.scores(), &hybrid.scores(), "hybrid disagrees with online");
 
         // Auto routing through the facade returns the same multiset no
         // matter which engine the heuristic picks.
@@ -62,11 +67,15 @@ proptest! {
     fn engine_scores_equal_online_for_every_vertex(g in arb_graph(18, 70), k in 2u32..7) {
         let truth = all_scores(&g, k);
         let g = Arc::new(g);
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let engine = build_engine(kind, g.clone());
             for v in g.vertices() {
                 prop_assert_eq!(engine.score(v, k), truth[v as usize], "{} v={}", engine.name(), v);
             }
+        }
+        let hybrid = HybridIndex::build(&g);
+        for v in g.vertices() {
+            prop_assert_eq!(hybrid.score(v, k), truth[v as usize], "hybrid v={}", v);
         }
     }
 

@@ -38,7 +38,7 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
     for kind in EngineKind::ALL {
         if kind.serializable() {
             let blob = donor.export_index(kind).expect("export");
-            let fresh = SearchService::from_arc(donor.graph_arc());
+            let fresh = SearchService::from_arc(donor.graph());
             assert_eq!(fresh.import_index(blob).expect("import"), kind);
             assert_eq!(fresh.built_engines(), vec![kind]);
             let revived = fresh.top_r(&spec.with_engine(kind)).expect("query");
@@ -57,7 +57,7 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
 #[test]
 fn import_rejects_wrong_graph_fingerprint() {
     let donor = fig1_service();
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
         let blob = donor.export_index(kind).expect("export");
 
         // A graph with a different vertex count.
@@ -128,6 +128,24 @@ fn import_rejects_unknown_engine_tag_and_bad_magic() {
     assert_eq!(service.import_index(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
 }
 
+/// Engine tag 5 is retired and never reused: an envelope naming it is
+/// refused as an unknown engine, and nothing is installed.
+#[test]
+fn envelope_import_refuses_the_retired_engine_tag() {
+    let donor = fig1_service();
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
+        let mut retired = donor.export_index(kind).expect("export").as_ref().to_vec();
+        retired[6] = 5;
+        let fresh = SearchService::from_arc(donor.graph());
+        assert_eq!(
+            fresh.import_index(retired.into()).unwrap_err(),
+            SearchError::Decode(DecodeError::UnknownEngine { tag: 5 }),
+            "{kind}"
+        );
+        assert!(fresh.built_engines().is_empty(), "{kind}: a refused envelope installs nothing");
+    }
+}
+
 #[test]
 fn envelope_for_an_index_free_kind_is_refused_at_decode_time() {
     // Hand-craft an envelope claiming to carry an `online` index: the frame
@@ -165,13 +183,13 @@ fn churned_same_shape(donor: &SearchService) -> SearchService {
 // ---------------------------------------------------------------------------
 // Multi-index bundles ("SDIB").
 
-/// The headline bundle property: TSD + GCT + Hybrid persist as one blob and
-/// a fresh service over the same graph revives all three, answering exactly
-/// like the donor.
+/// The headline bundle property: TSD + GCT persist as one blob and a fresh
+/// service over the same graph revives both, answering exactly like the
+/// donor.
 #[test]
-fn bundle_roundtrips_tsd_gct_hybrid_as_one_artifact() {
+fn bundle_roundtrips_tsd_and_gct_as_one_artifact() {
     let donor = fig1_service();
-    let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+    let kinds = [EngineKind::Tsd, EngineKind::Gct];
     let blob = donor.export_bundle(kinds).expect("export bundle");
 
     // The blob is a decodable bundle carrying the donor's fingerprint.
@@ -179,7 +197,7 @@ fn bundle_roundtrips_tsd_gct_hybrid_as_one_artifact() {
     assert_eq!(bundle.fingerprint, donor.fingerprint());
     assert_eq!(bundle.kinds(), kinds.to_vec());
 
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(fresh.import_bundle(blob).expect("import bundle"), kinds.to_vec());
     assert_eq!(fresh.built_engines(), kinds.to_vec());
     let spec = QuerySpec::new(4, 3).unwrap();
@@ -194,9 +212,7 @@ fn bundle_roundtrips_tsd_gct_hybrid_as_one_artifact() {
 #[test]
 fn bundle_import_rejects_truncation_at_every_layer() {
     let service = fig1_service();
-    let blob = service
-        .export_bundle([EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid])
-        .expect("export bundle");
+    let blob = service.export_bundle([EngineKind::Tsd, EngineKind::Gct]).expect("export bundle");
     // Every prefix of the blob is rejected — the bundle header, each entry
     // header, each payload, and the loss of trailing entries all count as
     // truncation, and none may panic.
@@ -242,6 +258,28 @@ fn bundle_import_rejects_duplicate_engine_tags() {
     );
 }
 
+/// A bundle with any entry tagged 5 — the retired tag — is refused whole:
+/// its other, valid entries are not installed either.
+#[test]
+fn bundle_import_refuses_the_retired_engine_tag() {
+    let donor = fig1_service();
+    let good = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).expect("export bundle");
+    let tsd_payload_len = IndexBundle::decode(good.clone()).unwrap().entries[0].1.as_ref().len();
+    let tag_offsets =
+        [BUNDLE_HEADER_BYTES, BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES + tsd_payload_len];
+    for offset in tag_offsets {
+        let mut retired = good.as_ref().to_vec();
+        retired[offset] = 5;
+        let fresh = SearchService::from_arc(donor.graph());
+        assert_eq!(
+            fresh.import_bundle(retired.into()).unwrap_err(),
+            SearchError::Decode(DecodeError::UnknownEngine { tag: 5 }),
+            "tag at offset {offset}"
+        );
+        assert!(fresh.built_engines().is_empty(), "a refused bundle installs nothing");
+    }
+}
+
 #[test]
 fn bundle_import_rejects_zero_entries() {
     let service = fig1_service();
@@ -257,7 +295,7 @@ fn bundle_import_rejects_zero_entries() {
 #[test]
 fn bundle_import_rejects_wrong_fingerprint() {
     let donor = fig1_service();
-    let blob = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid]).unwrap();
+    let blob = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
 
     // Different vertex count.
     let smaller =
@@ -287,14 +325,14 @@ fn bundle_import_rejects_wrong_fingerprint() {
 #[test]
 fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
     let donor = fig1_service();
-    let kinds = [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid];
+    let kinds = [EngineKind::Tsd, EngineKind::Gct];
     let good = donor.export_bundle(kinds).expect("export bundle");
     let first_payload_len = IndexBundle::decode(good.clone()).unwrap().entries[0].1.as_ref().len();
 
     // Flip a byte in the middle of the first (TSD) payload.
     let mut corrupt = good.as_ref().to_vec();
     corrupt[BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES + first_payload_len / 2] ^= 0x40;
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
         fresh.import_bundle(corrupt.into()).unwrap_err(),
         SearchError::Decode(DecodeError::PayloadChecksum { tag: EngineKind::Tsd.tag() })
@@ -370,7 +408,7 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
             (EngineKind::Gct, bytes::Bytes::from_static(b"not a gct index")),
         ],
     );
-    let fresh = SearchService::from_arc(donor.graph_arc());
+    let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
         fresh.import_bundle(corrupt.encode()).unwrap_err(),
         SearchError::Decode(DecodeError::BadMagic),
@@ -389,15 +427,14 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
 fn no_fingerprintless_public_decode_path_remains() {
     let donor = fig1_service();
     let churned = churned_same_shape(&donor);
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
         let envelope = donor.export_index(kind).unwrap();
         assert!(
             matches!(churned.import_index(envelope), Err(SearchError::FingerprintMismatch { .. })),
             "{kind}: import_index accepted a stale same-shape blob"
         );
     }
-    let bundle =
-        donor.export_bundle([EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid]).unwrap();
+    let bundle = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
     assert!(
         matches!(churned.import_bundle(bundle), Err(SearchError::FingerprintMismatch { .. })),
         "import_bundle accepted a stale same-shape bundle"
@@ -417,7 +454,7 @@ proptest! {
         let spec = QuerySpec::new(k, 3.min(g.n())).expect("valid spec");
         let donor = SearchService::from_arc(g.clone());
         prop_assert_eq!(donor.fingerprint(), GraphFingerprint::of(&g));
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let blob = donor.export_index(kind).expect("export");
             let envelope = IndexEnvelope::decode(blob.clone()).expect("decode");
             prop_assert_eq!(envelope.kind, kind);

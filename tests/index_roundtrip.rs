@@ -1,6 +1,6 @@
 //! Index serialization: round-trips must be lossless on arbitrary graphs,
 //! and decoding must reject corrupted blobs instead of panicking — at both
-//! the index layer (`TsdIndex`/`GctIndex`/`HybridIndex`) and the engine
+//! the index layer (`TsdIndex`/`GctIndex`) and the engine
 //! surface (`DiversityEngine::to_bytes` revived through the service's
 //! fingerprinted `import_index`), whose failures unify into
 //! `SearchError`/`DecodeError`. Since 0.4.0 the fingerprint-less
@@ -15,8 +15,8 @@ use common::arb_graph;
 use proptest::prelude::*;
 
 use structural_diversity::search::{
-    build_engine, DecodeError, EngineKind, GctIndex, GraphFingerprint, HybridIndex, IndexEnvelope,
-    QuerySpec, SearchError, SearchService, TsdIndex,
+    build_engine, DecodeError, EngineKind, GctIndex, GraphFingerprint, IndexEnvelope, QuerySpec,
+    SearchError, SearchService, TsdIndex,
 };
 
 proptest! {
@@ -37,15 +37,6 @@ proptest! {
         let blob = index.to_bytes();
         prop_assert_eq!(blob.len(), index.index_size_bytes());
         let back = GctIndex::from_bytes(blob).unwrap();
-        prop_assert_eq!(index, back);
-    }
-
-    #[test]
-    fn hybrid_roundtrip(g in arb_graph(20, 80)) {
-        let index = HybridIndex::build(&g);
-        let blob = index.to_bytes();
-        prop_assert_eq!(blob.len(), index.index_size_bytes());
-        let back = HybridIndex::from_bytes(blob).unwrap();
         prop_assert_eq!(index, back);
     }
 
@@ -74,22 +65,11 @@ proptest! {
         }
     }
 
-    #[test]
-    fn hybrid_truncation_detected(g in arb_graph(12, 40), cut in 0usize..64) {
-        let index = HybridIndex::build(&g);
-        let blob = index.to_bytes();
-        prop_assume!(cut < blob.len());
-        let truncated = blob.slice(0..blob.len() - cut - 1);
-        // The hybrid decoder checks exact consumption, so any cut fails.
-        prop_assert!(HybridIndex::from_bytes(truncated).is_err());
-    }
-
     /// Random bytes must never decode into a panicking state.
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = TsdIndex::from_bytes(bytes::Bytes::from(data.clone()));
-        let _ = GctIndex::from_bytes(bytes::Bytes::from(data.clone()));
-        let _ = HybridIndex::from_bytes(bytes::Bytes::from(data));
+        let _ = GctIndex::from_bytes(bytes::Bytes::from(data));
     }
 }
 
@@ -105,7 +85,7 @@ proptest! {
         let g = Arc::new(g);
         let spec = QuerySpec::new(k, 3.min(g.n())).expect("valid spec");
         let fingerprint = GraphFingerprint::of(&g);
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let engine = build_engine(kind, g.clone());
             let payload = engine.to_bytes().expect("index engines serialize");
             // The only public revival path: frame the raw bytes as a
@@ -139,21 +119,17 @@ fn index_free_engines_refuse_serialization() {
         );
         assert!(!kind.serializable(), "{kind}");
     }
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
         assert!(kind.serializable(), "{kind} gained a serialized form in 0.4.0");
     }
 }
 
-/// All three index formats fail with the same unified error type, which
-/// folds into `SearchError` at the service surface.
+/// Both index formats fail with the same unified error type, which folds
+/// into `SearchError` at the service surface.
 #[test]
 fn decode_errors_are_unified() {
     assert_eq!(TsdIndex::from_bytes(bytes::Bytes::from_static(b"xx")), Err(DecodeError::Truncated));
     assert_eq!(GctIndex::from_bytes(bytes::Bytes::from_static(b"xx")), Err(DecodeError::Truncated));
-    assert_eq!(
-        HybridIndex::from_bytes(bytes::Bytes::from_static(b"xx")),
-        Err(DecodeError::Truncated)
-    );
     let g = structural_diversity::graph::GraphBuilder::new().extend_edges([(0, 1)]).build();
     let service = SearchService::new(g);
     let err = service.import_index(bytes::Bytes::from_static(b"xx")).unwrap_err();

@@ -1,7 +1,7 @@
 //! Live graph updates through the serving layer: after *any* sequence of
 //! update batches, answers served by the epoch-swapped `SearchService`
-//! must equal a service built fresh on the final graph — for all five
-//! engine kinds — and the TSD-index must have been *carried* across epochs
+//! must equal a service built fresh on the final graph — for every
+//! engine kind — and the TSD-index must have been *carried* across epochs
 //! incrementally (`incremental_tsd_carries > 0`), never rebuilt. Under
 //! update/query races, every answer must be internally consistent with
 //! some published epoch: never a blend of two graphs.
@@ -417,8 +417,7 @@ fn concurrent_updaters_serialize_without_losing_updates() {
 
 /// The 0.9 carry paths, end to end: after a *warm* update (every engine
 /// built before the batch), the publish carries TSD incrementally,
-/// repairs GCT in place, rebuilds Hybrid inline from the carried index —
-/// and enqueues **no** background rebuild. The retained updater's COW
+/// repairs GCT in place, and enqueues **no** background rebuild. The retained updater's COW
 /// graph must share adjacency storage with the published epoch (pointer
 /// probe through `updater_cow`, not just behavioral equality).
 #[test]
@@ -432,11 +431,9 @@ fn warm_updates_carry_every_engine_without_background_rebuilds() {
     assert_eq!(stats.applied, 1);
     assert!(stats.tsd_carried, "warm TSD must carry");
     assert!(stats.gct_carried, "warm GCT must repair in place");
-    assert!(stats.hybrid_carried, "warm Hybrid must rebuild inline from the carried TSD");
     assert!(stats.gct_repairs > 0, "the touched egos were re-decomposed");
 
     let after = live.stats();
-    assert!(after.hybrid_carries > before.hybrid_carries, "carry counter must tick");
     assert!(after.gct_repairs > before.gct_repairs, "repair counter must tick");
     assert_eq!(
         after.background_builds, before.background_builds,
@@ -452,7 +449,7 @@ fn warm_updates_carry_every_engine_without_background_rebuilds() {
     assert!(cow.stats.shared > 0, "the shared slots are the epoch's own rows");
 
     // The carried engines actually serve.
-    for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid] {
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
         let spec = QuerySpec::new(3, 5).unwrap().with_engine(kind);
         let served = live.top_r(&spec).expect("carried engine answers");
         assert_eq!(served.metrics.engine, kind.name(), "{kind} must serve through its own engine");
@@ -520,7 +517,7 @@ fn wait_ready_covers_epochs_published_mid_join() {
     let g = sample_graph();
     for round in 0..6u64 {
         let service = SearchService::new(g.clone());
-        let kinds = [EngineKind::Gct, EngineKind::Hybrid];
+        let kinds = [EngineKind::Gct, EngineKind::Tsd];
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 // Land the update inside the join's build window.

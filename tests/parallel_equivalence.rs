@@ -4,7 +4,7 @@
 //! score multisets: chunking is fixed and reductions happen in chunk order,
 //! so parallel results are **byte-identical** to the single-threaded
 //! reference (same entries, same tie-breaks, same contexts). This harness
-//! pins that promise across all five engines, thread counts {1, 2, max},
+//! pins that promise across every engine, thread counts {1, 2, max},
 //! two generator families, the `top_r_many` fan-out, and epoch swaps from
 //! live updates.
 //!

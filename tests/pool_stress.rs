@@ -70,9 +70,7 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
             let references = &references;
             scope.spawn(move || {
                 for (service, reference) in services.iter().zip(references) {
-                    for kind in
-                        [EngineKind::Gct, EngineKind::Tsd, EngineKind::Hybrid, EngineKind::Auto]
-                    {
+                    for kind in [EngineKind::Gct, EngineKind::Tsd, EngineKind::Auto] {
                         let spec = QuerySpec::new(3, 4).unwrap().with_engine(kind);
                         let result = service.top_r(&spec).unwrap_or_else(|e| {
                             panic!("spike {spike} on {kind}: query failed: {e}")
@@ -90,7 +88,8 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
         service.wait_ready(EngineKind::ALL);
         let stats = service.stats();
         assert_eq!(
-            stats.engines_built, 5,
+            stats.engines_built,
+            EngineKind::ALL.len(),
             "service {i}: every (service, kind) pair must build exactly once: {stats:?}"
         );
         assert!(
@@ -120,7 +119,7 @@ fn dropping_a_service_mid_build_is_non_blocking_and_leaves_the_pool_usable() {
     let survivor = spike_service(&pool, 0xBEEF);
 
     // Queue index builds, then drop the service with them in flight.
-    doomed.warmup([EngineKind::Tsd, EngineKind::Gct, EngineKind::Hybrid]);
+    doomed.warmup([EngineKind::Tsd, EngineKind::Gct]);
     let dropped_at = Instant::now();
     drop(doomed);
     assert!(
@@ -154,7 +153,7 @@ fn dropping_a_service_mid_build_is_non_blocking_and_leaves_the_pool_usable() {
 
 /// Re-warming the same kinds over and over from many threads never
 /// duplicates a build: the per-epoch latch plus the slot double-check keep
-/// `engines_built` at exactly 5 however the schedule interleaves.
+/// `engines_built` at one per kind however the schedule interleaves.
 #[test]
 fn repeated_concurrent_warmups_never_duplicate_builds() {
     let pool = Arc::new(WorkerPool::new(POOL_THREADS));
@@ -173,6 +172,10 @@ fn repeated_concurrent_warmups_never_duplicate_builds() {
     });
 
     let stats = service.stats();
-    assert_eq!(stats.engines_built, 5, "warmup storm duplicated builds: {stats:?}");
-    assert_eq!(service.built_engines().len(), 5);
+    assert_eq!(
+        stats.engines_built,
+        EngineKind::ALL.len(),
+        "warmup storm duplicated builds: {stats:?}"
+    );
+    assert_eq!(service.built_engines(), EngineKind::ALL.to_vec());
 }

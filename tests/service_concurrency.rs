@@ -1,5 +1,5 @@
 //! Concurrent serving: one `SearchService` shared via `Arc` across many
-//! threads must serve all five engine kinds through `&self` with answers
+//! threads must serve every engine kind through `&self` with answers
 //! identical to the single-threaded path — the acceptance bar for the
 //! 0.3 serving-layer redesign. The fixtures mirror `tests/equivalence.rs`:
 //! the Figure-1 graph and a mid-sized registry dataset.
@@ -27,7 +27,7 @@ fn registry_sample() -> CsrGraph {
 /// joined first, so every query is answered by its own engine (the cold
 /// fallback path is `tests/background_builds.rs`'s subject).
 #[test]
-fn eight_threads_serve_all_five_kinds_identically() {
+fn eight_threads_serve_every_kind_identically() {
     let g = registry_sample();
     let specs: Vec<QuerySpec> = [3u32, 5]
         .into_iter()
@@ -74,7 +74,11 @@ fn eight_threads_serve_all_five_kinds_identically() {
 
     let stats: ServiceStats = service.stats();
     assert_eq!(stats.queries_served, THREADS * specs.len());
-    assert_eq!(stats.engines_built, 5, "each engine must be built exactly once");
+    assert_eq!(
+        stats.engines_built,
+        EngineKind::ALL.len(),
+        "each engine must be built exactly once"
+    );
     assert_eq!(stats.foreground_fallbacks, 0, "a warmed service never falls back");
     for kind in EngineKind::ALL {
         assert_eq!(stats.queries_for(kind), THREADS * 2, "{kind} query count");
@@ -125,8 +129,12 @@ fn warmup_races_with_queries() {
         }
     });
     service.wait_ready(EngineKind::ALL);
-    assert_eq!(service.built_engines().len(), 5);
-    assert_eq!(service.stats().engines_built, 5, "warmup raced queries into duplicate builds");
+    assert_eq!(service.built_engines(), EngineKind::ALL.to_vec());
+    assert_eq!(
+        service.stats().engines_built,
+        EngineKind::ALL.len(),
+        "warmup raced queries into duplicate builds"
+    );
 }
 
 /// Batches from multiple threads: all-or-nothing validation and agreement

@@ -1,7 +1,7 @@
 //! Workspace smoke test: the umbrella crate's re-exports resolve and the
 //! paper's Figure-1 running example yields a top-1 diversity score of 3
 //! (vertex v's ego-network splits into three social contexts at k = 4)
-//! through every one of the five engines behind the `SearchService` facade.
+//! through every one of the engines behind the `SearchService` facade.
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{paper_figure1_edges, EngineKind, QuerySpec, SearchService};
@@ -24,7 +24,7 @@ fn umbrella_reexports_resolve() {
 }
 
 #[test]
-fn figure1_top1_score_is_3_via_all_five_engines() {
+fn figure1_top1_score_is_3_via_every_engine() {
     let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
     let service = SearchService::new(g);
     // Join the (non-blocking) builds so each query below is answered by
