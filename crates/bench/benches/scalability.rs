@@ -68,7 +68,8 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     let reference: Vec<Vec<u32>> = {
         let service = SearchService::from_arc_with_pool(g.clone(), Arc::new(WorkerPool::new(1)));
         service.wait_ready(EngineKind::ALL);
-        service.top_r_many(&specs).expect("reference batch").iter().map(|r| r.scores()).collect()
+        let (_, batch) = service.top_r_many_pinned(&specs).expect("reference batch");
+        batch.iter().map(|r| r.scores()).collect()
     };
     let scores_1 = pool_all_scores(&WorkerPool::new(1), &g, 3);
 
@@ -79,11 +80,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
 
         let service = SearchService::from_arc_with_pool(g.clone(), pool.clone());
         service.wait_ready(EngineKind::ALL);
-        let batch: Vec<Vec<u32>> =
-            service.top_r_many(&specs).expect("pooled batch").iter().map(|r| r.scores()).collect();
+        let (_, batch) = service.top_r_many_pinned(&specs).expect("pooled batch");
+        let batch: Vec<Vec<u32>> = batch.iter().map(|r| r.scores()).collect();
         assert_eq!(batch, reference, "pooled batch diverged at {threads} threads");
         group.bench_with_input(BenchmarkId::new("top_r_many", threads), &specs, |b, specs| {
-            b.iter(|| service.top_r_many(specs).expect("batch"))
+            b.iter(|| service.top_r_many_pinned(specs).expect("batch"))
         });
 
         assert_eq!(

@@ -432,10 +432,10 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
         SearchService::from_arc_with_pool(shared.clone(), Arc::new(sd_core::WorkerPool::new(1)));
     let par_service =
         SearchService::from_arc_with_pool(shared.clone(), Arc::new(sd_core::WorkerPool::new(4)));
-    let (seq_results, many_seq) = time_it(|| seq_service.top_r_many(&parallel_specs));
-    let (par_results, many_par) = time_it(|| par_service.top_r_many(&parallel_specs));
+    let (seq_results, many_seq) = time_it(|| seq_service.top_r_many_pinned(&parallel_specs));
+    let (par_results, many_par) = time_it(|| par_service.top_r_many_pinned(&parallel_specs));
     let (seq_results, par_results) =
-        (seq_results.expect("sequential batch"), par_results.expect("parallel batch"));
+        (seq_results.expect("sequential batch").1, par_results.expect("parallel batch").1);
     for (s, p) in seq_results.iter().zip(&par_results) {
         assert_eq!(s.entries, p.entries, "parallel batch diverged from the sequential reference");
     }
@@ -443,7 +443,7 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
 
     // The PR-8 datapoint: one warmed query round trip through the whole
     // serving stack over loopback TCP — frame encode, fingerprint
-    // routing, the batching window, the query itself, and the response
+    // routing, the batcher's pool hop, the query itself, and the response
     // decode. The delta against the matching `top_r_*_ms` figure is the
     // serving overhead the front-end adds.
     let registry = Arc::new(sd_server::TenantRegistry::new(sd_server::BatchLimits::default()));

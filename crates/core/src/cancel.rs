@@ -7,7 +7,7 @@
 //! fan-out slots). Cancellation is **cooperative and slot-granular**:
 //! nothing is interrupted mid-computation — the token is checked at
 //! dequeue time and at batch-slot boundaries
-//! ([`crate::SearchService::top_r_many_pinned_cancellable`]), which is
+//! ([`crate::SearchService::top_r_many`]), which is
 //! where skipping work actually frees pool capacity without poisoning a
 //! batch's shared epoch pin.
 //!

@@ -35,7 +35,7 @@ use sd_graph::{CsrGraph, VertexId};
 
 use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
-use crate::error::SearchError;
+use crate::error::{DecodeError, SearchError};
 use crate::gct::GctIndex;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
@@ -597,7 +597,9 @@ pub fn build_engine_in(
 
 /// Revives a *raw* serialized index (produced by
 /// [`DiversityEngine::to_bytes`]) as an engine over `g`. Only TSD and GCT
-/// have serialized forms.
+/// have serialized forms. A TSD forest that is not a forest over its
+/// owner's neighborhood in `g` fails with [`DecodeError::InvalidEntry`]
+/// (GCT entries are checked by [`GctIndex::from_bytes`] itself).
 ///
 /// Crate-private since 0.4.0: the attachment check here is by vertex count
 /// only, so a raw blob serialized from a *different* graph with the same
@@ -614,8 +616,11 @@ pub(crate) fn decode_engine(
 ) -> Result<Box<dyn DiversityEngine>, SearchError> {
     match kind {
         EngineKind::Tsd => {
-            let index = TsdIndex::from_bytes(bytes)?;
-            Ok(Box::new(TsdEngine::from_parts(g, index)?))
+            let engine = TsdEngine::from_parts(g, TsdIndex::from_bytes(bytes)?)?;
+            if !engine.index.forests_fit(&engine.g) {
+                return Err(DecodeError::InvalidEntry.into());
+            }
+            Ok(Box::new(engine))
         }
         EngineKind::Gct => {
             let index = GctIndex::from_bytes(bytes)?;

@@ -71,6 +71,35 @@ impl<'a> GctEntry<'a> {
         lemma_3(self.sn_tau, self.se, k)
     }
 
+    /// Whether a decoded entry keeps the invariants queries rely on:
+    /// supernode trussness and superedge weights non-increasing, member
+    /// ends strictly increasing up to the member count (no supernode is
+    /// empty), members `< n`, and superedges `a < b <` the supernode
+    /// count, weighing at most both endpoints' trussness and forming no
+    /// cycle — so Lemma 3's `N_k − M_k` cannot underflow.
+    fn is_valid(&self, n: usize) -> bool {
+        let mut end = 0;
+        let ends = self.sn_end.iter().all(|&next| {
+            let grows = next > end;
+            end = next;
+            grows
+        });
+        let tau = self.sn_tau;
+        let mut dsu = Dsu::new(tau.len());
+        let superedges = self.se.iter().all(|&(a, b, w)| {
+            a < b
+                && (b as usize) < tau.len()
+                && w <= tau[a as usize].min(tau[b as usize])
+                && dsu.union(a, b)
+        });
+        tau.windows(2).all(|p| p[0] >= p[1])
+            && self.se.windows(2).all(|p| p[0].2 >= p[1].2)
+            && ends
+            && end as usize == self.members.len()
+            && self.members.iter().all(|&m| (m as usize) < n)
+            && superedges
+    }
+
     /// Social contexts at threshold `k`: union-find over qualifying
     /// supernodes along qualifying superedges, member lists merged,
     /// ordered (size desc, first vertex asc).
@@ -288,7 +317,9 @@ impl GctIndex {
         buf.freeze()
     }
 
-    /// Deserializes a blob produced by [`Self::to_bytes`].
+    /// Deserializes a blob produced by [`Self::to_bytes`]. Every entry is
+    /// checked as it is read; one that a query could panic on fails with
+    /// [`DecodeError::InvalidEntry`].
     pub fn from_bytes(mut data: Bytes) -> Result<Self, DecodeError> {
         if data.remaining() < 12 {
             return Err(DecodeError::Truncated);
@@ -304,7 +335,7 @@ impl GctIndex {
             return Err(DecodeError::Truncated);
         }
         let mut index = GctBuilder::new(n);
-        for _ in 0..n {
+        for v in 0..n {
             if data.remaining() < 12 {
                 return Err(DecodeError::Truncated);
             }
@@ -330,6 +361,9 @@ impl GctIndex {
                 (0..ses).map(|_| (data.get_u32_le(), data.get_u32_le(), data.get_u32_le())),
             );
             index.close();
+            if !index.0.entry(v as VertexId).is_valid(n) {
+                return Err(DecodeError::InvalidEntry);
+            }
         }
         Ok(index.finish())
     }
@@ -654,6 +688,40 @@ mod tests {
         buf.put_u32_le(0);
         buf.put_u32_le(0);
         assert_eq!(GctIndex::from_bytes(buf.freeze()), Err(DecodeError::Truncated));
+    }
+
+    /// Each entry invariant a query relies on is checked at decode time.
+    #[test]
+    fn decode_rejects_entries_a_query_would_panic_on() {
+        // n = 4; vertex 0 holds supernodes {1, 2} (τ 4) and {3} (τ 3)
+        // joined by one superedge, and the other entries are empty.
+        let blob = |sn_tau: &[u32], sn_end: &[u32], members: &[u32], se: &[(u32, u32, u32)]| {
+            let end = Start { sn: sn_tau.len(), member: members.len(), se: se.len() };
+            let index = GctIndex {
+                starts: vec![Start::default(), end, end, end, end],
+                sn_tau: sn_tau.to_vec(),
+                sn_end: sn_end.to_vec(),
+                members: members.to_vec(),
+                se: se.to_vec(),
+            };
+            index.to_bytes()
+        };
+        let (tau, ends, members) = (&[4, 3][..], &[2, 3][..], &[1, 2, 3][..]);
+        assert!(GctIndex::from_bytes(blob(tau, ends, members, &[(0, 1, 3)])).is_ok());
+        for (what, bad) in [
+            ("trussness rises", blob(&[3, 4], ends, members, &[(0, 1, 3)])),
+            ("an empty supernode", blob(tau, &[0, 3], members, &[(0, 1, 3)])),
+            ("ends short of the members", blob(tau, &[1, 2], members, &[(0, 1, 3)])),
+            ("ends past the members", blob(tau, &[2, 4], members, &[(0, 1, 3)])),
+            ("a member past n", blob(tau, ends, &[1, 2, 4], &[(0, 1, 3)])),
+            ("a superedge loop", blob(tau, ends, members, &[(1, 1, 3)])),
+            ("a superedge past the supernodes", blob(tau, ends, members, &[(0, 2, 3)])),
+            ("a superedge heavier than τ", blob(tau, ends, members, &[(0, 1, 4)])),
+            ("a superedge cycle", blob(tau, ends, members, &[(0, 1, 3), (0, 1, 3)])),
+            ("weights rise", blob(&[4, 3, 3], &[1, 2, 3], members, &[(0, 1, 2), (1, 2, 3)])),
+        ] {
+            assert_eq!(GctIndex::from_bytes(bad), Err(DecodeError::InvalidEntry), "{what}");
+        }
     }
 
     #[test]

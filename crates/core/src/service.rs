@@ -101,6 +101,7 @@ use parking_lot::{Mutex, RwLock};
 
 use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
 
+use crate::cancel::CancelToken;
 use crate::config::TopRResult;
 use crate::dynamic::DynamicTsd;
 use crate::engine::{
@@ -140,9 +141,6 @@ const GROWTH_FLOOR: usize = 1 << 16;
 const GROWTH_PER_OP: usize = 2;
 
 /// One `top_r_many` fan-out result slot, filled by its pool task.
-/// `Ok(None)` marks a slot whose query was cancelled at the slot
-/// boundary; errors stay batch-level, exactly as before cancellation
-/// existed.
 type BatchSlot = Mutex<Option<Result<Option<TopRResult>, SearchError>>>;
 
 /// One engine slot: a lazily initialized, concurrently readable cache.
@@ -1017,86 +1015,82 @@ impl SearchService {
         self.core.top_r_on(&epoch, spec, false)
     }
 
-    /// Answers a batch of queries, all against the *same* epoch snapshot
-    /// (an update landing mid-batch does not split it across graphs). The
-    /// whole batch is validated up front (all-or-nothing: the first
-    /// invalid spec fails the call before any query runs), and the batch
-    /// size feeds the [`EngineKind::Auto`] heuristic, so a large batch
-    /// indexes immediately instead of wasting its head on unindexed scans.
+    /// Answers a batch of queries against **one** epoch snapshot (an
+    /// update landing mid-batch does not split it across graphs) and
+    /// returns that epoch's id with **one result per slot**, in spec
+    /// order: the query's answer, `Ok(None)` when the slot was cancelled,
+    /// or the query's own error. An invalid spec (say, `r` past the
+    /// vertex count) fails its slot alone; its batch-mates still run.
+    /// Remote callers (`sd-server`) stamp every reply with the returned
+    /// epoch, so a client can tell its answers came from one published
+    /// snapshot even while updates land concurrently.
     ///
-    /// When the service's pool has more than one thread, the batch **fans
-    /// out**: each query becomes an independent pool task (the calling
+    /// `cancels` aligns with `specs` (shorter is fine: missing and `None`
+    /// entries are never cancelled). Each token is checked at its query's
+    /// *batch-slot boundary*, just before that query would start running;
+    /// a query already running is not interrupted. That is what lets a
+    /// server drop a disconnected client's queries out of a batch without
+    /// touching anyone else's.
+    ///
+    /// When the service's pool has more than one thread, a batch of two or
+    /// more **fans out**: each query becomes a pool task (the calling
     /// thread participates too), so a batch of B queries uses up to
-    /// `min(B, pool)` cores. Results come back in spec order and are
-    /// byte-identical to the sequential path — each task runs the same
-    /// per-query code against the same pinned epoch.
-    pub fn top_r_many(&self, specs: &[QuerySpec]) -> Result<Vec<TopRResult>, SearchError> {
-        self.top_r_many_pinned(specs).map(|(_, results)| results)
+    /// `min(B, pool)` cores. Results are byte-identical to the sequential
+    /// path: each task runs the same per-query code against the same
+    /// pinned epoch. The batch size feeds the [`EngineKind::Auto`]
+    /// heuristic, so a large batch indexes immediately instead of wasting
+    /// its head on unindexed scans.
+    pub fn top_r_many(
+        &self,
+        specs: &[QuerySpec],
+        cancels: &[Option<CancelToken>],
+    ) -> (u64, Vec<Result<Option<TopRResult>, SearchError>>) {
+        let epoch = self.core.current();
+        (epoch.id, self.top_r_many_on(&epoch, specs, cancels))
     }
 
-    /// [`Self::top_r_many`], also reporting *which* epoch the batch pinned:
-    /// the returned id is exactly the snapshot every query in the batch ran
-    /// against. Remote callers (`sd-server`) stamp responses with it so a
-    /// client can tell its answers came from one published epoch even while
-    /// updates land concurrently.
+    /// The all-or-nothing form of [`Self::top_r_many`]: every spec is
+    /// validated against the pinned epoch first, and the first invalid
+    /// one fails the whole call before any query runs. Otherwise returns
+    /// the epoch id and every answer in spec order.
     pub fn top_r_many_pinned(
         &self,
         specs: &[QuerySpec],
     ) -> Result<(u64, Vec<TopRResult>), SearchError> {
-        let (epoch, options) = self.top_r_many_pinned_cancellable(specs, &[])?;
-        let results: Result<Vec<TopRResult>, SearchError> = options
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or(SearchError::Internal {
-                    invariant: "no cancel tokens were attached, so no slot is cancelled",
-                })
-            })
-            .collect();
-        results.map(|r| (epoch, r))
-    }
-
-    /// [`Self::top_r_many_pinned`] with **per-slot cooperative
-    /// cancellation**: `cancels` aligns with `specs` (shorter is fine —
-    /// missing/`None` entries are never cancelled), and each token is
-    /// checked at its query's *batch-slot boundary*, i.e. just before
-    /// that query would start executing (on the sequential path and on
-    /// each fan-out pool task alike). A cancelled slot comes back `None`
-    /// without running — its epoch pin, its batch-mates, and the result
-    /// order are untouched. This is what lets a server drop a
-    /// disconnected client's queries out of an already-coalesced batch
-    /// without poisoning the queries of everyone batched alongside it.
-    ///
-    /// Cancellation is slot-granular by design: a token flipped *after*
-    /// its query began executing does not interrupt it (the result is
-    /// simply discarded by the caller), so the engine code never has to
-    /// reason about partially executed queries.
-    pub fn top_r_many_pinned_cancellable(
-        &self,
-        specs: &[QuerySpec],
-        cancels: &[Option<crate::cancel::CancelToken>],
-    ) -> Result<(u64, Vec<Option<TopRResult>>), SearchError> {
-        let cancelled_at = |i: usize| -> bool {
-            cancels.get(i).and_then(|c| c.as_ref()).is_some_and(|c| c.is_cancelled())
-        };
         let epoch = self.core.current();
         for spec in specs {
             spec.config().check_against(epoch.graph.n())?;
         }
+        let results = self.top_r_many_on(&epoch, specs, &[]).into_iter().map(|slot| {
+            slot?.ok_or(SearchError::Internal {
+                invariant: "no cancel tokens were attached, so no slot is cancelled",
+            })
+        });
+        Ok((epoch.id, results.collect::<Result<_, _>>()?))
+    }
+
+    /// The body of [`Self::top_r_many`] against an already pinned epoch.
+    fn top_r_many_on(
+        &self,
+        epoch: &Arc<EpochState>,
+        specs: &[QuerySpec],
+        cancels: &[Option<CancelToken>],
+    ) -> Vec<Result<Option<TopRResult>, SearchError>> {
+        let token = |i: usize| cancels.get(i).and_then(Option::as_ref);
         // Account for the batch up front: if it alone crosses the warmup
         // threshold, Auto resolves to the index path from its first query.
         if specs.len() > AUTO_WARMUP_QUERIES {
             self.core.queries_served.fetch_max(AUTO_WARMUP_QUERIES, Ordering::Relaxed);
         }
         if specs.len() < FANOUT_MIN_SPECS || self.core.pool.max_threads() <= 1 {
-            let mut results = Vec::with_capacity(specs.len());
-            for (i, spec) in specs.iter().enumerate() {
-                if cancelled_at(i) {
-                    results.push(None);
-                    continue;
-                }
-                results.push(Some(self.core.top_r_on(&epoch, spec, false)?));
-            }
-            return Ok((epoch.id, results));
+            return specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| match token(i) {
+                    Some(c) if c.is_cancelled() => Ok(None),
+                    _ => self.core.top_r_on(epoch, spec, false).map(Some),
+                })
+                .collect();
         }
         // Fan out: one pool task per query, writing into its own slot so
         // results return in spec order whatever order tasks finish in.
@@ -1109,23 +1103,22 @@ impl SearchService {
                 let core = self.core.clone();
                 let epoch = epoch.clone();
                 let slots = slots.clone();
-                let cancel = cancels.get(i).and_then(|c| c.as_ref()).cloned();
+                let cancel = token(i).cloned();
                 Box::new(move || {
                     // The slot boundary: the last point this query can be
-                    // skipped without interrupting engine code.
-                    if cancel.is_some_and(|c| c.is_cancelled()) {
-                        *slots[i].lock() = Some(Ok(None)); // lock: batch.slot
-                        return;
-                    }
-                    // The query runs before the slot is locked: `batch.slot`
-                    // stays a leaf held only for the store.
-                    let result = core.top_r_on(&epoch, &spec, true);
-                    *slots[i].lock() = Some(result.map(Some)); // lock: batch.slot
+                    // skipped without interrupting engine code. The query
+                    // runs before the slot is locked: `batch.slot` stays a
+                    // leaf held only for the store.
+                    let result = match cancel {
+                        Some(c) if c.is_cancelled() => Ok(None),
+                        _ => core.top_r_on(&epoch, &spec, true).map(Some),
+                    };
+                    *slots[i].lock() = Some(result); // lock: batch.slot
                 }) as Job
             })
             .collect();
         self.core.pool.run_all(jobs);
-        let results: Result<Vec<Option<TopRResult>>, SearchError> = slots
+        slots
             .iter()
             .map(|slot| {
                 let filled = slot.lock().take(); // lock: batch.slot
@@ -1133,8 +1126,7 @@ impl SearchService {
                     invariant: "run_all returns only after every batch job filled its slot",
                 }))
             })
-            .collect();
-        results.map(|r| (epoch.id, r))
+            .collect()
     }
 
     /// Serializes the engine of `kind` (building it first if needed — this
@@ -1407,7 +1399,7 @@ mod tests {
     fn batch_queries_agree_with_singles() {
         let s = service();
         let specs: Vec<QuerySpec> = (2..=5).map(|k| QuerySpec::new(k, 2).unwrap()).collect();
-        let batch = s.top_r_many(&specs).unwrap();
+        let (_, batch) = s.top_r_many_pinned(&specs).unwrap();
         assert_eq!(batch.len(), specs.len());
         let fresh = service();
         for (spec, result) in specs.iter().zip(&batch) {
@@ -1421,8 +1413,28 @@ mod tests {
         let s = service();
         let n = s.graph().n();
         let specs = [QuerySpec::new(4, 1).unwrap(), QuerySpec::new(4, n + 1).unwrap()];
-        assert!(s.top_r_many(&specs).is_err());
+        assert!(s.top_r_many_pinned(&specs).is_err());
         assert_eq!(s.queries_served(), 0, "no query may run when the batch is invalid");
+    }
+
+    #[test]
+    fn an_invalid_slot_fails_alone_on_both_paths() {
+        for threads in [1, 4] {
+            let (graph, _, _) = paper_figure1_graph();
+            let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(threads)));
+            let n = s.graph().n();
+            let good = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Online);
+            let bad = QuerySpec::new(3, n + 1).unwrap();
+            let (epoch, results) = s.top_r_many(&[good, bad, good], &[]);
+            assert_eq!(epoch, 0);
+            let want = s.top_r(&good).unwrap().entries;
+            for i in [0, 2] {
+                let answer = results[i].as_ref().expect("valid slot runs").as_ref().expect("ran");
+                assert_eq!(answer.entries, want, "{threads} threads, slot {i}");
+            }
+            let Err(err) = &results[1] else { panic!("r > n must fail its slot: {results:?}") };
+            assert_eq!(*err, SearchError::ResultSizeExceedsGraph { r: n + 1, n });
+        }
     }
 
     #[test]
@@ -1436,10 +1448,10 @@ mod tests {
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![None, Some(cancelled)];
-        let (epoch, results) = s.top_r_many_pinned_cancellable(&[spec, spec], &cancels).unwrap();
+        let (epoch, results) = s.top_r_many(&[spec, spec], &cancels);
         assert_eq!(epoch, 0);
-        assert!(results[0].is_some(), "the uncancelled mate ran");
-        assert!(results[1].is_none(), "the cancelled slot was skipped");
+        assert!(matches!(results[0], Ok(Some(_))), "the uncancelled mate ran");
+        assert!(matches!(results[1], Ok(None)), "the cancelled slot was skipped");
         assert_eq!(s.queries_served(), 1, "the cancelled query never executed");
     }
 
@@ -1451,9 +1463,10 @@ mod tests {
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![Some(cancelled.clone()), None, Some(cancelled)];
-        let (_, results) = s.top_r_many_pinned_cancellable(&[spec, spec, spec], &cancels).unwrap();
-        assert!(results[0].is_none() && results[2].is_none(), "cancelled slots skipped");
-        let live = results[1].as_ref().expect("uncancelled mate ran");
+        let (_, results) = s.top_r_many(&[spec, spec, spec], &cancels);
+        assert!(matches!(results[0], Ok(None)), "cancelled slot skipped");
+        assert!(matches!(results[2], Ok(None)), "cancelled slot skipped");
+        let Ok(Some(live)) = &results[1] else { panic!("uncancelled mate ran: {results:?}") };
         assert_eq!(live.entries, s.top_r(&spec).unwrap().entries, "mate answer unaffected");
     }
 
@@ -1461,9 +1474,9 @@ mod tests {
     fn empty_cancel_list_means_nothing_is_cancelled() {
         let s = service();
         let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Online);
-        let (epoch, results) = s.top_r_many_pinned(&[spec, spec]).unwrap();
+        let (epoch, results) = s.top_r_many(&[spec, spec], &[]);
         assert_eq!(epoch, 0);
-        assert_eq!(results.len(), 2);
+        assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))), "{results:?}");
     }
 
     #[test]
@@ -1497,7 +1510,7 @@ mod tests {
         }
         let s = SearchService::new(b.extend_edges([]).build());
         let specs = vec![QuerySpec::new(2, 1).unwrap(); AUTO_WARMUP_QUERIES + 1];
-        let results = s.top_r_many(&specs).unwrap();
+        let (_, results) = s.top_r_many_pinned(&specs).unwrap();
         assert!(
             results.iter().all(|r| r.metrics.engine != "bound"),
             "a batch larger than the warmup must head for the index path, not bound scans"

@@ -264,7 +264,10 @@ impl TsdIndex {
         buf.freeze()
     }
 
-    /// Deserializes a blob produced by [`Self::to_bytes`].
+    /// Deserializes a blob produced by [`Self::to_bytes`]. A forest whose
+    /// weights are not non-increasing fails with
+    /// [`DecodeError::InvalidEntry`]; forest endpoints are checked against
+    /// the graph when the index is attached to one on import.
     pub fn from_bytes(mut data: Bytes) -> Result<Self, DecodeError> {
         if data.remaining() < 20 {
             return Err(DecodeError::Truncated);
@@ -298,7 +301,27 @@ impl TsdIndex {
             ew.push(data.get_u32_le());
             weight.push(data.get_u32_le());
         }
+        let descending = offsets.windows(2).all(|o| weight[o[0]..o[1]].is_sorted_by(|a, b| a >= b));
+        if !descending {
+            return Err(DecodeError::InvalidEntry);
+        }
         Ok(TsdIndex { offsets, eu, ew, weight })
+    }
+
+    /// Whether every vertex's forest is a forest over its neighborhood in
+    /// `g`: each edge joins two distinct members of `N(v)` and closes no
+    /// cycle (a self-loop or a cycle fails the union). A decoded index is
+    /// checked against its graph before it serves, since a query panics on
+    /// the first endpoint outside `N(v)`.
+    pub(crate) fn forests_fit(&self, g: &CsrGraph) -> bool {
+        (0..self.n() as VertexId).all(|v| {
+            let nbrs = g.neighbors(v);
+            let mut dsu = Dsu::new(nbrs.len());
+            self.forest(v).all(|(a, b, _)| match (nbrs.binary_search(&a), nbrs.binary_search(&b)) {
+                (Ok(a), Ok(b)) => dsu.union(a as u32, b as u32),
+                _ => false,
+            })
+        })
     }
 
     /// Serialized size in bytes (Table 3's "Index Size" column).
@@ -513,6 +536,35 @@ mod tests {
         buf.put_u64_le(0);
         buf.put_u64_le(0);
         assert_eq!(TsdIndex::from_bytes(buf.freeze()), Err(DecodeError::BadMagic));
+    }
+
+    /// A decoded forest must descend by weight, and fit its owner's
+    /// neighborhood: distinct endpoints in `N(v)`, no cycle.
+    #[test]
+    fn decoded_forests_are_checked() {
+        // K4: vertex 0's neighborhood is {1, 2, 3}.
+        let g = sd_graph::GraphBuilder::new()
+            .extend_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+            .build();
+        let index = |forest: &[(u32, u32, u32)]| {
+            let k = forest.len();
+            TsdIndex {
+                offsets: vec![0, k, k, k, k],
+                eu: forest.iter().map(|e| e.0).collect(),
+                ew: forest.iter().map(|e| e.1).collect(),
+                weight: forest.iter().map(|e| e.2).collect(),
+            }
+        };
+        assert!(index(&[(1, 2, 3), (2, 3, 3)]).forests_fit(&g));
+        for (what, forest) in [
+            ("a cycle", &[(1, 2, 3), (2, 3, 3), (1, 3, 3)][..]),
+            ("a loop", &[(1, 1, 3)][..]),
+            ("an endpoint outside N(v)", &[(0, 1, 3)][..]),
+        ] {
+            assert!(!index(forest).forests_fit(&g), "{what}");
+        }
+        let rising = index(&[(1, 2, 2), (2, 3, 3)]).to_bytes();
+        assert_eq!(TsdIndex::from_bytes(rising), Err(DecodeError::InvalidEntry));
     }
 
     #[test]

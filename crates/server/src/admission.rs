@@ -113,7 +113,7 @@ impl AdmissionLimits {
     /// Maps a batcher queue-full rejection onto the wire shed type. The
     /// hint scales with how far over the accumulator cap the queue is:
     /// one base interval per whole multiple of the cap (a queue at 2× its
-    /// cap needs two windows' worth of flushes to drain).
+    /// cap needs at least two full batches to drain).
     pub fn queue_full(&self, rejection: crate::batch::QueueFull) -> OverloadInfo {
         let ratio = rejection.pending.div_ceil(rejection.limit.max(1));
         OverloadInfo {

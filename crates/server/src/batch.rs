@@ -3,64 +3,51 @@
 //! [`SearchService::top_r_many`] batch, fanning the whole coalesced set
 //! onto the shared worker pool at once.
 //!
-//! The shape is group commit, made **asynchronous** for the event-driven
-//! server: [`Batcher::submit_many_async`] parks a frame's queries and
-//! returns immediately; a completion callback fires — off the submitting
-//! thread — once every query in the frame has a reply. The first
-//! submission to find the accumulator leaderless schedules a leader onto
-//! the tenant's worker pool (never on the submitting thread: submitters
-//! are I/O-loop threads that must not block). The leader waits one batch
-//! window so concurrent arrivals can pile in, drains everything pending,
-//! and executes it as one pinned-epoch batch. Queries that arrive
-//! *during* the flush are handled by a continuation the leader submits
-//! to the pool before resigning, so no parked query ever waits for a
-//! fresh arrival to wake the accumulator.
+//! The shape is group commit without a timer, made **asynchronous** for
+//! the event-driven server: [`Batcher::submit_many_async`] parks a
+//! frame's queries and returns immediately; a completion callback fires
+//! — off the submitting thread — once every query in the frame has a
+//! reply. The first submission to find the accumulator leaderless
+//! schedules a leader onto the tenant's worker pool (never on the
+//! submitting thread: submitters are I/O-loop threads that must not
+//! block). The leader flushes as soon as its pool job runs: it drains
+//! everything pending and executes it as one pinned-epoch batch. Nothing
+//! waits on a clock; batches form under load instead. Frames that arrive
+//! while a batch executes pile up, and the continuation the leader
+//! submits to the pool before resigning takes them all as the next
+//! batch, so no parked query ever waits for a fresh arrival to wake the
+//! accumulator.
 //!
-//! Deadlines cap the leader's wait: the target flush instant is the
-//! window end, shortened to the earliest pending deadline (less a small
-//! execution margin), so a query whose `deadline_ms` is shorter than the
-//! batch window is flushed early and *runs* instead of expiring while
-//! the leader sleeps. The leader parks on a condition variable that
-//! every submission signals, so a short-deadline query arriving
-//! mid-wait wakes the leader to recompute the target — it no longer
-//! waits out a sleep computed before that query existed. A query whose
-//! deadline nevertheless passed while parked is answered
-//! [`BatchReply::Expired`] without running, and its frame-mates still
-//! run — the partial-batch contract.
+//! A query whose deadline passed while it waited (behind a running batch
+//! or a busy pool) is answered [`BatchReply::Expired`] without running,
+//! and its batch-mates still run — the partial-batch contract.
 //!
 //! Frames can carry a [`CancelToken`]: when the server's I/O loop sees a
 //! client disconnect, it cancels the token, and the frame's queries are
 //! skipped at their **batch-slot boundary** — the instant each would
-//! start executing inside
-//! [`SearchService::top_r_many_pinned_cancellable`] — and answered
+//! start executing inside [`SearchService::top_r_many`] — and answered
 //! [`BatchReply::Dropped`]. A dead client's queries thus stop occupying
 //! execution slots even when cancellation lands after the batch was
 //! dequeued, without anything being interrupted mid-computation.
 //!
-//! A batch executes all-or-nothing inside the service (`top_r_many`
-//! surfaces the first per-query error as a batch error), which must not
-//! let one connection poison another's coalesced queries: on a
-//! batch-level error the leader falls back to per-query execution, so
-//! only the offending query fails.
+//! `top_r_many` returns a result per slot, so one connection cannot
+//! poison another's coalesced queries: an invalid query is answered
+//! [`BatchReply::Failed`], and its batch-mates are answered through the
+//! same fan-out, from the same epoch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::unbounded;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use sd_core::lock_order::{SERVER_BATCH, SERVER_FRAME};
 use sd_core::{CancelToken, QuerySpec, SearchError, SearchService, TopRResult};
 
 use crate::registry::Inflight;
 
-/// Sizing and pacing for a tenant's [`Batcher`].
+/// Sizing for a tenant's [`Batcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLimits {
-    /// How long a leader waits before flushing, so concurrent arrivals
-    /// coalesce. Zero flushes immediately (still coalescing whatever is
-    /// already parked).
-    pub window: Duration,
     /// Most queries allowed to park; beyond it new arrivals are shed
     /// with a typed queue-full rejection.
     pub max_pending: usize,
@@ -68,7 +55,7 @@ pub struct BatchLimits {
 
 impl Default for BatchLimits {
     fn default() -> Self {
-        BatchLimits { window: Duration::from_micros(500), max_pending: 1024 }
+        BatchLimits { max_pending: 1024 }
     }
 }
 
@@ -91,11 +78,6 @@ pub enum BatchReply {
     /// query was skipped without executing.
     Dropped,
 }
-
-/// Margin subtracted from a pending deadline when capping the leader's
-/// wait, so the flush leaves the query time to actually execute instead
-/// of waking exactly as it expires.
-const DEADLINE_FLUSH_MARGIN: Duration = Duration::from_millis(5);
 
 /// Where a finished frame's replies go: invoked exactly once, off the
 /// submitting thread, with one reply per submitted spec in spec order.
@@ -215,9 +197,6 @@ pub struct QueueFull {
 /// A tenant's query-coalescing accumulator. See the [module docs](self).
 pub struct Batcher {
     state: Mutex<Accumulator>,
-    /// Signalled on every submission so a parked leader wakes and
-    /// recomputes its flush target against the new arrivals' deadlines.
-    arrivals: Condvar,
     limits: BatchLimits,
     inflight: Arc<Inflight>,
     queries_batched: AtomicU64,
@@ -232,7 +211,6 @@ impl Batcher {
     pub fn new(limits: BatchLimits, inflight: Arc<Inflight>) -> Self {
         Batcher {
             state: SERVER_BATCH.mutex(Accumulator { pending: Vec::new(), leader_active: false }),
-            arrivals: Condvar::new(),
             limits,
             inflight,
             queries_batched: AtomicU64::new(0),
@@ -303,9 +281,6 @@ impl Batcher {
                     reply: FrameSlot { agg: agg.clone(), index },
                 });
             }
-            // Wake a parked leader: these arrivals may carry a deadline
-            // shorter than its current flush target.
-            self.arrivals.notify_all();
             if state.leader_active {
                 false
             } else {
@@ -315,7 +290,7 @@ impl Batcher {
         };
         if lead {
             // Leadership always runs on the pool: the submitter may be
-            // an I/O-loop thread, which must never sleep out a window.
+            // an I/O-loop thread, which must never run a batch.
             let this = Arc::clone(self);
             let svc = Arc::clone(service);
             service.pool().submit(move || this.lead(&svc));
@@ -323,28 +298,11 @@ impl Batcher {
         Ok(())
     }
 
-    /// Blocking convenience over [`Self::submit_many_async`]: parks the
-    /// frame and waits for its replies. For tests and synchronous tools;
-    /// the server itself never blocks a thread here.
-    pub fn submit_many(
-        self: &Arc<Self>,
-        service: &Arc<SearchService>,
-        specs: Vec<QuerySpec>,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<BatchReply>, QueueFull> {
-        let (tx, rx) = unbounded();
-        self.submit_many_async(service, specs, deadline, None, move |replies| {
-            let _ = tx.send(replies);
-        })?;
-        Ok(rx.recv().unwrap_or_default())
-    }
-
-    /// Leader duty: wait out the flush target (window end, capped by
-    /// pending deadlines, re-evaluated on every arrival), flush once,
-    /// then either resign (if the accumulator emptied) or hand
-    /// leadership to a worker-pool continuation for the next flush.
+    /// Leader duty: flush everything pending once, then either resign
+    /// (if the accumulator emptied) or hand leadership to a worker-pool
+    /// continuation, which takes the frames that arrived during this
+    /// flush as the next batch.
     fn lead(self: &Arc<Self>, service: &Arc<SearchService>) {
-        self.wait_out_window();
         let batch = {
             let mut state = self.state.lock(); // lock: server.batch
             std::mem::take(&mut state.pending)
@@ -365,35 +323,6 @@ impl Batcher {
             let this = Arc::clone(self);
             let svc = Arc::clone(service);
             service.pool().submit(move || this.lead(&svc));
-        }
-    }
-
-    /// The leader's wait. The flush target is the window end (fixed when
-    /// the wait starts) capped at the earliest pending deadline minus
-    /// [`DEADLINE_FLUSH_MARGIN`]; the leader parks on [`Self::arrivals`]
-    /// until the target passes, recomputing it after every wake — so an
-    /// arrival whose deadline undercuts the current target pulls the
-    /// flush forward instead of expiring while the leader sleeps.
-    fn wait_out_window(&self) {
-        let window = self.limits.window;
-        if window.is_zero() {
-            return;
-        }
-        let window_end = Instant::now() + window;
-        let mut state = self.state.lock(); // lock: server.batch
-        loop {
-            let earliest = state.pending.iter().filter_map(|p| p.deadline).min();
-            let target = match earliest {
-                Some(deadline) => {
-                    window_end.min(deadline.checked_sub(DEADLINE_FLUSH_MARGIN).unwrap_or(deadline))
-                }
-                None => window_end,
-            };
-            let now = Instant::now();
-            if target <= now {
-                return;
-            }
-            self.arrivals.wait_for(&mut state, target - now);
         }
     }
 
@@ -421,42 +350,20 @@ impl Batcher {
         let _guard = self.inflight.begin(service.epoch());
         let specs: Vec<QuerySpec> = live.iter().map(|p| p.spec).collect();
         let cancels: Vec<Option<CancelToken>> = live.iter().map(|p| p.cancel.clone()).collect();
+        let (epoch, results) = service.top_r_many(&specs, &cancels);
         // Counters are bumped *before* the reply that completes a frame is
         // delivered: the completion callback races this function's tail, and
         // a caller inspecting stats from it must see its own drops.
-        match service.top_r_many_pinned_cancellable(&specs, &cancels) {
-            Ok((epoch, results)) => {
-                let skipped = results.iter().filter(|r| r.is_none()).count() as u64;
-                self.cancelled.fetch_add(skipped, Ordering::Relaxed);
-                for (entry, result) in live.into_iter().zip(results) {
-                    match result {
-                        Some(result) => entry.reply.deliver(BatchReply::Answered { epoch, result }),
-                        // The slot boundary found the token cancelled:
-                        // the query was skipped, not run-and-discarded.
-                        None => entry.reply.deliver(BatchReply::Dropped),
-                    }
-                }
-            }
-            Err(_) => {
-                // Batch-level failure: one query's error (say, its `r`
-                // exceeds the tenant's vertex count) poisoned the
-                // all-or-nothing call. Isolate it: run each query alone
-                // so only the offender fails. Tokens are re-checked —
-                // the fallback is a fresh slot boundary per query.
-                for entry in live {
-                    if entry.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                        self.cancelled.fetch_add(1, Ordering::Relaxed);
-                        entry.reply.deliver(BatchReply::Dropped);
-                        continue;
-                    }
-                    let epoch = service.epoch();
-                    let reply = match service.top_r(&entry.spec) {
-                        Ok(result) => BatchReply::Answered { epoch, result },
-                        Err(err) => BatchReply::Failed(err),
-                    };
-                    entry.reply.deliver(reply);
-                }
-            }
+        let skipped = results.iter().filter(|r| matches!(r, Ok(None))).count() as u64;
+        self.cancelled.fetch_add(skipped, Ordering::Relaxed);
+        for (entry, result) in live.into_iter().zip(results) {
+            entry.reply.deliver(match result {
+                Ok(Some(result)) => BatchReply::Answered { epoch, result },
+                // The slot boundary found the token cancelled: the query
+                // was skipped, not run-and-discarded.
+                Ok(None) => BatchReply::Dropped,
+                Err(err) => BatchReply::Failed(err),
+            });
         }
     }
 }
@@ -464,26 +371,84 @@ impl Batcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Tenant;
     use crate::TenantRegistry;
-    use sd_core::{paper_figure1_graph, EngineKind};
+    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use sd_core::{paper_figure1_graph, EngineKind, WorkerPool};
+    use std::time::Duration;
 
+    /// A Figure-1 tenant on the global pool, or on a private pool of
+    /// `threads` workers.
     fn tenant_with(
-        limits: BatchLimits,
-    ) -> (Arc<SearchService>, Arc<crate::registry::Tenant>, TenantRegistry) {
-        let reg = TenantRegistry::new(limits);
+        max_pending: usize,
+        threads: Option<usize>,
+    ) -> (Arc<SearchService>, Arc<Tenant>, TenantRegistry) {
+        let reg = TenantRegistry::new(BatchLimits { max_pending });
         let (graph, _, _) = paper_figure1_graph();
-        let svc = Arc::new(SearchService::new(graph));
+        let svc = Arc::new(match threads {
+            Some(threads) => SearchService::with_pool(graph, Arc::new(WorkerPool::new(threads))),
+            None => SearchService::new(graph),
+        });
         let key = reg.register(svc.clone()).expect("register");
         let tenant = reg.lookup(&key).expect("tenant");
         (svc, tenant, reg)
     }
 
+    /// Parks one frame; its replies arrive on the returned channel.
+    fn park(
+        tenant: &Tenant,
+        specs: Vec<QuerySpec>,
+        deadline: Option<Instant>,
+    ) -> Receiver<Vec<BatchReply>> {
+        let (tx, rx) = unbounded();
+        tenant
+            .batcher
+            .submit_many_async(&tenant.service, specs, deadline, None, move |replies| {
+                let _ = tx.send(replies);
+            })
+            .expect("admitted");
+        rx
+    }
+
+    /// A parked frame's replies; a hang fails the test instead of the
+    /// suite.
+    fn replies(rx: &Receiver<Vec<BatchReply>>) -> Vec<BatchReply> {
+        rx.recv_timeout(Duration::from_secs(10)).expect("completion fires")
+    }
+
+    /// Occupies the only worker of `svc`'s 1-thread pool until the
+    /// returned sender is dropped, so every leader job queues behind it.
+    fn park_pool(svc: &SearchService) -> Sender<()> {
+        let (release, parked) = unbounded::<()>();
+        svc.pool().submit(move || {
+            let _ = parked.recv();
+        });
+        release
+    }
+
+    /// Runs a one-query batch whose completion callback blocks until the
+    /// returned sender is dropped: the leader stays inside that batch, so
+    /// later frames queue behind a batch that is still executing.
+    fn hold_a_running_batch(tenant: &Tenant, spec: QuerySpec) -> Sender<()> {
+        let (entered_tx, entered) = unbounded();
+        let (release, held) = unbounded::<()>();
+        tenant
+            .batcher
+            .submit_many_async(&tenant.service, vec![spec], None, None, move |replies| {
+                let _ = entered_tx.send(replies);
+                let _ = held.recv();
+            })
+            .expect("admitted");
+        let first = replies(&entered);
+        assert!(matches!(first[0], BatchReply::Answered { .. }), "got {first:?}");
+        release
+    }
+
     #[test]
     fn single_query_round_trips() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::ZERO, max_pending: 8 });
+        let (svc, tenant, _reg) = tenant_with(8, None);
         let spec = QuerySpec::new(3, 4).expect("spec").with_engine(EngineKind::Online);
-        let replies = tenant.batcher.submit_many(&svc, vec![spec], None).expect("admitted");
+        let replies = replies(&park(&tenant, vec![spec], None));
         assert_eq!(replies.len(), 1);
         let BatchReply::Answered { epoch, result } = &replies[0] else {
             panic!("expected answer, got {replies:?}");
@@ -495,8 +460,7 @@ mod tests {
 
     #[test]
     fn async_submission_completes_off_the_submitting_thread() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::ZERO, max_pending: 8 });
+        let (svc, tenant, _reg) = tenant_with(8, None);
         let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
         let (tx, rx) = unbounded();
         let submitter = std::thread::current().id();
@@ -515,23 +479,16 @@ mod tests {
 
     #[test]
     fn concurrent_submissions_coalesce_into_one_batch() {
-        // A wide window makes coalescing deterministic: the follower
-        // parks long before the leader's flush fires.
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::from_millis(300), max_pending: 64 });
+        // The leader is a pool job: with the only worker parked, both
+        // frames wait in the accumulator for the same flush.
+        let (svc, tenant, _reg) = tenant_with(64, Some(1));
+        let release = park_pool(&svc);
         let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
-        let follower = {
-            let svc = svc.clone();
-            let tenant = tenant.clone();
-            std::thread::spawn(move || {
-                // Give the leader time to take the accumulator first.
-                std::thread::sleep(Duration::from_millis(60));
-                tenant.batcher.submit_many(&svc, vec![spec, spec], None)
-            })
-        };
-        let lead_replies =
-            tenant.batcher.submit_many(&svc, vec![spec], None).expect("leader admitted");
-        let follow_replies = follower.join().expect("join").expect("follower admitted");
+        let lead = park(&tenant, vec![spec], None);
+        let follow = park(&tenant, vec![spec, spec], None);
+        assert_eq!(tenant.batcher.pending(), 3);
+        drop(release);
+        let (lead_replies, follow_replies) = (replies(&lead), replies(&follow));
         assert_eq!(lead_replies.len(), 1);
         assert_eq!(follow_replies.len(), 2);
         let stats = tenant.batcher.stats();
@@ -544,115 +501,85 @@ mod tests {
 
     #[test]
     fn queue_overflow_is_shed_atomically() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::ZERO, max_pending: 2 });
+        let (svc, tenant, _reg) = tenant_with(2, None);
         let spec = QuerySpec::new(3, 1).expect("spec");
         let err = tenant
             .batcher
-            .submit_many(&svc, vec![spec; 3], None)
+            .submit_many_async(&svc, vec![spec; 3], None, None, |_| {
+                panic!("a shed frame never completes")
+            })
             .expect_err("3 queries over a 2-cap accumulator");
         assert_eq!(err.limit, 2);
         assert_eq!(tenant.batcher.stats().shed_queue_full, 3);
         assert_eq!(tenant.batcher.pending(), 0, "nothing half-admitted");
         // A fitting frame still goes through afterwards.
-        let ok = tenant.batcher.submit_many(&svc, vec![spec, spec], None).expect("fits");
-        assert_eq!(ok.len(), 2);
+        assert_eq!(replies(&park(&tenant, vec![spec, spec], None)).len(), 2);
     }
 
     #[test]
     fn expired_deadline_queries_skip_execution_but_mates_run() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::from_millis(40), max_pending: 8 });
-        let spec = QuerySpec::new(3, 2).expect("spec");
         // Deadline already in the past: expires at flush. A second frame
-        // without a deadline coalesces into the same flush and runs.
+        // without a deadline is parked for the same flush and runs.
+        let (svc, tenant, _reg) = tenant_with(8, Some(1));
+        let release = park_pool(&svc);
+        let spec = QuerySpec::new(3, 2).expect("spec");
         let past = Instant::now() - Duration::from_millis(1);
-        let follower = {
-            let svc = svc.clone();
-            let tenant = tenant.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(10));
-                tenant.batcher.submit_many(&svc, vec![spec], None)
-            })
-        };
-        let expired = tenant.batcher.submit_many(&svc, vec![spec], Some(past)).expect("admitted");
+        let expired = park(&tenant, vec![spec], Some(past));
+        let ran = park(&tenant, vec![spec], None);
+        drop(release);
+        let (expired, ran) = (replies(&expired), replies(&ran));
         assert!(matches!(expired[0], BatchReply::Expired), "got {expired:?}");
-        let ran = follower.join().expect("join").expect("admitted");
         assert!(matches!(ran[0], BatchReply::Answered { .. }), "got {ran:?}");
         assert_eq!(tenant.batcher.stats().expired, 1);
+        assert_eq!(tenant.batcher.stats().batches_executed, 1);
     }
 
-    /// Regression: the leader used to sleep the *full* window and only
-    /// then enforce deadlines, so any query with `deadline_ms` shorter
-    /// than the remaining window was answered `Expired` without ever
-    /// running. Against that code this test fails (reply is `Expired`
-    /// after ~300 ms); with the deadline-capped wait the flush happens
-    /// before the deadline and the query runs.
+    /// No window and no deadline-capped wait: a short deadline that
+    /// passes while its frame waits behind a running batch is answered
+    /// `Expired`, and the frame that waited beside it still runs.
     #[test]
-    fn short_deadline_flushes_early_instead_of_expiring() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::from_millis(300), max_pending: 8 });
+    fn short_deadline_behind_a_running_batch_expires_but_mates_run() {
+        let (_svc, tenant, _reg) = tenant_with(8, Some(1));
         let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
-        let deadline = Instant::now() + Duration::from_millis(60);
-        let start = Instant::now();
-        let replies =
-            tenant.batcher.submit_many(&svc, vec![spec], Some(deadline)).expect("admitted");
-        assert!(
-            matches!(replies[0], BatchReply::Answered { .. }),
-            "a deadline shorter than the window must flush early and run, got {replies:?}"
-        );
-        assert!(
-            start.elapsed() < Duration::from_millis(300),
-            "flush must not wait out the full window"
-        );
-        assert_eq!(tenant.batcher.stats().expired, 0);
+        let release = hold_a_running_batch(&tenant, spec);
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let late = park(&tenant, vec![spec, spec], Some(deadline));
+        let mate = park(&tenant, vec![spec], None);
+        assert_eq!(tenant.batcher.pending(), 3, "both frames wait behind the running batch");
+        while Instant::now() <= deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(release);
+        let (late, mate) = (replies(&late), replies(&mate));
+        assert!(late.iter().all(|r| matches!(r, BatchReply::Expired)), "got {late:?}");
+        assert!(matches!(mate[0], BatchReply::Answered { .. }), "got {mate:?}");
+        let stats = tenant.batcher.stats();
+        assert_eq!((stats.expired, stats.queries_batched, stats.batches_executed), (2, 4, 2));
     }
 
-    /// Regression: the leader's wait used to be a plain `thread::sleep`
-    /// whose duration was fixed when the wait *started* — a query with a
-    /// short deadline arriving mid-sleep could not shorten it, so the
-    /// leader slept out the full window and answered that query
-    /// `Expired`. Against that code this test fails (the late frame
-    /// expires after ~300 ms); with the condvar-parked leader the
-    /// arrival wakes it, the target is recomputed, and the query runs
-    /// well inside the window.
+    /// Batching without a timer: frames that arrive while a batch
+    /// executes leave together in the next one.
     #[test]
-    fn late_short_deadline_arrival_wakes_the_parked_leader() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::from_millis(300), max_pending: 8 });
+    fn arrivals_during_a_flush_leave_together_in_the_next_batch() {
+        let (_svc, tenant, _reg) = tenant_with(8, Some(1));
         let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
-        // Frame A (no deadline) makes the leader park for the window.
-        let leader = {
-            let svc = svc.clone();
-            let tenant = tenant.clone();
-            std::thread::spawn(move || tenant.batcher.submit_many(&svc, vec![spec], None))
-        };
-        // Frame B arrives mid-wait with a deadline far shorter than the
-        // window's remainder.
-        std::thread::sleep(Duration::from_millis(40));
-        let start = Instant::now();
-        let deadline = start + Duration::from_millis(60);
-        let late = tenant.batcher.submit_many(&svc, vec![spec], Some(deadline)).expect("admitted");
-        let elapsed = start.elapsed();
-        assert!(
-            matches!(late[0], BatchReply::Answered { .. }),
-            "a short-deadline arrival must wake the parked leader and run, got {late:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(200),
-            "the flush must be pulled forward by the arrival, not wait out the window \
-             (took {elapsed:?})"
-        );
-        let first = leader.join().expect("join").expect("admitted");
-        assert!(matches!(first[0], BatchReply::Answered { .. }), "got {first:?}");
-        assert_eq!(tenant.batcher.stats().expired, 0);
-        assert_eq!(tenant.batcher.stats().batches_executed, 1, "both frames share the flush");
+        let release = hold_a_running_batch(&tenant, spec);
+        let frames: Vec<_> = (1..=3).map(|n| park(&tenant, vec![spec; n], None)).collect();
+        assert_eq!(tenant.batcher.pending(), 6);
+        assert_eq!(tenant.batcher.stats().batches_executed, 1, "the held batch only");
+        drop(release);
+        for (frame, n) in frames.iter().zip(1..) {
+            let replies = replies(frame);
+            assert_eq!(replies.len(), n);
+            assert!(replies.iter().all(|r| matches!(r, BatchReply::Answered { epoch: 0, .. })));
+        }
+        let stats = tenant.batcher.stats();
+        assert_eq!((stats.queries_batched, stats.batches_executed), (7, 2), "one more flush");
     }
 
     #[test]
     fn cancelled_frames_queries_are_dropped_at_their_slots() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::ZERO, max_pending: 8 });
+        let (svc, tenant, _reg) = tenant_with(8, None);
         let spec = QuerySpec::new(3, 2).expect("spec");
         let token = CancelToken::new();
         token.cancel();
@@ -681,16 +608,28 @@ mod tests {
         assert!(matches!(replies[0], BatchReply::Answered { .. }), "got {replies:?}");
     }
 
+    /// An invalid query fails its own slot only: its mates run through
+    /// the batch's fan-out, on the batch's one epoch.
     #[test]
     fn invalid_query_fails_alone_not_its_batch_mates() {
-        let (svc, tenant, _reg) =
-            tenant_with(BatchLimits { window: Duration::ZERO, max_pending: 8 });
-        let good = QuerySpec::new(3, 2).expect("spec");
-        let bad = QuerySpec::new(3, 10_000).expect("spec"); // r ≫ n: rejected at run time
-        let replies =
-            tenant.batcher.submit_many(&svc, vec![good, bad, good], None).expect("admitted");
-        assert!(matches!(replies[0], BatchReply::Answered { .. }), "got {:?}", replies[0]);
-        assert!(matches!(replies[1], BatchReply::Failed(_)), "got {:?}", replies[1]);
-        assert!(matches!(replies[2], BatchReply::Answered { .. }), "got {:?}", replies[2]);
+        let (svc, tenant, _reg) = tenant_with(8, Some(4));
+        svc.wait_ready([EngineKind::Gct]);
+        let n = svc.graph().n();
+        let good = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Gct);
+        let bad = QuerySpec::new(3, n + 1).expect("spec"); // r > n: rejected at run time
+        let fanned_before = svc.stats().parallel_queries;
+        let replies = replies(&park(&tenant, vec![good, bad, good], None));
+        assert_eq!(svc.stats().parallel_queries - fanned_before, 2, "both mates fanned out");
+        assert!(
+            matches!(replies[1], BatchReply::Failed(SearchError::ResultSizeExceedsGraph { .. })),
+            "got {:?}",
+            replies[1]
+        );
+        let (BatchReply::Answered { epoch: first, .. }, BatchReply::Answered { epoch: last, .. }) =
+            (&replies[0], &replies[2])
+        else {
+            panic!("both mates answered, got {replies:?}");
+        };
+        assert_eq!(first, last, "one frame, one epoch");
     }
 }

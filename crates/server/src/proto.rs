@@ -658,8 +658,8 @@ pub enum QueryOutcome {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueryResponse {
     /// The epoch every answered query in this response was pinned to —
-    /// reported by [`sd_core::SearchService::top_r_many_pinned`], so it
-    /// is exact, not sampled.
+    /// reported by [`sd_core::SearchService::top_r_many`], so it is
+    /// exact, not sampled.
     pub epoch: u64,
     /// One outcome per request query, in request order.
     pub outcomes: Vec<QueryOutcome>,

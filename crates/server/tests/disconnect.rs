@@ -28,10 +28,7 @@ fn mid_query_disconnect_cancels_the_batched_query() {
     // not yet running — for as long as the worker stays parked.
     let (graph, _, _) = paper_figure1_graph();
     let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
-    let registry = Arc::new(TenantRegistry::new(BatchLimits {
-        window: Duration::ZERO,
-        ..BatchLimits::default()
-    }));
+    let registry = Arc::new(TenantRegistry::new(BatchLimits::default()));
     let key = registry.register(service.clone()).expect("register");
     let tenant = registry.lookup(&key).expect("registered above");
     let server = Server::start(ServerConfig::new().addr("127.0.0.1:0"), registry).expect("bind");

@@ -4,7 +4,6 @@
 //! `sd-io-*` threads — the thread-per-connection regime would show 64.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use sd_core::{paper_figure1_graph, SearchService};
 use sd_server::{
@@ -30,10 +29,7 @@ fn sixty_four_connections_share_a_fixed_io_thread_set() {
     const CLIENTS: usize = 64;
     const IO_THREADS: usize = 2;
 
-    let registry = Arc::new(TenantRegistry::new(BatchLimits {
-        window: Duration::ZERO,
-        ..BatchLimits::default()
-    }));
+    let registry = Arc::new(TenantRegistry::new(BatchLimits::default()));
     let (graph, _, _) = paper_figure1_graph();
     let key = registry.register(Arc::new(SearchService::new(graph))).expect("register");
     let config = ServerConfig::new().addr("127.0.0.1:0").io_threads(IO_THREADS);

@@ -6,8 +6,9 @@
 //! shutdown drains accepted requests.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sd_core::{
     paper_figure18_graph, paper_figure1_graph, EngineKind, GraphFingerprint, QuerySpec,
@@ -27,6 +28,28 @@ fn figure1_service() -> Arc<SearchService> {
 fn figure18_service() -> Arc<SearchService> {
     let (graph, _, _) = paper_figure18_graph();
     Arc::new(SearchService::new(graph))
+}
+
+/// A Figure-1 service on a 1-thread private pool whose only worker stays
+/// parked until the returned sender is dropped: the batch leader is a
+/// pool job, so every query frame waits in the accumulator until then.
+fn parked_figure1_service() -> (Arc<SearchService>, Sender<()>) {
+    let (graph, _, _) = paper_figure1_graph();
+    let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
+    let (release, parked) = channel::<()>();
+    service.pool().submit(move || {
+        let _ = parked.recv();
+    });
+    (service, release)
+}
+
+/// Spins until `probe` returns true or ~5 s elapse.
+fn wait_for(what: &str, mut probe: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !probe() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 fn start(
@@ -168,7 +191,7 @@ fn concurrent_queries_and_updates_match_in_process_answers() {
 #[test]
 fn connection_limit_sheds_with_typed_overloaded_frame() {
     let (server, keys) = start(
-        BatchLimits { window: Duration::ZERO, ..BatchLimits::default() },
+        BatchLimits::default(),
         AdmissionLimits { max_connections: 1, retry_after_ms: 7, ..AdmissionLimits::default() },
         vec![figure1_service()],
     );
@@ -197,7 +220,7 @@ fn deep_build_queue_sheds_queries_with_typed_overloaded_frame() {
     let (graph, _, _) = paper_figure1_graph();
     let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
     let (server, keys) = start(
-        BatchLimits { window: Duration::ZERO, ..BatchLimits::default() },
+        BatchLimits::default(),
         AdmissionLimits { max_build_queue: 0, retry_after_ms: 11, ..AdmissionLimits::default() },
         vec![service.clone()],
     );
@@ -233,19 +256,21 @@ fn deep_build_queue_sheds_queries_with_typed_overloaded_frame() {
 
 #[test]
 fn full_query_queue_sheds_whole_frames_with_typed_overloaded_frame() {
+    let (service, release) = parked_figure1_service();
     let (server, keys) = start(
-        BatchLimits { window: Duration::from_millis(300), max_pending: 1 },
+        BatchLimits { max_pending: 1 },
         AdmissionLimits { retry_after_ms: 13, ..AdmissionLimits::default() },
-        vec![figure1_service()],
+        vec![service],
     );
     let addr = server.local_addr();
     let key = keys[0];
-    // Leader frame: parks its one query and sleeps the batch window.
+    let tenant = server.registry().lookup(&key).expect("registered");
+    // Leader frame: its one query parks behind the parked worker.
     let leader = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("leader connect");
         client.query(key, 0, vec![WireQuery::new(3, 2)]).expect("leader admitted")
     });
-    std::thread::sleep(Duration::from_millis(80));
+    wait_for("the leader's query to park", || tenant.batcher.pending() == 1);
     // Second frame while the leader's query still occupies the 1-slot
     // accumulator: shed atomically.
     let mut client = Client::connect(addr).expect("connect");
@@ -254,6 +279,7 @@ fn full_query_queue_sheds_whole_frames_with_typed_overloaded_frame() {
     assert_eq!(info.reason, OverloadReason::QueryQueue);
     assert_eq!((info.measured, info.limit, info.retry_after_ms), (1, 1, 13));
     // The shed did not hurt the parked leader.
+    drop(release);
     let resp = leader.join().expect("leader thread");
     assert!(matches!(resp.outcomes[0], QueryOutcome::Answered(_)));
     let report = server.shutdown();
@@ -261,67 +287,85 @@ fn full_query_queue_sheds_whole_frames_with_typed_overloaded_frame() {
 }
 
 #[test]
-fn short_deadline_is_answered_by_an_early_flush_not_expired() {
-    // A 30 ms deadline against a 300 ms batch window: the leader caps its
-    // wait at the deadline, so the query is *answered* well before the
-    // window would have elapsed. (Before the cap existed, this frame was
-    // answered `Expired` without ever running.)
-    let (server, keys) = start(
-        BatchLimits { window: Duration::from_millis(300), ..BatchLimits::default() },
-        AdmissionLimits::default(),
-        vec![figure1_service()],
-    );
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    let started = std::time::Instant::now();
-    let resp = client.query(keys[0], 30, vec![WireQuery::new(3, 2)]).expect("admitted");
-    let elapsed = started.elapsed();
+fn short_deadline_behind_a_running_batch_expires_and_its_mates_run() {
+    // No window and no deadline-capped wait: a frame whose deadline
+    // passes while a batch runs ahead of it is answered `Expired`, and
+    // the frame that queued beside it runs in the next batch.
+    let (graph, _, _) = paper_figure1_graph();
+    let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
+    let (server, keys) =
+        start(BatchLimits::default(), AdmissionLimits::default(), vec![service.clone()]);
+    let (addr, key) = (server.local_addr(), keys[0]);
+    let tenant = server.registry().lookup(&key).expect("registered");
+    // The running batch: an in-process frame whose completion callback
+    // keeps its leader inside the batch until released.
+    let (entered_tx, entered) = channel();
+    let (release, held) = channel::<()>();
+    let spec = QuerySpec::new(3, 2).unwrap();
+    tenant
+        .batcher
+        .submit_many_async(&service, vec![spec], None, None, move |_| {
+            let _ = entered_tx.send(());
+            let _ = held.recv();
+        })
+        .expect("admitted");
+    entered.recv_timeout(Duration::from_secs(10)).expect("the batch runs");
+
+    let late = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.query(key, 1, vec![WireQuery::new(3, 2), WireQuery::new(3, 3)]).expect("admitted")
+    });
+    wait_for("the 1 ms frame to queue", || tenant.batcher.pending() == 2);
+    let mate = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client.query(key, 0, vec![WireQuery::new(3, 2)]).expect("admitted")
+    });
+    wait_for("the mate frame to queue", || tenant.batcher.pending() == 3);
+    std::thread::sleep(Duration::from_millis(5)); // past the 1 ms deadline
+    drop(release);
+
+    let resp = late.join().expect("late frame thread");
+    assert_eq!(resp.outcomes.len(), 2, "expired queries still get outcome slots");
     assert!(
-        matches!(resp.outcomes[0], QueryOutcome::Answered(_)),
-        "short deadline must run, got {:?}",
+        resp.outcomes.iter().all(|o| matches!(o, QueryOutcome::Expired)),
+        "got {:?}",
         resp.outcomes
     );
-    assert!(elapsed < Duration::from_millis(290), "flush was capped, not the full window");
+    let resp = mate.join().expect("mate frame thread");
+    assert!(matches!(resp.outcomes[0], QueryOutcome::Answered(_)), "got {:?}", resp.outcomes);
+    let stats = tenant.batcher.stats();
+    assert_eq!((stats.expired, stats.batches_executed), (2, 2), "the held batch, then one more");
     let report = server.shutdown();
     assert!(report.within_grace);
 }
 
 #[test]
 fn expired_deadline_yields_partial_batch_not_a_drop() {
-    // The batch leader is a pool job, so a 1-thread private pool the test
-    // parks pins *every* pending query in the accumulator until release —
-    // a deterministic way to hold a short-deadline frame past its
-    // deadline. (The old version of this test leaned on the leader's
-    // uncancellable sleep; arrivals now wake the leader, so parking the
-    // pool is the only honest way to force an expiry.)
-    let (graph, _, _) = paper_figure1_graph();
-    let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
-    let (server, keys) = start(
-        BatchLimits { window: Duration::ZERO, ..BatchLimits::default() },
-        AdmissionLimits::default(),
-        vec![service.clone()],
-    );
+    // The batch leader is a pool job, so parking the pool pins *every*
+    // pending query in the accumulator until release — a deterministic
+    // way to hold a short-deadline frame past its deadline.
+    let (service, release) = parked_figure1_service();
+    let (server, keys) = start(BatchLimits::default(), AdmissionLimits::default(), vec![service]);
     let addr = server.local_addr();
     let key = keys[0];
-    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    service.pool().submit(move || {
-        let _ = release_rx.recv();
-    });
+    let tenant = server.registry().lookup(&key).expect("registered");
 
     // Frame A: no deadline. Its flush is queued behind the parked worker.
     let lively = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client.query(key, 0, vec![WireQuery::new(3, 2)]).expect("admitted")
     });
-    std::thread::sleep(Duration::from_millis(30));
+    wait_for("frame A to park", || tenant.batcher.pending() == 1);
     // Frame B: 1 ms deadline, coalescing behind A while the leader is
     // still parked. By the time the worker is released the deadline is
-    // long past — expired per-entry, never dropping its batch mates.
+    // past — expired per-entry, never dropping its batch mates.
     let late = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client.query(key, 1, vec![WireQuery::new(3, 2), WireQuery::new(3, 3)]).expect("admitted")
     });
-    std::thread::sleep(Duration::from_millis(30));
-    release_tx.send(()).expect("release");
+    wait_for("frame B to park", || tenant.batcher.pending() == 3);
+    std::thread::sleep(Duration::from_millis(5)); // past the 1 ms deadline
+    drop(release);
 
     let resp = late.join().expect("late frame thread");
     assert_eq!(resp.outcomes.len(), 2, "expired queries still get outcome slots");
@@ -338,11 +382,8 @@ fn expired_deadline_yields_partial_batch_not_a_drop() {
 
 #[test]
 fn invalid_query_fails_its_slot_but_frame_mates_answer() {
-    let (server, keys) = start(
-        BatchLimits { window: Duration::ZERO, ..BatchLimits::default() },
-        AdmissionLimits::default(),
-        vec![figure1_service()],
-    );
+    let (server, keys) =
+        start(BatchLimits::default(), AdmissionLimits::default(), vec![figure1_service()]);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let resp = client
         .query(
@@ -369,26 +410,24 @@ fn invalid_query_fails_its_slot_but_frame_mates_answer() {
 
 #[test]
 fn graceful_shutdown_drains_the_inflight_query() {
-    let (server, keys) = start(
-        BatchLimits { window: Duration::from_millis(250), ..BatchLimits::default() },
-        AdmissionLimits::default(),
-        vec![figure1_service()],
-    );
+    let (service, release) = parked_figure1_service();
+    let (server, keys) = start(BatchLimits::default(), AdmissionLimits::default(), vec![service]);
     let addr = server.local_addr();
     let key = keys[0];
+    let tenant = server.registry().lookup(&key).expect("registered");
     let expected = figure1_service()
         .top_r(&QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Online))
         .unwrap()
         .entries;
 
-    // A slow in-flight query: accepted, parked in the 250 ms batch window.
+    // A slow in-flight query: accepted, parked behind the parked worker.
     let inflight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
             .query(key, 0, vec![WireQuery { k: 3, r: 4, engine: EngineKind::Online }])
             .expect("accepted before drain")
     });
-    std::thread::sleep(Duration::from_millis(60));
+    wait_for("the query to park", || tenant.batcher.pending() == 1);
 
     // Trigger graceful shutdown over the wire while that query is parked.
     let mut admin = Client::connect(addr).expect("admin connect");
@@ -396,6 +435,7 @@ fn graceful_shutdown_drains_the_inflight_query() {
     assert!(server.is_draining());
 
     // The accepted query still completes with the right answer.
+    drop(release);
     let resp = inflight.join().expect("inflight thread");
     let QueryOutcome::Answered(entries) = &resp.outcomes[0] else {
         panic!("drained query must be answered, got {:?}", resp.outcomes[0]);

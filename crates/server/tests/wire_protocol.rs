@@ -5,7 +5,6 @@
 //! the same garbage must answer a typed error frame, never hang or die.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use sd_core::{paper_figure1_graph, SearchService};
@@ -228,10 +227,7 @@ fn request_and_response_verbs_do_not_cross_decode() {
 // The same garbage against a live server
 
 fn tiny_server() -> (Server, sd_core::GraphFingerprint) {
-    let registry = Arc::new(TenantRegistry::new(BatchLimits {
-        window: Duration::ZERO,
-        ..BatchLimits::default()
-    }));
+    let registry = Arc::new(TenantRegistry::new(BatchLimits::default()));
     let (graph, _, _) = paper_figure1_graph();
     let key = registry.register(Arc::new(SearchService::new(graph))).expect("register");
     let server = Server::start(ServerConfig::default(), registry).expect("bind ephemeral port");

@@ -68,7 +68,7 @@ fn main() -> Result<(), SearchError> {
     // byte-identical to the sequential loop, in spec order).
     let batch: Vec<QuerySpec> =
         EngineKind::ALL.iter().map(|&kind| spec.with_engine(kind)).collect();
-    let results = service.top_r_many(&batch)?;
+    let (_, results) = service.top_r_many_pinned(&batch)?;
     assert!(results.iter().all(|r| Some(r.scores()) == last));
     let stats = service.stats();
     println!(

@@ -145,11 +145,11 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard::new(
+        MutexGuard {
             #[cfg(feature = "lock-order-check")]
-            enter(&self.class, true),
-            self.inner.lock().unwrap_or_else(|e| e.into_inner()),
-        )
+            _token: enter(&self.class, true),
+            inner: self.inner.lock().unwrap_or_else(|e| e.into_inner()),
+        }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -180,124 +180,19 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
 pub struct MutexGuard<'a, T: ?Sized> {
     #[cfg(feature = "lock-order-check")]
     _token: Option<order::HeldToken>,
-    /// `Some` except transiently inside [`Condvar::wait`]/[`Condvar::wait_for`],
-    /// which take the std guard out to hand it to the std condvar and put
-    /// it back before returning.
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<'a, T: ?Sized> MutexGuard<'a, T> {
-    fn new(
-        #[cfg(feature = "lock-order-check")] token: Option<order::HeldToken>,
-        inner: std::sync::MutexGuard<'a, T>,
-    ) -> Self {
-        MutexGuard {
-            #[cfg(feature = "lock-order-check")]
-            _token: token,
-            inner: Some(inner),
-        }
-    }
-
-    fn std(&self) -> &std::sync::MutexGuard<'a, T> {
-        self.inner.as_ref().expect("guard present outside Condvar::wait")
-    }
-
-    fn std_mut(&mut self) -> &mut std::sync::MutexGuard<'a, T> {
-        self.inner.as_mut().expect("guard present outside Condvar::wait")
-    }
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.std()
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.std_mut()
-    }
-}
-
-/// Whether a [`Condvar::wait_for`] returned because its timeout elapsed
-/// (as opposed to a notification or a spurious wakeup).
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// `true` when the wait ended by timeout.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// Condition variable pairing with the shim [`Mutex`], exposing
-/// parking_lot's `&mut MutexGuard` wait API (the guard is released for
-/// the duration of the wait and reacquired before returning).
-///
-/// Spurious wakeups happen; callers re-check their predicate in a loop.
-/// Under the `lock-order-check` feature the sentinel's held-stack entry
-/// stays in place across the wait — the code region still *logically*
-/// holds the lock, and the reacquisition happens inside the std condvar
-/// rather than through the ranked `lock()` path, so waiting does not
-/// trip the order assertion against the lock's own class.
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    pub fn new() -> Condvar {
-        Condvar { inner: std::sync::Condvar::new() }
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Atomically releases the guard's lock and parks until notified,
-    /// reacquiring before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present outside Condvar::wait");
-        let inner = self.inner.wait(inner).unwrap_or_else(|e| e.into_inner());
-        guard.inner = Some(inner);
-    }
-
-    /// As [`Condvar::wait`], but gives up after `timeout`; the returned
-    /// [`WaitTimeoutResult`] says which way the wait ended. The lock is
-    /// reacquired before returning either way.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.inner.take().expect("guard present outside Condvar::wait");
-        let (inner, result) = match self.inner.wait_timeout(inner, timeout) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.inner = Some(inner);
-        WaitTimeoutResult { timed_out: result.timed_out() }
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
-    }
-}
-
-impl std::fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Condvar")
+        &mut self.inner
     }
 }
 
@@ -426,47 +321,6 @@ mod tests {
         let l = RwLock::new(vec![1u32]);
         l.write().push(2);
         assert_eq!(l.read().len(), 2);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out_without_a_notifier() {
-        let m = Mutex::new(0u32);
-        let cv = Condvar::new();
-        let mut guard = m.lock();
-        let started = std::time::Instant::now();
-        let result = cv.wait_for(&mut guard, std::time::Duration::from_millis(40));
-        assert!(result.timed_out());
-        assert!(started.elapsed() >= std::time::Duration::from_millis(35));
-        // The guard is live again after the wait.
-        *guard += 1;
-        drop(guard);
-        assert_eq!(m.into_inner(), 1);
-    }
-
-    #[test]
-    fn condvar_notify_wakes_a_parked_waiter_early() {
-        use std::sync::Arc;
-        let m = Arc::new(Mutex::with_rank(false, 6, "cv-ranked"));
-        let cv = Arc::new(Condvar::new());
-        let waiter = {
-            let (m, cv) = (Arc::clone(&m), Arc::clone(&cv));
-            std::thread::spawn(move || {
-                let started = std::time::Instant::now();
-                let mut guard = m.lock();
-                while !*guard {
-                    let result = cv.wait_for(&mut guard, std::time::Duration::from_secs(10));
-                    if result.timed_out() {
-                        return None;
-                    }
-                }
-                Some(started.elapsed())
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        *m.lock() = true;
-        cv.notify_all();
-        let elapsed = waiter.join().expect("join").expect("notified, not timed out");
-        assert!(elapsed < std::time::Duration::from_secs(5), "the notify cut the wait short");
     }
 
     #[test]

@@ -11,6 +11,7 @@ mod common;
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use common::arb_graph;
 use proptest::prelude::*;
 
@@ -415,6 +416,60 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
         "the corrupt GCT payload must fail its own magic check"
     );
     assert!(fresh.built_engines().is_empty(), "the valid TSD entry must not have been installed");
+}
+
+/// Re-frames `kind`'s exported payload after `mutate` edits it: the
+/// envelope stays consistent, so only the index decoder can refuse it.
+fn reframed(donor: &SearchService, kind: EngineKind, mutate: impl FnOnce(&mut [u8])) -> Bytes {
+    let envelope = IndexEnvelope::decode(donor.export_index(kind).expect("export")).unwrap();
+    let mut payload = envelope.payload.as_ref().to_vec();
+    mutate(&mut payload);
+    IndexEnvelope::new(kind, envelope.fingerprint, payload.into()).encode()
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
+}
+
+fn assert_refused_as_invalid(donor: &SearchService, blob: Bytes) {
+    let fresh = SearchService::from_arc(donor.graph());
+    assert_eq!(
+        fresh.import_index(blob).unwrap_err(),
+        SearchError::Decode(DecodeError::InvalidEntry)
+    );
+    assert!(fresh.built_engines().is_empty(), "a refused blob installs nothing");
+}
+
+/// A GCT entry whose first member end points past its members would make
+/// the next query slice out of bounds; the import refuses it.
+#[test]
+fn import_refuses_a_gct_entry_whose_members_end_past_the_list() {
+    let donor = fig1_service();
+    let blob = reframed(&donor, EngineKind::Gct, |payload| {
+        // Entry 0's counts sit at 12..24, then `sn` trussness words, then
+        // the member ends.
+        let (sn, members) = (u32_at(payload, 12), u32_at(payload, 16));
+        assert!(sn > 0, "vertex 0 has supernodes");
+        let first_end = 24 + 4 * sn as usize;
+        payload[first_end..first_end + 4].copy_from_slice(&(members + 1).to_le_bytes());
+    });
+    assert_refused_as_invalid(&donor, blob);
+}
+
+/// A TSD forest edge outside its owner's neighborhood would make the next
+/// query's context lookup panic; the import refuses it.
+#[test]
+fn import_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
+    let donor = fig1_service();
+    let blob = reframed(&donor, EngineKind::Tsd, |payload| {
+        // A 20-byte header, one edge count per vertex, then 12-byte edges:
+        // the first edge is the first non-empty forest's.
+        let n = donor.graph().n();
+        let owner = (0..n).find(|&v| u32_at(payload, 20 + 4 * v) > 0).expect("a forest");
+        let first_edge = 20 + 4 * n;
+        payload[first_edge..first_edge + 4].copy_from_slice(&(owner as u32).to_le_bytes());
+    });
+    assert_refused_as_invalid(&donor, blob);
 }
 
 /// PR-3's known gap, closed in 0.4.0: `decode_engine` (vertex-count-only

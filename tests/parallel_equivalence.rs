@@ -128,7 +128,7 @@ proptest! {
             // Warm every engine first so fan-out tasks never race a cold
             // build into a fallback-served (differently-named) answer.
             service.wait_ready(EngineKind::ALL);
-            let batch = service.top_r_many(&specs).expect("fanned batch");
+            let (_, batch) = service.top_r_many_pinned(&specs).expect("fanned batch");
             prop_assert_eq!(batch.len(), reference.len());
             for (i, (want, got)) in reference.iter().zip(&batch).enumerate() {
                 assert_identical(

@@ -153,7 +153,7 @@ fn concurrent_batches_agree_with_singles() {
             let specs = &specs;
             let singles = &singles;
             scope.spawn(move || {
-                let batch = service.top_r_many(specs).expect("batch");
+                let (_, batch) = service.top_r_many_pinned(specs).expect("batch");
                 for (result, single) in batch.iter().zip(singles) {
                     assert_eq!(&result.scores(), single);
                 }
