@@ -27,7 +27,7 @@ fn bench_dispatch(c: &mut Criterion) {
     let gct_obj: Box<dyn DiversityEngine> = build_engine(EngineKind::Gct, g.clone());
     let service = SearchService::from_arc(g.clone());
     // `warmup` is non-blocking since 0.4; join so the benchmark measures
-    // the warm serving path, never the cold-start online fallback.
+    // the warm serving path, never a query that joins the cold build.
     service.warmup([EngineKind::Gct]);
     service.wait_ready([EngineKind::Gct]);
     let gct_spec = spec.with_engine(EngineKind::Gct);

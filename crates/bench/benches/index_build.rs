@@ -1,12 +1,15 @@
-//! Table 3 micro-bench: TSD vs GCT index construction (including the
-//! parallel-construction ablation, a beyond-the-paper extension).
+//! Table 3 micro-bench: TSD vs GCT index construction, including the
+//! parallel-construction ablation (a beyond-the-paper extension): the
+//! pooled chunked build a `SearchService` runs, on pools of 1, 2 and the
+//! process-wide pool's thread count.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sd_core::parallel::build_gct_parallel;
-use sd_core::{GctEngine, TsdEngine};
+use sd_core::{
+    build_engine_in, default_pool_threads, EngineKind, GctEngine, ScanPolicy, TsdEngine, WorkerPool,
+};
 
 fn bench_index_build(c: &mut Criterion) {
     let dataset = sd_datasets::dataset("wiki-vote-syn").expect("registry");
@@ -20,9 +23,18 @@ fn bench_index_build(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("gct", g.m()), &g, |b, g| {
         b.iter(|| GctEngine::build(g.clone()))
     });
-    group.bench_with_input(BenchmarkId::new("gct_parallel", g.m()), &g, |b, g| {
-        b.iter(|| build_gct_parallel(g))
-    });
+    let mut threads = vec![1, 2, default_pool_threads()];
+    threads.sort_unstable();
+    threads.dedup();
+    for t in threads {
+        let pool = Arc::new(WorkerPool::new(t));
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
+            let id = BenchmarkId::new(format!("{kind}_pooled_t{t}"), g.m());
+            group.bench_with_input(id, &g, |b, g| {
+                b.iter(|| build_engine_in(kind, g.clone(), ScanPolicy::pooled(pool.clone())))
+            });
+        }
+    }
     group.finish();
 }
 

@@ -9,7 +9,7 @@
 //! [`crate::SearchService::import_bundle`]), answers the same
 //! [`QuerySpec`], and reports per-query [`crate::SearchMetrics`]. The
 //! [`crate::SearchService`] facade sits on top, adding lazy index construction,
-//! heuristic [`EngineKind::Auto`] selection, and batched queries.
+//! [`EngineKind::Auto`] selection, and batched queries.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -40,16 +40,17 @@ use crate::gct::GctIndex;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
-/// Graphs below this vertex count always scan sequentially under
-/// [`ScanPolicy::auto`]: chunk dispatch overhead beats the win, and small
-/// fixtures keep exact sequential metrics. Explicit-pool policies
+/// Graphs below this vertex count always scan and build sequentially
+/// under [`ScanPolicy::auto`]: chunk dispatch overhead beats the win, and
+/// small fixtures keep exact sequential metrics. Explicit-pool policies
 /// ([`ScanPolicy::pooled`]) have no floor, so tests and benchmarks can
 /// exercise the parallel path on any graph.
 pub const PARALLEL_MIN_VERTICES: usize = 1024;
 
-/// How an index-free engine (Online/Bound) executes its per-vertex scan:
-/// which [`WorkerPool`] to use and from what graph size parallelism pays.
-/// Parallel and sequential scans return byte-identical results (see
+/// Where an engine's per-vertex work runs: the Online and Bound scans at
+/// query time, and the TSD and GCT index builds — which [`WorkerPool`] to
+/// use and from what graph size parallelism pays. Parallel and sequential
+/// runs return byte-identical results and indexes (see
 /// [`crate::parallel`]); the policy only decides where the work runs.
 #[derive(Clone)]
 pub struct ScanPolicy {
@@ -66,8 +67,8 @@ impl ScanPolicy {
     }
 
     /// A policy pinned to an explicit pool, with no size floor: every scan
-    /// parallelizes whenever `pool` has more than one thread. This is what
-    /// [`crate::SearchService::with_pool`] installs.
+    /// and build parallelizes whenever `pool` has more than one thread.
+    /// This is what [`crate::SearchService::with_pool`] installs.
     pub fn pooled(pool: Arc<WorkerPool>) -> Self {
         ScanPolicy { pool, min_vertices: 0 }
     }
@@ -83,8 +84,8 @@ impl ScanPolicy {
         &self.pool
     }
 
-    /// The pool, iff a scan over `n` vertices should run parallel under
-    /// this policy.
+    /// The pool, iff a scan or build over `n` vertices should run
+    /// parallel under this policy.
     pub(crate) fn parallel_for(&self, n: usize) -> Option<&WorkerPool> {
         (self.pool.max_threads() > 1 && n >= self.min_vertices).then_some(&*self.pool)
     }
@@ -102,8 +103,8 @@ impl std::fmt::Debug for ScanPolicy {
 /// Selects which engine answers a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum EngineKind {
-    /// Heuristic selection (graph size / query rate) — resolved by the
-    /// [`crate::SearchService`], or by graph size alone in [`build_engine`].
+    /// The GCT-index, or the TSD-index when a [`crate::SearchService`]
+    /// has only that one built — resolved before any engine runs.
     #[default]
     Auto,
     /// Algorithm 3: full online scan.
@@ -141,10 +142,11 @@ impl EngineKind {
         matches!(self, EngineKind::Tsd | EngineKind::Gct)
     }
 
-    /// Whether a cold engine of this kind is constructed inline on the
-    /// serving path — true for the index-free kinds, whose construction is
-    /// `O(1)`. The index-building kinds (TSD, GCT) go through the
-    /// [`crate::SearchService`] background build queue instead.
+    /// Whether constructing an engine of this kind is `O(1)` — true for
+    /// the index-free kinds, which [`crate::SearchService::warmup`] and
+    /// updates therefore construct inline. The index-building kinds (TSD,
+    /// GCT) are scheduled onto the [`crate::SearchService`]'s pool
+    /// instead.
     pub fn builds_inline(self) -> bool {
         matches!(self, EngineKind::Online | EngineKind::Bound)
     }
@@ -558,40 +560,43 @@ impl DiversityEngine for GctEngine {
     }
 }
 
-/// Graphs at or below this edge count resolve [`EngineKind::Auto`] straight
-/// to GCT in [`build_engine`]: the index build is cheap and every
-/// subsequent query is O(log) per vertex.
-pub const AUTO_SMALL_GRAPH_EDGES: usize = 20_000;
-
 /// The factory: builds the engine of the requested kind over `g`.
 ///
-/// [`EngineKind::Auto`] resolves by graph size alone — GCT for graphs up to
-/// [`AUTO_SMALL_GRAPH_EDGES`] edges, the index-free bound search above it.
-/// (The [`crate::SearchService`] refines this with query-rate awareness.)
+/// [`EngineKind::Auto`] builds the GCT engine: nothing is built yet, so
+/// there is no TSD-index to prefer.
 pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngine> {
     build_engine_in(kind, g, ScanPolicy::auto())
 }
 
-/// As [`build_engine`], with scans of the index-free engines placed by an
-/// explicit [`ScanPolicy`] — how a [`crate::SearchService`] threads its
-/// pool down to the engines it builds. Index construction (TSD, GCT) is
-/// unaffected by the policy; those engines differ only in where they were
-/// *scheduled* to build.
+/// As [`build_engine`], with the work placed by an explicit [`ScanPolicy`]
+/// — how a [`crate::SearchService`] threads its pool down to the engines
+/// it builds. The TSD and GCT indexes are built in fixed vertex chunks on
+/// the policy's pool when it parallelizes a graph of this size, and are
+/// byte-identical to [`TsdIndex::build`] / [`GctIndex::build`] either way;
+/// the Online and Bound engines keep the policy for their query scans.
 pub fn build_engine_in(
     kind: EngineKind,
     g: Arc<CsrGraph>,
     scan: ScanPolicy,
 ) -> Box<dyn DiversityEngine> {
-    match kind {
-        EngineKind::Auto => {
-            let resolved =
-                if g.m() <= AUTO_SMALL_GRAPH_EDGES { EngineKind::Gct } else { EngineKind::Bound };
-            build_engine_in(resolved, g, scan)
+    match (kind, scan.parallel_for(g.n())) {
+        (EngineKind::Online, _) => Box::new(OnlineEngine::with_policy(g, scan)),
+        (EngineKind::Bound, _) => {
+            Box::new(BoundEngine::with_policy(g, BoundOptions::default(), scan))
         }
-        EngineKind::Online => Box::new(OnlineEngine::with_policy(g, scan)),
-        EngineKind::Bound => Box::new(BoundEngine::with_policy(g, BoundOptions::default(), scan)),
-        EngineKind::Tsd => Box::new(TsdEngine::build(g)),
-        EngineKind::Gct => Box::new(GctEngine::build(g)),
+        (EngineKind::Tsd, Some(pool)) => {
+            let index = Arc::new(crate::parallel::build_tsd_pooled(pool, &g));
+            Box::new(TsdEngine {
+                g,
+                index,
+                scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()),
+            })
+        }
+        (EngineKind::Tsd, None) => Box::new(TsdEngine::build(g)),
+        (EngineKind::Auto | EngineKind::Gct, Some(pool)) => {
+            Box::new(GctEngine { index: Arc::new(crate::parallel::build_gct_pooled(pool, &g)), g })
+        }
+        (EngineKind::Auto | EngineKind::Gct, None) => Box::new(GctEngine::build(g)),
     }
 }
 
@@ -676,12 +681,16 @@ mod tests {
         assert_eq!(err.unwrap_err(), SearchError::ResultSizeExceedsGraph { r: n + 1, n });
     }
 
+    /// Auto builds the GCT engine on a tiny graph and on a 30,000-edge path
+    /// alike.
     #[test]
-    fn auto_resolves_by_graph_size() {
+    fn auto_builds_the_gct_engine_at_any_size() {
         let (g, _) = figure1();
-        // Figure 1 is tiny, so Auto builds the GCT engine.
-        let engine = build_engine(EngineKind::Auto, g);
-        assert_eq!(engine.kind(), EngineKind::Gct);
+        let path = sd_graph::GraphBuilder::new().extend_edges((0..30_000).map(|v| (v, v + 1)));
+        for g in [g, Arc::new(path.build())] {
+            let engine = build_engine(EngineKind::Auto, g);
+            assert_eq!(engine.kind(), EngineKind::Gct);
+        }
     }
 
     #[test]

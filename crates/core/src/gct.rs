@@ -222,13 +222,7 @@ impl GctIndex {
             stats.extraction += t1.elapsed();
 
             let t2 = Instant::now();
-            let method = if ego.graph.n() <= BITMAP_FALLBACK_THRESHOLD {
-                EgoDecomposition::Bitmap
-            } else {
-                EgoDecomposition::Classic
-            };
-            let decomposition = method.run(&ego.graph);
-            let tau_v = vertex_trussness(&ego.graph, &decomposition);
+            let (decomposition, tau_v) = decompose(&ego);
             stats.decomposition += t2.elapsed();
 
             let t3 = Instant::now();
@@ -394,6 +388,20 @@ impl GctIndex {
     }
 }
 
+/// Algorithm 7's decomposition of one ego-network — bitmap peeling up to
+/// [`BITMAP_FALLBACK_THRESHOLD`] vertices, classic above — plus each local
+/// vertex's trussness.
+fn decompose(ego: &EgoNetwork) -> (TrussDecomposition, Vec<u32>) {
+    let method = if ego.graph.n() <= BITMAP_FALLBACK_THRESHOLD {
+        EgoDecomposition::Bitmap
+    } else {
+        EgoDecomposition::Classic
+    };
+    let decomposition = method.run(&ego.graph);
+    let tau_v = vertex_trussness(&ego.graph, &decomposition);
+    (decomposition, tau_v)
+}
+
 /// Builds a [`GctIndex`] vertex by vertex, straight into its flat arrays.
 pub(crate) struct GctBuilder(GctIndex);
 
@@ -421,6 +429,14 @@ impl GctBuilder {
     fn close(&mut self) {
         let end = self.end();
         self.0.starts.push(end);
+    }
+
+    /// Appends `v`'s entry from its ego-network in `all`: the per-vertex
+    /// body of [`GctIndex::build`].
+    pub(crate) fn push_vertex(&mut self, g: &CsrGraph, all: &AllEgoNetworks, v: VertexId) {
+        let ego = all.ego_graph(g, v);
+        let (decomposition, tau_v) = decompose(&ego);
+        self.push_ego(&ego, &decomposition, &tau_v);
     }
 
     /// Appends the entry of the vertex whose ego-network is `ego`, from its
@@ -541,6 +557,17 @@ impl GctBuilder {
 
     /// Finishes the index.
     pub(crate) fn finish(self) -> GctIndex {
+        self.0
+    }
+
+    /// Finishes the index with no spare capacity, for a part that lives
+    /// beside others until they are concatenated.
+    pub(crate) fn finish_exact(mut self) -> GctIndex {
+        let index = &mut self.0;
+        index.sn_tau.shrink_to_fit();
+        index.sn_end.shrink_to_fit();
+        index.members.shrink_to_fit();
+        index.se.shrink_to_fit();
         self.0
     }
 }

@@ -21,14 +21,15 @@
 //! [`hybrid`] for that experiment, not an engine.
 //!
 //! Build one engine with [`build_engine`], or let a [`SearchService`] own
-//! the graph, build engines *in the background* behind per-kind locks
-//! (queries never block on index construction — a cold index engine is
-//! covered by an index-free fallback tier while a worker pool builds it),
-//! mutate the graph *under traffic* through epoch-swapped snapshots
+//! the graph, build each engine once behind a per-kind lock (a query that
+//! finds its index unbuilt joins the build, which runs in vertex chunks on
+//! the shared worker pool, and the index answers it), mutate the graph
+//! *under traffic* through epoch-swapped snapshots
 //! ([`SearchService::apply_updates`], which carries the TSD-index across
 //! epochs incrementally via [`dynamic::DynamicTsd`]), and resolve
-//! [`EngineKind::Auto`] by graph size and query rate — all through
-//! `&self`, so one service shared via `Arc` serves any number of threads:
+//! [`EngineKind::Auto`] to the GCT-index (or to TSD while only TSD is
+//! built) — all through `&self`, so one service shared via `Arc` serves
+//! any number of threads:
 //!
 //! ```
 //! use sd_core::{paper_figure1_edges, QuerySpec, SearchService};
@@ -101,10 +102,7 @@ pub use parallel::pool_all_scores;
 pub use pool::{default_threads as default_pool_threads, Job, WorkerPool, MAX_POOL_THREADS};
 pub use score::{score, social_contexts, EgoDecomposition};
 pub use sd_graph::GraphUpdate;
-pub use service::{
-    SearchService, ServiceStats, UpdateStats, UpdaterCow, AUTO_SMALL_GRAPH_EDGES,
-    AUTO_WARMUP_QUERIES,
-};
+pub use service::{SearchService, ServiceStats, UpdateStats, UpdaterCow};
 pub use tcp::{ktruss_communities, TcpIndex};
 pub use topr::TopRCollector;
 pub use tsd::{TsdBuilder, TsdIndex};

@@ -50,8 +50,10 @@
 //!   indexes with the current epoch's.
 //! - `epoch.ptr → engine.slot` — `import_index` installs into the epoch it
 //!   verified, under the epoch read lock.
-//! - `engine.slot → scan.chunk` — a foreground fallback build scans in
-//!   parallel while holding the slot it will fill.
+//! - `engine.slot → scan.chunk` — a TSD or GCT build runs its vertex
+//!   chunks on the pool (`run_all`) while holding the slot it will fill.
+//!   Safe because `run_all` never runs another caller's jobs on its
+//!   caller, so no build's chunk waits on a slot.
 //!
 //! `batch.slot` and `tsd.scratch` are leaves: acquired with at most
 //! try-held locks below them, released before anything else is taken.

@@ -1,19 +1,19 @@
-//! Parallel index construction and scoring with **deterministic static
-//! chunking**: results are byte-identical to the sequential path at any
-//! thread count.
+//! Parallel index construction and scoring on the shared
+//! [`crate::pool::WorkerPool`], with **deterministic static chunking**:
+//! results are byte-identical to the sequential path at any thread count.
 //!
 //! The per-vertex work (ego extraction + truss decomposition + forest or
-//! context assembly) is embarrassingly parallel. Two generations of the
-//! same design live here:
+//! context assembly) is embarrassingly parallel. Every parallel task in
+//! this crate runs on the one pool, through [`WorkerPool::run_all`] with
+//! the calling thread taking part:
 //!
-//! * the original scoped-thread build helpers ([`all_scores_parallel`],
-//!   [`build_gct_parallel`]), which borrow the graph via
-//!   `crossbeam::scope`;
-//! * the 0.6 **query-path** scans ([`pool_all_scores`] and the pooled
-//!   Online/Bound `top_r` used by [`crate::OnlineEngine`] /
-//!   [`crate::BoundEngine`]), which run on the shared
-//!   [`crate::pool::WorkerPool`] so concurrent queries, batch fan-out, and
-//!   background builds all draw from one set of threads.
+//! * the TSD and GCT index builds, which a [`crate::SearchService`] runs
+//!   whenever a cold query, a warmup job, `wait_ready` or an export needs
+//!   an index (placed by its [`crate::ScanPolicy`]);
+//! * the query-path scans ([`pool_all_scores`] and the pooled Online/Bound
+//!   `top_r` used by [`crate::OnlineEngine`] / [`crate::BoundEngine`]), so
+//!   concurrent queries, batch fan-out and index builds all draw from one
+//!   set of threads.
 //!
 //! ## The determinism contract
 //!
@@ -21,6 +21,12 @@
 //! count, and every reduction happens in chunk order on the calling
 //! thread. Consequences:
 //!
+//! * the pooled builds assemble each [`SCAN_CHUNK`] of vertices into its
+//!   own flat index and concatenate the parts in vertex order, so the
+//!   index equals [`TsdIndex::build`] / [`GctIndex::build`] byte for byte.
+//!   The GCT build keeps Algorithm 7's one-shot
+//!   [`crate::AllEgoNetworks`] extraction on the building thread and
+//!   chunks only decomposition and assembly;
 //! * [`pool_all_scores`] returns exactly [`crate::online::all_scores`];
 //! * the pooled Online `top_r` feeds the [`crate::TopRCollector`] in
 //!   vertex order — the identical offer sequence to the sequential scan —
@@ -36,108 +42,29 @@
 //!   query, at any thread count.
 //!
 //! This is a beyond-the-paper extension (the paper's implementation is
-//! single-threaded) and is benchmarked in `sd-bench` (`scalability.rs`).
+//! single-threaded) and is benchmarked in `sd-bench` (`index_build.rs`,
+//! `scalability.rs`).
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use sd_graph::CsrGraph;
-use sd_truss::{truss_decomposition, vertex_trussness};
 
 use crate::bound::{finish_entries, sparsify, upper_bounds, BoundOptions};
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
-use crate::egonet::EgoNetwork;
+use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::gct::{GctBuilder, GctIndex};
 use crate::pool::{Job, WorkerPool};
 use crate::score::{social_contexts, social_contexts_of_ego, EgoDecomposition};
 use crate::topr::TopRCollector;
+use crate::tsd::{TsdBuilder, TsdIndex};
 
-/// Number of worker threads to use: `available_parallelism`, capped.
-fn worker_count(cap: usize) -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(cap).max(1)
-}
-
-/// Computes `score(v)` for every vertex in parallel; result identical to
-/// [`crate::online::all_scores`].
-pub fn all_scores_parallel(g: &CsrGraph, k: u32) -> Vec<u32> {
-    let n = g.n();
-    let threads = worker_count(16);
-    let mut scores = vec![0u32; n];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    const CHUNK: usize = 256;
-    let slots = crate::lock_order::SCAN_CHUNK.mutex(scores.chunks_mut(CHUNK).collect::<Vec<_>>());
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let chunk_idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let start = chunk_idx * CHUNK;
-                if start >= n {
-                    break;
-                }
-                // Detach this chunk's slot; chunks are claimed exactly once.
-                let slot = {
-                    let mut guard = slots.lock(); // lock: scan.chunk
-                    std::mem::take(&mut guard[chunk_idx])
-                };
-                for (offset, out) in slot.iter_mut().enumerate() {
-                    let v = (start + offset) as u32;
-                    let ego = EgoNetwork::extract(g, v);
-                    *out = social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32;
-                }
-            });
-        }
-    })
-    .expect("worker panicked"); // sd-lint: allow(no-panic) re-raises a scoped worker's panic on the caller
-    drop(slots);
-    scores
-}
-
-/// Builds the GCT-index in parallel (identical output to
-/// [`GctIndex::build`], which is deterministic per vertex): each chunk of
-/// vertices is built into its own flat index, and the chunks are then
-/// concatenated in vertex order.
-pub fn build_gct_parallel(g: &CsrGraph) -> GctIndex {
-    let n = g.n();
-    let threads = worker_count(16);
-    let all = crate::egonet::AllEgoNetworks::build(g);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    const CHUNK: usize = 128;
-    let parts = crate::lock_order::SCAN_CHUNK.mutex(vec![None::<GctIndex>; n.div_ceil(CHUNK)]);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let chunk_idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let start = chunk_idx * CHUNK;
-                if start >= n {
-                    break;
-                }
-                let end = (start + CHUNK).min(n);
-                let mut part = GctBuilder::new(end - start);
-                for v in start as u32..end as u32 {
-                    let ego = all.ego_graph(g, v);
-                    let decomposition = truss_decomposition(&ego.graph);
-                    let tau_v = vertex_trussness(&ego.graph, &decomposition);
-                    part.push_ego(&ego, &decomposition, &tau_v);
-                }
-                parts.lock()[chunk_idx] = Some(part.finish()); // lock: scan.chunk
-            });
-        }
-    })
-    .expect("worker panicked"); // sd-lint: allow(no-panic) re-raises a scoped worker's panic on the caller
-    let mut index = GctBuilder::new(n);
-    for part in parts.into_inner().into_iter().flatten() {
-        index.extend_from(&part, 0..part.n());
-    }
-    index.finish()
-}
-
-/// Vertices per job in the pooled full scan ([`pool_all_scores`] and the
-/// pooled Online `top_r`). Fixed so chunk boundaries — and therefore
-/// results — never depend on the thread count.
+/// Vertices per job in the pooled index builds and the pooled full scan
+/// ([`pool_all_scores`] and the pooled Online `top_r`). Fixed so chunk
+/// boundaries — and therefore results — never depend on the thread count.
 pub const SCAN_CHUNK: usize = 256;
 
 /// Vertices per parallel window in the pooled Bound scan: scores for one
@@ -150,6 +77,32 @@ pub const BOUND_SCAN_WINDOW: usize = 1024;
 /// Vertices per job within one Bound window.
 const BOUND_SCAN_CHUNK: usize = 128;
 
+/// Runs `work` over `0..total` in fixed chunks of `chunk` items, one pool
+/// job per chunk with the caller taking part, and returns the chunks'
+/// outputs in chunk order, whatever order they finished in.
+fn map_chunks<T, F>(pool: &WorkerPool, total: usize, chunk: usize, work: F) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(Range<usize>) -> T + Send + Sync + 'static,
+{
+    let work = Arc::new(work);
+    let chunks = total.div_ceil(chunk);
+    let slots: Arc<Vec<Mutex<Option<T>>>> =
+        Arc::new((0..chunks).map(|_| crate::lock_order::SCAN_CHUNK.mutex(None)).collect());
+    let jobs: Vec<Job> = (0..chunks)
+        .map(|c| {
+            let (work, slots) = (work.clone(), slots.clone());
+            Box::new(move || {
+                let out = work(c * chunk..(c * chunk + chunk).min(total));
+                *slots[c].lock() = Some(out); // lock: scan.chunk
+            }) as Job
+        })
+        .collect();
+    pool.run_all(jobs);
+    // `run_all` re-raises a panicked job, so every slot is filled here.
+    slots.iter().filter_map(|slot| slot.lock().take()).collect() // lock: scan.chunk
+}
+
 /// Computes `score(v)` for a list of vertices, one chunk of `chunk_size`
 /// vertices per pool job, reducing in chunk order. Deterministic: output
 /// `i` is the score of `vertices[i]` regardless of thread count.
@@ -160,35 +113,55 @@ fn pool_scores_of(
     vertices: &[u32],
     chunk_size: usize,
 ) -> Vec<u32> {
+    let (g, vertices) = (g.clone(), Arc::<[u32]>::from(vertices));
     let total = vertices.len();
-    if total == 0 {
-        return Vec::new();
+    let parts = map_chunks(pool, total, chunk_size, move |range| {
+        let score = |&v: &u32| {
+            let ego = EgoNetwork::extract(&g, v);
+            social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32
+        };
+        vertices[range].iter().map(score).collect::<Vec<u32>>()
+    });
+    parts.concat()
+}
+
+/// Algorithm 5 in [`SCAN_CHUNK`] vertex chunks on `pool`; byte-identical
+/// to [`TsdIndex::build`] at any thread count.
+pub(crate) fn build_tsd_pooled(pool: &WorkerPool, g: &Arc<CsrGraph>) -> TsdIndex {
+    let graph = g.clone();
+    let parts = map_chunks(pool, g.n(), SCAN_CHUNK, move |range| {
+        let mut part = TsdBuilder::new(range.len());
+        for v in range {
+            part.push_vertex(&EgoNetwork::extract(&graph, v as u32));
+        }
+        part.finish()
+    });
+    let mut index = TsdBuilder::new(g.n());
+    for part in parts {
+        index.extend_from(&part, 0..part.n());
     }
-    let chunks = total.div_ceil(chunk_size);
-    let slots: Arc<Vec<Mutex<Vec<u32>>>> =
-        Arc::new((0..chunks).map(|_| crate::lock_order::SCAN_CHUNK.mutex(Vec::new())).collect());
-    let mut jobs: Vec<Job> = Vec::with_capacity(chunks);
-    for c in 0..chunks {
-        let lo = c * chunk_size;
-        let hi = (lo + chunk_size).min(total);
-        let mine: Vec<u32> = vertices[lo..hi].to_vec();
-        let g = g.clone();
-        let slots = slots.clone();
-        jobs.push(Box::new(move || {
-            let mut out = Vec::with_capacity(mine.len());
-            for &v in &mine {
-                let ego = EgoNetwork::extract(&g, v);
-                out.push(social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32);
-            }
-            *slots[c].lock() = out; // lock: scan.chunk
-        }));
+    index.finish()
+}
+
+/// Algorithm 7 with its one-shot ego extraction on the calling thread and
+/// decomposition and assembly in [`SCAN_CHUNK`] vertex chunks on `pool`;
+/// byte-identical to [`GctIndex::build`] at any thread count. The parts
+/// keep no spare capacity: the last of them lands while all of them and
+/// the extracted ego networks are alive, which is the build's heap peak.
+pub(crate) fn build_gct_pooled(pool: &WorkerPool, g: &Arc<CsrGraph>) -> GctIndex {
+    let (graph, all) = (g.clone(), AllEgoNetworks::build(g));
+    let parts = map_chunks(pool, g.n(), SCAN_CHUNK, move |range| {
+        let mut part = GctBuilder::new(range.len());
+        for v in range {
+            part.push_vertex(&graph, &all, v as u32);
+        }
+        part.finish_exact()
+    });
+    let mut index = GctBuilder::new(g.n());
+    for part in parts {
+        index.extend_from(&part, 0..part.n());
     }
-    pool.run_all(jobs);
-    let mut scores = Vec::with_capacity(total);
-    for slot in slots.iter() {
-        scores.append(&mut slot.lock()); // lock: scan.chunk
-    }
-    scores
+    index.finish()
 }
 
 /// Computes `score(v)` for every vertex on the shared worker pool; result
@@ -295,14 +268,6 @@ mod tests {
     use crate::paper::paper_figure1_graph;
 
     #[test]
-    fn parallel_scores_match_serial() {
-        let (g, _, _) = paper_figure1_graph();
-        for k in [2, 4] {
-            assert_eq!(all_scores_parallel(&g, k), all_scores(&g, k), "k={k}");
-        }
-    }
-
-    #[test]
     fn pooled_scores_match_serial_at_any_thread_count() {
         let (g, _, _) = paper_figure1_graph();
         let g = Arc::new(g);
@@ -368,14 +333,21 @@ mod tests {
         assert_eq!(a.metrics.score_computations, g.n().min(BOUND_SCAN_WINDOW));
     }
 
+    /// Figure 1 is one chunk; a strip of triangles spans three chunks and
+    /// ends mid-chunk, so the concatenation sees full and ragged parts.
     #[test]
-    fn parallel_gct_matches_serial() {
+    fn pooled_builds_are_byte_identical() {
         let (g, _, _) = paper_figure1_graph();
-        let a = build_gct_parallel(&g);
-        let b = GctIndex::build(&g);
-        for v in g.vertices() {
-            for k in 2..=5 {
-                assert_eq!(a.score(v, k), b.score(v, k), "v={v} k={k}");
+        let strip = sd_graph::GraphBuilder::new()
+            .extend_edges((0..2 * SCAN_CHUNK as u32 + 7).flat_map(|v| [(v, v + 1), (v, v + 2)]))
+            .build();
+        for g in [g, strip].map(Arc::new) {
+            for threads in [1, 2, 4] {
+                let pool = WorkerPool::new(threads);
+                let tsd = build_tsd_pooled(&pool, &g).to_bytes();
+                assert_eq!(tsd, TsdIndex::build(&g).to_bytes(), "tsd t={threads}");
+                let gct = build_gct_pooled(&pool, &g).to_bytes();
+                assert_eq!(gct, GctIndex::build(&g).to_bytes(), "gct t={threads}");
             }
         }
     }

@@ -1,6 +1,7 @@
 //! The process-wide worker pool: one set of lazily spawned threads serving
-//! **both** background index builds (from every [`crate::SearchService`])
-//! and data-parallel query execution (the chunked Online/Bound scans and
+//! **both** index builds (every [`crate::SearchService`]'s scheduled build
+//! jobs and the vertex chunks of every build) and data-parallel query
+//! execution (the chunked Online/Bound scans and
 //! [`crate::SearchService::top_r_many`] fan-out).
 //!
 //! Before 0.6 each service owned a private 2-thread build queue, so N
@@ -16,8 +17,9 @@
 //! Jobs go through one shared MPMC injector queue (the `crossbeam::channel`
 //! shim). Two entry points:
 //!
-//! * [`WorkerPool::submit`] — fire-and-forget, for background index builds.
-//!   Spawns a worker lazily when queued work exceeds idle capacity.
+//! * [`WorkerPool::submit`] — fire-and-forget, for scheduled index builds
+//!   and batch leaders. Spawns a worker lazily when queued work exceeds
+//!   idle capacity.
 //! * [`WorkerPool::run_all`] — structured fan-out: the batch goes into a
 //!   batch-local queue, the shared injector gets one *ticket* per job
 //!   (a worker picking a ticket up pulls the next unclaimed batch job),
@@ -26,9 +28,9 @@
 //!   fan-out task running on a pool worker can itself `run_all` a chunked
 //!   scan without deadlocking, because a caller can always drain its own
 //!   batch instead of parking. The caller never executes *foreign* work —
-//!   it may hold locks (a foreground fallback build fans out its scan
-//!   under an `engine.slot` write lock), and an arbitrary injector job
-//!   such as a queued background build re-enters those lock classes; see
+//!   it may hold locks (an index build runs its vertex chunks under an
+//!   `engine.slot` write lock), and an arbitrary injector job such as a
+//!   queued build re-enters those lock classes; see
 //!   `crates/core/src/lock_order.rs`.
 //!
 //! A panicking job never takes a worker down (each job runs under
@@ -188,10 +190,10 @@ impl WorkerPool {
         let total = jobs.len();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<bool>();
         // Batch-local queue: the caller claims work from *here*, never from
-        // the shared injector. Callers reach `run_all` holding locks (a
-        // foreground fallback build holds its `engine.slot` write lock
-        // while its scan fans out), and an arbitrary injector job — say, a
-        // queued background build — re-enters those same lock classes.
+        // the shared injector. Callers reach `run_all` holding locks (an
+        // index build holds its `engine.slot` write lock while its chunks
+        // run), and an arbitrary injector job — say, a queued build job —
+        // re-enters those same lock classes.
         // Running one on the caller is a lock-order inversion and, with
         // two such callers stealing each other's builds, a deadlock; the
         // lock-order sentinel (`lock-order-check`) catches exactly this.

@@ -1,7 +1,7 @@
 //! [`SearchService`]: the concurrent serving layer — one shared graph, four
-//! lazily built engines, `&self` queries from any number of threads, a
-//! background build queue so no query ever blocks on index construction,
-//! and **epoch-swapped snapshots** so the graph itself can mutate under
+//! lazily built engines, `&self` queries from any number of threads, index
+//! builds that run in chunks on the shared worker pool, and
+//! **epoch-swapped snapshots** so the graph itself can mutate under
 //! traffic.
 //!
 //! The paper frames structural diversity search as an *online service* over
@@ -18,22 +18,22 @@
 //!   [`EngineKind`]) holding an `Arc<dyn DiversityEngine>`; construction
 //!   happens under the slot's write lock, double-checked, so every engine
 //!   is built exactly once per epoch no matter how many threads race;
-//! * **queries never wait for an index build**: [`SearchService::top_r`]
-//!   on a cold TSD/GCT engine enqueues the build onto the
+//! * **a cold query costs one parallel build**: [`SearchService::top_r`]
+//!   on an unbuilt TSD/GCT engine joins that engine's build — running it
+//!   on the calling thread if nobody has started it — and the index
+//!   answers. Every build runs in fixed vertex chunks on the
 //!   **process-wide [`WorkerPool`]** (shared by every service in the
-//!   process — N services no longer park 2·N private builder threads) and
-//!   answers the in-flight query via an index-free fallback — a cached
-//!   [`Bound`] engine when one exists, the always-available [`Online`]
-//!   scan otherwise — so first-query tail latency is bounded by a scan
-//!   instead of an index construction; the fallback is sound because all
-//!   engines return identical score multisets (`tests/differential.rs`);
-//! * **queries use the hardware**: the same pool runs the data-parallel
-//!   Online/Bound scans (via the service's [`ScanPolicy`]) and fans
-//!   [`SearchService::top_r_many`] batches out as independent tasks, each
-//!   pinned to the batch's epoch snapshot. Parallel results are
-//!   byte-identical to sequential ones (see [`crate::parallel`]);
-//!   [`ServiceStats::pool_threads`] and [`ServiceStats::parallel_queries`]
-//!   surface what the pool is doing for this service;
+//!   process), with the building thread taking part, so the query pays
+//!   for that build instead of a full per-ego scan competing with it for
+//!   the same cores;
+//! * **queries use the hardware**: the same pool runs the index builds
+//!   and the data-parallel Online/Bound scans (both placed by the
+//!   service's [`ScanPolicy`]) and fans [`SearchService::top_r_many`]
+//!   batches out as independent tasks, each pinned to the batch's epoch
+//!   snapshot. Parallel results are byte-identical to sequential ones
+//!   (see [`crate::parallel`]); [`ServiceStats::pool_threads`] and
+//!   [`ServiceStats::parallel_queries`] surface what the pool is doing
+//!   for this service;
 //! * **the graph is mutable under traffic**:
 //!   [`SearchService::apply_updates`] applies a batch of edge
 //!   insertions/deletions, carries the TSD- and GCT-indexes across
@@ -47,7 +47,7 @@
 //!   join is [`SearchService::wait_ready`], which returns once the named
 //!   engines are built — lending the calling thread to any build not yet
 //!   started, so it can never wait on an empty queue;
-//! * query, build, fallback, and epoch counters are atomics, surfaced as
+//! * query, build, cold-query, and epoch counters are atomics, surfaced as
 //!   [`ServiceStats`] (including `epochs`, `updates_applied`, and
 //!   `incremental_tsd_carries`);
 //! * persistence goes through fingerprinted frames: one index per blob via
@@ -69,7 +69,7 @@
 //! let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
 //! let service = Arc::new(SearchService::new(g));
 //! // Non-blocking warmup + explicit join: after `wait_ready` returns, the
-//! // named engines serve every query with no fallback.
+//! // named engines serve every query without a build.
 //! service.warmup([EngineKind::Tsd, EngineKind::Gct]);
 //! service.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
 //!
@@ -89,10 +89,8 @@
 //! assert_eq!(service.top_r(&spec.with_engine(EngineKind::Tsd))?.entries[0].score, 3);
 //! # Ok::<(), sd_core::SearchError>(())
 //! ```
-//!
-//! [`Online`]: EngineKind::Online
-//! [`Bound`]: EngineKind::Bound
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -112,20 +110,6 @@ use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
 use crate::error::SearchError;
 use crate::lock_order;
 use crate::pool::{self, Job, WorkerPool};
-
-/// Number of [`EngineKind::Auto`] queries served with the index-free bound
-/// engine before the service decides the query stream is worth an index
-/// build. See `crates/core/README.md` for the criterion sweep behind the
-/// value: one GCT build costs roughly 2–3 bound queries across the sweep's
-/// graph sizes, so two observed queries are enough evidence that a third is
-/// coming and the build amortizes.
-pub const AUTO_WARMUP_QUERIES: usize = 2;
-
-/// Graphs at or below this edge count skip the warmup and index
-/// immediately — building the GCT-index is cheaper than mis-routing even a
-/// single query. Re-exported from [`crate::engine`], where the factory-level
-/// `Auto` resolution uses it too.
-pub const AUTO_SMALL_GRAPH_EDGES: usize = crate::engine::AUTO_SMALL_GRAPH_EDGES;
 
 /// Batches below this size are not worth fanning out onto the pool.
 const FANOUT_MIN_SPECS: usize = 2;
@@ -158,11 +142,11 @@ pub struct ServiceStats {
     /// per concrete kind when updates publish new epochs or indexes are
     /// re-imported).
     pub engines_built: usize,
-    /// Engines constructed by the background worker pool (a subset of
-    /// `engines_built`).
+    /// Engines constructed by a scheduled pool job — a warmup's, or an
+    /// update's re-queued build (a subset of `engines_built`).
     pub background_builds: usize,
-    /// Queries that arrived while their engine was cold and were served by
-    /// an index-free fallback instead of waiting for the build.
+    /// Queries that found their TSD or GCT index unbuilt, and so joined
+    /// its build before the index answered them.
     pub foreground_fallbacks: usize,
     /// Epochs published so far; 1 until the first successful
     /// [`SearchService::apply_updates`].
@@ -178,9 +162,8 @@ pub struct ServiceStats {
     /// across all update batches ([`UpdateStats::gct_repairs`], summed).
     pub gct_repairs: usize,
     /// Successful queries answered per concrete engine, in
-    /// [`EngineKind::ALL`] order. Fallback-served queries count toward the
-    /// engine that actually answered ([`EngineKind::Online`] or
-    /// [`EngineKind::Bound`]).
+    /// [`EngineKind::ALL`] order ([`EngineKind::Auto`] queries count toward
+    /// the engine they resolved to).
     pub queries_by_engine: [usize; EngineKind::ALL.len()],
     /// Worker threads currently alive in the [`WorkerPool`] this service
     /// schedules onto. The pool is process-wide by default, so this is a
@@ -284,8 +267,8 @@ impl EpochState {
 
     /// Non-blocking cache probe: `None` both when the engine was never
     /// built and while it is *being* built (the builder holds the write
-    /// lock), which is exactly the "not ready, don't wait" answer the
-    /// serving path needs.
+    /// lock) — the serving path's "is my index unbuilt" test, and
+    /// [`Self::resolve`]'s "is it built" one.
     fn cached(&self, kind: EngineKind) -> Option<Arc<dyn DiversityEngine>> {
         self.slots[ServiceCore::slot(kind)].try_read()?.clone() // lock: engine.slot
     }
@@ -298,6 +281,20 @@ impl EpochState {
     /// this epoch — i.e. traffic (or warmup) has expressed interest in it.
     fn is_live(&self, kind: EngineKind) -> bool {
         self.is_built(kind) || self.scheduled[ServiceCore::slot(kind)].load(Ordering::Relaxed)
+    }
+
+    /// Resolves [`EngineKind::Auto`] in this epoch: GCT, or TSD while TSD
+    /// is built and GCT is not. Concrete kinds resolve to themselves.
+    fn resolve(&self, kind: EngineKind) -> EngineKind {
+        match kind {
+            EngineKind::Auto
+                if !self.is_built(EngineKind::Gct) && self.is_built(EngineKind::Tsd) =>
+            {
+                EngineKind::Tsd
+            }
+            EngineKind::Auto => EngineKind::Gct,
+            concrete => concrete,
+        }
     }
 }
 
@@ -313,7 +310,7 @@ struct ServiceCore {
     /// parallel query execution onto — the process-wide [`pool::global`]
     /// unless constructed via [`SearchService::with_pool`].
     pool: Arc<WorkerPool>,
-    /// Scan placement for the index-free engines this service builds.
+    /// Placement of the index builds and the index-free engines' scans.
     scan: ScanPolicy,
     /// Set when the owning `SearchService` drops; scheduled build jobs
     /// still queued become no-ops.
@@ -367,6 +364,10 @@ impl ServiceCore {
         if let Some(engine) = guard.as_ref() {
             return (engine.clone(), false);
         }
+        #[cfg(test)]
+        tests::fail_if_injected();
+        // An index build runs its chunks under this write lock, through
+        // `run_all`, which never runs another caller's jobs on this thread.
         let engine: Arc<dyn DiversityEngine> =
             Arc::from(build_engine_in(kind, epoch.graph.clone(), self.scan.clone()));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
@@ -392,53 +393,33 @@ impl ServiceCore {
         }
     }
 
-    /// One scheduled build job, run by a pool worker (or a `run_all`
-    /// caller stealing queued work). Resolved against the epoch current
-    /// *at execution time* — a job that raced an
+    /// [`Self::build_if_absent`] with a panicking build contained: the
+    /// slot stays empty, the kind's schedule latch resets, and `None` comes
+    /// back, so a later query, job or `wait_ready` retries the build.
+    fn join_build(
+        &self,
+        epoch: &EpochState,
+        kind: EngineKind,
+    ) -> Option<(Arc<dyn DiversityEngine>, bool)> {
+        let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch, kind)));
+        if build.is_err() {
+            epoch.scheduled[Self::slot(kind)].store(false, Ordering::Relaxed);
+        }
+        build.ok()
+    }
+
+    /// One scheduled build job, run by a pool worker. Resolved against the
+    /// epoch current *at execution time* — a job that raced an
     /// [`SearchService::apply_updates`] warms the live graph, never a
     /// superseded snapshot. Jobs for a kind that got built in the meantime
-    /// — by `wait_ready`, a blocking `engine()` call, or an import — are
-    /// no-ops, as are jobs outliving their dropped service.
-    ///
-    /// A panicking build is contained here (the pool additionally shields
-    /// its workers): the kind's schedule latch is reset so a later query
-    /// (or `wait_ready`, which would surface the panic on the caller's
-    /// thread) can retry — without this, one panic would silently pin that
-    /// kind to the fallback for the epoch's whole lifetime.
+    /// — by a query, `wait_ready`, a blocking `engine()` call, or an
+    /// import — are no-ops, as are jobs outliving their dropped service.
     fn run_scheduled_build(&self, kind: EngineKind) {
         if self.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        let epoch = self.current();
-        let build = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.build_if_absent(&epoch, kind)
-        }));
-        match build {
-            Ok((_, built)) => {
-                if built {
-                    self.background_builds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(_) => epoch.scheduled[Self::slot(kind)].store(false, Ordering::Relaxed),
-        }
-    }
-
-    /// Resolves [`EngineKind::Auto`] against one epoch (see
-    /// [`SearchService::resolve`] for the criteria).
-    fn resolve_on(&self, epoch: &EpochState, kind: EngineKind) -> EngineKind {
-        if kind != EngineKind::Auto {
-            return kind;
-        }
-        if epoch.is_built(EngineKind::Gct) {
-            EngineKind::Gct
-        } else if epoch.is_built(EngineKind::Tsd) {
-            EngineKind::Tsd
-        } else if epoch.graph.m() <= AUTO_SMALL_GRAPH_EDGES
-            || self.queries_served.load(Ordering::Relaxed) >= AUTO_WARMUP_QUERIES
-        {
-            EngineKind::Gct
-        } else {
-            EngineKind::Bound
+        if let Some((_, true)) = self.join_build(&self.current(), kind) {
+            self.background_builds.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -447,28 +428,30 @@ impl ServiceCore {
     /// [`SearchService::top_r_many`] fan-out (`fanned` marks those for the
     /// `parallel_queries` accounting).
     fn top_r_on(
-        self: &Arc<Self>,
-        epoch: &Arc<EpochState>,
+        &self,
+        epoch: &EpochState,
         spec: &QuerySpec,
         fanned: bool,
     ) -> Result<TopRResult, SearchError> {
         // Validate before building anything: a bad spec must not cost an
         // index construction.
         spec.config().check_against(epoch.graph.n())?;
-        let kind = self.resolve_on(epoch, spec.engine());
+        let kind = epoch.resolve(spec.engine());
         let engine = match epoch.cached(kind) {
             Some(engine) => engine,
-            None if kind.builds_inline() => self.build_if_absent(epoch, kind).0,
             None => {
-                // Cold index engine: hand the build to the shared pool and
-                // serve this query through the best available index-free
-                // engine — a cached Bound beats the online scan.
-                self.schedule_build(epoch, kind);
-                self.foreground_fallbacks.fetch_add(1, Ordering::Relaxed);
-                match epoch.cached(EngineKind::Bound) {
-                    Some(bound) => bound,
-                    None => self.build_if_absent(epoch, EngineKind::Online).0,
+                // Unbuilt: join the build (running it here if nobody has
+                // started it), then answer from the engine. A panicking
+                // build fails this query alone — it must not unwind into
+                // a batch leader.
+                if !kind.builds_inline() {
+                    self.foreground_fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
+                self.join_build(epoch, kind)
+                    .ok_or(SearchError::Internal {
+                        invariant: "an engine build completes without panicking",
+                    })?
+                    .0
             }
         };
         let result = engine.top_r(spec)?;
@@ -481,13 +464,12 @@ impl ServiceCore {
     }
 }
 
-/// Thread-safe facade over the four engines: owns the graph, builds
-/// engines in the background behind per-kind locks, routes [`QuerySpec`]s
-/// (including [`EngineKind::Auto`]) through `&self` methods without ever
-/// blocking a query on index construction, mutates the graph under traffic
-/// via epoch-swapped snapshots ([`Self::apply_updates`]), and
-/// imports/exports indexes as fingerprinted envelopes or multi-index
-/// bundles.
+/// Thread-safe facade over the four engines: owns the graph, builds each
+/// engine once per epoch behind per-kind locks (in chunks on the shared
+/// pool), routes [`QuerySpec`]s (including [`EngineKind::Auto`]) through
+/// `&self` methods, mutates the graph under traffic via epoch-swapped
+/// snapshots ([`Self::apply_updates`]), and imports/exports indexes as
+/// fingerprinted envelopes or multi-index bundles.
 ///
 /// Share it as `Arc<SearchService>`; every method takes `&self`.
 ///
@@ -620,7 +602,7 @@ impl SearchService {
         self.core.current().id
     }
 
-    /// Queries served so far (feeds the [`EngineKind::Auto`] heuristic).
+    /// Queries served so far.
     pub fn queries_served(&self) -> usize {
         self.core.queries_served.load(Ordering::Relaxed)
     }
@@ -701,35 +683,27 @@ impl SearchService {
         ServiceCore::slot(kind)
     }
 
-    /// Resolves [`EngineKind::Auto`] against the current state:
-    ///
-    /// 1. an already-built index engine (GCT, then TSD) always wins;
-    /// 2. small graphs ([`AUTO_SMALL_GRAPH_EDGES`]) index immediately;
-    /// 3. otherwise the first [`AUTO_WARMUP_QUERIES`] queries use the
-    ///    index-free bound search, after which GCT is built and kept.
-    ///
-    /// Concrete kinds resolve to themselves. An engine whose background
-    /// build is still running counts as not-yet-built.
+    /// Resolves [`EngineKind::Auto`] against the current epoch: GCT, or
+    /// TSD while TSD is built and GCT is not (a GCT build still running
+    /// counts as not yet built). Concrete kinds resolve to themselves.
     pub fn resolve(&self, kind: EngineKind) -> EngineKind {
-        self.core.resolve_on(&self.core.current(), kind)
+        self.core.current().resolve(kind)
     }
 
     /// The engine of the given kind ([`EngineKind::Auto`] resolves first),
-    /// **built on the calling thread** if absent — this is the explicit
-    /// blocking accessor, shared with [`Self::wait_ready`] and the export
-    /// paths. The serving path ([`Self::top_r`]) never calls it for cold
-    /// index engines; use `warmup` + `wait_ready` to prebuild without
-    /// blocking.
+    /// **built on the calling thread** if absent (joined if a build is in
+    /// flight) — the blocking accessor, shared with [`Self::wait_ready`],
+    /// the export paths and a cold [`Self::top_r`]. Use `warmup` to start a
+    /// build without blocking.
     pub fn engine(&self, kind: EngineKind) -> Arc<dyn DiversityEngine> {
         let epoch = self.core.current();
-        let kind = self.core.resolve_on(&epoch, kind);
-        self.core.build_if_absent(&epoch, kind).0
+        self.core.build_if_absent(&epoch, epoch.resolve(kind)).0
     }
 
     /// Enqueues builds for the given engines without blocking on any of
     /// them ([`EngineKind::Auto`] resolves first, so `warmup([Auto])`
-    /// schedules whatever the heuristic would route cold traffic to;
-    /// index-free kinds are constructed inline since that is O(1)).
+    /// schedules the GCT build unless TSD alone is built; index-free kinds
+    /// are constructed inline since that is O(1)).
     /// Returns the concrete kinds now building or built, deduplicated, in
     /// [`EngineKind::ALL`] order. Join with [`Self::wait_ready`].
     ///
@@ -744,7 +718,7 @@ impl SearchService {
         let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
             for &kind in &kinds {
-                let kind = self.core.resolve_on(&epoch, kind);
+                let kind = epoch.resolve(kind);
                 warmed[Self::slot(kind)] = true;
                 if kind.builds_inline() {
                     self.core.build_if_absent(&epoch, kind);
@@ -777,7 +751,7 @@ impl SearchService {
     /// building against the one it pinned at entry, the loop re-runs
     /// against the new epoch (warming it on the calling thread), so the
     /// guarantee callers rely on — *after `wait_ready(K)` returns, `K`
-    /// serves queries without fallback* — holds for the epoch queries will
+    /// serves queries without a build* — holds for the epoch queries will
     /// actually hit, not a superseded snapshot.
     pub fn wait_ready(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
         let mut waited = [false; EngineKind::ALL.len()];
@@ -785,7 +759,7 @@ impl SearchService {
         let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
             for &kind in &kinds {
-                let kind = self.core.resolve_on(&epoch, kind);
+                let kind = epoch.resolve(kind);
                 waited[Self::slot(kind)] = true;
                 self.core.build_if_absent(&epoch, kind);
             }
@@ -817,7 +791,8 @@ impl SearchService {
     ///   into fresh flat indexes with contiguous copies of the rest. The
     ///   new epoch's TSD and GCT engines serve those very `Arc`s. A batch
     ///   that lands while GCT is only scheduled, not yet built, has no GCT
-    ///   state to repair, so GCT re-enters the background queue.
+    ///   state to repair, so GCT re-enters the background queue, and a GCT
+    ///   query that arrives first joins that build.
     /// * The O(1) index-free kinds that were live are derived inline.
     ///
     /// The retained updater's adjacency is **copy-on-write** against the
@@ -882,8 +857,8 @@ impl SearchService {
         // Seed or carry the incremental maintenance state. Anything but a
         // cold start (no retained state, no built TSD engine) is a carry.
         // The seed probes *block* on the slot locks — unlike the serving
-        // path's `cached` — so an in-flight background build is joined and
-        // carried rather than duplicated by a from-scratch rebuild. Each
+        // path's `cached` — so an in-flight build is joined and carried
+        // rather than duplicated by a from-scratch rebuild. Each
         // guard is released at the end of its statement: the engine `Arc`
         // is cloned *out* of the slot, so no seed path runs under a slot
         // lock, where it would stall the old epoch's builders and
@@ -968,8 +943,7 @@ impl SearchService {
         // paths above did not already install: the O(1) kinds are derived
         // inline; an index engine that could not be carried (today: GCT
         // scheduled but not yet built when the batch landed) re-enters the
-        // background queue and its queries ride the fallback until the
-        // rebuild lands.
+        // background queue, and its first queries join that build.
         for kind in EngineKind::ALL {
             if !old.is_live(kind) || next.is_built(kind) {
                 continue;
@@ -1000,16 +974,15 @@ impl SearchService {
         })
     }
 
-    /// Answers one top-r query, routing by the spec's engine kind —
-    /// **never blocking on index construction**, and always against one
-    /// consistent epoch snapshot. A query routed to a cold TSD/GCT engine
-    /// schedules its build in the background and is served by an
-    /// index-free fallback instead (identical answers, bounded latency):
-    /// a cached [`EngineKind::Bound`] engine when one exists — its
-    /// sparsify-and-prune search beats the full scan — falling back to
-    /// [`EngineKind::Online`] otherwise. Once the build lands, later
-    /// queries use the index. The result's metrics name the engine that
-    /// actually answered.
+    /// Answers one top-r query, routing by the spec's engine kind, against
+    /// one consistent epoch snapshot. A query routed to an unbuilt engine
+    /// joins its build — a TSD/GCT build in flight on the pool, or one this
+    /// thread runs, in chunks on the pool with this thread taking part —
+    /// and that engine answers; [`ServiceStats::foreground_fallbacks`]
+    /// counts such queries. A build that panics fails the query with
+    /// [`SearchError::Internal`] and leaves the engine unbuilt, so a later
+    /// query retries it. The result's metrics name the engine that
+    /// answered.
     pub fn top_r(&self, spec: &QuerySpec) -> Result<TopRResult, SearchError> {
         let epoch = self.core.current();
         self.core.top_r_on(&epoch, spec, false)
@@ -1037,9 +1010,7 @@ impl SearchService {
     /// thread participates too), so a batch of B queries uses up to
     /// `min(B, pool)` cores. Results are byte-identical to the sequential
     /// path: each task runs the same per-query code against the same
-    /// pinned epoch. The batch size feeds the [`EngineKind::Auto`]
-    /// heuristic, so a large batch indexes immediately instead of wasting
-    /// its head on unindexed scans.
+    /// pinned epoch.
     pub fn top_r_many(
         &self,
         specs: &[QuerySpec],
@@ -1077,11 +1048,6 @@ impl SearchService {
         cancels: &[Option<CancelToken>],
     ) -> Vec<Result<Option<TopRResult>, SearchError>> {
         let token = |i: usize| cancels.get(i).and_then(Option::as_ref);
-        // Account for the batch up front: if it alone crosses the warmup
-        // threshold, Auto resolves to the index path from its first query.
-        if specs.len() > AUTO_WARMUP_QUERIES {
-            self.core.queries_served.fetch_max(AUTO_WARMUP_QUERIES, Ordering::Relaxed);
-        }
         if specs.len() < FANOUT_MIN_SPECS || self.core.pool.max_threads() <= 1 {
             return specs
                 .iter()
@@ -1135,11 +1101,10 @@ impl SearchService {
     /// over the *same* graph — accepts. Engines without a serialized form
     /// return [`SearchError::SerializationUnsupported`] *before* any
     /// engine is built ([`EngineKind::Auto`] resolves first, so it exports
-    /// whatever index the heuristic currently routes to, or fails cheaply
-    /// if that engine is index-free).
+    /// whichever index Auto queries currently route to).
     pub fn export_index(&self, kind: EngineKind) -> Result<Bytes, SearchError> {
         let epoch = self.core.current();
-        let kind = self.core.resolve_on(&epoch, kind);
+        let kind = epoch.resolve(kind);
         if !kind.serializable() {
             return Err(SearchError::SerializationUnsupported { engine: kind.name() });
         }
@@ -1204,7 +1169,7 @@ impl SearchService {
         let epoch = self.core.current();
         let mut requested = [false; EngineKind::ALL.len()];
         for kind in kinds {
-            requested[Self::slot(self.core.resolve_on(&epoch, kind))] = true;
+            requested[Self::slot(epoch.resolve(kind))] = true;
         }
         let kinds: Vec<EngineKind> =
             EngineKind::ALL.into_iter().filter(|&k| requested[Self::slot(k)]).collect();
@@ -1268,12 +1233,23 @@ impl SearchService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::build_engine;
     use crate::error::DecodeError;
     use crate::paper::paper_figure1_graph;
 
     fn service() -> SearchService {
         let (g, _, _) = paper_figure1_graph();
         SearchService::new(g)
+    }
+
+    thread_local! {
+        /// Set by a test thread to make every engine build it runs panic.
+        static FAIL_BUILDS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// The injected build failure, checked under the slot's write lock.
+    pub(super) fn fail_if_injected() {
+        assert!(!FAIL_BUILDS.get(), "injected build failure");
     }
 
     /// A warmed-and-joined service routes every explicit kind to its own
@@ -1300,42 +1276,79 @@ mod tests {
         assert!(EngineKind::ALL.into_iter().all(|k| stats.queries_for(k) == 1), "{stats:?}");
     }
 
-    /// The headline 0.4 behaviour: a cold query routed to an index engine
-    /// is served by the online fallback immediately and the build happens
-    /// in the background.
+    /// A cold query routed to an index engine joins its build and the
+    /// index answers it, with Online's answer; no Online engine is built.
     #[test]
-    fn cold_index_query_is_served_by_the_online_fallback() {
+    fn cold_index_query_joins_the_build_and_the_index_answers() {
         let s = service();
-        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
+        let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Gct);
         let first = s.top_r(&spec).unwrap();
-        assert_eq!(first.metrics.engine, "online", "cold query must not wait for the GCT build");
-        assert_eq!(first.entries[0].score, 3);
+        assert_eq!(first.metrics.engine, "gct", "the index answers its cold query");
+        let online = build_engine(EngineKind::Online, s.graph());
+        assert_eq!(first.scores(), online.top_r(&spec).unwrap().scores());
+        assert_eq!(s.built_engines(), vec![EngineKind::Gct], "no Online engine was built");
         let stats = s.stats();
-        assert_eq!(stats.foreground_fallbacks, 1);
-        assert_eq!(stats.queries_for(EngineKind::Online), 1);
+        assert_eq!((stats.foreground_fallbacks, stats.engines_built), (1, 1));
 
-        // Join the background build; from here the index serves.
-        s.wait_ready([EngineKind::Gct]);
         let warm = s.top_r(&spec).unwrap();
-        assert_eq!(warm.metrics.engine, "gct");
-        assert_eq!(warm.entries[0].score, 3);
-        assert_eq!(s.stats().foreground_fallbacks, 1, "ready engine must not fall back");
+        assert_eq!(warm.entries, first.entries);
+        assert_eq!(s.stats().foreground_fallbacks, 1, "a built index is not counted again");
     }
 
-    /// The 0.5 fallback tiering: with a Bound engine already cached, a
-    /// cold index query is served by it instead of the slower online scan.
+    /// A cached Bound engine does not answer a cold index query: the index
+    /// does, once its build is joined.
     #[test]
-    fn cold_index_query_prefers_a_cached_bound_engine() {
+    fn cold_index_query_is_answered_by_its_index_even_with_bound_cached() {
         let s = service();
         s.warmup([EngineKind::Bound]); // inline O(1) construction
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
         let first = s.top_r(&spec).unwrap();
-        assert_eq!(first.metrics.engine, "bound", "cached Bound must beat the online fallback");
+        assert_eq!(first.metrics.engine, "gct");
         assert_eq!(first.entries[0].score, 3);
         let stats = s.stats();
         assert_eq!(stats.foreground_fallbacks, 1);
-        assert_eq!(stats.queries_for(EngineKind::Bound), 1);
-        assert_eq!(stats.queries_for(EngineKind::Online), 0, "the online scan never ran");
+        assert_eq!(stats.queries_for(EngineKind::Bound), 0, "the bound search never ran");
+    }
+
+    /// A build that panics on the query path fails that query, and every
+    /// query that joined it, with `Internal`; the slot stays empty, the
+    /// schedule latch resets, and a later query builds and answers.
+    #[test]
+    fn a_panicking_cold_build_fails_its_queries_and_a_later_query_retries() {
+        let (graph, _, _) = paper_figure1_graph();
+        let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(1)));
+        // Park the pool's only worker so warmup's job stays queued with
+        // the latch set.
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        s.pool().submit(move || {
+            let _ = parked.recv();
+        });
+        s.warmup([EngineKind::Gct]);
+        let gct = ServiceCore::slot(EngineKind::Gct);
+        assert!(s.core.current().scheduled[gct].load(Ordering::Relaxed));
+
+        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
+        std::thread::scope(|scope| {
+            let queries: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        FAIL_BUILDS.set(true);
+                        s.top_r(&spec)
+                    })
+                })
+                .collect();
+            for query in queries {
+                let err = query.join().expect("the panic stays inside the service").unwrap_err();
+                assert!(matches!(err, SearchError::Internal { .. }), "{err:?}");
+            }
+        });
+        assert!(s.built_engines().is_empty(), "the slot stays empty");
+        assert!(!s.core.current().scheduled[gct].load(Ordering::Relaxed), "the latch reset");
+        assert_eq!(s.stats().queries_served, 0);
+
+        let retry = s.top_r(&spec).unwrap();
+        assert_eq!((retry.metrics.engine, retry.entries[0].score), ("gct", 3));
+        let _ = release.send(());
     }
 
     #[test]
@@ -1355,13 +1368,11 @@ mod tests {
     fn auto_on_small_graph_resolves_to_gct() {
         let s = service();
         assert_eq!(s.resolve(EngineKind::Auto), EngineKind::Gct);
-        // Cold: the fallback answers (correctly) while GCT builds.
-        let result = s.top_r(&QuerySpec::new(4, 1).unwrap()).unwrap();
-        assert_eq!(result.entries[0].score, 3);
-        s.wait_ready([EngineKind::Auto]);
+        // Cold: the query joins the GCT build, and GCT answers.
         let result = s.top_r(&QuerySpec::new(4, 1).unwrap()).unwrap();
         assert_eq!(result.metrics.engine, "gct");
         assert_eq!(result.entries[0].score, 3);
+        assert_eq!(s.wait_ready([EngineKind::Auto]), vec![EngineKind::Gct]);
     }
 
     #[test]
@@ -1479,45 +1490,40 @@ mod tests {
         assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))), "{results:?}");
     }
 
+    /// Auto needs no warm-up on any graph: its first query, on a graph
+    /// far larger than Figure 1, builds GCT and GCT answers it.
     #[test]
-    fn auto_warmup_on_large_graphs_starts_unindexed() {
-        // A path graph above the small-graph threshold: Auto must serve the
-        // first queries with the index-free bound engine, then switch to
-        // the GCT path once the query stream crosses the warmup threshold.
-        let mut b = sd_graph::GraphBuilder::new();
-        for v in 0..(AUTO_SMALL_GRAPH_EDGES as u32 + 2) {
-            b.add_edge(v, v + 1);
-        }
-        let s = SearchService::new(b.extend_edges([]).build());
+    fn auto_resolves_to_gct_from_the_first_query_on_any_graph() {
+        let path = (0..30_000).map(|v| (v, v + 1));
+        let s = SearchService::new(sd_graph::GraphBuilder::new().extend_edges(path).build());
         let spec = QuerySpec::new(2, 1).unwrap();
-        for _ in 0..AUTO_WARMUP_QUERIES {
-            assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "bound");
-        }
-        // The stream crossed the threshold: Auto now routes to GCT, whose
-        // cold build is backgrounded — and the Bound engine those first
-        // queries built inline is exactly the fallback tier that answers.
-        assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "bound");
-        assert_eq!(s.stats().foreground_fallbacks, 1);
-        s.wait_ready([EngineKind::Auto]);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
+        assert_eq!(s.built_engines(), vec![EngineKind::Gct], "no index-free engine was built");
+        assert_eq!(s.stats().foreground_fallbacks, 1);
     }
 
+    /// A cold batch, sequential or fanned out, builds each index it names
+    /// once; every query is answered by its index, with Online's answer.
     #[test]
-    fn large_batch_heads_for_the_index_from_its_first_query() {
-        let mut b = sd_graph::GraphBuilder::new();
-        for v in 0..(AUTO_SMALL_GRAPH_EDGES as u32 + 2) {
-            b.add_edge(v, v + 1);
+    fn a_cold_batch_builds_each_index_once_and_the_indexes_answer() {
+        let (graph, _, _) = paper_figure1_graph();
+        let online = build_engine(EngineKind::Online, Arc::new(graph.clone()));
+        let specs: Vec<QuerySpec> = (2..=5)
+            .flat_map(|k| {
+                [EngineKind::Gct, EngineKind::Tsd]
+                    .map(|e| QuerySpec::new(k, 3).unwrap().with_engine(e))
+            })
+            .collect();
+        for threads in [1, 4] {
+            let s = SearchService::with_pool(graph.clone(), Arc::new(WorkerPool::new(threads)));
+            let (_, results) = s.top_r_many_pinned(&specs).unwrap();
+            for (spec, result) in specs.iter().zip(&results) {
+                assert_eq!(result.metrics.engine, spec.engine().name(), "{threads} threads");
+                assert_eq!(result.scores(), online.top_r(spec).unwrap().scores());
+            }
+            assert_eq!(s.built_engines(), vec![EngineKind::Tsd, EngineKind::Gct]);
+            assert_eq!(s.stats().engines_built, 2, "{threads} threads: one build per index");
         }
-        let s = SearchService::new(b.extend_edges([]).build());
-        let specs = vec![QuerySpec::new(2, 1).unwrap(); AUTO_WARMUP_QUERIES + 1];
-        let (_, results) = s.top_r_many_pinned(&specs).unwrap();
-        assert!(
-            results.iter().all(|r| r.metrics.engine != "bound"),
-            "a batch larger than the warmup must head for the index path, not bound scans"
-        );
-        // Whether each query was served by the landed GCT engine or the
-        // online fallback depends on build timing; both carry identical
-        // answers and neither is the unindexed bound scan.
     }
 
     #[test]
@@ -1529,7 +1535,7 @@ mod tests {
         assert_eq!(fresh.built_engines(), vec![EngineKind::Gct]);
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
         let result = fresh.top_r(&spec).unwrap();
-        assert_eq!(result.metrics.engine, "gct", "imported engines serve without fallback");
+        assert_eq!(result.metrics.engine, "gct", "imported engines serve without a build");
         assert_eq!(result.entries[0].score, 3);
     }
 
@@ -1616,8 +1622,8 @@ mod tests {
                     for kind in EngineKind::ALL {
                         let spec = QuerySpec::new(4, 2).unwrap().with_engine(kind);
                         let result = s.top_r(&spec).unwrap();
-                        // Cold index kinds may answer via a fallback; the
-                        // scores are identical either way.
+                        // Cold index kinds are joined, then answer.
+                        assert_eq!(result.metrics.engine, kind.name());
                         assert_eq!(result.scores(), reference);
                     }
                 });
@@ -1660,11 +1666,12 @@ mod tests {
         assert_eq!(service_stats.updates_applied, 1);
         assert_eq!(service_stats.incremental_tsd_carries, 1);
 
-        // The carried TSD engine is warm (no fallback) and answers for the
+        // The carried TSD engine is warm (no build) and answers for the
         // *new* graph, identically to a fresh build.
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Tsd);
         let live = s.top_r(&spec).unwrap();
-        assert_eq!(live.metrics.engine, "tsd", "carried TSD must serve without fallback");
+        assert_eq!(live.metrics.engine, "tsd", "carried TSD must serve without a build");
+        assert_eq!(s.stats().foreground_fallbacks, 0);
         let fresh = SearchService::new((*s.graph()).clone());
         fresh.wait_ready([EngineKind::Tsd]);
         assert_eq!(live.scores(), fresh.top_r(&spec).unwrap().scores());
@@ -1727,17 +1734,17 @@ mod tests {
         // The epoch serves the updater's own indexes, not copies.
         let cow = s.updater_cow().unwrap();
         assert!(cow.aliases_current_epoch && cow.indexes_alias_current_epoch, "{cow:?}");
-        // And the carried engines answer directly (no fallback window).
+        // And the carried engines answer directly (no build window).
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
+        assert_eq!(s.stats().foreground_fallbacks, 0);
     }
 
-    /// The fallback that remains: a batch landing while GCT is scheduled
-    /// but not yet built has no GCT index to repair, so the new epoch
-    /// re-queues the build and serves GCT queries through the index-free
-    /// fallback meanwhile; once a build lands, the next batch carries it.
+    /// A batch landing while GCT is scheduled but not yet built has no GCT
+    /// index to repair, so the new epoch re-queues the build; a GCT query
+    /// that arrives first joins it, and the next batch carries the index.
     #[test]
-    fn updates_without_gct_state_fall_back_to_the_background_queue() {
+    fn updates_without_gct_state_requeue_the_build_and_queries_join_it() {
         let (graph, _, _) = paper_figure1_graph();
         let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(1)));
         // Park the pool's only worker so the GCT build stays queued.
@@ -1755,13 +1762,13 @@ mod tests {
         assert!(!s.built_engines().contains(&EngineKind::Gct));
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         let during = s.top_r(&spec).unwrap();
-        assert_eq!(during.metrics.engine, "online", "served by the fallback meanwhile");
-        let fresh = SearchService::new((*s.graph()).clone());
-        assert_eq!(during.scores(), fresh.top_r(&spec).unwrap().scores());
+        assert_eq!(during.metrics.engine, "gct", "the query joined the re-queued build");
+        let online = build_engine(EngineKind::Online, s.graph());
+        assert_eq!(during.scores(), online.top_r(&spec).unwrap().scores());
 
         let _ = release.send(());
         s.wait_ready([EngineKind::Gct]);
-        assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct", "the re-queued build landed");
+        assert_eq!(s.stats().background_builds, 0, "the query built GCT, so the jobs no-op");
         let stats = s.apply_updates(&[GraphUpdate::Remove { u: 1, v: 6 }]).unwrap();
         assert!(stats.gct_carried, "a built GCT engine seeds the carry");
         assert!(stats.gct_repairs > 0);

@@ -608,6 +608,46 @@ mod tests {
         assert!(matches!(replies[0], BatchReply::Answered { .. }), "got {replies:?}");
     }
 
+    /// Cold index queries build inside their batch, and the batch keeps
+    /// its contract: a cancelled slot is dropped without building, a short
+    /// deadline that passes behind a batch running a cold build expires,
+    /// and its live mate joins the next build and is answered by it.
+    #[test]
+    fn cold_index_batches_keep_cancellation_and_expiry() {
+        let (svc, tenant, _reg) = tenant_with(8, Some(1));
+        let gct = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Gct);
+        let token = CancelToken::new();
+        token.cancel();
+        let (tx, rx) = unbounded();
+        tenant
+            .batcher
+            .submit_many_async(&svc, vec![gct], None, Some(token), move |replies| {
+                let _ = tx.send(replies);
+            })
+            .expect("admitted");
+        assert!(matches!(replies(&rx)[0], BatchReply::Dropped));
+        assert!(svc.built_engines().is_empty(), "a cancelled slot builds nothing");
+
+        // The held batch builds TSD on the pool's only thread.
+        let tsd = gct.with_engine(EngineKind::Tsd);
+        let release = hold_a_running_batch(&tenant, tsd);
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let late = park(&tenant, vec![gct], Some(deadline));
+        let mate = park(&tenant, vec![gct], None);
+        while Instant::now() <= deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        drop(release);
+        assert!(matches!(replies(&late)[0], BatchReply::Expired));
+        let mate = replies(&mate);
+        let BatchReply::Answered { result, .. } = &mate[0] else {
+            panic!("the mate is answered, got {mate:?}");
+        };
+        assert_eq!(result.metrics.engine, "gct");
+        let stats = svc.stats();
+        assert_eq!((stats.engines_built, stats.foreground_fallbacks), (2, 2), "{stats:?}");
+    }
+
     /// An invalid query fails its own slot only: its mates run through
     /// the batch's fan-out, on the batch's one epoch.
     #[test]

@@ -335,7 +335,7 @@ pub struct WireQuery {
 }
 
 impl WireQuery {
-    /// A query routed by the Auto heuristic.
+    /// A query routed by [`EngineKind::Auto`].
     pub fn new(k: u32, r: u64) -> Self {
         WireQuery { k, r, engine: EngineKind::Auto }
     }
@@ -849,9 +849,9 @@ pub struct TenantStatsWire {
     pub queries_served: u64,
     /// Engines constructed (any path).
     pub engines_built: u64,
-    /// Builds that ran on the worker pool.
+    /// Builds that a scheduled worker-pool job ran.
     pub background_builds: u64,
-    /// Cold queries answered by a fallback engine.
+    /// Queries that found their index unbuilt and joined its build.
     pub foreground_fallbacks: u64,
     /// Epochs published (update batches).
     pub epochs: u64,

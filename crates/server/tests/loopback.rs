@@ -83,8 +83,8 @@ fn concurrent_queries_and_updates_match_in_process_answers() {
     );
     let addr = server.local_addr();
     let (key1, key18) = (keys[0], keys[1]);
-    // Pin a concrete engine on both sides: Auto's warmup heuristic is
-    // history-dependent, and different engines may break score ties
+    // Pin a concrete engine on both sides: Auto resolves by which indexes
+    // each side has built, and different engines may break score ties
     // differently — byte-matching needs the same engine everywhere.
     let spec1 = QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Online);
     let spec18 = QuerySpec::new(4, 3).unwrap().with_engine(EngineKind::Online);

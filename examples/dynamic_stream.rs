@@ -51,7 +51,7 @@ fn main() {
         let update = service.apply_updates(&batch).expect("apply batch");
         repairs_total += update.tsd_repairs;
 
-        // Queries keep flowing — served by the carried index, no fallback.
+        // Queries keep flowing — served by the carried index, no rebuild.
         let result = service.top_r(&spec).expect("query");
         assert_eq!(result.metrics.engine, "tsd", "the carried TSD engine serves directly");
         let best = &result.entries[0];

@@ -21,10 +21,10 @@ fn main() -> Result<(), SearchError> {
     let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
     println!("graph: n={} m={}", g.n(), g.m());
 
-    // One service owns the graph; index engines build in the background
-    // (queries never wait for a build — a cold query is served by the
-    // online fallback). `warmup` enqueues, `wait_ready` joins, so the
-    // per-engine comparison below is answered by each engine itself.
+    // One service owns the graph; index engines build in chunks on the
+    // shared worker pool (a cold query joins its index's build, and the
+    // index answers it). `warmup` enqueues, `wait_ready` joins, so the
+    // per-engine comparison below times each engine's warm query.
     let service = Arc::new(SearchService::new(g));
     service.warmup(EngineKind::ALL);
     service.wait_ready(EngineKind::ALL);
@@ -51,7 +51,7 @@ fn main() -> Result<(), SearchError> {
     println!("[  auto] routed to `{}`", auto.metrics.engine);
 
     // Concurrent serving: clone the Arc into worker threads; the engine
-    // cache and the Auto heuristic are shared, no locks in caller code.
+    // cache is shared, no locks in caller code.
     let answers: Vec<Vec<u32>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..4)
             .map(|_| {

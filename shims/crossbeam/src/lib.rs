@@ -1,59 +1,9 @@
 //! Offline stand-in for `crossbeam 0.8` — see `shims/README.md`.
 //!
-//! Two subsets are provided: `crossbeam::scope` (over `std::thread::scope`)
-//! and [`channel`] (an unbounded MPMC queue over `Mutex` + `Condvar`, the
-//! `crossbeam-channel` subset the `sd-core` background build queue uses).
-//! Behavioural note on `scope`: a panicking worker re-panics at the end of
-//! the scope (std semantics) instead of surfacing as `Err`; all in-tree
-//! callers `.expect(..)` the result, so the observable effect — a panic
-//! with the worker's payload — is the same.
+//! One subset is provided: [`channel`] (an unbounded MPMC queue over
+//! `Mutex` + `Condvar`, the `crossbeam-channel` subset the `sd-core`
+//! worker pool uses).
 
 #![forbid(unsafe_code)]
 
 pub mod channel;
-
-/// Scope handle passed to [`scope`]'s closure.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-/// Argument handed to each spawned closure (crossbeam passes the scope so
-/// workers can spawn recursively; in-tree callers ignore it).
-pub struct SpawnArg;
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-    where
-        F: FnOnce(SpawnArg) -> T + Send + 'scope,
-        T: Send + 'scope,
-    {
-        self.inner.spawn(move || f(SpawnArg))
-    }
-}
-
-/// Runs `f` with a scope in which borrowing, scoped threads can be spawned;
-/// all threads are joined before this returns.
-pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn scoped_threads_borrow_and_join() {
-        let data = [1u64, 2, 3, 4];
-        let total = std::sync::atomic::AtomicU64::new(0);
-        super::scope(|scope| {
-            for chunk in data.chunks(2) {
-                scope.spawn(|_| {
-                    total.fetch_add(chunk.iter().sum::<u64>(), std::sync::atomic::Ordering::Relaxed)
-                });
-            }
-        })
-        .expect("worker panicked");
-        assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), 10);
-    }
-}

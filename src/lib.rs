@@ -17,13 +17,14 @@
 //!     .extend_edges(structural_diversity::search::paper_figure1_edges())
 //!     .build();
 //! // Share one service across threads: every query method takes `&self`.
-//! // Index engines build in the background — queries never wait for one;
-//! // `wait_ready` joins the builds when you want the index path for sure.
+//! // `warmup` starts index builds on the worker pool and `wait_ready`
+//! // joins them; a query that finds its index unbuilt joins the build too.
 //! let service = Arc::new(SearchService::new(g));
 //! service.warmup([EngineKind::Gct]);
 //! service.wait_ready([EngineKind::Gct]);
-//! // `EngineKind::Auto` picks an engine by graph size and query rate;
-//! // `.with_engine(EngineKind::Tsd)` (or any of the four) routes explicitly.
+//! // `EngineKind::Auto` picks the GCT-index (or TSD while only TSD is
+//! // built); `.with_engine(EngineKind::Tsd)` (or any of the four) routes
+//! // explicitly.
 //! let result = service.top_r(&QuerySpec::new(4, 1)?)?;
 //! assert_eq!(result.entries[0].score, 3);
 //! assert_eq!(result.metrics.engine, EngineKind::Gct.name());

@@ -1,58 +1,57 @@
-//! The 0.4 background build queue: a cold `SearchService` must never make
-//! a query wait for a TSD/GCT construction. A first-query spike from
-//! many threads is absorbed by the online fallback while the worker pool
-//! builds each cold engine exactly once; `warmup` is non-blocking and
-//! `wait_ready` is its join. Answers served during the cold window must be
-//! identical to a fully warmed service's (the engines agree by
-//! `tests/differential.rs`, which is what makes the fallback sound).
+//! Cold index builds: a query that finds its TSD or GCT index unbuilt
+//! joins that index's build — running it on its own thread if nobody has
+//! started it, in vertex chunks on the worker pool — and the index answers
+//! it. A first-query spike from many threads builds each cold index
+//! exactly once; `warmup` is non-blocking and `wait_ready` is its join.
+//! Answers in the cold window equal a fully warmed service's, and no
+//! index-free engine is built along the way.
 
 use std::sync::Arc;
 
 use structural_diversity::datasets;
 use structural_diversity::graph::CsrGraph;
-use structural_diversity::search::{EngineKind, QuerySpec, SearchService};
+use structural_diversity::search::{build_engine, EngineKind, QuerySpec, SearchService};
 
 const THREADS: usize = 12;
 
-/// The two engine kinds whose construction is expensive enough to be
-/// backgrounded (the index builders).
+/// The two engine kinds that build an index.
 const INDEX_KINDS: [EngineKind; 2] = [EngineKind::Tsd, EngineKind::Gct];
 
 fn sample_graph() -> CsrGraph {
     datasets::dataset("email-enron-syn").expect("registry").generate(0.05)
 }
 
-/// The headline property, single-threaded for determinism: the very first
-/// query against each cold index engine is answered by the online engine —
-/// not by waiting out the build — and `wait_ready` later hands the query
-/// stream over to the real engine.
+/// Single-threaded for determinism: the very first query against each cold
+/// index engine joins its build and is answered by the index, with the
+/// online scan's answer; the online engine itself is never built.
 #[test]
-fn cold_first_query_never_waits_for_an_index_build() {
-    let service = SearchService::new(sample_graph());
+fn cold_first_query_joins_the_index_build() {
+    let g = Arc::new(sample_graph());
+    let service = SearchService::from_arc(g.clone());
     let spec = QuerySpec::new(4, 10).unwrap();
+    let online = build_engine(EngineKind::Online, g).top_r(&spec).expect("online").scores();
 
     for (i, kind) in INDEX_KINDS.into_iter().enumerate() {
         let result = service.top_r(&spec.with_engine(kind)).expect("cold query");
-        assert_eq!(
-            result.metrics.engine, "online",
-            "cold {kind} query must be served by the online fallback"
-        );
+        assert_eq!(result.metrics.engine, kind.name(), "the cold {kind} index answers");
+        assert_eq!(result.scores(), online, "cold {kind} answer differs from the online scan");
         assert_eq!(service.stats().foreground_fallbacks, i + 1);
     }
+    assert_eq!(service.built_engines(), INDEX_KINDS.to_vec(), "no index-free engine was built");
 
-    service.wait_ready(INDEX_KINDS);
     for kind in INDEX_KINDS {
         let result = service.top_r(&spec.with_engine(kind)).expect("warm query");
-        assert_eq!(result.metrics.engine, kind.name(), "ready {kind} engine must serve directly");
+        assert_eq!(result.metrics.engine, kind.name());
     }
-    // No further fallbacks once the engines are ready.
-    assert_eq!(service.stats().foreground_fallbacks, INDEX_KINDS.len());
+    // Built indexes are not counted again.
+    let stats = service.stats();
+    assert_eq!((stats.foreground_fallbacks, stats.engines_built), (INDEX_KINDS.len(), 2));
 }
 
 /// The concurrent first-query spike: many threads hit a cold service at
-/// once, across all the index kinds. Exactly one build per kind may happen,
-/// some queries must have been served by the fallback (none ever waits),
-/// and every answer must equal the warmed service's.
+/// once, across both index kinds. Exactly one build per kind happens, every
+/// query is answered by the index it named, and every answer equals the
+/// warmed service's.
 #[test]
 fn concurrent_first_query_spike_builds_each_kind_once() {
     let g = sample_graph();
@@ -77,6 +76,7 @@ fn concurrent_first_query_spike_builds_each_kind_once() {
                 for i in 0..specs.len() {
                     let idx = (i + worker) % specs.len();
                     let result = service.top_r(&specs[idx]).expect("spike query");
+                    assert_eq!(result.metrics.engine, specs[idx].engine().name());
                     assert_eq!(
                         result.scores(),
                         reference[idx],
@@ -87,32 +87,16 @@ fn concurrent_first_query_spike_builds_each_kind_once() {
         }
     });
 
-    // The spike's very first cold query per kind cannot have waited, so at
-    // least one fallback must have been recorded.
-    let mid_stats = service.stats();
-    assert!(
-        mid_stats.foreground_fallbacks > 0,
-        "a cold spike must record online fallbacks: {mid_stats:?}"
-    );
-    assert_eq!(mid_stats.queries_served, THREADS * specs.len());
-
-    // Join everything, then audit the build ledger: one build per index
-    // kind (plus the online engine the fallback used), no duplicates no
-    // matter how the spike raced the worker pool.
-    service.wait_ready(INDEX_KINDS);
+    // The first query of each kind found its index unbuilt; the build
+    // ledger shows one build per index kind and nothing else, no matter
+    // how the spike raced.
     let stats = service.stats();
-    let built = service.built_engines();
-    for kind in INDEX_KINDS {
-        assert!(built.contains(&kind), "{kind} must be built after wait_ready");
-    }
-    assert_eq!(
-        stats.engines_built,
-        INDEX_KINDS.len() + 1,
-        "exactly one build per index kind plus the online fallback: {stats:?}"
-    );
-    // Every fallback was served by the online engine, and the ledger
-    // agrees.
-    assert_eq!(stats.queries_for(EngineKind::Online), stats.foreground_fallbacks);
+    assert!(stats.foreground_fallbacks >= INDEX_KINDS.len(), "{stats:?}");
+    assert_eq!(stats.queries_served, THREADS * specs.len());
+    assert_eq!(service.built_engines(), INDEX_KINDS.to_vec());
+    assert_eq!(stats.engines_built, INDEX_KINDS.len(), "one build per index kind: {stats:?}");
+    let by_index: usize = INDEX_KINDS.iter().map(|&k| stats.queries_for(k)).sum();
+    assert_eq!(by_index, stats.queries_served, "the indexes answered every query: {stats:?}");
 }
 
 /// `warmup` returns before the builds land; `wait_ready` actually joins
@@ -155,64 +139,51 @@ fn wait_ready_without_warmup_builds_on_the_calling_thread() {
     assert_eq!(stats.background_builds, 0, "nothing was scheduled, so the caller built it");
 }
 
-/// The 0.5 fallback tiering: during a cold index engine's build window, a
-/// service that already has a Bound engine serves the fallback through it —
-/// the sparsify-and-prune search — instead of the always-slowest online
-/// scan. With no Bound cached, the online scan remains the floor.
+/// A cached Bound engine does not answer cold index queries: each index
+/// kind's cold query joins its build and the index answers, with the same
+/// scores the bound search gives.
 #[test]
-fn cold_fallback_prefers_cached_bound_over_online() {
-    let g = sample_graph();
+fn a_cached_bound_engine_does_not_answer_cold_index_queries() {
+    let service = SearchService::new(sample_graph());
     let spec = QuerySpec::new(4, 10).unwrap();
+    service.warmup([EngineKind::Bound]); // inline, O(1) construction
+    let bound = service.engine(EngineKind::Bound).top_r(&spec).expect("bound").scores();
 
-    // Reference: without a cached Bound engine the fallback is online.
-    let bare = SearchService::new(g.clone());
-    let cold = bare.top_r(&spec.with_engine(EngineKind::Tsd)).expect("cold query");
-    assert_eq!(cold.metrics.engine, "online", "no Bound cached → online fallback");
-
-    // With Bound warmed (inline, O(1) construction), every cold index
-    // query rides the bound tier — same answers, faster scan.
-    let tiered = SearchService::new(g);
-    tiered.warmup([EngineKind::Bound]);
     for kind in INDEX_KINDS {
-        let result = tiered.top_r(&spec.with_engine(kind)).expect("tiered cold query");
-        assert!(
-            result.metrics.engine == "bound" || result.metrics.engine == kind.name(),
-            "cold {kind} query must serve via the bound tier (or the landed index), \
-             got {}",
-            result.metrics.engine
-        );
-        assert_eq!(result.scores(), cold.scores(), "fallback tiers must agree on answers");
+        let result = service.top_r(&spec.with_engine(kind)).expect("cold query");
+        assert_eq!(result.metrics.engine, kind.name());
+        assert_eq!(result.scores(), bound, "cold {kind} answer differs from the bound search");
     }
-    // The very first of those queries found every index kind cold, so at
-    // least one fallback went through Bound and none through Online.
-    let stats = tiered.stats();
-    assert!(stats.foreground_fallbacks > 0);
-    assert_eq!(stats.queries_for(EngineKind::Online), 0, "online scan must not run: {stats:?}");
+    let stats = service.stats();
+    assert_eq!(stats.foreground_fallbacks, INDEX_KINDS.len());
+    for kind in [EngineKind::Online, EngineKind::Bound] {
+        assert_eq!(stats.queries_for(kind), 0, "{kind} answered a cold query: {stats:?}");
+    }
 }
 
-/// Builds scheduled by a spike eventually land in the background even if
-/// nobody joins: `background_builds` accounts for them, and the query
-/// stream switches from the fallback to the index on its own.
+/// A build that `warmup` schedules lands on the pool even if nobody joins
+/// it: `background_builds` accounts for it, and the index then serves
+/// queries without any of them finding it unbuilt.
 #[test]
 fn background_builds_land_without_an_explicit_join() {
     let service = SearchService::new(sample_graph());
-    let spec = QuerySpec::new(4, 10).unwrap().with_engine(EngineKind::Gct);
-    assert_eq!(service.top_r(&spec).unwrap().metrics.engine, "online");
+    assert_eq!(service.warmup([EngineKind::Gct]), vec![EngineKind::Gct]);
 
-    // Poll (bounded) until the background worker lands the build; no query
-    // in this loop ever blocks on it.
-    let mut served_by_index = false;
+    // Poll (bounded) until the pool lands the build; nothing here joins it.
+    let mut landed = false;
     for _ in 0..2000 {
-        let result = service.top_r(&spec).unwrap();
-        if result.metrics.engine == "gct" {
-            served_by_index = true;
+        if service.built_engines() == [EngineKind::Gct] {
+            landed = true;
             break;
         }
-        assert_eq!(result.metrics.engine, "online");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    assert!(served_by_index, "the background GCT build never landed");
+    assert!(landed, "the background GCT build never landed");
     let stats = service.stats();
     assert_eq!(stats.background_builds, 1, "the worker pool performed the build: {stats:?}");
-    assert_eq!(stats.engines_built, 2, "one online fallback engine + one background GCT");
+    assert_eq!(stats.engines_built, 1);
+
+    let spec = QuerySpec::new(4, 10).unwrap().with_engine(EngineKind::Gct);
+    assert_eq!(service.top_r(&spec).unwrap().metrics.engine, "gct");
+    assert_eq!(service.stats().foreground_fallbacks, 0, "the index was built before the query");
 }

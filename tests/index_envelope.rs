@@ -524,6 +524,39 @@ proptest! {
         }
     }
 
+    /// Mutated TSD and GCT payloads, re-wrapped in a fresh envelope so
+    /// every checksum matches: the import either refuses the blob, or
+    /// every query at k in 2..=8 and r in {1, n} answers without panicking
+    /// (debug builds check every arithmetic step on the way).
+    #[test]
+    fn mutated_payloads_are_refused_or_answer_without_panicking(
+        g in arb_graph(14, 48),
+        mutations in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let g = Arc::new(g);
+        let donor = SearchService::from_arc(g.clone());
+        for kind in [EngineKind::Tsd, EngineKind::Gct] {
+            let exported = IndexEnvelope::decode(donor.export_index(kind).expect("export"));
+            let envelope = exported.expect("decode");
+            let mut payload = envelope.payload.as_ref().to_vec();
+            for &(at, byte) in &mutations {
+                let len = payload.len();
+                payload[at % len] = byte;
+            }
+            let blob = IndexEnvelope::new(kind, envelope.fingerprint, Bytes::from(payload));
+            let fresh = SearchService::from_arc(g.clone());
+            if fresh.import_index(blob.encode()).is_err() {
+                continue;
+            }
+            for k in 2..=8 {
+                for r in [1, g.n()] {
+                    let spec = QuerySpec::new(k, r).expect("valid spec").with_engine(kind);
+                    prop_assert!(fresh.top_r(&spec).is_ok(), "{} k={} r={}", kind, k, r);
+                }
+            }
+        }
+    }
+
     /// Arbitrary bytes never panic the envelope decoder.
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {

@@ -1,17 +1,17 @@
 //! Parallel-vs-sequential differential harness: running the engines'
-//! per-vertex scans on a [`WorkerPool`] — at *any* thread count — must not
-//! change a single answer. The parallel layer promises more than equal
-//! score multisets: chunking is fixed and reductions happen in chunk order,
-//! so parallel results are **byte-identical** to the single-threaded
-//! reference (same entries, same tie-breaks, same contexts). This harness
-//! pins that promise across every engine, thread counts {1, 2, max},
-//! two generator families, the `top_r_many` fan-out, and epoch swaps from
-//! live updates.
+//! per-vertex scans and index builds on a [`WorkerPool`] — at *any* thread
+//! count — must not change a single answer or index byte. The parallel
+//! layer promises more than equal score multisets: chunking is fixed and
+//! reductions happen in chunk order, so parallel results are
+//! **byte-identical** to the single-threaded reference (same entries, same
+//! tie-breaks, same contexts, same serialized indexes). This harness pins
+//! that promise across every engine, thread counts {1, 2, max}, two
+//! generator families, the `top_r_many` fan-out, and epoch swaps from live
+//! updates.
 //!
-//! Graphs here are far below `PARALLEL_MIN_VERTICES`, so every pooled run
-//! uses an explicit [`ScanPolicy::pooled`] / [`SearchService::with_pool`]
-//! (no size floor) — the parallel code paths execute even on a single-core
-//! CI runner.
+//! Every pooled run uses an explicit [`ScanPolicy::pooled`] /
+//! [`SearchService::with_pool`] (no `PARALLEL_MIN_VERTICES` floor) — the
+//! parallel code paths execute even on a single-core CI runner.
 
 use std::sync::Arc;
 
@@ -21,9 +21,10 @@ use rand::SeedableRng;
 
 use structural_diversity::datasets::{gnm_graph, rmat_graph, RmatConfig};
 use structural_diversity::graph::{CsrGraph, GraphUpdate};
+use structural_diversity::search::parallel::SCAN_CHUNK;
 use structural_diversity::search::{
-    build_engine_in, default_pool_threads, EngineKind, QuerySpec, ScanPolicy, SearchService,
-    TopRResult, WorkerPool,
+    build_engine_in, default_pool_threads, EngineKind, GctIndex, QuerySpec, ScanPolicy,
+    SearchService, TopRResult, TsdIndex, WorkerPool,
 };
 
 /// One graph from the chosen generator family, reproducible from the
@@ -56,14 +57,35 @@ fn assert_identical(reference: &TopRResult, parallel: &TopRResult, context: &str
     );
 }
 
+/// The pooled index builds — what a service runs for a cold query, a
+/// warmup job, `wait_ready` or an export — serialize byte for byte like the
+/// paper's sequential `TsdIndex::build` / `GctIndex::build`, on pools of 1,
+/// 2 and 4 threads, over graphs spanning many vertex chunks.
+#[test]
+fn pooled_index_builds_are_byte_identical_to_the_sequential_reference() {
+    for family in 0..2 {
+        let g = Arc::new(generate(family, 6 * SCAN_CHUNK + 37, 5, 0x5eed + family as u64));
+        let tsd = TsdIndex::build(&g).to_bytes();
+        let gct = GctIndex::build(&g).to_bytes();
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(WorkerPool::new(threads));
+            for (kind, want) in [(EngineKind::Tsd, &tsd), (EngineKind::Gct, &gct)] {
+                let engine = build_engine_in(kind, g.clone(), ScanPolicy::pooled(pool.clone()));
+                let got = engine.to_bytes().expect("index engines serialize");
+                assert!(got == *want, "family {family}: {kind} at {threads} threads differs");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline property: every engine, driven through a pooled scan
+    /// The headline property: every engine, driven through a pooled
     /// policy at every thread count, returns byte-identical entries to the
-    /// same engine built with the sequential policy. (The pooled scans
-    /// only exist on Online/Bound; the index engines must simply be
-    /// unaffected by the policy they ignore.)
+    /// same engine built with the sequential policy — the Online/Bound
+    /// scans run on the pool at query time, the TSD/GCT indexes are built
+    /// on it.
     #[test]
     fn pooled_engines_are_byte_identical_to_sequential(
         family in 0usize..2,
@@ -125,8 +147,8 @@ proptest! {
         for threads in thread_counts() {
             let pool = Arc::new(WorkerPool::new(threads));
             let service = SearchService::from_arc_with_pool(g.clone(), pool);
-            // Warm every engine first so fan-out tasks never race a cold
-            // build into a fallback-served (differently-named) answer.
+            // Warm every engine first: the fan-out then counts every query
+            // as parallel, with no cold build in between.
             service.wait_ready(EngineKind::ALL);
             let (_, batch) = service.top_r_many_pinned(&specs).expect("fanned batch");
             prop_assert_eq!(batch.len(), reference.len());
