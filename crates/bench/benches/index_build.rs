@@ -1,14 +1,15 @@
-//! Table 3 micro-bench: TSD vs GCT index construction, including the
-//! parallel-construction ablation (a beyond-the-paper extension): the
-//! pooled chunked build a `SearchService` runs, on pools of 1, 2 and the
-//! process-wide pool's thread count.
+//! Table 3 micro-bench: TSD vs GCT index construction — the paper's
+//! sequential builds, plus the parallel-construction ablation (a
+//! beyond-the-paper extension): the chunked build `build_engine_in` runs
+//! for a `SearchService`, on pools of 1, 2 and the process-wide pool's
+//! thread count.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sd_core::{
-    build_engine_in, default_pool_threads, EngineKind, GctEngine, ScanPolicy, TsdEngine, WorkerPool,
+    build_engine_in, default_pool_threads, EngineKind, GctEngine, TsdEngine, WorkerPool,
 };
 
 fn bench_index_build(c: &mut Criterion) {
@@ -27,11 +28,11 @@ fn bench_index_build(c: &mut Criterion) {
     threads.sort_unstable();
     threads.dedup();
     for t in threads {
-        let pool = Arc::new(WorkerPool::new(t));
+        let pool = WorkerPool::new(t);
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let id = BenchmarkId::new(format!("{kind}_pooled_t{t}"), g.m());
             group.bench_with_input(id, &g, |b, g| {
-                b.iter(|| build_engine_in(kind, g.clone(), ScanPolicy::pooled(pool.clone())))
+                b.iter(|| build_engine_in(kind, g.clone(), &pool))
             });
         }
     }

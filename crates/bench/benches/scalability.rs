@@ -1,9 +1,9 @@
 //! Figure 12 micro-bench: TSD-index build and query on growing power-law
-//! graphs with |E| = 5|V| — plus the PR-6 speedup-vs-cores series, which
-//! runs the same query workload through worker pools of 1, 2, and 4
-//! threads (and whatever the machine offers, when that is more) so the
-//! parallel layer's scaling is measurable on real hardware. Every pooled
-//! run is checked against the single-threaded answers before it is timed.
+//! graphs with |E| = 5|V| — plus a speedup-vs-cores series, which runs
+//! one query batch through `top_r_many` fan-out on worker pools of 1, 2,
+//! and 4 threads (and whatever the machine offers, when that is more) so
+//! the fan-out's scaling is measurable on real hardware. Every pooled run
+//! is checked against the single-threaded answers before it is timed.
 
 use std::sync::Arc;
 
@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sd_core::{
-    default_pool_threads, pool_all_scores, DiversityEngine, EngineKind, QuerySpec, SearchService,
-    TsdEngine, WorkerPool,
+    default_pool_threads, DiversityEngine, EngineKind, QuerySpec, SearchService, TsdEngine,
+    WorkerPool,
 };
 use sd_datasets::{powerlaw_graph, PowerLawConfig};
 
@@ -45,9 +45,8 @@ fn sweep_threads() -> Vec<usize> {
     counts
 }
 
-/// Speedup-vs-cores for the two pool-driven paths: the `top_r_many` batch
-/// fan-out through a `SearchService`, and the raw data-parallel score scan
-/// (`pool_all_scores`). The 1-thread series is the sequential baseline the
+/// Speedup-vs-cores for the `top_r_many` batch fan-out through a
+/// `SearchService`. The 1-thread series is the sequential baseline the
 /// speedup is read against.
 fn bench_parallel_speedup(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0xF12AA);
@@ -71,29 +70,18 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         let (_, batch) = service.top_r_many_pinned(&specs).expect("reference batch");
         batch.iter().map(|r| r.scores()).collect()
     };
-    let scores_1 = pool_all_scores(&WorkerPool::new(1), &g, 3);
 
     let mut group = c.benchmark_group("parallel_speedup");
     group.sample_size(10);
     for threads in sweep_threads() {
         let pool = Arc::new(WorkerPool::new(threads));
-
-        let service = SearchService::from_arc_with_pool(g.clone(), pool.clone());
+        let service = SearchService::from_arc_with_pool(g.clone(), pool);
         service.wait_ready(EngineKind::ALL);
         let (_, batch) = service.top_r_many_pinned(&specs).expect("pooled batch");
         let batch: Vec<Vec<u32>> = batch.iter().map(|r| r.scores()).collect();
         assert_eq!(batch, reference, "pooled batch diverged at {threads} threads");
         group.bench_with_input(BenchmarkId::new("top_r_many", threads), &specs, |b, specs| {
             b.iter(|| service.top_r_many_pinned(specs).expect("batch"))
-        });
-
-        assert_eq!(
-            pool_all_scores(&pool, &g, 3),
-            scores_1,
-            "pooled scan diverged at {threads} threads"
-        );
-        group.bench_with_input(BenchmarkId::new("all_scores", threads), &pool, |b, pool| {
-            b.iter(|| pool_all_scores(pool, &g, 3))
         });
     }
     group.finish();

@@ -79,7 +79,6 @@ pub fn comp_div_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
             score_computations: computations,
             elapsed: start.elapsed(),
             engine: "",
-            parallel: false,
         },
     }
 }

@@ -57,7 +57,6 @@ pub fn core_div_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
             score_computations: computations,
             elapsed: start.elapsed(),
             engine: "",
-            parallel: false,
         },
     }
 }

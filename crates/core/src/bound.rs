@@ -140,7 +140,6 @@ pub(crate) fn bound_top_r_with(
             score_computations: computations,
             elapsed: start.elapsed(),
             engine: "",
-            parallel: false,
         },
     }
 }

@@ -75,11 +75,6 @@ pub struct SearchMetrics {
     /// [`crate::DiversityEngine`] surface; empty for direct algorithm
     /// calls).
     pub engine: &'static str,
-    /// Whether the per-vertex scan ran data-parallel on the shared
-    /// [`crate::pool::WorkerPool`]. Parallel results are byte-identical to
-    /// sequential ones; on the Bound engine the `score_computations`
-    /// accounting becomes window-rounded (see [`crate::parallel`]).
-    pub parallel: bool,
 }
 
 /// Result of a top-r query: entries sorted by (score desc, vertex asc) plus

@@ -40,66 +40,6 @@ use crate::gct::GctIndex;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
-/// Graphs below this vertex count always scan and build sequentially
-/// under [`ScanPolicy::auto`]: chunk dispatch overhead beats the win, and
-/// small fixtures keep exact sequential metrics. Explicit-pool policies
-/// ([`ScanPolicy::pooled`]) have no floor, so tests and benchmarks can
-/// exercise the parallel path on any graph.
-pub const PARALLEL_MIN_VERTICES: usize = 1024;
-
-/// Where an engine's per-vertex work runs: the Online and Bound scans at
-/// query time, and the TSD and GCT index builds — which [`WorkerPool`] to
-/// use and from what graph size parallelism pays. Parallel and sequential
-/// runs return byte-identical results and indexes (see
-/// [`crate::parallel`]); the policy only decides where the work runs.
-#[derive(Clone)]
-pub struct ScanPolicy {
-    pool: Arc<WorkerPool>,
-    min_vertices: usize,
-}
-
-impl ScanPolicy {
-    /// The default policy: the process-wide [`pool::global`] pool, with
-    /// parallelism engaging from [`PARALLEL_MIN_VERTICES`] vertices (and
-    /// only when the pool has more than one thread).
-    pub fn auto() -> Self {
-        ScanPolicy { pool: pool::global().clone(), min_vertices: PARALLEL_MIN_VERTICES }
-    }
-
-    /// A policy pinned to an explicit pool, with no size floor: every scan
-    /// and build parallelizes whenever `pool` has more than one thread.
-    /// This is what [`crate::SearchService::with_pool`] installs.
-    pub fn pooled(pool: Arc<WorkerPool>) -> Self {
-        ScanPolicy { pool, min_vertices: 0 }
-    }
-
-    /// A policy that never parallelizes (a 1-thread pool runs every batch
-    /// inline on the caller).
-    pub fn sequential() -> Self {
-        ScanPolicy { pool: Arc::new(WorkerPool::new(1)), min_vertices: usize::MAX }
-    }
-
-    /// The pool this policy dispatches to.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
-    }
-
-    /// The pool, iff a scan or build over `n` vertices should run
-    /// parallel under this policy.
-    pub(crate) fn parallel_for(&self, n: usize) -> Option<&WorkerPool> {
-        (self.pool.max_threads() > 1 && n >= self.min_vertices).then_some(&*self.pool)
-    }
-}
-
-impl std::fmt::Debug for ScanPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScanPolicy")
-            .field("pool_threads", &self.pool.max_threads())
-            .field("min_vertices", &self.min_vertices)
-            .finish()
-    }
-}
-
 /// Selects which engine answers a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum EngineKind {
@@ -294,29 +234,17 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Algorithm 3 behind the trait: the index-free full scan.
+/// Algorithm 3 behind the trait: the index-free full scan, single-threaded
+/// as in the paper.
 #[derive(Clone, Debug)]
 pub struct OnlineEngine {
     g: Arc<CsrGraph>,
-    scan: ScanPolicy,
 }
 
 impl OnlineEngine {
-    /// An online engine over `g` (no preprocessing), scanning under
-    /// [`ScanPolicy::auto`].
+    /// An online engine over `g` (no preprocessing).
     pub fn new(g: Arc<CsrGraph>) -> Self {
-        Self::with_policy(g, ScanPolicy::auto())
-    }
-
-    /// As [`Self::new`], scanning data-parallel on an explicit pool
-    /// (results identical to the sequential engine on any pool).
-    pub fn with_pool(g: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
-        Self::with_policy(g, ScanPolicy::pooled(pool))
-    }
-
-    /// As [`Self::new`] with full control over scan placement.
-    pub fn with_policy(g: Arc<CsrGraph>, scan: ScanPolicy) -> Self {
-        OnlineEngine { g, scan }
+        OnlineEngine { g }
     }
 }
 
@@ -338,44 +266,29 @@ impl DiversityEngine for OnlineEngine {
     }
 
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult {
-        match self.scan.parallel_for(self.g.n()) {
-            Some(pool) => crate::parallel::online_top_r_pooled(pool, &self.g, config),
-            None => crate::online::online_top_r(&self.g, config),
-        }
+        crate::online::online_top_r(&self.g, config)
     }
 }
 
-/// Algorithm 4 behind the trait: sparsify + upper-bound pruned search.
+/// Algorithm 4 behind the trait: sparsify + upper-bound pruned search,
+/// single-threaded as in the paper, so `score_computations` is its search
+/// space.
 #[derive(Clone, Debug)]
 pub struct BoundEngine {
     g: Arc<CsrGraph>,
     options: BoundOptions,
-    scan: ScanPolicy,
 }
 
 impl BoundEngine {
-    /// A bound engine over `g` with both pruning techniques enabled,
-    /// scanning under [`ScanPolicy::auto`].
+    /// A bound engine over `g` with both pruning techniques enabled.
     pub fn new(g: Arc<CsrGraph>) -> Self {
-        Self::with_policy(g, BoundOptions::default(), ScanPolicy::auto())
+        Self::with_options(g, BoundOptions::default())
     }
 
     /// As [`Self::new`] with the pruning techniques individually toggled
     /// (the DESIGN.md §6 ablation).
     pub fn with_options(g: Arc<CsrGraph>, options: BoundOptions) -> Self {
-        Self::with_policy(g, options, ScanPolicy::auto())
-    }
-
-    /// As [`Self::new`], scanning data-parallel on an explicit pool
-    /// (identical entries; window-rounded `score_computations` — see
-    /// [`crate::parallel`]).
-    pub fn with_pool(g: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
-        Self::with_policy(g, BoundOptions::default(), ScanPolicy::pooled(pool))
-    }
-
-    /// As [`Self::new`] with full control over pruning and scan placement.
-    pub fn with_policy(g: Arc<CsrGraph>, options: BoundOptions, scan: ScanPolicy) -> Self {
-        BoundEngine { g, options, scan }
+        BoundEngine { g, options }
     }
 }
 
@@ -397,10 +310,7 @@ impl DiversityEngine for BoundEngine {
     }
 
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult {
-        match self.scan.parallel_for(self.g.n()) {
-            Some(pool) => crate::parallel::bound_top_r_pooled(pool, &self.g, config, self.options),
-            None => crate::bound::bound_top_r_with(&self.g, config, self.options),
-        }
+        crate::bound::bound_top_r_with(&self.g, config, self.options)
     }
 }
 
@@ -560,31 +470,31 @@ impl DiversityEngine for GctEngine {
     }
 }
 
-/// The factory: builds the engine of the requested kind over `g`.
+/// The factory: builds the engine of the requested kind over `g`, running
+/// an index build on the process-wide [`pool::global`] pool.
 ///
 /// [`EngineKind::Auto`] builds the GCT engine: nothing is built yet, so
 /// there is no TSD-index to prefer.
 pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngine> {
-    build_engine_in(kind, g, ScanPolicy::auto())
+    build_engine_in(kind, g, pool::global())
 }
 
-/// As [`build_engine`], with the work placed by an explicit [`ScanPolicy`]
-/// — how a [`crate::SearchService`] threads its pool down to the engines
-/// it builds. The TSD and GCT indexes are built in fixed vertex chunks on
-/// the policy's pool when it parallelizes a graph of this size, and are
-/// byte-identical to [`TsdIndex::build`] / [`GctIndex::build`] either way;
-/// the Online and Bound engines keep the policy for their query scans.
+/// As [`build_engine`], on an explicit pool — how a
+/// [`crate::SearchService`] threads its pool down to the engines it
+/// builds. The TSD and GCT indexes are built in fixed vertex chunks on
+/// `pool` (inline, one chunk after another, on a 1-thread pool) and are
+/// byte-identical to [`TsdIndex::build`] / [`GctIndex::build`] (see
+/// [`crate::parallel`]). The Online and Bound engines have no index, and
+/// their scans run single-threaded.
 pub fn build_engine_in(
     kind: EngineKind,
     g: Arc<CsrGraph>,
-    scan: ScanPolicy,
+    pool: &WorkerPool,
 ) -> Box<dyn DiversityEngine> {
-    match (kind, scan.parallel_for(g.n())) {
-        (EngineKind::Online, _) => Box::new(OnlineEngine::with_policy(g, scan)),
-        (EngineKind::Bound, _) => {
-            Box::new(BoundEngine::with_policy(g, BoundOptions::default(), scan))
-        }
-        (EngineKind::Tsd, Some(pool)) => {
+    match kind {
+        EngineKind::Online => Box::new(OnlineEngine::new(g)),
+        EngineKind::Bound => Box::new(BoundEngine::new(g)),
+        EngineKind::Tsd => {
             let index = Arc::new(crate::parallel::build_tsd_pooled(pool, &g));
             Box::new(TsdEngine {
                 g,
@@ -592,11 +502,9 @@ pub fn build_engine_in(
                 scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()),
             })
         }
-        (EngineKind::Tsd, None) => Box::new(TsdEngine::build(g)),
-        (EngineKind::Auto | EngineKind::Gct, Some(pool)) => {
+        EngineKind::Auto | EngineKind::Gct => {
             Box::new(GctEngine { index: Arc::new(crate::parallel::build_gct_pooled(pool, &g)), g })
         }
-        (EngineKind::Auto | EngineKind::Gct, None) => Box::new(GctEngine::build(g)),
     }
 }
 

@@ -278,7 +278,6 @@ impl GctIndex {
                 score_computations: computations,
                 elapsed: start.elapsed(),
                 engine: "",
-                parallel: false,
             },
         }
     }
@@ -384,6 +383,22 @@ impl GctIndex {
             next = v as usize + 1;
         }
         out.extend_from(self, next..n);
+        out.finish()
+    }
+
+    /// The parts' entries in order, as one index over all their vertices:
+    /// how the pooled build ([`crate::parallel`]) joins its chunks. Each
+    /// part is freed as soon as it is copied.
+    pub(crate) fn concat(parts: Vec<GctIndex>) -> GctIndex {
+        let mut out = GctBuilder::new(parts.iter().map(GctIndex::n).sum());
+        let sum = |len: fn(&GctIndex) -> usize| parts.iter().map(len).sum::<usize>();
+        out.0.sn_tau.reserve_exact(sum(|p| p.sn_tau.len()));
+        out.0.sn_end.reserve_exact(sum(|p| p.sn_end.len()));
+        out.0.members.reserve_exact(sum(|p| p.members.len()));
+        out.0.se.reserve_exact(sum(|p| p.se.len()));
+        for part in parts {
+            out.extend_from(&part, 0..part.n());
+        }
         out.finish()
     }
 }
@@ -555,15 +570,12 @@ impl GctBuilder {
         }
     }
 
-    /// Finishes the index.
-    pub(crate) fn finish(self) -> GctIndex {
-        self.0
-    }
-
-    /// Finishes the index with no spare capacity, for a part that lives
-    /// beside others until they are concatenated.
-    pub(crate) fn finish_exact(mut self) -> GctIndex {
+    /// Finishes the index, dropping the arrays' spare capacity: an index
+    /// lives as long as its epoch, and a pooled build's part lives beside
+    /// the others until they are concatenated.
+    pub(crate) fn finish(mut self) -> GctIndex {
         let index = &mut self.0;
+        index.starts.shrink_to_fit();
         index.sn_tau.shrink_to_fit();
         index.sn_end.shrink_to_fit();
         index.members.shrink_to_fit();
@@ -578,6 +590,21 @@ mod tests {
     use crate::online::{all_scores, online_top_r};
     use crate::paper::paper_figure1_graph;
     use crate::score::social_contexts;
+
+    /// Neither the sequential nor the pooled build keeps growth slack:
+    /// every array's capacity is its length.
+    #[test]
+    fn builds_keep_no_spare_capacity() {
+        let g = crate::parallel::triangle_strip();
+        let pooled = crate::parallel::build_gct_pooled(&crate::pool::WorkerPool::new(2), &g);
+        for (index, how) in [(GctIndex::build(&g), "sequential"), (pooled, "pooled")] {
+            assert_eq!(index.starts.capacity(), index.starts.len(), "{how} starts");
+            assert_eq!(index.sn_tau.capacity(), index.sn_tau.len(), "{how} sn_tau");
+            assert_eq!(index.sn_end.capacity(), index.sn_end.len(), "{how} sn_end");
+            assert_eq!(index.members.capacity(), index.members.len(), "{how} members");
+            assert_eq!(index.se.capacity(), index.se.len(), "{how} se");
+        }
+    }
 
     /// Figure 7(b): GCT_v has three supernodes of trussness 4 (x-clique,
     /// y-clique, r-octahedron) and one superedge of weight 3.

@@ -127,7 +127,6 @@ impl HybridIndex {
                 score_computations: computations,
                 elapsed: start.elapsed(),
                 engine: "",
-                parallel: false,
             },
         }
     }

@@ -88,7 +88,7 @@ pub use dynamic::DynamicTsd;
 pub use egonet::{AllEgoNetworks, EgoNetwork};
 pub use engine::{
     build_engine, build_engine_in, BoundEngine, DiversityEngine, EngineKind, GctEngine,
-    OnlineEngine, QuerySpec, ScanPolicy, TsdEngine, PARALLEL_MIN_VERTICES,
+    OnlineEngine, QuerySpec, TsdEngine,
 };
 pub use envelope::{
     GraphFingerprint, IndexBundle, IndexEnvelope, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES,
@@ -98,7 +98,6 @@ pub use error::{DecodeError, SearchError};
 pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};
 pub use online::all_scores;
 pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};
-pub use parallel::pool_all_scores;
 pub use pool::{default_threads as default_pool_threads, Job, WorkerPool, MAX_POOL_THREADS};
 pub use score::{score, social_contexts, EgoDecomposition};
 pub use sd_graph::GraphUpdate;

@@ -27,7 +27,7 @@
 //! | 20   | `epoch.ptr`       | the serving-epoch pointer swap                       |
 //! | 30   | `engine.slot`     | one engine cache slot of an epoch                    |
 //! | 40   | `batch.slot`      | one result slot of a `top_r_many` fan-out            |
-//! | 50   | `scan.chunk`      | one output chunk of a data-parallel scan             |
+//! | 50   | `scan.chunk`      | one vertex chunk's part of a chunked index build     |
 //! | 60   | `tsd.scratch`     | the TSD engine's per-query scratch buffer            |
 //!
 //! The `server.*` classes live in this file (not in `sd-server`) because
@@ -140,7 +140,8 @@ pub const ENGINE_SLOT: LockClass = LockClass::new(30, "engine.slot");
 /// One result slot of a [`crate::SearchService::top_r_many`] fan-out.
 pub const BATCH_SLOT: LockClass = LockClass::new(40, "batch.slot");
 
-/// One output chunk of a data-parallel scan (see [`crate::parallel`]).
+/// One vertex chunk's part of a chunked TSD or GCT index build (see
+/// [`crate::parallel`]).
 pub const SCAN_CHUNK: LockClass = LockClass::new(50, "scan.chunk");
 
 /// The TSD engine's per-query scratch buffer.

@@ -40,7 +40,6 @@ pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult
             score_computations: computations,
             elapsed: start.elapsed(),
             engine: "",
-            parallel: false,
         },
     }
 }

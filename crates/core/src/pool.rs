@@ -1,8 +1,9 @@
 //! The process-wide worker pool: one set of lazily spawned threads serving
 //! **both** index builds (every [`crate::SearchService`]'s scheduled build
-//! jobs and the vertex chunks of every build) and data-parallel query
-//! execution (the chunked Online/Bound scans and
-//! [`crate::SearchService::top_r_many`] fan-out).
+//! jobs and the vertex chunks of every build) and
+//! [`crate::SearchService::top_r_many`] fan-out, one query per task. The
+//! Online and Bound scans never run here: they are the paper's
+//! single-threaded algorithms.
 //!
 //! Before 0.6 each service owned a private 2-thread build queue, so N
 //! services parked 2·N mostly idle OS threads and the query path never used
@@ -21,13 +22,17 @@
 //!   and batch leaders. Spawns a worker lazily when queued work exceeds
 //!   idle capacity.
 //! * [`WorkerPool::run_all`] — structured fan-out: the batch goes into a
-//!   batch-local queue, the shared injector gets one *ticket* per job
-//!   (a worker picking a ticket up pulls the next unclaimed batch job),
-//!   and the **calling thread participates** by claiming jobs from its
-//!   own batch while it waits. This is what makes nested use safe: a
-//!   fan-out task running on a pool worker can itself `run_all` a chunked
-//!   scan without deadlocking, because a caller can always drain its own
-//!   batch instead of parking. The caller never executes *foreign* work —
+//!   batch-local queue, the shared injector gets one *ticket* per thread
+//!   the pool may run (never more than the batch has jobs; a worker
+//!   picking a ticket up claims the batch's jobs until none is left), and
+//!   the **calling thread participates** by claiming jobs from its own
+//!   batch while it waits. So a batch puts at most
+//!   [`WorkerPool::max_threads`] entries on the queue that `sd-server`'s
+//!   admission control sheds on, however many jobs it has. Caller
+//!   participation is what makes nested use safe: a fan-out task running
+//!   on a pool worker can itself `run_all` a chunked index build without
+//!   deadlocking, because a caller can always drain its own batch instead
+//!   of parking. The caller never executes *foreign* work —
 //!   it may hold locks (an index build runs its vertex chunks under an
 //!   `engine.slot` write lock), and an arbitrary injector job such as a
 //!   queued build re-enters those lock classes; see
@@ -40,11 +45,11 @@
 //!
 //! ## Determinism
 //!
-//! The pool itself imposes no ordering. Determinism of parallel query
-//! results is the *callers'* contract — see [`crate::parallel`], which
-//! statically chunks by vertex ranges and reduces in chunk order, making
-//! parallel results byte-identical to the sequential path at any thread
-//! count.
+//! The pool itself imposes no ordering. Determinism is the *callers'*
+//! contract — see [`crate::parallel`], which statically chunks index
+//! builds by vertex ranges and joins the parts in chunk order, making
+//! pooled indexes byte-identical to the sequential build at any thread
+//! count — and `top_r_many` fills one result slot per query.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,6 +59,15 @@ use crossbeam::channel::{Receiver, Sender};
 
 /// One unit of pool work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// What the shared injector queue carries.
+enum Task {
+    /// A [`WorkerPool::submit`]ted job.
+    Job(Job),
+    /// A ticket into one [`WorkerPool::run_all`] batch: the worker claims
+    /// that batch's jobs until none is left.
+    Ticket(Receiver<Job>),
+}
 
 /// Hard ceiling on pool size, protecting against a runaway
 /// `SD_POOL_THREADS` value.
@@ -67,7 +81,7 @@ struct PoolShared {
     spawned: AtomicUsize,
     /// Workers currently parked in `recv` (no job in hand).
     idle: AtomicUsize,
-    /// Jobs fully executed (including panicked ones).
+    /// Submitted and batch jobs fully executed (including panicked ones).
     executed: AtomicUsize,
 }
 
@@ -76,8 +90,8 @@ struct PoolShared {
 /// disconnects the injector queue and every worker exits on its own (after
 /// finishing its current job), so test-local pools leak no threads.
 pub struct WorkerPool {
-    tx: Sender<Job>,
-    rx: Receiver<Job>,
+    tx: Sender<Task>,
+    rx: Receiver<Task>,
     shared: Arc<PoolShared>,
 }
 
@@ -144,17 +158,19 @@ impl WorkerPool {
         self.shared.spawned.load(Ordering::SeqCst)
     }
 
-    /// Jobs fully executed over the pool's lifetime (panicked jobs
-    /// included).
+    /// Jobs fully executed over the pool's lifetime: submitted jobs and
+    /// [`Self::run_all`] batch jobs, panicked ones included (a batch's
+    /// tickets are not jobs).
     pub fn jobs_executed(&self) -> usize {
         self.shared.executed.load(Ordering::SeqCst)
     }
 
-    /// Jobs sitting in the shared injector queue right now, not yet picked
-    /// up by any worker — the backlog signal `sd-server`'s admission
-    /// control sheds on. Instantaneous and advisory: the value may be
-    /// stale by the time the caller acts on it, which is fine for a
-    /// load-shedding threshold.
+    /// Entries sitting in the shared injector queue right now, not yet
+    /// picked up by any worker: submitted jobs, plus at most
+    /// [`Self::max_threads`] tickets per running [`Self::run_all`] batch —
+    /// the backlog signal `sd-server`'s admission control sheds on.
+    /// Instantaneous and advisory: the value may be stale by the time the
+    /// caller acts on it, which is fine for a load-shedding threshold.
     pub fn queued_jobs(&self) -> usize {
         self.rx.len()
     }
@@ -166,7 +182,7 @@ impl WorkerPool {
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
         // Cannot fail: `self.rx` keeps the receiver count nonzero for as
         // long as this handle exists.
-        let _ = self.tx.send(Box::new(job));
+        let _ = self.tx.send(Task::Job(Box::new(job)));
         self.maybe_spawn();
     }
 
@@ -209,17 +225,12 @@ impl WorkerPool {
         }
         drop(done_tx);
         drop(batch_tx);
-        // What goes on the shared injector is one *ticket* per job: a
-        // worker that picks a ticket up pulls the next unclaimed job of
-        // this batch, if any remain. Workers start from an empty held-lock
+        // What goes on the shared injector is one *ticket* per thread the
+        // pool may run: a worker that picks a ticket up claims this batch's
+        // jobs until none is left. Workers start from an empty held-lock
         // stack, so foreign work is safe there — only the caller isn't.
-        for _ in 0..total {
-            let batch_rx = batch_rx.clone();
-            let _ = self.tx.send(Box::new(move || {
-                if let Ok(job) = batch_rx.try_recv() {
-                    job();
-                }
-            }));
+        for _ in 0..total.min(self.shared.max) {
+            let _ = self.tx.send(Task::Ticket(batch_rx.clone()));
         }
         self.maybe_spawn();
 
@@ -291,15 +302,21 @@ impl WorkerPool {
 }
 
 /// Worker body: drain the injector until the owning pool handle drops.
-fn worker_loop(shared: Arc<PoolShared>, rx: Receiver<Job>) {
+fn worker_loop(shared: Arc<PoolShared>, rx: Receiver<Task>) {
     loop {
         shared.idle.fetch_add(1, Ordering::SeqCst);
         let msg = rx.recv();
         shared.idle.fetch_sub(1, Ordering::SeqCst);
         match msg {
-            Ok(job) => {
+            Ok(Task::Job(job)) => {
                 let _ = catch_unwind(AssertUnwindSafe(job));
                 shared.executed.fetch_add(1, Ordering::SeqCst);
+            }
+            Ok(Task::Ticket(batch)) => {
+                while let Ok(job) = batch.try_recv() {
+                    job(); // contains its own catch_unwind + completion send
+                    shared.executed.fetch_add(1, Ordering::SeqCst);
+                }
             }
             Err(_) => {
                 // Disconnected: the last pool handle is gone.
@@ -363,10 +380,35 @@ mod tests {
         }
     }
 
+    /// A batch queues at most one ticket per pool thread, so a many-chunk
+    /// index build cannot flood the queue `sd-server` sheds on; and
+    /// `jobs_executed` counts the batch's jobs, not its tickets.
+    #[test]
+    fn run_all_queues_at_most_one_ticket_per_thread() {
+        for threads in [2, 4] {
+            let pool = Arc::new(WorkerPool::new(threads));
+            let peak = Arc::new(AtomicUsize::new(0));
+            let jobs: Vec<Job> = (0..200)
+                .map(|_| {
+                    let (pool, peak) = (pool.clone(), peak.clone());
+                    Box::new(move || {
+                        peak.fetch_max(pool.queued_jobs(), Ordering::SeqCst);
+                    }) as Job
+                })
+                .collect();
+            pool.run_all(jobs);
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(peak <= pool.max_threads(), "{peak} queued on {threads} threads");
+            // A worker counts its last job just after reporting it done.
+            assert!(wait_until(2000, || pool.jobs_executed() >= 200));
+            assert_eq!(pool.jobs_executed(), 200, "{threads} threads");
+        }
+    }
+
     #[test]
     fn run_all_is_reentrant_from_pool_workers() {
         // Fan-out tasks that each run a nested chunked batch — the exact
-        // shape of `top_r_many` over parallel-scanning engines. Caller
+        // shape of `top_r_many` over cold index builds. Caller
         // participation is what keeps this from deadlocking on a pool
         // smaller than the nesting depth.
         let pool = Arc::new(WorkerPool::new(2));

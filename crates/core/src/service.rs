@@ -26,14 +26,14 @@
 //!   process), with the building thread taking part, so the query pays
 //!   for that build instead of a full per-ego scan competing with it for
 //!   the same cores;
-//! * **queries use the hardware**: the same pool runs the index builds
-//!   and the data-parallel Online/Bound scans (both placed by the
-//!   service's [`ScanPolicy`]) and fans [`SearchService::top_r_many`]
-//!   batches out as independent tasks, each pinned to the batch's epoch
-//!   snapshot. Parallel results are byte-identical to sequential ones
-//!   (see [`crate::parallel`]); [`ServiceStats::pool_threads`] and
-//!   [`ServiceStats::parallel_queries`] surface what the pool is doing
-//!   for this service;
+//! * **queries use the hardware**: besides the index builds, the same
+//!   pool fans [`SearchService::top_r_many`] batches out as independent
+//!   tasks, each pinned to the batch's epoch snapshot. A lone query runs
+//!   on its caller's thread; the Online and Bound engines scan
+//!   single-threaded, as in the paper. Pooled builds are byte-identical
+//!   to sequential ones (see [`crate::parallel`]);
+//!   [`ServiceStats::pool_threads`] and [`ServiceStats::parallel_queries`]
+//!   surface what the pool is doing for this service;
 //! * **the graph is mutable under traffic**:
 //!   [`SearchService::apply_updates`] applies a batch of edge
 //!   insertions/deletions, carries the TSD- and GCT-indexes across
@@ -103,8 +103,7 @@ use crate::cancel::CancelToken;
 use crate::config::TopRResult;
 use crate::dynamic::DynamicTsd;
 use crate::engine::{
-    build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, QuerySpec, ScanPolicy,
-    TsdEngine,
+    build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, QuerySpec, TsdEngine,
 };
 use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
 use crate::error::SearchError;
@@ -170,10 +169,8 @@ pub struct ServiceStats {
     /// *shared* figure — N services over the global pool report the same
     /// value, bounded by the pool size, not N times it.
     pub pool_threads: usize,
-    /// Successful queries that executed on the pool: each
-    /// [`SearchService::top_r_many`] fan-out task, plus every query whose
-    /// Online/Bound scan ran data-parallel
-    /// ([`crate::SearchMetrics::parallel`]). Counted once per query.
+    /// Successful queries that ran as [`SearchService::top_r_many`]
+    /// fan-out tasks on the pool.
     pub parallel_queries: usize,
 }
 
@@ -306,12 +303,10 @@ struct ServiceCore {
     /// pointer copy); [`SearchService::apply_updates`] swaps it under the
     /// write lock. This is the *only* lock a query shares with an update.
     current: RwLock<Arc<EpochState>>,
-    /// The worker pool this service schedules background builds and
-    /// parallel query execution onto — the process-wide [`pool::global`]
-    /// unless constructed via [`SearchService::with_pool`].
+    /// The worker pool this service runs its index builds and batch
+    /// fan-out on — the process-wide [`pool::global`] unless constructed
+    /// via [`SearchService::with_pool`].
     pool: Arc<WorkerPool>,
-    /// Placement of the index builds and the index-free engines' scans.
-    scan: ScanPolicy,
     /// Set when the owning `SearchService` drops; scheduled build jobs
     /// still queued become no-ops.
     shutdown: AtomicBool,
@@ -369,7 +364,7 @@ impl ServiceCore {
         // An index build runs its chunks under this write lock, through
         // `run_all`, which never runs another caller's jobs on this thread.
         let engine: Arc<dyn DiversityEngine> =
-            Arc::from(build_engine_in(kind, epoch.graph.clone(), self.scan.clone()));
+            Arc::from(build_engine_in(kind, epoch.graph.clone(), &self.pool));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         *guard = Some(engine.clone());
         (engine, true)
@@ -457,7 +452,7 @@ impl ServiceCore {
         let result = engine.top_r(spec)?;
         self.queries_served.fetch_add(1, Ordering::Relaxed);
         self.queries_by_slot[Self::slot(engine.kind())].fetch_add(1, Ordering::Relaxed);
-        if fanned || result.metrics.parallel {
+        if fanned {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
         Ok(result)
@@ -540,30 +535,23 @@ impl SearchService {
 
     /// As [`Self::new`] over an already-shared graph.
     pub fn from_arc(graph: Arc<CsrGraph>) -> Self {
-        Self::from_arc_with_policy(graph, pool::global().clone(), ScanPolicy::auto())
+        Self::from_arc_with_pool(graph, pool::global().clone())
     }
 
     /// A service scheduling onto an explicit [`WorkerPool`] instead of the
     /// process-wide one — for tests and benchmarks that need a pinned
     /// thread count, or callers isolating a service's work from the global
-    /// pool. The pool also drives this service's data-parallel query scans
-    /// (with no graph-size floor, unlike the global policy's
-    /// [`crate::PARALLEL_MIN_VERTICES`]).
+    /// pool. The pool runs this service's index builds and its
+    /// [`Self::top_r_many`] fan-out.
     pub fn with_pool(graph: CsrGraph, pool: Arc<WorkerPool>) -> Self {
         Self::from_arc_with_pool(Arc::new(graph), pool)
     }
 
     /// As [`Self::with_pool`] over an already-shared graph.
     pub fn from_arc_with_pool(graph: Arc<CsrGraph>, pool: Arc<WorkerPool>) -> Self {
-        let scan = ScanPolicy::pooled(pool.clone());
-        Self::from_arc_with_policy(graph, pool, scan)
-    }
-
-    fn from_arc_with_policy(graph: Arc<CsrGraph>, pool: Arc<WorkerPool>, scan: ScanPolicy) -> Self {
         let core = Arc::new(ServiceCore {
             current: lock_order::EPOCH_PTR.rwlock(Arc::new(EpochState::over(0, graph))),
             pool,
-            scan,
             shutdown: AtomicBool::new(false),
             queries_served: AtomicUsize::new(0),
             engines_built: AtomicUsize::new(0),
@@ -1250,6 +1238,49 @@ mod tests {
     /// The injected build failure, checked under the slot's write lock.
     pub(super) fn fail_if_injected() {
         assert!(!FAIL_BUILDS.get(), "injected build failure");
+    }
+
+    /// A graph of `n` vertices with many triangles: each new vertex closes
+    /// one with two random earlier vertices.
+    fn clustered_graph(n: u32, seed: u64) -> CsrGraph {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let edges: Vec<(u32, u32)> = (2..n)
+            .flat_map(|v| {
+                let (a, b) = (rng.gen_range(0..v), rng.gen_range(0..v));
+                [(v, a), (v, b), (a, b)]
+            })
+            .collect();
+        sd_graph::GraphBuilder::new().extend_edges(edges).build()
+    }
+
+    /// Bound queries through a service on a multi-thread pool report
+    /// Algorithm 4's own search space: the scan runs single-threaded on
+    /// any pool, so entries and `score_computations` equal the sequential
+    /// scan's — on Figure 1, and on a graph spanning several 1,024-vertex
+    /// blocks.
+    #[test]
+    fn pooled_services_report_algorithm_4s_bound_search_space() {
+        let (figure1, _, _) = paper_figure1_graph();
+        let generated = clustered_graph(3 * 1024 + 100, 7);
+        for (g, queries) in [(figure1, vec![(4, 1)]), (generated, vec![(2, 5), (3, 1), (3, 10)])] {
+            let g = Arc::new(g);
+            for threads in [2, 4] {
+                let pool = Arc::new(WorkerPool::new(threads));
+                let s = SearchService::from_arc_with_pool(g.clone(), pool);
+                for (k, r) in queries.iter().copied() {
+                    let spec = QuerySpec::new(k, r).unwrap().with_engine(EngineKind::Bound);
+                    let options = crate::bound::BoundOptions::default();
+                    let want = crate::bound::bound_top_r_with(&g, spec.config(), options);
+                    let got = s.top_r(&spec).unwrap();
+                    let at = format!("n={} k={k} r={r} on {threads} threads", g.n());
+                    assert_eq!(got.entries, want.entries, "{at}");
+                    let (got, want) =
+                        (got.metrics.score_computations, want.metrics.score_computations);
+                    assert_eq!(got, want, "{at}");
+                }
+            }
+        }
     }
 
     /// A warmed-and-joined service routes every explicit kind to its own

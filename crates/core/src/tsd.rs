@@ -212,7 +212,6 @@ impl TsdIndex {
                 score_computations: computations,
                 elapsed: start.elapsed(),
                 engine: "",
-                parallel: false,
             },
         }
     }
@@ -348,6 +347,21 @@ impl TsdIndex {
         out.extend_from(self, next..n);
         out.finish()
     }
+
+    /// The parts' forests in order, as one index over all their vertices:
+    /// how the pooled build ([`crate::parallel`]) joins its chunks. Each
+    /// part is freed as soon as it is copied.
+    pub(crate) fn concat(parts: Vec<TsdIndex>) -> TsdIndex {
+        let mut out = TsdBuilder::new(parts.iter().map(TsdIndex::n).sum());
+        let edges = parts.iter().map(TsdIndex::total_edges).sum();
+        out.eu.reserve_exact(edges);
+        out.ew.reserve_exact(edges);
+        out.weight.reserve_exact(edges);
+        for part in parts {
+            out.extend_from(&part, 0..part.n());
+        }
+        out.finish()
+    }
 }
 
 /// Core of Algorithm 5: the maximum spanning forest of the
@@ -438,8 +452,13 @@ impl TsdBuilder {
         self.offsets.resize(self.offsets.len() + vertices.len() - kept.len(), end);
     }
 
-    /// Finishes the index.
-    pub fn finish(self) -> TsdIndex {
+    /// Finishes the index, dropping the arrays' spare capacity: an index
+    /// lives as long as its epoch, so growth slack would stay with it.
+    pub fn finish(mut self) -> TsdIndex {
+        self.offsets.shrink_to_fit();
+        self.eu.shrink_to_fit();
+        self.ew.shrink_to_fit();
+        self.weight.shrink_to_fit();
         TsdIndex { offsets: self.offsets, eu: self.eu, ew: self.ew, weight: self.weight }
     }
 }
@@ -450,6 +469,20 @@ mod tests {
     use crate::online::{all_scores, online_top_r};
     use crate::paper::paper_figure1_graph;
     use crate::score::social_contexts;
+
+    /// Neither the sequential nor the pooled build keeps growth slack:
+    /// every array's capacity is its length.
+    #[test]
+    fn builds_keep_no_spare_capacity() {
+        let g = crate::parallel::triangle_strip();
+        let pooled = crate::parallel::build_tsd_pooled(&crate::pool::WorkerPool::new(2), &g);
+        for (index, how) in [(TsdIndex::build(&g), "sequential"), (pooled, "pooled")] {
+            assert_eq!(index.offsets.capacity(), index.offsets.len(), "{how} offsets");
+            assert_eq!(index.eu.capacity(), index.eu.len(), "{how} eu");
+            assert_eq!(index.ew.capacity(), index.ew.len(), "{how} ew");
+            assert_eq!(index.weight.capacity(), index.weight.len(), "{how} weight");
+        }
+    }
 
     #[test]
     fn index_scores_match_online_for_all_k() {

@@ -1,18 +1,21 @@
 //! Adversarial decode suite for the `sd-wire` protocol: every malformed
 //! shape — truncation at every offset, wrong magic, future version,
 //! oversized length prefix, unknown verbs, trailing bytes, hostile
-//! payloads — must fail with a typed [`WireError`], and a live server fed
-//! the same garbage must answer a typed error frame, never hang or die.
+//! payloads, and generated mutations of a frame of every verb — must fail
+//! with a typed [`WireError`], and a live server fed the same garbage must
+//! answer a typed error frame, never hang or die.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sd_core::{paper_figure1_graph, SearchService};
+use proptest::prelude::*;
+use sd_core::{paper_figure1_graph, GraphFingerprint, SearchService, TopREntry};
 use sd_graph::GraphUpdate;
 use sd_server::{
-    server_scope, BatchLimits, Client, ErrorCode, Frame, QueryRequest, Request, Response, Server,
-    ServerConfig, TenantRegistry, UpdateRequest, Verb, WireError, WireQuery, FRAME_HEADER_BYTES,
-    MAX_FRAME_PAYLOAD,
+    server_scope, BatchLimits, Client, ErrorCode, ErrorResponse, Frame, OverloadInfo,
+    OverloadReason, QueryOutcome, QueryRequest, QueryResponse, Request, Response, Server,
+    ServerConfig, ServerStatsWire, StatsResponse, TenantRegistry, TenantStatsWire, UpdateRequest,
+    UpdateResponse, Verb, WireError, WireQuery, FRAME_HEADER_BYTES, MAX_FRAME_PAYLOAD,
 };
 
 fn sample_frame_bytes() -> Vec<u8> {
@@ -221,6 +224,119 @@ fn request_and_response_verbs_do_not_cross_decode() {
         decode_response(Verb::Query, Vec::new()),
         Err(WireError::UnknownVerb { verb: 0x01 })
     );
+}
+
+// ---------------------------------------------------------------------------
+// Generative fuzzing: mutated frames of every verb
+
+/// Cases per run of the fuzzing property; a debug run of it takes about a
+/// tenth of a second.
+const FUZZ_CASES: u32 = 4096;
+
+/// One encoded frame per request and response shape, each payload
+/// exercising every field its verb carries.
+fn every_verb_frame() -> Vec<Vec<u8>> {
+    let fp = GraphFingerprint { n: 17, m: 42, edge_checksum: 0x1234_5678 };
+    let requests = [
+        Request::Query(QueryRequest {
+            deadline_ms: 125,
+            queries: vec![WireQuery::new(3, 4), WireQuery::new(4, 2)],
+        }),
+        Request::Update(UpdateRequest {
+            updates: vec![GraphUpdate::Insert { u: 1, v: 2 }, GraphUpdate::Remove { u: 3, v: 0 }],
+        }),
+        Request::Stats,
+        Request::Shutdown,
+    ];
+    let entry = TopREntry { vertex: 0, score: 2, contexts: vec![vec![1, 2, 3, 4], vec![5, 6, 7]] };
+    let tenant = TenantStatsWire {
+        fingerprint: fp,
+        epoch: 1,
+        queries_served: 9,
+        engines_built: 2,
+        background_builds: 1,
+        foreground_fallbacks: 1,
+        epochs: 2,
+        updates_applied: 3,
+        incremental_tsd_carries: 1,
+        gct_repairs: 4,
+        parallel_queries: 6,
+        pool_threads: 2,
+        queries_by_engine: [0, 1, 2, 6],
+    };
+    let responses = [
+        Response::Query(QueryResponse {
+            epoch: 2,
+            outcomes: vec![
+                QueryOutcome::Answered(vec![entry]),
+                QueryOutcome::Failed { code: ErrorCode::BadRequest, message: "r > n".into() },
+                QueryOutcome::Expired,
+            ],
+        }),
+        Response::Update(UpdateResponse {
+            epoch: 3,
+            applied: 2,
+            rejected: 1,
+            tsd_repairs: 5,
+            tsd_carried: true,
+            n: 17,
+            m: 43,
+        }),
+        Response::Stats(StatsResponse::Server(ServerStatsWire {
+            tenants: 1,
+            requests_served: 12,
+            ..ServerStatsWire::default()
+        })),
+        Response::Stats(StatsResponse::Tenant(tenant)),
+        Response::Shutdown,
+        Response::Error(ErrorResponse { code: ErrorCode::UnknownTenant, message: "who?".into() }),
+        Response::Overloaded(OverloadInfo {
+            reason: OverloadReason::BuildQueue,
+            measured: 70,
+            limit: 64,
+            retry_after_ms: 5,
+        }),
+    ];
+    let frames =
+        requests.iter().map(|r| r.to_frame(fp)).chain(responses.iter().map(|r| r.to_frame(fp)));
+    frames.map(|frame| frame.encode().as_ref().to_vec()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(FUZZ_CASES))]
+
+    /// A frame of any verb with 1–4 bytes overwritten anywhere (the
+    /// header included), or cut short, decodes — as a frame, then as a
+    /// request and as a response — to `Ok` or a typed `WireError`, never a
+    /// panic; and whatever still decodes round-trips through its encoder.
+    #[test]
+    fn mutated_frames_of_every_verb_decode_or_fail_typed(
+        which in any::<usize>(),
+        truncate in any::<bool>(),
+        cut in any::<usize>(),
+        writes in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let frames = every_verb_frame();
+        let mut bytes = frames[which % frames.len()].clone();
+        if truncate {
+            bytes.truncate(cut % bytes.len());
+        } else {
+            let len = bytes.len();
+            for (at, byte) in writes {
+                bytes[at % len] = byte;
+            }
+        }
+        if let Ok(frame) = Frame::decode(Bytes::from(bytes)) {
+            if let Ok(request) = Request::from_frame(&frame) {
+                let again = Request::from_frame(&request.to_frame(frame.fingerprint));
+                prop_assert_eq!(again, Ok(request));
+            }
+            if let Ok(response) = Response::from_frame(&frame) {
+                let again = Response::from_frame(&response.to_frame(frame.fingerprint));
+                prop_assert_eq!(again, Ok(response));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ proptest! {
 
     /// Persistence differential: a TSD + GCT bundle exported from
     /// one service and imported into a fresh one answers every probed
-    /// `(k, r)` exactly like engines built from scratch — and the import
-    /// really is served by the revived index, not the online fallback.
+    /// `(k, r)` exactly like engines built from scratch — and the revived
+    /// index answers under its own engine name.
     #[test]
     fn bundle_revived_engines_match_fresh_builds(
         family in 0usize..3,
@@ -106,7 +106,7 @@ proptest! {
                 prop_assert_eq!(
                     imported.metrics.engine,
                     kind.name(),
-                    "imported {} engine must serve without fallback", kind
+                    "the revived {} index must answer", kind
                 );
                 prop_assert_eq!(
                     &fresh.scores(),

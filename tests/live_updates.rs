@@ -274,7 +274,8 @@ fn random_batches(n: u32, batches: usize, ops: usize, seed: u64) -> Vec<Vec<Grap
 }
 
 /// The top-r score multiset of `g` — the tie-break-free reference every
-/// engine (and every fallback tier) must reproduce.
+/// engine must reproduce, whether its index was carried, rebuilt, or
+/// built by the cold query that joined it.
 fn reference_scores(g: &CsrGraph, k: u32, r: usize) -> Vec<u32> {
     let mut scores = all_scores(g, k);
     scores.sort_unstable_by(|a, b| b.cmp(a));
@@ -286,8 +287,8 @@ fn reference_scores(g: &CsrGraph, k: u32, r: usize) -> Vec<u32> {
 /// kind while an updater thread applies batches. Every answer must equal
 /// the reference on *some* published epoch — a query that blended two
 /// epochs would produce a score multiset no single graph yields (with
-/// overwhelming probability), and any engine/fallback disagreement shows
-/// up the same way. Afterwards, the settled service must match a fresh
+/// overwhelming probability), and any disagreement between engines, or
+/// between a carried index and a rebuilt one, shows up the same way. Afterwards, the settled service must match a fresh
 /// single-threaded rebuild of the final graph.
 #[test]
 fn racing_queries_are_consistent_with_some_published_epoch() {

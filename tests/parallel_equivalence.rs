@@ -1,17 +1,19 @@
-//! Parallel-vs-sequential differential harness: running the engines'
-//! per-vertex scans and index builds on a [`WorkerPool`] — at *any* thread
-//! count — must not change a single answer or index byte. The parallel
-//! layer promises more than equal score multisets: chunking is fixed and
-//! reductions happen in chunk order, so parallel results are
-//! **byte-identical** to the single-threaded reference (same entries, same
-//! tie-breaks, same contexts, same serialized indexes). This harness pins
-//! that promise across every engine, thread counts {1, 2, max}, two
-//! generator families, the `top_r_many` fan-out, and epoch swaps from live
-//! updates.
+//! Parallel-vs-sequential differential harness: building the indexes and
+//! fanning query batches out on a [`WorkerPool`] — at *any* thread count —
+//! must not change a single answer, search-space count or index byte.
+//! The pool promises more than equal score multisets: build chunks are
+//! fixed and joined in chunk order, so pooled indexes are
+//! **byte-identical** to the paper's sequential builds, and a fanned-out
+//! query runs the same single-threaded algorithm it runs alone. The
+//! reference is always the paper's sequential constructors
+//! ([`OnlineEngine::new`], [`BoundEngine::new`], [`TsdEngine::build`],
+//! [`GctEngine::build`]). This harness pins that promise across every
+//! engine, thread counts {1, 2, max}, two generator families, the
+//! `top_r_many` fan-out, and epoch swaps from live updates.
 //!
-//! Every pooled run uses an explicit [`ScanPolicy::pooled`] /
-//! [`SearchService::with_pool`] (no `PARALLEL_MIN_VERTICES` floor) — the
-//! parallel code paths execute even on a single-core CI runner.
+//! Every pooled run uses an explicit pool ([`build_engine_in`],
+//! [`SearchService::with_pool`]), so the parallel code paths execute even
+//! on a single-core CI runner.
 
 use std::sync::Arc;
 
@@ -23,8 +25,8 @@ use structural_diversity::datasets::{gnm_graph, rmat_graph, RmatConfig};
 use structural_diversity::graph::{CsrGraph, GraphUpdate};
 use structural_diversity::search::parallel::SCAN_CHUNK;
 use structural_diversity::search::{
-    build_engine_in, default_pool_threads, EngineKind, GctIndex, QuerySpec, ScanPolicy,
-    SearchService, TopRResult, TsdIndex, WorkerPool,
+    build_engine_in, default_pool_threads, BoundEngine, DiversityEngine, EngineKind, GctEngine,
+    GctIndex, OnlineEngine, QuerySpec, SearchService, TopRResult, TsdEngine, TsdIndex, WorkerPool,
 };
 
 /// One graph from the chosen generator family, reproducible from the
@@ -47,10 +49,26 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Byte-level equality: entries (vertex, score, contexts) and the engine
-/// name must match; only timing and the `parallel` flag may differ.
+/// The paper's sequential engine of a concrete `kind`: the
+/// single-threaded Online and Bound scans, and the TSD and GCT indexes
+/// built by `TsdIndex::build` / `GctIndex::build`.
+fn sequential_engine(kind: EngineKind, g: &Arc<CsrGraph>) -> Box<dyn DiversityEngine> {
+    match kind {
+        EngineKind::Online => Box::new(OnlineEngine::new(g.clone())),
+        EngineKind::Bound => Box::new(BoundEngine::new(g.clone())),
+        EngineKind::Tsd => Box::new(TsdEngine::build(g.clone())),
+        EngineKind::Gct | EngineKind::Auto => Box::new(GctEngine::build(g.clone())),
+    }
+}
+
+/// Byte-level equality: entries (vertex, score, contexts), the search
+/// space and the engine name must match; only timing may differ.
 fn assert_identical(reference: &TopRResult, parallel: &TopRResult, context: &str) {
     assert_eq!(reference.entries, parallel.entries, "{context}: entries diverge");
+    assert_eq!(
+        reference.metrics.score_computations, parallel.metrics.score_computations,
+        "{context}: search space diverges"
+    );
     assert_eq!(
         reference.metrics.engine, parallel.metrics.engine,
         "{context}: engine name diverges"
@@ -68,9 +86,9 @@ fn pooled_index_builds_are_byte_identical_to_the_sequential_reference() {
         let tsd = TsdIndex::build(&g).to_bytes();
         let gct = GctIndex::build(&g).to_bytes();
         for threads in [1, 2, 4] {
-            let pool = Arc::new(WorkerPool::new(threads));
+            let pool = WorkerPool::new(threads);
             for (kind, want) in [(EngineKind::Tsd, &tsd), (EngineKind::Gct, &gct)] {
-                let engine = build_engine_in(kind, g.clone(), ScanPolicy::pooled(pool.clone()));
+                let engine = build_engine_in(kind, g.clone(), &pool);
                 let got = engine.to_bytes().expect("index engines serialize");
                 assert!(got == *want, "family {family}: {kind} at {threads} threads differs");
             }
@@ -81,11 +99,11 @@ fn pooled_index_builds_are_byte_identical_to_the_sequential_reference() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline property: every engine, driven through a pooled
-    /// policy at every thread count, returns byte-identical entries to the
-    /// same engine built with the sequential policy — the Online/Bound
-    /// scans run on the pool at query time, the TSD/GCT indexes are built
-    /// on it.
+    /// The headline property: every engine built by `build_engine_in` on
+    /// a pool of every thread count returns byte-identical entries and
+    /// search spaces to the paper's sequential engine — the TSD/GCT
+    /// indexes are built on the pool, the Online/Bound scans run
+    /// single-threaded either way.
     #[test]
     fn pooled_engines_are_byte_identical_to_sequential(
         family in 0usize..2,
@@ -99,15 +117,12 @@ proptest! {
         let spec = QuerySpec::new(k, r.min(g.n())).expect("valid spec");
 
         for kind in EngineKind::ALL {
-            let reference = build_engine_in(kind, g.clone(), ScanPolicy::sequential())
-                .top_r(&spec)
-                .expect("sequential reference");
+            let reference = sequential_engine(kind, &g).top_r(&spec).expect("sequential reference");
             prop_assert_eq!(reference.metrics.engine, kind.name());
             for threads in thread_counts() {
-                let pool = Arc::new(WorkerPool::new(threads));
-                let result = build_engine_in(kind, g.clone(), ScanPolicy::pooled(pool))
-                    .top_r(&spec)
-                    .expect("pooled query");
+                let pool = WorkerPool::new(threads);
+                let result =
+                    build_engine_in(kind, g.clone(), &pool).top_r(&spec).expect("pooled query");
                 assert_identical(
                     &reference,
                     &result,
@@ -121,8 +136,9 @@ proptest! {
     }
 
     /// The batch fan-out: `top_r_many` on a pooled service returns, in
-    /// order, byte-identical results to a sequential service answering the
-    /// same specs one by one — for every engine kind and thread count.
+    /// order, byte-identical results to the paper's sequential engines
+    /// answering the same specs one by one — for every engine kind and
+    /// thread count.
     #[test]
     fn fanned_out_batches_match_the_sequential_service(
         family in 0usize..2,
@@ -139,10 +155,10 @@ proptest! {
             })
             .collect();
 
-        let sequential = SearchService::from_arc_with_pool(g.clone(), Arc::new(WorkerPool::new(1)));
-        sequential.wait_ready(EngineKind::ALL);
-        let reference: Vec<TopRResult> =
-            specs.iter().map(|s| sequential.top_r(s).expect("sequential query")).collect();
+        let reference: Vec<TopRResult> = specs
+            .iter()
+            .map(|s| sequential_engine(s.engine(), &g).top_r(s).expect("sequential query"))
+            .collect();
 
         for threads in thread_counts() {
             let pool = Arc::new(WorkerPool::new(threads));
@@ -172,8 +188,8 @@ proptest! {
     }
 
     /// Equivalence survives epoch swaps: after the same update batch, a
-    /// pooled service at every thread count answers byte-identically to a
-    /// sequential one — on the *new* graph.
+    /// pooled service at every thread count answers byte-identically to the
+    /// paper's sequential engines built over the *new* graph.
     #[test]
     fn pooled_queries_match_sequential_across_update_epochs(
         family in 0usize..2,
@@ -199,7 +215,10 @@ proptest! {
                 applied_reference += stats.applied;
             }
         }
-        sequential.wait_ready(EngineKind::ALL);
+        let updated = sequential.graph();
+        let reference = EngineKind::ALL.map(|kind| {
+            sequential_engine(kind, &updated).top_r(&spec).expect("sequential query")
+        });
 
         for threads in thread_counts() {
             let pool = Arc::new(WorkerPool::new(threads));
@@ -212,11 +231,10 @@ proptest! {
             }
             prop_assert_eq!(applied, applied_reference, "update outcomes must not depend on the pool");
             service.wait_ready(EngineKind::ALL);
-            for kind in EngineKind::ALL {
-                let want = sequential.top_r(&spec.with_engine(kind)).expect("sequential query");
+            for (kind, want) in EngineKind::ALL.into_iter().zip(&reference) {
                 let got = service.top_r(&spec.with_engine(kind)).expect("pooled query");
                 assert_identical(
-                    &want,
+                    want,
                     &got,
                     &format!(
                         "family {family} n {n} seed {seed} k={k}: \

@@ -75,8 +75,8 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
                         let result = service.top_r(&spec).unwrap_or_else(|e| {
                             panic!("spike {spike} on {kind}: query failed: {e}")
                         });
-                        // Cold queries ride the fallback; answers are
-                        // identical either way.
+                        // A cold query joins its index build and the
+                        // index answers, cold or warm alike.
                         assert_eq!(&result.scores(), reference, "spike {spike} on {kind}");
                     }
                 }

@@ -24,8 +24,8 @@ fn registry_sample() -> CsrGraph {
 
 /// Every (thread, kind, k) combination must match the single-threaded
 /// reference exactly — scores and vertices. Both services are warmed and
-/// joined first, so every query is answered by its own engine (the cold
-/// fallback path is `tests/background_builds.rs`'s subject).
+/// joined first, so no query joins an index build (a cold query joining
+/// one is `tests/background_builds.rs`'s subject).
 #[test]
 fn eight_threads_serve_every_kind_identically() {
     let g = registry_sample();
@@ -79,7 +79,7 @@ fn eight_threads_serve_every_kind_identically() {
         EngineKind::ALL.len(),
         "each engine must be built exactly once"
     );
-    assert_eq!(stats.foreground_fallbacks, 0, "a warmed service never falls back");
+    assert_eq!(stats.foreground_fallbacks, 0, "a warmed service never joins a build");
     for kind in EngineKind::ALL {
         assert_eq!(stats.queries_for(kind), THREADS * 2, "{kind} query count");
     }

@@ -27,8 +27,8 @@ fn umbrella_reexports_resolve() {
 fn figure1_top1_score_is_3_via_every_engine() {
     let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
     let service = SearchService::new(g);
-    // Join the (non-blocking) builds so each query below is answered by
-    // its own engine rather than the cold-start online fallback.
+    // Join the (non-blocking) builds so no query below has to join one:
+    // each is answered by a ready engine.
     service.wait_ready(EngineKind::ALL);
     let spec = QuerySpec::new(4, 1).expect("valid query");
 
