@@ -121,7 +121,7 @@ impl DynamicTsd {
     /// # Panics
     /// In debug builds, panics if the index covers a different vertex count
     /// than `g` — the caller pairs an index with the graph it was built
-    /// from (the fingerprinted envelope layer enforces this upstream).
+    /// from (the fingerprinted bundle layer enforces this upstream).
     pub fn from_index(g: &CsrGraph, index: &TsdIndex) -> Self {
         Self::from_shared_index(Arc::new(g.clone()), Arc::new(index.clone()))
     }

@@ -5,8 +5,8 @@
 //! differently shaped APIs — two free functions and two index structs
 //! whose `top_r` signatures disagreed. [`DiversityEngine`] unifies them:
 //! every engine is built from a graph via [`build_engine`] (or revived from
-//! a fingerprinted blob via [`crate::SearchService::import_index`] /
-//! [`crate::SearchService::import_bundle`]), answers the same
+//! a fingerprinted bundle via [`crate::SearchService::import_bundle`]),
+//! answers the same
 //! [`QuerySpec`], and reports per-query [`crate::SearchMetrics`]. The
 //! [`crate::SearchService`] facade sits on top, adding lazy index construction,
 //! [`EngineKind::Auto`] selection, and batched queries.
@@ -76,7 +76,6 @@ impl EngineKind {
 
     /// Whether this engine kind has a serialized index form
     /// ([`DiversityEngine::to_bytes`], revivable through
-    /// [`crate::SearchService::import_index`] /
     /// [`crate::SearchService::import_bundle`]).
     pub fn serializable(self) -> bool {
         matches!(self, EngineKind::Tsd | EngineKind::Gct)
@@ -91,8 +90,8 @@ impl EngineKind {
         matches!(self, EngineKind::Online | EngineKind::Bound)
     }
 
-    /// Stable on-disk tag used by the [`crate::envelope::IndexEnvelope`]
-    /// header. [`EngineKind::Auto`] has no tag (it never names a concrete
+    /// Stable on-disk tag used by each [`crate::envelope::IndexBundle`]
+    /// entry header. [`EngineKind::Auto`] has no tag (it never names a concrete
     /// index); tags are append-only across format revisions. Tag 5 is
     /// retired and never reused: decoders refuse it as an unknown tag.
     pub fn tag(self) -> u8 {
@@ -517,11 +516,10 @@ pub fn build_engine_in(
 /// Crate-private since 0.4.0: the attachment check here is by vertex count
 /// only, so a raw blob serialized from a *different* graph with the same
 /// `n` (e.g. an older snapshot after edge churn) would be accepted and
-/// serve that graph's answers. Every public decode path goes through the
-/// fingerprinted envelope/bundle layer — [`crate::SearchService::import_index`]
-/// and [`crate::SearchService::import_bundle`] — which rejects wrong-graph
-/// blobs with [`SearchError::FingerprintMismatch`] before this function
-/// ever runs.
+/// serve that graph's answers. The one public decode path goes through the
+/// fingerprinted bundle layer — [`crate::SearchService::import_bundle`] —
+/// which rejects wrong-graph blobs with [`SearchError::FingerprintMismatch`]
+/// before this function ever runs.
 pub(crate) fn decode_engine(
     kind: EngineKind,
     g: Arc<CsrGraph>,

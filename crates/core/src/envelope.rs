@@ -1,44 +1,23 @@
-//! Fingerprinted index envelopes: durable index blobs that can prove which
+//! Fingerprinted index bundles: durable index blobs that can prove which
 //! graph they belong to.
 //!
 //! The raw `TsdIndex`/`GctIndex` wire formats carry no information about the
 //! graph they were built from, so attaching a persisted blob used to be
 //! validated by vertex count only — a snapshot taken before edge churn (same
 //! `n`, different edges) was accepted and silently served the *old* graph's
-//! answers. [`IndexEnvelope`] closes that hole: every exported index is
-//! framed with a magic word, a format version, the engine kind, and the
-//! source graph's [`GraphFingerprint`] (`n`, `m`, and a checksum of the
-//! canonical edge list — edge order is deterministic, so equal edge sets
-//! hash equal).
-//! [`crate::SearchService::import_index`] refuses a blob whose fingerprint
-//! disagrees with the graph it serves, as
+//! answers. [`IndexBundle`] closes that hole: every persisted index — one or
+//! several, say a whole warmed service's TSD + GCT — is framed with a magic
+//! word, a format version, and the source graph's [`GraphFingerprint`]
+//! (`n`, `m`, and a checksum of the canonical edge list — edge order is
+//! deterministic, so equal edge sets hash equal), and each entry carries
+//! its engine kind and a checksum of its payload.
+//! [`crate::SearchService::export_bundle`] writes one (`export_bundle([kind])`
+//! for a single index) and [`crate::SearchService::import_bundle`] refuses a
+//! blob whose fingerprint disagrees with the graph it serves, as
 //! [`crate::SearchError::FingerprintMismatch`].
 //!
-//! Two frame formats share the fingerprint discipline:
-//!
-//! * [`IndexEnvelope`] — one engine's index per blob (magic `"SDIE"`);
-//! * [`IndexBundle`] — N engines' indexes behind a single fingerprint
-//!   (magic `"SDIB"`), so a whole warmed service (TSD + GCT)
-//!   persists and reloads as **one** artifact via
-//!   [`crate::SearchService::export_bundle`] /
-//!   [`crate::SearchService::import_bundle`].
-//!
-//! Envelope wire layout (all integers little-endian):
-//!
-//! | offset | size | field |
-//! |---|---|---|
-//! | 0 | 4 | magic `"SDIE"` ([`ENVELOPE_MAGIC`]) |
-//! | 4 | 2 | format version ([`ENVELOPE_VERSION`]) |
-//! | 6 | 1 | engine tag ([`crate::EngineKind::tag`]) |
-//! | 7 | 1 | reserved (zero) |
-//! | 8 | 8 | fingerprint: vertex count `n` |
-//! | 16 | 8 | fingerprint: edge count `m` |
-//! | 24 | 8 | fingerprint: FNV-1a edge checksum |
-//! | 32 | 8 | payload length |
-//! | 40 | … | payload (the engine's own serialized form) |
-//!
 //! Bundle wire layout — a 32-byte header followed by `count` entries, each
-//! a 12-byte entry header plus its payload:
+//! a 20-byte entry header plus its payload (all integers little-endian):
 //!
 //! | offset | size | field |
 //! |---|---|---|
@@ -59,11 +38,10 @@
 //! | 12 | 8 | payload length |
 //! | 20 | … | payload (the engine's own serialized form) |
 //!
-//! Decoding either format validates every length field before slicing, so
-//! truncation at any layer — header, entry header, payload — fails with a
-//! typed [`DecodeError`], never a panic. The two magics are distinct, so a
-//! single-index blob fed to [`IndexBundle::decode`] (or a bundle fed to
-//! [`IndexEnvelope::decode`]) is refused as [`DecodeError::BadMagic`].
+//! Decoding validates every length field before slicing, so truncation at
+//! any layer — header, entry header, payload — fails with a typed
+//! [`DecodeError`], never a panic; a blob that is not a bundle (a raw index
+//! blob, say) is refused as [`DecodeError::BadMagic`].
 //! Since bundle format version 2 every entry additionally carries an FNV-1a
 //! checksum of its payload, so a bit flipped *inside* a payload is caught
 //! here as [`DecodeError::PayloadChecksum`] instead of relying on the index
@@ -79,16 +57,6 @@ use sd_graph::CsrGraph;
 
 use crate::engine::EngineKind;
 use crate::error::DecodeError;
-
-/// Envelope magic ("SDIE" — Structural Diversity Index Envelope).
-pub const ENVELOPE_MAGIC: u32 = 0x5344_4945;
-
-/// Current envelope format version. Decoding rejects any other value with
-/// [`DecodeError::UnsupportedVersion`].
-pub const ENVELOPE_VERSION: u16 = 1;
-
-/// Fixed size of the envelope header preceding the payload.
-pub const ENVELOPE_HEADER_BYTES: usize = 40;
 
 /// Bundle magic ("SDIB" — Structural Diversity Index Bundle).
 pub const BUNDLE_MAGIC: u32 = 0x5344_4942;
@@ -149,91 +117,11 @@ impl fmt::Display for GraphFingerprint {
     }
 }
 
-/// A versioned, fingerprinted frame around one engine's serialized index.
-///
-/// Produced by [`crate::SearchService::export_index`] and consumed by
-/// [`crate::SearchService::import_index`]; [`Self::encode`]/[`Self::decode`]
-/// are public so blobs can be inspected (or produced) without a service.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IndexEnvelope {
-    /// Which engine's index the payload holds.
-    pub kind: EngineKind,
-    /// Fingerprint of the graph the index was built from.
-    pub fingerprint: GraphFingerprint,
-    /// The engine's own serialized form ([`crate::DiversityEngine::to_bytes`]).
-    pub payload: Bytes,
-}
-
-impl IndexEnvelope {
-    /// Frames `payload` as an envelope for `kind` over the graph identified
-    /// by `fingerprint`. `kind` must be concrete — [`EngineKind::Auto`]
-    /// names no index and has no envelope tag.
-    ///
-    /// # Panics
-    /// In debug builds, panics on [`EngineKind::Auto`].
-    pub fn new(kind: EngineKind, fingerprint: GraphFingerprint, payload: Bytes) -> Self {
-        debug_assert!(kind != EngineKind::Auto, "Auto names no concrete index to envelope");
-        IndexEnvelope { kind, fingerprint, payload }
-    }
-
-    /// Serializes the envelope (header + payload) to one blob.
-    ///
-    /// # Panics
-    /// In debug builds, panics on [`EngineKind::Auto`] (whose tag no
-    /// [`Self::decode`] accepts — the asymmetry must fail at write time,
-    /// not on a later read).
-    pub fn encode(&self) -> Bytes {
-        debug_assert!(self.kind != EngineKind::Auto, "Auto names no concrete index to envelope");
-        let payload = self.payload.as_ref();
-        let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + payload.len());
-        buf.put_u32_le(ENVELOPE_MAGIC);
-        buf.put_u16_le(ENVELOPE_VERSION);
-        buf.put_u8(self.kind.tag());
-        buf.put_u8(0); // reserved
-        buf.put_u64_le(self.fingerprint.n);
-        buf.put_u64_le(self.fingerprint.m);
-        buf.put_u64_le(self.fingerprint.edge_checksum);
-        buf.put_u64_le(payload.len() as u64);
-        buf.extend_from_slice(payload);
-        buf.freeze()
-    }
-
-    /// Parses a blob produced by [`Self::encode`], validating magic,
-    /// version, engine tag, and payload length. Graph-identity validation is
-    /// the *caller's* job (compare [`Self::fingerprint`] against the target
-    /// graph — [`crate::SearchService::import_index`] does this).
-    pub fn decode(mut data: Bytes) -> Result<Self, DecodeError> {
-        if data.remaining() < ENVELOPE_HEADER_BYTES {
-            return Err(DecodeError::Truncated);
-        }
-        if data.get_u32_le() != ENVELOPE_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = data.get_u16_le();
-        if version != ENVELOPE_VERSION {
-            return Err(DecodeError::UnsupportedVersion { version });
-        }
-        let tag = data.get_u8();
-        let kind = EngineKind::from_tag(tag).ok_or(DecodeError::UnknownEngine { tag })?;
-        let _reserved = data.get_u8();
-        let fingerprint = GraphFingerprint {
-            n: data.get_u64_le(),
-            m: data.get_u64_le(),
-            edge_checksum: data.get_u64_le(),
-        };
-        let payload_len = data.get_u64_le();
-        if payload_len != data.remaining() as u64 {
-            return Err(DecodeError::Truncated);
-        }
-        Ok(IndexEnvelope { kind, fingerprint, payload: data.slice(0..payload_len as usize) })
-    }
-}
-
-/// A versioned frame around *several* engines' serialized indexes, all
-/// guarded by one [`GraphFingerprint`] — the persistence unit for a whole
-/// warmed service (the paper's TSD- and GCT-indexes ship as one artifact,
-/// the way related index-serving systems persist all index layers
-/// together).
+/// A versioned frame around one or more engines' serialized indexes, all
+/// guarded by one [`GraphFingerprint`] and each checksummed — the one
+/// persistence unit, whether for a single index or a whole warmed service
+/// (the paper's TSD- and GCT-indexes ship as one artifact, the way related
+/// index-serving systems persist all index layers together).
 ///
 /// Produced by [`crate::SearchService::export_bundle`] and consumed by
 /// [`crate::SearchService::import_bundle`]; [`Self::encode`]/[`Self::decode`]
@@ -395,65 +283,12 @@ mod tests {
         assert_ne!(f1, f2);
     }
 
-    #[test]
-    fn envelope_roundtrip() {
-        let env = IndexEnvelope::new(
-            EngineKind::Gct,
-            fig1_fingerprint(),
-            Bytes::from_static(b"payload-bytes"),
-        );
-        let blob = env.encode();
-        assert_eq!(blob.len(), ENVELOPE_HEADER_BYTES + 13);
-        assert_eq!(IndexEnvelope::decode(blob).unwrap(), env);
-    }
-
-    #[test]
-    fn decode_rejects_bad_frames() {
-        let env = IndexEnvelope::new(EngineKind::Tsd, fig1_fingerprint(), Bytes::new());
-        let good = env.encode();
-
-        // Truncated header.
-        let short = good.slice(0..ENVELOPE_HEADER_BYTES - 1);
-        assert_eq!(IndexEnvelope::decode(short), Err(DecodeError::Truncated));
-
-        // Bad magic.
-        let mut wrong = good.as_ref().to_vec();
-        wrong[0] ^= 0xFF;
-        assert_eq!(IndexEnvelope::decode(wrong.into()), Err(DecodeError::BadMagic));
-
-        // Unknown future version.
-        let mut vers = good.as_ref().to_vec();
-        vers[4] = 0x63;
-        assert_eq!(
-            IndexEnvelope::decode(vers.into()),
-            Err(DecodeError::UnsupportedVersion { version: 0x63 })
-        );
-
-        // Unknown engine tag.
-        let mut tag = good.as_ref().to_vec();
-        tag[6] = 0xAB;
-        assert_eq!(
-            IndexEnvelope::decode(tag.into()),
-            Err(DecodeError::UnknownEngine { tag: 0xAB })
-        );
-
-        // Payload length disagreeing with the actual body.
-        let mut env2 =
-            IndexEnvelope::new(EngineKind::Tsd, fig1_fingerprint(), Bytes::from_static(b"abcd"));
-        let mut cut = env2.encode().as_ref().to_vec();
-        cut.pop();
-        assert_eq!(IndexEnvelope::decode(cut.into()), Err(DecodeError::Truncated));
-        env2.payload = Bytes::new();
-        let mut extra = env2.encode().as_ref().to_vec();
-        extra.push(0);
-        assert_eq!(IndexEnvelope::decode(extra.into()), Err(DecodeError::Truncated));
-    }
-
+    /// Every concrete kind's tag survives a bundle entry header.
     #[test]
     fn every_concrete_kind_tags_roundtrip_through_the_header() {
         for kind in EngineKind::ALL {
-            let env = IndexEnvelope::new(kind, fig1_fingerprint(), Bytes::new());
-            assert_eq!(IndexEnvelope::decode(env.encode()).unwrap().kind, kind);
+            let bundle = IndexBundle::new(fig1_fingerprint(), vec![(kind, Bytes::new())]);
+            assert_eq!(IndexBundle::decode(bundle.encode()).unwrap().kinds(), vec![kind]);
         }
     }
 
@@ -503,7 +338,7 @@ mod tests {
         extra.push(0);
         assert_eq!(IndexBundle::decode(extra.into()), Err(DecodeError::Truncated));
 
-        // Bad magic — including the single-index envelope magic.
+        // Bad magic.
         let mut wrong = good.as_ref().to_vec();
         wrong[0] ^= 0xFF;
         assert_eq!(IndexBundle::decode(wrong.into()), Err(DecodeError::BadMagic));
@@ -579,13 +414,5 @@ mod tests {
             IndexBundle::decode(forged.into()),
             Err(DecodeError::DuplicateEngine { tag: EngineKind::Tsd.tag() })
         );
-    }
-
-    #[test]
-    fn the_two_magics_are_mutually_exclusive() {
-        let envelope =
-            IndexEnvelope::new(EngineKind::Gct, fig1_fingerprint(), Bytes::from_static(b"p"));
-        assert_eq!(IndexBundle::decode(envelope.encode()), Err(DecodeError::BadMagic));
-        assert_eq!(IndexEnvelope::decode(sample_bundle().encode()), Err(DecodeError::BadMagic));
     }
 }

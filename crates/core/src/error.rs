@@ -12,7 +12,7 @@ use std::fmt;
 use crate::envelope::GraphFingerprint;
 
 /// Decode failures shared by every serializable index format (TSD and GCT
-/// blobs and the [`crate::envelope::IndexEnvelope`] around them use the same
+/// blobs and the [`crate::envelope::IndexBundle`] around them use the same
 /// framing discipline: magic word, length-checked body).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeError {
@@ -20,14 +20,14 @@ pub enum DecodeError {
     BadMagic,
     /// Input shorter than its own header promises.
     Truncated,
-    /// An envelope written by a future (or corrupted) format revision.
+    /// A bundle written by a future (or corrupted) format revision.
     UnsupportedVersion {
         /// The version the blob claims.
         version: u16,
     },
-    /// An envelope naming an engine tag this build does not know.
+    /// A bundle entry naming an engine tag this build does not know.
     UnknownEngine {
-        /// The raw engine tag from the envelope header.
+        /// The raw engine tag from the entry header.
         tag: u8,
     },
     /// A bundle carrying two entries for the same engine — ambiguous, so
@@ -62,10 +62,10 @@ impl fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "not a recognized index blob (bad magic)"),
             DecodeError::Truncated => write!(f, "truncated index blob"),
             DecodeError::UnsupportedVersion { version } => {
-                write!(f, "unsupported index envelope format version {version}")
+                write!(f, "unsupported index bundle format version {version}")
             }
             DecodeError::UnknownEngine { tag } => {
-                write!(f, "index envelope names unknown engine tag {tag}")
+                write!(f, "index bundle names unknown engine tag {tag}")
             }
             DecodeError::DuplicateEngine { tag } => {
                 write!(f, "index bundle carries engine tag {tag} more than once")
@@ -114,14 +114,14 @@ pub enum SearchError {
         /// Vertices covered by the index.
         index_n: usize,
     },
-    /// An index envelope was serialized from a different graph than the one
+    /// An index bundle was serialized from a different graph than the one
     /// it is being attached to (the fingerprints — vertex count, edge count,
     /// edge checksum — disagree). Unlike [`SearchError::GraphMismatch`],
     /// this catches same-`n` graphs that differ in their edges.
     FingerprintMismatch {
         /// Fingerprint of the graph the service serves.
         expected: GraphFingerprint,
-        /// Fingerprint recorded in the envelope.
+        /// Fingerprint recorded in the bundle.
         found: GraphFingerprint,
     },
     /// The engine has no serialized form (only TSD and GCT do).
@@ -165,8 +165,8 @@ impl fmt::Display for SearchError {
             SearchError::FingerprintMismatch { expected, found } => {
                 write!(
                     f,
-                    "index envelope was built from a different graph: \
-                     expected {expected}, envelope carries {found}"
+                    "index bundle was built from a different graph: \
+                     expected {expected}, bundle carries {found}"
                 )
             }
             SearchError::SerializationUnsupported { engine } => {

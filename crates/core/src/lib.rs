@@ -44,13 +44,12 @@
 //!
 //! Queries are validated ([`QuerySpec::new`] rejects `k < 2` / `r == 0`;
 //! the engine rejects `r > n`) and every failure is a [`SearchError`].
-//! Index persistence goes through fingerprinted frames — one index per
-//! [`IndexEnvelope`] ([`SearchService::export_index`] /
-//! [`SearchService::import_index`]), or every serializable index behind a
-//! single fingerprint in an [`IndexBundle`]
-//! ([`SearchService::export_bundle`] / [`SearchService::import_bundle`]) —
-//! and every import refuses blobs built from a different graph; there is
-//! no fingerprint-less public decode path. (The 0.2 single-threaded
+//! Index persistence goes through one fingerprinted frame, the
+//! [`IndexBundle`]: [`SearchService::export_bundle`] writes one index or
+//! several behind a single graph fingerprint, each entry with its own
+//! payload checksum, and [`SearchService::import_bundle`] refuses blobs
+//! built from a different graph or corrupted on the way; there is no
+//! fingerprint-less public decode path. (The 0.2 single-threaded
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
 //! the "Upgrade notes" section of the repository's CHANGES.md.)
 //!
@@ -91,8 +90,8 @@ pub use engine::{
     OnlineEngine, QuerySpec, TsdEngine,
 };
 pub use envelope::{
-    GraphFingerprint, IndexBundle, IndexEnvelope, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES,
-    BUNDLE_MAGIC, BUNDLE_VERSION, ENVELOPE_HEADER_BYTES, ENVELOPE_MAGIC, ENVELOPE_VERSION,
+    GraphFingerprint, IndexBundle, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_MAGIC,
+    BUNDLE_VERSION,
 };
 pub use error::{DecodeError, SearchError};
 pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};

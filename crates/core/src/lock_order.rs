@@ -22,7 +22,6 @@
 //! | 5    | `server.io`       | one I/O-loop thread's command injection queue        |
 //! | 6    | `server.batch`    | one tenant's query-coalescing accumulator            |
 //! | 7    | `server.frame`    | one request frame's reply-aggregation slots          |
-//! | 8    | `server.inflight` | the per-epoch in-flight gauge draining consults      |
 //! | 10   | `svc.updater`     | the retained carry ([`crate::dynamic::DynamicTsd`]: COW adjacency + the published TSD/GCT `Arc`s); serializes `apply_updates` |
 //! | 20   | `epoch.ptr`       | the serving-epoch pointer swap                       |
 //! | 30   | `engine.slot`     | one engine cache slot of an epoch                    |
@@ -48,7 +47,7 @@
 //! - `svc.updater → engine.slot` — a batch seeds its carry from the old
 //!   epoch's TSD and GCT slots, and `updater_cow` compares the carry's
 //!   indexes with the current epoch's.
-//! - `epoch.ptr → engine.slot` — `import_index` installs into the epoch it
+//! - `epoch.ptr → engine.slot` — `import_bundle` installs into the epoch it
 //!   verified, under the epoch read lock.
 //! - `engine.slot → scan.chunk` — a TSD or GCT build runs its vertex
 //!   chunks on the pool (`run_all`) while holding the slot it will fill.
@@ -122,10 +121,6 @@ pub const SERVER_BATCH: LockClass = LockClass::new(6, "server.batch");
 /// this lock is released — the completion callback runs lock-free).
 pub const SERVER_FRAME: LockClass = LockClass::new(7, "server.frame");
 
-/// The `sd-server` in-flight gauge: which epochs still have queries or
-/// update batches executing, consulted by epoch-aware draining.
-pub const SERVER_INFLIGHT: LockClass = LockClass::new(8, "server.inflight");
-
 /// Serializes [`crate::SearchService::apply_updates`] batches and guards
 /// the retained carry state: the COW graph plus the published TSD and GCT
 /// indexes the next batch repairs against.
@@ -158,7 +153,6 @@ mod tests {
             SERVER_IO,
             SERVER_BATCH,
             SERVER_FRAME,
-            SERVER_INFLIGHT,
             SVC_UPDATER,
             EPOCH_PTR,
             ENGINE_SLOT,

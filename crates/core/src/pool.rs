@@ -19,7 +19,7 @@
 //! shim). Two entry points:
 //!
 //! * [`WorkerPool::submit`] — fire-and-forget, for scheduled index builds
-//!   and batch leaders. Spawns a worker lazily when queued work exceeds
+//!   and batch leaders. Spawns workers lazily when queued work exceeds
 //!   idle capacity.
 //! * [`WorkerPool::run_all`] — structured fan-out: the batch goes into a
 //!   batch-local queue, the shared injector gets one *ticket* per thread
@@ -79,7 +79,9 @@ struct PoolShared {
     max: usize,
     /// Worker threads currently alive.
     spawned: AtomicUsize,
-    /// Workers currently parked in `recv` (no job in hand).
+    /// Workers with no job in hand: parked in `recv`, or spawned and not
+    /// yet there (a new worker counts as idle from its spawn, so the next
+    /// [`WorkerPool::maybe_spawn`] does not spawn again for the same job).
     idle: AtomicUsize,
     /// Submitted and batch jobs fully executed (including panicked ones).
     executed: AtomicUsize,
@@ -176,7 +178,7 @@ impl WorkerPool {
     }
 
     /// Enqueues a fire-and-forget job (the background-build entry point).
-    /// Never blocks; spawns a worker if the queue is outgrowing idle
+    /// Never blocks; spawns workers if the queue is outgrowing idle
     /// capacity. On a 1-thread pool the job runs on the single lazily
     /// spawned worker, never on the caller.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
@@ -267,34 +269,33 @@ impl WorkerPool {
         }
     }
 
-    /// Spawns one worker when queued work exceeds idle capacity and the
-    /// pool is below its bound. Workers live until the pool handle drops
-    /// (the disconnected queue is their exit signal).
+    /// Spawns as many workers as queued work exceeds idle capacity by, up
+    /// to the pool's bound, so one call grows a fresh pool to what its
+    /// queue needs (all of a `run_all` batch's tickets, say) rather than
+    /// by one thread. Workers live until the pool handle drops (the
+    /// disconnected queue is their exit signal).
     fn maybe_spawn(&self) {
-        loop {
-            let spawned = self.shared.spawned.load(Ordering::SeqCst);
-            if spawned >= self.shared.max {
-                return;
+        let wanted = self.tx.len().saturating_sub(self.shared.idle.load(Ordering::SeqCst));
+        for _ in 0..wanted {
+            let max = self.shared.max;
+            let claimed =
+                self.shared.spawned.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                    (n < max).then_some(n + 1)
+                });
+            if claimed.is_err() {
+                return; // at the bound
             }
-            if self.tx.len() <= self.shared.idle.load(Ordering::SeqCst) {
-                return; // parked workers will absorb the queue
-            }
-            if self
-                .shared
-                .spawned
-                .compare_exchange(spawned, spawned + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                let shared = self.shared.clone();
-                let rx = self.rx.clone();
-                let spawn = std::thread::Builder::new()
-                    .name("sd-pool-worker".into())
-                    .spawn(move || worker_loop(shared, rx));
-                if spawn.is_err() {
-                    // Out of threads: undo the claim; submitted work still
-                    // completes via existing workers or `run_all` callers.
-                    self.shared.spawned.fetch_sub(1, Ordering::SeqCst);
-                }
+            self.shared.idle.fetch_add(1, Ordering::SeqCst);
+            let shared = self.shared.clone();
+            let rx = self.rx.clone();
+            let spawn = std::thread::Builder::new()
+                .name("sd-pool-worker".into())
+                .spawn(move || worker_loop(shared, rx));
+            if spawn.is_err() {
+                // Out of threads: undo the claim; submitted work still
+                // completes via existing workers or `run_all` callers.
+                self.shared.idle.fetch_sub(1, Ordering::SeqCst);
+                self.shared.spawned.fetch_sub(1, Ordering::SeqCst);
                 return;
             }
         }
@@ -302,9 +303,9 @@ impl WorkerPool {
 }
 
 /// Worker body: drain the injector until the owning pool handle drops.
+/// The worker starts counted as idle (its spawner counted it).
 fn worker_loop(shared: Arc<PoolShared>, rx: Receiver<Task>) {
     loop {
-        shared.idle.fetch_add(1, Ordering::SeqCst);
         let msg = rx.recv();
         shared.idle.fetch_sub(1, Ordering::SeqCst);
         match msg {
@@ -324,6 +325,7 @@ fn worker_loop(shared: Arc<PoolShared>, rx: Receiver<Task>) {
                 return;
             }
         }
+        shared.idle.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -357,6 +359,15 @@ mod tests {
         assert!(wait_until(2000, || hits.load(Ordering::SeqCst) == 32));
         assert!(pool.spawned_threads() <= 3, "spawned {}", pool.spawned_threads());
         assert!(pool.spawned_threads() >= 1);
+    }
+
+    /// One `run_all` on a fresh pool spawns a worker for each of its
+    /// tickets, not one per call.
+    #[test]
+    fn a_fresh_pools_first_run_all_spawns_every_worker() {
+        let pool = WorkerPool::new(4);
+        pool.run_all((0..8).map(|_| Box::new(|| {}) as Job).collect());
+        assert_eq!(pool.spawned_threads(), 4);
     }
 
     #[test]

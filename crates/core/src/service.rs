@@ -50,11 +50,10 @@
 //! * query, build, cold-query, and epoch counters are atomics, surfaced as
 //!   [`ServiceStats`] (including `epochs`, `updates_applied`, and
 //!   `incremental_tsd_carries`);
-//! * persistence goes through fingerprinted frames: one index per blob via
-//!   [`SearchService::export_index`] / [`SearchService::import_index`], or
-//!   every serializable index behind a single fingerprint via
-//!   [`SearchService::export_bundle`] / [`SearchService::import_bundle`].
-//!   Every epoch has its own fingerprint, so both import paths refuse
+//! * persistence goes through one fingerprinted, checksummed frame:
+//!   [`SearchService::export_bundle`] writes one index or several behind a
+//!   single fingerprint, and [`SearchService::import_bundle`] reads it back.
+//!   Every epoch has its own fingerprint, so the import refuses
 //!   blobs from any other graph — including this service's *own*
 //!   pre-update epochs. It is computed once per epoch, on first use
 //!   (`O(m)`): an update publishes without hashing the edge list, and the
@@ -105,7 +104,7 @@ use crate::dynamic::DynamicTsd;
 use crate::engine::{
     build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, QuerySpec, TsdEngine,
 };
-use crate::envelope::{GraphFingerprint, IndexBundle, IndexEnvelope};
+use crate::envelope::{GraphFingerprint, IndexBundle};
 use crate::error::SearchError;
 use crate::lock_order;
 use crate::pool::{self, Job, WorkerPool};
@@ -464,7 +463,7 @@ impl ServiceCore {
 /// pool), routes [`QuerySpec`]s (including [`EngineKind::Auto`]) through
 /// `&self` methods, mutates the graph under traffic via epoch-swapped
 /// snapshots ([`Self::apply_updates`]), and imports/exports indexes as
-/// fingerprinted envelopes or multi-index bundles.
+/// fingerprinted index bundles.
 ///
 /// Share it as `Arc<SearchService>`; every method takes `&self`.
 ///
@@ -574,8 +573,8 @@ impl SearchService {
         self.core.current().graph.clone()
     }
 
-    /// The current epoch's identity as recorded in exported envelopes and
-    /// bundles. Changes whenever [`Self::apply_updates`] publishes.
+    /// The current epoch's identity as recorded in exported bundles.
+    /// Changes whenever [`Self::apply_updates`] publishes.
     ///
     /// Computed once per epoch, on first use: the first call after a
     /// publish (or the first export or import) hashes the edge list in
@@ -803,7 +802,7 @@ impl SearchService {
     /// publishes nothing and leaves the epoch untouched; an empty batch is
     /// an error ([`SearchError::EmptyUpdateBatch`]).
     ///
-    /// Exported envelopes and bundles from superseded epochs no longer
+    /// Bundles exported from superseded epochs no longer
     /// match [`Self::fingerprint`], so re-importing them fails with
     /// [`SearchError::FingerprintMismatch`] — stale indexes cannot be
     /// smuggled past an update.
@@ -1083,73 +1082,17 @@ impl SearchService {
             .collect()
     }
 
-    /// Serializes the engine of `kind` (building it first if needed — this
-    /// path blocks; it is an export, not a query) into a fingerprinted
-    /// [`IndexEnvelope`] blob that [`Self::import_index`] — on a service
-    /// over the *same* graph — accepts. Engines without a serialized form
-    /// return [`SearchError::SerializationUnsupported`] *before* any
-    /// engine is built ([`EngineKind::Auto`] resolves first, so it exports
-    /// whichever index Auto queries currently route to).
-    pub fn export_index(&self, kind: EngineKind) -> Result<Bytes, SearchError> {
-        let epoch = self.core.current();
-        let kind = epoch.resolve(kind);
-        if !kind.serializable() {
-            return Err(SearchError::SerializationUnsupported { engine: kind.name() });
-        }
-        let engine = self.core.build_if_absent(&epoch, kind).0;
-        let payload = engine.to_bytes()?;
-        Ok(IndexEnvelope::new(kind, epoch.fingerprint(), payload).encode())
-    }
-
-    /// Installs an engine from an envelope blob produced by
-    /// [`Self::export_index`], replacing any cached engine of that kind in
-    /// the current epoch, and returns the installed kind.
-    ///
-    /// Rejects blobs whose graph fingerprint (`n`, `m`, edge checksum)
-    /// differs from the current epoch's graph with
-    /// [`SearchError::FingerprintMismatch`] — a same-`n` snapshot from
-    /// before edge churn, or from one of this service's own superseded
-    /// epochs, cannot slip through. This and [`Self::import_bundle`] are
-    /// the *only* ways to attach serialized index bytes to a service:
-    /// there is no fingerprint-less public decode path.
-    pub fn import_index(&self, blob: Bytes) -> Result<EngineKind, SearchError> {
-        let epoch = self.core.current();
-        let envelope = IndexEnvelope::decode(blob)?;
-        if envelope.fingerprint != epoch.fingerprint() {
-            return Err(SearchError::FingerprintMismatch {
-                expected: epoch.fingerprint(),
-                found: envelope.fingerprint,
-            });
-        }
-        let engine = decode_engine(envelope.kind, epoch.graph.clone(), envelope.payload)?;
-        // Install under the epoch-pointer read lock (which excludes the
-        // publish swap) and re-verify the fingerprint there: an
-        // `apply_updates` that landed while we decoded must fail the
-        // import, not let it install into a superseded epoch and report
-        // success. The fingerprint — not pointer identity — is the real
-        // validity condition, so an update that round-trips back to the
-        // blob's exact edge set still imports. Only such a racing publish
-        // makes the check below hash under the lock; otherwise the guard
-        // holds the epoch whose fingerprint was just computed.
-        let guard = self.core.current.read(); // lock: epoch.ptr
-        if guard.fingerprint() != envelope.fingerprint {
-            return Err(SearchError::FingerprintMismatch {
-                expected: guard.fingerprint(),
-                found: envelope.fingerprint,
-            });
-        }
-        self.core.install(&guard, envelope.kind, Arc::from(engine));
-        Ok(envelope.kind)
-    }
-
     /// Serializes every named engine (building any that are missing — this
-    /// path blocks, like [`Self::export_index`]) into one fingerprinted
-    /// [`IndexBundle`] blob, so a fully warmed service (TSD + GCT)
-    /// persists as a single artifact. Kinds are deduplicated and
-    /// encoded in [`EngineKind::ALL`] order; [`EngineKind::Auto`] resolves
-    /// first. Fails with [`SearchError::SerializationUnsupported`] if any
-    /// requested kind is index-free — *before* building anything — and
-    /// with [`SearchError::EmptyBundleRequest`] if no kind was named.
+    /// path blocks; it is an export, not a query) into one fingerprinted
+    /// [`IndexBundle`] blob that [`Self::import_bundle`] — on a service
+    /// over the *same* graph — accepts: `[kind]` persists one index, and
+    /// a fully warmed service (TSD + GCT) persists as a single artifact.
+    /// Kinds are deduplicated and encoded in [`EngineKind::ALL`] order;
+    /// [`EngineKind::Auto`] resolves first, so it exports whichever index
+    /// Auto queries currently route to. Fails with
+    /// [`SearchError::SerializationUnsupported`] if any requested kind is
+    /// index-free — *before* building anything — and with
+    /// [`SearchError::EmptyBundleRequest`] if no kind was named.
     pub fn export_bundle(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
@@ -1181,9 +1124,12 @@ impl SearchService {
     ///
     /// All-or-nothing: the fingerprint is checked first (wrong-graph and
     /// superseded-epoch bundles are refused whole, as
-    /// [`SearchError::FingerprintMismatch`]) and every entry is decoded
+    /// [`SearchError::FingerprintMismatch`] — a same-`n` snapshot from
+    /// before edge churn cannot slip through) and every entry is decoded
     /// before *any* engine is installed, so a bundle with one corrupt
-    /// payload installs nothing.
+    /// payload installs nothing. This is the *only* way to attach
+    /// serialized index bytes to a service: there is no fingerprint-less
+    /// public decode path.
     pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
         let epoch = self.core.current();
         let bundle = IndexBundle::decode(blob)?;
@@ -1198,10 +1144,15 @@ impl SearchService {
         for (kind, payload) in bundle.entries {
             decoded.push((kind, decode_engine(kind, epoch.graph.clone(), payload)?));
         }
-        // As in [`Self::import_index`]: install under the epoch-pointer
-        // read lock, re-verifying the fingerprint, so a concurrent
-        // `apply_updates` cannot turn the import into a silent no-op
-        // against a superseded epoch.
+        // Install under the epoch-pointer read lock (which excludes the
+        // publish swap) and re-verify the fingerprint there: an
+        // `apply_updates` that landed while we decoded must fail the
+        // import, not let it install into a superseded epoch and report
+        // success. The fingerprint — not pointer identity — is the real
+        // validity condition, so an update that round-trips back to the
+        // blob's exact edge set still imports. Only such a racing publish
+        // makes the check below hash under the lock; otherwise the guard
+        // holds the epoch whose fingerprint was just computed.
         let guard = self.core.current.read(); // lock: epoch.ptr
         if guard.fingerprint() != fingerprint {
             return Err(SearchError::FingerprintMismatch {
@@ -1558,19 +1509,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_roundtrip_through_the_service() {
-        let s = service();
-        let blob = s.export_index(EngineKind::Gct).unwrap();
-        let fresh = service();
-        assert_eq!(fresh.import_index(blob).unwrap(), EngineKind::Gct);
-        assert_eq!(fresh.built_engines(), vec![EngineKind::Gct]);
-        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
-        let result = fresh.top_r(&spec).unwrap();
-        assert_eq!(result.metrics.engine, "gct", "imported engines serve without a build");
-        assert_eq!(result.entries[0].score, 3);
-    }
-
-    #[test]
     fn bundle_roundtrip_through_the_service() {
         let s = service();
         let kinds = [EngineKind::Tsd, EngineKind::Gct];
@@ -1598,20 +1536,40 @@ mod tests {
         assert!(s.built_engines().is_empty(), "failed exports must not cost engine builds");
     }
 
+    /// `Auto` resolves before the export, as it does for a query: to GCT
+    /// on a cold service (which the export then builds), to TSD while only
+    /// TSD is built; and a kind named twice, directly or through `Auto`,
+    /// is one entry.
+    #[test]
+    fn export_bundle_resolves_auto_and_deduplicates() {
+        let exported_kinds =
+            |blob: Bytes| IndexBundle::decode(blob).expect("an exported bundle decodes").kinds();
+
+        let cold = service();
+        assert_eq!(
+            exported_kinds(cold.export_bundle([EngineKind::Auto]).unwrap()),
+            [EngineKind::Gct]
+        );
+        assert_eq!(cold.built_engines(), vec![EngineKind::Gct], "only GCT was built");
+
+        let tsd_only = service();
+        tsd_only.wait_ready([EngineKind::Tsd]);
+        assert_eq!(
+            exported_kinds(tsd_only.export_bundle([EngineKind::Auto]).unwrap()),
+            [EngineKind::Tsd]
+        );
+        assert_eq!(tsd_only.built_engines(), vec![EngineKind::Tsd], "Auto built nothing new");
+
+        let twice = [EngineKind::Auto, EngineKind::Gct, EngineKind::Gct];
+        assert_eq!(exported_kinds(service().export_bundle(twice).unwrap()), [EngineKind::Gct]);
+    }
+
     #[test]
     fn import_rejects_wrong_graph_and_garbage() {
         let s = service();
-        let blob = s.export_index(EngineKind::Gct).unwrap();
         let bundle = s.export_bundle([EngineKind::Gct]).unwrap();
         let other = SearchService::new(
             sd_graph::GraphBuilder::new().extend_edges([(0, 1), (1, 2)]).build(),
-        );
-        assert_eq!(
-            other.import_index(blob).unwrap_err(),
-            SearchError::FingerprintMismatch {
-                expected: other.fingerprint(),
-                found: s.fingerprint()
-            }
         );
         assert_eq!(
             other.import_bundle(bundle).unwrap_err(),
@@ -1619,10 +1577,6 @@ mod tests {
                 expected: other.fingerprint(),
                 found: s.fingerprint()
             }
-        );
-        assert_eq!(
-            s.import_index(Bytes::from_static(b"garbage")).unwrap_err(),
-            SearchError::Decode(DecodeError::Truncated)
         );
         assert_eq!(
             s.import_bundle(Bytes::from_static(b"garbage")).unwrap_err(),
@@ -1635,7 +1589,7 @@ mod tests {
         let s = service();
         for kind in [EngineKind::Online, EngineKind::Bound] {
             assert_eq!(
-                s.export_index(kind).unwrap_err(),
+                s.export_bundle([kind]).unwrap_err(),
                 SearchError::SerializationUnsupported { engine: kind.name() }
             );
         }
@@ -1832,11 +1786,11 @@ mod tests {
     #[test]
     fn stale_epoch_blobs_are_refused_after_updates() {
         let s = service();
-        let stale = s.export_index(EngineKind::Gct).unwrap();
+        let stale = s.export_bundle([EngineKind::Gct]).unwrap();
         let stale_bundle = s.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
         let old_fingerprint = s.fingerprint();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
-        for err in [s.import_index(stale).unwrap_err(), s.import_bundle(stale_bundle).unwrap_err()]
+        for err in [s.import_bundle(stale).unwrap_err(), s.import_bundle(stale_bundle).unwrap_err()]
         {
             assert_eq!(
                 err,
@@ -1848,31 +1802,31 @@ mod tests {
         }
         // The *new* epoch's export re-imports fine into a fresh service on
         // the same final graph.
-        let blob = s.export_index(EngineKind::Tsd).unwrap();
+        let blob = s.export_bundle([EngineKind::Tsd]).unwrap();
         let fresh = SearchService::new((*s.graph()).clone());
-        assert_eq!(fresh.import_index(blob).unwrap(), EngineKind::Tsd);
+        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Tsd]);
     }
 
     /// The fingerprint is computed on first use but is never stale: with
     /// nothing asking for the new epoch's fingerprint between the batch
-    /// and the import, an envelope exported before the batch is refused,
-    /// and one exported after it imports.
+    /// and the import, a one-index bundle exported before the batch is
+    /// refused, and one exported after it imports.
     #[test]
     fn an_unread_fingerprint_still_refuses_a_pre_batch_envelope() {
         let s = service();
         let old_graph = s.graph();
-        let before = s.export_index(EngineKind::Tsd).unwrap();
+        let before = s.export_bundle([EngineKind::Tsd]).unwrap();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
         assert!(s.core.current().fingerprint.get().is_none(), "the publish hashed nothing");
         assert_eq!(
-            s.import_index(before).unwrap_err(),
+            s.import_bundle(before).unwrap_err(),
             SearchError::FingerprintMismatch {
                 expected: GraphFingerprint::of(&s.graph()),
                 found: GraphFingerprint::of(&old_graph),
             }
         );
-        let after = s.export_index(EngineKind::Tsd).unwrap();
-        assert_eq!(s.import_index(after).unwrap(), EngineKind::Tsd);
+        let after = s.export_bundle([EngineKind::Tsd]).unwrap();
+        assert_eq!(s.import_bundle(after).unwrap(), [EngineKind::Tsd]);
     }
 
     #[test]

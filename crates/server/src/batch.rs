@@ -43,8 +43,6 @@ use parking_lot::Mutex;
 use sd_core::lock_order::{SERVER_BATCH, SERVER_FRAME};
 use sd_core::{CancelToken, QuerySpec, SearchError, SearchService, TopRResult};
 
-use crate::registry::Inflight;
-
 /// Sizing for a tenant's [`Batcher`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchLimits {
@@ -198,7 +196,6 @@ pub struct QueueFull {
 pub struct Batcher {
     state: Mutex<Accumulator>,
     limits: BatchLimits,
-    inflight: Arc<Inflight>,
     queries_batched: AtomicU64,
     batches_executed: AtomicU64,
     expired: AtomicU64,
@@ -207,12 +204,11 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// A batcher honoring `limits`, reporting execution to `inflight`.
-    pub fn new(limits: BatchLimits, inflight: Arc<Inflight>) -> Self {
+    /// A batcher honoring `limits`.
+    pub fn new(limits: BatchLimits) -> Self {
         Batcher {
             state: SERVER_BATCH.mutex(Accumulator { pending: Vec::new(), leader_active: false }),
             limits,
-            inflight,
             queries_batched: AtomicU64::new(0),
             batches_executed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
@@ -347,7 +343,6 @@ impl Batcher {
             return;
         }
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let _guard = self.inflight.begin(service.epoch());
         let specs: Vec<QuerySpec> = live.iter().map(|p| p.spec).collect();
         let cancels: Vec<Option<CancelToken>> = live.iter().map(|p| p.cancel.clone()).collect();
         let (epoch, results) = service.top_r_many(&specs, &cancels);

@@ -490,7 +490,6 @@ impl IoLoop {
         let reply_fp = frame.fingerprint;
         let io = Arc::clone(&self.handle);
         let spawned = std::thread::Builder::new().name(format!("sd-upd-{key}")).spawn(move || {
-            let _guard = shared.registry.inflight().begin(tenant.service.epoch());
             let response = match tenant.service.apply_updates(&updates) {
                 Ok(stats) => Response::Update(UpdateResponse {
                     epoch: stats.epoch,

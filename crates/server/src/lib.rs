@@ -5,7 +5,7 @@
 //! (Huang, Huang & Xu, ICDE 2021) in-process. This crate puts it behind
 //! an **event-driven** network front-end speaking **`sd-wire`**, a
 //! length-prefixed binary frame protocol with the same adversarial
-//! decode discipline as the on-disk [`sd_core::IndexEnvelope`]: magic,
+//! decode discipline as the on-disk [`sd_core::IndexBundle`]: magic,
 //! version, fingerprint routing, and every length validated before it
 //! is trusted.
 //!
@@ -21,7 +21,7 @@
 //!   readiness event.
 //! - [`server`] — the readiness-loop front-end: a fixed set of
 //!   `sd-io-{i}` threads multiplexing every connection over epoll, with
-//!   graceful, epoch-aware draining.
+//!   graceful draining that answers every accepted request.
 //! - [`registry`] — multi-tenant routing: one service per graph, keyed by
 //!   the [`GraphFingerprint`](sd_core::GraphFingerprint) it was
 //!   registered under.
@@ -36,8 +36,8 @@
 //!   retry-on-overload), used by the loopback tests and
 //!   `sd-serve selftest`.
 //!
-//! Locking: the server's five lock classes (`server.tenants`,
-//! `server.io`, `server.batch`, `server.frame`, `server.inflight`) rank
+//! Locking: the server's four lock classes (`server.tenants`,
+//! `server.io`, `server.batch`, `server.frame`) rank
 //! below every service-layer class in [`sd_core::lock_order`], so an
 //! I/O loop may hold server state across any `SearchService` entry
 //! point; the `lock-order-check` sentinel enforces it at runtime.
@@ -62,7 +62,7 @@ pub use proto::{
     TenantStatsWire, UpdateRequest, UpdateResponse, Verb, WireError, WireQuery, FRAME_HEADER_BYTES,
     MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION,
 };
-pub use registry::{Inflight, InflightGuard, Tenant, TenantRegistry};
+pub use registry::{Tenant, TenantRegistry};
 pub use sd_core::CancelToken;
 pub use server::{DrainReport, Server, ServerConfig};
 pub use transport::{TcpTransport, Transport, TransportStream};

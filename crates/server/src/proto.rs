@@ -1,7 +1,7 @@
 //! The `sd-wire` protocol: length-prefixed, fingerprint-routed binary
 //! frames between `sd-serve` and its clients.
 //!
-//! Same discipline as [`sd_core::IndexEnvelope`]: every integer is
+//! Same discipline as [`sd_core::IndexBundle`]: every integer is
 //! little-endian, every length field is validated before a single byte is
 //! sliced or allocated, and a malformed input of *any* shape — truncation
 //! at any offset, a wrong magic, a future version, an oversized length
@@ -283,7 +283,7 @@ impl Frame {
 
 /// Fails with [`WireError::Truncated`] unless `buf` still holds `bytes`
 /// more bytes — called before every fixed-width read, mirroring the
-/// envelope decoder's length-before-slice discipline.
+/// index-bundle decoder's length-before-slice discipline.
 fn need(buf: &Bytes, bytes: usize) -> Result<(), WireError> {
     if buf.remaining() < bytes {
         return Err(WireError::Truncated);

@@ -10,12 +10,12 @@
 //!
 //! A frame whose fingerprint matches no registered tenant is answered
 //! with a typed `UnknownTenant` error — the wrong-graph analogue of
-//! [`sd_core::SearchError::FingerprintMismatch`] on the envelope path.
+//! [`sd_core::SearchError::FingerprintMismatch`] on the index-import path.
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use sd_core::lock_order::{SERVER_INFLIGHT, SERVER_TENANTS};
+use parking_lot::RwLock;
+use sd_core::lock_order::SERVER_TENANTS;
 use sd_core::{GraphFingerprint, SearchService};
 
 use crate::batch::Batcher;
@@ -32,88 +32,16 @@ pub struct Tenant {
     pub batcher: Arc<Batcher>,
 }
 
-/// Gauge of work currently executing, bucketed by the epoch it started
-/// against. Graceful shutdown drains against this: it waits until every
-/// epoch bucket — current *and* superseded — has emptied, so a query
-/// pinned to an old snapshot is never abandoned mid-flight.
-pub struct Inflight {
-    by_epoch: Mutex<Vec<(u64, usize)>>,
-}
-
-impl Inflight {
-    fn new() -> Self {
-        Inflight { by_epoch: SERVER_INFLIGHT.mutex(Vec::new()) }
-    }
-
-    fn table(&self) -> &Mutex<Vec<(u64, usize)>> {
-        &self.by_epoch
-    }
-
-    /// Records one unit of work starting against `epoch`; the guard ends
-    /// it on drop (panic-safe).
-    pub fn begin(self: &Arc<Self>, epoch: u64) -> InflightGuard {
-        let mut table = self.table().lock(); // lock: server.inflight
-        match table.iter_mut().find(|(e, _)| *e == epoch) {
-            Some((_, count)) => *count += 1,
-            None => table.push((epoch, 1)),
-        }
-        drop(table);
-        InflightGuard { gauge: Arc::clone(self), epoch }
-    }
-
-    fn end(&self, epoch: u64) {
-        let mut table = self.table().lock(); // lock: server.inflight
-        if let Some(pos) = table.iter().position(|(e, _)| *e == epoch) {
-            table[pos].1 -= 1;
-            if table[pos].1 == 0 {
-                table.swap_remove(pos);
-            }
-        }
-    }
-
-    /// Work units currently executing, summed over every epoch.
-    pub fn total(&self) -> usize {
-        self.table().lock().iter().map(|(_, c)| c).sum() // lock: server.inflight
-    }
-
-    /// `(epoch, executing)` pairs for every epoch with live work, oldest
-    /// epoch first.
-    pub fn snapshot(&self) -> Vec<(u64, usize)> {
-        let mut pairs = self.table().lock().clone(); // lock: server.inflight
-        pairs.sort_unstable();
-        pairs
-    }
-}
-
-/// RAII marker for one in-flight work unit; dropping it (normally or
-/// during unwind) retires the unit from the gauge.
-pub struct InflightGuard {
-    gauge: Arc<Inflight>,
-    epoch: u64,
-}
-
-impl Drop for InflightGuard {
-    fn drop(&mut self) {
-        self.gauge.end(self.epoch);
-    }
-}
-
-/// The tenant table: registration, fingerprint routing, and the shared
-/// in-flight gauge draining consults.
+/// The tenant table: registration and fingerprint routing.
 pub struct TenantRegistry {
     tenants: RwLock<Vec<Arc<Tenant>>>,
-    inflight: Arc<Inflight>,
     limits: BatchLimits,
 }
 
 impl TenantRegistry {
     /// An empty registry whose tenants batch under `limits`.
     pub fn new(limits: BatchLimits) -> Self {
-        TenantRegistry {
-            tenants: SERVER_TENANTS.rwlock(Vec::new()),
-            inflight: Arc::new(Inflight::new()),
-            limits,
-        }
+        TenantRegistry { tenants: SERVER_TENANTS.rwlock(Vec::new()), limits }
     }
 
     /// Registers `service` under its **current** fingerprint and returns
@@ -124,11 +52,8 @@ impl TenantRegistry {
         service: Arc<SearchService>,
     ) -> Result<GraphFingerprint, GraphFingerprint> {
         let key = service.fingerprint();
-        let tenant = Arc::new(Tenant {
-            key,
-            service,
-            batcher: Arc::new(Batcher::new(self.limits, Arc::clone(&self.inflight))),
-        });
+        let tenant =
+            Arc::new(Tenant { key, service, batcher: Arc::new(Batcher::new(self.limits)) });
         let mut tenants = self.tenants.write(); // lock: server.tenants
         if tenants.iter().any(|t| t.key == key) {
             return Err(key);
@@ -169,11 +94,6 @@ impl TenantRegistry {
             visit(tenant);
         }
     }
-
-    /// The gauge of work currently executing across all tenants.
-    pub fn inflight(&self) -> &Arc<Inflight> {
-        &self.inflight
-    }
 }
 
 #[cfg(test)]
@@ -211,32 +131,5 @@ mod tests {
         let twin = figure1_service();
         assert_eq!(reg.register(twin), Err(key), "same fingerprint, ambiguous route");
         assert_eq!(reg.len(), 1);
-    }
-
-    #[test]
-    fn inflight_gauge_tracks_epochs_independently() {
-        let gauge = Arc::new(Inflight::new());
-        let a = gauge.begin(0);
-        let b = gauge.begin(0);
-        let c = gauge.begin(3);
-        assert_eq!(gauge.total(), 3);
-        assert_eq!(gauge.snapshot(), vec![(0, 2), (3, 1)]);
-        drop(b);
-        assert_eq!(gauge.snapshot(), vec![(0, 1), (3, 1)]);
-        drop(a);
-        drop(c);
-        assert_eq!(gauge.total(), 0);
-        assert!(gauge.snapshot().is_empty());
-    }
-
-    #[test]
-    fn inflight_guard_survives_unwind() {
-        let gauge = Arc::new(Inflight::new());
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = gauge.begin(7);
-            panic!("query died");
-        }));
-        assert!(result.is_err());
-        assert_eq!(gauge.total(), 0, "guard retired the unit during unwind");
     }
 }

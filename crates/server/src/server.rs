@@ -21,9 +21,12 @@
 //! new connection is admitted, idle connections close immediately, and a
 //! connection mid-frame is answered first — a frame whose first byte has
 //! been read is always read to completion and answered, so an accepted
-//! request is never dropped. Draining is epoch-aware through the
-//! registry's [`Inflight`](crate::registry::Inflight) gauge, and
-//! connections are only force-closed after the grace period expires.
+//! request is never dropped. The drain waits on the open-connection
+//! count: a connection whose query or update is dispatched stays open
+//! until its reply is written, whatever epoch the work pinned, so
+//! waiting for every connection to close waits for every accepted
+//! request. Connections are only force-closed after the grace period
+//! expires.
 //!
 //! ## Disconnect cancellation
 //!
@@ -137,9 +140,6 @@ pub struct DrainReport {
     pub connections_joined: usize,
     /// Connections force-closed because the grace period expired.
     pub forced_closes: usize,
-    /// `(epoch, executing)` work units in flight when draining was
-    /// triggered — superseded epochs included; the epoch-aware view.
-    pub inflight_at_trigger: Vec<(u64, usize)>,
     /// Whether every connection finished within the grace period.
     pub within_grace: bool,
 }
@@ -278,15 +278,9 @@ impl Server {
     fn drain(&mut self) -> DrainReport {
         if self.threads.is_empty() {
             // Already drained (shutdown/join ran; Drop re-enters here).
-            return DrainReport {
-                connections_joined: 0,
-                forced_closes: 0,
-                inflight_at_trigger: Vec::new(),
-                within_grace: true,
-            };
+            return DrainReport { connections_joined: 0, forced_closes: 0, within_grace: true };
         }
         trigger_drain(&self.shared);
-        let inflight_at_trigger = self.shared.registry.inflight().snapshot();
         let connections_joined = self.shared.active_connections.load(Ordering::SeqCst) as usize;
         let deadline = Instant::now().checked_add(self.drain_grace);
         while self.shared.active_connections.load(Ordering::SeqCst) > 0 {
@@ -315,12 +309,7 @@ impl Server {
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        DrainReport {
-            connections_joined,
-            forced_closes: forced,
-            inflight_at_trigger,
-            within_grace: forced == 0,
-        }
+        DrainReport { connections_joined, forced_closes: forced, within_grace: forced == 0 }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Index lifecycle: build the TSD and GCT engines once, export the GCT
-//! index as a fingerprinted envelope to disk, import it into a fresh
-//! `SearchService`, and answer many (k, r) queries — the "index once, query
-//! forever" workflow the paper designs Section 5/6 around, made safe for
-//! persistence: an envelope exported from one graph cannot be attached to
+//! index as a fingerprinted one-entry bundle to disk, import it into a
+//! fresh `SearchService`, and answer many (k, r) queries — the "index once,
+//! query forever" workflow the paper designs Section 5/6 around, made safe
+//! for persistence: a bundle exported from one graph cannot be attached to
 //! another.
 //!
 //! ```sh
@@ -29,39 +29,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     service.wait_ready([EngineKind::Tsd]);
     println!("TSD-index: built in {:?}", t0.elapsed());
     let t1 = Instant::now();
-    let gct_blob = service.export_index(EngineKind::Gct)?;
+    let gct_blob = service.export_bundle([EngineKind::Gct])?;
     println!(
-        "GCT-index: built and enveloped in {:?}, {} bytes, fingerprint {}",
+        "GCT-index: built and exported in {:?}, {} bytes, fingerprint {}",
         t1.elapsed(),
         gct_blob.len(),
         service.fingerprint()
     );
 
     // Export / import round-trip (e.g. to ship the index next to the
-    // data): a fresh service revives the engine from the envelope instead
-    // of rebuilding it, after checking the blob really belongs to its graph.
+    // data): a fresh service revives the engine from the bundle instead
+    // of rebuilding it, after checking the blob really belongs to its graph
+    // and that its payload is intact.
     let dir = std::env::temp_dir().join("sd_index_example");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join("graph.sdie");
+    let path = dir.join("graph-gct.sdib");
     std::fs::write(&path, &gct_blob)?;
     let blob = std::fs::read(&path)?;
     let reloaded = SearchService::from_arc(service.graph());
-    let kind = reloaded.import_index(blob.into())?;
-    println!("imported `{kind}` engine from {}", path.display());
+    let kinds = reloaded.import_bundle(blob.into())?;
+    println!("imported {kinds:?} from {}", path.display());
 
-    // The fingerprint guards the attachment: the same envelope is refused
+    // The fingerprint guards the attachment: the same bundle is refused
     // by a service over any other graph.
     let other = SearchService::new(GraphBuilder::new().extend_edges([(0, 1), (1, 2)]).build());
-    match other.import_index(std::fs::read(&path)?.into()) {
+    match other.import_bundle(std::fs::read(&path)?.into()) {
         Err(SearchError::FingerprintMismatch { expected, found }) => {
             println!("wrong graph correctly refused: expected {expected}, blob has {found}");
         }
         other => panic!("wrong-graph import must fail with FingerprintMismatch, got {other:?}"),
     }
 
-    // Or ship the whole warmed service as ONE artifact: a bundle packs
-    // every serializable index (TSD + GCT) behind a single fingerprint.
-    // One file on disk, one import, both index engines ready.
+    // Or ship the whole warmed service as ONE artifact: the same format
+    // packs every serializable index (TSD + GCT) behind a single
+    // fingerprint. One file on disk, one import, both index engines ready.
     let kinds = [EngineKind::Tsd, EngineKind::Gct];
     let bundle = service.export_bundle(kinds)?;
     let bundle_path = dir.join("graph.sdib");

@@ -1,11 +1,11 @@
-//! Fingerprinted index envelopes and bundles: `export_index`/`import_index`
-//! must round-trip every serializable engine kind, `export_bundle`/
-//! `import_bundle` must round-trip any subset of them behind one
-//! fingerprint, and both import paths must reject — with typed errors,
-//! never a panic or a silently wrong engine — blobs from a different
-//! graph, truncation at every layer, unknown format versions, duplicate
-//! engine tags, zero-entry bundles, raw (unenveloped) index blobs, and
-//! each frame format fed to the other's importer.
+//! Fingerprinted index bundles, the one frame every persisted index is
+//! written in ("envelope" in the names here means that frame):
+//! `export_bundle`/`import_bundle` must round-trip every serializable
+//! engine kind alone and any set of them behind one fingerprint, and the
+//! import must reject — with typed errors, never a panic or a silently
+//! wrong engine — blobs from a different graph, truncation at every layer,
+//! unknown format versions, unknown and duplicate engine tags, zero-entry
+//! bundles, raw (unframed) index blobs, and any flipped payload bit.
 
 mod common;
 
@@ -17,9 +17,8 @@ use proptest::prelude::*;
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{
-    DecodeError, EngineKind, GraphFingerprint, IndexBundle, IndexEnvelope, QuerySpec, SearchError,
-    SearchService, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
-    ENVELOPE_VERSION,
+    DecodeError, EngineKind, GraphFingerprint, IndexBundle, QuerySpec, SearchError, SearchService,
+    BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
 };
 
 fn fig1_service() -> SearchService {
@@ -29,25 +28,25 @@ fn fig1_service() -> SearchService {
     SearchService::new(g)
 }
 
-/// Every engine kind goes through export: the serializable ones round-trip
-/// into an equivalent engine, the index-free ones fail with the typed
-/// capability error on both directions.
+/// Every engine kind goes through export as a one-entry bundle: the
+/// serializable ones round-trip into an equivalent engine, the index-free
+/// ones fail with the typed capability error on both directions.
 #[test]
 fn every_kind_roundtrips_or_reports_the_missing_capability() {
     let donor = fig1_service();
     let spec = QuerySpec::new(4, 3).unwrap();
     for kind in EngineKind::ALL {
         if kind.serializable() {
-            let blob = donor.export_index(kind).expect("export");
+            let blob = donor.export_bundle([kind]).expect("export");
             let fresh = SearchService::from_arc(donor.graph());
-            assert_eq!(fresh.import_index(blob).expect("import"), kind);
+            assert_eq!(fresh.import_bundle(blob).expect("import"), [kind]);
             assert_eq!(fresh.built_engines(), vec![kind]);
             let revived = fresh.top_r(&spec.with_engine(kind)).expect("query");
             let original = donor.top_r(&spec.with_engine(kind)).expect("query");
             assert_eq!(revived.scores(), original.scores(), "{kind} roundtrip changed answers");
         } else {
             assert_eq!(
-                donor.export_index(kind).unwrap_err(),
+                donor.export_bundle([kind]).unwrap_err(),
                 SearchError::SerializationUnsupported { engine: kind.name() },
                 "{kind}"
             );
@@ -56,109 +55,34 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
 }
 
 #[test]
-fn import_rejects_wrong_graph_fingerprint() {
-    let donor = fig1_service();
-    for kind in [EngineKind::Tsd, EngineKind::Gct] {
-        let blob = donor.export_index(kind).expect("export");
-
-        // A graph with a different vertex count.
-        let smaller =
-            SearchService::new(GraphBuilder::new().extend_edges([(0, 1), (1, 2), (0, 2)]).build());
-        match smaller.import_index(blob.clone()) {
-            Err(SearchError::FingerprintMismatch { expected, found }) => {
-                assert_eq!(expected, smaller.fingerprint());
-                assert_eq!(found, donor.fingerprint());
-            }
-            other => panic!("{kind}: wrong-n import must fail with FingerprintMismatch: {other:?}"),
-        }
-
-        // The sharper case the 0.2 vertex-count check missed: same n, same
-        // m, different edges.
-        let same_shape = churned_same_shape(&donor);
-        assert!(
-            matches!(same_shape.import_index(blob), Err(SearchError::FingerprintMismatch { .. })),
-            "{kind}: same-(n, m) churned graph must be caught by the edge checksum"
-        );
-    }
-}
-
-#[test]
-fn import_rejects_truncated_headers_and_bodies() {
-    let service = fig1_service();
-    let blob = service.export_index(EngineKind::Gct).expect("export");
-    // Every truncation point — inside the header and inside the payload —
-    // must produce a typed decode error.
-    for cut in [0, 1, 7, 39, blob.len() - 1] {
-        let truncated = blob.slice(0..cut);
-        assert_eq!(
-            service.import_index(truncated).unwrap_err(),
-            SearchError::Decode(DecodeError::Truncated),
-            "cut at {cut}"
-        );
-    }
-}
-
-#[test]
-fn import_rejects_unknown_format_version() {
-    let service = fig1_service();
-    let blob = service.export_index(EngineKind::Tsd).expect("export");
-    let mut bytes = blob.as_ref().to_vec();
-    let future = ENVELOPE_VERSION + 41;
-    bytes[4..6].copy_from_slice(&future.to_le_bytes());
-    assert_eq!(
-        service.import_index(bytes.into()).unwrap_err(),
-        SearchError::Decode(DecodeError::UnsupportedVersion { version: future })
-    );
-}
-
-#[test]
 fn import_rejects_unknown_engine_tag_and_bad_magic() {
     let service = fig1_service();
-    let blob = service.export_index(EngineKind::Tsd).expect("export");
+    let blob = service.export_bundle([EngineKind::Tsd]).expect("export");
 
     let mut tagged = blob.as_ref().to_vec();
-    tagged[6] = 0x7F;
+    tagged[BUNDLE_HEADER_BYTES] = 0x7F; // the entry's engine tag
     assert_eq!(
-        service.import_index(tagged.into()).unwrap_err(),
+        service.import_bundle(tagged.into()).unwrap_err(),
         SearchError::Decode(DecodeError::UnknownEngine { tag: 0x7F })
     );
 
-    // A raw index blob (no envelope) must be refused up front — its magic
-    // is the index format's, not the envelope's.
+    // A raw index blob (no bundle frame) must be refused up front — its
+    // magic is the index format's, not the bundle's.
     let raw = service.engine(EngineKind::Tsd).to_bytes().expect("raw index bytes");
-    assert_eq!(service.import_index(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
-}
-
-/// Engine tag 5 is retired and never reused: an envelope naming it is
-/// refused as an unknown engine, and nothing is installed.
-#[test]
-fn envelope_import_refuses_the_retired_engine_tag() {
-    let donor = fig1_service();
-    for kind in [EngineKind::Tsd, EngineKind::Gct] {
-        let mut retired = donor.export_index(kind).expect("export").as_ref().to_vec();
-        retired[6] = 5;
-        let fresh = SearchService::from_arc(donor.graph());
-        assert_eq!(
-            fresh.import_index(retired.into()).unwrap_err(),
-            SearchError::Decode(DecodeError::UnknownEngine { tag: 5 }),
-            "{kind}"
-        );
-        assert!(fresh.built_engines().is_empty(), "{kind}: a refused envelope installs nothing");
-    }
+    assert_eq!(service.import_bundle(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
 }
 
 #[test]
 fn envelope_for_an_index_free_kind_is_refused_at_decode_time() {
-    // Hand-craft an envelope claiming to carry an `online` index: the frame
-    // parses, but reviving the engine reports the missing capability.
+    // Hand-craft a bundle entry claiming to carry an `online` index: the
+    // frame parses, but reviving the engine reports the missing capability.
     let service = fig1_service();
-    let forged = IndexEnvelope::new(
-        EngineKind::Online,
+    let forged = IndexBundle::new(
         service.fingerprint(),
-        bytes::Bytes::from_static(b""),
+        vec![(EngineKind::Online, bytes::Bytes::from_static(b""))],
     );
     assert_eq!(
-        service.import_index(forged.encode()).unwrap_err(),
+        service.import_bundle(forged.encode()).unwrap_err(),
         SearchError::SerializationUnsupported { engine: "online" }
     );
 }
@@ -362,6 +286,35 @@ fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
     assert!(fresh.built_engines().is_empty());
 }
 
+/// Every index is persisted with a payload checksum, the one-index case
+/// included: flipping either of the two low bits of any payload byte of
+/// Figure 1's TSD or GCT index, exported alone, is refused as
+/// `PayloadChecksum` and installs nothing. (Many such flips still parse
+/// as an index, so the index decoders alone cannot catch them.)
+#[test]
+fn every_low_bit_flip_of_a_one_index_payload_is_refused() {
+    let donor = fig1_service();
+    let fresh = SearchService::from_arc(donor.graph());
+    for kind in [EngineKind::Tsd, EngineKind::Gct] {
+        let good = donor.export_bundle([kind]).expect("export");
+        let payload_at = BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES;
+        assert!(good.len() > payload_at, "{kind}: the payload is not empty");
+        for at in payload_at..good.len() {
+            for bit in [0x01, 0x02] {
+                let mut flipped = good.as_ref().to_vec();
+                flipped[at] ^= bit;
+                assert_eq!(
+                    fresh.import_bundle(flipped.into()).unwrap_err(),
+                    SearchError::Decode(DecodeError::PayloadChecksum { tag: kind.tag() }),
+                    "{kind}: bit {bit:#04x} of payload byte {}",
+                    at - payload_at
+                );
+            }
+        }
+    }
+    assert!(fresh.built_engines().is_empty(), "a refused blob installs nothing");
+}
+
 /// Checksum-less version-1 bundles are no longer read: the version bump is
 /// what makes "every accepted entry was checksummed" an invariant.
 #[test]
@@ -374,23 +327,6 @@ fn bundle_import_rejects_the_checksumless_version_1_format() {
     assert_eq!(
         service.import_bundle(old.into()).unwrap_err(),
         SearchError::Decode(DecodeError::UnsupportedVersion { version: 1 })
-    );
-}
-
-/// The two frame formats are mutually exclusive: a single-index "SDIE"
-/// envelope fed to `import_bundle` is refused at the magic, and vice versa.
-#[test]
-fn envelope_and_bundle_blobs_are_not_interchangeable() {
-    let service = fig1_service();
-    let envelope = service.export_index(EngineKind::Gct).unwrap();
-    let bundle = service.export_bundle([EngineKind::Gct]).unwrap();
-    assert_eq!(
-        service.import_bundle(envelope).unwrap_err(),
-        SearchError::Decode(DecodeError::BadMagic)
-    );
-    assert_eq!(
-        service.import_index(bundle).unwrap_err(),
-        SearchError::Decode(DecodeError::BadMagic)
     );
 }
 
@@ -418,13 +354,19 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
     assert!(fresh.built_engines().is_empty(), "the valid TSD entry must not have been installed");
 }
 
+/// The payload of `kind`'s index, exported alone.
+fn exported_payload(donor: &SearchService, kind: EngineKind) -> Vec<u8> {
+    let mut bundle = IndexBundle::decode(donor.export_bundle([kind]).expect("export")).unwrap();
+    bundle.entries.remove(0).1.as_ref().to_vec()
+}
+
 /// Re-frames `kind`'s exported payload after `mutate` edits it: the
-/// envelope stays consistent, so only the index decoder can refuse it.
+/// bundle's entry checksum is recomputed over the edited bytes, so only
+/// the index decoder can refuse it.
 fn reframed(donor: &SearchService, kind: EngineKind, mutate: impl FnOnce(&mut [u8])) -> Bytes {
-    let envelope = IndexEnvelope::decode(donor.export_index(kind).expect("export")).unwrap();
-    let mut payload = envelope.payload.as_ref().to_vec();
+    let mut payload = exported_payload(donor, kind);
     mutate(&mut payload);
-    IndexEnvelope::new(kind, envelope.fingerprint, payload.into()).encode()
+    IndexBundle::new(donor.fingerprint(), vec![(kind, payload.into())]).encode()
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -434,7 +376,7 @@ fn u32_at(bytes: &[u8], at: usize) -> u32 {
 fn assert_refused_as_invalid(donor: &SearchService, blob: Bytes) {
     let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
-        fresh.import_index(blob).unwrap_err(),
+        fresh.import_bundle(blob).unwrap_err(),
         SearchError::Decode(DecodeError::InvalidEntry)
     );
     assert!(fresh.built_engines().is_empty(), "a refused blob installs nothing");
@@ -473,22 +415,15 @@ fn import_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
 }
 
 /// PR-3's known gap, closed in 0.4.0: `decode_engine` (vertex-count-only
-/// attachment) is crate-private, so every public path that turns serialized
-/// bytes into a serving engine — `import_index` and `import_bundle`, the
-/// only two — checks the graph fingerprint. A stale blob from a same-shape
-/// graph (identical n and m, one different edge) must be impossible to
-/// attach through any public surface.
+/// attachment) is crate-private, so the one public path that turns
+/// serialized bytes into a serving engine — `import_bundle` — checks the
+/// graph fingerprint. A stale blob from a same-shape graph (identical n
+/// and m, one different edge) must be impossible to attach through any
+/// public surface.
 #[test]
 fn no_fingerprintless_public_decode_path_remains() {
     let donor = fig1_service();
     let churned = churned_same_shape(&donor);
-    for kind in [EngineKind::Tsd, EngineKind::Gct] {
-        let envelope = donor.export_index(kind).unwrap();
-        assert!(
-            matches!(churned.import_index(envelope), Err(SearchError::FingerprintMismatch { .. })),
-            "{kind}: import_index accepted a stale same-shape blob"
-        );
-    }
     let bundle = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
     assert!(
         matches!(churned.import_bundle(bundle), Err(SearchError::FingerprintMismatch { .. })),
@@ -501,8 +436,8 @@ fn no_fingerprintless_public_decode_path_remains() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Envelope round-trips preserve answers on arbitrary graphs, and the
-    /// recorded fingerprint always matches the source graph's.
+    /// One-index bundle round-trips preserve answers on arbitrary graphs,
+    /// and the recorded fingerprint always matches the source graph's.
     #[test]
     fn envelope_roundtrip_preserves_answers(g in arb_graph(16, 60), k in 2u32..5) {
         let g = Arc::new(g);
@@ -510,12 +445,12 @@ proptest! {
         let donor = SearchService::from_arc(g.clone());
         prop_assert_eq!(donor.fingerprint(), GraphFingerprint::of(&g));
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            let blob = donor.export_index(kind).expect("export");
-            let envelope = IndexEnvelope::decode(blob.clone()).expect("decode");
-            prop_assert_eq!(envelope.kind, kind);
-            prop_assert_eq!(envelope.fingerprint, donor.fingerprint());
+            let blob = donor.export_bundle([kind]).expect("export");
+            let bundle = IndexBundle::decode(blob.clone()).expect("decode");
+            prop_assert_eq!(bundle.kinds(), vec![kind]);
+            prop_assert_eq!(bundle.fingerprint, donor.fingerprint());
             let fresh = SearchService::from_arc(g.clone());
-            fresh.import_index(blob).expect("import");
+            fresh.import_bundle(blob).expect("import");
             prop_assert_eq!(
                 fresh.top_r(&spec.with_engine(kind)).expect("query").scores(),
                 donor.top_r(&spec.with_engine(kind)).expect("query").scores(),
@@ -524,7 +459,7 @@ proptest! {
         }
     }
 
-    /// Mutated TSD and GCT payloads, re-wrapped in a fresh envelope so
+    /// Mutated TSD and GCT payloads, re-wrapped in a fresh bundle so
     /// every checksum matches: the import either refuses the blob, or
     /// every query at k in 2..=8 and r in {1, n} answers without panicking
     /// (debug builds check every arithmetic step on the way).
@@ -536,16 +471,14 @@ proptest! {
         let g = Arc::new(g);
         let donor = SearchService::from_arc(g.clone());
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            let exported = IndexEnvelope::decode(donor.export_index(kind).expect("export"));
-            let envelope = exported.expect("decode");
-            let mut payload = envelope.payload.as_ref().to_vec();
+            let mut payload = exported_payload(&donor, kind);
             for &(at, byte) in &mutations {
                 let len = payload.len();
                 payload[at % len] = byte;
             }
-            let blob = IndexEnvelope::new(kind, envelope.fingerprint, Bytes::from(payload));
+            let blob = IndexBundle::new(donor.fingerprint(), vec![(kind, Bytes::from(payload))]);
             let fresh = SearchService::from_arc(g.clone());
-            if fresh.import_index(blob.encode()).is_err() {
+            if fresh.import_bundle(blob.encode()).is_err() {
                 continue;
             }
             for k in 2..=8 {
@@ -557,10 +490,10 @@ proptest! {
         }
     }
 
-    /// Arbitrary bytes never panic the envelope decoder.
+    /// Arbitrary bytes never panic the bundle decoder.
     #[test]
     fn random_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let service = fig1_service();
-        let _ = service.import_index(bytes::Bytes::from(data));
+        let _ = service.import_bundle(bytes::Bytes::from(data));
     }
 }

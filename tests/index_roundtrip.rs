@@ -2,10 +2,10 @@
 //! and decoding must reject corrupted blobs instead of panicking — at both
 //! the index layer (`TsdIndex`/`GctIndex`) and the engine
 //! surface (`DiversityEngine::to_bytes` revived through the service's
-//! fingerprinted `import_index`), whose failures unify into
+//! fingerprinted `import_bundle`), whose failures unify into
 //! `SearchError`/`DecodeError`. Since 0.4.0 the fingerprint-less
 //! `decode_engine` factory is crate-private, so the *only* public way to
-//! revive serialized bytes as an engine is the envelope/bundle path.
+//! revive serialized bytes as an engine is the bundle path.
 
 mod common;
 
@@ -15,7 +15,7 @@ use common::arb_graph;
 use proptest::prelude::*;
 
 use structural_diversity::search::{
-    build_engine, DecodeError, EngineKind, GctIndex, GraphFingerprint, IndexEnvelope, QuerySpec,
+    build_engine, DecodeError, EngineKind, GctIndex, GraphFingerprint, IndexBundle, QuerySpec,
     SearchError, SearchService, TsdIndex,
 };
 
@@ -89,10 +89,10 @@ proptest! {
             let engine = build_engine(kind, g.clone());
             let payload = engine.to_bytes().expect("index engines serialize");
             // The only public revival path: frame the raw bytes as a
-            // fingerprinted envelope and import them into a service.
-            let blob = IndexEnvelope::new(kind, fingerprint, payload).encode();
+            // fingerprinted one-entry bundle and import them into a service.
+            let blob = IndexBundle::new(fingerprint, vec![(kind, payload)]).encode();
             let revived = SearchService::from_arc(g.clone());
-            prop_assert_eq!(revived.import_index(blob).expect("import"), kind);
+            prop_assert_eq!(revived.import_bundle(blob).expect("import"), vec![kind]);
             prop_assert_eq!(
                 engine.top_r(&spec).expect("query").scores(),
                 revived.top_r(&spec.with_engine(kind)).expect("query").scores(),
@@ -132,6 +132,6 @@ fn decode_errors_are_unified() {
     assert_eq!(GctIndex::from_bytes(bytes::Bytes::from_static(b"xx")), Err(DecodeError::Truncated));
     let g = structural_diversity::graph::GraphBuilder::new().extend_edges([(0, 1)]).build();
     let service = SearchService::new(g);
-    let err = service.import_index(bytes::Bytes::from_static(b"xx")).unwrap_err();
+    let err = service.import_bundle(bytes::Bytes::from_static(b"xx")).unwrap_err();
     assert_eq!(err, SearchError::Decode(DecodeError::Truncated));
 }

@@ -155,8 +155,8 @@ proptest! {
         let fresh = SearchService::new(model.replay());
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
             prop_assert_eq!(
-                live.export_index(kind).unwrap(),
-                fresh.export_index(kind).unwrap(),
+                live.export_bundle([kind]).unwrap(),
+                fresh.export_bundle([kind]).unwrap(),
                 "{} index diverged from the rebuild", kind
             );
         }

@@ -162,13 +162,13 @@ fn concurrent_batches_agree_with_singles() {
     });
 }
 
-/// Import on one thread while others query: late-arriving index envelopes
+/// Import on one thread while others query: late-arriving index bundles
 /// swap in without disturbing in-flight answers.
 #[test]
 fn import_races_with_queries() {
     let g = figure1();
     let donor = SearchService::new(g.clone());
-    let blob = donor.export_index(EngineKind::Gct).expect("export");
+    let blob = donor.export_bundle([EngineKind::Gct]).expect("export");
     let reference = donor.top_r(&QuerySpec::new(4, 3).unwrap()).unwrap();
 
     let service = Arc::new(SearchService::new(g));
@@ -177,7 +177,7 @@ fn import_races_with_queries() {
             let service = service.clone();
             let blob = blob.clone();
             scope.spawn(move || {
-                service.import_index(blob).expect("import");
+                service.import_bundle(blob).expect("import");
             });
         }
         for _ in 0..(THREADS - 1) {
