@@ -317,30 +317,17 @@ impl DiversityEngine for BoundEngine {
 ///
 /// The index is held behind an [`Arc`] so an update carry can share the
 /// same `TsdIndex` with the epoch that serves it, without a second copy.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TsdEngine {
     g: Arc<CsrGraph>,
     index: Arc<TsdIndex>,
-    /// Reusable endpoint buffer for `TsdIndex::score`, so per-vertex score
-    /// sweeps through the trait don't allocate per call.
-    scratch: parking_lot::Mutex<Vec<VertexId>>,
-}
-
-impl Clone for TsdEngine {
-    fn clone(&self) -> Self {
-        TsdEngine {
-            g: self.g.clone(),
-            index: self.index.clone(),
-            scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()),
-        }
-    }
 }
 
 impl TsdEngine {
     /// Builds the TSD-index of `g` (Algorithm 5).
     pub fn build(g: Arc<CsrGraph>) -> Self {
         let index = Arc::new(TsdIndex::build(&g));
-        TsdEngine { g, index, scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()) }
+        TsdEngine { g, index }
     }
 
     /// Attaches a prebuilt index to its graph, verifying vertex counts.
@@ -355,7 +342,7 @@ impl TsdEngine {
         if index.n() != g.n() {
             return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
         }
-        Ok(TsdEngine { g, index, scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()) })
+        Ok(TsdEngine { g, index })
     }
 
     /// The underlying index (size accounting, forests, score profiles).
@@ -379,7 +366,7 @@ impl DiversityEngine for TsdEngine {
     }
 
     fn score(&self, v: VertexId, k: u32) -> u32 {
-        self.index.score(v, k, &mut self.scratch.lock()) // lock: tsd.scratch
+        self.index.score(v, k, &mut Vec::new())
     }
 
     fn social_contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
@@ -494,12 +481,7 @@ pub fn build_engine_in(
         EngineKind::Online => Box::new(OnlineEngine::new(g)),
         EngineKind::Bound => Box::new(BoundEngine::new(g)),
         EngineKind::Tsd => {
-            let index = Arc::new(crate::parallel::build_tsd_pooled(pool, &g));
-            Box::new(TsdEngine {
-                g,
-                index,
-                scratch: crate::lock_order::TSD_SCRATCH.mutex(Vec::new()),
-            })
+            Box::new(TsdEngine { index: Arc::new(crate::parallel::build_tsd_pooled(pool, &g)), g })
         }
         EngineKind::Auto | EngineKind::Gct => {
             Box::new(GctEngine { index: Arc::new(crate::parallel::build_gct_pooled(pool, &g)), g })

@@ -1,14 +1,15 @@
 //! The canonical lock hierarchy of the serving stack.
 //!
-//! Every lock in `sd-core` belongs to a **lock class** declared in this
-//! file, and the declaration order below *is* the hierarchy: a thread may
-//! only acquire a lock whose class rank is strictly greater than every
-//! rank it already holds. Two layers enforce it:
+//! Every lock in `sd-core` and `sd-server` belongs to a **lock class**
+//! declared in this file, and the declaration order below *is* the
+//! hierarchy: a thread may only acquire a lock whose class rank is
+//! strictly greater than every rank it already holds. Two layers enforce
+//! it:
 //!
 //! - **Statically**, `tools/sd-lint` (rule `lock-tag`) requires every
-//!   acquisition site in this crate to carry a trailing `// lock: <class>`
-//!   tag naming a class declared here, and checks the declarations stay in
-//!   strictly increasing rank order.
+//!   acquisition site in `sd-core` and `sd-server` to carry a trailing
+//!   `// lock: <class>` tag naming a class declared here, and checks the
+//!   declarations stay in strictly increasing rank order.
 //! - **Dynamically**, the `parking_lot` shim's lock-order sentinel (the
 //!   `lock-order-check` feature) threads each class's rank into the lock
 //!   itself via `with_rank`, and panics — naming both lock classes — the
@@ -21,13 +22,9 @@
 //! | 3    | `server.tenants`  | the `sd-server` tenant routing table                 |
 //! | 5    | `server.io`       | one I/O-loop thread's command injection queue        |
 //! | 6    | `server.batch`    | one tenant's query-coalescing accumulator            |
-//! | 7    | `server.frame`    | one request frame's reply-aggregation slots          |
 //! | 10   | `svc.updater`     | the retained carry ([`crate::dynamic::DynamicTsd`]: COW adjacency + the published TSD/GCT `Arc`s); serializes `apply_updates` |
 //! | 20   | `epoch.ptr`       | the serving-epoch pointer swap                       |
 //! | 30   | `engine.slot`     | one engine cache slot of an epoch                    |
-//! | 40   | `batch.slot`      | one result slot of a `top_r_many` fan-out            |
-//! | 50   | `scan.chunk`      | one vertex chunk's part of a chunked index build     |
-//! | 60   | `tsd.scratch`     | the TSD engine's per-query scratch buffer            |
 //!
 //! The `server.*` classes live in this file (not in `sd-server`) because
 //! the hierarchy must stay total and single-sourced across every crate
@@ -49,15 +46,17 @@
 //!   indexes with the current epoch's.
 //! - `epoch.ptr → engine.slot` — `import_bundle` installs into the epoch it
 //!   verified, under the epoch read lock.
-//! - `engine.slot → scan.chunk` — a TSD or GCT build runs its vertex
-//!   chunks on the pool (`run_all`) while holding the slot it will fill.
-//!   Safe because `run_all` never runs another caller's jobs on its
-//!   caller, so no build's chunk waits on a slot.
 //!
-//! `batch.slot` and `tsd.scratch` are leaves: acquired with at most
-//! try-held locks below them, released before anything else is taken.
-//! Ranks are spaced by 10 so a future class can slot between existing
-//! levels without renumbering the world.
+//! A TSD or GCT build runs its vertex chunks on the pool (`run_all`)
+//! while holding the `engine.slot` write lock of the slot it will fill.
+//! That is safe because `run_all` never runs another caller's jobs on its
+//! caller, so no queued build waits on the slot from the building thread.
+//!
+//! No class exists to hand a pool job's output back: `run_all` returns
+//! each job's output by value, and the batcher answers each parked frame
+//! from its share of one `top_r_many` call. `engine.slot` is the
+//! innermost class. Ranks are spaced by 10 so a future class can slot
+//! between existing levels without renumbering the world.
 
 /// One level of the lock hierarchy: a rank and the name the sentinel
 /// reports on inversion. Construct locks through [`LockClass::mutex`] /
@@ -115,12 +114,6 @@ pub const SERVER_IO: LockClass = LockClass::new(5, "server.io");
 /// [`crate::SearchService::top_r_many`] batch.
 pub const SERVER_BATCH: LockClass = LockClass::new(6, "server.batch");
 
-/// One request frame's reply-aggregation slots: the batch leader fills
-/// per-query replies here as they resolve; the last fill hands the
-/// completed frame to its I/O thread (taking `server.io` only *after*
-/// this lock is released — the completion callback runs lock-free).
-pub const SERVER_FRAME: LockClass = LockClass::new(7, "server.frame");
-
 /// Serializes [`crate::SearchService::apply_updates`] batches and guards
 /// the retained carry state: the COW graph plus the published TSD and GCT
 /// indexes the next batch repairs against.
@@ -132,34 +125,14 @@ pub const EPOCH_PTR: LockClass = LockClass::new(20, "epoch.ptr");
 /// One engine cache slot of an epoch (one per concrete kind).
 pub const ENGINE_SLOT: LockClass = LockClass::new(30, "engine.slot");
 
-/// One result slot of a [`crate::SearchService::top_r_many`] fan-out.
-pub const BATCH_SLOT: LockClass = LockClass::new(40, "batch.slot");
-
-/// One vertex chunk's part of a chunked TSD or GCT index build (see
-/// [`crate::parallel`]).
-pub const SCAN_CHUNK: LockClass = LockClass::new(50, "scan.chunk");
-
-/// The TSD engine's per-query scratch buffer.
-pub const TSD_SCRATCH: LockClass = LockClass::new(60, "tsd.scratch");
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn ranks_are_strictly_increasing_in_declaration_order() {
-        let classes = [
-            SERVER_TENANTS,
-            SERVER_IO,
-            SERVER_BATCH,
-            SERVER_FRAME,
-            SVC_UPDATER,
-            EPOCH_PTR,
-            ENGINE_SLOT,
-            BATCH_SLOT,
-            SCAN_CHUNK,
-            TSD_SCRATCH,
-        ];
+        let classes =
+            [SERVER_TENANTS, SERVER_IO, SERVER_BATCH, SVC_UPDATER, EPOCH_PTR, ENGINE_SLOT];
         for pair in classes.windows(2) {
             assert!(
                 pair[0].rank() < pair[1].rank(),

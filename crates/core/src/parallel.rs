@@ -32,8 +32,6 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use sd_graph::CsrGraph;
 
 use crate::egonet::{AllEgoNetworks, EgoNetwork};
@@ -54,21 +52,13 @@ where
     F: Fn(Range<usize>) -> T + Send + Sync + 'static,
 {
     let work = Arc::new(work);
-    let chunks = total.div_ceil(SCAN_CHUNK);
-    let slots: Arc<Vec<Mutex<Option<T>>>> =
-        Arc::new((0..chunks).map(|_| crate::lock_order::SCAN_CHUNK.mutex(None)).collect());
-    let jobs: Vec<Job> = (0..chunks)
+    let jobs: Vec<Job<T>> = (0..total.div_ceil(SCAN_CHUNK))
         .map(|c| {
-            let (work, slots) = (work.clone(), slots.clone());
-            Box::new(move || {
-                let out = work(c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total));
-                *slots[c].lock() = Some(out); // lock: scan.chunk
-            }) as Job
+            let work = work.clone();
+            Box::new(move || work(c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total))) as Job<T>
         })
         .collect();
-    pool.run_all(jobs);
-    // `run_all` re-raises a panicked job, so every slot is filled here.
-    slots.iter().filter_map(|slot| slot.lock().take()).collect() // lock: scan.chunk
+    pool.run_all(jobs)
 }
 
 /// Algorithm 5 in [`SCAN_CHUNK`] vertex chunks on `pool`; byte-identical

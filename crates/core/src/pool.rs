@@ -21,12 +21,14 @@
 //! * [`WorkerPool::submit`] — fire-and-forget, for scheduled index builds
 //!   and batch leaders. Spawns workers lazily when queued work exceeds
 //!   idle capacity.
-//! * [`WorkerPool::run_all`] — structured fan-out: the batch goes into a
-//!   batch-local queue, the shared injector gets one *ticket* per thread
-//!   the pool may run (never more than the batch has jobs; a worker
-//!   picking a ticket up claims the batch's jobs until none is left), and
-//!   the **calling thread participates** by claiming jobs from its own
-//!   batch while it waits. So a batch puts at most
+//! * [`WorkerPool::run_all`] — structured fan-out that returns each job's
+//!   output, in job order: the batch goes into a batch-local queue, the
+//!   shared injector gets one *ticket* per thread the pool may run (never
+//!   more than the batch has jobs; a worker picking a ticket up claims
+//!   the batch's jobs until none is left), and the **calling thread
+//!   participates** by claiming jobs from its own batch while it waits.
+//!   Each job's output comes back on the batch's completion channel, so
+//!   no job needs a lock to hand it over. A batch puts at most
 //!   [`WorkerPool::max_threads`] entries on the queue that `sd-server`'s
 //!   admission control sheds on, however many jobs it has. Caller
 //!   participation is what makes nested use safe: a fan-out task running
@@ -45,11 +47,12 @@
 //!
 //! ## Determinism
 //!
-//! The pool itself imposes no ordering. Determinism is the *callers'*
+//! The pool runs jobs in no particular order, but [`WorkerPool::run_all`]
+//! returns their outputs in job order. Determinism is the *callers'*
 //! contract — see [`crate::parallel`], which statically chunks index
 //! builds by vertex ranges and joins the parts in chunk order, making
 //! pooled indexes byte-identical to the sequential build at any thread
-//! count — and `top_r_many` fills one result slot per query.
+//! count — and `top_r_many` returns one result per query, in spec order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,8 +60,9 @@ use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{Receiver, Sender};
 
-/// One unit of pool work.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+/// One unit of pool work: a [`WorkerPool::submit`]ted job returns `()`, a
+/// [`WorkerPool::run_all`] job returns its output.
+pub type Job<T = ()> = Box<dyn FnOnce() -> T + Send + 'static>;
 
 /// What the shared injector queue carries.
 enum Task {
@@ -189,24 +193,20 @@ impl WorkerPool {
     }
 
     /// Runs a batch of jobs to completion, with the calling thread
-    /// participating (see the [module docs](self)). Returns once every job
-    /// in `jobs` has finished; if any of them panicked, re-raises a panic
-    /// on the calling thread *after* the batch has drained.
-    pub fn run_all(&self, jobs: Vec<Job>) {
-        if jobs.is_empty() {
-            return;
-        }
-        if self.shared.max <= 1 || jobs.len() == 1 {
+    /// participating (see the [module docs](self)), and returns each job's
+    /// output in job order, whatever order the jobs finished in. Returns
+    /// once every job in `jobs` has finished; if any of them panicked,
+    /// re-raises a panic on the calling thread *after* the batch has
+    /// drained.
+    pub fn run_all<T: Send + 'static>(&self, jobs: Vec<Job<T>>) -> Vec<T> {
+        if self.shared.max <= 1 || jobs.len() <= 1 {
             // Inline fast path: no worker threads, no queueing, panics
             // propagate directly. This is the sequential reference that
             // parallel results are byte-identical to.
-            for job in jobs {
-                job();
-            }
-            return;
+            return jobs.into_iter().map(|job| job()).collect();
         }
         let total = jobs.len();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<bool>();
+        let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, std::thread::Result<T>)>();
         // Batch-local queue: the caller claims work from *here*, never from
         // the shared injector. Callers reach `run_all` holding locks (an
         // index build holds its `engine.slot` write lock while its chunks
@@ -216,13 +216,12 @@ impl WorkerPool {
         // two such callers stealing each other's builds, a deadlock; the
         // lock-order sentinel (`lock-order-check`) catches exactly this.
         let (batch_tx, batch_rx) = crossbeam::channel::unbounded::<Job>();
-        for job in jobs {
+        for (index, job) in jobs.into_iter().enumerate() {
             let done = done_tx.clone();
-            // The batch owner holds `done_rx` until every signal is in,
+            // The batch owner holds `done_rx` until every output is in,
             // so the completion send cannot fail while anyone waits on it.
             let _ = batch_tx.send(Box::new(move || {
-                let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
-                let _ = done.send(panicked);
+                let _ = done.send((index, catch_unwind(AssertUnwindSafe(job))));
             }));
         }
         drop(done_tx);
@@ -236,37 +235,39 @@ impl WorkerPool {
         }
         self.maybe_spawn();
 
+        let mut outputs: Vec<Option<T>> = std::iter::repeat_with(|| None).take(total).collect();
         let mut completed = 0usize;
         let mut panicked = false;
         while completed < total {
-            if let Ok(p) = done_rx.try_recv() {
-                completed += 1;
-                panicked |= p;
-                continue;
-            }
-            // Claim one of our own unclaimed jobs instead of parking. The
-            // caller alone can drain the whole batch through this arm, so
-            // `run_all` completes even if every worker is busy elsewhere —
-            // including nested `run_all` on a worker thread.
-            if let Ok(job) = batch_rx.try_recv() {
+            let (index, output) = if let Ok(report) = done_rx.try_recv() {
+                report
+            } else if let Ok(job) = batch_rx.try_recv() {
+                // Claim one of our own unclaimed jobs instead of parking. The
+                // caller alone can drain the whole batch through this arm, so
+                // `run_all` completes even if every worker is busy elsewhere —
+                // including nested `run_all` on a worker thread.
                 job(); // contains its own catch_unwind + completion send
                 self.shared.executed.fetch_add(1, Ordering::SeqCst);
                 continue;
-            }
-            // Every remaining job is mid-flight on some worker. Park until
-            // one reports in.
-            match done_rx.recv() {
-                Ok(p) => {
-                    completed += 1;
-                    panicked |= p;
+            } else {
+                // Every remaining job is mid-flight on some worker. Park until
+                // one reports in.
+                match done_rx.recv() {
+                    Ok(report) => report,
+                    Err(_) => break, // unreachable: senders live inside pending jobs
                 }
-                Err(_) => break, // unreachable: senders live inside pending jobs
+            };
+            completed += 1;
+            match output {
+                Ok(value) => outputs[index] = Some(value),
+                Err(_) => panicked = true,
             }
         }
-        if panicked {
+        if panicked || completed < total {
             // sd-lint: allow(no-panic) re-raises a contained batch-job panic on the caller
             panic!("a worker-pool job panicked (batch drained before re-raise)");
         }
+        outputs.into_iter().flatten().collect()
     }
 
     /// Spawns as many workers as queued work exceeds idle capacity by, up
@@ -388,6 +389,26 @@ mod tests {
             for (i, c) in counts.iter().enumerate() {
                 assert_eq!(c.load(Ordering::SeqCst), 1, "job {i} on {threads} threads");
             }
+        }
+    }
+
+    /// Outputs come back in job order, not finishing order: job i sleeps
+    /// (16 − i) × 200 µs, so later jobs finish first.
+    #[test]
+    fn run_all_returns_outputs_in_job_order() {
+        for threads in [1, 2, 4] {
+            let pool = WorkerPool::new(threads);
+            let jobs: Vec<Job<usize>> = (0..16usize)
+                .map(|i| {
+                    Box::new(move || {
+                        std::thread::sleep(Duration::from_micros((16 - i as u64) * 200));
+                        i
+                    }) as Job<usize>
+                })
+                .collect();
+            assert_eq!(pool.run_all(jobs), (0..16).collect::<Vec<_>>(), "{threads} threads");
+            let one: Vec<Job<&str>> = vec![Box::new(|| "only")];
+            assert_eq!(pool.run_all(one), ["only"], "{threads} threads");
         }
     }
 

@@ -109,9 +109,6 @@ use crate::error::SearchError;
 use crate::lock_order;
 use crate::pool::{self, Job, WorkerPool};
 
-/// Batches below this size are not worth fanning out onto the pool.
-const FANOUT_MIN_SPECS: usize = 2;
-
 /// How far past the published graph's vertex count an update batch may
 /// reach: [`GROWTH_FLOOR`] ids, plus [`GROWTH_PER_OP`] per op in the
 /// batch. Every per-vertex table grows to the largest endpoint, so without
@@ -122,9 +119,6 @@ const GROWTH_FLOOR: usize = 1 << 16;
 /// See [`GROWTH_FLOOR`]: each op may name two new vertices.
 const GROWTH_PER_OP: usize = 2;
 
-/// One `top_r_many` fan-out result slot, filled by its pool task.
-type BatchSlot = Mutex<Option<Result<Option<TopRResult>, SearchError>>>;
-
 /// One engine slot: a lazily initialized, concurrently readable cache.
 /// Construction happens *under the write lock* (double-checked), which is
 /// what makes "exactly one build per kind per epoch" a structural guarantee
@@ -134,7 +128,8 @@ type EngineSlot = RwLock<Option<Arc<dyn DiversityEngine>>>;
 /// Snapshot of a service's atomic counters ([`SearchService::stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Successful queries served over the service's lifetime.
+    /// Successful queries served over the service's lifetime: the sum of
+    /// `queries_by_engine`.
     pub queries_served: usize,
     /// Engines constructed (cache misses across all epochs; grows past one
     /// per concrete kind when updates publish new epochs or indexes are
@@ -309,7 +304,6 @@ struct ServiceCore {
     /// Set when the owning `SearchService` drops; scheduled build jobs
     /// still queued become no-ops.
     shutdown: AtomicBool,
-    queries_served: AtomicUsize,
     engines_built: AtomicUsize,
     background_builds: AtomicUsize,
     foreground_fallbacks: AtomicUsize,
@@ -361,7 +355,8 @@ impl ServiceCore {
         #[cfg(test)]
         tests::fail_if_injected();
         // An index build runs its chunks under this write lock, through
-        // `run_all`, which never runs another caller's jobs on this thread.
+        // `run_all`, which never runs another caller's jobs on this thread
+        // and hands each chunk's output back by value, so no chunk locks.
         let engine: Arc<dyn DiversityEngine> =
             Arc::from(build_engine_in(kind, epoch.graph.clone(), &self.pool));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
@@ -449,7 +444,6 @@ impl ServiceCore {
             }
         };
         let result = engine.top_r(spec)?;
-        self.queries_served.fetch_add(1, Ordering::Relaxed);
         self.queries_by_slot[Self::slot(engine.kind())].fetch_add(1, Ordering::Relaxed);
         if fanned {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
@@ -552,7 +546,6 @@ impl SearchService {
             current: lock_order::EPOCH_PTR.rwlock(Arc::new(EpochState::over(0, graph))),
             pool,
             shutdown: AtomicBool::new(false),
-            queries_served: AtomicUsize::new(0),
             engines_built: AtomicUsize::new(0),
             background_builds: AtomicUsize::new(0),
             foreground_fallbacks: AtomicUsize::new(0),
@@ -589,17 +582,19 @@ impl SearchService {
         self.core.current().id
     }
 
-    /// Queries served so far.
+    /// Queries served so far ([`ServiceStats::queries_served`]).
     pub fn queries_served(&self) -> usize {
-        self.core.queries_served.load(Ordering::Relaxed)
+        self.stats().queries_served
     }
 
     /// A consistent-enough snapshot of the service counters. Individual
     /// counters are exact; mutual consistency is best-effort under
     /// concurrent traffic (they are independent relaxed atomics).
     pub fn stats(&self) -> ServiceStats {
+        let queries_by_engine: [usize; EngineKind::ALL.len()] =
+            std::array::from_fn(|i| self.core.queries_by_slot[i].load(Ordering::Relaxed));
         ServiceStats {
-            queries_served: self.core.queries_served.load(Ordering::Relaxed),
+            queries_served: queries_by_engine.iter().sum(),
             engines_built: self.core.engines_built.load(Ordering::Relaxed),
             background_builds: self.core.background_builds.load(Ordering::Relaxed),
             foreground_fallbacks: self.core.foreground_fallbacks.load(Ordering::Relaxed),
@@ -607,9 +602,7 @@ impl SearchService {
             updates_applied: self.core.updates_applied.load(Ordering::Relaxed),
             incremental_tsd_carries: self.core.incremental_tsd_carries.load(Ordering::Relaxed),
             gct_repairs: self.core.gct_repairs.load(Ordering::Relaxed),
-            queries_by_engine: std::array::from_fn(|i| {
-                self.core.queries_by_slot[i].load(Ordering::Relaxed)
-            }),
+            queries_by_engine,
             pool_threads: self.core.pool.spawned_threads(),
             parallel_queries: self.core.parallel_queries.load(Ordering::Relaxed),
         }
@@ -1027,59 +1020,32 @@ impl SearchService {
         Ok((epoch.id, results.collect::<Result<_, _>>()?))
     }
 
-    /// The body of [`Self::top_r_many`] against an already pinned epoch.
+    /// The body of [`Self::top_r_many`] against an already pinned epoch:
+    /// one `run_all` job per query, so a lone query — or any batch on a
+    /// one-thread pool — runs inline on this thread, and results come back
+    /// in spec order whatever order the jobs finish in.
     fn top_r_many_on(
         &self,
         epoch: &Arc<EpochState>,
         specs: &[QuerySpec],
         cancels: &[Option<CancelToken>],
     ) -> Vec<Result<Option<TopRResult>, SearchError>> {
-        let token = |i: usize| cancels.get(i).and_then(Option::as_ref);
-        if specs.len() < FANOUT_MIN_SPECS || self.core.pool.max_threads() <= 1 {
-            return specs
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| match token(i) {
-                    Some(c) if c.is_cancelled() => Ok(None),
-                    _ => self.core.top_r_on(epoch, spec, false).map(Some),
-                })
-                .collect();
-        }
-        // Fan out: one pool task per query, writing into its own slot so
-        // results return in spec order whatever order tasks finish in.
-        let slots: Arc<Vec<BatchSlot>> =
-            Arc::new(specs.iter().map(|_| lock_order::BATCH_SLOT.mutex(None)).collect());
-        let jobs: Vec<Job> = specs
+        let fanned = specs.len() > 1 && self.core.pool.max_threads() > 1;
+        let jobs: Vec<Job<_>> = specs
             .iter()
             .enumerate()
             .map(|(i, &spec)| {
-                let core = self.core.clone();
-                let epoch = epoch.clone();
-                let slots = slots.clone();
-                let cancel = token(i).cloned();
-                Box::new(move || {
+                let (core, epoch) = (self.core.clone(), epoch.clone());
+                let cancel = cancels.get(i).cloned().flatten();
+                Box::new(move || match cancel {
                     // The slot boundary: the last point this query can be
-                    // skipped without interrupting engine code. The query
-                    // runs before the slot is locked: `batch.slot` stays a
-                    // leaf held only for the store.
-                    let result = match cancel {
-                        Some(c) if c.is_cancelled() => Ok(None),
-                        _ => core.top_r_on(&epoch, &spec, true).map(Some),
-                    };
-                    *slots[i].lock() = Some(result); // lock: batch.slot
-                }) as Job
+                    // skipped without interrupting engine code.
+                    Some(c) if c.is_cancelled() => Ok(None),
+                    _ => core.top_r_on(&epoch, &spec, fanned).map(Some),
+                }) as Job<_>
             })
             .collect();
-        self.core.pool.run_all(jobs);
-        slots
-            .iter()
-            .map(|slot| {
-                let filled = slot.lock().take(); // lock: batch.slot
-                filled.unwrap_or(Err(SearchError::Internal {
-                    invariant: "run_all returns only after every batch job filled its slot",
-                }))
-            })
-            .collect()
+        self.core.pool.run_all(jobs)
     }
 
     /// Serializes every named engine (building any that are missing — this

@@ -11,7 +11,8 @@
 //! schedules a leader onto the tenant's worker pool (never on the
 //! submitting thread: submitters are I/O-loop threads that must not
 //! block). The leader flushes as soon as its pool job runs: it drains
-//! everything pending and executes it as one pinned-epoch batch. Nothing
+//! every pending frame, executes their queries as one pinned-epoch
+//! batch, and hands each frame its own results, in spec order. Nothing
 //! waits on a clock; batches form under load instead. Frames that arrive
 //! while a batch executes pile up, and the continuation the leader
 //! submits to the pool before resigning takes them all as the next
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use sd_core::lock_order::{SERVER_BATCH, SERVER_FRAME};
+use sd_core::lock_order::SERVER_BATCH;
 use sd_core::{CancelToken, QuerySpec, SearchError, SearchService, TopRResult};
 
 /// Sizing for a tenant's [`Batcher`].
@@ -81,80 +82,14 @@ pub enum BatchReply {
 /// submitting thread, with one reply per submitted spec in spec order.
 type FrameDone = Box<dyn FnOnce(Vec<BatchReply>) + Send>;
 
-/// One frame's reply-aggregation state: per-query slots filled as the
-/// leader resolves them, and the completion callback the last fill
-/// hands the replies to.
-struct FrameAggState {
-    slots: Vec<Option<BatchReply>>,
-    missing: usize,
-    done: Option<FrameDone>,
-}
-
-/// Aggregates one submitted frame's replies. The batcher fills slots in
-/// any order; whichever fill completes the frame takes the callback out
-/// under the lock, **releases it**, and then invokes — so the callback
-/// (which typically takes an I/O thread's `server.io` queue lock) runs
-/// with an empty held set.
-struct FrameAgg {
-    state: Mutex<FrameAggState>,
-}
-
-impl FrameAgg {
-    fn new(len: usize, done: FrameDone) -> Arc<FrameAgg> {
-        Arc::new(FrameAgg {
-            state: SERVER_FRAME.mutex(FrameAggState {
-                slots: (0..len).map(|_| None).collect(),
-                missing: len,
-                done: Some(done),
-            }),
-        })
-    }
-
-    fn fill(&self, index: usize, reply: BatchReply) {
-        let finished = {
-            let mut state = self.state.lock(); // lock: server.frame
-            debug_assert!(state.slots[index].is_none(), "slot {index} filled twice");
-            state.slots[index] = Some(reply);
-            state.missing -= 1;
-            if state.missing == 0 {
-                Some((std::mem::take(&mut state.slots), state.done.take()))
-            } else {
-                None
-            }
-        };
-        if let Some((slots, done)) = finished {
-            let replies = slots
-                .into_iter()
-                .map(|slot| {
-                    slot.unwrap_or(BatchReply::Failed(SearchError::Internal {
-                        invariant: "a completed frame has every reply slot filled",
-                    }))
-                })
-                .collect();
-            if let Some(done) = done {
-                done(replies);
-            }
-        }
-    }
-}
-
-/// One query's address within its frame's [`FrameAgg`].
-struct FrameSlot {
-    agg: Arc<FrameAgg>,
-    index: usize,
-}
-
-impl FrameSlot {
-    fn deliver(self, reply: BatchReply) {
-        self.agg.fill(self.index, reply);
-    }
-}
-
+/// One parked frame: its queries, which share a deadline and a cancel
+/// token, and the callback its replies go to. A frame is parked, drained
+/// and answered whole.
 struct Pending {
-    spec: QuerySpec,
+    specs: Vec<QuerySpec>,
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
-    reply: FrameSlot,
+    done: FrameDone,
 }
 
 struct Accumulator {
@@ -162,6 +97,13 @@ struct Accumulator {
     /// Whether some pool continuation currently owns flushing; at most
     /// one leader exists per batcher.
     leader_active: bool,
+}
+
+impl Accumulator {
+    /// Queries parked across the pending frames.
+    fn queries(&self) -> usize {
+        self.pending.iter().map(|frame| frame.specs.len()).sum()
+    }
 }
 
 /// Counters the server's `stats` verb exports (snapshot of independent
@@ -230,7 +172,7 @@ impl Batcher {
 
     /// Queries currently parked.
     pub fn pending(&self) -> usize {
-        self.state.lock().pending.len() // lock: server.batch
+        self.state.lock().queries() // lock: server.batch
     }
 
     /// Parks `specs` (one frame's queries, all sharing `deadline` and
@@ -258,25 +200,17 @@ impl Batcher {
             done(Vec::new());
             return Ok(());
         }
-        let agg = FrameAgg::new(specs.len(), Box::new(done));
+        let done: FrameDone = Box::new(done);
         let lead = {
             let mut state = self.state.lock(); // lock: server.batch
-            if state.pending.len().saturating_add(specs.len()) > self.limits.max_pending {
-                let info = QueueFull {
-                    pending: state.pending.len() as u64,
-                    limit: self.limits.max_pending as u64,
-                };
+            let parked = state.queries();
+            if parked.saturating_add(specs.len()) > self.limits.max_pending {
+                let info =
+                    QueueFull { pending: parked as u64, limit: self.limits.max_pending as u64 };
                 self.shed_queue_full.fetch_add(specs.len() as u64, Ordering::Relaxed);
                 return Err(info);
             }
-            for (index, spec) in specs.into_iter().enumerate() {
-                state.pending.push(Pending {
-                    spec,
-                    deadline,
-                    cancel: cancel.clone(),
-                    reply: FrameSlot { agg: agg.clone(), index },
-                });
-            }
+            state.pending.push(Pending { specs, deadline, cancel, done });
             if state.leader_active {
                 false
             } else {
@@ -322,43 +256,46 @@ impl Batcher {
         }
     }
 
-    /// Flushes one drained batch: expire, execute (skipping cancelled
-    /// slots), deliver.
+    /// Flushes one drained batch of frames: expire the frames whose
+    /// deadline passed, run every live frame's queries as one
+    /// `top_r_many` call (skipping cancelled slots), and hand each frame
+    /// the next `specs.len()` results.
     fn execute(&self, service: &Arc<SearchService>, batch: Vec<Pending>) {
         let now = Instant::now();
-        let mut live = Vec::with_capacity(batch.len());
-        let mut expired = 0u64;
-        for entry in batch {
-            match entry.deadline {
-                Some(d) if d <= now => {
-                    expired += 1;
-                    entry.reply.deliver(BatchReply::Expired);
-                }
-                _ => live.push(entry),
-            }
+        let (expired, live): (Vec<Pending>, Vec<Pending>) =
+            batch.into_iter().partition(|frame| frame.deadline.is_some_and(|d| d <= now));
+        let expired_queries: usize = expired.iter().map(|frame| frame.specs.len()).sum();
+        let specs: Vec<QuerySpec> =
+            live.iter().flat_map(|frame| frame.specs.iter().copied()).collect();
+        // A frame's counters move *before* its replies are delivered: a
+        // caller reading stats from its completion callback must see its
+        // own expiries and drops.
+        self.queries_batched.fetch_add((specs.len() + expired_queries) as u64, Ordering::Relaxed);
+        self.expired.fetch_add(expired_queries as u64, Ordering::Relaxed);
+        for frame in expired {
+            (frame.done)(vec![BatchReply::Expired; frame.specs.len()]);
         }
-        self.queries_batched.fetch_add(live.len() as u64 + expired, Ordering::Relaxed);
-        self.expired.fetch_add(expired, Ordering::Relaxed);
         if live.is_empty() {
             return;
         }
         self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let specs: Vec<QuerySpec> = live.iter().map(|p| p.spec).collect();
-        let cancels: Vec<Option<CancelToken>> = live.iter().map(|p| p.cancel.clone()).collect();
+        let cancels: Vec<Option<CancelToken>> = live
+            .iter()
+            .flat_map(|frame| std::iter::repeat_n(frame.cancel.clone(), frame.specs.len()))
+            .collect();
         let (epoch, results) = service.top_r_many(&specs, &cancels);
-        // Counters are bumped *before* the reply that completes a frame is
-        // delivered: the completion callback races this function's tail, and
-        // a caller inspecting stats from it must see its own drops.
         let skipped = results.iter().filter(|r| matches!(r, Ok(None))).count() as u64;
         self.cancelled.fetch_add(skipped, Ordering::Relaxed);
-        for (entry, result) in live.into_iter().zip(results) {
-            entry.reply.deliver(match result {
+        let mut results = results.into_iter();
+        for frame in live {
+            let replies = results.by_ref().take(frame.specs.len()).map(|result| match result {
                 Ok(Some(result)) => BatchReply::Answered { epoch, result },
                 // The slot boundary found the token cancelled: the query
                 // was skipped, not run-and-discarded.
                 Ok(None) => BatchReply::Dropped,
                 Err(err) => BatchReply::Failed(err),
             });
+            (frame.done)(replies.collect());
         }
     }
 }
@@ -491,6 +428,66 @@ mod tests {
         assert_eq!(stats.batches_executed, 1, "three queries, one coalesced flush");
         for reply in lead_replies.iter().chain(&follow_replies) {
             assert!(matches!(reply, BatchReply::Answered { epoch: 0, .. }), "got {reply:?}");
+        }
+    }
+
+    /// Frames with different specs coalesce into one fanned-out batch, and
+    /// each frame gets its own answers back, in spec order; an expired and
+    /// a cancelled frame in the same flush are answered whole, and every
+    /// counter counts queries, not frames.
+    #[test]
+    fn coalesced_frames_get_their_own_answers_in_spec_order() {
+        let (svc, tenant, _reg) = tenant_with(64, Some(2));
+        // Park both workers, one at a time, so every frame waits for the
+        // same flush and the batch then fans out over both of them.
+        let (release, held) = unbounded::<()>();
+        let (started_tx, started) = unbounded::<()>();
+        for _ in 0..2 {
+            let (held, started_tx) = (held.clone(), started_tx.clone());
+            svc.pool().submit(move || {
+                let _ = started_tx.send(());
+                let _ = held.recv();
+            });
+            started.recv_timeout(Duration::from_secs(10)).expect("a worker parks");
+        }
+        let spec = |k, r| QuerySpec::new(k, r).expect("spec").with_engine(EngineKind::Online);
+        let frames = [
+            vec![spec(2, 1)],
+            vec![spec(3, 2), spec(4, 3), spec(2, 5)],
+            vec![spec(4, 1), spec(3, 4)],
+        ];
+        let live: Vec<_> = frames.iter().map(|specs| park(&tenant, specs.clone(), None)).collect();
+        let past = Instant::now() - Duration::from_millis(1);
+        let expired = park(&tenant, vec![spec(3, 3), spec(2, 2)], Some(past));
+        let token = CancelToken::new();
+        token.cancel();
+        let (tx, cancelled) = unbounded();
+        tenant
+            .batcher
+            .submit_many_async(&svc, vec![spec(4, 2), spec(2, 3)], None, Some(token), move |r| {
+                let _ = tx.send(r);
+            })
+            .expect("admitted");
+        assert_eq!(tenant.batcher.pending(), 10);
+        drop(release);
+
+        let live: Vec<Vec<BatchReply>> = live.iter().map(replies).collect();
+        let (expired, cancelled) = (replies(&expired), replies(&cancelled));
+        let stats = tenant.batcher.stats();
+        assert_eq!(stats.batches_executed, 1, "every frame coalesced into one flush");
+        assert_eq!((stats.queries_batched, stats.expired, stats.cancelled), (10, 2, 2));
+        assert_eq!(svc.stats().parallel_queries, 6, "the live queries fanned out");
+        assert!(expired.len() == 2 && expired.iter().all(|r| matches!(r, BatchReply::Expired)));
+        assert!(cancelled.len() == 2 && cancelled.iter().all(|r| matches!(r, BatchReply::Dropped)));
+        for (specs, got) in frames.iter().zip(&live) {
+            assert_eq!(got.len(), specs.len());
+            for (spec, reply) in specs.iter().zip(got) {
+                let BatchReply::Answered { epoch: 0, result } = reply else {
+                    panic!("expected an answer, got {reply:?}");
+                };
+                let expected = svc.top_r(spec).expect("in-process");
+                assert_eq!(result.entries, expected.entries, "k={} r={}", spec.k(), spec.r());
+            }
         }
     }
 

@@ -36,11 +36,11 @@
 //!   retry-on-overload), used by the loopback tests and
 //!   `sd-serve selftest`.
 //!
-//! Locking: the server's four lock classes (`server.tenants`,
-//! `server.io`, `server.batch`, `server.frame`) rank
-//! below every service-layer class in [`sd_core::lock_order`], so an
-//! I/O loop may hold server state across any `SearchService` entry
-//! point; the `lock-order-check` sentinel enforces it at runtime.
+//! Locking: the server's three lock classes (`server.tenants`,
+//! `server.io`, `server.batch`) rank below every service-layer class in
+//! [`sd_core::lock_order`], so an I/O loop may hold server state across
+//! any `SearchService` entry point; the `lock-order-check` sentinel
+//! enforces it at runtime.
 
 pub mod admission;
 pub mod batch;

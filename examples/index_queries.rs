@@ -82,6 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         other => panic!("wrong-graph bundle import must fail, got {other:?}"),
     }
+    // The files only demonstrate the round trip: leave nothing behind.
+    std::fs::remove_dir_all(&dir)?;
 
     // One index, many queries: the same structures answer every (k, r).
     println!("\n{:<6} {:<4} {:>14} {:>14}", "k", "r", "TSD query", "GCT query");

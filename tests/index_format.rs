@@ -1,8 +1,8 @@
 //! Golden blobs: the serialized TSD- and GCT-index of the paper's Figure-1
-//! graph, pinned word for word. `export_index` and `export_bundle` persist
-//! exactly these bytes inside their envelopes, so a change to either
-//! index's in-memory layout must leave `to_bytes` unchanged — and these
-//! tests fail on the first word that moves.
+//! graph, pinned word for word. `export_bundle` persists exactly these
+//! bytes as the payload of each index's bundle entry, so a change to
+//! either index's in-memory layout must leave `to_bytes` unchanged — and
+//! these tests fail on the first word that moves.
 
 use structural_diversity::graph::{CsrGraph, GraphBuilder};
 use structural_diversity::search::{paper_figure1_edges, GctIndex, TsdIndex};
