@@ -1,6 +1,6 @@
 //! Figure 12 micro-bench: TSD-index build and query on growing power-law
 //! graphs with |E| = 5|V| — plus a speedup-vs-cores series, which runs
-//! one query batch through `top_r_many` fan-out on worker pools of 1, 2,
+//! one batch of Online scans as `run_all` jobs on worker pools of 1, 2,
 //! and 4 threads (and whatever the machine offers, when that is more) so
 //! the fan-out's scaling is measurable on real hardware. Every pooled run
 //! is checked against the single-threaded answers before it is timed.
@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use sd_core::{
-    default_pool_threads, DiversityEngine, EngineKind, QuerySpec, SearchService, TsdEngine,
+    default_pool_threads, DiversityEngine, Job, OnlineEngine, QuerySpec, TopRResult, TsdEngine,
     WorkerPool,
 };
 use sd_datasets::{powerlaw_graph, PowerLawConfig};
@@ -45,43 +45,43 @@ fn sweep_threads() -> Vec<usize> {
     counts
 }
 
-/// Speedup-vs-cores for the `top_r_many` batch fan-out through a
-/// `SearchService`. The 1-thread series is the sequential baseline the
-/// speedup is read against.
+/// Speedup-vs-cores for a batch of Online scans fanned out as
+/// `WorkerPool::run_all` jobs. The 1-thread series is the sequential
+/// baseline the speedup is read against.
 fn bench_parallel_speedup(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0xF12AA);
     let g = Arc::new(powerlaw_graph(&PowerLawConfig::paper_scalability(4_000), &mut rng));
 
-    // A batch of independent Online-engine queries: each fan-out task is
-    // a full per-vertex scan, the workload the shared pool exists for.
-    let specs: Vec<QuerySpec> = (0..8)
-        .map(|i| {
-            QuerySpec::new(3 + (i % 2) as u32, 100)
-                .expect("valid query")
-                .with_engine(EngineKind::Online)
-        })
-        .collect();
+    // A batch of independent Online scans: each job is a full per-vertex
+    // scan, the kind of work the shared pool fans out.
+    let online = Arc::new(OnlineEngine::new(g));
+    let specs: Vec<QuerySpec> =
+        (0..8).map(|i| QuerySpec::new(3 + (i % 2) as u32, 100).expect("valid query")).collect();
+    let scans = |pool: &WorkerPool| {
+        let jobs: Vec<Job<TopRResult>> = specs
+            .iter()
+            .map(|&spec| {
+                let online = online.clone();
+                Box::new(move || online.top_r(&spec).expect("online scan")) as Job<_>
+            })
+            .collect();
+        pool.run_all(jobs)
+    };
+    let scores = |results: Vec<TopRResult>| -> Vec<Vec<u32>> {
+        results.iter().map(|r| r.scores()).collect()
+    };
 
     // Sequential ground truth, asserted against every pooled configuration
     // before its timing is recorded.
-    let reference: Vec<Vec<u32>> = {
-        let service = SearchService::from_arc_with_pool(g.clone(), Arc::new(WorkerPool::new(1)));
-        service.wait_ready(EngineKind::ALL);
-        let (_, batch) = service.top_r_many_pinned(&specs).expect("reference batch");
-        batch.iter().map(|r| r.scores()).collect()
-    };
+    let reference = scores(scans(&WorkerPool::new(1)));
 
     let mut group = c.benchmark_group("parallel_speedup");
     group.sample_size(10);
     for threads in sweep_threads() {
-        let pool = Arc::new(WorkerPool::new(threads));
-        let service = SearchService::from_arc_with_pool(g.clone(), pool);
-        service.wait_ready(EngineKind::ALL);
-        let (_, batch) = service.top_r_many_pinned(&specs).expect("pooled batch");
-        let batch: Vec<Vec<u32>> = batch.iter().map(|r| r.scores()).collect();
-        assert_eq!(batch, reference, "pooled batch diverged at {threads} threads");
-        group.bench_with_input(BenchmarkId::new("top_r_many", threads), &specs, |b, specs| {
-            b.iter(|| service.top_r_many_pinned(specs).expect("batch"))
+        let pool = WorkerPool::new(threads);
+        assert_eq!(scores(scans(&pool)), reference, "pooled batch diverged at {threads} threads");
+        group.bench_with_input(BenchmarkId::new("online_scans", threads), &pool, |b, pool| {
+            b.iter(|| scans(pool))
         });
     }
     group.finish();

@@ -326,9 +326,9 @@ pub const BENCH_HISTORY_DIR: &str = "bench/history";
 /// `bench-json`: the perf-smoke datapoint the CI lane archives. One small
 /// end-to-end measurement pass — cold first-query latency, index
 /// builds, per-engine query latency, a served `apply_updates` batch (the
-/// PR-5 live-update path, with its ops/s throughput), the PR-6 parallel
-/// `top_r_many` fan-out vs its single-threaded reference, and the PR-8
-/// loopback TCP round trip through `sd-server` (framing + routing +
+/// live-update path, with its ops/s throughput), a batch of Online scans
+/// fanned out as worker-pool jobs vs its single-threaded reference, and
+/// the loopback TCP round trip through `sd-server` (framing + routing +
 /// batching overhead on top of the raw query) — written as
 /// machine-readable JSON to [`BENCH_OUT`] in the working
 /// directory, so the bench trajectory accumulates comparable artifacts per
@@ -346,7 +346,7 @@ pub fn bench_json(ctx: &ExpContext) {
 
 /// Runs the perf-smoke measurement pass and returns the JSON document.
 fn measure_bench_smoke(ctx: &ExpContext) -> String {
-    use sd_core::{EngineKind, SearchService};
+    use sd_core::{build_engine, EngineKind, Job, SearchService, TopRResult, WorkerPool};
     use sd_graph::GraphUpdate;
 
     let dataset = sd_datasets::dataset("email-enron-syn").expect("registry");
@@ -379,12 +379,18 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     // build and query are timed on the index directly.
     let (hybrid, hybrid_build) = time_it(|| HybridIndex::build(&shared));
 
-    // Warmed per-engine query latency through the serving layer.
-    service.wait_ready(EngineKind::ALL);
+    // Warmed per-engine query latency: the two indexes through the
+    // serving layer, and the index-free Online and Bound scans, which the
+    // service does not serve, on their engines directly.
     let query = spec(4, 100, n);
     let mut engine_ms = Vec::new();
     for kind in EngineKind::ALL {
-        let (result, elapsed) = time_it(|| service.top_r(&query.with_engine(kind)));
+        let (result, elapsed) = if SearchService::SERVED.contains(&kind) {
+            time_it(|| service.top_r(&query.with_engine(kind)))
+        } else {
+            let engine = build_engine(kind, shared.clone());
+            time_it(|| engine.top_r(&query))
+        };
         result.expect("bench query");
         engine_ms.push(format!(
             "    \"top_r_{}_ms\": {:.3}",
@@ -420,24 +426,30 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     // the paper's update-rate claims.
     let update_ops_per_s = batch.len() as f64 / update_elapsed.as_secs_f64().max(1e-9);
 
-    // The PR-6 datapoint: the same query batch through `top_r_many` on a
-    // single-threaded pool (the sequential reference) and on a pinned
-    // 4-thread pool. Answers are asserted identical before any time is
-    // reported — a speedup bought with a wrong answer must never enter
-    // the trajectory. `machine_cores` is recorded because the speedup is
-    // only meaningful relative to the hardware the sample ran on.
-    let parallel_specs: Vec<QuerySpec> = (0..4)
-        .flat_map(|i| [3u32, 4].map(|k| spec(k + (i % 2), 100, n)))
-        .map(|q| q.with_engine(EngineKind::Online))
-        .collect();
-    let seq_service =
-        SearchService::from_arc_with_pool(shared.clone(), Arc::new(sd_core::WorkerPool::new(1)));
-    let par_service =
-        SearchService::from_arc_with_pool(shared.clone(), Arc::new(sd_core::WorkerPool::new(4)));
-    let (seq_results, many_seq) = time_it(|| seq_service.top_r_many_pinned(&parallel_specs));
-    let (par_results, many_par) = time_it(|| par_service.top_r_many_pinned(&parallel_specs));
-    let (seq_results, par_results) =
-        (seq_results.expect("sequential batch").1, par_results.expect("parallel batch").1);
+    // The fan-out datapoint: the same 8 Online scans as `run_all` jobs on
+    // a single-threaded pool (the sequential reference, run inline) and on
+    // a pinned 4-thread pool. Answers are asserted identical before any
+    // time is reported — a speedup bought with a wrong answer must never
+    // enter the trajectory. `machine_cores` is recorded because the
+    // speedup is only meaningful relative to the hardware the sample ran
+    // on. The keys keep their `top_r_many_*` names from when the scans
+    // went through a service's `top_r_many`.
+    let parallel_specs: Vec<QuerySpec> =
+        (0..4).flat_map(|i| [3u32, 4].map(|k| spec(k + (i % 2), 100, n))).collect();
+    let online = Arc::new(OnlineEngine::new(shared.clone()));
+    let scans = |pool: &WorkerPool| {
+        let jobs: Vec<Job<TopRResult>> = parallel_specs
+            .iter()
+            .map(|&q| {
+                let online = online.clone();
+                Box::new(move || online.top_r(&q).expect("online scan")) as Job<_>
+            })
+            .collect();
+        pool.run_all(jobs)
+    };
+    let (seq_pool, par_pool) = (WorkerPool::new(1), WorkerPool::new(4));
+    let (seq_results, many_seq) = time_it(|| scans(&seq_pool));
+    let (par_results, many_par) = time_it(|| scans(&par_pool));
     for (s, p) in seq_results.iter().zip(&par_results) {
         assert_eq!(s.entries, p.entries, "parallel batch diverged from the sequential reference");
     }

@@ -81,15 +81,6 @@ impl EngineKind {
         matches!(self, EngineKind::Tsd | EngineKind::Gct)
     }
 
-    /// Whether constructing an engine of this kind is `O(1)` — true for
-    /// the index-free kinds, which [`crate::SearchService::warmup`] and
-    /// updates therefore construct inline. The index-building kinds (TSD,
-    /// GCT) are scheduled onto the [`crate::SearchService`]'s pool
-    /// instead.
-    pub fn builds_inline(self) -> bool {
-        matches!(self, EngineKind::Online | EngineKind::Bound)
-    }
-
     /// Stable on-disk tag used by each [`crate::envelope::IndexBundle`]
     /// entry header. [`EngineKind::Auto`] has no tag (it never names a concrete
     /// index); tags are append-only across format revisions. Tag 5 is

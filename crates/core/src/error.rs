@@ -9,6 +9,7 @@
 
 use std::fmt;
 
+use crate::engine::EngineKind;
 use crate::envelope::GraphFingerprint;
 
 /// Decode failures shared by every serializable index format (TSD and GCT
@@ -129,6 +130,15 @@ pub enum SearchError {
         /// Name of the engine that was asked to (de)serialize.
         engine: &'static str,
     },
+    /// A [`crate::SearchService`] was asked to answer with an engine it
+    /// does not serve: it serves the TSD and GCT indexes
+    /// ([`crate::SearchService::SERVED`]), not the index-free Online and
+    /// Bound scans, which [`crate::build_engine`] still builds. Refused
+    /// before anything is built or scanned.
+    EngineNotServed {
+        /// The kind the query asked for.
+        engine: EngineKind,
+    },
     /// [`crate::SearchService::export_bundle`] was asked to bundle zero
     /// engines — a request-side error, distinct from reading a forged
     /// zero-entry bundle off the wire ([`DecodeError::EmptyBundle`]).
@@ -172,6 +182,9 @@ impl fmt::Display for SearchError {
             SearchError::SerializationUnsupported { engine } => {
                 write!(f, "the `{engine}` engine has no serialized form")
             }
+            SearchError::EngineNotServed { engine } => {
+                write!(f, "the service does not serve the `{engine}` engine; it serves tsd and gct")
+            }
             SearchError::EmptyBundleRequest => {
                 write!(f, "asked to export a bundle of zero engines")
             }
@@ -209,6 +222,8 @@ mod tests {
         assert!(SearchError::InvalidK { k: 1 }.to_string().contains("k must be >= 2"));
         assert!(SearchError::ResultSizeExceedsGraph { r: 10, n: 3 }.to_string().contains("10"));
         assert!(SearchError::from(DecodeError::BadMagic).to_string().contains("bad magic"));
+        let refused = SearchError::EngineNotServed { engine: EngineKind::Online };
+        assert!(refused.to_string().contains("`online`"), "{refused}");
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //! The paper's Exp-4 competitor (per-k rankings) is a plain index in
 //! [`hybrid`] for that experiment, not an engine.
 //!
-//! Build one engine with [`build_engine`], or let a [`SearchService`] own
-//! the graph, build each engine once behind a per-kind lock (a query that
-//! finds its index unbuilt joins the build, which runs in vertex chunks on
-//! the shared worker pool, and the index answers it), mutate the graph
+//! Build any engine with [`build_engine`], or let a [`SearchService`] own
+//! the graph and serve the two indexes ([`SearchService::SERVED`]; a query
+//! for Online or Bound is refused with [`SearchError::EngineNotServed`]),
+//! build each index once behind a per-kind lock (a query that finds its
+//! index unbuilt joins the build, which runs in vertex chunks on the
+//! shared worker pool, and the index answers it), mutate the graph
 //! *under traffic* through epoch-swapped snapshots
 //! ([`SearchService::apply_updates`], which carries the TSD-index across
 //! epochs incrementally via [`dynamic::DynamicTsd`]), and resolve

@@ -12,9 +12,9 @@
 //!
 //! The Online and Bound engines are not here: they run the paper's
 //! single-threaded Algorithms 3 and 4, so their search spaces are the
-//! paper's. The pool reaches them only through
-//! [`crate::SearchService::top_r_many`], which fans a batch out one query
-//! per task.
+//! paper's, and a [`crate::SearchService`] does not serve them. The pool
+//! reaches them only when a caller runs the scans as
+//! [`WorkerPool::run_all`] jobs.
 //!
 //! ## The determinism contract
 //!

@@ -29,8 +29,8 @@
 //!   participates** by claiming jobs from its own batch while it waits.
 //!   Each job's output comes back on the batch's completion channel, so
 //!   no job needs a lock to hand it over. A batch puts at most
-//!   [`WorkerPool::max_threads`] entries on the queue that `sd-server`'s
-//!   admission control sheds on, however many jobs it has. Caller
+//!   [`WorkerPool::max_threads`] entries on the shared queue, however
+//!   many jobs it has. Caller
 //!   participation is what makes nested use safe: a fan-out task running
 //!   on a pool worker can itself `run_all` a chunked index build without
 //!   deadlocking, because a caller can always drain its own batch instead
@@ -165,8 +165,9 @@ impl WorkerPool {
     }
 
     /// Jobs fully executed over the pool's lifetime: submitted jobs and
-    /// [`Self::run_all`] batch jobs, panicked ones included (a batch's
-    /// tickets are not jobs).
+    /// [`Self::run_all`] batch jobs — those a batch runs inline on its
+    /// caller included — and panicked ones (a batch's tickets are not
+    /// jobs; an inline job that panics unwinds into its caller uncounted).
     pub fn jobs_executed(&self) -> usize {
         self.shared.executed.load(Ordering::SeqCst)
     }
@@ -174,9 +175,8 @@ impl WorkerPool {
     /// Entries sitting in the shared injector queue right now, not yet
     /// picked up by any worker: submitted jobs, plus at most
     /// [`Self::max_threads`] tickets per running [`Self::run_all`] batch —
-    /// the backlog signal `sd-server`'s admission control sheds on.
-    /// Instantaneous and advisory: the value may be stale by the time the
-    /// caller acts on it, which is fine for a load-shedding threshold.
+    /// `sd-server` reports it as `pool_queued_jobs`. Instantaneous and
+    /// advisory: the value may be stale by the time the caller reads it.
     pub fn queued_jobs(&self) -> usize {
         self.rx.len()
     }
@@ -203,7 +203,12 @@ impl WorkerPool {
             // Inline fast path: no worker threads, no queueing, panics
             // propagate directly. This is the sequential reference that
             // parallel results are byte-identical to.
-            return jobs.into_iter().map(|job| job()).collect();
+            let run = |job: Job<T>| {
+                let output = job();
+                self.shared.executed.fetch_add(1, Ordering::SeqCst);
+                output
+            };
+            return jobs.into_iter().map(run).collect();
         }
         let total = jobs.len();
         let (done_tx, done_rx) = crossbeam::channel::unbounded::<(usize, std::thread::Result<T>)>();
@@ -413,8 +418,8 @@ mod tests {
     }
 
     /// A batch queues at most one ticket per pool thread, so a many-chunk
-    /// index build cannot flood the queue `sd-server` sheds on; and
-    /// `jobs_executed` counts the batch's jobs, not its tickets.
+    /// index build cannot flood the shared queue; and `jobs_executed`
+    /// counts the batch's jobs, not its tickets.
     #[test]
     fn run_all_queues_at_most_one_ticket_per_thread() {
         for threads in [2, 4] {
@@ -493,6 +498,19 @@ mod tests {
             Box::new(|| {}),
         ]);
         assert_eq!(after.load(Ordering::SeqCst), 1);
+    }
+
+    /// `jobs_executed` counts the jobs `run_all` runs inline on its
+    /// caller: every job of a batch on a 1-thread pool, and the one job of
+    /// a one-job batch on a wider pool.
+    #[test]
+    fn jobs_executed_counts_inline_run_all_jobs() {
+        let single = WorkerPool::new(1);
+        single.run_all((0..4).map(|_| Box::new(|| {}) as Job).collect());
+        assert_eq!(single.jobs_executed(), 4);
+        let wider = WorkerPool::new(2);
+        assert_eq!(wider.run_all(vec![Box::new(|| 7) as Job<i32>]), [7]);
+        assert_eq!((wider.jobs_executed(), wider.spawned_threads()), (1, 0), "ran inline");
     }
 
     #[test]

@@ -1,20 +1,26 @@
-//! [`SearchService`]: the concurrent serving layer — one shared graph, four
-//! lazily built engines, `&self` queries from any number of threads, index
-//! builds that run in chunks on the shared worker pool, and
-//! **epoch-swapped snapshots** so the graph itself can mutate under
-//! traffic.
+//! [`SearchService`]: the concurrent serving layer — one shared graph, the
+//! paper's two indexes (TSD and GCT) built lazily, `&self` queries from any
+//! number of threads, index builds that run in chunks on the shared worker
+//! pool, and **epoch-swapped snapshots** so the graph itself can mutate
+//! under traffic.
 //!
 //! The paper frames structural diversity search as an *online service* over
 //! a large social graph; a production deployment answers many `(k, r)`
 //! queries concurrently against a graph that keeps evolving (Section 5.3's
 //! dynamic-update remark). `SearchService` is built for exactly that shape:
 //!
+//! * **it serves the indexes** ([`SearchService::SERVED`]: TSD and GCT,
+//!   plus [`EngineKind::Auto`], which resolves to one of them). The
+//!   index-free Online and Bound scans (Algorithms 3 and 4) are the
+//!   paper's baselines, not a serving path: a query for either is refused
+//!   with [`SearchError::EngineNotServed`] before anything is built or
+//!   scanned, and [`crate::build_engine`] still builds them;
 //! * all per-graph state — the `Arc<CsrGraph>`, its [`GraphFingerprint`],
-//!   and the four engine slots — lives in one immutable *epoch*; queries
-//!   clone the current epoch's `Arc` and run entirely against that
-//!   snapshot, so a concurrent [`SearchService::apply_updates`] can never
-//!   tear a query between two graphs;
-//! * each engine slot is an interior-mutable cache (`RwLock` per
+//!   and one engine slot per served kind — lives in one immutable
+//!   *epoch*; queries clone the current epoch's `Arc` and run entirely
+//!   against that snapshot, so a concurrent [`SearchService::apply_updates`]
+//!   can never tear a query between two graphs;
+//! * each engine slot is an interior-mutable cache (`RwLock` per served
 //!   [`EngineKind`]) holding an `Arc<dyn DiversityEngine>`; construction
 //!   happens under the slot's write lock, double-checked, so every engine
 //!   is built exactly once per epoch no matter how many threads race;
@@ -29,9 +35,8 @@
 //! * **queries use the hardware**: besides the index builds, the same
 //!   pool fans [`SearchService::top_r_many`] batches out as independent
 //!   tasks, each pinned to the batch's epoch snapshot. A lone query runs
-//!   on its caller's thread; the Online and Bound engines scan
-//!   single-threaded, as in the paper. Pooled builds are byte-identical
-//!   to sequential ones (see [`crate::parallel`]);
+//!   on its caller's thread. Pooled builds are byte-identical to
+//!   sequential ones (see [`crate::parallel`]);
 //!   [`ServiceStats::pool_threads`] and [`ServiceStats::parallel_queries`]
 //!   surface what the pool is doing for this service;
 //! * **the graph is mutable under traffic**:
@@ -39,8 +44,8 @@
 //!   insertions/deletions, carries the TSD- and GCT-indexes across
 //!   *incrementally* (the [`DynamicTsd`] affected-ego-network repair — only
 //!   the endpoints' and their common neighbors' entries are recomputed,
-//!   never the whole index), derives the O(1) engines, re-enqueues the
-//!   invalidated ones, and publishes the next epoch with a single pointer
+//!   never the whole index), re-enqueues a scheduled index it could not
+//!   carry, and publishes the next epoch with a single pointer
 //!   swap; in-flight queries keep reading their snapshot, new queries see
 //!   the new graph;
 //! * [`SearchService::warmup`] is non-blocking (it enqueues); the matching
@@ -154,10 +159,10 @@ pub struct ServiceStats {
     /// GCT entries repaired in place by affected-region re-decomposition
     /// across all update batches ([`UpdateStats::gct_repairs`], summed).
     pub gct_repairs: usize,
-    /// Successful queries answered per concrete engine, in
-    /// [`EngineKind::ALL`] order ([`EngineKind::Auto`] queries count toward
-    /// the engine they resolved to).
-    pub queries_by_engine: [usize; EngineKind::ALL.len()],
+    /// Successful queries answered per served engine, in
+    /// [`SearchService::SERVED`] order ([`EngineKind::Auto`] queries count
+    /// toward the engine they resolved to).
+    pub queries_by_engine: [usize; SearchService::SERVED.len()],
     /// Worker threads currently alive in the [`WorkerPool`] this service
     /// schedules onto. The pool is process-wide by default, so this is a
     /// *shared* figure — N services over the global pool report the same
@@ -169,13 +174,11 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    /// Queries answered by `kind` ([`EngineKind::Auto`] returns 0 — it is
-    /// always resolved to a concrete engine before serving).
+    /// Queries answered by `kind`: 0 for a kind the service does not
+    /// serve, and for [`EngineKind::Auto`], which is always resolved to a
+    /// served engine before serving.
     pub fn queries_for(&self, kind: EngineKind) -> usize {
-        match kind {
-            EngineKind::Auto => 0,
-            concrete => self.queries_by_engine[ServiceCore::slot(concrete)],
-        }
+        ServiceCore::slot(kind).map_or(0, |slot| self.queries_by_engine[slot])
     }
 }
 
@@ -230,12 +233,12 @@ struct EpochState {
     /// the stats verb read it, so neither construction nor a publish pays
     /// the `O(m)` hash.
     fingerprint: OnceLock<GraphFingerprint>,
-    /// One slot per concrete engine, in [`EngineKind::ALL`] order.
-    slots: [EngineSlot; EngineKind::ALL.len()],
+    /// One slot per served engine, in [`SearchService::SERVED`] order.
+    slots: [EngineSlot; SearchService::SERVED.len()],
     /// One latch per slot: set by the first thread to enqueue that kind in
     /// this epoch, so a cold-start spike of N threads produces one queue
     /// entry, not N.
-    scheduled: [AtomicBool; EngineKind::ALL.len()],
+    scheduled: [AtomicBool; SearchService::SERVED.len()],
 }
 
 impl EpochState {
@@ -256,22 +259,16 @@ impl EpochState {
         *self.fingerprint.get_or_init(|| GraphFingerprint::of(&self.graph))
     }
 
-    /// Non-blocking cache probe: `None` both when the engine was never
-    /// built and while it is *being* built (the builder holds the write
-    /// lock) — the serving path's "is my index unbuilt" test, and
-    /// [`Self::resolve`]'s "is it built" one.
+    /// Non-blocking cache probe: `None` when `kind` is not served, when
+    /// its engine was never built, and while it is *being* built (the
+    /// builder holds the write lock) — the serving path's "is my index
+    /// unbuilt" test, and [`Self::resolve`]'s "is it built" one.
     fn cached(&self, kind: EngineKind) -> Option<Arc<dyn DiversityEngine>> {
-        self.slots[ServiceCore::slot(kind)].try_read()?.clone() // lock: engine.slot
+        self.slots[ServiceCore::slot(kind).ok()?].try_read()?.clone() // lock: engine.slot
     }
 
     fn is_built(&self, kind: EngineKind) -> bool {
         self.cached(kind).is_some()
-    }
-
-    /// Whether `kind` is either built or latched for a background build in
-    /// this epoch — i.e. traffic (or warmup) has expressed interest in it.
-    fn is_live(&self, kind: EngineKind) -> bool {
-        self.is_built(kind) || self.scheduled[ServiceCore::slot(kind)].load(Ordering::Relaxed)
     }
 
     /// Resolves [`EngineKind::Auto`] in this epoch: GCT, or TSD while TSD
@@ -286,6 +283,17 @@ impl EpochState {
             EngineKind::Auto => EngineKind::Gct,
             concrete => concrete,
         }
+    }
+
+    /// Resolves `spec`'s engine and checks the spec against this epoch,
+    /// before anything is built or scanned: a kind the service does not
+    /// serve is refused, and so is an `r` past the vertex count. Returns
+    /// the resolved kind and its slot.
+    fn check(&self, spec: &QuerySpec) -> Result<(EngineKind, usize), SearchError> {
+        let kind = self.resolve(spec.engine());
+        let slot = ServiceCore::slot(kind)?;
+        spec.config().check_against(self.graph.n())?;
+        Ok((kind, slot))
     }
 }
 
@@ -312,19 +320,20 @@ struct ServiceCore {
     incremental_tsd_carries: AtomicUsize,
     gct_repairs: AtomicUsize,
     parallel_queries: AtomicUsize,
-    queries_by_slot: [AtomicUsize; EngineKind::ALL.len()],
+    queries_by_slot: [AtomicUsize; SearchService::SERVED.len()],
 }
 
 impl ServiceCore {
-    fn slot(kind: EngineKind) -> usize {
-        match kind {
-            EngineKind::Online => 0,
-            EngineKind::Bound => 1,
-            EngineKind::Tsd => 2,
-            EngineKind::Gct => 3,
-            // sd-lint: allow(no-panic) every public entry resolves Auto via resolve_kind first
-            EngineKind::Auto => unreachable!("Auto is resolved before slot lookup"),
-        }
+    /// Where `kind` sits in [`SearchService::SERVED`], and so which engine
+    /// slot, schedule latch and query counter are its own; a kind the
+    /// service does not serve is [`SearchError::EngineNotServed`]. This is
+    /// the one place that decides what a service serves. Callers resolve
+    /// [`EngineKind::Auto`] first.
+    fn slot(kind: EngineKind) -> Result<usize, SearchError> {
+        SearchService::SERVED
+            .iter()
+            .position(|&served| served == kind)
+            .ok_or(SearchError::EngineNotServed { engine: kind })
     }
 
     /// The serving epoch, pinned: the returned snapshot stays valid (and
@@ -333,22 +342,19 @@ impl ServiceCore {
         self.current.read().clone() // lock: epoch.ptr
     }
 
-    /// The engine of `kind` in `epoch`, built on the calling thread if
-    /// absent. Blocks while another thread builds the same kind (and then
-    /// reuses that build); returns whether *this* call performed the build.
-    fn build_if_absent(
-        &self,
-        epoch: &EpochState,
-        kind: EngineKind,
-    ) -> (Arc<dyn DiversityEngine>, bool) {
-        let slot = &epoch.slots[Self::slot(kind)];
-        let cached = slot.read().clone(); // lock: engine.slot
+    /// The engine of the served kind at `slot` in `epoch`, built on the
+    /// calling thread if absent. Blocks while another thread builds the
+    /// same kind (and then reuses that build); returns whether *this* call
+    /// performed the build.
+    fn build_if_absent(&self, epoch: &EpochState, slot: usize) -> (Arc<dyn DiversityEngine>, bool) {
+        let (kind, cell) = (SearchService::SERVED[slot], &epoch.slots[slot]);
+        let cached = cell.read().clone(); // lock: engine.slot
         if let Some(engine) = cached {
             return (engine, false);
         }
         // Double-check under the write lock: another thread may have built
         // the engine while we waited for it.
-        let mut guard = slot.write(); // lock: engine.slot
+        let mut guard = cell.write(); // lock: engine.slot
         if let Some(engine) = guard.as_ref() {
             return (engine.clone(), false);
         }
@@ -364,21 +370,21 @@ impl ServiceCore {
         (engine, true)
     }
 
-    /// Installs an externally produced engine into `epoch`, replacing any
-    /// cached one.
-    fn install(&self, epoch: &EpochState, kind: EngineKind, engine: Arc<dyn DiversityEngine>) {
+    /// Installs an externally produced engine into `epoch`'s `slot`,
+    /// replacing any cached one.
+    fn install(&self, epoch: &EpochState, slot: usize, engine: Arc<dyn DiversityEngine>) {
         self.engines_built.fetch_add(1, Ordering::Relaxed);
-        *epoch.slots[Self::slot(kind)].write() = Some(engine); // lock: engine.slot
+        *epoch.slots[slot].write() = Some(engine); // lock: engine.slot
     }
 
-    /// Enqueues a background build for `kind` onto the shared pool,
-    /// exactly once per epoch (later calls are no-ops, as are queued jobs
-    /// for a kind that got built through another path first).
-    fn schedule_build(self: &Arc<Self>, epoch: &EpochState, kind: EngineKind) {
-        let latch = &epoch.scheduled[Self::slot(kind)];
+    /// Enqueues a background build of the served kind at `slot` onto the
+    /// shared pool, exactly once per epoch (later calls are no-ops, as are
+    /// queued jobs for a kind that got built through another path first).
+    fn schedule_build(self: &Arc<Self>, epoch: &EpochState, slot: usize) {
+        let latch = &epoch.scheduled[slot];
         if latch.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
             let core = self.clone();
-            self.pool.submit(move || core.run_scheduled_build(kind));
+            self.pool.submit(move || core.run_scheduled_build(slot));
         }
     }
 
@@ -388,11 +394,11 @@ impl ServiceCore {
     fn join_build(
         &self,
         epoch: &EpochState,
-        kind: EngineKind,
+        slot: usize,
     ) -> Option<(Arc<dyn DiversityEngine>, bool)> {
-        let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch, kind)));
+        let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch, slot)));
         if build.is_err() {
-            epoch.scheduled[Self::slot(kind)].store(false, Ordering::Relaxed);
+            epoch.scheduled[slot].store(false, Ordering::Relaxed);
         }
         build.ok()
     }
@@ -403,11 +409,11 @@ impl ServiceCore {
     /// superseded snapshot. Jobs for a kind that got built in the meantime
     /// — by a query, `wait_ready`, a blocking `engine()` call, or an
     /// import — are no-ops, as are jobs outliving their dropped service.
-    fn run_scheduled_build(&self, kind: EngineKind) {
+    fn run_scheduled_build(&self, slot: usize) {
         if self.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        if let Some((_, true)) = self.join_build(&self.current(), kind) {
+        if let Some((_, true)) = self.join_build(&self.current(), slot) {
             self.background_builds.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -422,10 +428,7 @@ impl ServiceCore {
         spec: &QuerySpec,
         fanned: bool,
     ) -> Result<TopRResult, SearchError> {
-        // Validate before building anything: a bad spec must not cost an
-        // index construction.
-        spec.config().check_against(epoch.graph.n())?;
-        let kind = epoch.resolve(spec.engine());
+        let (kind, slot) = epoch.check(spec)?;
         let engine = match epoch.cached(kind) {
             Some(engine) => engine,
             None => {
@@ -433,10 +436,8 @@ impl ServiceCore {
                 // started it), then answer from the engine. A panicking
                 // build fails this query alone — it must not unwind into
                 // a batch leader.
-                if !kind.builds_inline() {
-                    self.foreground_fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-                self.join_build(epoch, kind)
+                self.foreground_fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.join_build(epoch, slot)
                     .ok_or(SearchError::Internal {
                         invariant: "an engine build completes without panicking",
                     })?
@@ -444,7 +445,7 @@ impl ServiceCore {
             }
         };
         let result = engine.top_r(spec)?;
-        self.queries_by_slot[Self::slot(engine.kind())].fetch_add(1, Ordering::Relaxed);
+        self.queries_by_slot[slot].fetch_add(1, Ordering::Relaxed);
         if fanned {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
@@ -452,12 +453,13 @@ impl ServiceCore {
     }
 }
 
-/// Thread-safe facade over the four engines: owns the graph, builds each
-/// engine once per epoch behind per-kind locks (in chunks on the shared
-/// pool), routes [`QuerySpec`]s (including [`EngineKind::Auto`]) through
-/// `&self` methods, mutates the graph under traffic via epoch-swapped
-/// snapshots ([`Self::apply_updates`]), and imports/exports indexes as
-/// fingerprinted index bundles.
+/// Thread-safe facade over the TSD and GCT indexes: owns the graph,
+/// builds each index once per epoch behind per-kind locks (in chunks on
+/// the shared pool), routes [`QuerySpec`]s (including
+/// [`EngineKind::Auto`]) through `&self` methods, refuses the kinds it does
+/// not serve, mutates the graph under traffic via epoch-swapped snapshots
+/// ([`Self::apply_updates`]), and imports/exports indexes as fingerprinted
+/// index bundles.
 ///
 /// Share it as `Arc<SearchService>`; every method takes `&self`.
 ///
@@ -516,6 +518,13 @@ impl Drop for SearchService {
 }
 
 impl SearchService {
+    /// The engine kinds a service serves, in slot order: the paper's two
+    /// indexes. [`EngineKind::Auto`] resolves to one of them. A query for
+    /// any other kind — the index-free Online and Bound scans — fails with
+    /// [`SearchError::EngineNotServed`] before anything is built or
+    /// scanned; build those with [`crate::build_engine`].
+    pub const SERVED: [EngineKind; 2] = [EngineKind::Tsd, EngineKind::Gct];
+
     /// A service over `graph`, scheduling onto the **process-wide**
     /// [`pool::global`] worker pool. No engine and no thread is built yet,
     /// and the graph is not hashed: its fingerprint is computed once per
@@ -591,7 +600,7 @@ impl SearchService {
     /// counters are exact; mutual consistency is best-effort under
     /// concurrent traffic (they are independent relaxed atomics).
     pub fn stats(&self) -> ServiceStats {
-        let queries_by_engine: [usize; EngineKind::ALL.len()] =
+        let queries_by_engine: [usize; Self::SERVED.len()] =
             std::array::from_fn(|i| self.core.queries_by_slot[i].load(Ordering::Relaxed));
         ServiceStats {
             queries_served: queries_by_engine.iter().sum(),
@@ -652,15 +661,12 @@ impl SearchService {
         &self.core.pool
     }
 
-    /// The kinds of engines built and ready to serve in the current epoch.
-    /// An engine still under construction is not listed.
+    /// The kinds of engines built and ready to serve in the current epoch,
+    /// in [`Self::SERVED`] order. An engine still under construction is
+    /// not listed.
     pub fn built_engines(&self) -> Vec<EngineKind> {
         let epoch = self.core.current();
-        EngineKind::ALL.into_iter().filter(|&k| epoch.is_built(k)).collect()
-    }
-
-    pub(crate) fn slot(kind: EngineKind) -> usize {
-        ServiceCore::slot(kind)
+        Self::SERVED.into_iter().filter(|&k| epoch.is_built(k)).collect()
     }
 
     /// Resolves [`EngineKind::Auto`] against the current epoch: GCT, or
@@ -670,40 +676,40 @@ impl SearchService {
         self.core.current().resolve(kind)
     }
 
-    /// The engine of the given kind ([`EngineKind::Auto`] resolves first),
-    /// **built on the calling thread** if absent (joined if a build is in
-    /// flight) — the blocking accessor, shared with [`Self::wait_ready`],
-    /// the export paths and a cold [`Self::top_r`]. Use `warmup` to start a
-    /// build without blocking.
+    /// The engine of the given kind ([`EngineKind::Auto`] resolves first).
+    /// A served kind is **built on the calling thread** if absent (joined
+    /// if a build is in flight) and cached — the blocking accessor, shared
+    /// with [`Self::wait_ready`], the export paths and a cold
+    /// [`Self::top_r`]. Use `warmup` to start a build without blocking. A
+    /// kind the service does not serve is built over the current graph on
+    /// every call, with [`build_engine_in`], and is not cached.
     pub fn engine(&self, kind: EngineKind) -> Arc<dyn DiversityEngine> {
         let epoch = self.core.current();
-        self.core.build_if_absent(&epoch, epoch.resolve(kind)).0
+        let kind = epoch.resolve(kind);
+        match ServiceCore::slot(kind) {
+            Ok(slot) => self.core.build_if_absent(&epoch, slot).0,
+            Err(_) => Arc::from(build_engine_in(kind, epoch.graph.clone(), &self.core.pool)),
+        }
     }
 
-    /// Enqueues builds for the given engines without blocking on any of
-    /// them ([`EngineKind::Auto`] resolves first, so `warmup([Auto])`
-    /// schedules the GCT build unless TSD alone is built; index-free kinds
-    /// are constructed inline since that is O(1)).
-    /// Returns the concrete kinds now building or built, deduplicated, in
-    /// [`EngineKind::ALL`] order. Join with [`Self::wait_ready`].
-    ///
-    /// Like [`Self::wait_ready`], this re-resolves the serving epoch after
-    /// working through the requested kinds: if an [`Self::apply_updates`]
-    /// published mid-call, the warmup is re-applied to the *new* epoch, so
-    /// the engines it promised are warming wherever traffic actually goes —
-    /// not only on a superseded snapshot.
-    pub fn warmup(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        let mut warmed = [false; EngineKind::ALL.len()];
+    /// Runs `each` on the slot of every served kind in `kinds`, resolved
+    /// against the serving epoch, and again on each epoch an
+    /// [`Self::apply_updates`] published meanwhile. Returns the served
+    /// kinds, deduplicated, in [`Self::SERVED`] order; a kind the service
+    /// does not serve is skipped.
+    fn for_each_served(
+        &self,
+        kinds: impl IntoIterator<Item = EngineKind>,
+        mut each: impl FnMut(&EpochState, usize),
+    ) -> Vec<EngineKind> {
+        let mut named = [false; Self::SERVED.len()];
         let mut epoch = self.core.current();
         let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
             for &kind in &kinds {
-                let kind = epoch.resolve(kind);
-                warmed[Self::slot(kind)] = true;
-                if kind.builds_inline() {
-                    self.core.build_if_absent(&epoch, kind);
-                } else {
-                    self.core.schedule_build(&epoch, kind);
+                if let Ok(slot) = ServiceCore::slot(epoch.resolve(kind)) {
+                    named[slot] = true;
+                    each(&epoch, slot);
                 }
             }
             let now = self.core.current();
@@ -712,13 +718,29 @@ impl SearchService {
             }
             epoch = now;
         }
-        EngineKind::ALL.into_iter().filter(|&k| warmed[Self::slot(k)]).collect()
+        Self::SERVED.into_iter().zip(named).filter_map(|(kind, n)| n.then_some(kind)).collect()
     }
 
-    /// Blocks until every named engine is built in the **serving** epoch
-    /// and returns the concrete kinds waited on, deduplicated, in
-    /// [`EngineKind::ALL`] order — the join half of the non-blocking
-    /// [`Self::warmup`].
+    /// Enqueues builds for the given engines without blocking on any of
+    /// them ([`EngineKind::Auto`] resolves first, so `warmup([Auto])`
+    /// schedules the GCT build unless TSD alone is built; a kind the
+    /// service does not serve is skipped). Returns the served kinds now
+    /// building or built, deduplicated, in [`Self::SERVED`] order. Join
+    /// with [`Self::wait_ready`].
+    ///
+    /// Like [`Self::wait_ready`], this re-resolves the serving epoch after
+    /// working through the requested kinds: if an [`Self::apply_updates`]
+    /// published mid-call, the warmup is re-applied to the *new* epoch, so
+    /// the engines it promised are warming wherever traffic actually goes —
+    /// not only on a superseded snapshot.
+    pub fn warmup(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
+        self.for_each_served(kinds, |epoch, slot| self.core.schedule_build(epoch, slot))
+    }
+
+    /// Blocks until every named served engine is built in the **serving**
+    /// epoch and returns the served kinds waited on, deduplicated, in
+    /// [`Self::SERVED`] order (a kind the service does not serve is
+    /// skipped) — the join half of the non-blocking [`Self::warmup`].
     ///
     /// A kind whose background build is in flight is joined (construction
     /// happens under the slot's write lock, so waiting for that lock *is*
@@ -734,22 +756,9 @@ impl SearchService {
     /// serves queries without a build* — holds for the epoch queries will
     /// actually hit, not a superseded snapshot.
     pub fn wait_ready(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        let mut waited = [false; EngineKind::ALL.len()];
-        let mut epoch = self.core.current();
-        let kinds: Vec<EngineKind> = kinds.into_iter().collect();
-        loop {
-            for &kind in &kinds {
-                let kind = epoch.resolve(kind);
-                waited[Self::slot(kind)] = true;
-                self.core.build_if_absent(&epoch, kind);
-            }
-            let now = self.core.current();
-            if Arc::ptr_eq(&epoch, &now) {
-                break;
-            }
-            epoch = now;
-        }
-        EngineKind::ALL.into_iter().filter(|&k| waited[Self::slot(k)]).collect()
+        self.for_each_served(kinds, |epoch, slot| {
+            self.core.build_if_absent(epoch, slot);
+        })
     }
 
     /// Applies a batch of edge updates and publishes the result as the
@@ -773,7 +782,6 @@ impl SearchService {
     ///   that lands while GCT is only scheduled, not yet built, has no GCT
     ///   state to repair, so GCT re-enters the background queue, and a GCT
     ///   query that arrives first joins that build.
-    /// * The O(1) index-free kinds that were live are derived inline.
     ///
     /// The retained updater's adjacency is **copy-on-write** against the
     /// published CSR ([`DynamicGraph::rebase`] after every publish), so an
@@ -843,11 +851,12 @@ impl SearchService {
         // is cloned *out* of the slot, so no seed path runs under a slot
         // lock, where it would stall the old epoch's builders and
         // importers.
+        let (tsd, gct) = (ServiceCore::slot(EngineKind::Tsd)?, ServiceCore::slot(EngineKind::Gct)?);
         let mut carried = true;
         let mut carry = match retained.take() {
             Some(carry) => carry,
             None => {
-                let seed = old.slots[Self::slot(EngineKind::Tsd)].read().clone(); // lock: engine.slot
+                let seed = old.slots[tsd].read().clone(); // lock: engine.slot
                 match seed.as_deref().and_then(DiversityEngine::tsd_index) {
                     Some(index) => DynamicTsd::from_shared_index(old.graph.clone(), index.clone()),
                     None => {
@@ -867,7 +876,7 @@ impl SearchService {
             }
         };
         if carry.gct_index().is_none() {
-            let seed = old.slots[Self::slot(EngineKind::Gct)].read().clone(); // lock: engine.slot
+            let seed = old.slots[gct].read().clone(); // lock: engine.slot
             if let Some(index) = seed.as_deref().and_then(DiversityEngine::gct_index) {
                 carry.adopt_gct(index.clone());
             }
@@ -897,12 +906,12 @@ impl SearchService {
         };
         let tsd_engine =
             TsdEngine::from_shared(graph.clone(), carry.index().clone()).map_err(mismatch)?;
-        self.core.install(&next, EngineKind::Tsd, Arc::new(tsd_engine));
+        self.core.install(&next, tsd, Arc::new(tsd_engine));
         let gct_carried = match carry.gct_index() {
-            Some(gct) => {
+            Some(index) => {
                 let engine =
-                    GctEngine::from_shared(graph.clone(), gct.clone()).map_err(mismatch)?;
-                self.core.install(&next, EngineKind::Gct, Arc::new(engine));
+                    GctEngine::from_shared(graph.clone(), index.clone()).map_err(mismatch)?;
+                self.core.install(&next, gct, Arc::new(engine));
                 true
             }
             None => false,
@@ -919,19 +928,14 @@ impl SearchService {
         let gct_repairs = if gct_carried { repair.repaired } else { 0 };
         self.core.gct_repairs.fetch_add(gct_repairs, Ordering::Relaxed);
 
-        // Re-establish whatever the old epoch was serving that the carry
-        // paths above did not already install: the O(1) kinds are derived
-        // inline; an index engine that could not be carried (today: GCT
-        // scheduled but not yet built when the batch landed) re-enters the
-        // background queue, and its first queries join that build.
-        for kind in EngineKind::ALL {
-            if !old.is_live(kind) || next.is_built(kind) {
-                continue;
-            }
-            if kind.builds_inline() {
-                self.core.build_if_absent(&next, kind);
-            } else {
-                self.core.schedule_build(&next, kind);
+        // An index the old epoch was serving or building that the carry
+        // could not install (today: GCT scheduled but not yet built when
+        // the batch landed) re-enters the background queue, and its first
+        // queries join that build.
+        for (slot, kind) in Self::SERVED.into_iter().enumerate() {
+            let live = old.is_built(kind) || old.scheduled[slot].load(Ordering::Relaxed);
+            if live && !next.is_built(kind) {
+                self.core.schedule_build(&next, slot);
             }
         }
 
@@ -955,7 +959,9 @@ impl SearchService {
     }
 
     /// Answers one top-r query, routing by the spec's engine kind, against
-    /// one consistent epoch snapshot. A query routed to an unbuilt engine
+    /// one consistent epoch snapshot. A kind the service does not serve
+    /// fails with [`SearchError::EngineNotServed`] before anything is built
+    /// or scanned. A query routed to an unbuilt engine
     /// joins its build — a TSD/GCT build in flight on the pool, or one this
     /// thread runs, in chunks on the pool with this thread taking part —
     /// and that engine answers; [`ServiceStats::foreground_fallbacks`]
@@ -973,7 +979,8 @@ impl SearchService {
     /// returns that epoch's id with **one result per slot**, in spec
     /// order: the query's answer, `Ok(None)` when the slot was cancelled,
     /// or the query's own error. An invalid spec (say, `r` past the
-    /// vertex count) fails its slot alone; its batch-mates still run.
+    /// vertex count, or a kind the service does not serve) fails its slot
+    /// alone; its batch-mates still run.
     /// Remote callers (`sd-server`) stamp every reply with the returned
     /// epoch, so a client can tell its answers came from one published
     /// snapshot even while updates land concurrently.
@@ -1002,15 +1009,16 @@ impl SearchService {
 
     /// The all-or-nothing form of [`Self::top_r_many`]: every spec is
     /// validated against the pinned epoch first, and the first invalid
-    /// one fails the whole call before any query runs. Otherwise returns
-    /// the epoch id and every answer in spec order.
+    /// one — a kind the service does not serve among them — fails the
+    /// whole call before any query runs. Otherwise returns the epoch id
+    /// and every answer in spec order.
     pub fn top_r_many_pinned(
         &self,
         specs: &[QuerySpec],
     ) -> Result<(u64, Vec<TopRResult>), SearchError> {
         let epoch = self.core.current();
         for spec in specs {
-            spec.config().check_against(epoch.graph.n())?;
+            epoch.check(spec)?;
         }
         let results = self.top_r_many_on(&epoch, specs, &[]).into_iter().map(|slot| {
             slot?.ok_or(SearchError::Internal {
@@ -1053,32 +1061,29 @@ impl SearchService {
     /// [`IndexBundle`] blob that [`Self::import_bundle`] — on a service
     /// over the *same* graph — accepts: `[kind]` persists one index, and
     /// a fully warmed service (TSD + GCT) persists as a single artifact.
-    /// Kinds are deduplicated and encoded in [`EngineKind::ALL`] order;
-    /// [`EngineKind::Auto`] resolves first, so it exports whichever index
-    /// Auto queries currently route to. Fails with
-    /// [`SearchError::SerializationUnsupported`] if any requested kind is
-    /// index-free — *before* building anything — and with
-    /// [`SearchError::EmptyBundleRequest`] if no kind was named.
+    /// Kinds are deduplicated and encoded in [`Self::SERVED`] order
+    /// (which is [`EngineKind::ALL`] order); [`EngineKind::Auto`] resolves
+    /// first, so it exports whichever index Auto queries currently route
+    /// to. Fails with [`SearchError::SerializationUnsupported`] if any
+    /// requested kind is index-free — *before* building anything — and
+    /// with [`SearchError::EmptyBundleRequest`] if no kind was named.
     pub fn export_bundle(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
     ) -> Result<Bytes, SearchError> {
         let epoch = self.core.current();
-        let mut requested = [false; EngineKind::ALL.len()];
-        for kind in kinds {
-            requested[Self::slot(epoch.resolve(kind))] = true;
-        }
-        let kinds: Vec<EngineKind> =
-            EngineKind::ALL.into_iter().filter(|&k| requested[Self::slot(k)]).collect();
+        let kinds: Vec<EngineKind> = kinds.into_iter().map(|kind| epoch.resolve(kind)).collect();
         if kinds.is_empty() {
             return Err(SearchError::EmptyBundleRequest);
         }
         if let Some(&kind) = kinds.iter().find(|k| !k.serializable()) {
             return Err(SearchError::SerializationUnsupported { engine: kind.name() });
         }
-        let mut entries = Vec::with_capacity(kinds.len());
-        for kind in kinds {
-            entries.push((kind, self.core.build_if_absent(&epoch, kind).0.to_bytes()?));
+        let mut entries = Vec::with_capacity(Self::SERVED.len());
+        for (slot, kind) in Self::SERVED.into_iter().enumerate() {
+            if kinds.contains(&kind) {
+                entries.push((kind, self.core.build_if_absent(&epoch, slot).0.to_bytes()?));
+            }
         }
         Ok(IndexBundle::new(epoch.fingerprint(), entries).encode())
     }
@@ -1108,7 +1113,8 @@ impl SearchService {
         let fingerprint = bundle.fingerprint;
         let mut decoded = Vec::with_capacity(bundle.entries.len());
         for (kind, payload) in bundle.entries {
-            decoded.push((kind, decode_engine(kind, epoch.graph.clone(), payload)?));
+            let engine = decode_engine(kind, epoch.graph.clone(), payload)?;
+            decoded.push((kind, ServiceCore::slot(kind)?, engine));
         }
         // Install under the epoch-pointer read lock (which excludes the
         // publish swap) and re-verify the fingerprint there: an
@@ -1127,8 +1133,8 @@ impl SearchService {
             });
         }
         let mut installed = Vec::with_capacity(decoded.len());
-        for (kind, engine) in decoded {
-            self.core.install(&guard, kind, Arc::from(engine));
+        for (kind, slot, engine) in decoded {
+            self.core.install(&guard, slot, Arc::from(engine));
             installed.push(kind);
         }
         Ok(installed)
@@ -1171,11 +1177,12 @@ mod tests {
         sd_graph::GraphBuilder::new().extend_edges(edges).build()
     }
 
-    /// Bound queries through a service on a multi-thread pool report
-    /// Algorithm 4's own search space: the scan runs single-threaded on
-    /// any pool, so entries and `score_computations` equal the sequential
-    /// scan's — on Figure 1, and on a graph spanning several 1,024-vertex
-    /// blocks.
+    /// A Bound engine built on a multi-thread pool reports Algorithm 4's
+    /// own search space: the scan runs single-threaded on any pool, so its
+    /// entries and `score_computations` equal the sequential scan's — on
+    /// Figure 1, and on a graph spanning several 1,024-vertex blocks. A
+    /// service on the same pool answers each query from its GCT index
+    /// with the same scores.
     #[test]
     fn pooled_services_report_algorithm_4s_bound_search_space() {
         let (figure1, _, _) = paper_figure1_graph();
@@ -1184,44 +1191,78 @@ mod tests {
             let g = Arc::new(g);
             for threads in [2, 4] {
                 let pool = Arc::new(WorkerPool::new(threads));
+                let bound = build_engine_in(EngineKind::Bound, g.clone(), &pool);
                 let s = SearchService::from_arc_with_pool(g.clone(), pool);
                 for (k, r) in queries.iter().copied() {
                     let spec = QuerySpec::new(k, r).unwrap().with_engine(EngineKind::Bound);
                     let options = crate::bound::BoundOptions::default();
                     let want = crate::bound::bound_top_r_with(&g, spec.config(), options);
-                    let got = s.top_r(&spec).unwrap();
+                    let got = bound.top_r(&spec).unwrap();
                     let at = format!("n={} k={k} r={r} on {threads} threads", g.n());
                     assert_eq!(got.entries, want.entries, "{at}");
                     let (got, want) =
                         (got.metrics.score_computations, want.metrics.score_computations);
                     assert_eq!(got, want, "{at}");
+                    let served = s.top_r(&spec.with_engine(EngineKind::Gct)).unwrap();
+                    assert_eq!(served.scores(), bound.top_r(&spec).unwrap().scores(), "{at}");
                 }
             }
         }
     }
 
-    /// A warmed-and-joined service routes every explicit kind to its own
+    /// A warmed-and-joined service routes each served kind to its own
     /// engine — the pre-0.4 deterministic behaviour, now behind
-    /// `wait_ready`.
+    /// `wait_ready` — and each answers as the Online and Bound scans do.
     #[test]
     fn explicit_routing_reaches_every_engine_once_ready() {
         let s = service();
-        assert_eq!(s.warmup(EngineKind::ALL), EngineKind::ALL.to_vec());
-        assert_eq!(s.wait_ready(EngineKind::ALL), EngineKind::ALL.to_vec());
-        let mut scores = Vec::new();
-        for kind in EngineKind::ALL {
-            let spec = QuerySpec::new(4, 3).unwrap().with_engine(kind);
-            let result = s.top_r(&spec).unwrap();
+        assert_eq!(s.warmup(EngineKind::ALL), SearchService::SERVED.to_vec());
+        assert_eq!(s.wait_ready(EngineKind::ALL), SearchService::SERVED.to_vec());
+        let spec = QuerySpec::new(4, 3).unwrap();
+        let scans = [EngineKind::Online, EngineKind::Bound]
+            .map(|kind| build_engine(kind, s.graph()).top_r(&spec).unwrap().scores());
+        for kind in SearchService::SERVED {
+            let result = s.top_r(&spec.with_engine(kind)).unwrap();
             assert_eq!(result.metrics.engine, kind.name());
-            scores.push(result.scores());
+            assert!(scans.iter().all(|scan| *scan == result.scores()), "{kind}: {scans:?}");
         }
-        assert!(scores.windows(2).all(|w| w[0] == w[1]), "engines disagree: {scores:?}");
-        assert_eq!(s.built_engines(), EngineKind::ALL.to_vec());
+        assert_eq!(s.built_engines(), SearchService::SERVED.to_vec());
         let stats = s.stats();
-        assert_eq!(stats.queries_served, EngineKind::ALL.len());
-        assert_eq!(stats.engines_built, EngineKind::ALL.len());
+        assert_eq!(stats.queries_served, SearchService::SERVED.len());
+        assert_eq!(stats.engines_built, SearchService::SERVED.len());
         assert_eq!(stats.foreground_fallbacks, 0, "ready engines must serve directly");
-        assert!(EngineKind::ALL.into_iter().all(|k| stats.queries_for(k) == 1), "{stats:?}");
+        let counts = EngineKind::ALL.map(|k| stats.queries_for(k));
+        assert_eq!(counts, [0, 0, 1, 1], "{stats:?}");
+    }
+
+    /// The kinds a service does not serve are refused before anything is
+    /// built or scanned, on every query path: one query, a slot of a
+    /// batch (its mates still answer), and the all-or-nothing batch, which
+    /// then runs nothing. Warming them schedules nothing.
+    #[test]
+    fn unserved_kinds_are_refused_on_a_cold_service_without_building() {
+        let s = service();
+        for kind in [EngineKind::Online, EngineKind::Bound] {
+            let spec = QuerySpec::new(4, 1).unwrap().with_engine(kind);
+            assert_eq!(s.top_r(&spec).unwrap_err(), SearchError::EngineNotServed { engine: kind });
+        }
+        let spec = QuerySpec::new(4, 1).unwrap();
+        let batch = [spec.with_engine(EngineKind::Online), spec.with_engine(EngineKind::Gct)];
+        assert_eq!(
+            s.top_r_many_pinned(&batch).unwrap_err(),
+            SearchError::EngineNotServed { engine: EngineKind::Online }
+        );
+        assert_eq!(s.warmup([EngineKind::Online, EngineKind::Bound]), vec![]);
+        assert!(s.built_engines().is_empty());
+        assert_eq!((s.stats().engines_built, s.queries_served()), (0, 0));
+
+        let (_, results) = s.top_r_many(&batch, &[]);
+        let Err(refused) = &results[0] else { panic!("slot 0 is refused: {results:?}") };
+        assert_eq!(*refused, SearchError::EngineNotServed { engine: EngineKind::Online });
+        let Ok(Some(answer)) = &results[1] else { panic!("slot 1 is answered: {results:?}") };
+        assert_eq!((answer.metrics.engine, answer.entries[0].score), ("gct", 3));
+        assert_eq!(s.built_engines(), vec![EngineKind::Gct], "only the GCT slot built");
+        assert_eq!((s.stats().engines_built, s.queries_served()), (1, 1));
     }
 
     /// A cold query routed to an index engine joins its build and the
@@ -1243,15 +1284,18 @@ mod tests {
         assert_eq!(s.stats().foreground_fallbacks, 1, "a built index is not counted again");
     }
 
-    /// A cached Bound engine does not answer a cold index query: the index
-    /// does, once its build is joined.
+    /// A Bound engine the service hands out is not cached, so it cannot
+    /// answer a cold index query: the index does, once its build is
+    /// joined, with the Bound engine's answer.
     #[test]
     fn cold_index_query_is_answered_by_its_index_even_with_bound_cached() {
         let s = service();
-        s.warmup([EngineKind::Bound]); // inline O(1) construction
+        let bound = s.engine(EngineKind::Bound);
+        assert!(s.built_engines().is_empty(), "a Bound engine is never cached");
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
         let first = s.top_r(&spec).unwrap();
         assert_eq!(first.metrics.engine, "gct");
+        assert_eq!(first.entries, bound.top_r(&spec).unwrap().entries);
         assert_eq!(first.entries[0].score, 3);
         let stats = s.stats();
         assert_eq!(stats.foreground_fallbacks, 1);
@@ -1272,7 +1316,7 @@ mod tests {
             let _ = parked.recv();
         });
         s.warmup([EngineKind::Gct]);
-        let gct = ServiceCore::slot(EngineKind::Gct);
+        let gct = ServiceCore::slot(EngineKind::Gct).unwrap();
         assert!(s.core.current().scheduled[gct].load(Ordering::Relaxed));
 
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
@@ -1382,11 +1426,11 @@ mod tests {
             let (graph, _, _) = paper_figure1_graph();
             let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(threads)));
             let n = s.graph().n();
-            let good = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Online);
+            let good = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
             let bad = QuerySpec::new(3, n + 1).unwrap();
             let (epoch, results) = s.top_r_many(&[good, bad, good], &[]);
             assert_eq!(epoch, 0);
-            let want = s.top_r(&good).unwrap().entries;
+            let want = build_engine(EngineKind::Online, s.graph()).top_r(&good).unwrap().entries;
             for i in [0, 2] {
                 let answer = results[i].as_ref().expect("valid slot runs").as_ref().expect("ran");
                 assert_eq!(answer.entries, want, "{threads} threads, slot {i}");
@@ -1403,7 +1447,8 @@ mod tests {
         // has a single worker.
         let (graph, _, _) = paper_figure1_graph();
         let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(1)));
-        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Online);
+        s.wait_ready([EngineKind::Tsd]);
+        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Tsd);
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![None, Some(cancelled)];
@@ -1418,7 +1463,8 @@ mod tests {
     fn cancelled_slots_come_back_none_on_the_fanout_path() {
         let (graph, _, _) = paper_figure1_graph();
         let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(4)));
-        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Online);
+        s.wait_ready([EngineKind::Tsd]);
+        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Tsd);
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![Some(cancelled.clone()), None, Some(cancelled)];
@@ -1432,7 +1478,8 @@ mod tests {
     #[test]
     fn empty_cancel_list_means_nothing_is_cancelled() {
         let s = service();
-        let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Online);
+        s.wait_ready([EngineKind::Tsd]);
+        let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Tsd);
         let (epoch, results) = s.top_r_many(&[spec, spec], &[]);
         assert_eq!(epoch, 0);
         assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))), "{results:?}");
@@ -1565,15 +1612,22 @@ mod tests {
     #[test]
     fn concurrent_cold_start_builds_each_engine_once() {
         let s = service();
-        let reference =
-            s.engine(EngineKind::Online).top_r(&QuerySpec::new(4, 2).unwrap()).unwrap().scores();
+        let spec = QuerySpec::new(4, 2).unwrap();
+        let reference = build_engine(EngineKind::Online, s.graph()).top_r(&spec).unwrap().scores();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
                     for kind in EngineKind::ALL {
-                        let spec = QuerySpec::new(4, 2).unwrap().with_engine(kind);
-                        let result = s.top_r(&spec).unwrap();
+                        let answer = s.top_r(&spec.with_engine(kind));
+                        if !SearchService::SERVED.contains(&kind) {
+                            assert_eq!(
+                                answer.unwrap_err(),
+                                SearchError::EngineNotServed { engine: kind }
+                            );
+                            continue;
+                        }
                         // Cold index kinds are joined, then answer.
+                        let result = answer.unwrap();
                         assert_eq!(result.metrics.engine, kind.name());
                         assert_eq!(result.scores(), reference);
                     }
@@ -1584,10 +1638,10 @@ mod tests {
         let stats = s.stats();
         assert_eq!(
             stats.engines_built,
-            EngineKind::ALL.len(),
+            SearchService::SERVED.len(),
             "racing threads must not duplicate builds"
         );
-        assert_eq!(stats.queries_served, 8 * EngineKind::ALL.len());
+        assert_eq!(stats.queries_served, 8 * SearchService::SERVED.len());
     }
 
     #[test]
@@ -1667,15 +1721,11 @@ mod tests {
         let stats = s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
 
         // The new epoch publishes with *every* previously live engine
-        // already warm: TSD repaired in place, GCT repaired over the same
-        // affected region, and the O(1) kinds derived inline. Nothing
-        // re-enters the background queue.
+        // already warm: TSD repaired in place, and GCT repaired over the
+        // same affected region. Nothing re-enters the background queue.
         assert!(stats.tsd_carried && stats.gct_carried);
         assert!(stats.gct_repairs > 0, "affected egos were re-decomposed");
-        let built = s.built_engines();
-        for kind in EngineKind::ALL {
-            assert!(built.contains(&kind), "{kind} must be warm right after the swap");
-        }
+        assert_eq!(s.built_engines(), SearchService::SERVED.to_vec(), "warm right after the swap");
         let after = s.stats();
         assert_eq!(
             after.background_builds, before.background_builds,

@@ -1,17 +1,13 @@
 //! Admission control: the pure decision logic for when to shed.
 //!
-//! Three pressure points, three typed sheds — all surfaced to clients as
+//! Two pressure points, two typed sheds — both surfaced to clients as
 //! a [`Verb::Overloaded`](crate::proto::Verb::Overloaded) frame rather
 //! than a hang or a silent drop:
 //!
 //! 1. **Connections** — the acceptor refuses a connection past the
 //!    configured limit (the refused socket still gets the Overloaded
 //!    frame before close, so the client learns *why*).
-//! 2. **Build queue** — a query frame is shed when the routed tenant's
-//!    worker pool already has more queued jobs than the threshold:
-//!    adding fan-out tickets behind a deep backlog of index builds would
-//!    only grow tail latency, so the client is told to retry instead.
-//! 3. **Query queue** — a query frame is shed when the tenant's
+//! 2. **Query queue** — a query frame is shed when the tenant's
 //!    coalescing accumulator is full (see
 //!    [`Batcher`](crate::batch::Batcher)).
 //!
@@ -20,11 +16,11 @@
 //! pressures and maps rejections onto [`OverloadInfo`] frames.
 //!
 //! The `retry_after_ms` hint is **scaled by the shedding resource**, not
-//! a flat constant: a client shed behind a 40-deep build queue is told to
-//! stay away roughly as long as that queue takes to drain, while one shed
-//! at the connection limit retries after the base interval. A flat hint
-//! makes every well-behaved client stampede back in lockstep at the same
-//! instant, re-creating the overload it was shed for.
+//! a flat constant: a client shed behind an accumulator at twice its cap
+//! is told to stay away two base intervals, and one shed past the
+//! connection limit one more base interval per connection over it. A
+//! flat hint makes every well-behaved client stampede back in lockstep at
+//! the same instant, re-creating the overload it was shed for.
 
 use crate::proto::{OverloadInfo, OverloadReason};
 
@@ -38,27 +34,14 @@ pub const RETRY_AFTER_CAP_MS: u32 = 5_000;
 pub struct AdmissionLimits {
     /// Most simultaneously open connections.
     pub max_connections: usize,
-    /// Most queued (not yet running) worker-pool jobs a query frame may
-    /// be admitted behind.
-    pub max_build_queue: usize,
     /// Base retry hint, in milliseconds: the floor every scaled hint
     /// starts from.
     pub retry_after_ms: u32,
-    /// Estimated drain time per queued worker-pool job, in milliseconds —
-    /// the scale factor for build-queue sheds. The default is a smoke-
-    /// graph index build; deployments serving larger graphs should raise
-    /// it toward their observed mean build time.
-    pub build_drain_ms_per_job: u32,
 }
 
 impl Default for AdmissionLimits {
     fn default() -> Self {
-        AdmissionLimits {
-            max_connections: 256,
-            max_build_queue: 64,
-            retry_after_ms: 50,
-            build_drain_ms_per_job: 4,
-        }
+        AdmissionLimits { max_connections: 256, retry_after_ms: 50 }
     }
 }
 
@@ -77,34 +60,7 @@ impl AdmissionLimits {
                 reason: OverloadReason::Connections,
                 measured: active as u64,
                 limit: self.max_connections as u64,
-                retry_after_ms: scaled_hint(
-                    self.retry_after_ms,
-                    1 + overshoot,
-                    u64::from(self.retry_after_ms),
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Decides whether a query frame may be admitted given the routed
-    /// tenant's sampled worker-pool backlog.
-    ///
-    /// The hint is the backlog's estimated drain time — queue depth ×
-    /// [`Self::build_drain_ms_per_job`], floored at the base interval —
-    /// so clients spread their retries over the drain window instead of
-    /// re-colliding after a constant 50 ms.
-    pub fn admit_query(&self, queued_jobs: usize) -> Result<(), OverloadInfo> {
-        if queued_jobs > self.max_build_queue {
-            return Err(OverloadInfo {
-                reason: OverloadReason::BuildQueue,
-                measured: queued_jobs as u64,
-                limit: self.max_build_queue as u64,
-                retry_after_ms: scaled_hint(
-                    self.retry_after_ms,
-                    queued_jobs as u64,
-                    u64::from(self.build_drain_ms_per_job),
-                ),
+                retry_after_ms: scaled_hint(self.retry_after_ms, 1 + overshoot),
             });
         }
         Ok(())
@@ -120,14 +76,14 @@ impl AdmissionLimits {
             reason: OverloadReason::QueryQueue,
             measured: rejection.pending,
             limit: rejection.limit,
-            retry_after_ms: scaled_hint(self.retry_after_ms, ratio, u64::from(self.retry_after_ms)),
+            retry_after_ms: scaled_hint(self.retry_after_ms, ratio),
         }
     }
 }
 
-/// `max(base, units × per_unit_ms)`, capped at [`RETRY_AFTER_CAP_MS`].
-fn scaled_hint(base_ms: u32, units: u64, per_unit_ms: u64) -> u32 {
-    let scaled = units.saturating_mul(per_unit_ms).min(u64::from(RETRY_AFTER_CAP_MS)) as u32;
+/// `max(base, units × base)`, capped at [`RETRY_AFTER_CAP_MS`].
+fn scaled_hint(base_ms: u32, units: u64) -> u32 {
+    let scaled = units.saturating_mul(u64::from(base_ms)).min(u64::from(RETRY_AFTER_CAP_MS)) as u32;
     scaled.max(base_ms).min(RETRY_AFTER_CAP_MS)
 }
 
@@ -144,34 +100,6 @@ mod tests {
         let shed = limits.admit_connection(2).expect_err("at the limit");
         assert_eq!(shed.reason, OverloadReason::Connections);
         assert_eq!((shed.measured, shed.limit), (2, 2));
-    }
-
-    #[test]
-    fn build_queue_admission_boundary() {
-        let limits =
-            AdmissionLimits { max_build_queue: 4, retry_after_ms: 9, ..Default::default() };
-        assert!(limits.admit_query(0).is_ok());
-        assert!(limits.admit_query(4).is_ok(), "at the threshold still admits");
-        let shed = limits.admit_query(5).expect_err("above the threshold");
-        assert_eq!(shed.reason, OverloadReason::BuildQueue);
-        // 5 queued jobs × 4 ms/job estimated drain beats the 9 ms base.
-        assert_eq!((shed.measured, shed.limit, shed.retry_after_ms), (5, 4, 20));
-    }
-
-    #[test]
-    fn build_queue_hint_scales_with_depth_and_caps() {
-        let limits = AdmissionLimits { max_build_queue: 4, ..Default::default() };
-        let shallow = limits.admit_query(5).expect_err("just over");
-        let deep = limits.admit_query(400).expect_err("deep backlog");
-        assert!(
-            deep.retry_after_ms > shallow.retry_after_ms,
-            "deeper backlog must push clients further away: {} vs {}",
-            deep.retry_after_ms,
-            shallow.retry_after_ms
-        );
-        assert_eq!(deep.retry_after_ms, 1_600, "400 jobs × 4 ms/job");
-        let absurd = limits.admit_query(10_000_000).expect_err("bounded hint");
-        assert_eq!(absurd.retry_after_ms, RETRY_AFTER_CAP_MS);
     }
 
     #[test]

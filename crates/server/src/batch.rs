@@ -326,6 +326,22 @@ mod tests {
         (svc, tenant, reg)
     }
 
+    /// As [`tenant_with`], with the TSD index already built, so a TSD
+    /// query runs without a build.
+    fn warm_tenant_with(
+        max_pending: usize,
+        threads: Option<usize>,
+    ) -> (Arc<SearchService>, Arc<Tenant>, TenantRegistry) {
+        let warm = tenant_with(max_pending, threads);
+        warm.0.wait_ready([EngineKind::Tsd]);
+        warm
+    }
+
+    /// A TSD query for `(k, r)`.
+    fn tsd(k: u32, r: usize) -> QuerySpec {
+        QuerySpec::new(k, r).expect("spec").with_engine(EngineKind::Tsd)
+    }
+
     /// Parks one frame; its replies arrive on the returned channel.
     fn park(
         tenant: &Tenant,
@@ -378,8 +394,8 @@ mod tests {
 
     #[test]
     fn single_query_round_trips() {
-        let (svc, tenant, _reg) = tenant_with(8, None);
-        let spec = QuerySpec::new(3, 4).expect("spec").with_engine(EngineKind::Online);
+        let (svc, tenant, _reg) = warm_tenant_with(8, None);
+        let spec = tsd(3, 4);
         let replies = replies(&park(&tenant, vec![spec], None));
         assert_eq!(replies.len(), 1);
         let BatchReply::Answered { epoch, result } = &replies[0] else {
@@ -392,8 +408,8 @@ mod tests {
 
     #[test]
     fn async_submission_completes_off_the_submitting_thread() {
-        let (svc, tenant, _reg) = tenant_with(8, None);
-        let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
+        let (svc, tenant, _reg) = warm_tenant_with(8, None);
+        let spec = tsd(3, 2);
         let (tx, rx) = unbounded();
         let submitter = std::thread::current().id();
         tenant
@@ -413,9 +429,9 @@ mod tests {
     fn concurrent_submissions_coalesce_into_one_batch() {
         // The leader is a pool job: with the only worker parked, both
         // frames wait in the accumulator for the same flush.
-        let (svc, tenant, _reg) = tenant_with(64, Some(1));
+        let (svc, tenant, _reg) = warm_tenant_with(64, Some(1));
         let release = park_pool(&svc);
-        let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
+        let spec = tsd(3, 2);
         let lead = park(&tenant, vec![spec], None);
         let follow = park(&tenant, vec![spec, spec], None);
         assert_eq!(tenant.batcher.pending(), 3);
@@ -437,7 +453,7 @@ mod tests {
     /// counter counts queries, not frames.
     #[test]
     fn coalesced_frames_get_their_own_answers_in_spec_order() {
-        let (svc, tenant, _reg) = tenant_with(64, Some(2));
+        let (svc, tenant, _reg) = warm_tenant_with(64, Some(2));
         // Park both workers, one at a time, so every frame waits for the
         // same flush and the batch then fans out over both of them.
         let (release, held) = unbounded::<()>();
@@ -450,21 +466,17 @@ mod tests {
             });
             started.recv_timeout(Duration::from_secs(10)).expect("a worker parks");
         }
-        let spec = |k, r| QuerySpec::new(k, r).expect("spec").with_engine(EngineKind::Online);
-        let frames = [
-            vec![spec(2, 1)],
-            vec![spec(3, 2), spec(4, 3), spec(2, 5)],
-            vec![spec(4, 1), spec(3, 4)],
-        ];
+        let frames =
+            [vec![tsd(2, 1)], vec![tsd(3, 2), tsd(4, 3), tsd(2, 5)], vec![tsd(4, 1), tsd(3, 4)]];
         let live: Vec<_> = frames.iter().map(|specs| park(&tenant, specs.clone(), None)).collect();
         let past = Instant::now() - Duration::from_millis(1);
-        let expired = park(&tenant, vec![spec(3, 3), spec(2, 2)], Some(past));
+        let expired = park(&tenant, vec![tsd(3, 3), tsd(2, 2)], Some(past));
         let token = CancelToken::new();
         token.cancel();
         let (tx, cancelled) = unbounded();
         tenant
             .batcher
-            .submit_many_async(&svc, vec![spec(4, 2), spec(2, 3)], None, Some(token), move |r| {
+            .submit_many_async(&svc, vec![tsd(4, 2), tsd(2, 3)], None, Some(token), move |r| {
                 let _ = tx.send(r);
             })
             .expect("admitted");
@@ -531,8 +543,8 @@ mod tests {
     /// `Expired`, and the frame that waited beside it still runs.
     #[test]
     fn short_deadline_behind_a_running_batch_expires_but_mates_run() {
-        let (_svc, tenant, _reg) = tenant_with(8, Some(1));
-        let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
+        let (_svc, tenant, _reg) = warm_tenant_with(8, Some(1));
+        let spec = tsd(3, 2);
         let release = hold_a_running_batch(&tenant, spec);
         let deadline = Instant::now() + Duration::from_millis(5);
         let late = park(&tenant, vec![spec, spec], Some(deadline));
@@ -553,8 +565,8 @@ mod tests {
     /// executes leave together in the next one.
     #[test]
     fn arrivals_during_a_flush_leave_together_in_the_next_batch() {
-        let (_svc, tenant, _reg) = tenant_with(8, Some(1));
-        let spec = QuerySpec::new(3, 2).expect("spec").with_engine(EngineKind::Online);
+        let (_svc, tenant, _reg) = warm_tenant_with(8, Some(1));
+        let spec = tsd(3, 2);
         let release = hold_a_running_batch(&tenant, spec);
         let frames: Vec<_> = (1..=3).map(|n| park(&tenant, vec![spec; n], None)).collect();
         assert_eq!(tenant.batcher.pending(), 6);

@@ -378,22 +378,19 @@ impl IoLoop {
         }
     }
 
-    /// The asynchronous query path: admission, per-slot spec resolution,
-    /// then a batcher submission whose completion callback posts the
-    /// encoded response back to this loop. The connection carries the
-    /// frame's [`CancelToken`] so a disconnect observed while the batch
-    /// is pending cancels the queries instead of orphaning them.
+    /// The asynchronous query path: per-slot spec resolution, then a
+    /// batcher submission (shed whole when the tenant's accumulator is
+    /// full) whose completion callback posts the encoded response back to
+    /// this loop. A query the service refuses — an invalid spec, or an
+    /// engine it does not serve — fails its own slot. The connection
+    /// carries the frame's [`CancelToken`] so a disconnect observed while
+    /// the batch is pending cancels the queries instead of orphaning them.
     fn dispatch_query(&mut self, key: u64, frame: &Frame, query: QueryRequest) {
         let shared = Arc::clone(&self.shared);
         let Some(tenant) = shared.registry.lookup(&frame.fingerprint) else {
             self.respond(key, unknown_tenant(frame), frame.fingerprint, false);
             return;
         };
-        if let Err(info) = shared.admission.admit_query(tenant.service.pool().queued_jobs()) {
-            shared.shed_overload.fetch_add(1, Ordering::Relaxed);
-            self.respond(key, Response::Overloaded(info), frame.fingerprint, false);
-            return;
-        }
         let deadline = if query.deadline_ms == 0 {
             None
         } else {

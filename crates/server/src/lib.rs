@@ -29,9 +29,9 @@
 //!   queries flush as one [`top_r_many`](sd_core::SearchService::top_r_many)
 //!   fan-out on the shared worker pool, with completion callbacks back
 //!   to the I/O loops and [`CancelToken`]-based disconnect cancellation.
-//! - [`admission`] — typed load shedding: connection, build-queue, and
-//!   query-queue pressure all answer
-//!   [`Overloaded`](proto::Response::Overloaded), never a hang.
+//! - [`admission`] — typed load shedding: connection and query-queue
+//!   pressure both answer [`Overloaded`](proto::Response::Overloaded),
+//!   never a hang.
 //! - [`client`] — a small blocking client ([`ClientConfig`]: timeouts,
 //!   retry-on-overload), used by the loopback tests and
 //!   `sd-serve selftest`.

@@ -42,17 +42,19 @@
 //! full byte tables.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sd_core::{EngineKind, GraphFingerprint, QuerySpec, SearchError, TopREntry};
+use sd_core::{EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService, TopREntry};
 use sd_graph::GraphUpdate;
 
 /// Frame magic (`"SDRP"` — Structural Diversity Request Protocol).
 pub const WIRE_MAGIC: u32 = 0x5344_5250;
 
 /// Current protocol version. Decoding rejects any other value with
-/// [`WireError::UnsupportedVersion`]. Versions 2 to 4 each changed the
-/// `StatsOk` layout; version 4 carries 10 server-scope and 18
-/// tenant-scope counters, and retired engine tag 5 from query frames.
-pub const WIRE_VERSION: u16 = 4;
+/// [`WireError::UnsupportedVersion`]. Versions 2 to 5 each changed the
+/// `StatsOk` layout. Version 4 retired engine tag 5 from query frames.
+/// Version 5 carries 10 server-scope and 16 tenant-scope counters (one
+/// query count per [`SearchService::SERVED`] kind), and retired overload
+/// reason 2, the build-queue shed.
+pub const WIRE_VERSION: u16 = 5;
 
 /// Fixed size of the frame header preceding the payload.
 pub const FRAME_HEADER_BYTES: usize = 40;
@@ -324,6 +326,10 @@ fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
 
 /// One query inside a [`QueryRequest`] frame: 13 bytes on the wire —
 /// `k: u32`, `r: u64`, engine tag `u8` (0 routes [`EngineKind::Auto`]).
+/// Every [`EngineKind`] decodes, but a server serves only
+/// [`SearchService::SERVED`] and Auto: a query for Online or Bound (tags 1
+/// and 2) is answered [`QueryOutcome::Failed`] with
+/// [`ErrorCode::BadRequest`], and the frame's other queries still run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireQuery {
     /// Trussness threshold (the paper's `k ≥ 2`).
@@ -497,14 +503,13 @@ impl Request {
 // ---------------------------------------------------------------------------
 // Responses
 
-/// Why a request was shed, inside [`Response::Overloaded`].
+/// Why a request was shed, inside [`Response::Overloaded`]. Tag 2, the
+/// retired build-queue shed, is never reused: decoders refuse it like any
+/// unassigned byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverloadReason {
     /// The connection limit was reached; the new connection was refused.
     Connections,
-    /// The tenant's worker-pool backlog (queued background builds and
-    /// fan-out tickets) was above the admission threshold.
-    BuildQueue,
     /// The tenant's query-coalescing accumulator was full.
     QueryQueue,
 }
@@ -513,7 +518,6 @@ impl OverloadReason {
     fn tag(self) -> u8 {
         match self {
             OverloadReason::Connections => 1,
-            OverloadReason::BuildQueue => 2,
             OverloadReason::QueryQueue => 3,
         }
     }
@@ -521,7 +525,6 @@ impl OverloadReason {
     fn from_tag(tag: u8) -> Option<Self> {
         match tag {
             1 => Some(OverloadReason::Connections),
-            2 => Some(OverloadReason::BuildQueue),
             3 => Some(OverloadReason::QueryQueue),
             _ => None,
         }
@@ -865,9 +868,9 @@ pub struct TenantStatsWire {
     pub parallel_queries: u64,
     /// Worker threads alive in the tenant's pool.
     pub pool_threads: u64,
-    /// Queries answered per concrete engine, in
-    /// [`sd_core::EngineKind::ALL`] order.
-    pub queries_by_engine: [u64; EngineKind::ALL.len()],
+    /// Queries answered per served engine, in [`SearchService::SERVED`]
+    /// order (TSD, then GCT).
+    pub queries_by_engine: [u64; SearchService::SERVED.len()],
 }
 
 /// Payload of [`Verb::StatsOk`]: `scope u8` (0 server, 1 tenant), then
@@ -951,8 +954,8 @@ impl StatsResponse {
             }
             1 => {
                 // 3 fingerprint words, the epoch, 10 counters, then one
-                // query count per engine.
-                need(&buf, (14 + EngineKind::ALL.len()) * 8)?;
+                // query count per served engine.
+                need(&buf, (14 + SearchService::SERVED.len()) * 8)?;
                 let fingerprint = GraphFingerprint {
                     n: buf.get_u64_le(),
                     m: buf.get_u64_le(),
@@ -971,7 +974,7 @@ impl StatsResponse {
                     gct_repairs: buf.get_u64_le(),
                     parallel_queries: buf.get_u64_le(),
                     pool_threads: buf.get_u64_le(),
-                    queries_by_engine: [0; EngineKind::ALL.len()],
+                    queries_by_engine: [0; SearchService::SERVED.len()],
                 };
                 for slot in &mut t.queries_by_engine {
                     *slot = buf.get_u64_le();
@@ -1153,7 +1156,7 @@ mod tests {
                 gct_repairs: 39,
                 parallel_queries: 70,
                 pool_threads: 4,
-                queries_by_engine: [1, 2, 3, 4],
+                queries_by_engine: [3, 4],
             })),
             Response::Shutdown,
             Response::Error(ErrorResponse {
@@ -1161,7 +1164,7 @@ mod tests {
                 message: "no such tenant".into(),
             }),
             Response::Overloaded(OverloadInfo {
-                reason: OverloadReason::BuildQueue,
+                reason: OverloadReason::QueryQueue,
                 measured: 71,
                 limit: 64,
                 retry_after_ms: 50,

@@ -112,7 +112,8 @@ impl ServerConfig {
         self
     }
 
-    /// Admission thresholds (connections, build-queue depth).
+    /// Admission thresholds (the connection limit and the base retry
+    /// hint).
     pub fn admission(mut self, admission: AdmissionLimits) -> ServerConfig {
         self.admission = admission;
         self

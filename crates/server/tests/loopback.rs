@@ -2,8 +2,9 @@
 //! clients, two tenants, concurrent batched queries racing live updates —
 //! wire answers must byte-match in-process answers for the epoch each
 //! response reports. Plus the operational paths: every admission shed is
-//! a typed `Overloaded`, deadlines produce partial batches, and graceful
-//! shutdown drains accepted requests.
+//! a typed `Overloaded`, an engine the service does not serve fails its
+//! own slot, deadlines produce partial batches, and graceful shutdown
+//! drains accepted requests.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
@@ -30,12 +31,20 @@ fn figure18_service() -> Arc<SearchService> {
     Arc::new(SearchService::new(graph))
 }
 
-/// A Figure-1 service on a 1-thread private pool whose only worker stays
-/// parked until the returned sender is dropped: the batch leader is a
-/// pool job, so every query frame waits in the accumulator until then.
+/// `service` with its TSD index built, so a TSD query runs without a
+/// build.
+fn warmed(service: Arc<SearchService>) -> Arc<SearchService> {
+    service.wait_ready([EngineKind::Tsd]);
+    service
+}
+
+/// A warmed Figure-1 service on a 1-thread private pool whose only worker
+/// stays parked until the returned sender is dropped: the batch leader is
+/// a pool job, so every query frame waits in the accumulator until then.
 fn parked_figure1_service() -> (Arc<SearchService>, Sender<()>) {
     let (graph, _, _) = paper_figure1_graph();
     let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
+    service.wait_ready([EngineKind::Tsd]);
     let (release, parked) = channel::<()>();
     service.pool().submit(move || {
         let _ = parked.recv();
@@ -79,25 +88,25 @@ fn concurrent_queries_and_updates_match_in_process_answers() {
     let (server, keys) = start(
         BatchLimits::default(),
         AdmissionLimits::default(),
-        vec![figure1_service(), figure18_service()],
+        vec![warmed(figure1_service()), warmed(figure18_service())],
     );
     let addr = server.local_addr();
     let (key1, key18) = (keys[0], keys[1]);
     // Pin a concrete engine on both sides: Auto resolves by which indexes
     // each side has built, and different engines may break score ties
     // differently — byte-matching needs the same engine everywhere.
-    let spec1 = QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Online);
-    let spec18 = QuerySpec::new(4, 3).unwrap().with_engine(EngineKind::Online);
-    let wire1 = WireQuery { k: 3, r: 4, engine: EngineKind::Online };
-    let wire18 = WireQuery { k: 4, r: 3, engine: EngineKind::Online };
+    let spec1 = QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Tsd);
+    let spec18 = QuerySpec::new(4, 3).unwrap().with_engine(EngineKind::Tsd);
+    let wire1 = WireQuery { k: 3, r: 4, engine: EngineKind::Tsd };
+    let wire18 = WireQuery { k: 4, r: 3, engine: EngineKind::Tsd };
 
     // Client-side replica of tenant 1: applies the same update batches in
     // the same order, so its epoch numbering and answers match the
     // server's tenant exactly.
-    let replica = figure1_service();
+    let replica = warmed(figure1_service());
     let expected1: Arc<Mutex<HashMap<u64, Vec<TopREntry>>>> = Arc::new(Mutex::new(HashMap::new()));
     expected1.lock().unwrap().insert(0, replica.top_r(&spec1).unwrap().entries);
-    let expected18 = figure18_service().top_r(&spec18).unwrap().entries;
+    let expected18 = warmed(figure18_service()).top_r(&spec18).unwrap().entries;
 
     const UPDATE_BATCHES: u64 = 6;
     let updater = {
@@ -192,7 +201,7 @@ fn concurrent_queries_and_updates_match_in_process_answers() {
 fn connection_limit_sheds_with_typed_overloaded_frame() {
     let (server, keys) = start(
         BatchLimits::default(),
-        AdmissionLimits { max_connections: 1, retry_after_ms: 7, ..AdmissionLimits::default() },
+        AdmissionLimits { max_connections: 1, retry_after_ms: 7 },
         vec![figure1_service()],
     );
     let addr = server.local_addr();
@@ -210,46 +219,6 @@ fn connection_limit_sheds_with_typed_overloaded_frame() {
     assert!(second.read_response().is_err());
     // …and the admitted one keeps working.
     first.query(keys[0], 0, vec![WireQuery::new(3, 2)]).expect("still admitted");
-    let report = server.shutdown();
-    assert!(report.within_grace);
-}
-
-#[test]
-fn deep_build_queue_sheds_queries_with_typed_overloaded_frame() {
-    // A 1-thread private pool the test can park at will.
-    let (graph, _, _) = paper_figure1_graph();
-    let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
-    let (server, keys) = start(
-        BatchLimits::default(),
-        AdmissionLimits { max_build_queue: 0, retry_after_ms: 11, ..AdmissionLimits::default() },
-        vec![service.clone()],
-    );
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    // Park the pool's only worker and stack a job behind it: the queue
-    // depth is now above the 0-job admission threshold.
-    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-    service.pool().submit(move || {
-        let _ = release_rx.recv();
-    });
-    service.pool().submit(|| {});
-    let err =
-        client.query(keys[0], 0, vec![WireQuery::new(3, 2)]).expect_err("shed behind the backlog");
-    let ServeError::Overloaded(info) = err else { panic!("expected Overloaded, got {err:?}") };
-    assert_eq!(info.reason, OverloadReason::BuildQueue);
-    assert!(info.measured >= 1);
-    assert_eq!((info.limit, info.retry_after_ms), (0, 11));
-
-    // Release the backlog; once it drains the same query is admitted.
-    release_tx.send(()).expect("release");
-    for _ in 0..200 {
-        if service.pool().queued_jobs() == 0 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let resp = client.query(keys[0], 0, vec![WireQuery::new(3, 2)]).expect("admitted again");
-    assert!(matches!(resp.outcomes[0], QueryOutcome::Answered(_)));
     let report = server.shutdown();
     assert!(report.within_grace);
 }
@@ -408,6 +377,32 @@ fn invalid_query_fails_its_slot_but_frame_mates_answer() {
     assert!(report.within_grace);
 }
 
+/// The service serves the two indexes: an Online query fails its own slot
+/// with `BadRequest`, before any scan, and the GCT query beside it in the
+/// same frame is answered.
+#[test]
+fn unserved_engine_fails_its_slot_and_the_frame_mate_answers() {
+    let (server, keys) =
+        start(BatchLimits::default(), AdmissionLimits::default(), vec![figure1_service()]);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let online = WireQuery { k: 4, r: 1, engine: EngineKind::Online };
+    let gct = WireQuery { k: 4, r: 1, engine: EngineKind::Gct };
+    let resp = client.query(keys[0], 0, vec![online, gct]).expect("frame admitted");
+    let QueryOutcome::Failed { code, message } = &resp.outcomes[0] else {
+        panic!("the Online slot is refused, got {:?}", resp.outcomes[0]);
+    };
+    assert_eq!(*code, ErrorCode::BadRequest);
+    assert!(message.contains("online"), "{message}");
+    let expected =
+        figure1_service().top_r(&QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct));
+    assert_eq!(resp.outcomes[1], QueryOutcome::Answered(expected.unwrap().entries));
+    let stats = client.tenant_stats(keys[0]).expect("tenant stats");
+    assert_eq!(stats.queries_served, 1, "only the GCT query ran: {stats:?}");
+    assert_eq!(stats.queries_by_engine, [0, 1], "counted per served engine, TSD then GCT");
+    let report = server.shutdown();
+    assert!(report.within_grace);
+}
+
 #[test]
 fn graceful_shutdown_drains_the_inflight_query() {
     let (service, release) = parked_figure1_service();
@@ -415,8 +410,8 @@ fn graceful_shutdown_drains_the_inflight_query() {
     let addr = server.local_addr();
     let key = keys[0];
     let tenant = server.registry().lookup(&key).expect("registered");
-    let expected = figure1_service()
-        .top_r(&QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Online))
+    let expected = warmed(figure1_service())
+        .top_r(&QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Tsd))
         .unwrap()
         .entries;
 
@@ -424,7 +419,7 @@ fn graceful_shutdown_drains_the_inflight_query() {
     let inflight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .query(key, 0, vec![WireQuery { k: 3, r: 4, engine: EngineKind::Online }])
+            .query(key, 0, vec![WireQuery { k: 3, r: 4, engine: EngineKind::Tsd }])
             .expect("accepted before drain")
     });
     wait_for("the query to park", || tenant.batcher.pending() == 1);

@@ -188,13 +188,17 @@ fn response_payload_corruptions_are_typed() {
         Err(WireError::InvalidPayload { what: "unknown stats scope" })
     );
 
-    // Unknown overload reason.
-    let mut payload = vec![0u8; 21];
-    payload[0] = 0;
-    assert_eq!(
-        decode_response(Verb::Overloaded, payload),
-        Err(WireError::InvalidPayload { what: "unknown overload reason" })
-    );
+    // Unknown overload reasons: 0 and 0x99 were never assigned, and 2 (the
+    // build-queue shed) is retired and never reused.
+    for reason in [0u8, 2, 0x99] {
+        let mut payload = vec![0u8; 21];
+        payload[0] = reason;
+        assert_eq!(
+            decode_response(Verb::Overloaded, payload),
+            Err(WireError::InvalidPayload { what: "unknown overload reason" }),
+            "reason {reason}"
+        );
+    }
 
     // Unknown error code, and a non-UTF-8 message.
     let mut payload = vec![99u8];
@@ -262,7 +266,7 @@ fn every_verb_frame() -> Vec<Vec<u8>> {
         gct_repairs: 4,
         parallel_queries: 6,
         pool_threads: 2,
-        queries_by_engine: [0, 1, 2, 6],
+        queries_by_engine: [3, 6],
     };
     let responses = [
         Response::Query(QueryResponse {
@@ -291,7 +295,7 @@ fn every_verb_frame() -> Vec<Vec<u8>> {
         Response::Shutdown,
         Response::Error(ErrorResponse { code: ErrorCode::UnknownTenant, message: "who?".into() }),
         Response::Overloaded(OverloadInfo {
-            reason: OverloadReason::BuildQueue,
+            reason: OverloadReason::QueryQueue,
             measured: 70,
             limit: 64,
             retry_after_ms: 5,

@@ -1,7 +1,8 @@
 //! Quickstart: build a graph, run a top-r truss-based structural diversity
-//! query through every engine behind the `SearchService`, and inspect the
-//! social contexts — including serving queries from several threads at
-//! once, the shape a production deployment has.
+//! query through the two indexes behind the `SearchService` and through
+//! the index-free Online and Bound scans, and inspect the social contexts —
+//! including serving queries from several threads at once, the shape a
+//! production deployment has.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -11,8 +12,8 @@ use std::sync::Arc;
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{
-    paper::PAPER_FIGURE1_NAMES, paper_figure1_edges, EngineKind, QuerySpec, SearchError,
-    SearchService,
+    build_engine, paper::PAPER_FIGURE1_NAMES, paper_figure1_edges, EngineKind, QuerySpec,
+    SearchError, SearchService,
 };
 
 fn main() -> Result<(), SearchError> {
@@ -21,20 +22,27 @@ fn main() -> Result<(), SearchError> {
     let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
     println!("graph: n={} m={}", g.n(), g.m());
 
-    // One service owns the graph; index engines build in chunks on the
-    // shared worker pool (a cold query joins its index's build, and the
-    // index answers it). `warmup` enqueues, `wait_ready` joins, so the
-    // per-engine comparison below times each engine's warm query.
+    // One service owns the graph and serves its two indexes, TSD and GCT;
+    // they build in chunks on the shared worker pool (a cold query joins
+    // its index's build, and the index answers it). `warmup` enqueues,
+    // `wait_ready` joins, so the per-engine comparison below times each
+    // index's warm query.
     let service = Arc::new(SearchService::new(g));
-    service.warmup(EngineKind::ALL);
-    service.wait_ready(EngineKind::ALL);
+    service.warmup(SearchService::SERVED);
+    service.wait_ready(SearchService::SERVED);
     let spec = QuerySpec::new(4, 3)?;
 
     // The four engines answer the same validated spec; only preprocessing
     // and per-query work differ (metrics carry the search-space column).
+    // The service refuses the index-free Online and Bound scans, the
+    // paper's baselines, so those two are built directly.
     let mut last: Option<Vec<u32>> = None;
     for kind in EngineKind::ALL {
-        let result = service.top_r(&spec.with_engine(kind))?;
+        let result = if SearchService::SERVED.contains(&kind) {
+            service.top_r(&spec.with_engine(kind))?
+        } else {
+            build_engine(kind, service.graph()).top_r(&spec)?
+        };
         println!(
             "[{:>6}] evaluated {:>2} vertices in {:?}",
             result.metrics.engine, result.metrics.score_computations, result.metrics.elapsed
@@ -45,8 +53,8 @@ fn main() -> Result<(), SearchError> {
         last = Some(result.scores());
     }
 
-    // `Auto` routes by graph size / query rate — on this tiny graph it
-    // reuses the GCT-index built above.
+    // `Auto` resolves to the GCT-index (or to TSD while only TSD is
+    // built), so here it reuses the GCT-index built above.
     let auto = service.top_r(&spec)?;
     println!("[  auto] routed to `{}`", auto.metrics.engine);
 
@@ -66,8 +74,7 @@ fn main() -> Result<(), SearchError> {
 
     // Batches fan out across the process-wide worker pool (results stay
     // byte-identical to the sequential loop, in spec order).
-    let batch: Vec<QuerySpec> =
-        EngineKind::ALL.iter().map(|&kind| spec.with_engine(kind)).collect();
+    let batch: Vec<QuerySpec> = SearchService::SERVED.map(|kind| spec.with_engine(kind)).to_vec();
     let (_, results) = service.top_r_many_pinned(&batch)?;
     assert!(results.iter().all(|r| Some(r.scores()) == last));
     let stats = service.stats();

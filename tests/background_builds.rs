@@ -139,15 +139,17 @@ fn wait_ready_without_warmup_builds_on_the_calling_thread() {
     assert_eq!(stats.background_builds, 0, "nothing was scheduled, so the caller built it");
 }
 
-/// A cached Bound engine does not answer cold index queries: each index
-/// kind's cold query joins its build and the index answers, with the same
-/// scores the bound search gives.
+/// A service hands out a Bound engine but never caches it, so no Bound
+/// engine can answer cold index queries: each index kind's cold query
+/// joins its build and the index answers, with the same scores the bound
+/// search gives.
 #[test]
 fn a_cached_bound_engine_does_not_answer_cold_index_queries() {
     let service = SearchService::new(sample_graph());
     let spec = QuerySpec::new(4, 10).unwrap();
-    service.warmup([EngineKind::Bound]); // inline, O(1) construction
+    assert_eq!(service.warmup([EngineKind::Bound]), vec![], "Bound is not served");
     let bound = service.engine(EngineKind::Bound).top_r(&spec).expect("bound").scores();
+    assert!(service.built_engines().is_empty(), "the Bound engine was not cached");
 
     for kind in INDEX_KINDS {
         let result = service.top_r(&spec.with_engine(kind)).expect("cold query");

@@ -12,7 +12,7 @@ use structural_diversity::influence::{
 };
 use structural_diversity::search::baselines::{comp_div_top_r, core_div_top_r, random_top_r};
 use structural_diversity::search::{
-    all_scores, DiversityConfig, EngineKind, QuerySpec, SearchService,
+    all_scores, build_engine, DiversityConfig, EngineKind, QuerySpec, SearchService,
 };
 use structural_diversity::truss::truss_decomposition;
 
@@ -37,7 +37,7 @@ fn search_pipeline_on_generated_dataset() {
     let g = registry()[0].generate(0.02); // wiki-vote-syn, tiny
     let service = SearchService::new(g);
     let spec = QuerySpec::new(4, 10).expect("valid spec");
-    let online = service.top_r(&spec.with_engine(EngineKind::Online)).expect("online");
+    let online = build_engine(EngineKind::Online, service.graph()).top_r(&spec).expect("online");
     let tsd = service.top_r(&spec.with_engine(EngineKind::Tsd)).expect("tsd");
     let gct = service.top_r(&spec.with_engine(EngineKind::Gct)).expect("gct");
     assert_eq!(online.scores(), tsd.scores());

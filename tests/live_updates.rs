@@ -1,10 +1,11 @@
 //! Live graph updates through the serving layer: after *any* sequence of
 //! update batches, answers served by the epoch-swapped `SearchService`
-//! must equal a service built fresh on the final graph — for every
-//! engine kind — and the TSD-index must have been *carried* across epochs
-//! incrementally (`incremental_tsd_carries > 0`), never rebuilt. Under
-//! update/query races, every answer must be internally consistent with
-//! some published epoch: never a blend of two graphs.
+//! must equal a service built fresh on the final graph — for both served
+//! indexes, with the Online and Bound scans' scores — and the TSD-index
+//! must have been *carried* across epochs incrementally
+//! (`incremental_tsd_carries > 0`), never rebuilt. Under update/query
+//! races, every answer must be internally consistent with some published
+//! epoch: never a blend of two graphs.
 
 mod common;
 
@@ -20,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use structural_diversity::datasets;
 use structural_diversity::graph::{CsrGraph, GraphBuilder, GraphUpdate};
 use structural_diversity::search::{
-    all_scores, EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService,
+    all_scores, build_engine, EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService,
 };
 
 /// The graph an update script should produce, replayed over a plain
@@ -163,10 +164,11 @@ proptest! {
     }
 
     /// The acceptance property: drive a live service through an arbitrary
-    /// edit script (batched), then check that `top_r` through every engine
-    /// kind — post-`wait_ready`, so each kind serves through its own
-    /// engine — agrees exactly with a service built fresh on the final
-    /// graph, and that the TSD-index was maintained incrementally.
+    /// edit script (batched), then check that `top_r` through every served
+    /// engine kind — post-`wait_ready`, so each kind serves through its
+    /// own engine — agrees exactly with a service built fresh on the final
+    /// graph and with the Online and Bound scans of that graph, and that
+    /// the TSD-index was maintained incrementally.
     #[test]
     fn served_answers_equal_a_fresh_rebuild_after_any_batch_sequence(
         g in arb_graph(14, 40),
@@ -196,7 +198,9 @@ proptest! {
         fresh.wait_ready(EngineKind::ALL);
 
         let spec = QuerySpec::new(k, 5.min(live.graph().n())).unwrap();
-        for kind in EngineKind::ALL {
+        let scans = [EngineKind::Online, EngineKind::Bound]
+            .map(|kind| build_engine(kind, fresh.graph()).top_r(&spec).unwrap().scores());
+        for kind in SearchService::SERVED {
             let served = live.top_r(&spec.with_engine(kind)).unwrap();
             prop_assert_eq!(
                 served.metrics.engine, kind.name(),
@@ -207,6 +211,7 @@ proptest! {
                 fresh.top_r(&spec.with_engine(kind)).unwrap().scores(),
                 "{} diverged from the fresh rebuild", kind
             );
+            prop_assert!(scans.iter().all(|scan| *scan == served.scores()), "{} vs the scans", kind);
         }
 
         let stats = live.stats();
@@ -283,13 +288,14 @@ fn reference_scores(g: &CsrGraph, k: u32, r: usize) -> Vec<u32> {
     scores
 }
 
-/// The race suite: query threads hammer the service across every engine
-/// kind while an updater thread applies batches. Every answer must equal
+/// The race suite: query threads hammer the service across both served
+/// indexes while an updater thread applies batches. Every answer must equal
 /// the reference on *some* published epoch — a query that blended two
 /// epochs would produce a score multiset no single graph yields (with
 /// overwhelming probability), and any disagreement between engines, or
 /// between a carried index and a rebuilt one, shows up the same way. Afterwards, the settled service must match a fresh
-/// single-threaded rebuild of the final graph.
+/// single-threaded rebuild of the final graph and its Online and Bound
+/// scans.
 #[test]
 fn racing_queries_are_consistent_with_some_published_epoch() {
     const QUERY_THREADS: usize = 6;
@@ -322,7 +328,7 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
             let answers = &answers;
             let done = &done;
             scope.spawn(move || {
-                let kinds = EngineKind::ALL;
+                let kinds = SearchService::SERVED;
                 let mut i = worker; // stagger the kind rotation per thread
                 let mut local = Vec::new();
                 while !done.load(Ordering::SeqCst) {
@@ -348,12 +354,16 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
         );
     }
 
-    // Settled state == fresh single-threaded rebuild, for every kind.
+    // Settled state == fresh single-threaded rebuild, for every served
+    // kind, and == the Online and Bound scans of the final graph.
     live.wait_ready(EngineKind::ALL);
     let fresh = SearchService::new((*live.graph()).clone());
     fresh.wait_ready(EngineKind::ALL);
-    for kind in EngineKind::ALL {
-        let spec = QuerySpec::new(K, R).unwrap().with_engine(kind);
+    let spec = QuerySpec::new(K, R).unwrap();
+    let scans = [EngineKind::Online, EngineKind::Bound]
+        .map(|kind| build_engine(kind, fresh.graph()).top_r(&spec).expect("scan").scores());
+    for kind in SearchService::SERVED {
+        let spec = spec.with_engine(kind);
         let settled = live.top_r(&spec).expect("settled query");
         assert_eq!(settled.metrics.engine, kind.name());
         assert_eq!(
@@ -361,6 +371,7 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
             fresh.top_r(&spec).expect("fresh query").scores(),
             "{kind} settled answer diverged from the fresh rebuild"
         );
+        assert!(scans.iter().all(|scan| *scan == settled.scores()), "{kind} vs the scans");
     }
     let stats = live.stats();
     assert_eq!(stats.epochs, batches.len() + 1);
@@ -416,7 +427,7 @@ fn concurrent_updaters_serialize_without_losing_updates() {
     assert_eq!(live.top_r(&spec).unwrap().scores(), control.top_r(&spec).unwrap().scores());
 }
 
-/// The 0.9 carry paths, end to end: after a *warm* update (every engine
+/// The 0.9 carry paths, end to end: after a *warm* update (both indexes
 /// built before the batch), the publish carries TSD incrementally,
 /// repairs GCT in place, and enqueues **no** background rebuild. The retained updater's COW
 /// graph must share adjacency storage with the published epoch (pointer
@@ -424,7 +435,7 @@ fn concurrent_updaters_serialize_without_losing_updates() {
 #[test]
 fn warm_updates_carry_every_engine_without_background_rebuilds() {
     let live = SearchService::new(sample_graph());
-    live.wait_ready(EngineKind::ALL);
+    live.wait_ready(SearchService::SERVED);
     let before = live.stats();
     let grown = live.graph().n() as u32; // fresh vertex: the insert always applies
 

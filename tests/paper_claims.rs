@@ -112,12 +112,13 @@ fn sparsification_bites_on_community_graphs() {
     let sp = sparsify(&g, 5);
     let removed_frac = sp.edges_removed as f64 / g.m() as f64;
     assert!(removed_frac > 0.3, "only {removed_frac:.2} of edges removed");
-    // And the answers survive (spot check).
-    let spec = QuerySpec::new(5, 10).expect("valid spec").with_engine(EngineKind::Online);
+    // And the answers survive (spot check): the service's GCT answer on
+    // the full graph is the online scan's on the sparsified one.
+    let spec = QuerySpec::new(5, 10).expect("valid spec");
     let full = SearchService::new(g);
-    let sparse = SearchService::new(sp.graph);
+    let sparse = build_engine(EngineKind::Online, Arc::new(sp.graph));
     assert_eq!(
-        full.top_r(&spec).expect("query").scores(),
+        full.top_r(&spec.with_engine(EngineKind::Gct)).expect("query").scores(),
         sparse.top_r(&spec).expect("query").scores()
     );
 }

@@ -61,6 +61,10 @@ fn sequential_engine(kind: EngineKind, g: &Arc<CsrGraph>) -> Box<dyn DiversityEn
     }
 }
 
+/// The index-free scans a service does not serve: the references the
+/// served indexes' scores are checked against.
+const SCANS: [EngineKind; 2] = [EngineKind::Online, EngineKind::Bound];
+
 /// Byte-level equality: entries (vertex, score, contexts), the search
 /// space and the engine name must match; only timing may differ.
 fn assert_identical(reference: &TopRResult, parallel: &TopRResult, context: &str) {
@@ -137,8 +141,9 @@ proptest! {
 
     /// The batch fan-out: `top_r_many` on a pooled service returns, in
     /// order, byte-identical results to the paper's sequential engines
-    /// answering the same specs one by one — for every engine kind and
-    /// thread count.
+    /// answering the same specs one by one — for every served engine kind
+    /// and thread count — with the scores of the sequential Online and
+    /// Bound scans.
     #[test]
     fn fanned_out_batches_match_the_sequential_service(
         family in 0usize..2,
@@ -148,7 +153,7 @@ proptest! {
     ) {
         let g = Arc::new(generate(family, n, edge_factor, seed));
         let r = 3.min(g.n());
-        let specs: Vec<QuerySpec> = EngineKind::ALL
+        let specs: Vec<QuerySpec> = SearchService::SERVED
             .into_iter()
             .flat_map(|kind| {
                 (2..=4).map(move |k| QuerySpec::new(k, r).expect("valid spec").with_engine(kind))
@@ -159,6 +164,12 @@ proptest! {
             .iter()
             .map(|s| sequential_engine(s.engine(), &g).top_r(s).expect("sequential query"))
             .collect();
+        for (spec, want) in specs.iter().zip(&reference) {
+            for scan in SCANS {
+                let scanned = sequential_engine(scan, &g).top_r(spec).expect("sequential scan");
+                prop_assert_eq!(want.scores(), scanned.scores(), "{} vs {}", spec.engine(), scan);
+            }
+        }
 
         for threads in thread_counts() {
             let pool = Arc::new(WorkerPool::new(threads));
@@ -189,7 +200,8 @@ proptest! {
 
     /// Equivalence survives epoch swaps: after the same update batch, a
     /// pooled service at every thread count answers byte-identically to the
-    /// paper's sequential engines built over the *new* graph.
+    /// paper's sequential index engines built over the *new* graph, with
+    /// the scores of its sequential Online and Bound scans.
     #[test]
     fn pooled_queries_match_sequential_across_update_epochs(
         family in 0usize..2,
@@ -216,8 +228,11 @@ proptest! {
             }
         }
         let updated = sequential.graph();
-        let reference = EngineKind::ALL.map(|kind| {
+        let reference = SearchService::SERVED.map(|kind| {
             sequential_engine(kind, &updated).top_r(&spec).expect("sequential query")
+        });
+        let scans = SCANS.map(|kind| {
+            sequential_engine(kind, &updated).top_r(&spec).expect("sequential scan").scores()
         });
 
         for threads in thread_counts() {
@@ -231,7 +246,7 @@ proptest! {
             }
             prop_assert_eq!(applied, applied_reference, "update outcomes must not depend on the pool");
             service.wait_ready(EngineKind::ALL);
-            for (kind, want) in EngineKind::ALL.into_iter().zip(&reference) {
+            for (kind, want) in SearchService::SERVED.into_iter().zip(&reference) {
                 let got = service.top_r(&spec.with_engine(kind)).expect("pooled query");
                 assert_identical(
                     want,
@@ -241,6 +256,7 @@ proptest! {
                          {kind} after updates at {threads} threads"
                     ),
                 );
+                prop_assert!(scans.iter().all(|scan| *scan == got.scores()), "{} vs the scans", kind);
             }
         }
     }

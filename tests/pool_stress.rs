@@ -18,7 +18,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use structural_diversity::datasets::gnm_graph;
-use structural_diversity::search::{EngineKind, QuerySpec, SearchService, WorkerPool};
+use structural_diversity::search::{
+    build_engine, EngineKind, QuerySpec, SearchService, WorkerPool,
+};
 
 /// Services sharing the pool in the spike test — far more than the pool's
 /// thread budget, so the old per-service design (2·M threads) and the
@@ -57,11 +59,11 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
     let services: Vec<Arc<SearchService>> =
         (0..SERVICES).map(|i| spike_service(&pool, 0xC0FFEE + i as u64)).collect();
 
-    // Ground truth per service, from a throwaway engine outside the pool.
+    // Ground truth per service, from an online engine outside the service.
     let references: Vec<Vec<u32>> = services
         .iter()
-        .map(|s| s.engine(EngineKind::Online).top_r(&QuerySpec::new(3, 4).unwrap()).unwrap())
-        .map(|r| r.scores())
+        .map(|s| build_engine(EngineKind::Online, s.graph()))
+        .map(|online| online.top_r(&QuerySpec::new(3, 4).unwrap()).unwrap().scores())
         .collect();
 
     std::thread::scope(|scope| {
@@ -89,7 +91,7 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
         let stats = service.stats();
         assert_eq!(
             stats.engines_built,
-            EngineKind::ALL.len(),
+            SearchService::SERVED.len(),
             "service {i}: every (service, kind) pair must build exactly once: {stats:?}"
         );
         assert!(
@@ -174,8 +176,8 @@ fn repeated_concurrent_warmups_never_duplicate_builds() {
     let stats = service.stats();
     assert_eq!(
         stats.engines_built,
-        EngineKind::ALL.len(),
+        SearchService::SERVED.len(),
         "warmup storm duplicated builds: {stats:?}"
     );
-    assert_eq!(service.built_engines(), EngineKind::ALL.to_vec());
+    assert_eq!(service.built_engines(), SearchService::SERVED.to_vec());
 }

@@ -1,15 +1,17 @@
 //! Concurrent serving: one `SearchService` shared via `Arc` across many
-//! threads must serve every engine kind through `&self` with answers
-//! identical to the single-threaded path — the acceptance bar for the
-//! 0.3 serving-layer redesign. The fixtures mirror `tests/equivalence.rs`:
-//! the Figure-1 graph and a mid-sized registry dataset.
+//! threads must serve every engine kind it serves through `&self` with
+//! answers identical to the single-threaded path, and to the index-free
+//! scans built directly — the acceptance bar for the 0.3 serving-layer
+//! redesign. The fixtures mirror `tests/equivalence.rs`: the Figure-1
+//! graph and a mid-sized registry dataset.
 
 use std::sync::Arc;
 
 use structural_diversity::datasets;
 use structural_diversity::graph::{CsrGraph, GraphBuilder};
 use structural_diversity::search::{
-    paper_figure1_edges, EngineKind, QuerySpec, SearchService, ServiceStats,
+    build_engine, paper_figure1_edges, EngineKind, QuerySpec, SearchError, SearchService,
+    ServiceStats,
 };
 
 const THREADS: usize = 8;
@@ -22,27 +24,35 @@ fn registry_sample() -> CsrGraph {
     datasets::dataset("email-enron-syn").expect("registry").generate(0.05)
 }
 
-/// Every (thread, kind, k) combination must match the single-threaded
-/// reference exactly — scores and vertices. Both services are warmed and
-/// joined first, so no query joins an index build (a cold query joining
-/// one is `tests/background_builds.rs`'s subject).
+/// Every (thread, served kind, k) combination must match the
+/// single-threaded reference exactly — scores and vertices — and the
+/// reference's scores are the Online and Bound scans'. Both services are
+/// warmed and joined first, so no query joins an index build (a cold
+/// query joining one is `tests/background_builds.rs`'s subject).
 #[test]
 fn eight_threads_serve_every_kind_identically() {
     let g = registry_sample();
     let specs: Vec<QuerySpec> = [3u32, 5]
         .into_iter()
         .flat_map(|k| {
-            EngineKind::ALL.map(move |kind| QuerySpec::new(k, 25).unwrap().with_engine(kind))
+            SearchService::SERVED.map(move |kind| QuerySpec::new(k, 25).unwrap().with_engine(kind))
         })
         .collect();
 
-    // Single-threaded reference answers on a private service.
+    // Single-threaded reference answers on a private service, checked
+    // against the index-free scans.
     let reference_service = SearchService::new(g.clone());
     reference_service.wait_ready(EngineKind::ALL);
+    let scans = [EngineKind::Online, EngineKind::Bound]
+        .map(|kind| build_engine(kind, reference_service.graph()));
     let reference: Vec<_> = specs
         .iter()
         .map(|spec| {
             let r = reference_service.top_r(spec).expect("reference query");
+            for scan in &scans {
+                let scanned = scan.top_r(spec).expect("scan").scores();
+                assert_eq!(r.scores(), scanned, "{} vs {}", spec.engine(), scan.name());
+            }
             (r.scores(), r.vertices())
         })
         .collect();
@@ -76,11 +86,11 @@ fn eight_threads_serve_every_kind_identically() {
     assert_eq!(stats.queries_served, THREADS * specs.len());
     assert_eq!(
         stats.engines_built,
-        EngineKind::ALL.len(),
+        SearchService::SERVED.len(),
         "each engine must be built exactly once"
     );
     assert_eq!(stats.foreground_fallbacks, 0, "a warmed service never joins a build");
-    for kind in EngineKind::ALL {
+    for kind in SearchService::SERVED {
         assert_eq!(stats.queries_for(kind), THREADS * 2, "{kind} query count");
     }
 }
@@ -108,7 +118,8 @@ fn concurrent_auto_queries_agree_with_reference() {
 }
 
 /// Warmup from one thread while others already query: no duplicate builds,
-/// no torn state. Warmup only *schedules* since 0.4.0, so the builds are
+/// no torn state, and the kinds the service does not serve are refused
+/// throughout. Warmup only *schedules* since 0.4.0, so the builds are
 /// joined with `wait_ready` before counting them.
 #[test]
 fn warmup_races_with_queries() {
@@ -123,16 +134,24 @@ fn warmup_races_with_queries() {
             let service = service.clone();
             scope.spawn(move || {
                 for kind in EngineKind::ALL {
-                    service.top_r(&spec.with_engine(kind)).expect("query during warmup");
+                    let answer = service.top_r(&spec.with_engine(kind));
+                    if SearchService::SERVED.contains(&kind) {
+                        answer.expect("query during warmup");
+                    } else {
+                        assert_eq!(
+                            answer.unwrap_err(),
+                            SearchError::EngineNotServed { engine: kind }
+                        );
+                    }
                 }
             });
         }
     });
     service.wait_ready(EngineKind::ALL);
-    assert_eq!(service.built_engines(), EngineKind::ALL.to_vec());
+    assert_eq!(service.built_engines(), SearchService::SERVED.to_vec());
     assert_eq!(
         service.stats().engines_built,
-        EngineKind::ALL.len(),
+        SearchService::SERVED.len(),
         "warmup raced queries into duplicate builds"
     );
 }
@@ -163,13 +182,15 @@ fn concurrent_batches_agree_with_singles() {
 }
 
 /// Import on one thread while others query: late-arriving index bundles
-/// swap in without disturbing in-flight answers.
+/// swap in without disturbing in-flight answers, which stay the online
+/// scan's.
 #[test]
 fn import_races_with_queries() {
     let g = figure1();
     let donor = SearchService::new(g.clone());
     let blob = donor.export_bundle([EngineKind::Gct]).expect("export");
-    let reference = donor.top_r(&QuerySpec::new(4, 3).unwrap()).unwrap();
+    let online = build_engine(EngineKind::Online, donor.graph());
+    let reference = online.top_r(&QuerySpec::new(4, 3).unwrap()).unwrap();
 
     let service = Arc::new(SearchService::new(g));
     std::thread::scope(|scope| {
@@ -184,7 +205,7 @@ fn import_races_with_queries() {
             let service = service.clone();
             let reference = &reference;
             scope.spawn(move || {
-                for kind in [EngineKind::Gct, EngineKind::Tsd, EngineKind::Online] {
+                for kind in [EngineKind::Gct, EngineKind::Tsd, EngineKind::Auto] {
                     let spec = QuerySpec::new(4, 3).unwrap().with_engine(kind);
                     let result = service.top_r(&spec).expect("query during import");
                     assert_eq!(result.scores(), reference.scores());

@@ -1,10 +1,15 @@
 //! Workspace smoke test: the umbrella crate's re-exports resolve and the
 //! paper's Figure-1 running example yields a top-1 diversity score of 3
 //! (vertex v's ego-network splits into three social contexts at k = 4)
-//! through every one of the engines behind the `SearchService` facade.
+//! through every engine: the two indexes behind the `SearchService`
+//! facade, and the index-free scans built directly.
+
+use std::sync::Arc;
 
 use structural_diversity::graph::GraphBuilder;
-use structural_diversity::search::{paper_figure1_edges, EngineKind, QuerySpec, SearchService};
+use structural_diversity::search::{
+    build_engine, paper_figure1_edges, EngineKind, QuerySpec, SearchError, SearchService,
+};
 use structural_diversity::{datasets, influence, truss};
 
 #[test]
@@ -25,15 +30,22 @@ fn umbrella_reexports_resolve() {
 
 #[test]
 fn figure1_top1_score_is_3_via_every_engine() {
-    let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
-    let service = SearchService::new(g);
+    let g = Arc::new(GraphBuilder::new().extend_edges(paper_figure1_edges()).build());
+    let service = SearchService::from_arc(g.clone());
     // Join the (non-blocking) builds so no query below has to join one:
     // each is answered by a ready engine.
-    service.wait_ready(EngineKind::ALL);
+    assert_eq!(service.wait_ready(EngineKind::ALL), SearchService::SERVED.to_vec());
     let spec = QuerySpec::new(4, 1).expect("valid query");
 
     for kind in EngineKind::ALL {
-        let result = service.top_r(&spec.with_engine(kind)).expect("query");
+        let spec = spec.with_engine(kind);
+        let result = if SearchService::SERVED.contains(&kind) {
+            service.top_r(&spec).expect("query")
+        } else {
+            let refused = service.top_r(&spec).expect_err("the service serves the indexes");
+            assert_eq!(refused, SearchError::EngineNotServed { engine: kind });
+            build_engine(kind, g.clone()).top_r(&spec).expect("query")
+        };
         assert_eq!(result.entries[0].score, 3, "engine {kind} disagrees with Figure 1");
         assert_eq!(result.metrics.engine, kind.name());
     }
