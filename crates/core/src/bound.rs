@@ -61,15 +61,15 @@ pub fn upper_bounds(g: &CsrGraph, k: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Which of Algorithm 4's two pruning techniques to enable — the ablation
-/// handles DESIGN.md §6 calls for. Defaults to both, i.e. the full
-/// Algorithm 4.
+/// Which of Algorithm 4's two pruning techniques to enable, for the
+/// pruning ablation in this module's tests. Defaults to both, i.e. the
+/// full Algorithm 4, which is what `BoundEngine` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BoundOptions {
+pub(crate) struct BoundOptions {
     /// Apply Property 1 graph sparsification first.
-    pub sparsify: bool,
+    pub(crate) sparsify: bool,
     /// Order vertices by the Lemma 2 bound and early-terminate.
-    pub upper_bound: bool,
+    pub(crate) upper_bound: bool,
 }
 
 impl Default for BoundOptions {
@@ -81,8 +81,8 @@ impl Default for BoundOptions {
 /// Algorithm 4: sparsify, sort by upper bound descending, and stop as soon
 /// as the best remaining bound cannot beat the current top-r floor, with
 /// the pruning techniques individually toggleable. Crate-internal:
-/// reachable through `BoundEngine` (or, for one release, the `compat`
-/// wrappers).
+/// reachable through `BoundEngine`. A vertex tied with the r-th score and
+/// left unvisited is not returned, so tied members may differ from Online's.
 pub(crate) fn bound_top_r_with(
     g: &CsrGraph,
     config: &DiversityConfig,

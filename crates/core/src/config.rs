@@ -80,9 +80,9 @@ pub struct SearchMetrics {
 /// Result of a top-r query: entries sorted by (score desc, vertex asc) plus
 /// search metrics.
 ///
-/// When several vertices tie at the boundary score, *which* of them is
-/// returned is unspecified (as in the paper, where replacement requires a
-/// strictly greater score); the returned score multiset is unique.
+/// When several vertices tie at the boundary score, the lowest vertex ids
+/// are returned — except by the Bound engine, whose early stop (Algorithm
+/// 4) may keep other tied vertices; its scores are the same.
 #[derive(Clone, Debug, Serialize)]
 pub struct TopRResult {
     /// The top-r entries.

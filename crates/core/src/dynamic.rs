@@ -21,18 +21,20 @@
 //! graph. Equivalence with a from-scratch rebuild is property-tested under
 //! random edit scripts (`tests/dynamic_updates.rs`).
 //!
-//! The GCT-index entry of a vertex compresses the same maximum spanning
-//! forest, so one ego extraction and one truss decomposition per affected
-//! vertex repair both indexes.
+//! The repair reads the final graph's CSR snapshot through the index
+//! builds' own per-vertex pass ([`crate::parallel`]). The GCT-index entry
+//! of a vertex compresses the same maximum spanning forest, so one ego
+//! extraction and one truss decomposition per affected vertex repair both
+//! indexes.
 
 use std::sync::Arc;
 
 use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
-use sd_truss::{truss_decomposition, vertex_trussness};
 
-use crate::egonet::EgoNetwork;
-use crate::gct::{GctBuilder, GctIndex};
-use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
+use crate::gct::GctIndex;
+use crate::parallel::{write_entries, Writes};
+use crate::pool::{self, WorkerPool};
+use crate::tsd::{TsdBuilder, TsdIndex};
 
 /// What one [`DynamicTsd::apply_batch`] did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,13 +56,14 @@ pub struct BatchRepair {
 /// consistent while the graph mutates.
 ///
 /// Every level is copy-on-write: the graph is a [`DynamicGraph`] over a
-/// shared CSR base, and the indexes are shared [`Arc`]s that no update
-/// writes into. [`Self::apply_batch`] rebuilds each distinct affected
-/// ego-network once against the batch's final graph and splices the
-/// rebuilt entries into fresh flat indexes, copying everything else in
+/// shared CSR snapshot of itself, and the indexes are shared [`Arc`]s that
+/// no update writes into. [`Self::apply_batch`] rebuilds each distinct
+/// affected ego-network once against the batch's final graph and splices
+/// the rebuilt entries into fresh flat indexes, copying everything else in
 /// contiguous runs. An update therefore costs its affected region plus one
-/// `O(index)` copy, and leaves behind indexes a serving layer can publish
-/// as they are ([`Self::index`], [`Self::gct_index`]).
+/// `O(graph + index)` copy, and leaves behind a snapshot and indexes a
+/// serving layer can publish as they are ([`Self::snapshot`],
+/// [`Self::index`], [`Self::gct_index`]).
 ///
 /// ```
 /// use sd_graph::GraphBuilder;
@@ -79,6 +82,8 @@ pub struct BatchRepair {
 #[derive(Clone, Debug)]
 pub struct DynamicTsd {
     graph: DynamicGraph,
+    /// The CSR snapshot of `graph`, and its copy-on-write base.
+    snapshot: Arc<CsrGraph>,
     /// The TSD-index of `graph`, exactly.
     tsd: Arc<TsdIndex>,
     /// The GCT-index of `graph`, when one was adopted.
@@ -87,25 +92,15 @@ pub struct DynamicTsd {
 
 impl Default for DynamicTsd {
     fn default() -> Self {
-        DynamicTsd {
-            graph: DynamicGraph::default(),
-            tsd: Arc::new(TsdBuilder::new(0).finish()),
-            gct: None,
-        }
+        let empty = Arc::new(CsrGraph::from_canonical_edges(0, Vec::new()));
+        Self::from_shared_index(empty, Arc::new(TsdBuilder::new(0).finish()))
     }
 }
 
 impl DynamicTsd {
     /// Builds from a static graph (equivalent to `TsdIndex::build`).
     pub fn from_csr(g: &CsrGraph) -> Self {
-        Self::from_shared_csr(Arc::new(g.clone()))
-    }
-
-    /// Builds from a shared static graph, adopting it as copy-on-write
-    /// adjacency storage (no per-vertex list is copied until edited).
-    pub fn from_shared_csr(g: Arc<CsrGraph>) -> Self {
-        let index = Arc::new(TsdIndex::build(&g));
-        Self::from_shared_index(g, index)
+        Self::from_shared_index(Arc::new(g.clone()), Arc::new(TsdIndex::build(g)))
     }
 
     /// An empty dynamic index.
@@ -127,12 +122,12 @@ impl DynamicTsd {
     }
 
     /// [`Self::from_index`] over a shared graph and a shared index: the
-    /// carry costs `O(n)` copy-on-write slots and two `Arc` clones — the
+    /// carry costs `O(n)` copy-on-write slots and `Arc` clones — the
     /// adjacency stays shared with `g` until edits touch it, and the index
     /// until an update replaces it.
     pub fn from_shared_index(g: Arc<CsrGraph>, index: Arc<TsdIndex>) -> Self {
         debug_assert_eq!(g.n(), index.n(), "index and graph vertex counts must agree");
-        DynamicTsd { graph: DynamicGraph::from_base(g), tsd: index, gct: None }
+        DynamicTsd { graph: DynamicGraph::from_base(g.clone()), snapshot: g, tsd: index, gct: None }
     }
 
     /// Co-maintains `index`, the GCT-index of the current graph, from now
@@ -143,17 +138,15 @@ impl DynamicTsd {
         self.gct = Some(index);
     }
 
-    /// Re-arms copy-on-write sharing against a freshly published CSR
-    /// snapshot of this graph (see [`DynamicGraph::rebase`]); owned
-    /// overlay vectors accumulated during the last batch are released. The
-    /// indexes need no rebase: a publish shares them as they are.
-    pub fn rebase(&mut self, g: Arc<CsrGraph>) {
-        self.graph.rebase(g);
-    }
-
     /// Shared-vs-owned accounting for the underlying COW adjacency.
     pub fn cow_stats(&self) -> CowStats {
         self.graph.cow_stats()
+    }
+
+    /// The maintained graph's CSR snapshot, shared: what the indexes
+    /// describe, spliced by each batch that applies an update.
+    pub fn snapshot(&self) -> &Arc<CsrGraph> {
+        &self.snapshot
     }
 
     /// The maintained TSD-index, shared: equal to
@@ -173,22 +166,23 @@ impl DynamicTsd {
         (*self.tsd).clone()
     }
 
-    /// Applies one [`GraphUpdate`] (a batch of one: see
+    /// Applies one [`GraphUpdate`] (a batch of one on [`pool::global`]: see
     /// [`Self::apply_batch`]). Returns the number of ego-networks rebuilt
     /// — 0 iff the update was rejected (duplicate/self-loop insert, absent
     /// remove); an applied update always repairs at least its two
     /// endpoints.
     pub fn apply(&mut self, update: GraphUpdate) -> usize {
-        self.apply_batch(&[update]).repaired
+        self.apply_batch(&[update], pool::global()).repaired
     }
 
-    /// Applies `batch` in order, then rebuilds each distinct affected
-    /// ego-network once against the final graph — one extraction and one
-    /// truss decomposition per vertex, feeding its TSD forest and, when a
-    /// GCT-index is co-maintained, its GCT entry — and splices the rebuilt
-    /// entries into fresh indexes. A batch that applies nothing leaves the
-    /// indexes untouched.
-    pub fn apply_batch(&mut self, batch: &[GraphUpdate]) -> BatchRepair {
+    /// Applies `batch` in order, splices the final graph's CSR snapshot and
+    /// rebases onto it, then rebuilds each distinct affected ego-network
+    /// once from that snapshot, in chunks on `pool` — one extraction and
+    /// one truss decomposition per vertex, feeding its TSD forest and,
+    /// when a GCT-index is co-maintained, its GCT entry — and splices the
+    /// rebuilt entries into fresh indexes. A batch that applies nothing
+    /// leaves everything untouched.
+    pub fn apply_batch(&mut self, batch: &[GraphUpdate], pool: &WorkerPool) -> BatchRepair {
         let mut out = BatchRepair::default();
         let mut affected: Vec<VertexId> = Vec::new();
         for &update in batch {
@@ -210,21 +204,15 @@ impl DynamicTsd {
         affected.dedup();
         out.repaired = affected.len();
 
-        let mut tsd = TsdBuilder::new(affected.len());
-        let mut gct = self.gct.as_ref().map(|_| GctBuilder::new(affected.len()));
-        for &v in &affected {
-            let ego = extract_ego_dynamic(&self.graph, v);
-            let decomposition = truss_decomposition(&ego.graph);
-            let forest = max_spanning_forest(&ego.graph, &decomposition);
-            tsd.push_local_forest(&ego, &forest);
-            if let Some(gct) = gct.as_mut() {
-                gct.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
-            }
-        }
-        let n = self.graph.n();
-        self.tsd = Arc::new(self.tsd.splice(n, &affected, &tsd.finish()));
-        if let (Some(index), Some(patch)) = (self.gct.as_mut(), gct) {
-            *index = Arc::new(index.splice(n, &affected, &patch.finish()));
+        self.snapshot = Arc::new(self.graph.to_csr());
+        self.graph.rebase(self.snapshot.clone());
+        let affected: Arc<[VertexId]> = affected.into();
+        let writes = Writes { tsd: true, gct: self.gct.is_some() };
+        let (tsd, gct) = write_entries(pool, &self.snapshot, affected.clone(), writes);
+        let n = self.snapshot.n();
+        self.tsd = Arc::new(self.tsd.splice(n, &affected, &tsd));
+        if let Some(index) = self.gct.as_mut() {
+            *index = Arc::new(index.splice(n, &affected, &gct));
         }
         out
     }
@@ -266,32 +254,6 @@ impl DynamicTsd {
         let mut scratch = Vec::new();
         (0..self.n() as VertexId).map(|v| self.tsd.score(v, k, &mut scratch)).collect()
     }
-}
-
-/// Ego-network extraction on a [`DynamicGraph`] (same sorted-merge kernel as
-/// [`EgoNetwork::extract`]).
-pub fn extract_ego_dynamic(g: &DynamicGraph, v: VertexId) -> EgoNetwork {
-    let nbrs = g.neighbors(v);
-    let mut edges = Vec::new();
-    for (local_u, &u) in nbrs.iter().enumerate() {
-        let n_u = g.neighbors(u);
-        let mut i = 0usize;
-        let mut local_w = local_u + 1;
-        while i < n_u.len() && local_w < nbrs.len() {
-            let (a, b) = (n_u[i], nbrs[local_w]);
-            if a < b {
-                i += 1;
-            } else if b < a {
-                local_w += 1;
-            } else {
-                edges.push((local_u as VertexId, local_w as VertexId));
-                i += 1;
-                local_w += 1;
-            }
-        }
-    }
-    let graph = CsrGraph::from_canonical_edges(nbrs.len(), edges);
-    EgoNetwork { graph, vertices: nbrs.to_vec() }
 }
 
 #[cfg(test)]
@@ -374,7 +336,8 @@ mod tests {
     fn apply_batch_repairs_each_affected_ego_once() {
         let (g, _, _) = paper_figure1_graph();
         let mut dynamic = DynamicTsd::from_csr(&g);
-        let one = dynamic.clone().apply_batch(&[GraphUpdate::Remove { u: 2, v: 5 }]);
+        let pool = WorkerPool::new(2);
+        let one = dynamic.clone().apply_batch(&[GraphUpdate::Remove { u: 2, v: 5 }], &pool);
         assert_eq!((one.applied, one.rejected), (1, 0));
         assert_eq!(one.touched, one.repaired, "one update touches each ego once");
         // Three updates around vertex 0 and 1: both are touched by every
@@ -385,7 +348,7 @@ mod tests {
             GraphUpdate::Insert { u: 0, v: 1 },
             GraphUpdate::Insert { u: 0, v: 1 }, // duplicate by now
         ];
-        let repair = dynamic.apply_batch(&batch);
+        let repair = dynamic.apply_batch(&batch, &pool);
         assert_eq!((repair.applied, repair.rejected), (3, 1));
         assert!(repair.touched >= 2 * repair.applied);
         assert!(repair.repaired < repair.touched, "{repair:?}");
@@ -393,7 +356,7 @@ mod tests {
         assert_eq!(dynamic.to_index(), TsdIndex::build(&now), "batch repair == full rebuild");
         // A batch that applies nothing keeps the very same index.
         let before = dynamic.index().clone();
-        let noop = dynamic.apply_batch(&[GraphUpdate::Remove { u: 2, v: 40 }]);
+        let noop = dynamic.apply_batch(&[GraphUpdate::Remove { u: 2, v: 40 }], &pool);
         assert_eq!((noop.applied, noop.rejected, noop.repaired), (0, 1, 0));
         assert!(Arc::ptr_eq(&before, dynamic.index()));
     }
@@ -411,7 +374,7 @@ mod tests {
             vec![GraphUpdate::Remove { u: 1, v: 6 }],
         ];
         for batch in &batches {
-            dynamic.apply_batch(batch);
+            dynamic.apply_batch(batch, &WorkerPool::new(2));
             let now = dynamic.graph().to_csr();
             assert_eq!(dynamic.n(), now.n());
             assert_eq!(**dynamic.gct_index().unwrap(), GctIndex::build(&now), "after {batch:?}");
@@ -419,6 +382,10 @@ mod tests {
         }
     }
 
+    /// The carry shares the published graph and index. A batch splices its
+    /// own snapshot and rebases onto it, so it leaves no owned adjacency
+    /// behind, every slot is served from that snapshot's storage, and no
+    /// shared index or graph is written.
     #[test]
     fn shared_carry_keeps_adjacency_cow_until_edits() {
         let (g, _, _) = paper_figure1_graph();
@@ -426,18 +393,44 @@ mod tests {
         let built = Arc::new(TsdIndex::build(&shared));
         let mut dynamic = DynamicTsd::from_shared_index(shared.clone(), built.clone());
         assert!(Arc::ptr_eq(dynamic.index(), &built), "the carry shares the index");
+        assert!(Arc::ptr_eq(dynamic.snapshot(), &shared), "and the graph");
         let before = dynamic.cow_stats();
         assert_eq!(before.owned, 0, "carry materializes no adjacency");
         assert_eq!(before.shared, shared.n());
         dynamic.insert_edge(1, 6);
-        assert!(dynamic.cow_stats().owned >= 2, "edit materializes only touched slots");
-        assert!(dynamic.cow_stats().shared >= shared.n() - 6);
+        let snapshot = dynamic.snapshot().clone();
+        assert!(snapshot.neighbors(1).contains(&6) && !shared.neighbors(1).contains(&6));
+        assert_eq!(*snapshot, dynamic.graph().to_csr(), "the snapshot is the edited graph");
+        assert_eq!((dynamic.cow_stats().owned, dynamic.cow_stats().shared), (0, shared.n()));
+        let graph = dynamic.graph();
+        assert!((0..graph.n() as VertexId)
+            .all(|v| graph.neighbors(v).as_ptr() == snapshot.neighbors(v).as_ptr()));
         assert_eq!(*built, TsdIndex::build(&shared), "an update never writes a shared index");
-        // Rebase against the published snapshot releases the overlay.
-        let snapshot = Arc::new(dynamic.graph().to_csr());
-        dynamic.rebase(snapshot.clone());
-        assert_eq!(dynamic.cow_stats().owned, 0);
-        assert_eq!(dynamic.to_index(), TsdIndex::build(&snapshot), "index survives the rebase");
+        assert_eq!(dynamic.to_index(), TsdIndex::build(&snapshot), "the index is the snapshot's");
+        dynamic.insert_edge(1, 6);
+        assert!(Arc::ptr_eq(dynamic.snapshot(), &snapshot), "a no-op keeps the snapshot");
+    }
+
+    /// An insert whose endpoints share 300 neighbours affects 302 egos, so
+    /// its repair spans two chunks; on any pool, the carried indexes equal
+    /// the sequential builds of the final graph byte for byte.
+    #[test]
+    fn a_repair_spanning_chunks_equals_the_sequential_builds() {
+        let edges = (2..302u32).flat_map(|w| [(0, w), (1, w), (w, w + 1), (w, w + 2)]);
+        let g = sd_graph::GraphBuilder::new().extend_edges(edges).build();
+        let batch = [GraphUpdate::Insert { u: 0, v: 1 }, GraphUpdate::Remove { u: 2, v: 3 }];
+        for threads in [1, 2, 4] {
+            let mut dynamic = DynamicTsd::from_csr(&g);
+            dynamic.adopt_gct(Arc::new(GctIndex::build(&g)));
+            let repair = dynamic.apply_batch(&batch, &WorkerPool::new(threads));
+            assert!(repair.repaired > crate::parallel::SCAN_CHUNK, "{repair:?}");
+            let now = dynamic.snapshot().clone();
+            assert_eq!(now.m(), g.m(), "one insert, one removal");
+            let tsd = dynamic.index().to_bytes();
+            assert_eq!(tsd, TsdIndex::build(&now).to_bytes(), "tsd t={threads}");
+            let gct = dynamic.gct_index().unwrap().to_bytes();
+            assert_eq!(gct, GctIndex::build(&now).to_bytes(), "gct t={threads}");
+        }
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! Two strategies, matching the paper's ablation (Table 4):
 //!
 //! * [`EgoNetwork::extract`] — per-vertex extraction via local triangle
-//!   listing (intersecting each neighbor's adjacency with `N(v)`); this is
-//!   what Algorithm 2 and the TSD-index builder use, and it enumerates every
-//!   triangle six times across all ego-networks.
+//!   listing (intersecting each neighbor's adjacency with `N(v)`); Algorithm
+//!   2 and every index write but the sequential GCT build use it, and it
+//!   enumerates every triangle six times across all ego-networks.
 //! * [`AllEgoNetworks`] — the GCT technique (Algorithm 7, lines 1–4): one
 //!   global triangle listing populates all ego-networks simultaneously, so
-//!   each triangle is touched only three times (once per corner).
+//!   each triangle is touched only three times (once per corner), but every
+//!   ego edge is held at once; [`crate::GctIndex::build`] and the baselines
+//!   use it.
 
 use sd_graph::triangles::for_each_triangle;
 use sd_graph::{CsrGraph, VertexId};

@@ -37,6 +37,7 @@ use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
 use crate::error::{DecodeError, SearchError};
 use crate::gct::GctIndex;
+use crate::parallel::{write_entries, Writes};
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
@@ -162,9 +163,9 @@ impl QuerySpec {
 /// object-safe interface.
 ///
 /// All engines answering the same [`QuerySpec`] on the same graph return
-/// identical score multisets (enforced by `tests/equivalence.rs` through
-/// `Box<dyn DiversityEngine>`). They differ only in preprocessing cost and
-/// per-query work.
+/// identical score multisets, and all but Bound identical entries (enforced
+/// by `tests/equivalence.rs` through `Box<dyn DiversityEngine>`). They
+/// differ only in preprocessing cost and per-query work.
 pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     /// Which engine this is.
     fn kind(&self) -> EngineKind;
@@ -266,19 +267,12 @@ impl DiversityEngine for OnlineEngine {
 #[derive(Clone, Debug)]
 pub struct BoundEngine {
     g: Arc<CsrGraph>,
-    options: BoundOptions,
 }
 
 impl BoundEngine {
     /// A bound engine over `g` with both pruning techniques enabled.
     pub fn new(g: Arc<CsrGraph>) -> Self {
-        Self::with_options(g, BoundOptions::default())
-    }
-
-    /// As [`Self::new`] with the pruning techniques individually toggled
-    /// (the DESIGN.md §6 ablation).
-    pub fn with_options(g: Arc<CsrGraph>, options: BoundOptions) -> Self {
-        BoundEngine { g, options }
+        BoundEngine { g }
     }
 }
 
@@ -300,7 +294,7 @@ impl DiversityEngine for BoundEngine {
     }
 
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult {
-        crate::bound::bound_top_r_with(&self.g, config, self.options)
+        crate::bound::bound_top_r_with(&self.g, config, BoundOptions::default())
     }
 }
 
@@ -472,10 +466,12 @@ pub fn build_engine_in(
         EngineKind::Online => Box::new(OnlineEngine::new(g)),
         EngineKind::Bound => Box::new(BoundEngine::new(g)),
         EngineKind::Tsd => {
-            Box::new(TsdEngine { index: Arc::new(crate::parallel::build_tsd_pooled(pool, &g)), g })
+            let (index, _) = write_entries(pool, &g, g.vertices().collect(), Writes::TSD);
+            Box::new(TsdEngine { index: Arc::new(index), g })
         }
         EngineKind::Auto | EngineKind::Gct => {
-            Box::new(GctEngine { index: Arc::new(crate::parallel::build_gct_pooled(pool, &g)), g })
+            let (_, index) = write_entries(pool, &g, g.vertices().collect(), Writes::GCT);
+            Box::new(GctEngine { index: Arc::new(index), g })
         }
     }
 }

@@ -222,11 +222,12 @@ impl GctIndex {
             stats.extraction += t1.elapsed();
 
             let t2 = Instant::now();
-            let (decomposition, tau_v) = decompose(&ego);
+            let decomposition = decompose(&ego.graph);
+            let tau_v = vertex_trussness(&ego.graph, &decomposition);
             stats.decomposition += t2.elapsed();
 
             let t3 = Instant::now();
-            builder.push_ego(&ego, &decomposition, &tau_v);
+            builder.push_forest(&ego, &max_spanning_forest(&ego.graph, &decomposition), &tau_v);
             stats.assembly += t3.elapsed();
         }
         (builder.finish(), stats)
@@ -403,18 +404,15 @@ impl GctIndex {
     }
 }
 
-/// Algorithm 7's decomposition of one ego-network — bitmap peeling up to
-/// [`BITMAP_FALLBACK_THRESHOLD`] vertices, classic above — plus each local
-/// vertex's trussness.
-fn decompose(ego: &EgoNetwork) -> (TrussDecomposition, Vec<u32>) {
-    let method = if ego.graph.n() <= BITMAP_FALLBACK_THRESHOLD {
+/// Algorithm 7's decomposition of one ego-network: bitmap peeling up to
+/// [`BITMAP_FALLBACK_THRESHOLD`] vertices, classic above.
+pub(crate) fn decompose(ego: &CsrGraph) -> TrussDecomposition {
+    let method = if ego.n() <= BITMAP_FALLBACK_THRESHOLD {
         EgoDecomposition::Bitmap
     } else {
         EgoDecomposition::Classic
     };
-    let decomposition = method.run(&ego.graph);
-    let tau_v = vertex_trussness(&ego.graph, &decomposition);
-    (decomposition, tau_v)
+    method.run(ego)
 }
 
 /// Builds a [`GctIndex`] vertex by vertex, straight into its flat arrays.
@@ -444,25 +442,6 @@ impl GctBuilder {
     fn close(&mut self) {
         let end = self.end();
         self.0.starts.push(end);
-    }
-
-    /// Appends `v`'s entry from its ego-network in `all`: the per-vertex
-    /// body of [`GctIndex::build`].
-    pub(crate) fn push_vertex(&mut self, g: &CsrGraph, all: &AllEgoNetworks, v: VertexId) {
-        let ego = all.ego_graph(g, v);
-        let (decomposition, tau_v) = decompose(&ego);
-        self.push_ego(&ego, &decomposition, &tau_v);
-    }
-
-    /// Appends the entry of the vertex whose ego-network is `ego`, from its
-    /// truss decomposition and per-local-vertex trussness.
-    pub(crate) fn push_ego(
-        &mut self,
-        ego: &EgoNetwork,
-        decomposition: &TrussDecomposition,
-        tau_v: &[u32],
-    ) {
-        self.push_forest(ego, &max_spanning_forest(&ego.graph, decomposition), tau_v);
     }
 
     /// Algorithm 8 over the ego's maximum spanning forest (local ids,
@@ -596,7 +575,7 @@ mod tests {
     #[test]
     fn builds_keep_no_spare_capacity() {
         let g = crate::parallel::triangle_strip();
-        let pooled = crate::parallel::build_gct_pooled(&crate::pool::WorkerPool::new(2), &g);
+        let pooled = crate::parallel::pooled_builds(&crate::pool::WorkerPool::new(2), &g).1;
         for (index, how) in [(GctIndex::build(&g), "sequential"), (pooled, "pooled")] {
             assert_eq!(index.starts.capacity(), index.starts.len(), "{how} starts");
             assert_eq!(index.sn_tau.capacity(), index.sn_tau.len(), "{how} sn_tau");

@@ -55,9 +55,10 @@
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
 //! the "Upgrade notes" section of the repository's CHANGES.md.)
 //!
-//! All engines return [`TopRResult`]s whose score multisets agree; this is
-//! enforced by cross-engine tests and property tests driving the engines
-//! through `Box<dyn DiversityEngine>` (see `tests/`). The competitor
+//! All engines return [`TopRResult`]s with the same scores, and all but
+//! Bound the same entries; this is enforced by cross-engine tests and
+//! property tests driving the engines through `Box<dyn DiversityEngine>`
+//! (see `tests/`). The competitor
 //! diversity models live under [`baselines`].
 
 pub mod baselines;
@@ -82,7 +83,7 @@ pub mod tcp;
 pub mod topr;
 pub mod tsd;
 
-pub use bound::{sparsify, upper_bounds, BoundOptions, Sparsified};
+pub use bound::{sparsify, upper_bounds, Sparsified};
 pub use cancel::CancelToken;
 pub use config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
 pub use dynamic::DynamicTsd;

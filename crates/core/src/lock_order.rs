@@ -48,9 +48,10 @@
 //!   verified, under the epoch read lock.
 //!
 //! A TSD or GCT build runs its vertex chunks on the pool (`run_all`)
-//! while holding the `engine.slot` write lock of the slot it will fill.
-//! That is safe because `run_all` never runs another caller's jobs on its
-//! caller, so no queued build waits on the slot from the building thread.
+//! while holding the `engine.slot` write lock of the slot it will fill,
+//! and an update's repair while holding `svc.updater`. That is safe
+//! because `run_all` never runs another caller's jobs on its caller, and
+//! the chunk jobs take no lock.
 //!
 //! No class exists to hand a pool job's output back: `run_all` returns
 //! each job's output by value, and the batcher answers each parked frame

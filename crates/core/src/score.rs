@@ -11,10 +11,11 @@ use crate::egonet::EgoNetwork;
 /// the classic peeling of Algorithm 1 or the bitmap variant of Section 6.2.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EgoDecomposition {
-    /// Classic peeling with adjacency binary search (used by TSD).
+    /// Classic peeling with adjacency binary search (Algorithms 2–4, the
+    /// sequential TSD build, and index writes on the largest egos).
     #[default]
     Classic,
-    /// Bitmap-accelerated peeling (used by GCT).
+    /// Bitmap-accelerated peeling (every other index write).
     Bitmap,
 }
 

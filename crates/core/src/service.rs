@@ -112,6 +112,7 @@ use crate::engine::{
 use crate::envelope::{GraphFingerprint, IndexBundle};
 use crate::error::SearchError;
 use crate::lock_order;
+use crate::parallel::{write_entries, Writes};
 use crate::pool::{self, Job, WorkerPool};
 
 /// How far past the published graph's vertex count an update batch may
@@ -773,23 +774,25 @@ impl SearchService {
     ///
     /// * **TSD** and **GCT** are maintained by a retained [`DynamicTsd`],
     ///   seeded with an `Arc` clone of the current epoch's built TSD
-    ///   engine's index (and its GCT engine's, once one is built). Each
-    ///   distinct affected vertex is re-decomposed once against the
-    ///   batch's final graph, the one decomposition feeding both its TSD
-    ///   forest and its GCT entry, and the repaired entries are spliced
-    ///   into fresh flat indexes with contiguous copies of the rest. The
-    ///   new epoch's TSD and GCT engines serve those very `Arc`s. A batch
-    ///   that lands while GCT is only scheduled, not yet built, has no GCT
-    ///   state to repair, so GCT re-enters the background queue, and a GCT
-    ///   query that arrives first joins that build.
+    ///   engine's index (and its GCT engine's, once one is built), or by a
+    ///   TSD build on the service's pool. Each distinct affected vertex is
+    ///   re-decomposed once against the batch's final graph, the one
+    ///   decomposition feeding both its TSD forest and its GCT entry, and
+    ///   the repaired entries are spliced into fresh flat indexes with
+    ///   contiguous copies of the rest. The new epoch's TSD and GCT engines
+    ///   serve those very `Arc`s. A batch that lands while GCT is only
+    ///   scheduled, not yet built, has no GCT state to repair, so GCT
+    ///   re-enters the background queue, and a GCT query that arrives
+    ///   first joins that build.
     ///
-    /// The retained updater's adjacency is **copy-on-write** against the
-    /// published CSR ([`DynamicGraph::rebase`] after every publish), so an
-    /// idle update session holds `O(n)` slot pointers and the published
-    /// indexes, not a second copy of either. The new epoch's CSR is
-    /// spliced from the published one ([`DynamicGraph::to_csr`]): the
-    /// batch's rows plus contiguous copies of the rest. Its fingerprint is
-    /// not computed here but by its first reader.
+    /// The new epoch's CSR is spliced first, from the published one
+    /// ([`DynamicGraph::to_csr`]: the batch's rows plus contiguous copies
+    /// of the rest), and the repair reads it, in chunks on the service's
+    /// pool ([`crate::parallel`]). Its fingerprint is not computed here but
+    /// by its first reader. The retained updater's adjacency is
+    /// **copy-on-write** against it ([`DynamicGraph::rebase`]), so an idle
+    /// update session holds `O(n)` slot pointers and the published
+    /// indexes, not a second copy of either.
     ///
     /// Every per-vertex table grows to the largest vertex an op names, so
     /// an op naming a vertex at or past `n + 65_536 + 2 · batch.len()`
@@ -870,7 +873,10 @@ impl SearchService {
                             return Ok(unchanged(batch.len()));
                         }
                         carried = false;
-                        DynamicTsd::from_shared_csr(old.graph.clone())
+                        let every = old.graph.vertices().collect();
+                        let (index, _) =
+                            write_entries(&self.core.pool, &old.graph, every, Writes::TSD);
+                        DynamicTsd::from_shared_index(old.graph.clone(), Arc::new(index))
                     }
                 }
             }
@@ -882,7 +888,7 @@ impl SearchService {
             }
         }
 
-        let repair = carry.apply_batch(&ops);
+        let repair = carry.apply_batch(&ops, &self.core.pool);
         let rejected = repair.rejected + oversized;
         if repair.applied == 0 {
             // Pure no-op batch: retain the state, publish nothing.
@@ -890,12 +896,11 @@ impl SearchService {
             return Ok(unchanged(rejected));
         }
 
-        // Assemble the next epoch off to the side: splice the mutated
-        // graph's snapshot from the published one (its fingerprint waits
-        // for its first reader), and install the carried indexes — the
-        // carry's own `Arc`s — so they are warm before anyone can query
-        // them.
-        let graph = Arc::new(carry.graph().to_csr());
+        // Assemble the next epoch off to the side from the carry's
+        // snapshot (its fingerprint waits for its first reader), and
+        // install the carried indexes — the carry's own `Arc`s — so they
+        // are warm before anyone can query them.
+        let graph = carry.snapshot().clone();
         let next = Arc::new(EpochState::over(old.id + 1, graph.clone()));
         // `from_shared` only rejects an index/graph size mismatch, and
         // both sides here come from the same maintained state; surface a
@@ -939,11 +944,6 @@ impl SearchService {
             }
         }
 
-        // Re-arm copy-on-write sharing against the CSR just published:
-        // the owned overlay this batch accumulated is released and the
-        // idle updater goes back to `O(n)` slot pointers over the epoch's
-        // own storage.
-        carry.rebase(graph.clone());
         *retained = Some(carry);
         Ok(UpdateStats {
             epoch: next.id,
@@ -1208,6 +1208,25 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Auto resolves to TSD while only TSD is built and to GCT once GCT
+    /// is: on one epoch, both answer with the same entries, tied vertices
+    /// at the r-th score included.
+    #[test]
+    fn auto_answers_the_same_entries_before_and_after_gct_lands() {
+        let s = SearchService::new(clustered_graph(3 * 1024 + 100, 7));
+        let spec = QuerySpec::new(3, 10).unwrap();
+        s.wait_ready([EngineKind::Tsd]);
+        let before = s.top_r(&spec).unwrap();
+        assert_eq!(before.metrics.engine, "tsd");
+        s.wait_ready([EngineKind::Gct]);
+        let after = s.top_r(&spec).unwrap();
+        assert_eq!(after.metrics.engine, "gct");
+        let scores = before.scores();
+        assert!(scores.windows(2).any(|w| w[0] == w[1]), "the r-th score ties: {scores:?}");
+        assert_eq!(before.entries, after.entries);
+        assert_eq!(s.epoch(), 0);
     }
 
     /// A warmed-and-joined service routes each served kind to its own

@@ -1,9 +1,10 @@
 //! Bounded top-r accumulator shared by all search algorithms.
 //!
-//! Keeps the `r` highest-scoring vertices seen so far in a min-heap;
-//! replacement requires a *strictly* greater score than the current minimum,
-//! exactly like lines 5–7 of Algorithm 3 / lines 12–14 of Algorithm 4, which
-//! is what makes the early-termination tests (`ub ≤ min score`) sound.
+//! Keeps the `r` best vertices offered so far under (score desc, vertex
+//! asc), whatever the offer order. A scan in vertex order thus replaces only
+//! on a strictly greater score, like lines 5–7 of Algorithm 3; a scan in
+//! bound order stops at the first candidate [`TopRCollector::admits`]
+//! refuses.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -14,8 +15,15 @@ use sd_graph::VertexId;
 #[derive(Clone, Debug)]
 pub struct TopRCollector {
     r: usize,
-    /// Min-heap keyed by (score, vertex): the root is the weakest entry.
-    heap: BinaryHeap<Reverse<(u32, VertexId)>>,
+    /// Min-heap of [`rank`] keys: the root is the worst entry kept.
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+/// `(vertex, score)` as one key that is greater the higher it ranks under
+/// (score desc, vertex asc): the score in the high half, the inverted
+/// vertex id in the low half.
+fn rank(vertex: VertexId, score: u32) -> u64 {
+    (u64::from(score) << 32) | u64::from(!vertex)
 }
 
 impl TopRCollector {
@@ -34,36 +42,35 @@ impl TopRCollector {
     /// rule is `upper_bound ≤ min_score()` once full.
     pub fn min_score(&self) -> Option<u32> {
         if self.is_full() {
-            self.heap.peek().map(|Reverse((s, _))| *s)
+            self.heap.peek().map(|&Reverse(worst)| (worst >> 32) as u32)
         } else {
             None
         }
     }
 
+    /// Whether a candidate `vertex` scoring at most `bound` could be kept:
+    /// the collector is not full, or (`bound`, `vertex`) outranks its worst.
+    pub fn admits(&self, vertex: VertexId, bound: u32) -> bool {
+        !self.is_full()
+            || self.heap.peek().is_some_and(|&Reverse(worst)| rank(vertex, bound) > worst)
+    }
+
     /// Offers a candidate; returns whether it was kept.
     pub fn offer(&mut self, vertex: VertexId, score: u32) -> bool {
-        if self.heap.len() < self.r {
-            self.heap.push(Reverse((score, vertex)));
-            return true;
+        if !self.admits(vertex, score) {
+            return false;
         }
-        // Strictly-greater replacement, as in the paper.
-        // sd-lint: allow(no-panic) the heap is full here and new() asserts r >= 1
-        let &Reverse((min_score, _)) = self.heap.peek().expect("full collector");
-        if score > min_score {
+        if self.is_full() {
             self.heap.pop();
-            self.heap.push(Reverse((score, vertex)));
-            true
-        } else {
-            false
         }
+        self.heap.push(Reverse(rank(vertex, score)));
+        true
     }
 
     /// Finishes: `(vertex, score)` pairs sorted by (score desc, vertex asc).
     pub fn into_sorted(self) -> Vec<(VertexId, u32)> {
-        let mut out: Vec<(VertexId, u32)> =
-            self.heap.into_iter().map(|Reverse((s, v))| (v, s)).collect();
-        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        let keys = self.heap.into_sorted_vec().into_iter();
+        keys.map(|Reverse(key)| (!(key as u32), (key >> 32) as u32)).collect()
     }
 }
 
@@ -80,13 +87,44 @@ mod tests {
         assert_eq!(c.into_sorted(), vec![(1, 5), (3, 4)]);
     }
 
+    /// A tie at the boundary goes to the lower vertex id, whichever came
+    /// first; a strictly greater score always replaces.
     #[test]
     fn strictly_greater_replacement() {
         let mut c = TopRCollector::new(1);
         assert!(c.offer(7, 3));
-        assert!(!c.offer(1, 3), "equal score must not replace");
+        assert!(!c.offer(9, 3), "an equal score with a higher id must not replace");
+        assert!(c.offer(1, 3), "an equal score with a lower id replaces");
+        assert!(!c.offer(0, 2), "a lower score never replaces");
         assert!(c.offer(2, 4));
         assert_eq!(c.into_sorted(), vec![(2, 4)]);
+    }
+
+    /// The kept set does not depend on the offer order: the r best under
+    /// (score desc, vertex asc).
+    #[test]
+    fn ties_resolve_to_the_lowest_ids_whatever_the_offer_order() {
+        let offers = [(0, 0), (1, 0), (2, 0), (3, 1), (4, 0), (5, 2)];
+        let best = vec![(5, 2), (3, 1), (0, 0)];
+        for order in [offers.to_vec(), offers.iter().rev().copied().collect()] {
+            let mut c = TopRCollector::new(3);
+            for (v, s) in order {
+                c.offer(v, s);
+            }
+            assert_eq!(c.into_sorted(), best);
+        }
+    }
+
+    #[test]
+    fn admits_until_nothing_later_can_enter() {
+        let mut c = TopRCollector::new(2);
+        assert!(c.admits(9, 0), "not full");
+        c.offer(4, 3);
+        c.offer(6, 2);
+        assert!(c.admits(5, 2), "a lower id at the boundary score");
+        assert!(!c.admits(7, 2), "a higher id at the boundary score");
+        assert!(!c.admits(0, 1), "a lower bound");
+        assert!(c.admits(9, 3), "a higher bound");
     }
 
     #[test]

@@ -181,25 +181,27 @@ impl TsdIndex {
     }
 
     /// TSD-index-based top-r search (Section 5.2): prune by `s̃core`, then
-    /// evaluate exact scores straight from the index.
+    /// evaluate exact scores straight from the index, in (bound desc, vertex
+    /// asc) order until the collector admits no candidate.
     pub fn top_r(&self, g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
         let start = Instant::now();
-        let n = self.n();
-        let mut bounds: Vec<u32> = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            bounds.push(self.score_upper_bound(v, config.k));
+        // One bucket of candidates per bound, each filled in vertex order.
+        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        for v in 0..self.n() as u32 {
+            let bound = self.score_upper_bound(v, config.k) as usize;
+            if bound >= buckets.len() {
+                buckets.resize_with(bound + 1, Vec::new);
+            }
+            buckets[bound].push(v);
         }
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| bounds[b as usize].cmp(&bounds[a as usize]));
+        let order = buckets.iter().enumerate().rev();
 
         let mut collector = TopRCollector::new(config.r);
         let mut computations = 0usize;
         let mut scratch = Vec::new();
-        for &v in &order {
-            if let Some(min_score) = collector.min_score() {
-                if bounds[v as usize] <= min_score {
-                    break;
-                }
+        for (v, bound) in order.flat_map(|(bound, vs)| vs.iter().map(move |&v| (v, bound as u32))) {
+            if !collector.admits(v, bound) {
+                break;
             }
             let score = self.score(v, config.k, &mut scratch);
             computations += 1;
@@ -475,7 +477,7 @@ mod tests {
     #[test]
     fn builds_keep_no_spare_capacity() {
         let g = crate::parallel::triangle_strip();
-        let pooled = crate::parallel::build_tsd_pooled(&crate::pool::WorkerPool::new(2), &g);
+        let pooled = crate::parallel::pooled_builds(&crate::pool::WorkerPool::new(2), &g).0;
         for (index, how) in [(TsdIndex::build(&g), "sequential"), (pooled, "pooled")] {
             assert_eq!(index.offsets.capacity(), index.offsets.len(), "{how} offsets");
             assert_eq!(index.eu.capacity(), index.eu.len(), "{how} eu");

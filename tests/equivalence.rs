@@ -3,7 +3,10 @@
 //! and the engines identical social context partitions, on arbitrary
 //! graphs — the paper's correctness claims for Algorithm 4 (Property 1 +
 //! Lemma 2), the TSD-index (Observations 2–3), and the GCT-index
-//! (Lemma 3), all at once.
+//! (Lemma 3), all at once. Online, TSD, GCT, Hybrid and the service also
+//! return identical entries: one tie rule (score desc, vertex asc) picks
+//! the tied vertices at the r-th score. Bound's early stop may keep other
+//! tied vertices, so only its scores are compared.
 //!
 //! The engines are driven exclusively through the unified surface:
 //! `Box<dyn DiversityEngine>` trait objects from the `build_engine` factory
@@ -31,8 +34,9 @@ fn all_engines(g: &Arc<structural_diversity::graph::CsrGraph>) -> Vec<Box<dyn Di
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: identical score multisets through trait
-    /// objects, with `EngineKind::Auto` (via the `SearchService`) agreeing too.
+    /// The headline property: identical entries through trait objects
+    /// (identical score multisets for Bound), with `EngineKind::Auto` (via
+    /// the `SearchService`) agreeing too.
     #[test]
     fn all_engines_agree_on_scores(g in arb_graph(18, 70), k in 2u32..6, r in 1usize..8) {
         let g = Arc::new(g);
@@ -50,16 +54,19 @@ proptest! {
                 "{} disagrees with online",
                 engine.name()
             );
+            if engine.kind() != EngineKind::Bound {
+                prop_assert_eq!(&reference.entries, &result.entries, "{} entries", engine.name());
+            }
             prop_assert_eq!(result.metrics.engine, engine.name());
         }
         let hybrid = HybridIndex::build(&g).top_r(&g, spec.config());
-        prop_assert_eq!(&reference.scores(), &hybrid.scores(), "hybrid disagrees with online");
+        prop_assert_eq!(&reference.entries, &hybrid.entries, "hybrid disagrees with online");
 
-        // Auto routing through the facade returns the same multiset no
+        // Auto routing through the facade returns the same entries no
         // matter which engine the heuristic picks.
         let service = SearchService::from_arc(g);
         let auto = service.top_r(&spec).expect("auto query");
-        prop_assert_eq!(reference.scores(), auto.scores());
+        prop_assert_eq!(reference.entries, auto.entries);
     }
 
     /// Per-vertex scores through the trait's `score` accessor.
@@ -138,11 +145,13 @@ proptest! {
 fn engines_agree_on_registry_sample() {
     // One mid-sized generated dataset as a deterministic smoke test: the
     // facade's answers (Auto plus every served engine) against the
-    // index-free scans, built directly.
+    // index-free scans, built directly, and the Hybrid index. Entries must
+    // be identical, except Bound's, whose tied members may differ.
     let g = structural_diversity::datasets::dataset("email-enron-syn")
         .expect("registry")
         .generate(0.05);
     let service = SearchService::new(g);
+    let hybrid = HybridIndex::build(&service.graph());
     for k in [3u32, 5] {
         let spec = QuerySpec::new(k, 25).expect("valid spec");
         let reference = service.top_r(&spec).expect("auto query");
@@ -152,7 +161,13 @@ fn engines_agree_on_registry_sample() {
             } else {
                 build_engine(kind, service.graph()).top_r(&spec)
             };
-            assert_eq!(reference.scores(), result.expect("query").scores(), "{kind} k={k}");
+            let result = result.expect("query");
+            assert_eq!(reference.scores(), result.scores(), "{kind} k={k}");
+            if kind != EngineKind::Bound {
+                assert_eq!(reference.entries, result.entries, "{kind} k={k}");
+            }
         }
+        let hybrid = hybrid.top_r(&service.graph(), spec.config());
+        assert_eq!(reference.entries, hybrid.entries, "hybrid k={k}");
     }
 }
