@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (Section 7).
 //!
 //! Every function prints the same rows/series the paper reports, on the
-//! synthetic stand-in datasets (see `sd-datasets` and DESIGN.md §4).
-//! `EXPERIMENTS.md` records paper-vs-measured for each.
+//! synthetic stand-in datasets (see `sd-datasets`, whose registry lists
+//! each stand-in's target beside the paper's Table 1 statistics).
 
 pub mod effectiveness;
 pub mod efficiency;
@@ -19,8 +19,7 @@ pub struct ExpContext {
     pub mc_samples: usize,
     /// IC arc probability for the contagion experiments. The paper uses
     /// 0.01 on multi-million-vertex graphs; on our scaled-down stand-ins the
-    /// default 0.03 preserves the *reach* of a 50-seed cascade (substitution
-    /// documented in DESIGN.md §4).
+    /// default 0.03 preserves the *reach* of a 50-seed cascade.
     pub ic_p: f64,
     /// Seed for the effectiveness experiments' randomness.
     pub seed: u64,

@@ -144,7 +144,8 @@ impl DynamicTsd {
     }
 
     /// The maintained graph's CSR snapshot, shared: what the indexes
-    /// describe, spliced by each batch that applies an update.
+    /// describe, copied from the rows by each batch that applies an
+    /// update.
     pub fn snapshot(&self) -> &Arc<CsrGraph> {
         &self.snapshot
     }
@@ -175,13 +176,13 @@ impl DynamicTsd {
         self.apply_batch(&[update], pool::global()).repaired
     }
 
-    /// Applies `batch` in order, splices the final graph's CSR snapshot and
-    /// rebases onto it, then rebuilds each distinct affected ego-network
-    /// once from that snapshot, in chunks on `pool` — one extraction and
-    /// one truss decomposition per vertex, feeding its TSD forest and,
-    /// when a GCT-index is co-maintained, its GCT entry — and splices the
-    /// rebuilt entries into fresh indexes. A batch that applies nothing
-    /// leaves everything untouched.
+    /// Applies `batch` in order, copies the final graph's rows into a CSR
+    /// snapshot and rebases onto it, then rebuilds each distinct affected
+    /// ego-network once from that snapshot, in chunks on `pool` — one
+    /// extraction and one truss decomposition per vertex, feeding its TSD
+    /// forest and, when a GCT-index is co-maintained, its GCT entry — and
+    /// splices the rebuilt entries into fresh indexes. A batch that applies
+    /// nothing leaves everything untouched.
     pub fn apply_batch(&mut self, batch: &[GraphUpdate], pool: &WorkerPool) -> BatchRepair {
         let mut out = BatchRepair::default();
         let mut affected: Vec<VertexId> = Vec::new();

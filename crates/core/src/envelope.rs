@@ -73,16 +73,13 @@ pub const BUNDLE_HEADER_BYTES: usize = 32;
 pub const BUNDLE_ENTRY_HEADER_BYTES: usize = 20;
 
 /// The FNV-1a hash shared by [`GraphFingerprint`]'s edge checksum and the
-/// bundle entries' payload checksums.
+/// bundle entries' payload checksums. It folds rather than loops, so a
+/// nested iterator (the fingerprint's rows) is walked by its own inner
+/// loops instead of one `next` call through every layer per byte.
 pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for byte in bytes {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    bytes.into_iter().fold(FNV_OFFSET, |h, byte| (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME))
 }
 
 /// Identity of a graph for index-attachment purposes: vertex count, edge
@@ -101,12 +98,12 @@ pub struct GraphFingerprint {
 }
 
 impl GraphFingerprint {
-    /// Computes the fingerprint of `g` in one `O(m)` pass over its canonical
-    /// edge table.
+    /// Computes the fingerprint of `g` in one `O(n + m)` pass over its
+    /// canonical edges, read from its rows
+    /// ([`CsrGraph::canonical_pairs`]), so the hash needs no edge ids.
     pub fn of(g: &CsrGraph) -> Self {
-        let h = fnv1a(
-            g.edges().iter().flat_map(|&(u, v)| u.to_le_bytes().into_iter().chain(v.to_le_bytes())),
-        );
+        let pairs = g.canonical_pairs();
+        let h = fnv1a(pairs.flat_map(|(u, v)| u.to_le_bytes().into_iter().chain(v.to_le_bytes())));
         GraphFingerprint { n: g.n() as u64, m: g.m() as u64, edge_checksum: h }
     }
 }
@@ -281,6 +278,14 @@ mod tests {
         assert_eq!((f1.n, f1.m), (f2.n, f2.m));
         assert_ne!(f1.edge_checksum, f2.edge_checksum);
         assert_ne!(f1, f2);
+    }
+
+    /// The fingerprint's values are part of the bundle format: a bundle
+    /// written by an earlier build must still match the graph it indexes.
+    #[test]
+    fn figure_1_fingerprint_values_are_pinned() {
+        let expected = GraphFingerprint { n: 17, m: 44, edge_checksum: 0xc37b_e151_0921_c6e2 };
+        assert_eq!(fig1_fingerprint(), expected);
     }
 
     /// Every concrete kind's tag survives a bundle entry header.

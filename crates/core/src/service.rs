@@ -785,12 +785,12 @@ impl SearchService {
     ///   re-enters the background queue, and a GCT query that arrives
     ///   first joins that build.
     ///
-    /// The new epoch's CSR is spliced first, from the published one
-    /// ([`DynamicGraph::to_csr`]: the batch's rows plus contiguous copies
-    /// of the rest), and the repair reads it, in chunks on the service's
-    /// pool ([`crate::parallel`]). Its fingerprint is not computed here but
-    /// by its first reader. The retained updater's adjacency is
-    /// **copy-on-write** against it ([`DynamicGraph::rebase`]), so an idle
+    /// The new epoch's CSR is snapshotted first ([`DynamicGraph::to_csr`]:
+    /// every vertex's row copied, the batch's edited ones and the rest
+    /// alike, and no edge ids derived), and the repair reads it, in chunks
+    /// on the service's pool ([`crate::parallel`]). Its fingerprint is not
+    /// computed here but by its first reader. The retained updater's
+    /// adjacency is **copy-on-write** against it ([`DynamicGraph::rebase`]), so an idle
     /// update session holds `O(n)` slot pointers and the published
     /// indexes, not a second copy of either.
     ///
@@ -1873,6 +1873,36 @@ mod tests {
         assert_eq!(s.graph().n(), n0 + 3);
         let spec = QuerySpec::new(2, n0 + 3).unwrap().with_engine(EngineKind::Tsd);
         assert_eq!(s.top_r(&spec).unwrap().entries.len(), n0 + 3);
+    }
+
+    /// Serving reads a snapshot's rows only, never its edge ids: a GCT
+    /// build on one published snapshot, two repairs, TSD, GCT and Auto
+    /// queries, the fingerprint, the updater diagnostic and an export
+    /// leave each published graph holding its rows and nothing else.
+    #[test]
+    fn serving_never_derives_a_snapshots_edge_ids() {
+        let rows_only = |g: &CsrGraph| {
+            g.heap_bytes()
+                == (g.n() + 1) * std::mem::size_of::<usize>()
+                    + 2 * g.m() * std::mem::size_of::<VertexId>()
+        };
+        let s = service();
+        s.wait_ready([EngineKind::Tsd]);
+        s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
+        let first = s.graph();
+        s.wait_ready([EngineKind::Gct]);
+        let grow = GraphUpdate::Insert { u: 2, v: first.n() as VertexId + 1 };
+        let stats = s.apply_updates(&[GraphUpdate::Remove { u: 0, v: 1 }, grow]).unwrap();
+        assert!(stats.tsd_carried && stats.gct_carried, "{stats:?}");
+        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Auto] {
+            let spec = QuerySpec::new(3, 4).unwrap().with_engine(kind);
+            assert!(!s.top_r(&spec).unwrap().entries.is_empty(), "{kind:?}");
+        }
+        assert_eq!(s.fingerprint(), GraphFingerprint::of(&s.graph()));
+        assert!(s.updater_cow().is_some());
+        s.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
+        assert!(rows_only(&first), "the snapshot GCT was built on");
+        assert!(rows_only(&s.graph()), "the published snapshot");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! collaboration network and PythonWeb power-law graphs. None of those can be
 //! downloaded here, so this crate generates synthetic stand-ins whose shape
 //! (heavy-tailed degrees, triangle density, size ratios) matches the paper's
-//! Table 1 — scaled to laptop size where the originals are huge. See
-//! DESIGN.md §4 for the substitution rationale.
+//! Table 1 — scaled to laptop size where the originals are huge, keeping
+//! their density `m/n` ([`mod@registry`] lists each target beside the
+//! paper's statistics).
 //!
 //! * [`powerlaw`] — Holme–Kim preferential attachment with triad formation
 //!   (power-law degrees *and* high clustering; the Figure 12 scalability

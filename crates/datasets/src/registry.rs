@@ -1,10 +1,12 @@
 //! Named synthetic datasets mirroring the paper's Table 1.
 //!
-//! Each entry records the *paper's* statistics (for EXPERIMENTS.md
-//! comparisons) next to our scaled generation targets. Graphs small enough
-//! for a laptop (Wiki-Vote … Gowalla) keep their original `(n, m)`;
-//! NotreDame, LiveJournal, socfb-konect and Orkut are scaled down 4–100×
-//! while preserving their density ratio `m/n` (DESIGN.md §4).
+//! Each entry records the *paper's* statistics (`experiments table1` prints
+//! them beside the generated graph's) next to our scaled generation
+//! targets. Graphs small enough for a laptop (Wiki-Vote … Gowalla) keep
+//! their original `(n, m)`; NotreDame, LiveJournal, socfb-konect and Orkut
+//! are scaled down 4–100× while preserving their density ratio `m/n`, which
+//! keeps the average degree, and with it the typical ego-network size, of
+//! the original.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

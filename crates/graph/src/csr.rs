@@ -1,45 +1,86 @@
 //! Compressed-sparse-row undirected simple graph.
 //!
-//! [`CsrGraph`] is immutable once built (use [`crate::GraphBuilder`]). Every
-//! undirected edge `{u, v}` is stored once in canonical `(min, max)` form in
-//! the edge table and twice as arcs in the adjacency array; each arc carries
-//! the id of its undirected edge so peeling algorithms can map an adjacency
-//! position back to per-edge state in O(1).
+//! A [`CsrGraph`] is its rows: `offsets` delimit one adjacency list per
+//! vertex in `neighbors`, every undirected edge `{u, v}` is stored twice as
+//! arcs (`v` in `u`'s row and `u` in `v`'s), and every row is sorted by
+//! neighbor id, which gives:
+//! * `O(log d)` membership ([`CsrGraph::has_edge`]),
+//! * linear-time sorted-merge intersection for triangle listing and
+//!   ego-network extraction.
 //!
-//! Adjacency lists are sorted by neighbor id, which gives:
-//! * `O(log d)` membership/edge-id lookup ([`CsrGraph::edge_id_between`]),
-//! * linear-time sorted-merge intersection for triangle listing.
-//!
-//! Because edge ids follow the lexicographic order of the canonical pairs,
-//! the edges `(a, ·)` of one vertex `a` hold consecutive ids, a block, and
-//! the blocks follow vertex order. Splicing a snapshot from a base graph
-//! (`CsrGraph::splice_rows`, behind [`crate::DynamicGraph::to_csr`])
-//! relies on this.
+//! Peeling needs more: edge ids, so an adjacency position maps back to
+//! per-edge state in O(1). Edge `e` is the `e`-th canonical `(min, max)`
+//! pair in lexicographic order, the order in which
+//! [`CsrGraph::canonical_pairs`] reads them off the rows, and each arc
+//! carries the id of its edge.
+//! That view ([`CsrGraph::edges`], [`CsrGraph::arc_edges`] and the
+//! accessors built on them) is a function of the rows, derived the first
+//! time anything reads it and kept from then on. Everything per vertex
+//! reads rows only, so a snapshot of a [`crate::DynamicGraph`]
+//! ([`crate::DynamicGraph::to_csr`]), which holds only rows, never pays for
+//! ids unless a whole-graph kernel (triangle listing, k-core or k-truss
+//! peeling) runs on it. [`CsrGraph::from_canonical_edges`] has the edges at
+//! hand and fills the view at once.
 
-use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::types::{EdgeId, VertexId};
 
 /// An immutable undirected simple graph in CSR form with stable edge ids.
-/// Two graphs are equal when all four arrays are, so equal graphs assign
-/// every edge the same id.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Two graphs are equal when their rows are; the edge ids are a function
+/// of the rows, so equal graphs assign every edge the same id.
+#[derive(Clone, Debug, Default)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` is the arc slice of vertex `v`. Length `n+1`.
     offsets: Vec<usize>,
     /// Neighbor of each arc, sorted ascending within each vertex slice. Length `2m`.
     neighbors: Vec<VertexId>,
+    /// The edge-id view, derived from the rows on first use.
+    ids: OnceLock<EdgeIds>,
+}
+
+/// The edge ids of a [`CsrGraph`]'s rows.
+#[derive(Clone, Debug)]
+struct EdgeIds {
     /// Undirected edge id of each arc. Length `2m`.
     arc_edge: Vec<EdgeId>,
     /// Canonical endpoints `(u, v)` with `u < v`, sorted lexicographically. Length `m`.
     edges: Vec<(VertexId, VertexId)>,
 }
 
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.offsets == other.offsets && self.neighbors == other.neighbors
+    }
+}
+
+impl Eq for CsrGraph {}
+
+/// Hands each of the canonical `edges`' two arcs, in edge order, to
+/// `arc(position, neighbor, edge id)`, with positions in the rows
+/// `offsets` delimits. Lexicographic edge order fills each row in
+/// ascending neighbor order (lower endpoints first, then higher), so no
+/// row needs sorting.
+fn fill_arcs(
+    offsets: &[usize],
+    edges: &[(VertexId, VertexId)],
+    mut arc: impl FnMut(usize, VertexId, EdgeId),
+) {
+    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+    for (e, &(u, v)) in edges.iter().enumerate() {
+        for (from, to) in [(u, v), (v, u)] {
+            arc(cursor[from as usize], to, e as EdgeId);
+            cursor[from as usize] += 1;
+        }
+    }
+}
+
 impl CsrGraph {
     /// Builds a graph from canonical edges: every pair must satisfy `u < v`,
     /// be sorted lexicographically, and contain no duplicates. `n` must exceed
     /// every vertex id. [`crate::GraphBuilder`] establishes these invariants;
-    /// prefer it unless the input is already canonical.
+    /// prefer it unless the input is already canonical. The edge ids are
+    /// filled at once, from `edges`.
     ///
     /// # Panics
     /// In debug builds, panics if the canonical-form invariants are violated.
@@ -59,151 +100,47 @@ impl CsrGraph {
             acc += d;
             offsets.push(acc);
         }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
         let mut neighbors = vec![0 as VertexId; acc];
         let mut arc_edge = vec![0 as EdgeId; acc];
-        for (eid, &(u, v)) in edges.iter().enumerate() {
-            let eid = eid as EdgeId;
-            let cu = cursor[u as usize];
-            neighbors[cu] = v;
-            arc_edge[cu] = eid;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize];
-            neighbors[cv] = u;
-            arc_edge[cv] = eid;
-            cursor[v as usize] += 1;
-        }
-        // Lexicographic edge order fills each slice in ascending neighbor
-        // order (lower endpoints first, then higher), so no per-slice sort is
-        // needed; assert it in debug builds.
-        debug_assert!((0..n).all(|v| {
-            let s = &neighbors[offsets[v]..offsets[v + 1]];
-            s.windows(2).all(|w| w[0] < w[1])
+        fill_arcs(&offsets, &edges, |at, w, e| {
+            neighbors[at] = w;
+            arc_edge[at] = e;
+        });
+        let ids = OnceLock::from(EdgeIds { arc_edge, edges });
+        let g = CsrGraph { offsets, neighbors, ids };
+        debug_assert!(g.vertices().all(|v| g.neighbors(v).windows(2).all(|w| w[0] < w[1])));
+        g
+    }
+
+    /// A graph over the given rows: `offsets` (length `n + 1`, from 0,
+    /// non-decreasing) delimits each vertex's neighbors in `neighbors`.
+    /// Every row must be strictly ascending, free of its own vertex, and
+    /// symmetric with the others. The edge ids are derived on first use.
+    ///
+    /// # Panics
+    /// In debug builds, panics if the rows violate these invariants.
+    pub(crate) fn from_rows(offsets: Vec<usize>, neighbors: Vec<VertexId>) -> Self {
+        debug_assert!(offsets.first() == Some(&0) && offsets.last() == Some(&neighbors.len()));
+        let g = CsrGraph { offsets, neighbors, ids: OnceLock::new() };
+        debug_assert!(g.vertices().all(|v| {
+            let row = g.neighbors(v);
+            row.windows(2).all(|w| w[0] < w[1])
+                && row.iter().all(|&w| w != v && (w as usize) < g.n())
+                && row.iter().all(|&w| g.neighbors(w).binary_search(&v).is_ok())
         }));
-        CsrGraph { offsets, neighbors, arc_edge, edges }
+        g
     }
 
-    /// This graph with the adjacency rows in `rows` replaced and the
-    /// vertex set grown to `n`: the snapshot of a [`crate::DynamicGraph`]
-    /// whose base is this graph.
-    ///
-    /// `rows` lists `(v, neighbors)` by ascending `v`, each list sorted
-    /// and all of them symmetric, and names every vertex whose neighbors
-    /// differ from this graph's; an unnamed vertex at or past [`Self::n`]
-    /// has none. The result equals [`Self::from_canonical_edges`] over the
-    /// new edge set, array for array, and costs contiguous copies plus
-    /// work in the named rows and the changed edges:
-    ///
-    /// * Diffing each named row against its old row finds the removed
-    ///   edges (by old id) and the inserted ones (as canonical pairs), each
-    ///   once from its lower endpoint.
-    /// * The edge table is this one with those edges cut out and spliced
-    ///   in. A surviving edge's id moves by a step function of its old id,
-    ///   with one step per changed edge.
-    /// * Untouched rows are copied in runs. The block of edges `(a, ·)` of
-    ///   an untouched `a` holds no change (a change there would be an edge
-    ///   of `a`), so the whole block moves by one amount, and an untouched
-    ///   row's edge `{v, w}` moves as the block of `min(v, w)` does. The
-    ///   few such edges in the block of a named vertex are then moved
-    ///   exactly.
-    /// * A named row takes its surviving edges' old ids from a merge
-    ///   against its old row. Only its inserted edges are looked up in
-    ///   the new table.
-    pub(crate) fn splice_rows(&self, n: usize, rows: &[(VertexId, &[VertexId])]) -> CsrGraph {
-        debug_assert!(n >= self.n(), "a splice never shrinks the vertex set");
-        debug_assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "rows ascend by vertex");
-
-        // Every changed edge as (old position, is a removal, pair). A
-        // removed edge sits at its old id, an inserted one before the old
-        // edge at its lower bound, so at a tie the insertion comes first.
-        let mut changes: Vec<(usize, bool, (VertexId, VertexId))> = Vec::new();
-        for &(u, new) in rows {
-            let (old, ids) = self.row(u);
-            let (mut i, mut j) = (old.partition_point(|&w| w < u), new.partition_point(|&w| w < u));
-            while i < old.len() || j < new.len() {
-                if j == new.len() || (i < old.len() && old[i] < new[j]) {
-                    changes.push((ids[i] as usize, true, (u, old[i])));
-                    i += 1;
-                } else if i == old.len() || new[j] < old[i] {
-                    let pair = (u, new[j]);
-                    changes.push((self.edges.partition_point(|&e| e < pair), false, pair));
-                    j += 1;
-                } else {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        changes.sort_unstable();
-
-        // The new edge table, and the step function from a surviving
-        // edge's old id to its new one: an old id `e` moves by the
-        // (wrapping) shift of the last step whose threshold is at most
-        // `e`. The first step, `(0, 0)`, covers the ids before any change.
-        let mut edges = Vec::with_capacity(self.m() + changes.len());
-        let mut steps: Vec<(EdgeId, EdgeId)> = Vec::with_capacity(changes.len() + 1);
-        steps.push((0, 0));
-        let (mut copied, mut shift) = (0usize, 0 as EdgeId);
-        for &(at, removal, pair) in &changes {
-            edges.extend_from_slice(&self.edges[copied..at]);
-            if removal {
-                copied = at + 1;
-                shift = shift.wrapping_sub(1);
-            } else {
-                edges.push(pair);
-                copied = at;
-                shift = shift.wrapping_add(1);
-            }
-            steps.push((at as EdgeId, shift));
-        }
-        edges.extend_from_slice(&self.edges[copied..]);
-
-        // How far each base vertex's block of edges `(a, ·)` moves: a step
-        // at old id `t` moves the blocks from that of old edge `t`'s lower
-        // endpoint on. Only a named vertex's block can hold a step inside
-        // it, and `Splice::fix_named_blocks` moves its edges exactly.
-        let mut block: Vec<EdgeId> = Vec::new();
-        if steps.len() > 1 {
-            block.reserve_exact(self.n());
-            for (i, &(_, shift)) in steps.iter().enumerate() {
-                let until = steps.get(i + 1).map_or(self.n(), |&(t, _)| {
-                    self.edges.get(t as usize).map_or(self.n(), |&(a, _)| a as usize)
-                });
-                block.resize(until.max(block.len()), shift);
-            }
-        }
-
-        let arcs = 2 * edges.len();
-        let mut splice = Splice {
-            base: self,
-            out: CsrGraph {
-                offsets: Vec::with_capacity(n + 1),
-                neighbors: Vec::with_capacity(arcs),
-                arc_edge: Vec::with_capacity(arcs),
-                edges,
-            },
-            steps,
-            block,
-        };
-        splice.out.offsets.push(0);
-        let mut next = 0usize;
-        for &(u, new) in rows {
-            splice.copy_rows(next..u as usize);
-            splice.push_row(u, new);
-            next = u as usize + 1;
-        }
-        splice.copy_rows(next..n);
-        splice.fix_named_blocks(rows);
-        splice.out
-    }
-
-    /// `v`'s neighbors and edge ids; empty past [`Self::n`].
-    fn row(&self, v: VertexId) -> (&[VertexId], &[EdgeId]) {
-        if (v as usize) < self.n() {
-            (self.neighbors(v), self.arc_edges(v))
-        } else {
-            (&[], &[])
-        }
+    /// The edge-id view: built from the rows the first time anything asks
+    /// for it, then kept.
+    fn ids(&self) -> &EdgeIds {
+        self.ids.get_or_init(|| {
+            let mut edges = Vec::with_capacity(self.m());
+            edges.extend(self.canonical_pairs());
+            let mut arc_edge = vec![0 as EdgeId; self.neighbors.len()];
+            fill_arcs(&self.offsets, &edges, |at, _, e| arc_edge[at] = e);
+            EdgeIds { arc_edge, edges }
+        })
     }
 
     /// Number of vertices.
@@ -215,7 +152,7 @@ impl CsrGraph {
     /// Number of undirected edges.
     #[inline]
     pub fn m(&self) -> usize {
-        self.edges.len()
+        self.neighbors.len() / 2
     }
 
     /// Degree of `v`.
@@ -238,7 +175,7 @@ impl CsrGraph {
     /// Edge-id slice parallel to [`Self::neighbors`].
     #[inline]
     pub fn arc_edges(&self, v: VertexId) -> &[EdgeId] {
-        &self.arc_edge[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+        &self.ids().arc_edge[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Iterates `(neighbor, edge_id)` pairs of `v` in ascending neighbor order.
@@ -250,28 +187,44 @@ impl CsrGraph {
     /// Canonical endpoints `(u, v)` with `u < v` of edge `e`.
     #[inline]
     pub fn edge(&self, e: EdgeId) -> (VertexId, VertexId) {
-        self.edges[e as usize]
+        self.ids().edges[e as usize]
     }
 
     /// All canonical edges in lexicographic order.
     #[inline]
     pub fn edges(&self) -> &[(VertexId, VertexId)] {
-        &self.edges
+        &self.ids().edges
+    }
+
+    /// The same canonical edges as [`Self::edges`], in the same order, read
+    /// from the rows without building the edge ids: each row's neighbors
+    /// above its vertex, in row order.
+    pub fn canonical_pairs(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        self.vertices().flat_map(move |u| {
+            let row = self.neighbors(u);
+            row[row.partition_point(|&w| w < u)..].iter().map(move |&v| (u, v))
+        })
+    }
+
+    /// The arc of `{u, v}` in the smaller of the two rows, as that row's
+    /// vertex and the arc's index in it: `O(log min(d(u), d(v)))`.
+    #[inline]
+    fn find_arc(&self, u: VertexId, v: VertexId) -> Option<(VertexId, usize)> {
+        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
+        self.neighbors(a).binary_search(&b).ok().map(|idx| (a, idx))
     }
 
     /// Id of the edge between `u` and `v`, searching the smaller adjacency
     /// list: `O(log min(d(u), d(v)))`.
     pub fn edge_id_between(&self, u: VertexId, v: VertexId) -> Option<EdgeId> {
-        let (a, b) = if self.degree(u) <= self.degree(v) { (u, v) } else { (v, u) };
-        let slice = self.neighbors(a);
-        let idx = slice.binary_search(&b).ok()?;
-        Some(self.arc_edges(a)[idx])
+        self.find_arc(u, v).map(|(a, idx)| self.arc_edges(a)[idx])
     }
 
-    /// Whether `{u, v}` is an edge.
+    /// Whether `{u, v}` is an edge, searching the smaller adjacency list
+    /// without reading edge ids.
     #[inline]
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.edge_id_between(u, v).is_some()
+        self.find_arc(u, v).is_some()
     }
 
     /// Iterates all vertex ids `0..n`.
@@ -280,108 +233,15 @@ impl CsrGraph {
         0..self.n() as VertexId
     }
 
-    /// Total bytes of the in-memory representation (for index-size reports).
+    /// Total bytes of the in-memory representation (for index-size
+    /// reports): the rows, plus the edge-id view once it is built.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.neighbors.len() * std::mem::size_of::<VertexId>()
-            + self.arc_edge.len() * std::mem::size_of::<EdgeId>()
-            + self.edges.len() * std::mem::size_of::<(VertexId, VertexId)>()
-    }
-}
-
-/// One [`CsrGraph::splice_rows`] in progress: the graph written so far,
-/// row by row, and what moves the surviving edge ids.
-struct Splice<'a> {
-    base: &'a CsrGraph,
-    out: CsrGraph,
-    /// The step function: `(threshold, shift)` by ascending threshold.
-    steps: Vec<(EdgeId, EdgeId)>,
-    /// `block[a]`: how far the edges `(a, ·)` of an untouched base
-    /// vertex `a` move. Empty when nothing moves.
-    block: Vec<EdgeId>,
-}
-
-/// How far the surviving edge with old id `e` moves under `steps`.
-fn shift(steps: &[(EdgeId, EdgeId)], e: EdgeId) -> EdgeId {
-    steps[steps.partition_point(|&(t, _)| t <= e) - 1].1
-}
-
-impl Splice<'_> {
-    /// Appends the base's rows `rows`, unchanged but for their edge ids.
-    /// Rows at or past the base's vertex count are appended empty.
-    fn copy_rows(&mut self, rows: Range<usize>) {
-        let base = self.base;
-        let end = rows.end.min(base.n());
-        if rows.start < end {
-            let (lo, hi) = (base.offsets[rows.start], base.offsets[end]);
-            let start = self.out.neighbors.len();
-            self.out.neighbors.extend_from_slice(&base.neighbors[lo..hi]);
-            self.out
-                .offsets
-                .extend(base.offsets[rows.start + 1..=end].iter().map(|&o| o - lo + start));
-            self.out.arc_edge.extend_from_slice(&base.arc_edge[lo..hi]);
-            if self.steps.len() > 1 {
-                // Each edge `{v, w}` moves as the block of `min(v, w)` does.
-                let block = &self.block;
-                let moved = &mut self.out.arc_edge[start..];
-                for v in rows.start..end {
-                    let (from, to) = (base.offsets[v] - lo, base.offsets[v + 1] - lo);
-                    let v = v as VertexId;
-                    for (id, &w) in
-                        moved[from..to].iter_mut().zip(&base.neighbors[lo + from..lo + to])
-                    {
-                        *id = id.wrapping_add(block[v.min(w) as usize]);
-                    }
-                }
-            }
-        }
-        let len = self.out.neighbors.len();
-        self.out.offsets.resize(self.out.offsets.len() + (rows.end - rows.start.max(end)), len);
-    }
-
-    /// Moves exactly the edges `(u, x)` of each named base vertex `u` that
-    /// [`Self::copy_rows`] wrote in the untouched row `x`: the block of a
-    /// named vertex may move by different amounts.
-    fn fix_named_blocks(&mut self, rows: &[(VertexId, &[VertexId])]) {
-        if self.block.is_empty() {
-            return;
-        }
-        let named = |x: VertexId| rows.binary_search_by_key(&x, |&(v, _)| v).is_ok();
-        for &(u, _) in rows {
-            let (old, ids) = self.base.row(u);
-            let above = old.partition_point(|&x| x < u);
-            for (&x, &e) in old[above..].iter().zip(&ids[above..]) {
-                if named(x) {
-                    continue;
-                }
-                // `x`'s row was copied unchanged, so `u` sits where it did.
-                let at = self.base.neighbors(x).partition_point(|&w| w < u);
-                self.out.arc_edge[self.out.offsets[x as usize] + at] =
-                    e.wrapping_add(shift(&self.steps, e));
-            }
-        }
-    }
-
-    /// Appends the named row `u` with neighbors `new`. A surviving edge
-    /// takes its old id from a merge against the base row and moves by
-    /// the step function; an inserted edge is looked up in the new table.
-    fn push_row(&mut self, u: VertexId, new: &[VertexId]) {
-        let (old, ids) = self.base.row(u);
-        let mut i = 0;
-        for &w in new {
-            while i < old.len() && old[i] < w {
-                i += 1;
-            }
-            let id = if old.get(i) == Some(&w) {
-                ids[i].wrapping_add(shift(&self.steps, ids[i]))
-            } else {
-                let pair = (u.min(w), u.max(w));
-                self.out.edges.partition_point(|&e| e < pair) as EdgeId
-            };
-            self.out.neighbors.push(w);
-            self.out.arc_edge.push(id);
-        }
-        self.out.offsets.push(self.out.neighbors.len());
+        let rows = self.offsets.len() * std::mem::size_of::<usize>()
+            + self.neighbors.len() * std::mem::size_of::<VertexId>();
+        rows + self.ids.get().map_or(0, |ids| {
+            ids.arc_edge.len() * std::mem::size_of::<EdgeId>()
+                + ids.edges.len() * std::mem::size_of::<(VertexId, VertexId)>()
+        })
     }
 }
 
@@ -437,6 +297,32 @@ mod tests {
         assert!(!g.has_edge(3, 3));
         let e = g.edge_id_between(2, 3).unwrap();
         assert_eq!(g.edge(e), (2, 3));
+    }
+
+    /// A graph made from rows equals the builder's graph of the same edges
+    /// before its ids are derived and after, derives the builder's ids,
+    /// and counts them in `heap_bytes` only once they exist.
+    #[test]
+    fn a_rows_only_graph_derives_the_builders_ids() {
+        let edges = [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4)];
+        let built = GraphBuilder::with_min_vertices(6).extend_edges(edges).build();
+        let rows = CsrGraph::from_rows(built.offsets.clone(), built.neighbors.clone());
+        let row_bytes = rows.heap_bytes();
+        assert_eq!(rows, built);
+        assert_eq!((rows.n(), rows.m(), rows.max_degree()), (6, 5, 3));
+        assert!(rows.has_edge(3, 2) && !rows.has_edge(0, 3) && rows.neighbors(5).is_empty());
+        assert!(rows.canonical_pairs().eq(built.edges().iter().copied()));
+        assert!(rows.ids.get().is_none(), "rows, degrees, membership and pairs read no ids");
+
+        assert_eq!(rows.edges(), built.edges());
+        for v in built.vertices() {
+            assert_eq!(rows.arc_edges(v), built.arc_edges(v), "v={v}");
+        }
+        assert_eq!(rows.edge_id_between(4, 1), built.edge_id_between(1, 4));
+        assert_eq!(rows, built);
+        assert_eq!(rows.heap_bytes(), built.heap_bytes());
+        assert_eq!(row_bytes, 7 * std::mem::size_of::<usize>() + 10 * 4);
+        assert!(row_bytes < built.heap_bytes());
     }
 
     #[test]

@@ -17,15 +17,13 @@
 //! published CSR so the owned fraction stays proportional to the batch
 //! size, not to session length.
 //!
-//! A snapshot ([`DynamicGraph::to_csr`]) of a graph with a base is
-//! spliced from that base: untouched rows and the runs of the edge table
-//! between changed edges are copied in contiguous runs, each surviving
-//! edge id moved by one add, and only the owned rows and the changed
-//! edges cost a merge or a search. Rebased after every publish, a
-//! snapshot therefore costs the batch plus `O(n + m)` of copying, not a
-//! rebuild. This trusts the base: it must hold exactly the adjacency of
-//! every row the overlay does not own, which [`DynamicGraph::from_base`]
-//! and [`DynamicGraph::rebase`] establish.
+//! A snapshot ([`DynamicGraph::to_csr`]) copies each vertex's row, owned
+//! or shared, into a rows-only [`crate::CsrGraph`] in `O(n + m)`; the
+//! edge ids that peeling reads are derived from those rows on first use,
+//! which nothing on a per-vertex path does. [`DynamicGraph::rebase`] then
+//! shares that snapshot's rows. This trusts the base: it must hold exactly
+//! the adjacency of every row the overlay does not own, which
+//! [`DynamicGraph::from_base`] and [`DynamicGraph::rebase`] establish.
 
 use std::sync::Arc;
 
@@ -126,8 +124,8 @@ impl DynamicGraph {
     /// The caller guarantees `base` has exactly this graph's current
     /// adjacency (the contract of [`Self::to_csr`] output); all owned
     /// overlay vectors are dropped and every slot reverts to shared.
-    /// Later snapshots are spliced from `base`, so they are only as right
-    /// as this guarantee.
+    /// Every later read of an unedited row, snapshots included, is served
+    /// from `base`, so it is only as right as this guarantee.
     ///
     /// # Panics
     /// In debug builds, panics if `base` disagrees on vertex or edge
@@ -291,53 +289,20 @@ impl DynamicGraph {
         out
     }
 
-    /// Snapshots to an immutable CSR graph, equal array for array to
-    /// [`CsrGraph::from_canonical_edges`] over the current edge set.
-    ///
-    /// A graph with a base is spliced from it: rows no edit touched, and
-    /// the edge table between changed edges, are copied in contiguous
-    /// runs; a surviving edge's id moves by a step function of its old id,
-    /// with one breakpoint per changed edge; only the owned rows are
-    /// merged against the base and only inserted edges are looked up. So
-    /// the cost is the owned rows plus `O(n + m)` of copying, and
-    /// [`Self::rebase`] keeps the owned rows at the last batch's. A graph
-    /// without a base is built canonically in `O(n + m)`.
-    ///
-    /// # Panics
-    /// In debug builds, panics if a spliced snapshot differs from the
-    /// canonical build.
+    /// Snapshots to an immutable CSR graph: every vertex's row, owned or
+    /// served from the base, copied in vertex order in `O(n + m)`. The
+    /// snapshot holds rows only; its edge ids, equal to those of
+    /// [`CsrGraph::from_canonical_edges`] over the current edge set, are
+    /// derived on first use.
     pub fn to_csr(&self) -> CsrGraph {
-        let Some(base) = &self.base else {
-            return self.canonical_csr();
-        };
-        let owned: Vec<(VertexId, &[VertexId])> = self
-            .overlay
-            .iter()
-            .enumerate()
-            .filter_map(|(v, slot)| Some((v as VertexId, slot.as_deref()?)))
-            .collect();
-        let csr = base.splice_rows(self.n(), &owned);
-        debug_assert!(
-            csr == self.canonical_csr(),
-            "spliced snapshot must equal the canonical build"
-        );
-        csr
-    }
-
-    /// The snapshot built from scratch: the flattened edge list through
-    /// [`CsrGraph::from_canonical_edges`].
-    fn canonical_csr(&self) -> CsrGraph {
-        let mut edges = Vec::with_capacity(self.m);
-        for u in 0..self.n() as VertexId {
-            for &v in self.neighbors(u) {
-                if u < v {
-                    edges.push((u, v));
-                }
-            }
+        let mut offsets = Vec::with_capacity(self.n() + 1);
+        let mut neighbors = Vec::with_capacity(2 * self.m);
+        offsets.push(0);
+        for v in 0..self.n() as VertexId {
+            neighbors.extend_from_slice(self.neighbors(v));
+            offsets.push(neighbors.len());
         }
-        // Per-vertex lists are sorted, so the flattened list is already in
-        // lexicographic order.
-        CsrGraph::from_canonical_edges(self.n(), edges)
+        CsrGraph::from_rows(offsets, neighbors)
     }
 }
 

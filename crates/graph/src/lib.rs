@@ -4,14 +4,13 @@
 //! provides the data structures every layer above builds on:
 //!
 //! * [`CsrGraph`] — an immutable, compressed-sparse-row, undirected simple
-//!   graph with stable edge ids and sorted adjacency (binary-searchable).
+//!   graph with sorted adjacency (binary-searchable) and stable edge ids,
+//!   derived from the rows on first use.
 //! * [`GraphBuilder`] — the only way to construct a [`CsrGraph`] from raw
 //!   pairs; it canonicalizes, deduplicates, and drops self-loops.
 //! * [`triangles`] — triangle listing/counting via the forward (oriented)
 //!   algorithm, per-edge support, and per-vertex triangle counts.
 //! * [`Dsu`] — union-find with path halving and union by size.
-//! * [`BitSet`] — a fixed-capacity bitmap with word-level intersection,
-//!   the workhorse of the GCT bitmap truss decomposition.
 //! * [`PeelingBuckets`] — the bin-sort bucket queue used by both k-core and
 //!   k-truss peeling (O(1) pop-min and decrease-key).
 //! * [`edgelist`] — SNAP-style edge-list text I/O.
@@ -32,7 +31,6 @@
 //! assert!(g.has_edge(2, 3) && !g.has_edge(0, 3));
 //! ```
 
-pub mod bitset;
 pub mod buckets;
 pub mod builder;
 pub mod connectivity;
@@ -44,7 +42,6 @@ pub mod stats;
 pub mod triangles;
 pub mod types;
 
-pub use bitset::BitSet;
 pub use buckets::PeelingBuckets;
 pub use builder::GraphBuilder;
 pub use connectivity::{connected_components, is_connected};

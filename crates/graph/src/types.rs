@@ -4,8 +4,9 @@
 //! largest dataset (socfb-konect) has 59M vertices and 92.5M edges, both well
 //! inside `u32`. Using raw integers (rather than newtypes) keeps the hot
 //! peeling loops free of wrapper noise and halves index memory versus
-//! `usize`; this is the "smaller integers" guidance from the Rust perf book,
-//! and the trade-off is documented in DESIGN.md.
+//! `usize`; this is the "smaller integers" guidance from the Rust perf book.
+//! The price is a ceiling of `u32::MAX - 1` vertices and edges, since each
+//! type's maximum is reserved as its sentinel.
 
 /// Dense vertex identifier: `0..n`.
 pub type VertexId = u32;

@@ -1,8 +1,7 @@
 //! Influence-maximization seed selection.
 //!
 //! The paper seeds its contagion experiments with 50 vertices chosen by an
-//! influence-maximization algorithm \[37\] (IMM). We provide two substitutes
-//! (DESIGN.md §4):
+//! influence-maximization algorithm \[37\] (IMM). We provide two substitutes:
 //!
 //! * [`ris_seeds`] — reverse influence sampling: sample random
 //!   reverse-reachable (RR) sets under the IC model, then greedily pick the

@@ -7,11 +7,13 @@
 //! bits are cleared. This replaces the hash probing of the classic algorithm
 //! with straight-line word operations, the speed-up reported in Table 4.
 //!
-//! Memory is `n²` bits, so this is intended for graphs of at most a few tens
-//! of thousands of vertices (ego-networks); use
-//! [`crate::decompose::truss_decomposition`] for whole graphs.
+//! The `n` rows of `⌈n/64⌉` words each sit in one flat buffer, one
+//! allocation per decomposition. Memory is `n²` bits, so this is intended
+//! for graphs of at most a few tens of thousands of vertices
+//! (ego-networks); use [`crate::decompose::truss_decomposition`] for whole
+//! graphs.
 
-use sd_graph::{BitSet, CsrGraph, PeelingBuckets};
+use sd_graph::{CsrGraph, PeelingBuckets, VertexId};
 
 use crate::decompose::TrussDecomposition;
 
@@ -25,17 +27,27 @@ pub fn bitmap_truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
         return TrussDecomposition { trussness: Vec::new(), max_trussness: 0 };
     }
 
-    let mut bits: Vec<BitSet> = (0..n).map(|_| BitSet::new(n)).collect();
+    // Row `u` is `bits[row(u)]`; bit `v` of it is word `at(u, v).0`,
+    // under mask `at(u, v).1`.
+    let words = n.div_ceil(64);
+    let mut bits = vec![0u64; n * words];
+    let row = move |u: VertexId| u as usize * words..(u as usize + 1) * words;
+    let at =
+        move |u: VertexId, v: VertexId| (u as usize * words + (v as usize >> 6), 1 << (v & 63));
     for &(u, v) in g.edges() {
-        bits[u as usize].set(v as usize);
-        bits[v as usize].set(u as usize);
+        for (a, b) in [(u, v), (v, u)] {
+            let (word, mask) = at(a, b);
+            bits[word] |= mask;
+        }
     }
 
     // Support = popcount of the AND of the two endpoint rows.
     let support: Vec<u32> = g
         .edges()
         .iter()
-        .map(|&(u, v)| bits[u as usize].intersection_count(&bits[v as usize]) as u32)
+        .map(|&(u, v)| {
+            bits[row(u)].iter().zip(&bits[row(v)]).map(|(a, b)| (a & b).count_ones()).sum()
+        })
         .collect();
 
     let mut buckets = PeelingBuckets::new(&support);
@@ -46,10 +58,18 @@ pub fn bitmap_truss_decomposition(g: &CsrGraph) -> TrussDecomposition {
         level = level.max(key);
         trussness[e as usize] = level + 2;
         let (u, v) = g.edge(e);
-        bits[u as usize].clear(v as usize);
-        bits[v as usize].clear(u as usize);
+        for (a, b) in [(u, v), (v, u)] {
+            let (word, mask) = at(a, b);
+            bits[word] &= !mask;
+        }
         common.clear();
-        bits[u as usize].for_each_intersection(&bits[v as usize], |w| common.push(w as u32));
+        for (i, (a, b)) in bits[row(u)].iter().zip(&bits[row(v)]).enumerate() {
+            let mut live = a & b;
+            while live != 0 {
+                common.push((i << 6) as VertexId + live.trailing_zeros());
+                live &= live - 1;
+            }
+        }
         for &w in &common {
             // Both edges exist and are alive: their bits are still set.
             let e_uw = g.edge_id_between(u, w).expect("bit implies edge"); // sd-lint: allow(no-panic) a set bit in both bitmaps means the edge is live

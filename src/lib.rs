@@ -33,7 +33,7 @@
 //! ```
 //!
 //! See the crate-level docs of the members for details:
-//! * [`graph`] — CSR graphs, triangle listing, bitsets, union-find.
+//! * [`graph`] — CSR graphs, triangle listing, union-find.
 //! * [`truss`] — truss/core decomposition.
 //! * [`search`] — the paper's algorithms (online, bound, TSD, GCT, the
 //!   Exp-4 competitor, baselines).

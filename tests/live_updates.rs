@@ -10,7 +10,7 @@
 mod common;
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use common::arb_graph;
@@ -289,13 +289,15 @@ fn reference_scores(g: &CsrGraph, k: u32, r: usize) -> Vec<u32> {
 }
 
 /// The race suite: query threads hammer the service across both served
-/// indexes while an updater thread applies batches. Every answer must equal
+/// indexes while the test's own thread applies batches. Every answer must equal
 /// the reference on *some* published epoch — a query that blended two
 /// epochs would produce a score multiset no single graph yields (with
 /// overwhelming probability), and any disagreement between engines, or
 /// between a carried index and a rebuilt one, shows up the same way. Afterwards, the settled service must match a fresh
 /// single-threaded rebuild of the final graph and its Online and Bound
-/// scans.
+/// scans. Before each batch the updater waits until some query has
+/// answered since its last publish, so the queries race every batch
+/// however fast the batches apply.
 #[test]
 fn racing_queries_are_consistent_with_some_published_epoch() {
     const QUERY_THREADS: usize = 6;
@@ -310,43 +312,57 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
     let batches = random_batches(n, 8, 40, 0x5EED_2026);
     // Every epoch's graph, recorded by the (single) updater right after
     // each publish; index 0 is the construction epoch.
-    let published: Mutex<Vec<Arc<CsrGraph>>> = Mutex::new(vec![live.graph()]);
+    let mut published: Vec<Arc<CsrGraph>> = vec![live.graph()];
     let answers: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
+    let answered = AtomicUsize::new(0);
+    let mut between = Vec::new();
     let done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            for batch in &batches {
-                let stats = live.apply_updates(batch).expect("apply");
-                assert!(stats.applied > 0, "random batches this size always apply something");
-                published.lock().unwrap().push(live.graph());
+        let queries: Vec<_> = (0..QUERY_THREADS)
+            .map(|worker| {
+                let live = live.clone();
+                let (answers, answered, done) = (&answers, &answered, &done);
+                scope.spawn(move || {
+                    let kinds = SearchService::SERVED;
+                    let mut i = worker; // stagger the kind rotation per thread
+                    let mut local = Vec::new();
+                    while !done.load(Ordering::SeqCst) {
+                        let kind = kinds[i % kinds.len()];
+                        i += 1;
+                        let spec = QuerySpec::new(K, R).unwrap().with_engine(kind);
+                        local.push(live.top_r(&spec).expect("raced query").scores());
+                        answered.fetch_add(1, Ordering::SeqCst);
+                    }
+                    answers.lock().unwrap().append(&mut local);
+                })
+            })
+            .collect();
+        // The updater runs on this thread. `seen` counts the answers up to
+        // its last publish, and `between[i]` those that landed after it and
+        // before batch `i` started.
+        let mut seen = 0;
+        for batch in &batches {
+            while answered.load(Ordering::SeqCst) == seen {
+                assert!(!queries.iter().all(|q| q.is_finished()), "every query thread stopped");
+                std::thread::yield_now();
             }
-            done.store(true, Ordering::SeqCst);
-        });
-        for worker in 0..QUERY_THREADS {
-            let live = live.clone();
-            let answers = &answers;
-            let done = &done;
-            scope.spawn(move || {
-                let kinds = SearchService::SERVED;
-                let mut i = worker; // stagger the kind rotation per thread
-                let mut local = Vec::new();
-                while !done.load(Ordering::SeqCst) {
-                    let kind = kinds[i % kinds.len()];
-                    i += 1;
-                    let spec = QuerySpec::new(K, R).unwrap().with_engine(kind);
-                    local.push(live.top_r(&spec).expect("raced query").scores());
-                }
-                answers.lock().unwrap().append(&mut local);
-            });
+            between.push(answered.load(Ordering::SeqCst) - seen);
+            let stats = live.apply_updates(batch).expect("apply");
+            assert!(stats.applied > 0, "random batches this size always apply something");
+            published.push(live.graph());
+            seen = answered.load(Ordering::SeqCst);
         }
+        done.store(true, Ordering::SeqCst);
     });
 
-    let published = published.into_inner().unwrap();
     assert_eq!(published.len(), batches.len() + 1, "one epoch per applied batch");
     let references: Vec<Vec<u32>> = published.iter().map(|g| reference_scores(g, K, R)).collect();
     let answers = answers.into_inner().unwrap();
-    assert!(!answers.is_empty(), "the query threads must have gotten work in");
+    assert!(
+        between.iter().all(|&landed| landed > 0),
+        "a query must have answered between every two batches: {between:?}"
+    );
     for (i, scores) in answers.iter().enumerate() {
         assert!(
             references.iter().any(|reference| reference == scores),
