@@ -354,42 +354,45 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     let (n, m) = (g.n(), g.m());
 
     // Cold first-query latency: the very first query against a service
-    // whose index engines are all unbuilt. It joins a TSD build (in chunks
-    // on the shared pool, with the query's thread taking part) and the
-    // index answers, so this times a cold build and its answer — the
-    // latency a client sees right after a deploy. The key keeps its
-    // historical name, `cold.fallback_first_query_ms`, so `bench-compare`
-    // still finds it in committed datapoints.
+    // whose index is unbuilt. It joins the GCT build (in chunks on the
+    // shared pool, with the query's thread taking part) and the index
+    // answers, so this times a cold build and its answer — the latency a
+    // client sees right after a deploy. The key keeps its historical name,
+    // `cold.fallback_first_query_ms`, so `bench-compare` still finds it in
+    // committed datapoints.
     let shared = Arc::new(g);
     let cold_query = spec(4, 100, n);
     let cold_service = SearchService::from_arc(shared.clone());
     let (cold_result, cold_elapsed) =
-        time_it(|| cold_service.top_r(&cold_query.with_engine(EngineKind::Tsd)));
+        time_it(|| cold_service.top_r(&cold_query.with_engine(EngineKind::Gct)));
     cold_result.expect("cold first query");
     drop(cold_service);
 
-    // Index build times through the serving layer's own build path — each
-    // index is constructed exactly once and then reused for the query
-    // measurements below (`wait_ready` on an unscheduled kind builds on
-    // the calling thread, so the timing is the build).
+    // Index build times, each index constructed exactly once and then
+    // reused for the query measurements below: GCT through the serving
+    // layer's own build path (`wait_ready` on an unscheduled kind builds on
+    // the calling thread, so the timing is the build), and TSD, which the
+    // service does not serve, with `build_engine` on the same pool. Hybrid
+    // is the paper's Exp-4 competitor, not a serving engine: its build and
+    // query are timed on the index directly.
     let service = Arc::new(SearchService::from_arc(shared.clone()));
-    let (_, tsd_build) = time_it(|| service.wait_ready([EngineKind::Tsd]));
+    let (tsd, tsd_build) = time_it(|| build_engine(EngineKind::Tsd, shared.clone()));
     let (_, gct_build) = time_it(|| service.wait_ready([EngineKind::Gct]));
-    // Hybrid is the paper's Exp-4 competitor, not a serving engine: its
-    // build and query are timed on the index directly.
     let (hybrid, hybrid_build) = time_it(|| HybridIndex::build(&shared));
 
-    // Warmed per-engine query latency: the two indexes through the
-    // serving layer, and the index-free Online and Bound scans, which the
-    // service does not serve, on their engines directly.
+    // Warmed per-engine query latency: GCT through the serving layer, TSD
+    // on the engine built above, and the index-free Online and Bound scans
+    // on their engines directly.
     let query = spec(4, 100, n);
     let mut engine_ms = Vec::new();
     for kind in EngineKind::ALL {
-        let (result, elapsed) = if SearchService::SERVED.contains(&kind) {
-            time_it(|| service.top_r(&query.with_engine(kind)))
-        } else {
-            let engine = build_engine(kind, shared.clone());
-            time_it(|| engine.top_r(&query))
+        let (result, elapsed) = match kind {
+            EngineKind::Gct => time_it(|| service.top_r(&query.with_engine(kind))),
+            EngineKind::Tsd => time_it(|| tsd.top_r(&query)),
+            _ => {
+                let engine = build_engine(kind, shared.clone());
+                time_it(|| engine.top_r(&query))
+            }
         };
         result.expect("bench query");
         engine_ms.push(format!(
@@ -402,8 +405,7 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     engine_ms.push(format!("    \"top_r_hybrid_ms\": {:.3}", hybrid_elapsed.as_secs_f64() * 1e3));
 
     // The live-update path: one served batch of inserts + removes against
-    // the fully-warm service, so the publish takes every carry path —
-    // incremental TSD and in-place GCT repair.
+    // the warm service, so the publish repairs GCT in place.
     let mut rng = {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(0xBE7C)
@@ -466,13 +468,22 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
         sd_server::Server::start(sd_server::ServerConfig::new().addr("127.0.0.1:0"), registry)
             .expect("bind loopback");
     let mut client = sd_server::Client::connect(server.local_addr()).expect("connect loopback");
-    let wire_query = sd_server::WireQuery { k: 4, r: 100.min(n) as u64, engine: EngineKind::Tsd };
-    client.query(tenant_key, 0, vec![wire_query]).expect("warmup round trip");
+    let wire_query = sd_server::WireQuery { k: 4, r: 100.min(n) as u64, engine: EngineKind::Gct };
+    // Every timed round trip must come back answered: a refused or
+    // dropped query would time an error reply instead of a query.
+    let round_trip = |client: &mut sd_server::Client, what: &str| {
+        let resp = client.query(tenant_key, 0, vec![wire_query]).expect(what);
+        assert!(
+            matches!(resp.outcomes.as_slice(), [sd_server::QueryOutcome::Answered(_)]),
+            "{what}: the single-query frame is answered, got {:?}",
+            resp.outcomes
+        );
+    };
+    round_trip(&mut client, "warmup round trip");
     const ROUND_TRIPS: usize = 32;
     let (_, wire_elapsed) = time_it(|| {
         for _ in 0..ROUND_TRIPS {
-            let resp = client.query(tenant_key, 0, vec![wire_query]).expect("round trip");
-            assert_eq!(resp.outcomes.len(), 1, "single-query frame answers one slot");
+            round_trip(&mut client, "round trip");
         }
     });
     let round_trip_ms = wire_elapsed.as_secs_f64() * 1e3 / ROUND_TRIPS as f64;
@@ -486,11 +497,10 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     let idle: Vec<sd_server::Client> = (1..CONCURRENT_CONNS)
         .map(|_| sd_server::Client::connect(server.local_addr()).expect("concurrent connect"))
         .collect();
-    client.query(tenant_key, 0, vec![wire_query]).expect("warmup under load");
+    round_trip(&mut client, "warmup under load");
     let (_, concurrent_elapsed) = time_it(|| {
         for _ in 0..ROUND_TRIPS {
-            let resp = client.query(tenant_key, 0, vec![wire_query]).expect("loaded round trip");
-            assert_eq!(resp.outcomes.len(), 1, "single-query frame answers one slot");
+            round_trip(&mut client, "loaded round trip");
         }
     });
     drop(idle);
@@ -499,13 +509,13 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     let concurrent_ms = concurrent_elapsed.as_secs_f64() * 1e3 / ROUND_TRIPS as f64;
 
     format!(
-        "{{\n  \"schema\": \"sd-bench-smoke/6\",\n  \"dataset\": \"{}\",\n  \
+        "{{\n  \"schema\": \"sd-bench-smoke/7\",\n  \"dataset\": \"{}\",\n  \
          \"scale\": {},\n  \"n\": {n},\n  \"m\": {m},\n  \"machine_cores\": {},\n  \
          \"build\": {{\n    \
          \"tsd_ms\": {:.3},\n    \"gct_ms\": {:.3},\n    \"hybrid_ms\": {:.3}\n  }},\n  \
          \"cold\": {{\n    \"fallback_first_query_ms\": {:.3}\n  }},\n  \
          \"query\": {{\n{}\n  }},\n  \"update\": {{\n    \"batch_ops\": {},\n    \
-         \"applied\": {},\n    \"tsd_repairs\": {},\n    \"tsd_carried\": {},\n    \
+         \"applied\": {},\n    \"tsd_repairs\": {},\n    \
          \"gct_repairs\": {},\n    \"gct_carried\": {},\n    \
          \"apply_ms\": {:.3},\n    \"ops_per_s\": {:.1}\n  }},\n  \"parallel\": {{\n    \
          \"batch_queries\": {},\n    \
@@ -524,7 +534,6 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
         batch.len(),
         update_stats.applied,
         update_stats.tsd_repairs,
-        update_stats.tsd_carried,
         update_stats.gct_repairs,
         update_stats.gct_carried,
         update_elapsed.as_secs_f64() * 1e3,

@@ -1,5 +1,4 @@
-//! Dynamic TSD- and GCT-index maintenance under edge insertions and
-//! deletions.
+//! Dynamic index maintenance under edge insertions and deletions.
 //!
 //! The paper's Section 5.3 remarks that "TSD-index can support efficient
 //! updates in dynamic graphs … the updating techniques are still promising
@@ -21,22 +20,21 @@
 //! graph. Equivalence with a from-scratch rebuild is property-tested under
 //! random edit scripts (`tests/dynamic_updates.rs`).
 //!
-//! The repair reads the final graph's CSR snapshot through the index
-//! builds' own per-vertex pass ([`crate::parallel`]). The GCT-index entry
-//! of a vertex compresses the same maximum spanning forest, so one ego
-//! extraction and one truss decomposition per affected vertex repair both
-//! indexes.
+//! One ops loop applies a batch and collects those vertices, and the
+//! repair reads the final graph's CSR snapshot through the index builds'
+//! own per-vertex pass ([`crate::parallel`]): here for [`DynamicTsd`]'s TSD
+//! forests, and in [`crate::SearchService::apply_updates`] for the GCT
+//! entries it serves.
 
 use std::sync::Arc;
 
 use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
 
-use crate::gct::GctIndex;
-use crate::parallel::{write_entries, Writes};
+use crate::parallel::write_tsd;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::{TsdBuilder, TsdIndex};
 
-/// What one [`DynamicTsd::apply_batch`] did.
+/// What one batch of updates did ([`DynamicTsd::apply_batch`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchRepair {
     /// Updates that changed the graph.
@@ -52,18 +50,45 @@ pub struct BatchRepair {
     pub repaired: usize,
 }
 
-/// A TSD-index — and, once one is adopted, its GCT compression — kept
-/// consistent while the graph mutates.
+/// Applies `batch` to `graph` in order, and returns what it did with the
+/// ego-networks it touched: each applied op's endpoints and their common
+/// neighbors in the graph it left, sorted and deduplicated. A rejected op
+/// (duplicate or self-loop insert, absent remove) touches nothing.
+pub(crate) fn apply_ops(
+    graph: &mut DynamicGraph,
+    batch: &[GraphUpdate],
+) -> (BatchRepair, Arc<[VertexId]>) {
+    let mut out = BatchRepair::default();
+    let mut affected: Vec<VertexId> = Vec::new();
+    for &update in batch {
+        if !graph.apply(update) {
+            out.rejected += 1;
+            continue;
+        }
+        out.applied += 1;
+        let (u, v) = update.endpoints();
+        let before = affected.len();
+        affected.extend(graph.common_neighbors(u, v));
+        affected.extend([u, v]);
+        out.touched += affected.len() - before;
+    }
+    affected.sort_unstable();
+    affected.dedup();
+    out.repaired = affected.len();
+    (out, affected.into())
+}
+
+/// A TSD-index kept consistent while the graph mutates (the Section 5.3
+/// maintainer).
 ///
 /// Every level is copy-on-write: the graph is a [`DynamicGraph`] over a
-/// shared CSR snapshot of itself, and the indexes are shared [`Arc`]s that
+/// shared CSR snapshot of itself, and the index is a shared [`Arc`] that
 /// no update writes into. [`Self::apply_batch`] rebuilds each distinct
 /// affected ego-network once against the batch's final graph and splices
-/// the rebuilt entries into fresh flat indexes, copying everything else in
+/// the rebuilt forests into a fresh flat index, copying everything else in
 /// contiguous runs. An update therefore costs its affected region plus one
-/// `O(graph + index)` copy, and leaves behind a snapshot and indexes a
-/// serving layer can publish as they are ([`Self::snapshot`],
-/// [`Self::index`], [`Self::gct_index`]).
+/// `O(graph + index)` copy, and leaves behind a snapshot and an index that
+/// can be read as they are ([`Self::snapshot`], [`Self::index`]).
 ///
 /// ```
 /// use sd_graph::GraphBuilder;
@@ -86,14 +111,11 @@ pub struct DynamicTsd {
     snapshot: Arc<CsrGraph>,
     /// The TSD-index of `graph`, exactly.
     tsd: Arc<TsdIndex>,
-    /// The GCT-index of `graph`, when one was adopted.
-    gct: Option<Arc<GctIndex>>,
 }
 
 impl Default for DynamicTsd {
     fn default() -> Self {
-        let empty = Arc::new(CsrGraph::from_canonical_edges(0, Vec::new()));
-        Self::from_shared_index(empty, Arc::new(TsdBuilder::new(0).finish()))
+        Self::from_shared_index(Arc::default(), Arc::new(TsdBuilder::new(0).finish()))
     }
 }
 
@@ -127,15 +149,7 @@ impl DynamicTsd {
     /// until an update replaces it.
     pub fn from_shared_index(g: Arc<CsrGraph>, index: Arc<TsdIndex>) -> Self {
         debug_assert_eq!(g.n(), index.n(), "index and graph vertex counts must agree");
-        DynamicTsd { graph: DynamicGraph::from_base(g.clone()), snapshot: g, tsd: index, gct: None }
-    }
-
-    /// Co-maintains `index`, the GCT-index of the current graph, from now
-    /// on: every later update repairs its entries alongside the TSD
-    /// forests, from the same decompositions.
-    pub fn adopt_gct(&mut self, index: Arc<GctIndex>) {
-        debug_assert_eq!(index.n(), self.n(), "index and graph vertex counts must agree");
-        self.gct = Some(index);
+        DynamicTsd { graph: DynamicGraph::from_base(g.clone()), snapshot: g, tsd: index }
     }
 
     /// Shared-vs-owned accounting for the underlying COW adjacency.
@@ -143,8 +157,8 @@ impl DynamicTsd {
         self.graph.cow_stats()
     }
 
-    /// The maintained graph's CSR snapshot, shared: what the indexes
-    /// describe, copied from the rows by each batch that applies an
+    /// The maintained graph's CSR snapshot, shared: what the index
+    /// describes, copied from the rows by each batch that applies an
     /// update.
     pub fn snapshot(&self) -> &Arc<CsrGraph> {
         &self.snapshot
@@ -155,11 +169,6 @@ impl DynamicTsd {
     /// `tests/dynamic_updates.rs`) at none of its cost.
     pub fn index(&self) -> &Arc<TsdIndex> {
         &self.tsd
-    }
-
-    /// The co-maintained GCT-index, if one was adopted.
-    pub fn gct_index(&self) -> Option<&Arc<GctIndex>> {
-        self.gct.as_ref()
     }
 
     /// An owned copy of the maintained TSD-index.
@@ -177,44 +186,19 @@ impl DynamicTsd {
     }
 
     /// Applies `batch` in order, copies the final graph's rows into a CSR
-    /// snapshot and rebases onto it, then rebuilds each distinct affected
-    /// ego-network once from that snapshot, in chunks on `pool` — one
-    /// extraction and one truss decomposition per vertex, feeding its TSD
-    /// forest and, when a GCT-index is co-maintained, its GCT entry — and
-    /// splices the rebuilt entries into fresh indexes. A batch that applies
-    /// nothing leaves everything untouched.
+    /// snapshot and rebases onto it, then rebuilds the TSD forest of each
+    /// distinct affected ego-network once from that snapshot, in chunks on
+    /// `pool`, and splices the rebuilt forests into a fresh index. A batch
+    /// that applies nothing leaves everything untouched.
     pub fn apply_batch(&mut self, batch: &[GraphUpdate], pool: &WorkerPool) -> BatchRepair {
-        let mut out = BatchRepair::default();
-        let mut affected: Vec<VertexId> = Vec::new();
-        for &update in batch {
-            if !self.graph.apply(update) {
-                out.rejected += 1;
-                continue;
-            }
-            out.applied += 1;
-            let (u, v) = update.endpoints();
-            let before = affected.len();
-            affected.extend(self.graph.common_neighbors(u, v));
-            affected.extend([u, v]);
-            out.touched += affected.len() - before;
-        }
+        let (out, affected) = apply_ops(&mut self.graph, batch);
         if out.applied == 0 {
             return out;
         }
-        affected.sort_unstable();
-        affected.dedup();
-        out.repaired = affected.len();
-
         self.snapshot = Arc::new(self.graph.to_csr());
         self.graph.rebase(self.snapshot.clone());
-        let affected: Arc<[VertexId]> = affected.into();
-        let writes = Writes { tsd: true, gct: self.gct.is_some() };
-        let (tsd, gct) = write_entries(pool, &self.snapshot, affected.clone(), writes);
-        let n = self.snapshot.n();
-        self.tsd = Arc::new(self.tsd.splice(n, &affected, &tsd));
-        if let Some(index) = self.gct.as_mut() {
-            *index = Arc::new(index.splice(n, &affected, &gct));
-        }
+        let patch = write_tsd(pool, &self.snapshot, affected.clone());
+        self.tsd = Arc::new(self.tsd.splice(self.snapshot.n(), &affected, &patch));
         out
     }
 
@@ -362,13 +346,13 @@ mod tests {
         assert!(Arc::ptr_eq(&before, dynamic.index()));
     }
 
-    /// The co-maintained GCT-index follows every batch — vertex-set growth
-    /// included — and equals a full rebuild of the final graph.
+    /// Each batch's repaired index equals the full rebuild of its graph,
+    /// also when a batch grows the vertex set (`Insert{0,20}` adds
+    /// 17..=20, and the splice leaves 17..20 empty).
     #[test]
-    fn adopted_gct_matches_full_rebuild() {
+    fn batch_repairs_match_a_full_rebuild_as_the_graph_grows() {
         let (g, _, _) = paper_figure1_graph();
         let mut dynamic = DynamicTsd::from_csr(&g);
-        dynamic.adopt_gct(Arc::new(GctIndex::build(&g)));
         let batches = [
             vec![GraphUpdate::Insert { u: 1, v: 6 }, GraphUpdate::Remove { u: 2, v: 5 }],
             vec![GraphUpdate::Insert { u: 0, v: 20 }, GraphUpdate::Insert { u: 6, v: 20 }],
@@ -378,9 +362,9 @@ mod tests {
             dynamic.apply_batch(batch, &WorkerPool::new(2));
             let now = dynamic.graph().to_csr();
             assert_eq!(dynamic.n(), now.n());
-            assert_eq!(**dynamic.gct_index().unwrap(), GctIndex::build(&now), "after {batch:?}");
             assert_eq!(**dynamic.index(), TsdIndex::build(&now), "after {batch:?}");
         }
+        assert_eq!(dynamic.n(), 21);
     }
 
     /// The carry shares the published graph and index. A batch splices its
@@ -413,8 +397,8 @@ mod tests {
     }
 
     /// An insert whose endpoints share 300 neighbours affects 302 egos, so
-    /// its repair spans two chunks; on any pool, the carried indexes equal
-    /// the sequential builds of the final graph byte for byte.
+    /// its repair spans two chunks; on any pool, the maintained index
+    /// equals the sequential build of the final graph byte for byte.
     #[test]
     fn a_repair_spanning_chunks_equals_the_sequential_builds() {
         let edges = (2..302u32).flat_map(|w| [(0, w), (1, w), (w, w + 1), (w, w + 2)]);
@@ -422,15 +406,12 @@ mod tests {
         let batch = [GraphUpdate::Insert { u: 0, v: 1 }, GraphUpdate::Remove { u: 2, v: 3 }];
         for threads in [1, 2, 4] {
             let mut dynamic = DynamicTsd::from_csr(&g);
-            dynamic.adopt_gct(Arc::new(GctIndex::build(&g)));
             let repair = dynamic.apply_batch(&batch, &WorkerPool::new(threads));
             assert!(repair.repaired > crate::parallel::SCAN_CHUNK, "{repair:?}");
             let now = dynamic.snapshot().clone();
             assert_eq!(now.m(), g.m(), "one insert, one removal");
             let tsd = dynamic.index().to_bytes();
-            assert_eq!(tsd, TsdIndex::build(&now).to_bytes(), "tsd t={threads}");
-            let gct = dynamic.gct_index().unwrap().to_bytes();
-            assert_eq!(gct, GctIndex::build(&now).to_bytes(), "gct t={threads}");
+            assert_eq!(tsd, TsdIndex::build(&now).to_bytes(), "t={threads}");
         }
     }
 

@@ -4,12 +4,11 @@
 //! The paper's experimental lineup (Algorithms 3–8) grew up as four
 //! differently shaped APIs — two free functions and two index structs
 //! whose `top_r` signatures disagreed. [`DiversityEngine`] unifies them:
-//! every engine is built from a graph via [`build_engine`] (or revived from
-//! a fingerprinted bundle via [`crate::SearchService::import_bundle`]),
-//! answers the same
+//! every engine is built from a graph via [`build_engine`] (or attached to
+//! a prebuilt index with `from_parts`), answers the same
 //! [`QuerySpec`], and reports per-query [`crate::SearchMetrics`]. The
-//! [`crate::SearchService`] facade sits on top, adding lazy index construction,
-//! [`EngineKind::Auto`] selection, and batched queries.
+//! [`crate::SearchService`] facade sits on top of the GCT engine, adding
+//! lazy index construction, update repair, and batched queries.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -37,15 +36,15 @@ use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
 use crate::error::{DecodeError, SearchError};
 use crate::gct::GctIndex;
-use crate::parallel::{write_entries, Writes};
+use crate::parallel::{write_gct, write_tsd};
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
 /// Selects which engine answers a query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize)]
 pub enum EngineKind {
-    /// The GCT-index, or the TSD-index when a [`crate::SearchService`]
-    /// has only that one built — resolved before any engine runs.
+    /// The GCT-index: [`build_engine`] builds it, and a
+    /// [`crate::SearchService`] answers with it.
     #[default]
     Auto,
     /// Algorithm 3: full online scan.
@@ -76,8 +75,7 @@ impl EngineKind {
     }
 
     /// Whether this engine kind has a serialized index form
-    /// ([`DiversityEngine::to_bytes`], revivable through
-    /// [`crate::SearchService::import_bundle`]).
+    /// ([`DiversityEngine::to_bytes`], attached again with `from_parts`).
     pub fn serializable(self) -> bool {
         matches!(self, EngineKind::Tsd | EngineKind::Gct)
     }
@@ -206,20 +204,18 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
         Err(SearchError::SerializationUnsupported { engine: self.name() })
     }
 
-    /// The engine's shared [`TsdIndex`], if it is the TSD engine — the
-    /// hook that lets [`crate::SearchService::apply_updates`] *carry* an
-    /// already-built index into a [`crate::dynamic::DynamicTsd`]
-    /// maintenance session (an `Arc` clone) instead of rebuilding from
-    /// scratch. Every other engine returns `None`.
+    /// The engine's shared [`TsdIndex`], if it is the TSD engine (size
+    /// accounting, or seeding a [`crate::dynamic::DynamicTsd`] with an
+    /// `Arc` clone instead of a rebuild). Every other engine returns
+    /// `None`.
     fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         None
     }
 
-    /// The engine's shared [`GctIndex`], if it is the GCT engine — the
-    /// analogous carry hook: [`crate::SearchService::apply_updates`] hands
-    /// it to its [`crate::dynamic::DynamicTsd`], which repairs only the
-    /// affected entries instead of re-decomposing the whole graph. Every
-    /// other engine returns `None`.
+    /// The engine's shared [`GctIndex`], if it is the GCT engine — what
+    /// [`crate::SearchService::apply_updates`] reads from the epoch it
+    /// replaces, to repair only the affected entries instead of
+    /// re-decomposing the whole graph. Every other engine returns `None`.
     fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         None
     }
@@ -298,10 +294,8 @@ impl DiversityEngine for BoundEngine {
     }
 }
 
-/// Algorithms 5–6 behind the trait: the TSD-index.
-///
-/// The index is held behind an [`Arc`] so an update carry can share the
-/// same `TsdIndex` with the epoch that serves it, without a second copy.
+/// Algorithms 5–6 behind the trait: the TSD-index, held behind the [`Arc`]
+/// that [`DiversityEngine::tsd_index`] hands out.
 #[derive(Clone, Debug)]
 pub struct TsdEngine {
     g: Arc<CsrGraph>,
@@ -315,29 +309,24 @@ impl TsdEngine {
         TsdEngine { g, index }
     }
 
-    /// Attaches a prebuilt index to its graph, verifying vertex counts.
+    /// Attaches a prebuilt index to its graph — a decoded one, say, from
+    /// [`TsdIndex::from_bytes`] — after checking that it fits: the vertex
+    /// counts must agree ([`SearchError::GraphMismatch`]), and every forest
+    /// must be a forest over its owner's neighborhood in `g`, or a query
+    /// would panic on it ([`DecodeError::InvalidEntry`]).
     pub fn from_parts(g: Arc<CsrGraph>, index: TsdIndex) -> Result<Self, SearchError> {
-        Self::from_shared(g, Arc::new(index))
-    }
-
-    /// As [`Self::from_parts`] for an index that is already shared — the
-    /// epoch-publish path hands the update carry's own `Arc` to the engine
-    /// without copying the forests.
-    pub fn from_shared(g: Arc<CsrGraph>, index: Arc<TsdIndex>) -> Result<Self, SearchError> {
         if index.n() != g.n() {
             return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
         }
-        Ok(TsdEngine { g, index })
+        if !index.forests_fit(&g) {
+            return Err(DecodeError::InvalidEntry.into());
+        }
+        Ok(TsdEngine { g, index: Arc::new(index) })
     }
 
     /// The underlying index (size accounting, forests, score profiles).
     pub fn index(&self) -> &TsdIndex {
         &self.index
-    }
-
-    /// The underlying index, shared (the epoch-carry handle).
-    pub fn shared_index(&self) -> Arc<TsdIndex> {
-        self.index.clone()
     }
 }
 
@@ -372,7 +361,7 @@ impl DiversityEngine for TsdEngine {
 }
 
 /// Algorithms 7–8 behind the trait: the compressed GCT-index, held behind
-/// an [`Arc`] like [`TsdEngine`]'s so an update carry can share it.
+/// the [`Arc`] that [`DiversityEngine::gct_index`] hands out.
 #[derive(Clone, Debug)]
 pub struct GctEngine {
     g: Arc<CsrGraph>,
@@ -386,28 +375,18 @@ impl GctEngine {
         GctEngine { g, index }
     }
 
-    /// Attaches a prebuilt index to its graph, verifying vertex counts.
+    /// Attaches a prebuilt index to its graph, verifying vertex counts
+    /// ([`GctIndex::from_bytes`] checks a decoded index's entries itself).
     pub fn from_parts(g: Arc<CsrGraph>, index: GctIndex) -> Result<Self, SearchError> {
-        Self::from_shared(g, Arc::new(index))
-    }
-
-    /// As [`Self::from_parts`] for an index that is already shared — the
-    /// epoch-publish path hands the update carry's own `Arc` to the engine.
-    pub fn from_shared(g: Arc<CsrGraph>, index: Arc<GctIndex>) -> Result<Self, SearchError> {
         if index.n() != g.n() {
             return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
         }
-        Ok(GctEngine { g, index })
+        Ok(GctEngine { g, index: Arc::new(index) })
     }
 
     /// The underlying index (size accounting, per-vertex entries).
     pub fn index(&self) -> &GctIndex {
         &self.index
-    }
-
-    /// The underlying index, shared (the epoch-carry handle).
-    pub fn shared_index(&self) -> Arc<GctIndex> {
-        self.index.clone()
     }
 }
 
@@ -444,8 +423,8 @@ impl DiversityEngine for GctEngine {
 /// The factory: builds the engine of the requested kind over `g`, running
 /// an index build on the process-wide [`pool::global`] pool.
 ///
-/// [`EngineKind::Auto`] builds the GCT engine: nothing is built yet, so
-/// there is no TSD-index to prefer.
+/// [`EngineKind::Auto`] builds the GCT engine, the one a
+/// [`crate::SearchService`] answers Auto with.
 pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngine> {
     build_engine_in(kind, g, pool::global())
 }
@@ -466,47 +445,13 @@ pub fn build_engine_in(
         EngineKind::Online => Box::new(OnlineEngine::new(g)),
         EngineKind::Bound => Box::new(BoundEngine::new(g)),
         EngineKind::Tsd => {
-            let (index, _) = write_entries(pool, &g, g.vertices().collect(), Writes::TSD);
+            let index = write_tsd(pool, &g, g.vertices().collect());
             Box::new(TsdEngine { index: Arc::new(index), g })
         }
         EngineKind::Auto | EngineKind::Gct => {
-            let (_, index) = write_entries(pool, &g, g.vertices().collect(), Writes::GCT);
+            let index = write_gct(pool, &g, g.vertices().collect());
             Box::new(GctEngine { index: Arc::new(index), g })
         }
-    }
-}
-
-/// Revives a *raw* serialized index (produced by
-/// [`DiversityEngine::to_bytes`]) as an engine over `g`. Only TSD and GCT
-/// have serialized forms. A TSD forest that is not a forest over its
-/// owner's neighborhood in `g` fails with [`DecodeError::InvalidEntry`]
-/// (GCT entries are checked by [`GctIndex::from_bytes`] itself).
-///
-/// Crate-private since 0.4.0: the attachment check here is by vertex count
-/// only, so a raw blob serialized from a *different* graph with the same
-/// `n` (e.g. an older snapshot after edge churn) would be accepted and
-/// serve that graph's answers. The one public decode path goes through the
-/// fingerprinted bundle layer — [`crate::SearchService::import_bundle`] —
-/// which rejects wrong-graph blobs with [`SearchError::FingerprintMismatch`]
-/// before this function ever runs.
-pub(crate) fn decode_engine(
-    kind: EngineKind,
-    g: Arc<CsrGraph>,
-    bytes: Bytes,
-) -> Result<Box<dyn DiversityEngine>, SearchError> {
-    match kind {
-        EngineKind::Tsd => {
-            let engine = TsdEngine::from_parts(g, TsdIndex::from_bytes(bytes)?)?;
-            if !engine.index.forests_fit(&engine.g) {
-                return Err(DecodeError::InvalidEntry.into());
-            }
-            Ok(Box::new(engine))
-        }
-        EngineKind::Gct => {
-            let index = GctIndex::from_bytes(bytes)?;
-            Ok(Box::new(GctEngine::from_parts(g, index)?))
-        }
-        other => Err(SearchError::SerializationUnsupported { engine: other.name() }),
     }
 }
 
@@ -577,48 +522,50 @@ mod tests {
         }
     }
 
+    /// An index serialized by its engine and attached again with
+    /// `from_parts` answers as the engine did.
     #[test]
     fn trait_level_roundtrip() {
         let (g, v) = figure1();
-        for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            let engine = build_engine(kind, g.clone());
-            let blob = engine.to_bytes().unwrap();
-            let back = decode_engine(kind, g.clone(), blob).unwrap();
+        let tsd = build_engine(EngineKind::Tsd, g.clone());
+        let gct = build_engine(EngineKind::Gct, g.clone());
+        let tsd_back = TsdEngine::from_parts(
+            g.clone(),
+            TsdIndex::from_bytes(tsd.to_bytes().unwrap()).unwrap(),
+        );
+        let gct_back = GctEngine::from_parts(
+            g.clone(),
+            GctIndex::from_bytes(gct.to_bytes().unwrap()).unwrap(),
+        );
+        let backs: [Box<dyn DiversityEngine>; 2] =
+            [Box::new(tsd_back.unwrap()), Box::new(gct_back.unwrap())];
+        for (engine, back) in [tsd, gct].iter().zip(&backs) {
             for k in 2..=5 {
-                assert_eq!(back.score(v, k), engine.score(v, k), "{kind} k={k}");
+                assert_eq!(back.score(v, k), engine.score(v, k), "{} k={k}", engine.name());
             }
         }
     }
 
     #[test]
-    fn decode_engine_rejects_garbage_and_wrong_kinds() {
-        let (g, _) = figure1();
-        assert_eq!(
-            decode_engine(EngineKind::Tsd, g.clone(), Bytes::from_static(b"junk")).unwrap_err(),
-            SearchError::Decode(DecodeError::Truncated)
-        );
-        assert_eq!(
-            decode_engine(EngineKind::Online, g.clone(), Bytes::from_static(b"")).unwrap_err(),
-            SearchError::SerializationUnsupported { engine: "online" }
-        );
+    fn decoding_rejects_garbage_and_wrong_kinds() {
+        let junk = TsdIndex::from_bytes(Bytes::from_static(b"junk")).unwrap_err();
+        assert_eq!(SearchError::from(junk), SearchError::Decode(DecodeError::Truncated));
         // A TSD blob is not a GCT blob.
-        let tsd_blob = build_engine(EngineKind::Tsd, g.clone()).to_bytes().unwrap();
-        assert_eq!(
-            decode_engine(EngineKind::Gct, g, tsd_blob).unwrap_err(),
-            SearchError::Decode(DecodeError::BadMagic)
-        );
+        let (g, _) = figure1();
+        let tsd_blob = build_engine(EngineKind::Tsd, g).to_bytes().unwrap();
+        assert_eq!(GctIndex::from_bytes(tsd_blob).unwrap_err(), DecodeError::BadMagic);
     }
 
     #[test]
-    fn decode_engine_rejects_mismatched_graph() {
+    fn from_parts_rejects_a_mismatched_graph() {
         let (g, _) = figure1();
-        let blob = build_engine(EngineKind::Gct, g.clone()).to_bytes().unwrap();
         let smaller = Arc::new(
             sd_graph::GraphBuilder::new().extend_edges([(0u32, 1u32), (1, 2), (0, 2)]).build(),
         );
-        assert_eq!(
-            decode_engine(EngineKind::Gct, smaller, blob).unwrap_err(),
-            SearchError::GraphMismatch { graph_n: 3, index_n: g.n() }
-        );
+        let mismatch = SearchError::GraphMismatch { graph_n: 3, index_n: g.n() };
+        let gct = GctEngine::from_parts(smaller.clone(), GctIndex::build(&g));
+        assert_eq!(gct.unwrap_err(), mismatch);
+        let tsd = TsdEngine::from_parts(smaller, TsdIndex::build(&g));
+        assert_eq!(tsd.unwrap_err(), mismatch);
     }
 }

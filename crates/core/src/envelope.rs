@@ -6,7 +6,7 @@
 //! validated by vertex count only — a snapshot taken before edge churn (same
 //! `n`, different edges) was accepted and silently served the *old* graph's
 //! answers. [`IndexBundle`] closes that hole: every persisted index — one or
-//! several, say a whole warmed service's TSD + GCT — is framed with a magic
+//! several, say TSD + GCT — is framed with a magic
 //! word, a format version, and the source graph's [`GraphFingerprint`]
 //! (`n`, `m`, and a checksum of the canonical edge list — edge order is
 //! deterministic, so equal edge sets hash equal), and each entry carries
@@ -116,9 +116,9 @@ impl fmt::Display for GraphFingerprint {
 
 /// A versioned frame around one or more engines' serialized indexes, all
 /// guarded by one [`GraphFingerprint`] and each checksummed — the one
-/// persistence unit, whether for a single index or a whole warmed service
-/// (the paper's TSD- and GCT-indexes ship as one artifact, the way related
-/// index-serving systems persist all index layers together).
+/// persistence unit, for a single index or several (the paper's TSD- and
+/// GCT-indexes can ship as one artifact). A service writes and installs
+/// its GCT-index alone, and refuses a bundle that holds a TSD entry.
 ///
 /// Produced by [`crate::SearchService::export_bundle`] and consumed by
 /// [`crate::SearchService::import_bundle`]; [`Self::encode`]/[`Self::decode`]

@@ -130,11 +130,11 @@ pub enum SearchError {
         /// Name of the engine that was asked to (de)serialize.
         engine: &'static str,
     },
-    /// A [`crate::SearchService`] was asked to answer with an engine it
-    /// does not serve: it serves the TSD and GCT indexes
-    /// ([`crate::SearchService::SERVED`]), not the index-free Online and
-    /// Bound scans, which [`crate::build_engine`] still builds. Refused
-    /// before anything is built or scanned.
+    /// A [`crate::SearchService`] was asked for an engine it does not
+    /// serve: it serves the GCT-index ([`crate::SearchService::SERVED`]),
+    /// not the TSD-index or the index-free Online and Bound scans, which
+    /// [`crate::build_engine`] still builds. Refused before anything is
+    /// built, scanned or decoded.
     EngineNotServed {
         /// The kind the query asked for.
         engine: EngineKind,

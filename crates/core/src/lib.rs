@@ -21,17 +21,16 @@
 //! [`hybrid`] for that experiment, not an engine.
 //!
 //! Build any engine with [`build_engine`], or let a [`SearchService`] own
-//! the graph and serve the two indexes ([`SearchService::SERVED`]; a query
-//! for Online or Bound is refused with [`SearchError::EngineNotServed`]),
-//! build each index once behind a per-kind lock (a query that finds its
-//! index unbuilt joins the build, which runs in vertex chunks on the
-//! shared worker pool, and the index answers it), mutate the graph
-//! *under traffic* through epoch-swapped snapshots
-//! ([`SearchService::apply_updates`], which carries the TSD-index across
-//! epochs incrementally via [`dynamic::DynamicTsd`]), and resolve
-//! [`EngineKind::Auto`] to the GCT-index (or to TSD while only TSD is
-//! built) — all through `&self`, so one service shared via `Arc` serves
-//! any number of threads:
+//! the graph and serve the GCT-index ([`SearchService::SERVED`], which
+//! [`EngineKind::Auto`] names; a query for Online, Bound or TSD is refused
+//! with [`SearchError::EngineNotServed`]), build it once behind a lock (a
+//! query that finds the index unbuilt joins the build, which runs in
+//! vertex chunks on the shared worker pool, and the index answers it), and
+//! mutate the graph *under traffic* through epoch-swapped snapshots
+//! ([`SearchService::apply_updates`], which repairs the GCT-index from the
+//! epoch it replaces; [`dynamic::DynamicTsd`] maintains a TSD-index the
+//! same way outside the service) — all through `&self`, so one service
+//! shared via `Arc` serves any number of threads:
 //!
 //! ```
 //! use sd_core::{paper_figure1_edges, QuerySpec, SearchService};
@@ -47,9 +46,9 @@
 //! Queries are validated ([`QuerySpec::new`] rejects `k < 2` / `r == 0`;
 //! the engine rejects `r > n`) and every failure is a [`SearchError`].
 //! Index persistence goes through one fingerprinted frame, the
-//! [`IndexBundle`]: [`SearchService::export_bundle`] writes one index or
-//! several behind a single graph fingerprint, each entry with its own
-//! payload checksum, and [`SearchService::import_bundle`] refuses blobs
+//! [`IndexBundle`]: [`SearchService::export_bundle`] writes the GCT-index
+//! behind the graph's fingerprint, each entry with its own payload
+//! checksum, and [`SearchService::import_bundle`] refuses blobs
 //! built from a different graph or corrupted on the way; there is no
 //! fingerprint-less public decode path. (The 0.2 single-threaded
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
@@ -103,7 +102,7 @@ pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};
 pub use pool::{default_threads as default_pool_threads, Job, WorkerPool, MAX_POOL_THREADS};
 pub use score::{score, social_contexts, EgoDecomposition};
 pub use sd_graph::GraphUpdate;
-pub use service::{SearchService, ServiceStats, UpdateStats, UpdaterCow};
+pub use service::{SearchService, ServiceStats, UpdateStats};
 pub use tcp::{ktruss_communities, TcpIndex};
 pub use topr::TopRCollector;
 pub use tsd::{TsdBuilder, TsdIndex};

@@ -22,7 +22,7 @@
 //! | 3    | `server.tenants`  | the `sd-server` tenant routing table                 |
 //! | 5    | `server.io`       | one I/O-loop thread's command injection queue        |
 //! | 6    | `server.batch`    | one tenant's query-coalescing accumulator            |
-//! | 10   | `svc.updater`     | the retained carry ([`crate::dynamic::DynamicTsd`]: COW adjacency + the published TSD/GCT `Arc`s); serializes `apply_updates` |
+//! | 10   | `svc.updater`     | nothing (`()`): serializes `apply_updates`           |
 //! | 20   | `epoch.ptr`       | the serving-epoch pointer swap                       |
 //! | 30   | `engine.slot`     | one engine cache slot of an epoch                    |
 //!
@@ -40,14 +40,13 @@
 //!   tenant's service while holding the routing-table read lock.
 //!
 //! - `svc.updater → epoch.ptr` — `apply_updates` publishes the next epoch
-//!   while holding the updater carry.
-//! - `svc.updater → engine.slot` — a batch seeds its carry from the old
-//!   epoch's TSD and GCT slots, and `updater_cow` compares the carry's
-//!   indexes with the current epoch's.
+//!   while holding the writer lock.
+//! - `svc.updater → engine.slot` — a batch reads the old epoch's GCT slot
+//!   (blocking, so a build in flight is joined) to repair its index.
 //! - `epoch.ptr → engine.slot` — `import_bundle` installs into the epoch it
 //!   verified, under the epoch read lock.
 //!
-//! A TSD or GCT build runs its vertex chunks on the pool (`run_all`)
+//! A GCT build runs its vertex chunks on the pool (`run_all`)
 //! while holding the `engine.slot` write lock of the slot it will fill,
 //! and an update's repair while holding `svc.updater`. That is safe
 //! because `run_all` never runs another caller's jobs on its caller, and
@@ -115,9 +114,8 @@ pub const SERVER_IO: LockClass = LockClass::new(5, "server.io");
 /// [`crate::SearchService::top_r_many`] batch.
 pub const SERVER_BATCH: LockClass = LockClass::new(6, "server.batch");
 
-/// Serializes [`crate::SearchService::apply_updates`] batches and guards
-/// the retained carry state: the COW graph plus the published TSD and GCT
-/// indexes the next batch repairs against.
+/// Serializes [`crate::SearchService::apply_updates`] batches; it guards
+/// no data, since a batch keeps nothing for the next one.
 pub const SVC_UPDATER: LockClass = LockClass::new(10, "svc.updater");
 
 /// The serving-epoch pointer: readers pin a snapshot, updates swap it.

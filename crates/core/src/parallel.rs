@@ -6,12 +6,14 @@
 //! One per-vertex body writes every entry: it extracts `v`'s ego-network
 //! from a [`CsrGraph`], decomposes it (bitmap peeling up to
 //! [`crate::gct::BITMAP_FALLBACK_THRESHOLD`] ego vertices, classic above),
-//! takes its maximum spanning forest once, and appends `v`'s TSD forest,
-//! GCT entry, or both. One runner maps it over an ascending vertex list
-//! through [`WorkerPool::run_all`], the calling thread taking part: every
-//! vertex for [`crate::build_engine_in`]'s builds, the affected egos for
-//! [`crate::dynamic::DynamicTsd::apply_batch`]'s repair. A 1-thread pool
-//! runs the chunks inline, one after another.
+//! and takes its maximum spanning forest once. One chunked runner maps it
+//! over an ascending vertex list through [`WorkerPool::run_all`], the
+//! calling thread taking part, and `write_tsd` and `write_gct` append
+//! each vertex's TSD forest or GCT entry: over every vertex for
+//! [`crate::build_engine_in`]'s builds, over the affected egos for the
+//! repairs of [`crate::SearchService::apply_updates`] (GCT) and
+//! [`crate::dynamic::DynamicTsd::apply_batch`] (TSD). A 1-thread pool runs
+//! the chunks inline, one after another.
 //!
 //! The Online and Bound engines are not here: they run the paper's
 //! single-threaded Algorithms 3 and 4, so their search spaces are the
@@ -33,7 +35,7 @@
 use std::sync::Arc;
 
 use sd_graph::{CsrGraph, VertexId};
-use sd_truss::vertex_trussness;
+use sd_truss::{vertex_trussness, TrussDecomposition};
 
 use crate::egonet::EgoNetwork;
 use crate::gct::{decompose, GctBuilder, GctIndex};
@@ -44,71 +46,69 @@ use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
 /// — and therefore indexes — never depend on the thread count.
 pub const SCAN_CHUNK: usize = 256;
 
-/// Which indexes a pass of [`write_entries`] writes.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Writes {
-    /// A TSD forest per listed vertex.
-    pub(crate) tsd: bool,
-    /// A GCT entry per listed vertex.
-    pub(crate) gct: bool,
-}
-
-impl Writes {
-    /// A TSD-index build.
-    pub(crate) const TSD: Writes = Writes { tsd: true, gct: false };
-    /// A GCT-index build.
-    pub(crate) const GCT: Writes = Writes { tsd: false, gct: true };
-}
-
-/// The one body that writes index entries (Algorithms 5 and 8): appends
-/// `v`'s entry in `g` to each builder given.
-fn write_entry(
-    g: &CsrGraph,
-    v: VertexId,
-    tsd: Option<&mut TsdBuilder>,
-    gct: Option<&mut GctBuilder>,
-) {
+/// The one body that writes index entries (Algorithms 5 and 8): `v`'s
+/// ego-network in `g`, its truss decomposition, and the maximum spanning
+/// forest a TSD forest and a GCT entry are both written from.
+fn ego_forest(g: &CsrGraph, v: VertexId) -> (EgoNetwork, TrussDecomposition, Vec<(u32, u32, u32)>) {
     let ego = EgoNetwork::extract(g, v);
     let decomposition = decompose(&ego.graph);
     let forest = max_spanning_forest(&ego.graph, &decomposition);
-    if let Some(tsd) = tsd {
-        tsd.push_local_forest(&ego, &forest);
-    }
-    if let Some(gct) = gct {
-        gct.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
-    }
+    (ego, decomposition, forest)
 }
 
-/// The entries of `vertices` (ascending) in `g`, in list order, as a
-/// TSD-index and a GCT-index over `vertices.len()` vertices; an index
-/// `writes` leaves out comes back empty. One pool job per [`SCAN_CHUNK`],
-/// the parts concatenated in chunk order whatever order they finished in.
-pub(crate) fn write_entries(
+/// Runs `chunk` on each [`SCAN_CHUNK`] listed vertices of `vertices`
+/// (ascending) in `g`, one pool job per chunk, and returns the parts in
+/// chunk order whatever order they finished in.
+fn write_chunks<I: Send + 'static>(
     pool: &WorkerPool,
     g: &Arc<CsrGraph>,
     vertices: Arc<[VertexId]>,
-    writes: Writes,
-) -> (TsdIndex, GctIndex) {
+    chunk: fn(&CsrGraph, &[VertexId]) -> I,
+) -> Vec<I> {
     let total = vertices.len();
-    let jobs: Vec<Job<(Option<TsdIndex>, Option<GctIndex>)>> = (0..total.div_ceil(SCAN_CHUNK))
+    let jobs: Vec<Job<I>> = (0..total.div_ceil(SCAN_CHUNK))
         .map(|c| {
             let (graph, vertices) = (g.clone(), vertices.clone());
             Box::new(move || {
-                let chunk = &vertices[c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total)];
-                let mut tsd = writes.tsd.then(|| TsdBuilder::new(chunk.len()));
-                let mut gct = writes.gct.then(|| GctBuilder::new(chunk.len()));
-                for &v in chunk {
-                    write_entry(&graph, v, tsd.as_mut(), gct.as_mut());
-                }
-                (tsd.map(TsdBuilder::finish), gct.map(GctBuilder::finish))
-            }) as Job<_>
+                chunk(&graph, &vertices[c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total)])
+            }) as Job<I>
         })
         .collect();
-    let (tsd, gct): (Vec<_>, Vec<_>) = pool.run_all(jobs).into_iter().unzip();
-    (
-        TsdIndex::concat(tsd.into_iter().flatten().collect()),
-        GctIndex::concat(gct.into_iter().flatten().collect()),
-    )
+    pool.run_all(jobs)
+}
+
+/// The TSD forests of `vertices` (ascending) in `g`, in list order, as a
+/// TSD-index over `vertices.len()` vertices.
+pub(crate) fn write_tsd(
+    pool: &WorkerPool,
+    g: &Arc<CsrGraph>,
+    vertices: Arc<[VertexId]>,
+) -> TsdIndex {
+    TsdIndex::concat(write_chunks(pool, g, vertices, |g, chunk| {
+        let mut out = TsdBuilder::new(chunk.len());
+        for &v in chunk {
+            let (ego, _, forest) = ego_forest(g, v);
+            out.push_local_forest(&ego, &forest);
+        }
+        out.finish()
+    }))
+}
+
+/// The GCT entries of `vertices` (ascending) in `g`, in list order, as a
+/// GCT-index over `vertices.len()` vertices.
+pub(crate) fn write_gct(
+    pool: &WorkerPool,
+    g: &Arc<CsrGraph>,
+    vertices: Arc<[VertexId]>,
+) -> GctIndex {
+    GctIndex::concat(write_chunks(pool, g, vertices, |g, chunk| {
+        let mut out = GctBuilder::new(chunk.len());
+        for &v in chunk {
+            let (ego, decomposition, forest) = ego_forest(g, v);
+            out.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
+        }
+        out.finish()
+    }))
 }
 
 /// A strip of triangles spanning three [`SCAN_CHUNK`]s and ending
@@ -120,12 +120,11 @@ pub(crate) fn triangle_strip() -> Arc<CsrGraph> {
     Arc::new(sd_graph::GraphBuilder::new().extend_edges(edges).build())
 }
 
-/// The TSD-index and the GCT-index of `g`, each written by its own pass of
-/// [`write_entries`] over every vertex, as a build writes them.
+/// The TSD-index and the GCT-index of `g`, each written over every vertex,
+/// as a build writes them.
 #[cfg(test)]
 pub(crate) fn pooled_builds(pool: &WorkerPool, g: &Arc<CsrGraph>) -> (TsdIndex, GctIndex) {
-    let tsd = write_entries(pool, g, g.vertices().collect(), Writes::TSD).0;
-    (tsd, write_entries(pool, g, g.vertices().collect(), Writes::GCT).1)
+    (write_tsd(pool, g, g.vertices().collect()), write_gct(pool, g, g.vertices().collect()))
 }
 
 #[cfg(test)]
@@ -133,8 +132,7 @@ mod tests {
     use super::*;
     use crate::paper::paper_figure1_graph;
 
-    /// Figure 1 is one chunk; the strip is three. A build writes one
-    /// index; a pass that writes both writes the same two.
+    /// Figure 1 is one chunk; the strip is three.
     #[test]
     fn pooled_builds_are_byte_identical() {
         let (g, _, _) = paper_figure1_graph();
@@ -145,15 +143,12 @@ mod tests {
                 let (one, other) = pooled_builds(&pool, &g);
                 assert_eq!(one.to_bytes(), tsd, "tsd t={threads}");
                 assert_eq!(other.to_bytes(), gct, "gct t={threads}");
-                let both = Writes { tsd: true, gct: true };
-                let (one, other) = write_entries(&pool, &g, g.vertices().collect(), both);
-                assert_eq!((one.to_bytes(), other.to_bytes()), (tsd.clone(), gct.clone()));
             }
         }
     }
 
     /// A pass over a vertex list writes exactly those vertices' entries,
-    /// in list order; the index it leaves out is empty.
+    /// in list order.
     #[test]
     fn a_listed_pass_writes_the_listed_entries_in_order() {
         let g = triangle_strip();
@@ -161,13 +156,13 @@ mod tests {
         let listed: Vec<VertexId> = (0..g.n() as VertexId).step_by(3).collect();
         for threads in [1, 2] {
             let pool = WorkerPool::new(threads);
-            let (part, none) = write_entries(&pool, &g, listed.clone().into(), Writes::TSD);
-            assert_eq!((part.n(), none.n()), (listed.len(), 0));
+            let part = write_tsd(&pool, &g, listed.clone().into());
+            assert_eq!(part.n(), listed.len());
             for (i, &v) in listed.iter().enumerate() {
                 assert!(part.forest(i as VertexId).eq(tsd.forest(v)), "tsd {v} t={threads}");
             }
-            let (none, part) = write_entries(&pool, &g, listed.clone().into(), Writes::GCT);
-            assert_eq!((none.n(), part.n()), (0, listed.len()));
+            let part = write_gct(&pool, &g, listed.clone().into());
+            assert_eq!(part.n(), listed.len());
             for (i, &v) in listed.iter().enumerate() {
                 assert_eq!(part.entry(i as VertexId), gct.entry(v), "gct {v} t={threads}");
             }

@@ -1,37 +1,38 @@
 //! [`SearchService`]: the concurrent serving layer — one shared graph, the
-//! paper's two indexes (TSD and GCT) built lazily, `&self` queries from any
-//! number of threads, index builds that run in chunks on the shared worker
-//! pool, and **epoch-swapped snapshots** so the graph itself can mutate
-//! under traffic.
+//! paper's GCT-index built lazily, `&self` queries from any number of
+//! threads, index builds that run in chunks on the shared worker pool, and
+//! **epoch-swapped snapshots** so the graph itself can mutate under
+//! traffic.
 //!
 //! The paper frames structural diversity search as an *online service* over
 //! a large social graph; a production deployment answers many `(k, r)`
 //! queries concurrently against a graph that keeps evolving (Section 5.3's
 //! dynamic-update remark). `SearchService` is built for exactly that shape:
 //!
-//! * **it serves the indexes** ([`SearchService::SERVED`]: TSD and GCT,
-//!   plus [`EngineKind::Auto`], which resolves to one of them). The
-//!   index-free Online and Bound scans (Algorithms 3 and 4) are the
-//!   paper's baselines, not a serving path: a query for either is refused
-//!   with [`SearchError::EngineNotServed`] before anything is built or
-//!   scanned, and [`crate::build_engine`] still builds them;
+//! * **it serves the GCT-index** ([`SearchService::SERVED`]), the paper's
+//!   compressed form of the TSD-index, and [`EngineKind::Auto`] names it.
+//!   The index-free Online and Bound scans (Algorithms 3 and 4) and the
+//!   uncompressed TSD-index (Algorithms 5–6) are the paper's baselines,
+//!   not a serving path: a query, warmup, export or import naming one of
+//!   them is refused with [`SearchError::EngineNotServed`] before anything
+//!   is built, scanned or decoded, and [`crate::build_engine`] still
+//!   builds them;
 //! * all per-graph state — the `Arc<CsrGraph>`, its [`GraphFingerprint`],
-//!   and one engine slot per served kind — lives in one immutable
-//!   *epoch*; queries clone the current epoch's `Arc` and run entirely
-//!   against that snapshot, so a concurrent [`SearchService::apply_updates`]
-//!   can never tear a query between two graphs;
-//! * each engine slot is an interior-mutable cache (`RwLock` per served
-//!   [`EngineKind`]) holding an `Arc<dyn DiversityEngine>`; construction
-//!   happens under the slot's write lock, double-checked, so every engine
-//!   is built exactly once per epoch no matter how many threads race;
+//!   and the engine slot — lives in one immutable *epoch*; queries clone
+//!   the current epoch's `Arc` and run entirely against that snapshot, so
+//!   a concurrent [`SearchService::apply_updates`] can never tear a query
+//!   between two graphs;
+//! * the engine slot is an interior-mutable cache (an `RwLock`) holding an
+//!   `Arc<dyn DiversityEngine>`; construction happens under the slot's
+//!   write lock, double-checked, so the index is built exactly once per
+//!   epoch no matter how many threads race;
 //! * **a cold query costs one parallel build**: [`SearchService::top_r`]
-//!   on an unbuilt TSD/GCT engine joins that engine's build — running it
-//!   on the calling thread if nobody has started it — and the index
-//!   answers. Every build runs in fixed vertex chunks on the
-//!   **process-wide [`WorkerPool`]** (shared by every service in the
-//!   process), with the building thread taking part, so the query pays
-//!   for that build instead of a full per-ego scan competing with it for
-//!   the same cores;
+//!   on an unbuilt index joins its build — running it on the calling
+//!   thread if nobody has started it — and the index answers. Every build
+//!   runs in fixed vertex chunks on the **process-wide [`WorkerPool`]**
+//!   (shared by every service in the process), with the building thread
+//!   taking part, so the query pays for that build instead of a full
+//!   per-ego scan competing with it for the same cores;
 //! * **queries use the hardware**: besides the index builds, the same
 //!   pool fans [`SearchService::top_r_many`] batches out as independent
 //!   tasks, each pinned to the batch's epoch snapshot. A lone query runs
@@ -41,23 +42,23 @@
 //!   surface what the pool is doing for this service;
 //! * **the graph is mutable under traffic**:
 //!   [`SearchService::apply_updates`] applies a batch of edge
-//!   insertions/deletions, carries the TSD- and GCT-indexes across
-//!   *incrementally* (the [`DynamicTsd`] affected-ego-network repair — only
-//!   the endpoints' and their common neighbors' entries are recomputed,
-//!   never the whole index), re-enqueues a scheduled index it could not
-//!   carry, and publishes the next epoch with a single pointer
-//!   swap; in-flight queries keep reading their snapshot, new queries see
-//!   the new graph;
+//!   insertions/deletions to the published snapshot, repairs the
+//!   GCT-index *incrementally* from the epoch it replaces (only the
+//!   endpoints' and their common neighbors' entries are recomputed, never
+//!   the whole index), re-enqueues a scheduled build it could not repair,
+//!   and publishes the next epoch with a single pointer swap; in-flight
+//!   queries keep reading their snapshot, new queries see the new graph.
+//!   Nothing is kept between batches;
 //! * [`SearchService::warmup`] is non-blocking (it enqueues); the matching
-//!   join is [`SearchService::wait_ready`], which returns once the named
-//!   engines are built — lending the calling thread to any build not yet
-//!   started, so it can never wait on an empty queue;
+//!   join is [`SearchService::wait_ready`], which returns once the index
+//!   is built — lending the calling thread to a build not yet started, so
+//!   it can never wait on an empty queue;
 //! * query, build, cold-query, and epoch counters are atomics, surfaced as
 //!   [`ServiceStats`] (including `epochs`, `updates_applied`, and
-//!   `incremental_tsd_carries`);
+//!   `gct_repairs`);
 //! * persistence goes through one fingerprinted, checksummed frame:
-//!   [`SearchService::export_bundle`] writes one index or several behind a
-//!   single fingerprint, and [`SearchService::import_bundle`] reads it back.
+//!   [`SearchService::export_bundle`] writes the index behind the graph's
+//!   fingerprint, and [`SearchService::import_bundle`] reads it back.
 //!   Every epoch has its own fingerprint, so the import refuses
 //!   blobs from any other graph — including this service's *own*
 //!   pre-update epochs. It is computed once per epoch, on first use
@@ -73,9 +74,9 @@
 //! let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
 //! let service = Arc::new(SearchService::new(g));
 //! // Non-blocking warmup + explicit join: after `wait_ready` returns, the
-//! // named engines serve every query without a build.
-//! service.warmup([EngineKind::Tsd, EngineKind::Gct]);
-//! service.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
+//! // index serves every query without a build.
+//! service.warmup([EngineKind::Gct]);
+//! service.wait_ready([EngineKind::Gct]);
 //!
 //! // `&self` queries — clone the Arc into any number of worker threads.
 //! let spec = QuerySpec::new(4, 1)?;
@@ -86,11 +87,11 @@
 //! assert_eq!(service.top_r(&spec)?.entries[0].score, 3);
 //! assert_eq!(handle.join().unwrap()?, 3);
 //!
-//! // The graph mutates *under* that traffic: the TSD-index is carried
-//! // incrementally into the new epoch, not rebuilt.
+//! // The graph mutates *under* that traffic: the GCT-index is repaired
+//! // into the new epoch, not rebuilt.
 //! let stats = service.apply_updates(&[GraphUpdate::Remove { u: 2, v: 5 }])?;
-//! assert_eq!((stats.applied, stats.tsd_carried), (1, true));
-//! assert_eq!(service.top_r(&spec.with_engine(EngineKind::Tsd))?.entries[0].score, 3);
+//! assert_eq!((stats.applied, stats.gct_carried), (1, true));
+//! assert_eq!(service.top_r(&spec)?.entries[0].score, 3);
 //! # Ok::<(), sd_core::SearchError>(())
 //! ```
 
@@ -101,18 +102,17 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use sd_graph::{CowStats, CsrGraph, DynamicGraph, GraphUpdate, VertexId};
+use sd_graph::{CsrGraph, DynamicGraph, GraphUpdate};
 
 use crate::cancel::CancelToken;
 use crate::config::TopRResult;
-use crate::dynamic::DynamicTsd;
-use crate::engine::{
-    build_engine_in, decode_engine, DiversityEngine, EngineKind, GctEngine, QuerySpec, TsdEngine,
-};
+use crate::dynamic::apply_ops;
+use crate::engine::{build_engine_in, DiversityEngine, EngineKind, GctEngine, QuerySpec};
 use crate::envelope::{GraphFingerprint, IndexBundle};
 use crate::error::SearchError;
+use crate::gct::GctIndex;
 use crate::lock_order;
-use crate::parallel::{write_entries, Writes};
+use crate::parallel::write_gct;
 use crate::pool::{self, Job, WorkerPool};
 
 /// How far past the published graph's vertex count an update batch may
@@ -125,27 +125,51 @@ const GROWTH_FLOOR: usize = 1 << 16;
 /// See [`GROWTH_FLOOR`]: each op may name two new vertices.
 const GROWTH_PER_OP: usize = 2;
 
-/// One engine slot: a lazily initialized, concurrently readable cache.
+/// The engine slot: a lazily initialized, concurrently readable cache.
 /// Construction happens *under the write lock* (double-checked), which is
-/// what makes "exactly one build per kind per epoch" a structural guarantee
-/// rather than a counter discipline.
+/// what makes "exactly one build per epoch" a structural guarantee rather
+/// than a counter discipline.
 type EngineSlot = RwLock<Option<Arc<dyn DiversityEngine>>>;
+
+/// The one place that decides what a service serves:
+/// [`SearchService::SERVED`], which [`EngineKind::Auto`] names. Any other
+/// kind is [`SearchError::EngineNotServed`].
+fn served(kind: EngineKind) -> Result<(), SearchError> {
+    if kind == EngineKind::Auto || SearchService::SERVED.contains(&kind) {
+        Ok(())
+    } else {
+        Err(SearchError::EngineNotServed { engine: kind })
+    }
+}
+
+/// Whether `kind` may travel in a bundle this service writes or reads: an
+/// index-free kind has nothing to carry
+/// ([`SearchError::SerializationUnsupported`]), and an index the service
+/// does not serve is refused as [`served`] refuses it.
+fn bundled(kind: EngineKind) -> Result<(), SearchError> {
+    match kind {
+        EngineKind::Online | EngineKind::Bound => {
+            Err(SearchError::SerializationUnsupported { engine: kind.name() })
+        }
+        index => served(index),
+    }
+}
 
 /// Snapshot of a service's atomic counters ([`SearchService::stats`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
-    /// Successful queries served over the service's lifetime: the sum of
-    /// `queries_by_engine`.
+    /// Successful queries served over the service's lifetime, each
+    /// answered by the GCT-index.
     pub queries_served: usize,
-    /// Engines constructed (cache misses across all epochs; grows past one
-    /// per concrete kind when updates publish new epochs or indexes are
-    /// re-imported).
+    /// Engines constructed or installed across all epochs: each build,
+    /// each epoch an update publishes with a repaired index, and each
+    /// import.
     pub engines_built: usize,
     /// Engines constructed by a scheduled pool job — a warmup's, or an
     /// update's re-queued build (a subset of `engines_built`).
     pub background_builds: usize,
-    /// Queries that found their TSD or GCT index unbuilt, and so joined
-    /// its build before the index answered them.
+    /// Queries that found their GCT-index unbuilt, and so joined its build
+    /// before the index answered them.
     pub foreground_fallbacks: usize,
     /// Epochs published so far; 1 until the first successful
     /// [`SearchService::apply_updates`].
@@ -153,17 +177,9 @@ pub struct ServiceStats {
     /// Edge updates that mutated the graph over the service's lifetime
     /// (rejected no-ops are not counted).
     pub updates_applied: usize,
-    /// Epoch publications whose TSD-index was carried *incrementally* —
-    /// repaired per affected ego-network from retained state — rather than
-    /// built from scratch. At most one less than `epochs`.
-    pub incremental_tsd_carries: usize,
     /// GCT entries repaired in place by affected-region re-decomposition
     /// across all update batches ([`UpdateStats::gct_repairs`], summed).
     pub gct_repairs: usize,
-    /// Successful queries answered per served engine, in
-    /// [`SearchService::SERVED`] order ([`EngineKind::Auto`] queries count
-    /// toward the engine they resolved to).
-    pub queries_by_engine: [usize; SearchService::SERVED.len()],
     /// Worker threads currently alive in the [`WorkerPool`] this service
     /// schedules onto. The pool is process-wide by default, so this is a
     /// *shared* figure — N services over the global pool report the same
@@ -172,15 +188,6 @@ pub struct ServiceStats {
     /// Successful queries that ran as [`SearchService::top_r_many`]
     /// fan-out tasks on the pool.
     pub parallel_queries: usize,
-}
-
-impl ServiceStats {
-    /// Queries answered by `kind`: 0 for a kind the service does not
-    /// serve, and for [`EngineKind::Auto`], which is always resolved to a
-    /// served engine before serving.
-    pub fn queries_for(&self, kind: EngineKind) -> usize {
-        ServiceCore::slot(kind).map_or(0, |slot| self.queries_by_engine[slot])
-    }
 }
 
 /// Outcome of one [`SearchService::apply_updates`] batch.
@@ -195,24 +202,19 @@ pub struct UpdateStats {
     /// of absent edges) and ops naming a vertex past the batch's growth
     /// bound (see [`SearchService::apply_updates`]).
     pub rejected: usize,
-    /// Ego-network forests the applied updates invalidated, `2 + |N(u) ∩
-    /// N(v)|` per applied update — counted once per update that touched
-    /// them, so a vertex two updates touch counts twice here and is
-    /// re-decomposed once (`gct_repairs`).
+    /// Ego-networks the applied updates invalidated, `2 + |N(u) ∩ N(v)|`
+    /// per applied update — counted once per update that touched them, so
+    /// a vertex two updates touch counts twice here and is re-decomposed
+    /// once (`gct_repairs`).
     pub tsd_repairs: usize,
-    /// Whether the new epoch's TSD-index was carried from retained state
-    /// (an earlier batch's [`DynamicTsd`] or an already-built TSD engine)
-    /// rather than seeded by a from-scratch build in this call.
-    pub tsd_carried: bool,
     /// Distinct ego-networks re-decomposed for this batch, each once
-    /// against the final graph, with one decomposition feeding both its
-    /// TSD forest and its GCT entry. 0 when GCT was not carried (no built
-    /// GCT engine to seed from) or the batch published nothing.
+    /// against the final graph. 0 when GCT was not carried (no built GCT
+    /// engine to repair) or the batch published nothing.
     pub gct_repairs: usize,
     /// Whether the new epoch's GCT engine was published warm from
     /// affected-region repair. False when the old epoch had no built GCT
-    /// engine to seed the carry from — then a GCT build that was scheduled
-    /// is re-queued on the new epoch — or when the batch published nothing.
+    /// engine to repair — then a GCT build that was scheduled is re-queued
+    /// on the new epoch — or when the batch published nothing.
     pub gct_carried: bool,
     /// Vertex count of the published graph.
     pub n: usize,
@@ -234,24 +236,23 @@ struct EpochState {
     /// the stats verb read it, so neither construction nor a publish pays
     /// the `O(m)` hash.
     fingerprint: OnceLock<GraphFingerprint>,
-    /// One slot per served engine, in [`SearchService::SERVED`] order.
-    slots: [EngineSlot; SearchService::SERVED.len()],
-    /// One latch per slot: set by the first thread to enqueue that kind in
-    /// this epoch, so a cold-start spike of N threads produces one queue
-    /// entry, not N.
-    scheduled: [AtomicBool; SearchService::SERVED.len()],
+    /// The GCT engine, once built, repaired or imported.
+    slot: EngineSlot,
+    /// Set by the first thread to enqueue the build in this epoch, so a
+    /// cold-start spike of N threads produces one queue entry, not N.
+    scheduled: AtomicBool,
 }
 
 impl EpochState {
-    /// A fresh epoch over `graph`, all engine slots cold and the
+    /// A fresh epoch over `graph`, the engine slot cold and the
     /// fingerprint not yet computed.
     fn over(id: u64, graph: Arc<CsrGraph>) -> Self {
         EpochState {
             id,
             graph,
             fingerprint: OnceLock::new(),
-            slots: std::array::from_fn(|_| lock_order::ENGINE_SLOT.rwlock(None)),
-            scheduled: std::array::from_fn(|_| AtomicBool::new(false)),
+            slot: lock_order::ENGINE_SLOT.rwlock(None),
+            scheduled: AtomicBool::new(false),
         }
     }
 
@@ -260,41 +261,23 @@ impl EpochState {
         *self.fingerprint.get_or_init(|| GraphFingerprint::of(&self.graph))
     }
 
-    /// Non-blocking cache probe: `None` when `kind` is not served, when
-    /// its engine was never built, and while it is *being* built (the
-    /// builder holds the write lock) — the serving path's "is my index
-    /// unbuilt" test, and [`Self::resolve`]'s "is it built" one.
-    fn cached(&self, kind: EngineKind) -> Option<Arc<dyn DiversityEngine>> {
-        self.slots[ServiceCore::slot(kind).ok()?].try_read()?.clone() // lock: engine.slot
+    /// Non-blocking cache probe: `None` when the engine was never built,
+    /// and while it is *being* built (the builder holds the write lock) —
+    /// the serving path's "is my index unbuilt" test.
+    fn cached(&self) -> Option<Arc<dyn DiversityEngine>> {
+        self.slot.try_read()?.clone() // lock: engine.slot
     }
 
-    fn is_built(&self, kind: EngineKind) -> bool {
-        self.cached(kind).is_some()
+    fn is_built(&self) -> bool {
+        self.cached().is_some()
     }
 
-    /// Resolves [`EngineKind::Auto`] in this epoch: GCT, or TSD while TSD
-    /// is built and GCT is not. Concrete kinds resolve to themselves.
-    fn resolve(&self, kind: EngineKind) -> EngineKind {
-        match kind {
-            EngineKind::Auto
-                if !self.is_built(EngineKind::Gct) && self.is_built(EngineKind::Tsd) =>
-            {
-                EngineKind::Tsd
-            }
-            EngineKind::Auto => EngineKind::Gct,
-            concrete => concrete,
-        }
-    }
-
-    /// Resolves `spec`'s engine and checks the spec against this epoch,
-    /// before anything is built or scanned: a kind the service does not
-    /// serve is refused, and so is an `r` past the vertex count. Returns
-    /// the resolved kind and its slot.
-    fn check(&self, spec: &QuerySpec) -> Result<(EngineKind, usize), SearchError> {
-        let kind = self.resolve(spec.engine());
-        let slot = ServiceCore::slot(kind)?;
-        spec.config().check_against(self.graph.n())?;
-        Ok((kind, slot))
+    /// Checks `spec` against this epoch before anything is built or
+    /// scanned: a kind the service does not serve is refused, and so is an
+    /// `r` past the vertex count.
+    fn check(&self, spec: &QuerySpec) -> Result<(), SearchError> {
+        served(spec.engine())?;
+        spec.config().check_against(self.graph.n())
     }
 }
 
@@ -313,49 +296,34 @@ struct ServiceCore {
     /// Set when the owning `SearchService` drops; scheduled build jobs
     /// still queued become no-ops.
     shutdown: AtomicBool,
+    queries_served: AtomicUsize,
     engines_built: AtomicUsize,
     background_builds: AtomicUsize,
     foreground_fallbacks: AtomicUsize,
     epochs: AtomicUsize,
     updates_applied: AtomicUsize,
-    incremental_tsd_carries: AtomicUsize,
     gct_repairs: AtomicUsize,
     parallel_queries: AtomicUsize,
-    queries_by_slot: [AtomicUsize; SearchService::SERVED.len()],
 }
 
 impl ServiceCore {
-    /// Where `kind` sits in [`SearchService::SERVED`], and so which engine
-    /// slot, schedule latch and query counter are its own; a kind the
-    /// service does not serve is [`SearchError::EngineNotServed`]. This is
-    /// the one place that decides what a service serves. Callers resolve
-    /// [`EngineKind::Auto`] first.
-    fn slot(kind: EngineKind) -> Result<usize, SearchError> {
-        SearchService::SERVED
-            .iter()
-            .position(|&served| served == kind)
-            .ok_or(SearchError::EngineNotServed { engine: kind })
-    }
-
     /// The serving epoch, pinned: the returned snapshot stays valid (and
     /// immutable) however many updates publish after this call.
     fn current(&self) -> Arc<EpochState> {
         self.current.read().clone() // lock: epoch.ptr
     }
 
-    /// The engine of the served kind at `slot` in `epoch`, built on the
-    /// calling thread if absent. Blocks while another thread builds the
-    /// same kind (and then reuses that build); returns whether *this* call
-    /// performed the build.
-    fn build_if_absent(&self, epoch: &EpochState, slot: usize) -> (Arc<dyn DiversityEngine>, bool) {
-        let (kind, cell) = (SearchService::SERVED[slot], &epoch.slots[slot]);
-        let cached = cell.read().clone(); // lock: engine.slot
+    /// The GCT engine of `epoch`, built on the calling thread if absent.
+    /// Blocks while another thread builds it (and then reuses that build);
+    /// returns whether *this* call performed the build.
+    fn build_if_absent(&self, epoch: &EpochState) -> (Arc<dyn DiversityEngine>, bool) {
+        let cached = epoch.slot.read().clone(); // lock: engine.slot
         if let Some(engine) = cached {
             return (engine, false);
         }
         // Double-check under the write lock: another thread may have built
         // the engine while we waited for it.
-        let mut guard = cell.write(); // lock: engine.slot
+        let mut guard = epoch.slot.write(); // lock: engine.slot
         if let Some(engine) = guard.as_ref() {
             return (engine.clone(), false);
         }
@@ -365,41 +333,37 @@ impl ServiceCore {
         // `run_all`, which never runs another caller's jobs on this thread
         // and hands each chunk's output back by value, so no chunk locks.
         let engine: Arc<dyn DiversityEngine> =
-            Arc::from(build_engine_in(kind, epoch.graph.clone(), &self.pool));
+            Arc::from(build_engine_in(EngineKind::Gct, epoch.graph.clone(), &self.pool));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         *guard = Some(engine.clone());
         (engine, true)
     }
 
-    /// Installs an externally produced engine into `epoch`'s `slot`,
-    /// replacing any cached one.
-    fn install(&self, epoch: &EpochState, slot: usize, engine: Arc<dyn DiversityEngine>) {
+    /// Installs an externally produced engine into `epoch`, replacing any
+    /// cached one.
+    fn install(&self, epoch: &EpochState, engine: Arc<dyn DiversityEngine>) {
         self.engines_built.fetch_add(1, Ordering::Relaxed);
-        *epoch.slots[slot].write() = Some(engine); // lock: engine.slot
+        *epoch.slot.write() = Some(engine); // lock: engine.slot
     }
 
-    /// Enqueues a background build of the served kind at `slot` onto the
-    /// shared pool, exactly once per epoch (later calls are no-ops, as are
-    /// queued jobs for a kind that got built through another path first).
-    fn schedule_build(self: &Arc<Self>, epoch: &EpochState, slot: usize) {
-        let latch = &epoch.scheduled[slot];
+    /// Enqueues a background build of `epoch`'s index onto the shared
+    /// pool, exactly once per epoch (later calls are no-ops, as are queued
+    /// jobs for an index that got built through another path first).
+    fn schedule_build(self: &Arc<Self>, epoch: &EpochState) {
+        let latch = &epoch.scheduled;
         if latch.compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed).is_ok() {
             let core = self.clone();
-            self.pool.submit(move || core.run_scheduled_build(slot));
+            self.pool.submit(move || core.run_scheduled_build());
         }
     }
 
     /// [`Self::build_if_absent`] with a panicking build contained: the
-    /// slot stays empty, the kind's schedule latch resets, and `None` comes
-    /// back, so a later query, job or `wait_ready` retries the build.
-    fn join_build(
-        &self,
-        epoch: &EpochState,
-        slot: usize,
-    ) -> Option<(Arc<dyn DiversityEngine>, bool)> {
-        let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch, slot)));
+    /// slot stays empty, the schedule latch resets, and `None` comes back,
+    /// so a later query, job or `wait_ready` retries the build.
+    fn join_build(&self, epoch: &EpochState) -> Option<(Arc<dyn DiversityEngine>, bool)> {
+        let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch)));
         if build.is_err() {
-            epoch.scheduled[slot].store(false, Ordering::Relaxed);
+            epoch.scheduled.store(false, Ordering::Relaxed);
         }
         build.ok()
     }
@@ -407,14 +371,14 @@ impl ServiceCore {
     /// One scheduled build job, run by a pool worker. Resolved against the
     /// epoch current *at execution time* — a job that raced an
     /// [`SearchService::apply_updates`] warms the live graph, never a
-    /// superseded snapshot. Jobs for a kind that got built in the meantime
-    /// — by a query, `wait_ready`, a blocking `engine()` call, or an
-    /// import — are no-ops, as are jobs outliving their dropped service.
-    fn run_scheduled_build(&self, slot: usize) {
+    /// superseded snapshot. A job whose index got built in the meantime —
+    /// by a query, `wait_ready`, a blocking `engine()` call, or an import
+    /// — is a no-op, as is a job outliving its dropped service.
+    fn run_scheduled_build(&self) {
         if self.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        if let Some((_, true)) = self.join_build(&self.current(), slot) {
+        if let Some((_, true)) = self.join_build(&self.current()) {
             self.background_builds.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -429,8 +393,8 @@ impl ServiceCore {
         spec: &QuerySpec,
         fanned: bool,
     ) -> Result<TopRResult, SearchError> {
-        let (kind, slot) = epoch.check(spec)?;
-        let engine = match epoch.cached(kind) {
+        epoch.check(spec)?;
+        let engine = match epoch.cached() {
             Some(engine) => engine,
             None => {
                 // Unbuilt: join the build (running it here if nobody has
@@ -438,7 +402,7 @@ impl ServiceCore {
                 // build fails this query alone — it must not unwind into
                 // a batch leader.
                 self.foreground_fallbacks.fetch_add(1, Ordering::Relaxed);
-                self.join_build(epoch, slot)
+                self.join_build(epoch)
                     .ok_or(SearchError::Internal {
                         invariant: "an engine build completes without panicking",
                     })?
@@ -446,7 +410,7 @@ impl ServiceCore {
             }
         };
         let result = engine.top_r(spec)?;
-        self.queries_by_slot[slot].fetch_add(1, Ordering::Relaxed);
+        self.queries_served.fetch_add(1, Ordering::Relaxed);
         if fanned {
             self.parallel_queries.fetch_add(1, Ordering::Relaxed);
         }
@@ -454,13 +418,12 @@ impl ServiceCore {
     }
 }
 
-/// Thread-safe facade over the TSD and GCT indexes: owns the graph,
-/// builds each index once per epoch behind per-kind locks (in chunks on
-/// the shared pool), routes [`QuerySpec`]s (including
-/// [`EngineKind::Auto`]) through `&self` methods, refuses the kinds it does
-/// not serve, mutates the graph under traffic via epoch-swapped snapshots
-/// ([`Self::apply_updates`]), and imports/exports indexes as fingerprinted
-/// index bundles.
+/// Thread-safe facade over the GCT-index: owns the graph, builds the index
+/// once per epoch behind a lock (in chunks on the shared pool), routes
+/// [`QuerySpec`]s through `&self` methods, refuses the kinds it does not
+/// serve, mutates the graph under traffic via epoch-swapped snapshots
+/// ([`Self::apply_updates`]), and imports/exports the index as a
+/// fingerprinted index bundle.
 ///
 /// Share it as `Arc<SearchService>`; every method takes `&self`.
 ///
@@ -470,30 +433,10 @@ impl ServiceCore {
 /// service's internal core `Arc`, which it releases when it finishes.
 pub struct SearchService {
     core: Arc<ServiceCore>,
-    /// Serializes writers and retains the incremental maintenance state
-    /// between batches: the copy-on-write graph and the published TSD (and
-    /// GCT, once seeded) indexes. Held only by [`Self::apply_updates`]
-    /// (and the read-only [`Self::updater_cow`] diagnostic) — the query
-    /// path never touches it.
-    updater: Mutex<Option<DynamicTsd>>,
-}
-
-/// Copy-on-write diagnostics for the retained updater
-/// ([`SearchService::updater_cow`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UpdaterCow {
-    /// Shared-vs-owned adjacency slot accounting.
-    pub stats: CowStats,
-    /// Whether every shared slot serves the current epoch's CSR storage
-    /// verbatim (pointer + length identity, not just equal contents) —
-    /// i.e. the updater is genuinely aliasing the published graph rather
-    /// than holding a private copy.
-    pub aliases_current_epoch: bool,
-    /// Whether the retained TSD-index — and GCT-index, when carried — is
-    /// the very `Arc` the current epoch's engine serves (pointer
-    /// identity): the publish handed the updater's indexes to the epoch
-    /// and kept no copy aside.
-    pub indexes_alias_current_epoch: bool,
+    /// Serializes writers: held by [`Self::apply_updates`] from reading
+    /// the published epoch to publishing the next, so batches apply in
+    /// call order. The query path never touches it.
+    updater: Mutex<()>,
 }
 
 impl std::fmt::Debug for SearchService {
@@ -519,12 +462,12 @@ impl Drop for SearchService {
 }
 
 impl SearchService {
-    /// The engine kinds a service serves, in slot order: the paper's two
-    /// indexes. [`EngineKind::Auto`] resolves to one of them. A query for
-    /// any other kind — the index-free Online and Bound scans — fails with
+    /// The engine kinds a service serves: the GCT-index, which
+    /// [`EngineKind::Auto`] names. A query for any other kind — the
+    /// index-free Online and Bound scans, and the TSD-index — fails with
     /// [`SearchError::EngineNotServed`] before anything is built or
     /// scanned; build those with [`crate::build_engine`].
-    pub const SERVED: [EngineKind; 2] = [EngineKind::Tsd, EngineKind::Gct];
+    pub const SERVED: [EngineKind; 1] = [EngineKind::Gct];
 
     /// A service over `graph`, scheduling onto the **process-wide**
     /// [`pool::global`] worker pool. No engine and no thread is built yet,
@@ -556,17 +499,16 @@ impl SearchService {
             current: lock_order::EPOCH_PTR.rwlock(Arc::new(EpochState::over(0, graph))),
             pool,
             shutdown: AtomicBool::new(false),
+            queries_served: AtomicUsize::new(0),
             engines_built: AtomicUsize::new(0),
             background_builds: AtomicUsize::new(0),
             foreground_fallbacks: AtomicUsize::new(0),
             epochs: AtomicUsize::new(1),
             updates_applied: AtomicUsize::new(0),
-            incremental_tsd_carries: AtomicUsize::new(0),
             gct_repairs: AtomicUsize::new(0),
             parallel_queries: AtomicUsize::new(0),
-            queries_by_slot: std::array::from_fn(|_| AtomicUsize::new(0)),
         });
-        SearchService { core, updater: lock_order::SVC_UPDATER.mutex(None) }
+        SearchService { core, updater: lock_order::SVC_UPDATER.mutex(()) }
     }
 
     /// The graph the *current* epoch answers queries about, as a pinned
@@ -601,59 +543,17 @@ impl SearchService {
     /// counters are exact; mutual consistency is best-effort under
     /// concurrent traffic (they are independent relaxed atomics).
     pub fn stats(&self) -> ServiceStats {
-        let queries_by_engine: [usize; Self::SERVED.len()] =
-            std::array::from_fn(|i| self.core.queries_by_slot[i].load(Ordering::Relaxed));
         ServiceStats {
-            queries_served: queries_by_engine.iter().sum(),
+            queries_served: self.core.queries_served.load(Ordering::Relaxed),
             engines_built: self.core.engines_built.load(Ordering::Relaxed),
             background_builds: self.core.background_builds.load(Ordering::Relaxed),
             foreground_fallbacks: self.core.foreground_fallbacks.load(Ordering::Relaxed),
             epochs: self.core.epochs.load(Ordering::Relaxed),
             updates_applied: self.core.updates_applied.load(Ordering::Relaxed),
-            incremental_tsd_carries: self.core.incremental_tsd_carries.load(Ordering::Relaxed),
             gct_repairs: self.core.gct_repairs.load(Ordering::Relaxed),
-            queries_by_engine,
             pool_threads: self.core.pool.spawned_threads(),
             parallel_queries: self.core.parallel_queries.load(Ordering::Relaxed),
         }
-    }
-
-    /// Copy-on-write diagnostics for the retained updater: `None` when no
-    /// update session is active (nothing retained yet), otherwise the
-    /// shared/owned slot split plus whether the shared slots and the
-    /// retained indexes genuinely alias the current epoch's storage.
-    /// Acquires `svc.updater` then `epoch.ptr`, the same order as
-    /// [`Self::apply_updates`], and only try-reads the engine slots.
-    pub fn updater_cow(&self) -> Option<UpdaterCow> {
-        let retained = self.updater.lock(); // lock: svc.updater
-        let carry = retained.as_ref()?;
-        let epoch = self.core.current();
-        let g = carry.graph();
-        let csr = &epoch.graph;
-        let aliases_current_epoch = g.n() == csr.n()
-            && (0..g.n() as VertexId).all(|v| {
-                !g.is_cow_shared(v) || {
-                    let (ours, theirs) = (g.neighbors(v), csr.neighbors(v));
-                    ours.as_ptr() == theirs.as_ptr() && ours.len() == theirs.len()
-                }
-            });
-        let (tsd, gct) = (epoch.cached(EngineKind::Tsd), epoch.cached(EngineKind::Gct));
-        let tsd_shared = tsd
-            .as_deref()
-            .and_then(DiversityEngine::tsd_index)
-            .is_some_and(|index| Arc::ptr_eq(index, carry.index()));
-        let gct_shared = match carry.gct_index() {
-            None => true,
-            Some(ours) => gct
-                .as_deref()
-                .and_then(DiversityEngine::gct_index)
-                .is_some_and(|index| Arc::ptr_eq(index, ours)),
-        };
-        Some(UpdaterCow {
-            stats: g.cow_stats(),
-            aliases_current_epoch,
-            indexes_alias_current_epoch: tsd_shared && gct_shared,
-        })
     }
 
     /// The worker pool this service schedules onto — the process-wide pool
@@ -662,103 +562,89 @@ impl SearchService {
         &self.core.pool
     }
 
-    /// The kinds of engines built and ready to serve in the current epoch,
-    /// in [`Self::SERVED`] order. An engine still under construction is
-    /// not listed.
+    /// The kinds of engines built and ready to serve in the current epoch:
+    /// `[Gct]` or nothing. An engine still under construction is not
+    /// listed.
     pub fn built_engines(&self) -> Vec<EngineKind> {
-        let epoch = self.core.current();
-        Self::SERVED.into_iter().filter(|&k| epoch.is_built(k)).collect()
+        if self.core.current().is_built() {
+            Self::SERVED.to_vec()
+        } else {
+            Vec::new()
+        }
     }
 
-    /// Resolves [`EngineKind::Auto`] against the current epoch: GCT, or
-    /// TSD while TSD is built and GCT is not (a GCT build still running
-    /// counts as not yet built). Concrete kinds resolve to themselves.
-    pub fn resolve(&self, kind: EngineKind) -> EngineKind {
-        self.core.current().resolve(kind)
-    }
-
-    /// The engine of the given kind ([`EngineKind::Auto`] resolves first).
-    /// A served kind is **built on the calling thread** if absent (joined
+    /// The engine of the given kind. The GCT engine ([`EngineKind::Auto`]
+    /// names it too) is **built on the calling thread** if absent (joined
     /// if a build is in flight) and cached — the blocking accessor, shared
-    /// with [`Self::wait_ready`], the export paths and a cold
+    /// with [`Self::wait_ready`], the export path and a cold
     /// [`Self::top_r`]. Use `warmup` to start a build without blocking. A
     /// kind the service does not serve is built over the current graph on
     /// every call, with [`build_engine_in`], and is not cached.
     pub fn engine(&self, kind: EngineKind) -> Arc<dyn DiversityEngine> {
         let epoch = self.core.current();
-        let kind = epoch.resolve(kind);
-        match ServiceCore::slot(kind) {
-            Ok(slot) => self.core.build_if_absent(&epoch, slot).0,
+        match served(kind) {
+            Ok(()) => self.core.build_if_absent(&epoch).0,
             Err(_) => Arc::from(build_engine_in(kind, epoch.graph.clone(), &self.core.pool)),
         }
     }
 
-    /// Runs `each` on the slot of every served kind in `kinds`, resolved
-    /// against the serving epoch, and again on each epoch an
-    /// [`Self::apply_updates`] published meanwhile. Returns the served
-    /// kinds, deduplicated, in [`Self::SERVED`] order; a kind the service
-    /// does not serve is skipped.
+    /// Runs `each` on the serving epoch if `kinds` names a served kind,
+    /// and again on each epoch an [`Self::apply_updates`] published
+    /// meanwhile. Returns [`Self::SERVED`] if it ran, and nothing if every
+    /// named kind is one the service does not serve.
     fn for_each_served(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
-        mut each: impl FnMut(&EpochState, usize),
+        mut each: impl FnMut(&EpochState),
     ) -> Vec<EngineKind> {
-        let mut named = [false; Self::SERVED.len()];
+        if !kinds.into_iter().any(|kind| served(kind).is_ok()) {
+            return Vec::new();
+        }
         let mut epoch = self.core.current();
-        let kinds: Vec<EngineKind> = kinds.into_iter().collect();
         loop {
-            for &kind in &kinds {
-                if let Ok(slot) = ServiceCore::slot(epoch.resolve(kind)) {
-                    named[slot] = true;
-                    each(&epoch, slot);
-                }
-            }
+            each(&epoch);
             let now = self.core.current();
             if Arc::ptr_eq(&epoch, &now) {
-                break;
+                return Self::SERVED.to_vec();
             }
             epoch = now;
         }
-        Self::SERVED.into_iter().zip(named).filter_map(|(kind, n)| n.then_some(kind)).collect()
     }
 
-    /// Enqueues builds for the given engines without blocking on any of
-    /// them ([`EngineKind::Auto`] resolves first, so `warmup([Auto])`
-    /// schedules the GCT build unless TSD alone is built; a kind the
-    /// service does not serve is skipped). Returns the served kinds now
-    /// building or built, deduplicated, in [`Self::SERVED`] order. Join
-    /// with [`Self::wait_ready`].
+    /// Enqueues the index build if `kinds` names a served kind, without
+    /// blocking on it; a kind the service does not serve is skipped.
+    /// Returns the served kinds now building or built: `[Gct]`, or nothing.
+    /// Join with [`Self::wait_ready`].
     ///
-    /// Like [`Self::wait_ready`], this re-resolves the serving epoch after
-    /// working through the requested kinds: if an [`Self::apply_updates`]
-    /// published mid-call, the warmup is re-applied to the *new* epoch, so
-    /// the engines it promised are warming wherever traffic actually goes —
-    /// not only on a superseded snapshot.
+    /// Like [`Self::wait_ready`], this re-reads the serving epoch after
+    /// enqueueing: if an [`Self::apply_updates`] published mid-call, the
+    /// warmup is re-applied to the *new* epoch, so the index it promised
+    /// is warming wherever traffic actually goes — not only on a
+    /// superseded snapshot.
     pub fn warmup(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        self.for_each_served(kinds, |epoch, slot| self.core.schedule_build(epoch, slot))
+        self.for_each_served(kinds, |epoch| self.core.schedule_build(epoch))
     }
 
-    /// Blocks until every named served engine is built in the **serving**
-    /// epoch and returns the served kinds waited on, deduplicated, in
-    /// [`Self::SERVED`] order (a kind the service does not serve is
-    /// skipped) — the join half of the non-blocking [`Self::warmup`].
+    /// Blocks until the index is built in the **serving** epoch, if
+    /// `kinds` names a served kind, and returns the served kinds waited on:
+    /// `[Gct]`, or nothing (a kind the service does not serve is skipped)
+    /// — the join half of the non-blocking [`Self::warmup`].
     ///
-    /// A kind whose background build is in flight is joined (construction
-    /// happens under the slot's write lock, so waiting for that lock *is*
-    /// the join); a kind nobody scheduled is simply built on the calling
-    /// thread. Either way the per-kind build still happens exactly once
-    /// per epoch.
+    /// A background build in flight is joined (construction happens under
+    /// the slot's write lock, so waiting for that lock *is* the join); an
+    /// index nobody scheduled is simply built on the calling thread.
+    /// Either way the build still happens exactly once per epoch.
     ///
-    /// "Serving" is re-checked after the joins: if an
+    /// "Serving" is re-checked after the join: if an
     /// [`Self::apply_updates`] published a new epoch while this call was
     /// building against the one it pinned at entry, the loop re-runs
     /// against the new epoch (warming it on the calling thread), so the
-    /// guarantee callers rely on — *after `wait_ready(K)` returns, `K`
+    /// guarantee callers rely on — *after `wait_ready` returns, the index
     /// serves queries without a build* — holds for the epoch queries will
     /// actually hit, not a superseded snapshot.
     pub fn wait_ready(&self, kinds: impl IntoIterator<Item = EngineKind>) -> Vec<EngineKind> {
-        self.for_each_served(kinds, |epoch, slot| {
-            self.core.build_if_absent(epoch, slot);
+        self.for_each_served(kinds, |epoch| {
+            self.core.build_if_absent(epoch);
         })
     }
 
@@ -766,33 +652,26 @@ impl SearchService {
     /// next epoch — **without blocking concurrent queries**, which keep
     /// serving from whatever epoch they pinned.
     ///
-    /// The heart of the call is the *incremental carry*: instead of
-    /// rebuilding indexes for the new graph, the service retains
-    /// maintenance state across batches and repairs only the ego-networks
-    /// an update actually touches (its endpoints and their common
-    /// neighbors, the Section 5.3 strategy) —
+    /// The batch is built from the epoch it replaces, and nothing is kept
+    /// between batches:
     ///
-    /// * **TSD** and **GCT** are maintained by a retained [`DynamicTsd`],
-    ///   seeded with an `Arc` clone of the current epoch's built TSD
-    ///   engine's index (and its GCT engine's, once one is built), or by a
-    ///   TSD build on the service's pool. Each distinct affected vertex is
-    ///   re-decomposed once against the batch's final graph, the one
-    ///   decomposition feeding both its TSD forest and its GCT entry, and
-    ///   the repaired entries are spliced into fresh flat indexes with
-    ///   contiguous copies of the rest. The new epoch's TSD and GCT engines
-    ///   serve those very `Arc`s. A batch that lands while GCT is only
-    ///   scheduled, not yet built, has no GCT state to repair, so GCT
-    ///   re-enters the background queue, and a GCT query that arrives
-    ///   first joins that build.
-    ///
-    /// The new epoch's CSR is snapshotted first ([`DynamicGraph::to_csr`]:
-    /// every vertex's row copied, the batch's edited ones and the rest
-    /// alike, and no edge ids derived), and the repair reads it, in chunks
-    /// on the service's pool ([`crate::parallel`]). Its fingerprint is not
-    /// computed here but by its first reader. The retained updater's
-    /// adjacency is **copy-on-write** against it ([`DynamicGraph::rebase`]), so an idle
-    /// update session holds `O(n)` slot pointers and the published
-    /// indexes, not a second copy of either.
+    /// * a copy-on-write [`DynamicGraph`] over the published snapshot
+    ///   takes the ops, and collects the ego-networks they touch (each
+    ///   op's endpoints and their common neighbors, the Section 5.3
+    ///   strategy);
+    /// * the new epoch's CSR is copied from its rows
+    ///   ([`DynamicGraph::to_csr`]; no edge ids are derived, and the
+    ///   fingerprint waits for its first reader);
+    /// * if the old epoch's GCT engine is built, each distinct affected
+    ///   ego is re-decomposed once from that CSR, in chunks on the
+    ///   service's pool ([`crate::parallel`]), and the repaired entries
+    ///   are spliced into a fresh flat index with contiguous copies of the
+    ///   rest. The new epoch publishes warm with that index. The slot read
+    ///   blocks, so a build in flight on the old epoch is joined and
+    ///   repaired rather than redone;
+    /// * otherwise no index is built: a GCT build the old epoch had
+    ///   scheduled re-enters the background queue on the new epoch, and a
+    ///   query that arrives first joins it.
     ///
     /// Every per-vertex table grows to the largest vertex an op names, so
     /// an op naming a vertex at or past `n + 65_536 + 2 · batch.len()`
@@ -814,19 +693,8 @@ impl SearchService {
         if batch.is_empty() {
             return Err(SearchError::EmptyUpdateBatch);
         }
-        let mut retained = self.updater.lock(); // lock: svc.updater
+        let _writer = self.updater.lock(); // lock: svc.updater
         let old = self.core.current();
-        let unchanged = |rejected: usize| UpdateStats {
-            epoch: old.id,
-            applied: 0,
-            rejected,
-            tsd_repairs: 0,
-            tsd_carried: false,
-            gct_repairs: 0,
-            gct_carried: false,
-            n: old.graph.n(),
-            m: old.graph.m(),
-        };
 
         // Drop the ops that would grow the vertex set past the batch's
         // bound, before anything sized by a vertex id is allocated.
@@ -845,130 +713,80 @@ impl SearchService {
             .collect();
         let oversized = batch.len() - ops.len();
 
-        // Seed or carry the incremental maintenance state. Anything but a
-        // cold start (no retained state, no built TSD engine) is a carry.
-        // The seed probes *block* on the slot locks — unlike the serving
-        // path's `cached` — so an in-flight build is joined and carried
-        // rather than duplicated by a from-scratch rebuild. Each
-        // guard is released at the end of its statement: the engine `Arc`
-        // is cloned *out* of the slot, so no seed path runs under a slot
-        // lock, where it would stall the old epoch's builders and
-        // importers.
-        let (tsd, gct) = (ServiceCore::slot(EngineKind::Tsd)?, ServiceCore::slot(EngineKind::Gct)?);
-        let mut carried = true;
-        let mut carry = match retained.take() {
-            Some(carry) => carry,
-            None => {
-                let seed = old.slots[tsd].read().clone(); // lock: engine.slot
-                match seed.as_deref().and_then(DiversityEngine::tsd_index) {
-                    Some(index) => DynamicTsd::from_shared_index(old.graph.clone(), index.clone()),
-                    None => {
-                        // Cold start: seeding costs a full TSD build, so
-                        // first make sure the batch mutates anything at
-                        // all — an idempotent replay (all duplicates and
-                        // absent removes) must return in copy-on-write
-                        // probe time, not index-build time.
-                        let mut probe = DynamicGraph::from_base(old.graph.clone());
-                        if probe.apply_batch(&ops).applied == 0 {
-                            return Ok(unchanged(batch.len()));
-                        }
-                        carried = false;
-                        let every = old.graph.vertices().collect();
-                        let (index, _) =
-                            write_entries(&self.core.pool, &old.graph, every, Writes::TSD);
-                        DynamicTsd::from_shared_index(old.graph.clone(), Arc::new(index))
-                    }
-                }
-            }
-        };
-        if carry.gct_index().is_none() {
-            let seed = old.slots[gct].read().clone(); // lock: engine.slot
-            if let Some(index) = seed.as_deref().and_then(DiversityEngine::gct_index) {
-                carry.adopt_gct(index.clone());
-            }
-        }
-
-        let repair = carry.apply_batch(&ops, &self.core.pool);
+        let mut graph = DynamicGraph::from_base(old.graph.clone());
+        let (repair, affected) = apply_ops(&mut graph, &ops);
         let rejected = repair.rejected + oversized;
         if repair.applied == 0 {
-            // Pure no-op batch: retain the state, publish nothing.
-            *retained = Some(carry);
-            return Ok(unchanged(rejected));
+            return Ok(UpdateStats {
+                epoch: old.id,
+                applied: 0,
+                rejected,
+                tsd_repairs: 0,
+                gct_repairs: 0,
+                gct_carried: false,
+                n: old.graph.n(),
+                m: old.graph.m(),
+            });
         }
 
-        // Assemble the next epoch off to the side from the carry's
-        // snapshot (its fingerprint waits for its first reader), and
-        // install the carried indexes — the carry's own `Arc`s — so they
-        // are warm before anyone can query them.
-        let graph = carry.snapshot().clone();
-        let next = Arc::new(EpochState::over(old.id + 1, graph.clone()));
-        // `from_shared` only rejects an index/graph size mismatch, and
-        // both sides here come from the same maintained state; surface a
-        // broken carry as an error (nothing published, carry dropped)
-        // rather than poisoning the service with a panic.
-        let mismatch = |_| SearchError::Internal {
-            invariant: "the maintained indexes cover exactly the maintained graph",
-        };
-        let tsd_engine =
-            TsdEngine::from_shared(graph.clone(), carry.index().clone()).map_err(mismatch)?;
-        self.core.install(&next, tsd, Arc::new(tsd_engine));
-        let gct_carried = match carry.gct_index() {
-            Some(index) => {
-                let engine =
-                    GctEngine::from_shared(graph.clone(), index.clone()).map_err(mismatch)?;
-                self.core.install(&next, gct, Arc::new(engine));
-                true
-            }
-            None => false,
-        };
+        // Assemble the next epoch off to the side, and install the
+        // repaired index so it is warm before anyone can query it. The
+        // engine `Arc` is cloned *out* of the old slot, so the repair does
+        // not run under the slot lock, where it would stall that epoch's
+        // importers.
+        let snapshot = Arc::new(graph.to_csr());
+        let next = Arc::new(EpochState::over(old.id + 1, snapshot.clone()));
+        let built = old.slot.read().clone(); // lock: engine.slot
+        let old_index = built.as_deref().and_then(DiversityEngine::gct_index);
+        if let Some(index) = old_index {
+            let patch = write_gct(&self.core.pool, &snapshot, affected.clone());
+            let index = index.splice(snapshot.n(), &affected, &patch);
+            // The splice covers exactly the snapshot's vertices; surface a
+            // broken repair as an error (nothing published) rather than
+            // poisoning the service with a panic.
+            let engine = GctEngine::from_parts(snapshot.clone(), index).map_err(|_| {
+                SearchError::Internal { invariant: "a repaired index covers the repaired graph" }
+            })?;
+            self.core.install(&next, Arc::new(engine));
+        }
+        let gct_repairs = if old_index.is_some() { repair.repaired } else { 0 };
 
         // Publish: one pointer swap. In-flight queries keep their pinned
         // epoch; everything after this line sees the new graph.
         *self.core.current.write() = next.clone(); // lock: epoch.ptr
         self.core.epochs.fetch_add(1, Ordering::Relaxed);
         self.core.updates_applied.fetch_add(repair.applied, Ordering::Relaxed);
-        if carried {
-            self.core.incremental_tsd_carries.fetch_add(1, Ordering::Relaxed);
-        }
-        let gct_repairs = if gct_carried { repair.repaired } else { 0 };
         self.core.gct_repairs.fetch_add(gct_repairs, Ordering::Relaxed);
 
-        // An index the old epoch was serving or building that the carry
-        // could not install (today: GCT scheduled but not yet built when
-        // the batch landed) re-enters the background queue, and its first
-        // queries join that build.
-        for (slot, kind) in Self::SERVED.into_iter().enumerate() {
-            let live = old.is_built(kind) || old.scheduled[slot].load(Ordering::Relaxed);
-            if live && !next.is_built(kind) {
-                self.core.schedule_build(&next, slot);
-            }
+        // A build the old epoch had scheduled but the batch could not
+        // repair (it had not finished) re-enters the background queue,
+        // and its first queries join that build.
+        if old.scheduled.load(Ordering::Relaxed) && !next.is_built() {
+            self.core.schedule_build(&next);
         }
 
-        *retained = Some(carry);
         Ok(UpdateStats {
             epoch: next.id,
             applied: repair.applied,
             rejected,
             tsd_repairs: repair.touched,
-            tsd_carried: carried,
             gct_repairs,
-            gct_carried,
-            n: graph.n(),
-            m: graph.m(),
+            gct_carried: old_index.is_some(),
+            n: snapshot.n(),
+            m: snapshot.m(),
         })
     }
 
-    /// Answers one top-r query, routing by the spec's engine kind, against
-    /// one consistent epoch snapshot. A kind the service does not serve
-    /// fails with [`SearchError::EngineNotServed`] before anything is built
-    /// or scanned. A query routed to an unbuilt engine
-    /// joins its build — a TSD/GCT build in flight on the pool, or one this
-    /// thread runs, in chunks on the pool with this thread taking part —
-    /// and that engine answers; [`ServiceStats::foreground_fallbacks`]
-    /// counts such queries. A build that panics fails the query with
-    /// [`SearchError::Internal`] and leaves the engine unbuilt, so a later
-    /// query retries it. The result's metrics name the engine that
-    /// answered.
+    /// Answers one top-r query against one consistent epoch snapshot. A
+    /// kind the service does not serve fails with
+    /// [`SearchError::EngineNotServed`] before anything is built or
+    /// scanned. A query that finds the index unbuilt joins its build — one
+    /// in flight on the pool, or one this thread runs, in chunks on the
+    /// pool with this thread taking part — and the index answers;
+    /// [`ServiceStats::foreground_fallbacks`] counts such queries. A build
+    /// that panics fails the query with [`SearchError::Internal`] and
+    /// leaves the index unbuilt, so a later query retries it. The result's
+    /// metrics name the engine that answered.
     pub fn top_r(&self, spec: &QuerySpec) -> Result<TopRResult, SearchError> {
         let epoch = self.core.current();
         self.core.top_r_on(&epoch, spec, false)
@@ -1056,66 +874,60 @@ impl SearchService {
         self.core.pool.run_all(jobs)
     }
 
-    /// Serializes every named engine (building any that are missing — this
-    /// path blocks; it is an export, not a query) into one fingerprinted
+    /// Serializes the GCT-index (building it if missing — this path
+    /// blocks; it is an export, not a query) into one fingerprinted
     /// [`IndexBundle`] blob that [`Self::import_bundle`] — on a service
-    /// over the *same* graph — accepts: `[kind]` persists one index, and
-    /// a fully warmed service (TSD + GCT) persists as a single artifact.
-    /// Kinds are deduplicated and encoded in [`Self::SERVED`] order
-    /// (which is [`EngineKind::ALL`] order); [`EngineKind::Auto`] resolves
-    /// first, so it exports whichever index Auto queries currently route
-    /// to. Fails with [`SearchError::SerializationUnsupported`] if any
-    /// requested kind is index-free — *before* building anything — and
-    /// with [`SearchError::EmptyBundleRequest`] if no kind was named.
+    /// over the *same* graph — accepts. [`EngineKind::Auto`] names the
+    /// GCT-index, and a kind named twice is one entry. Fails *before
+    /// building anything* with [`SearchError::EmptyBundleRequest`] if no
+    /// kind was named, and otherwise on the first named kind the bundle
+    /// cannot carry: [`SearchError::SerializationUnsupported`] for an
+    /// index-free kind, [`SearchError::EngineNotServed`] for TSD.
     pub fn export_bundle(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
     ) -> Result<Bytes, SearchError> {
-        let epoch = self.core.current();
-        let kinds: Vec<EngineKind> = kinds.into_iter().map(|kind| epoch.resolve(kind)).collect();
-        if kinds.is_empty() {
+        let mut kinds = kinds.into_iter().peekable();
+        if kinds.peek().is_none() {
             return Err(SearchError::EmptyBundleRequest);
         }
-        if let Some(&kind) = kinds.iter().find(|k| !k.serializable()) {
-            return Err(SearchError::SerializationUnsupported { engine: kind.name() });
-        }
-        let mut entries = Vec::with_capacity(Self::SERVED.len());
-        for (slot, kind) in Self::SERVED.into_iter().enumerate() {
-            if kinds.contains(&kind) {
-                entries.push((kind, self.core.build_if_absent(&epoch, slot).0.to_bytes()?));
-            }
-        }
-        Ok(IndexBundle::new(epoch.fingerprint(), entries).encode())
+        kinds.try_for_each(bundled)?;
+        let epoch = self.core.current();
+        let index = self.core.build_if_absent(&epoch).0.to_bytes()?;
+        Ok(IndexBundle::new(epoch.fingerprint(), vec![(EngineKind::Gct, index)]).encode())
     }
 
-    /// Installs every engine carried by a bundle blob produced by
-    /// [`Self::export_bundle`], replacing any cached engines of those
-    /// kinds in the current epoch, and returns the installed kinds in
-    /// bundle order.
+    /// Installs the GCT-index carried by a bundle blob produced by
+    /// [`Self::export_bundle`], replacing any cached engine in the current
+    /// epoch, and returns the installed kinds: `[Gct]`.
     ///
-    /// All-or-nothing: the fingerprint is checked first (wrong-graph and
-    /// superseded-epoch bundles are refused whole, as
-    /// [`SearchError::FingerprintMismatch`] — a same-`n` snapshot from
-    /// before edge churn cannot slip through) and every entry is decoded
-    /// before *any* engine is installed, so a bundle with one corrupt
-    /// payload installs nothing. This is the *only* way to attach
-    /// serialized index bytes to a service: there is no fingerprint-less
-    /// public decode path.
+    /// All-or-nothing, and refused before any payload is decoded when the
+    /// bundle names an entry this service cannot install:
+    /// [`SearchError::EngineNotServed`] for a TSD entry and
+    /// [`SearchError::SerializationUnsupported`] for an index-free one.
+    /// The fingerprint is checked next (wrong-graph and superseded-epoch
+    /// bundles are refused whole, as [`SearchError::FingerprintMismatch`]
+    /// — a same-`n` snapshot from before edge churn cannot slip through),
+    /// and the payload is decoded and checked before it is installed. This
+    /// is the *only* way to attach serialized index bytes to a service:
+    /// there is no fingerprint-less public decode path.
     pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
+        let IndexBundle { fingerprint, entries } = IndexBundle::decode(blob)?;
+        entries.iter().try_for_each(|&(kind, _)| bundled(kind))?;
         let epoch = self.core.current();
-        let bundle = IndexBundle::decode(blob)?;
-        if bundle.fingerprint != epoch.fingerprint() {
+        if fingerprint != epoch.fingerprint() {
             return Err(SearchError::FingerprintMismatch {
                 expected: epoch.fingerprint(),
-                found: bundle.fingerprint,
+                found: fingerprint,
             });
         }
-        let fingerprint = bundle.fingerprint;
-        let mut decoded = Vec::with_capacity(bundle.entries.len());
-        for (kind, payload) in bundle.entries {
-            let engine = decode_engine(kind, epoch.graph.clone(), payload)?;
-            decoded.push((kind, ServiceCore::slot(kind)?, engine));
-        }
+        // Kinds are unique per bundle, so this is the one GCT entry.
+        let engines = entries
+            .into_iter()
+            .map(|(_, payload)| {
+                GctEngine::from_parts(epoch.graph.clone(), GctIndex::from_bytes(payload)?)
+            })
+            .collect::<Result<Vec<_>, SearchError>>()?;
         // Install under the epoch-pointer read lock (which excludes the
         // publish swap) and re-verify the fingerprint there: an
         // `apply_updates` that landed while we decoded must fail the
@@ -1132,12 +944,10 @@ impl SearchService {
                 found: fingerprint,
             });
         }
-        let mut installed = Vec::with_capacity(decoded.len());
-        for (kind, slot, engine) in decoded {
-            self.core.install(&guard, slot, Arc::from(engine));
-            installed.push(kind);
+        for engine in engines {
+            self.core.install(&guard, Arc::new(engine));
         }
-        Ok(installed)
+        Ok(Self::SERVED.to_vec())
     }
 }
 
@@ -1147,6 +957,7 @@ mod tests {
     use crate::engine::build_engine;
     use crate::error::DecodeError;
     use crate::paper::paper_figure1_graph;
+    use sd_graph::VertexId;
 
     fn service() -> SearchService {
         let (g, _, _) = paper_figure1_graph();
@@ -1210,25 +1021,6 @@ mod tests {
         }
     }
 
-    /// Auto resolves to TSD while only TSD is built and to GCT once GCT
-    /// is: on one epoch, both answer with the same entries, tied vertices
-    /// at the r-th score included.
-    #[test]
-    fn auto_answers_the_same_entries_before_and_after_gct_lands() {
-        let s = SearchService::new(clustered_graph(3 * 1024 + 100, 7));
-        let spec = QuerySpec::new(3, 10).unwrap();
-        s.wait_ready([EngineKind::Tsd]);
-        let before = s.top_r(&spec).unwrap();
-        assert_eq!(before.metrics.engine, "tsd");
-        s.wait_ready([EngineKind::Gct]);
-        let after = s.top_r(&spec).unwrap();
-        assert_eq!(after.metrics.engine, "gct");
-        let scores = before.scores();
-        assert!(scores.windows(2).any(|w| w[0] == w[1]), "the r-th score ties: {scores:?}");
-        assert_eq!(before.entries, after.entries);
-        assert_eq!(s.epoch(), 0);
-    }
-
     /// A warmed-and-joined service routes each served kind to its own
     /// engine — the pre-0.4 deterministic behaviour, now behind
     /// `wait_ready` — and each answers as the Online and Bound scans do.
@@ -1250,35 +1042,40 @@ mod tests {
         assert_eq!(stats.queries_served, SearchService::SERVED.len());
         assert_eq!(stats.engines_built, SearchService::SERVED.len());
         assert_eq!(stats.foreground_fallbacks, 0, "ready engines must serve directly");
-        let counts = EngineKind::ALL.map(|k| stats.queries_for(k));
-        assert_eq!(counts, [0, 0, 1, 1], "{stats:?}");
     }
 
-    /// The kinds a service does not serve are refused before anything is
-    /// built or scanned, on every query path: one query, a slot of a
-    /// batch (its mates still answer), and the all-or-nothing batch, which
-    /// then runs nothing. Warming them schedules nothing.
+    /// The kinds a service does not serve — TSD among them — are refused
+    /// before anything is built or scanned, on every path: one query, a
+    /// slot of a batch (its mates still answer), the all-or-nothing batch,
+    /// which then runs nothing, and an export. Warming or joining them
+    /// schedules and builds nothing.
     #[test]
     fn unserved_kinds_are_refused_on_a_cold_service_without_building() {
         let s = service();
-        for kind in [EngineKind::Online, EngineKind::Bound] {
-            let spec = QuerySpec::new(4, 1).unwrap().with_engine(kind);
-            assert_eq!(s.top_r(&spec).unwrap_err(), SearchError::EngineNotServed { engine: kind });
-        }
+        let unserved = [EngineKind::Online, EngineKind::Bound, EngineKind::Tsd];
         let spec = QuerySpec::new(4, 1).unwrap();
-        let batch = [spec.with_engine(EngineKind::Online), spec.with_engine(EngineKind::Gct)];
+        for kind in unserved {
+            let refused = SearchError::EngineNotServed { engine: kind };
+            assert_eq!(s.top_r(&spec.with_engine(kind)).unwrap_err(), refused);
+            let batch = [spec.with_engine(kind), spec.with_engine(EngineKind::Gct)];
+            assert_eq!(s.top_r_many_pinned(&batch).unwrap_err(), refused);
+        }
+        assert_eq!(s.warmup(unserved), vec![]);
+        assert_eq!(s.wait_ready(unserved), vec![]);
         assert_eq!(
-            s.top_r_many_pinned(&batch).unwrap_err(),
-            SearchError::EngineNotServed { engine: EngineKind::Online }
+            s.export_bundle([EngineKind::Tsd]).unwrap_err(),
+            SearchError::EngineNotServed { engine: EngineKind::Tsd }
         );
-        assert_eq!(s.warmup([EngineKind::Online, EngineKind::Bound]), vec![]);
         assert!(s.built_engines().is_empty());
         assert_eq!((s.stats().engines_built, s.queries_served()), (0, 0));
 
-        let (_, results) = s.top_r_many(&batch, &[]);
-        let Err(refused) = &results[0] else { panic!("slot 0 is refused: {results:?}") };
-        assert_eq!(*refused, SearchError::EngineNotServed { engine: EngineKind::Online });
-        let Ok(Some(answer)) = &results[1] else { panic!("slot 1 is answered: {results:?}") };
+        let batch = unserved.map(|kind| spec.with_engine(kind));
+        let (_, results) = s.top_r_many(&[batch[0], batch[2], spec], &[]);
+        for (slot, kind) in [(0, EngineKind::Online), (1, EngineKind::Tsd)] {
+            let Err(refused) = &results[slot] else { panic!("slot {slot}: {results:?}") };
+            assert_eq!(*refused, SearchError::EngineNotServed { engine: kind });
+        }
+        let Ok(Some(answer)) = &results[2] else { panic!("slot 2 is answered: {results:?}") };
         assert_eq!((answer.metrics.engine, answer.entries[0].score), ("gct", 3));
         assert_eq!(s.built_engines(), vec![EngineKind::Gct], "only the GCT slot built");
         assert_eq!((s.stats().engines_built, s.queries_served()), (1, 1));
@@ -1317,8 +1114,7 @@ mod tests {
         assert_eq!(first.entries, bound.top_r(&spec).unwrap().entries);
         assert_eq!(first.entries[0].score, 3);
         let stats = s.stats();
-        assert_eq!(stats.foreground_fallbacks, 1);
-        assert_eq!(stats.queries_for(EngineKind::Bound), 0, "the bound search never ran");
+        assert_eq!((stats.foreground_fallbacks, stats.queries_served), (1, 1));
     }
 
     /// A build that panics on the query path fails that query, and every
@@ -1335,8 +1131,7 @@ mod tests {
             let _ = parked.recv();
         });
         s.warmup([EngineKind::Gct]);
-        let gct = ServiceCore::slot(EngineKind::Gct).unwrap();
-        assert!(s.core.current().scheduled[gct].load(Ordering::Relaxed));
+        assert!(s.core.current().scheduled.load(Ordering::Relaxed));
 
         let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
         std::thread::scope(|scope| {
@@ -1354,7 +1149,7 @@ mod tests {
             }
         });
         assert!(s.built_engines().is_empty(), "the slot stays empty");
-        assert!(!s.core.current().scheduled[gct].load(Ordering::Relaxed), "the latch reset");
+        assert!(!s.core.current().scheduled.load(Ordering::Relaxed), "the latch reset");
         assert_eq!(s.stats().queries_served, 0);
 
         let retry = s.top_r(&spec).unwrap();
@@ -1378,7 +1173,6 @@ mod tests {
     #[test]
     fn auto_on_small_graph_resolves_to_gct() {
         let s = service();
-        assert_eq!(s.resolve(EngineKind::Auto), EngineKind::Gct);
         // Cold: the query joins the GCT build, and GCT answers.
         let result = s.top_r(&QuerySpec::new(4, 1).unwrap()).unwrap();
         assert_eq!(result.metrics.engine, "gct");
@@ -1387,23 +1181,15 @@ mod tests {
     }
 
     #[test]
-    fn auto_prefers_an_existing_tsd_index() {
-        let s = service();
-        s.wait_ready([EngineKind::Tsd]);
-        // GCT is not built; TSD is — Auto must reuse it rather than build.
-        assert_eq!(s.resolve(EngineKind::Auto), EngineKind::Tsd);
-    }
-
-    #[test]
     fn warmup_schedules_and_wait_ready_joins() {
         let s = service();
-        // Duplicates and Auto (→ GCT on this small graph) collapse.
-        let warmed = s.warmup([EngineKind::Auto, EngineKind::Tsd, EngineKind::Tsd]);
-        assert_eq!(warmed, vec![EngineKind::Tsd, EngineKind::Gct]);
+        // Auto and GCT name one index; TSD is skipped.
+        let warmed = s.warmup([EngineKind::Auto, EngineKind::Tsd, EngineKind::Gct]);
+        assert_eq!(warmed, vec![EngineKind::Gct]);
         let ready = s.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
-        assert_eq!(ready, vec![EngineKind::Tsd, EngineKind::Gct]);
-        assert_eq!(s.built_engines(), vec![EngineKind::Tsd, EngineKind::Gct]);
-        assert_eq!(s.stats().engines_built, 2);
+        assert_eq!(ready, vec![EngineKind::Gct]);
+        assert_eq!(s.built_engines(), vec![EngineKind::Gct]);
+        assert_eq!(s.stats().engines_built, 1);
         assert_eq!(s.queries_served(), 0, "warmup must not count as traffic");
     }
 
@@ -1466,8 +1252,8 @@ mod tests {
         // has a single worker.
         let (graph, _, _) = paper_figure1_graph();
         let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(1)));
-        s.wait_ready([EngineKind::Tsd]);
-        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Tsd);
+        s.wait_ready([EngineKind::Gct]);
+        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![None, Some(cancelled)];
@@ -1482,8 +1268,8 @@ mod tests {
     fn cancelled_slots_come_back_none_on_the_fanout_path() {
         let (graph, _, _) = paper_figure1_graph();
         let s = SearchService::with_pool(graph, Arc::new(WorkerPool::new(4)));
-        s.wait_ready([EngineKind::Tsd]);
-        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Tsd);
+        s.wait_ready([EngineKind::Gct]);
+        let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         let cancels = vec![Some(cancelled.clone()), None, Some(cancelled)];
@@ -1497,8 +1283,8 @@ mod tests {
     #[test]
     fn empty_cancel_list_means_nothing_is_cancelled() {
         let s = service();
-        s.wait_ready([EngineKind::Tsd]);
-        let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Tsd);
+        s.wait_ready([EngineKind::Gct]);
+        let spec = QuerySpec::new(4, 2).unwrap().with_engine(EngineKind::Gct);
         let (epoch, results) = s.top_r_many(&[spec, spec], &[]);
         assert_eq!(epoch, 0);
         assert!(results.iter().all(|r| matches!(r, Ok(Some(_)))), "{results:?}");
@@ -1516,15 +1302,16 @@ mod tests {
         assert_eq!(s.stats().foreground_fallbacks, 1);
     }
 
-    /// A cold batch, sequential or fanned out, builds each index it names
-    /// once; every query is answered by its index, with Online's answer.
+    /// A cold batch, sequential or fanned out, builds the index once,
+    /// whether its queries name GCT or Auto; the index answers every
+    /// query with Online's answer.
     #[test]
     fn a_cold_batch_builds_each_index_once_and_the_indexes_answer() {
         let (graph, _, _) = paper_figure1_graph();
         let online = build_engine(EngineKind::Online, Arc::new(graph.clone()));
         let specs: Vec<QuerySpec> = (2..=5)
             .flat_map(|k| {
-                [EngineKind::Gct, EngineKind::Tsd]
+                [EngineKind::Gct, EngineKind::Auto]
                     .map(|e| QuerySpec::new(k, 3).unwrap().with_engine(e))
             })
             .collect();
@@ -1532,66 +1319,51 @@ mod tests {
             let s = SearchService::with_pool(graph.clone(), Arc::new(WorkerPool::new(threads)));
             let (_, results) = s.top_r_many_pinned(&specs).unwrap();
             for (spec, result) in specs.iter().zip(&results) {
-                assert_eq!(result.metrics.engine, spec.engine().name(), "{threads} threads");
+                assert_eq!(result.metrics.engine, "gct", "{threads} threads");
                 assert_eq!(result.scores(), online.top_r(spec).unwrap().scores());
             }
-            assert_eq!(s.built_engines(), vec![EngineKind::Tsd, EngineKind::Gct]);
-            assert_eq!(s.stats().engines_built, 2, "{threads} threads: one build per index");
+            assert_eq!(s.built_engines(), vec![EngineKind::Gct]);
+            assert_eq!(s.stats().engines_built, 1, "{threads} threads: one build");
         }
     }
 
     #[test]
     fn bundle_roundtrip_through_the_service() {
         let s = service();
-        let kinds = [EngineKind::Tsd, EngineKind::Gct];
-        let blob = s.export_bundle(kinds).unwrap();
+        let blob = s.export_bundle([EngineKind::Gct]).unwrap();
         let fresh = service();
-        assert_eq!(fresh.import_bundle(blob).unwrap(), kinds.to_vec());
-        assert_eq!(fresh.built_engines(), kinds.to_vec());
-        assert_eq!(fresh.stats().engines_built, 2);
-        for kind in kinds {
-            let spec = QuerySpec::new(4, 1).unwrap().with_engine(kind);
-            let result = fresh.top_r(&spec).unwrap();
-            assert_eq!(result.metrics.engine, kind.name(), "bundled engines serve directly");
-            assert_eq!(result.entries[0].score, 3);
-        }
+        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Gct]);
+        assert_eq!(fresh.built_engines(), [EngineKind::Gct]);
+        assert_eq!(fresh.stats().engines_built, 1);
+        let result = fresh.top_r(&QuerySpec::new(4, 1).unwrap()).unwrap();
+        assert_eq!(result.metrics.engine, "gct", "the bundled engine serves directly");
+        assert_eq!(result.entries[0].score, 3);
+        assert_eq!(fresh.stats().foreground_fallbacks, 0);
     }
 
     #[test]
     fn export_bundle_rejects_index_free_kinds_and_empty_requests() {
         let s = service();
         assert_eq!(
-            s.export_bundle([EngineKind::Tsd, EngineKind::Online]).unwrap_err(),
+            s.export_bundle([EngineKind::Gct, EngineKind::Online]).unwrap_err(),
             SearchError::SerializationUnsupported { engine: "online" }
         );
         assert_eq!(s.export_bundle([]).unwrap_err(), SearchError::EmptyBundleRequest);
         assert!(s.built_engines().is_empty(), "failed exports must not cost engine builds");
     }
 
-    /// `Auto` resolves before the export, as it does for a query: to GCT
-    /// on a cold service (which the export then builds), to TSD while only
-    /// TSD is built; and a kind named twice, directly or through `Auto`,
-    /// is one entry.
+    /// `Auto` names the GCT-index in an export, as it does in a query, and
+    /// a kind named twice, directly or through `Auto`, is one entry.
     #[test]
     fn export_bundle_resolves_auto_and_deduplicates() {
         let exported_kinds =
             |blob: Bytes| IndexBundle::decode(blob).expect("an exported bundle decodes").kinds();
-
         let cold = service();
         assert_eq!(
             exported_kinds(cold.export_bundle([EngineKind::Auto]).unwrap()),
             [EngineKind::Gct]
         );
         assert_eq!(cold.built_engines(), vec![EngineKind::Gct], "only GCT was built");
-
-        let tsd_only = service();
-        tsd_only.wait_ready([EngineKind::Tsd]);
-        assert_eq!(
-            exported_kinds(tsd_only.export_bundle([EngineKind::Auto]).unwrap()),
-            [EngineKind::Tsd]
-        );
-        assert_eq!(tsd_only.built_engines(), vec![EngineKind::Tsd], "Auto built nothing new");
-
         let twice = [EngineKind::Auto, EngineKind::Gct, EngineKind::Gct];
         assert_eq!(exported_kinds(service().export_bundle(twice).unwrap()), [EngineKind::Gct]);
     }
@@ -1664,9 +1436,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_updates_publishes_a_new_epoch_and_carries_tsd() {
+    fn apply_updates_publishes_a_new_epoch_and_carries_gct() {
         let s = service();
-        s.wait_ready([EngineKind::Tsd]);
+        s.wait_ready([EngineKind::Gct]);
         assert_eq!((s.epoch(), s.stats().epochs), (0, 1));
         let before = s.fingerprint();
 
@@ -1679,8 +1451,9 @@ mod tests {
             ])
             .unwrap();
         assert_eq!((stats.epoch, stats.applied, stats.rejected), (1, 1, 2));
-        assert!(stats.tsd_carried, "a built TSD engine must seed the carry");
-        assert!(stats.tsd_repairs >= 2, "both endpoints' forests repair");
+        assert!(stats.gct_carried, "a built GCT engine is repaired");
+        assert!(stats.tsd_repairs >= 2, "both endpoints' egos repair");
+        assert_eq!(stats.gct_repairs, stats.tsd_repairs, "one op touches each ego once");
         assert_eq!(stats.m as u64, before.m + 1);
 
         assert_eq!(s.epoch(), 1);
@@ -1688,32 +1461,38 @@ mod tests {
         let service_stats = s.stats();
         assert_eq!(service_stats.epochs, 2);
         assert_eq!(service_stats.updates_applied, 1);
-        assert_eq!(service_stats.incremental_tsd_carries, 1);
+        assert_eq!(service_stats.gct_repairs, stats.gct_repairs);
 
-        // The carried TSD engine is warm (no build) and answers for the
-        // *new* graph, identically to a fresh build.
-        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Tsd);
+        // The repaired engine is warm (no build) and answers for the *new*
+        // graph, identically to a fresh build.
+        let spec = QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct);
         let live = s.top_r(&spec).unwrap();
-        assert_eq!(live.metrics.engine, "tsd", "carried TSD must serve without a build");
+        assert_eq!(live.metrics.engine, "gct", "the repaired index serves without a build");
         assert_eq!(s.stats().foreground_fallbacks, 0);
         let fresh = SearchService::new((*s.graph()).clone());
-        fresh.wait_ready([EngineKind::Tsd]);
-        assert_eq!(live.scores(), fresh.top_r(&spec).unwrap().scores());
+        assert_eq!(live.entries, fresh.top_r(&spec).unwrap().entries);
     }
 
+    /// A batch on a service with nothing built publishes its snapshot and
+    /// builds no index; the next query builds GCT on the new graph and
+    /// answers as Online does there.
     #[test]
-    fn apply_updates_without_prior_tsd_seeds_then_carries() {
+    fn a_batch_on_a_cold_service_publishes_its_snapshot_and_builds_nothing() {
         let s = service();
-        // Epoch 0 has no TSD engine and no retained state: the first batch
-        // seeds from scratch (not a carry), the second carries.
-        let first = s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
-        assert!(!first.tsd_carried);
-        let second = s.apply_updates(&[GraphUpdate::Remove { u: 1, v: 6 }]).unwrap();
-        assert!(second.tsd_carried);
+        let stats = s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
+        assert_eq!((stats.epoch, stats.applied, stats.gct_repairs), (1, 1, 0));
+        assert!(!stats.gct_carried);
+        assert!(s.graph().has_edge(1, 6));
+        assert!(s.built_engines().is_empty());
+        assert_eq!(s.stats().engines_built, 0, "the batch built no index");
+
+        let spec = QuerySpec::new(3, 4).unwrap();
+        let answer = s.top_r(&spec).unwrap();
+        assert_eq!(answer.metrics.engine, "gct");
+        let online = build_engine(EngineKind::Online, s.graph()).top_r(&spec).unwrap();
+        assert_eq!(answer.entries, online.entries);
         let stats = s.stats();
-        assert_eq!(stats.epochs, 3);
-        assert_eq!(stats.incremental_tsd_carries, 1);
-        assert_eq!(stats.updates_applied, 2);
+        assert_eq!((stats.engines_built, stats.epochs, stats.updates_applied), (1, 2, 1));
     }
 
     #[test]
@@ -1739,10 +1518,9 @@ mod tests {
         let before = s.stats();
         let stats = s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
 
-        // The new epoch publishes with *every* previously live engine
-        // already warm: TSD repaired in place, and GCT repaired over the
-        // same affected region. Nothing re-enters the background queue.
-        assert!(stats.tsd_carried && stats.gct_carried);
+        // The new epoch publishes with its index already warm, repaired
+        // over the affected region. Nothing re-enters the background queue.
+        assert!(stats.gct_carried);
         assert!(stats.gct_repairs > 0, "affected egos were re-decomposed");
         assert_eq!(s.built_engines(), SearchService::SERVED.to_vec(), "warm right after the swap");
         let after = s.stats();
@@ -1751,10 +1529,7 @@ mod tests {
             "a warm update must not enqueue any full rebuild"
         );
         assert!(after.gct_repairs >= before.gct_repairs + stats.gct_repairs);
-        // The epoch serves the updater's own indexes, not copies.
-        let cow = s.updater_cow().unwrap();
-        assert!(cow.aliases_current_epoch && cow.indexes_alias_current_epoch, "{cow:?}");
-        // And the carried engines answer directly (no build window).
+        // And the repaired engine answers directly (no build window).
         let spec = QuerySpec::new(3, 2).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().metrics.engine, "gct");
         assert_eq!(s.stats().foreground_fallbacks, 0);
@@ -1799,7 +1574,7 @@ mod tests {
     #[test]
     fn updates_reaching_past_the_growth_bound_are_rejected() {
         let s = service();
-        s.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
+        s.wait_ready([EngineKind::Gct]);
         let n = s.graph().n();
         let stats = s.apply_updates(&[GraphUpdate::Insert { u: 0, v: u32::MAX }]).unwrap();
         assert_eq!((stats.epoch, stats.applied, stats.rejected), (0, 0, 1));
@@ -1822,24 +1597,17 @@ mod tests {
     fn stale_epoch_blobs_are_refused_after_updates() {
         let s = service();
         let stale = s.export_bundle([EngineKind::Gct]).unwrap();
-        let stale_bundle = s.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
         let old_fingerprint = s.fingerprint();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
-        for err in [s.import_bundle(stale).unwrap_err(), s.import_bundle(stale_bundle).unwrap_err()]
-        {
-            assert_eq!(
-                err,
-                SearchError::FingerprintMismatch {
-                    expected: s.fingerprint(),
-                    found: old_fingerprint
-                }
-            );
-        }
+        assert_eq!(
+            s.import_bundle(stale).unwrap_err(),
+            SearchError::FingerprintMismatch { expected: s.fingerprint(), found: old_fingerprint }
+        );
         // The *new* epoch's export re-imports fine into a fresh service on
         // the same final graph.
-        let blob = s.export_bundle([EngineKind::Tsd]).unwrap();
+        let blob = s.export_bundle([EngineKind::Gct]).unwrap();
         let fresh = SearchService::new((*s.graph()).clone());
-        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Tsd]);
+        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Gct]);
     }
 
     /// The fingerprint is computed on first use but is never stale: with
@@ -1850,7 +1618,7 @@ mod tests {
     fn an_unread_fingerprint_still_refuses_a_pre_batch_envelope() {
         let s = service();
         let old_graph = s.graph();
-        let before = s.export_bundle([EngineKind::Tsd]).unwrap();
+        let before = s.export_bundle([EngineKind::Gct]).unwrap();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
         assert!(s.core.current().fingerprint.get().is_none(), "the publish hashed nothing");
         assert_eq!(
@@ -1860,8 +1628,8 @@ mod tests {
                 found: GraphFingerprint::of(&old_graph),
             }
         );
-        let after = s.export_bundle([EngineKind::Tsd]).unwrap();
-        assert_eq!(s.import_bundle(after).unwrap(), [EngineKind::Tsd]);
+        let after = s.export_bundle([EngineKind::Gct]).unwrap();
+        assert_eq!(s.import_bundle(after).unwrap(), [EngineKind::Gct]);
     }
 
     #[test]
@@ -1871,14 +1639,14 @@ mod tests {
         let stats = s.apply_updates(&[GraphUpdate::Insert { u: 0, v: n0 as u32 + 2 }]).unwrap();
         assert_eq!(stats.n, n0 + 3);
         assert_eq!(s.graph().n(), n0 + 3);
-        let spec = QuerySpec::new(2, n0 + 3).unwrap().with_engine(EngineKind::Tsd);
+        let spec = QuerySpec::new(2, n0 + 3).unwrap().with_engine(EngineKind::Gct);
         assert_eq!(s.top_r(&spec).unwrap().entries.len(), n0 + 3);
     }
 
-    /// Serving reads a snapshot's rows only, never its edge ids: a GCT
-    /// build on one published snapshot, two repairs, TSD, GCT and Auto
-    /// queries, the fingerprint, the updater diagnostic and an export
-    /// leave each published graph holding its rows and nothing else.
+    /// Serving reads a snapshot's rows only, never its edge ids: a cold
+    /// batch, a GCT build on the snapshot it published, a repair, GCT and
+    /// Auto queries, the fingerprint and an export leave each published
+    /// graph holding its rows and nothing else.
     #[test]
     fn serving_never_derives_a_snapshots_edge_ids() {
         let rows_only = |g: &CsrGraph| {
@@ -1887,22 +1655,60 @@ mod tests {
                     + 2 * g.m() * std::mem::size_of::<VertexId>()
         };
         let s = service();
-        s.wait_ready([EngineKind::Tsd]);
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
         let first = s.graph();
         s.wait_ready([EngineKind::Gct]);
         let grow = GraphUpdate::Insert { u: 2, v: first.n() as VertexId + 1 };
         let stats = s.apply_updates(&[GraphUpdate::Remove { u: 0, v: 1 }, grow]).unwrap();
-        assert!(stats.tsd_carried && stats.gct_carried, "{stats:?}");
-        for kind in [EngineKind::Tsd, EngineKind::Gct, EngineKind::Auto] {
+        assert!(stats.gct_carried, "{stats:?}");
+        for kind in [EngineKind::Gct, EngineKind::Auto] {
             let spec = QuerySpec::new(3, 4).unwrap().with_engine(kind);
             assert!(!s.top_r(&spec).unwrap().entries.is_empty(), "{kind:?}");
         }
         assert_eq!(s.fingerprint(), GraphFingerprint::of(&s.graph()));
-        assert!(s.updater_cow().is_some());
-        s.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
+        s.export_bundle([EngineKind::Gct]).unwrap();
         assert!(rows_only(&first), "the snapshot GCT was built on");
         assert!(rows_only(&s.graph()), "the published snapshot");
+    }
+
+    /// The repair writes exactly what a full build of the final graph
+    /// would: over batches that grow the vertex set, and over an insert
+    /// whose endpoints share 300 neighbours, whose 302 affected egos span
+    /// two chunks. On 1-, 2- and 4-thread pools the published index
+    /// equals the sequential build byte for byte.
+    #[test]
+    fn repaired_indexes_equal_the_sequential_build_on_any_pool() {
+        let published = |s: &SearchService| {
+            let engine = s.core.current().cached().expect("the repair publishes warm");
+            engine.gct_index().expect("a GCT engine").to_bytes()
+        };
+        let (figure1, _, _) = paper_figure1_graph();
+        let figure1_batches = vec![
+            vec![GraphUpdate::Insert { u: 1, v: 6 }, GraphUpdate::Remove { u: 2, v: 5 }],
+            vec![GraphUpdate::Insert { u: 0, v: 20 }, GraphUpdate::Insert { u: 6, v: 20 }],
+            vec![GraphUpdate::Remove { u: 1, v: 6 }],
+        ];
+        let edges = (2..302u32).flat_map(|w| [(0, w), (1, w), (w, w + 1), (w, w + 2)]);
+        let fan = sd_graph::GraphBuilder::new().extend_edges(edges).build();
+        let fan_batch =
+            vec![GraphUpdate::Insert { u: 0, v: 1 }, GraphUpdate::Remove { u: 2, v: 3 }];
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(WorkerPool::new(threads));
+            let s = SearchService::with_pool(figure1.clone(), pool.clone());
+            s.wait_ready([EngineKind::Gct]);
+            for batch in &figure1_batches {
+                assert!(s.apply_updates(batch).unwrap().gct_carried);
+                let want = GctIndex::build(&s.graph()).to_bytes();
+                assert_eq!(published(&s), want, "after {batch:?} t={threads}");
+            }
+
+            let s = SearchService::with_pool(fan.clone(), pool);
+            s.wait_ready([EngineKind::Gct]);
+            let stats = s.apply_updates(&fan_batch).unwrap();
+            assert!(stats.gct_repairs > crate::parallel::SCAN_CHUNK, "{stats:?}");
+            assert_eq!(s.graph().m(), fan.m(), "one insert, one removal");
+            assert_eq!(published(&s), GctIndex::build(&s.graph()).to_bytes(), "t={threads}");
+        }
     }
 
     #[test]

@@ -370,7 +370,8 @@ impl TsdIndex {
 /// trussness-weighted ego-network, as `(u, w, weight)` triples in the ego's
 /// local ids, sorted by weight descending. Kruskal with a counting sort over
 /// weights, `O(m_v + τ*)`. The GCT-index compresses this same forest (see
-/// `GctBuilder::push_forest`), so one decomposition feeds both indexes.
+/// `GctBuilder::push_forest`), so one per-vertex body writes either index
+/// from it ([`crate::parallel`]).
 pub(crate) fn max_spanning_forest(
     local: &CsrGraph,
     decomposition: &sd_truss::TrussDecomposition,

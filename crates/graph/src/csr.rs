@@ -29,7 +29,7 @@ use crate::types::{EdgeId, VertexId};
 /// An immutable undirected simple graph in CSR form with stable edge ids.
 /// Two graphs are equal when their rows are; the edge ids are a function
 /// of the rows, so equal graphs assign every edge the same id.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` is the arc slice of vertex `v`. Length `n+1`.
     offsets: Vec<usize>,
@@ -55,6 +55,13 @@ impl PartialEq for CsrGraph {
 }
 
 impl Eq for CsrGraph {}
+
+/// The empty graph: no vertices, and the one offset that closes no row.
+impl Default for CsrGraph {
+    fn default() -> Self {
+        CsrGraph::from_canonical_edges(0, Vec::new())
+    }
+}
 
 /// Hands each of the canonical `edges`' two arcs, in edge order, to
 /// `arc(position, neighbor, edge id)`, with positions in the rows
@@ -331,6 +338,18 @@ mod tests {
         assert_eq!(g.n(), 0);
         assert_eq!(g.m(), 0);
         assert_eq!(g.max_degree(), 0);
+    }
+
+    /// The default graph is the empty one the builder makes: one offset,
+    /// no vertices or edges, and an empty edge-id view.
+    #[test]
+    fn the_default_graph_is_the_empty_graph() {
+        let g = CsrGraph::default();
+        assert_eq!(g.offsets, [0]);
+        assert_eq!((g.n(), g.m(), g.max_degree()), (0, 0, 0));
+        assert_eq!(g.vertices().count(), 0);
+        assert_eq!(g, GraphBuilder::new().build());
+        assert!(g.edges().is_empty() && g.canonical_pairs().next().is_none());
     }
 
     #[test]

@@ -157,12 +157,6 @@ impl DynamicGraph {
         stats
     }
 
-    /// Whether `v`'s neighbor list is still served from the shared base
-    /// (i.e. no edit has materialized it).
-    pub fn is_cow_shared(&self, v: VertexId) -> bool {
-        self.overlay[v as usize].is_none()
-    }
-
     /// Number of vertices.
     pub fn n(&self) -> usize {
         self.overlay.len()
@@ -392,8 +386,8 @@ mod tests {
         assert!(g.remove_edge(2, 3));
         let stats = g.cow_stats();
         assert_eq!((stats.shared, stats.owned), (2, 2));
-        assert!(g.is_cow_shared(0) && g.is_cow_shared(1));
-        assert!(!g.is_cow_shared(2) && !g.is_cow_shared(3));
+        let shared: Vec<bool> = g.overlay.iter().map(Option::is_none).collect();
+        assert_eq!(shared, [true, true, false, false], "only the endpoints materialized");
         assert_eq!(g.neighbors(0).as_ptr(), csr.neighbors(0).as_ptr(), "slot 0 still shared");
         assert_eq!(g.neighbors(2), &[0, 1]);
         assert_eq!(g.m(), 3);
@@ -427,7 +421,7 @@ mod tests {
         assert!(g.insert_edge(4, 0));
         assert_eq!(g.neighbors(4), &[0]);
         assert_eq!(g.neighbors(0), &[1, 4]);
-        assert!(g.is_cow_shared(1), "vertex 1 untouched by the edit");
+        assert!(g.overlay[1].is_none(), "vertex 1 untouched by the edit");
     }
 
     #[test]

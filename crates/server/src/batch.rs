@@ -326,20 +326,20 @@ mod tests {
         (svc, tenant, reg)
     }
 
-    /// As [`tenant_with`], with the TSD index already built, so a TSD
-    /// query runs without a build.
+    /// As [`tenant_with`], with the GCT index already built, so a query
+    /// runs without a build.
     fn warm_tenant_with(
         max_pending: usize,
         threads: Option<usize>,
     ) -> (Arc<SearchService>, Arc<Tenant>, TenantRegistry) {
         let warm = tenant_with(max_pending, threads);
-        warm.0.wait_ready([EngineKind::Tsd]);
+        warm.0.wait_ready([EngineKind::Gct]);
         warm
     }
 
-    /// A TSD query for `(k, r)`.
-    fn tsd(k: u32, r: usize) -> QuerySpec {
-        QuerySpec::new(k, r).expect("spec").with_engine(EngineKind::Tsd)
+    /// A GCT query for `(k, r)`.
+    fn gct(k: u32, r: usize) -> QuerySpec {
+        QuerySpec::new(k, r).expect("spec").with_engine(EngineKind::Gct)
     }
 
     /// Parks one frame; its replies arrive on the returned channel.
@@ -395,7 +395,7 @@ mod tests {
     #[test]
     fn single_query_round_trips() {
         let (svc, tenant, _reg) = warm_tenant_with(8, None);
-        let spec = tsd(3, 4);
+        let spec = gct(3, 4);
         let replies = replies(&park(&tenant, vec![spec], None));
         assert_eq!(replies.len(), 1);
         let BatchReply::Answered { epoch, result } = &replies[0] else {
@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn async_submission_completes_off_the_submitting_thread() {
         let (svc, tenant, _reg) = warm_tenant_with(8, None);
-        let spec = tsd(3, 2);
+        let spec = gct(3, 2);
         let (tx, rx) = unbounded();
         let submitter = std::thread::current().id();
         tenant
@@ -431,7 +431,7 @@ mod tests {
         // frames wait in the accumulator for the same flush.
         let (svc, tenant, _reg) = warm_tenant_with(64, Some(1));
         let release = park_pool(&svc);
-        let spec = tsd(3, 2);
+        let spec = gct(3, 2);
         let lead = park(&tenant, vec![spec], None);
         let follow = park(&tenant, vec![spec, spec], None);
         assert_eq!(tenant.batcher.pending(), 3);
@@ -467,16 +467,16 @@ mod tests {
             started.recv_timeout(Duration::from_secs(10)).expect("a worker parks");
         }
         let frames =
-            [vec![tsd(2, 1)], vec![tsd(3, 2), tsd(4, 3), tsd(2, 5)], vec![tsd(4, 1), tsd(3, 4)]];
+            [vec![gct(2, 1)], vec![gct(3, 2), gct(4, 3), gct(2, 5)], vec![gct(4, 1), gct(3, 4)]];
         let live: Vec<_> = frames.iter().map(|specs| park(&tenant, specs.clone(), None)).collect();
         let past = Instant::now() - Duration::from_millis(1);
-        let expired = park(&tenant, vec![tsd(3, 3), tsd(2, 2)], Some(past));
+        let expired = park(&tenant, vec![gct(3, 3), gct(2, 2)], Some(past));
         let token = CancelToken::new();
         token.cancel();
         let (tx, cancelled) = unbounded();
         tenant
             .batcher
-            .submit_many_async(&svc, vec![tsd(4, 2), tsd(2, 3)], None, Some(token), move |r| {
+            .submit_many_async(&svc, vec![gct(4, 2), gct(2, 3)], None, Some(token), move |r| {
                 let _ = tx.send(r);
             })
             .expect("admitted");
@@ -544,7 +544,7 @@ mod tests {
     #[test]
     fn short_deadline_behind_a_running_batch_expires_but_mates_run() {
         let (_svc, tenant, _reg) = warm_tenant_with(8, Some(1));
-        let spec = tsd(3, 2);
+        let spec = gct(3, 2);
         let release = hold_a_running_batch(&tenant, spec);
         let deadline = Instant::now() + Duration::from_millis(5);
         let late = park(&tenant, vec![spec, spec], Some(deadline));
@@ -566,7 +566,7 @@ mod tests {
     #[test]
     fn arrivals_during_a_flush_leave_together_in_the_next_batch() {
         let (_svc, tenant, _reg) = warm_tenant_with(8, Some(1));
-        let spec = tsd(3, 2);
+        let spec = gct(3, 2);
         let release = hold_a_running_batch(&tenant, spec);
         let frames: Vec<_> = (1..=3).map(|n| park(&tenant, vec![spec; n], None)).collect();
         assert_eq!(tenant.batcher.pending(), 6);
@@ -615,7 +615,7 @@ mod tests {
     /// Cold index queries build inside their batch, and the batch keeps
     /// its contract: a cancelled slot is dropped without building, a short
     /// deadline that passes behind a batch running a cold build expires,
-    /// and its live mate joins the next build and is answered by it.
+    /// and its live mate is answered by the index that batch built.
     #[test]
     fn cold_index_batches_keep_cancellation_and_expiry() {
         let (svc, tenant, _reg) = tenant_with(8, Some(1));
@@ -632,9 +632,8 @@ mod tests {
         assert!(matches!(replies(&rx)[0], BatchReply::Dropped));
         assert!(svc.built_engines().is_empty(), "a cancelled slot builds nothing");
 
-        // The held batch builds TSD on the pool's only thread.
-        let tsd = gct.with_engine(EngineKind::Tsd);
-        let release = hold_a_running_batch(&tenant, tsd);
+        // The held batch builds GCT on the pool's only thread.
+        let release = hold_a_running_batch(&tenant, gct);
         let deadline = Instant::now() + Duration::from_millis(5);
         let late = park(&tenant, vec![gct], Some(deadline));
         let mate = park(&tenant, vec![gct], None);
@@ -649,7 +648,7 @@ mod tests {
         };
         assert_eq!(result.metrics.engine, "gct");
         let stats = svc.stats();
-        assert_eq!((stats.engines_built, stats.foreground_fallbacks), (2, 2), "{stats:?}");
+        assert_eq!((stats.engines_built, stats.foreground_fallbacks), (1, 1), "{stats:?}");
     }
 
     /// An invalid query fails its own slot only: its mates run through

@@ -493,7 +493,6 @@ impl IoLoop {
                     applied: stats.applied as u64,
                     rejected: stats.rejected as u64,
                     tsd_repairs: stats.tsd_repairs as u64,
-                    tsd_carried: stats.tsd_carried,
                     n: stats.n as u64,
                     m: stats.m as u64,
                 }),

@@ -42,19 +42,19 @@
 //! full byte tables.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sd_core::{EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService, TopREntry};
+use sd_core::{EngineKind, GraphFingerprint, QuerySpec, SearchError, TopREntry};
 use sd_graph::GraphUpdate;
 
 /// Frame magic (`"SDRP"` — Structural Diversity Request Protocol).
 pub const WIRE_MAGIC: u32 = 0x5344_5250;
 
 /// Current protocol version. Decoding rejects any other value with
-/// [`WireError::UnsupportedVersion`]. Versions 2 to 5 each changed the
+/// [`WireError::UnsupportedVersion`]. Versions 2 to 6 each changed the
 /// `StatsOk` layout. Version 4 retired engine tag 5 from query frames.
-/// Version 5 carries 10 server-scope and 16 tenant-scope counters (one
-/// query count per [`SearchService::SERVED`] kind), and retired overload
-/// reason 2, the build-queue shed.
-pub const WIRE_VERSION: u16 = 5;
+/// Version 5 retired overload reason 2, the build-queue shed. Version 6
+/// carries 10 server-scope and 13 tenant-scope counters, and drops
+/// `UpdateOk`'s TSD-carry byte: the service serves the GCT-index alone.
+pub const WIRE_VERSION: u16 = 6;
 
 /// Fixed size of the frame header preceding the payload.
 pub const FRAME_HEADER_BYTES: usize = 40;
@@ -327,8 +327,8 @@ fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
 /// One query inside a [`QueryRequest`] frame: 13 bytes on the wire —
 /// `k: u32`, `r: u64`, engine tag `u8` (0 routes [`EngineKind::Auto`]).
 /// Every [`EngineKind`] decodes, but a server serves only
-/// [`SearchService::SERVED`] and Auto: a query for Online or Bound (tags 1
-/// and 2) is answered [`QueryOutcome::Failed`] with
+/// [`sd_core::SearchService::SERVED`] (GCT) and Auto: a query for Online, Bound or
+/// TSD (tags 1, 2 and 3) is answered [`QueryOutcome::Failed`] with
 /// [`ErrorCode::BadRequest`], and the frame's other queries still run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireQuery {
@@ -754,7 +754,7 @@ impl QueryResponse {
 
 /// Payload of [`Verb::UpdateOk`] — the [`sd_core::UpdateStats`] of the
 /// applied batch: `epoch u64`, `applied u64`, `rejected u64`,
-/// `tsd_repairs u64`, `tsd_carried u8`, `n u64`, `m u64`. `n`/`m` let the
+/// `tsd_repairs u64`, `n u64`, `m u64`. `n`/`m` let the
 /// updater track the tenant's *current* fingerprint shape; routing stays
 /// keyed by the registration fingerprint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -766,10 +766,9 @@ pub struct UpdateResponse {
     /// Rejected updates: no-ops (duplicate inserts, absent removes,
     /// self-loops) and ops naming a vertex past the batch's growth bound.
     pub rejected: u64,
-    /// Ego-networks repaired by the incremental TSD carry.
+    /// Ego-networks the batch touched, `2 + |N(u) ∩ N(v)|` per applied
+    /// update ([`sd_core::UpdateStats::tsd_repairs`]).
     pub tsd_repairs: u64,
-    /// Whether the TSD index was carried incrementally.
-    pub tsd_carried: bool,
     /// Vertex count after the batch.
     pub n: u64,
     /// Edge count after the batch.
@@ -778,29 +777,23 @@ pub struct UpdateResponse {
 
 impl UpdateResponse {
     fn encode_payload(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(49);
+        let mut buf = BytesMut::with_capacity(48);
         buf.put_u64_le(self.epoch);
         buf.put_u64_le(self.applied);
         buf.put_u64_le(self.rejected);
         buf.put_u64_le(self.tsd_repairs);
-        buf.put_u8(u8::from(self.tsd_carried));
         buf.put_u64_le(self.n);
         buf.put_u64_le(self.m);
         buf.freeze()
     }
 
     fn decode_payload(mut buf: Bytes) -> Result<Self, WireError> {
-        need(&buf, 49)?;
+        need(&buf, 48)?;
         let resp = UpdateResponse {
             epoch: buf.get_u64_le(),
             applied: buf.get_u64_le(),
             rejected: buf.get_u64_le(),
             tsd_repairs: buf.get_u64_le(),
-            tsd_carried: match buf.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::InvalidPayload { what: "non-boolean tsd_carried" }),
-            },
             n: buf.get_u64_le(),
             m: buf.get_u64_le(),
         };
@@ -838,10 +831,10 @@ pub struct ServerStatsWire {
     pub pool_queued_jobs: u64,
 }
 
-/// Tenant-scope counters inside [`StatsResponse::Tenant`]: the tenant's
-/// *current* fingerprint (which drifts from its routing key as updates
-/// land), its epoch, its [`sd_core::ServiceStats`], and the per-engine
-/// query counts.
+/// Tenant-scope counters inside [`StatsResponse::Tenant`] — 13 × `u64`
+/// after the scope byte: the tenant's *current* fingerprint (which drifts
+/// from its routing key as updates land), its epoch, and its
+/// [`sd_core::ServiceStats`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantStatsWire {
     /// Fingerprint of the current epoch's graph.
@@ -860,17 +853,12 @@ pub struct TenantStatsWire {
     pub epochs: u64,
     /// Individual updates applied.
     pub updates_applied: u64,
-    /// Epochs whose TSD index was carried incrementally.
-    pub incremental_tsd_carries: u64,
     /// GCT entries repaired in place across epoch publishes.
     pub gct_repairs: u64,
     /// Queries answered through the parallel fan-out path.
     pub parallel_queries: u64,
     /// Worker threads alive in the tenant's pool.
     pub pool_threads: u64,
-    /// Queries answered per served engine, in [`SearchService::SERVED`]
-    /// order (TSD, then GCT).
-    pub queries_by_engine: [u64; SearchService::SERVED.len()],
 }
 
 /// Payload of [`Verb::StatsOk`]: `scope u8` (0 server, 1 tenant), then
@@ -917,14 +905,10 @@ impl StatsResponse {
                     t.foreground_fallbacks,
                     t.epochs,
                     t.updates_applied,
-                    t.incremental_tsd_carries,
                     t.gct_repairs,
                     t.parallel_queries,
                     t.pool_threads,
                 ] {
-                    buf.put_u64_le(v);
-                }
-                for v in t.queries_by_engine {
                     buf.put_u64_le(v);
                 }
             }
@@ -953,15 +937,14 @@ impl StatsResponse {
                 Ok(s)
             }
             1 => {
-                // 3 fingerprint words, the epoch, 10 counters, then one
-                // query count per served engine.
-                need(&buf, (14 + SearchService::SERVED.len()) * 8)?;
+                // 3 fingerprint words, the epoch, then 9 counters.
+                need(&buf, 13 * 8)?;
                 let fingerprint = GraphFingerprint {
                     n: buf.get_u64_le(),
                     m: buf.get_u64_le(),
                     edge_checksum: buf.get_u64_le(),
                 };
-                let mut t = TenantStatsWire {
+                let t = TenantStatsWire {
                     fingerprint,
                     epoch: buf.get_u64_le(),
                     queries_served: buf.get_u64_le(),
@@ -970,15 +953,10 @@ impl StatsResponse {
                     foreground_fallbacks: buf.get_u64_le(),
                     epochs: buf.get_u64_le(),
                     updates_applied: buf.get_u64_le(),
-                    incremental_tsd_carries: buf.get_u64_le(),
                     gct_repairs: buf.get_u64_le(),
                     parallel_queries: buf.get_u64_le(),
                     pool_threads: buf.get_u64_le(),
-                    queries_by_engine: [0; SearchService::SERVED.len()],
                 };
-                for slot in &mut t.queries_by_engine {
-                    *slot = buf.get_u64_le();
-                }
                 done(&buf)?;
                 Ok(StatsResponse::Tenant(t))
             }
@@ -1127,7 +1105,6 @@ mod tests {
                 applied: 3,
                 rejected: 1,
                 tsd_repairs: 17,
-                tsd_carried: true,
                 n: 100,
                 m: 412,
             }),
@@ -1152,11 +1129,9 @@ mod tests {
                 foreground_fallbacks: 1,
                 epochs: 6,
                 updates_applied: 44,
-                incremental_tsd_carries: 6,
                 gct_repairs: 39,
                 parallel_queries: 70,
                 pool_threads: 4,
-                queries_by_engine: [3, 4],
             })),
             Response::Shutdown,
             Response::Error(ErrorResponse {

@@ -350,11 +350,9 @@ pub(crate) fn handle_stats(shared: &ServerShared, frame: &Frame) -> Response {
         foreground_fallbacks: stats.foreground_fallbacks as u64,
         epochs: stats.epochs as u64,
         updates_applied: stats.updates_applied as u64,
-        incremental_tsd_carries: stats.incremental_tsd_carries as u64,
         gct_repairs: stats.gct_repairs as u64,
         parallel_queries: stats.parallel_queries as u64,
         pool_threads: stats.pool_threads as u64,
-        queries_by_engine: stats.queries_by_engine.map(|c| c as u64),
     }))
 }
 

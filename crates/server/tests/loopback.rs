@@ -31,10 +31,9 @@ fn figure18_service() -> Arc<SearchService> {
     Arc::new(SearchService::new(graph))
 }
 
-/// `service` with its TSD index built, so a TSD query runs without a
-/// build.
+/// `service` with its GCT index built, so a query runs without a build.
 fn warmed(service: Arc<SearchService>) -> Arc<SearchService> {
-    service.wait_ready([EngineKind::Tsd]);
+    service.wait_ready([EngineKind::Gct]);
     service
 }
 
@@ -44,7 +43,7 @@ fn warmed(service: Arc<SearchService>) -> Arc<SearchService> {
 fn parked_figure1_service() -> (Arc<SearchService>, Sender<()>) {
     let (graph, _, _) = paper_figure1_graph();
     let service = Arc::new(SearchService::with_pool(graph, Arc::new(WorkerPool::new(1))));
-    service.wait_ready([EngineKind::Tsd]);
+    service.wait_ready([EngineKind::Gct]);
     let (release, parked) = channel::<()>();
     service.pool().submit(move || {
         let _ = parked.recv();
@@ -92,13 +91,10 @@ fn concurrent_queries_and_updates_match_in_process_answers() {
     );
     let addr = server.local_addr();
     let (key1, key18) = (keys[0], keys[1]);
-    // Pin a concrete engine on both sides: Auto resolves by which indexes
-    // each side has built, and different engines may break score ties
-    // differently — byte-matching needs the same engine everywhere.
-    let spec1 = QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Tsd);
-    let spec18 = QuerySpec::new(4, 3).unwrap().with_engine(EngineKind::Tsd);
-    let wire1 = WireQuery { k: 3, r: 4, engine: EngineKind::Tsd };
-    let wire18 = WireQuery { k: 4, r: 3, engine: EngineKind::Tsd };
+    let spec1 = QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Gct);
+    let spec18 = QuerySpec::new(4, 3).unwrap().with_engine(EngineKind::Gct);
+    let wire1 = WireQuery { k: 3, r: 4, engine: EngineKind::Gct };
+    let wire18 = WireQuery { k: 4, r: 3, engine: EngineKind::Gct };
 
     // Client-side replica of tenant 1: applies the same update batches in
     // the same order, so its epoch numbering and answers match the
@@ -377,28 +373,32 @@ fn invalid_query_fails_its_slot_but_frame_mates_answer() {
     assert!(report.within_grace);
 }
 
-/// The service serves the two indexes: an Online query fails its own slot
-/// with `BadRequest`, before any scan, and the GCT query beside it in the
-/// same frame is answered.
+/// The service serves the GCT index: an Online query and a TSD query
+/// (tags 1 and 3) each fail their own slot with `BadRequest`, before any
+/// scan or build, and the GCT query beside them in the same frame is
+/// answered.
 #[test]
 fn unserved_engine_fails_its_slot_and_the_frame_mate_answers() {
     let (server, keys) =
         start(BatchLimits::default(), AdmissionLimits::default(), vec![figure1_service()]);
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let online = WireQuery { k: 4, r: 1, engine: EngineKind::Online };
+    let tsd = WireQuery { k: 4, r: 1, engine: EngineKind::Tsd };
     let gct = WireQuery { k: 4, r: 1, engine: EngineKind::Gct };
-    let resp = client.query(keys[0], 0, vec![online, gct]).expect("frame admitted");
-    let QueryOutcome::Failed { code, message } = &resp.outcomes[0] else {
-        panic!("the Online slot is refused, got {:?}", resp.outcomes[0]);
-    };
-    assert_eq!(*code, ErrorCode::BadRequest);
-    assert!(message.contains("online"), "{message}");
+    let resp = client.query(keys[0], 0, vec![online, tsd, gct]).expect("frame admitted");
+    for (slot, name) in [(0, "online"), (1, "tsd")] {
+        let QueryOutcome::Failed { code, message } = &resp.outcomes[slot] else {
+            panic!("the {name} slot is refused, got {:?}", resp.outcomes[slot]);
+        };
+        assert_eq!(*code, ErrorCode::BadRequest);
+        assert!(message.contains(name), "{message}");
+    }
     let expected =
         figure1_service().top_r(&QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct));
-    assert_eq!(resp.outcomes[1], QueryOutcome::Answered(expected.unwrap().entries));
+    assert_eq!(resp.outcomes[2], QueryOutcome::Answered(expected.unwrap().entries));
     let stats = client.tenant_stats(keys[0]).expect("tenant stats");
     assert_eq!(stats.queries_served, 1, "only the GCT query ran: {stats:?}");
-    assert_eq!(stats.queries_by_engine, [0, 1], "counted per served engine, TSD then GCT");
+    assert_eq!(stats.engines_built, 1, "only the GCT index was built: {stats:?}");
     let report = server.shutdown();
     assert!(report.within_grace);
 }
@@ -411,7 +411,7 @@ fn graceful_shutdown_drains_the_inflight_query() {
     let key = keys[0];
     let tenant = server.registry().lookup(&key).expect("registered");
     let expected = warmed(figure1_service())
-        .top_r(&QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Tsd))
+        .top_r(&QuerySpec::new(3, 4).unwrap().with_engine(EngineKind::Gct))
         .unwrap()
         .entries;
 
@@ -419,7 +419,7 @@ fn graceful_shutdown_drains_the_inflight_query() {
     let inflight = std::thread::spawn(move || {
         let mut client = Client::connect(addr).expect("connect");
         client
-            .query(key, 0, vec![WireQuery { k: 3, r: 4, engine: EngineKind::Tsd }])
+            .query(key, 0, vec![WireQuery { k: 3, r: 4, engine: EngineKind::Gct }])
             .expect("accepted before drain")
     });
     wait_for("the query to park", || tenant.batcher.pending() == 1);

@@ -174,13 +174,10 @@ fn response_payload_corruptions_are_typed() {
         Err(WireError::InvalidPayload { what: "unknown outcome status" })
     );
 
-    // Non-boolean tsd_carried inside an UpdateOk.
-    let mut payload = vec![0u8; 49];
-    payload[32] = 2; // the flag byte after four u64s
-    assert_eq!(
-        decode_response(Verb::UpdateOk, payload),
-        Err(WireError::InvalidPayload { what: "non-boolean tsd_carried" })
-    );
+    // An UpdateOk is six u64s: one byte short is truncated, and the
+    // version-5 layout's extra flag byte is trailing.
+    assert_eq!(decode_response(Verb::UpdateOk, vec![0u8; 47]), Err(WireError::Truncated));
+    assert_eq!(decode_response(Verb::UpdateOk, vec![0u8; 49]), Err(WireError::TrailingBytes));
 
     // Unknown stats scope byte.
     assert_eq!(
@@ -262,11 +259,9 @@ fn every_verb_frame() -> Vec<Vec<u8>> {
         foreground_fallbacks: 1,
         epochs: 2,
         updates_applied: 3,
-        incremental_tsd_carries: 1,
         gct_repairs: 4,
         parallel_queries: 6,
         pool_threads: 2,
-        queries_by_engine: [3, 6],
     };
     let responses = [
         Response::Query(QueryResponse {
@@ -282,7 +277,6 @@ fn every_verb_frame() -> Vec<Vec<u8>> {
             applied: 2,
             rejected: 1,
             tsd_repairs: 5,
-            tsd_carried: true,
             n: 17,
             m: 43,
         }),

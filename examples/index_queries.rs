@@ -1,4 +1,4 @@
-//! Index lifecycle: build the TSD and GCT engines once, export the GCT
+//! Index lifecycle: build the TSD and GCT indexes once, export the GCT
 //! index as a fingerprinted one-entry bundle to disk, import it into a
 //! fresh `SearchService`, and answer many (k, r) queries — the "index once,
 //! query forever" workflow the paper designs Section 5/6 around, made safe
@@ -13,20 +13,20 @@ use std::time::Instant;
 
 use structural_diversity::datasets;
 use structural_diversity::graph::GraphBuilder;
-use structural_diversity::search::{EngineKind, QuerySpec, SearchError, SearchService};
+use structural_diversity::search::{
+    build_engine, EngineKind, QuerySpec, SearchError, SearchService,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = datasets::dataset("email-enron-syn").expect("registry dataset");
     let g = dataset.generate(0.2);
     println!("graph: {} (n={} m={})", dataset.name, g.n(), g.m());
 
-    // Build both index engines through the service. `warmup` only enqueues
-    // (queries are never blocked by builds); `wait_ready` joins, so the
-    // elapsed time below really is the build time.
+    // The service serves the GCT-index; the TSD-index, its uncompressed
+    // form, is built directly for the comparison below.
     let service = SearchService::new(g);
     let t0 = Instant::now();
-    service.warmup([EngineKind::Tsd]);
-    service.wait_ready([EngineKind::Tsd]);
+    let tsd = build_engine(EngineKind::Tsd, service.graph());
     println!("TSD-index: built in {:?}", t0.elapsed());
     let t1 = Instant::now();
     let gct_blob = service.export_bundle([EngineKind::Gct])?;
@@ -60,39 +60,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         other => panic!("wrong-graph import must fail with FingerprintMismatch, got {other:?}"),
     }
 
-    // Or ship the whole warmed service as ONE artifact: the same format
-    // packs every serializable index (TSD + GCT) behind a single
-    // fingerprint. One file on disk, one import, both index engines ready.
-    let kinds = [EngineKind::Tsd, EngineKind::Gct];
-    let bundle = service.export_bundle(kinds)?;
-    let bundle_path = dir.join("graph.sdib");
-    std::fs::write(&bundle_path, &bundle)?;
-    let revived = SearchService::from_arc(service.graph());
-    let installed = revived.import_bundle(std::fs::read(&bundle_path)?.into())?;
-    println!(
-        "bundle: {} bytes revived {:?} from {}",
-        bundle.len(),
-        installed,
-        bundle_path.display()
-    );
-    assert_eq!(revived.built_engines(), kinds.to_vec());
-    match other.import_bundle(std::fs::read(&bundle_path)?.into()) {
-        Err(SearchError::FingerprintMismatch { .. }) => {
-            println!("wrong graph correctly refused the bundle too");
+    // The service persists only the index it serves.
+    match service.export_bundle([EngineKind::Tsd]) {
+        Err(SearchError::EngineNotServed { engine }) => {
+            println!("{engine} export correctly refused: the service serves GCT");
         }
-        other => panic!("wrong-graph bundle import must fail, got {other:?}"),
+        other => panic!("a TSD export must fail with EngineNotServed, got {other:?}"),
     }
-    // The files only demonstrate the round trip: leave nothing behind.
+    // The file only demonstrates the round trip: leave nothing behind.
     std::fs::remove_dir_all(&dir)?;
 
     // One index, many queries: the same structures answer every (k, r).
     println!("\n{:<6} {:<4} {:>14} {:>14}", "k", "r", "TSD query", "GCT query");
     for k in [3u32, 4, 5, 6] {
         for r in [10usize, 100] {
-            let tsd_spec = QuerySpec::new(k, r)?.with_engine(EngineKind::Tsd);
-            let a = service.top_r(&tsd_spec)?;
-            let gct_spec = tsd_spec.with_engine(EngineKind::Gct);
-            let b = reloaded.top_r(&gct_spec)?;
+            let spec = QuerySpec::new(k, r)?;
+            let a = tsd.top_r(&spec)?;
+            let b = reloaded.top_r(&spec.with_engine(EngineKind::Gct))?;
             assert_eq!(a.scores(), b.scores(), "engines must agree");
             let top = a.entries.first().map(|e| e.score).unwrap_or(0);
             println!(

@@ -1,6 +1,7 @@
 //! Quickstart: build a graph, run a top-r truss-based structural diversity
-//! query through the two indexes behind the `SearchService` and through
-//! the index-free Online and Bound scans, and inspect the social contexts —
+//! query through the GCT-index behind the `SearchService`, the TSD-index
+//! and the index-free Online and Bound scans, and inspect the social
+//! contexts —
 //! including serving queries from several threads at once, the shape a
 //! production deployment has.
 //!
@@ -22,11 +23,10 @@ fn main() -> Result<(), SearchError> {
     let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
     println!("graph: n={} m={}", g.n(), g.m());
 
-    // One service owns the graph and serves its two indexes, TSD and GCT;
-    // they build in chunks on the shared worker pool (a cold query joins
-    // its index's build, and the index answers it). `warmup` enqueues,
-    // `wait_ready` joins, so the per-engine comparison below times each
-    // index's warm query.
+    // One service owns the graph and serves its GCT-index, which builds in
+    // chunks on the shared worker pool (a cold query joins the build, and
+    // the index answers it). `warmup` enqueues, `wait_ready` joins, so the
+    // per-engine comparison below times the index's warm query.
     let service = Arc::new(SearchService::new(g));
     service.warmup(SearchService::SERVED);
     service.wait_ready(SearchService::SERVED);
@@ -34,8 +34,8 @@ fn main() -> Result<(), SearchError> {
 
     // The four engines answer the same validated spec; only preprocessing
     // and per-query work differ (metrics carry the search-space column).
-    // The service refuses the index-free Online and Bound scans, the
-    // paper's baselines, so those two are built directly.
+    // The service refuses the other three, the paper's baselines, so
+    // those are built directly.
     let mut last: Option<Vec<u32>> = None;
     for kind in EngineKind::ALL {
         let result = if SearchService::SERVED.contains(&kind) {
@@ -53,8 +53,7 @@ fn main() -> Result<(), SearchError> {
         last = Some(result.scores());
     }
 
-    // `Auto` resolves to the GCT-index (or to TSD while only TSD is
-    // built), so here it reuses the GCT-index built above.
+    // `Auto` names the GCT-index, so here it reuses the index built above.
     let auto = service.top_r(&spec)?;
     println!("[  auto] routed to `{}`", auto.metrics.engine);
 
@@ -74,7 +73,7 @@ fn main() -> Result<(), SearchError> {
 
     // Batches fan out across the process-wide worker pool (results stay
     // byte-identical to the sequential loop, in spec order).
-    let batch: Vec<QuerySpec> = SearchService::SERVED.map(|kind| spec.with_engine(kind)).to_vec();
+    let batch = [spec, spec.with_engine(EngineKind::Gct)];
     let (_, results) = service.top_r_many_pinned(&batch)?;
     assert!(results.iter().all(|r| Some(r.scores()) == last));
     let stats = service.stats();

@@ -22,10 +22,10 @@
 //! let service = Arc::new(SearchService::new(g));
 //! service.warmup([EngineKind::Gct]);
 //! service.wait_ready([EngineKind::Gct]);
-//! // `EngineKind::Auto` picks the GCT-index (or TSD while only TSD is
-//! // built); `.with_engine(EngineKind::Tsd)` (or `Gct`) routes
-//! // explicitly. The service serves those two indexes; the index-free
-//! // Online and Bound scans are built with `search::build_engine`.
+//! // The service serves the GCT-index, which `EngineKind::Auto` (the
+//! // default) and `.with_engine(EngineKind::Gct)` both name. The TSD-index
+//! // and the index-free Online and Bound scans are built with
+//! // `search::build_engine`.
 //! let result = service.top_r(&QuerySpec::new(4, 1)?)?;
 //! assert_eq!(result.entries[0].score, 3);
 //! assert_eq!(result.metrics.engine, EngineKind::Gct.name());

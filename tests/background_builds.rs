@@ -1,8 +1,8 @@
-//! Cold index builds: a query that finds its TSD or GCT index unbuilt
-//! joins that index's build — running it on its own thread if nobody has
-//! started it, in vertex chunks on the worker pool — and the index answers
-//! it. A first-query spike from many threads builds each cold index
-//! exactly once; `warmup` is non-blocking and `wait_ready` is its join.
+//! Cold index builds: a query that finds its GCT index unbuilt joins that
+//! index's build — running it on its own thread if nobody has started it,
+//! in vertex chunks on the worker pool — and the index answers it. A
+//! first-query spike from many threads builds the cold index exactly
+//! once; `warmup` is non-blocking and `wait_ready` is its join.
 //! Answers in the cold window equal a fully warmed service's, and no
 //! index-free engine is built along the way.
 
@@ -14,8 +14,8 @@ use structural_diversity::search::{build_engine, EngineKind, QuerySpec, SearchSe
 
 const THREADS: usize = 12;
 
-/// The two engine kinds that build an index.
-const INDEX_KINDS: [EngineKind; 2] = [EngineKind::Tsd, EngineKind::Gct];
+/// The engine kinds a service builds an index for.
+const INDEX_KINDS: [EngineKind; 1] = SearchService::SERVED;
 
 fn sample_graph() -> CsrGraph {
     datasets::dataset("email-enron-syn").expect("registry").generate(0.05)
@@ -45,11 +45,12 @@ fn cold_first_query_joins_the_index_build() {
     }
     // Built indexes are not counted again.
     let stats = service.stats();
-    assert_eq!((stats.foreground_fallbacks, stats.engines_built), (INDEX_KINDS.len(), 2));
+    let index_count = INDEX_KINDS.len();
+    assert_eq!((stats.foreground_fallbacks, stats.engines_built), (index_count, index_count));
 }
 
 /// The concurrent first-query spike: many threads hit a cold service at
-/// once, across both index kinds. Exactly one build per kind happens, every
+/// once. Exactly one build per index kind happens, every
 /// query is answered by the index it named, and every answer equals the
 /// warmed service's.
 #[test]
@@ -95,8 +96,6 @@ fn concurrent_first_query_spike_builds_each_kind_once() {
     assert_eq!(stats.queries_served, THREADS * specs.len());
     assert_eq!(service.built_engines(), INDEX_KINDS.to_vec());
     assert_eq!(stats.engines_built, INDEX_KINDS.len(), "one build per index kind: {stats:?}");
-    let by_index: usize = INDEX_KINDS.iter().map(|&k| stats.queries_for(k)).sum();
-    assert_eq!(by_index, stats.queries_served, "the indexes answered every query: {stats:?}");
 }
 
 /// `warmup` returns before the builds land; `wait_ready` actually joins
@@ -158,9 +157,7 @@ fn a_cached_bound_engine_does_not_answer_cold_index_queries() {
     }
     let stats = service.stats();
     assert_eq!(stats.foreground_fallbacks, INDEX_KINDS.len());
-    for kind in [EngineKind::Online, EngineKind::Bound] {
-        assert_eq!(stats.queries_for(kind), 0, "{kind} answered a cold query: {stats:?}");
-    }
+    assert_eq!(stats.queries_served, INDEX_KINDS.len(), "only the indexes answered: {stats:?}");
 }
 
 /// A build that `warmup` schedules lands on the pool even if nobody joins

@@ -77,7 +77,7 @@ proptest! {
         }
     }
 
-    /// Persistence differential: a TSD + GCT bundle exported from
+    /// Persistence differential: a GCT bundle exported from
     /// one service and imported into a fresh one answers every probed
     /// `(k, r)` exactly like engines built from scratch — and the revived
     /// index answers under its own engine name.
@@ -90,7 +90,7 @@ proptest! {
         k in 2u32..5,
     ) {
         let g = Arc::new(generate(family, n, edge_factor, seed));
-        let kinds = [EngineKind::Tsd, EngineKind::Gct];
+        let kinds = SearchService::SERVED;
 
         let donor = SearchService::from_arc(g.clone());
         let blob = donor.export_bundle(kinds).expect("export bundle");

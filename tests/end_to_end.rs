@@ -38,7 +38,7 @@ fn search_pipeline_on_generated_dataset() {
     let service = SearchService::new(g);
     let spec = QuerySpec::new(4, 10).expect("valid spec");
     let online = build_engine(EngineKind::Online, service.graph()).top_r(&spec).expect("online");
-    let tsd = service.top_r(&spec.with_engine(EngineKind::Tsd)).expect("tsd");
+    let tsd = build_engine(EngineKind::Tsd, service.graph()).top_r(&spec).expect("tsd");
     let gct = service.top_r(&spec.with_engine(EngineKind::Gct)).expect("gct");
     assert_eq!(online.scores(), tsd.scores());
     assert_eq!(online.scores(), gct.scores());

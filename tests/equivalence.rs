@@ -62,8 +62,7 @@ proptest! {
         let hybrid = HybridIndex::build(&g).top_r(&g, spec.config());
         prop_assert_eq!(&reference.entries, &hybrid.entries, "hybrid disagrees with online");
 
-        // Auto routing through the facade returns the same entries no
-        // matter which engine the heuristic picks.
+        // Auto routing through the facade returns the same entries.
         let service = SearchService::from_arc(g);
         let auto = service.top_r(&spec).expect("auto query");
         prop_assert_eq!(reference.entries, auto.entries);

@@ -1,24 +1,26 @@
 //! Fingerprinted index bundles, the one frame every persisted index is
-//! written in ("envelope" in the names here means that frame):
-//! `export_bundle`/`import_bundle` must round-trip every serializable
-//! engine kind alone and any set of them behind one fingerprint, and the
-//! import must reject — with typed errors, never a panic or a silently
-//! wrong engine — blobs from a different graph, truncation at every layer,
-//! unknown format versions, unknown and duplicate engine tags, zero-entry
-//! bundles, raw (unframed) index blobs, and any flipped payload bit.
+//! written in ("envelope" in the names here means that frame): the frame
+//! carries any set of index kinds behind one fingerprint, and
+//! `export_bundle`/`import_bundle` must round-trip the served GCT index,
+//! while the import must reject — with typed errors, never a panic or a
+//! silently wrong engine — TSD entries, which the service does not serve,
+//! blobs from a different graph, truncation at every layer, unknown format
+//! versions, unknown and duplicate engine tags, zero-entry bundles, raw
+//! (unframed) index blobs, and any flipped payload bit.
 
 mod common;
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use common::arb_graph;
+use common::{arb_graph, move_first_forest_edge_to_its_owner};
 use proptest::prelude::*;
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{
-    DecodeError, EngineKind, GraphFingerprint, IndexBundle, QuerySpec, SearchError, SearchService,
-    BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
+    build_engine, DecodeError, DiversityEngine, EngineKind, GraphFingerprint, IndexBundle,
+    QuerySpec, SearchError, SearchService, TsdEngine, TsdIndex, BUNDLE_ENTRY_HEADER_BYTES,
+    BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
 };
 
 fn fig1_service() -> SearchService {
@@ -28,36 +30,48 @@ fn fig1_service() -> SearchService {
     SearchService::new(g)
 }
 
+/// A bundle over `donor`'s graph holding the index of each of `kinds`,
+/// built with `build_engine`: the service itself exports GCT alone.
+fn bundle_of(donor: &SearchService, kinds: &[EngineKind]) -> Bytes {
+    let entries = kinds
+        .iter()
+        .map(|&kind| (kind, build_engine(kind, donor.graph()).to_bytes().expect("an index")))
+        .collect();
+    IndexBundle::new(donor.fingerprint(), entries).encode()
+}
+
 /// Every engine kind goes through export as a one-entry bundle: the
-/// serializable ones round-trip into an equivalent engine, the index-free
-/// ones fail with the typed capability error on both directions.
+/// served GCT index round-trips into an equivalent engine, TSD is refused
+/// as not served, and the index-free ones fail with the typed capability
+/// error.
 #[test]
 fn every_kind_roundtrips_or_reports_the_missing_capability() {
     let donor = fig1_service();
     let spec = QuerySpec::new(4, 3).unwrap();
     for kind in EngineKind::ALL {
-        if kind.serializable() {
-            let blob = donor.export_bundle([kind]).expect("export");
-            let fresh = SearchService::from_arc(donor.graph());
-            assert_eq!(fresh.import_bundle(blob).expect("import"), [kind]);
-            assert_eq!(fresh.built_engines(), vec![kind]);
-            let revived = fresh.top_r(&spec.with_engine(kind)).expect("query");
-            let original = donor.top_r(&spec.with_engine(kind)).expect("query");
-            assert_eq!(revived.scores(), original.scores(), "{kind} roundtrip changed answers");
-        } else {
-            assert_eq!(
-                donor.export_bundle([kind]).unwrap_err(),
-                SearchError::SerializationUnsupported { engine: kind.name() },
-                "{kind}"
-            );
-        }
+        let refused = match kind {
+            EngineKind::Gct => {
+                let blob = donor.export_bundle([kind]).expect("export");
+                let fresh = SearchService::from_arc(donor.graph());
+                assert_eq!(fresh.import_bundle(blob).expect("import"), [kind]);
+                assert_eq!(fresh.built_engines(), vec![kind]);
+                let revived = fresh.top_r(&spec.with_engine(kind)).expect("query");
+                let original = donor.top_r(&spec.with_engine(kind)).expect("query");
+                assert_eq!(revived.scores(), original.scores(), "{kind} roundtrip changed answers");
+                continue;
+            }
+            EngineKind::Tsd => SearchError::EngineNotServed { engine: kind },
+            _ => SearchError::SerializationUnsupported { engine: kind.name() },
+        };
+        assert_eq!(donor.export_bundle([kind]).unwrap_err(), refused, "{kind}");
     }
+    assert_eq!(donor.built_engines(), [EngineKind::Gct], "a refused export builds nothing");
 }
 
 #[test]
 fn import_rejects_unknown_engine_tag_and_bad_magic() {
     let service = fig1_service();
-    let blob = service.export_bundle([EngineKind::Tsd]).expect("export");
+    let blob = service.export_bundle([EngineKind::Gct]).expect("export");
 
     let mut tagged = blob.as_ref().to_vec();
     tagged[BUNDLE_HEADER_BYTES] = 0x7F; // the entry's engine tag
@@ -68,7 +82,7 @@ fn import_rejects_unknown_engine_tag_and_bad_magic() {
 
     // A raw index blob (no bundle frame) must be refused up front — its
     // magic is the index format's, not the bundle's.
-    let raw = service.engine(EngineKind::Tsd).to_bytes().expect("raw index bytes");
+    let raw = service.engine(EngineKind::Gct).to_bytes().expect("raw index bytes");
     assert_eq!(service.import_bundle(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
 }
 
@@ -108,14 +122,15 @@ fn churned_same_shape(donor: &SearchService) -> SearchService {
 // ---------------------------------------------------------------------------
 // Multi-index bundles ("SDIB").
 
-/// The headline bundle property: TSD + GCT persist as one blob and a fresh
-/// service over the same graph revives both, answering exactly like the
-/// donor.
+/// TSD + GCT still persist as one blob — the frame carries any set of
+/// index kinds — but the service serves GCT alone, so it refuses the
+/// bundle whole, before decoding any entry, and installs nothing; the GCT
+/// entry framed on its own imports and answers like the donor.
 #[test]
 fn bundle_roundtrips_tsd_and_gct_as_one_artifact() {
     let donor = fig1_service();
     let kinds = [EngineKind::Tsd, EngineKind::Gct];
-    let blob = donor.export_bundle(kinds).expect("export bundle");
+    let blob = bundle_of(&donor, &kinds);
 
     // The blob is a decodable bundle carrying the donor's fingerprint.
     let bundle = IndexBundle::decode(blob.clone()).expect("decode");
@@ -123,21 +138,25 @@ fn bundle_roundtrips_tsd_and_gct_as_one_artifact() {
     assert_eq!(bundle.kinds(), kinds.to_vec());
 
     let fresh = SearchService::from_arc(donor.graph());
-    assert_eq!(fresh.import_bundle(blob).expect("import bundle"), kinds.to_vec());
-    assert_eq!(fresh.built_engines(), kinds.to_vec());
+    assert_eq!(
+        fresh.import_bundle(blob).unwrap_err(),
+        SearchError::EngineNotServed { engine: EngineKind::Tsd }
+    );
+    assert!(fresh.built_engines().is_empty(), "a refused bundle installs nothing");
+    assert_eq!(fresh.stats().engines_built, 0);
+
+    let gct = IndexBundle::new(bundle.fingerprint, vec![bundle.entries[1].clone()]);
+    assert_eq!(fresh.import_bundle(gct.encode()).expect("import"), [EngineKind::Gct]);
     let spec = QuerySpec::new(4, 3).unwrap();
-    for kind in kinds {
-        let revived = fresh.top_r(&spec.with_engine(kind)).expect("revived query");
-        let original = donor.top_r(&spec.with_engine(kind)).expect("donor query");
-        assert_eq!(revived.metrics.engine, kind.name(), "bundled engines serve directly");
-        assert_eq!(revived.scores(), original.scores(), "{kind} bundle roundtrip changed answers");
-    }
+    let revived = fresh.top_r(&spec).expect("revived query");
+    assert_eq!(revived.metrics.engine, "gct", "the bundled engine serves directly");
+    assert_eq!(revived.scores(), donor.top_r(&spec).expect("donor query").scores());
 }
 
 #[test]
 fn bundle_import_rejects_truncation_at_every_layer() {
     let service = fig1_service();
-    let blob = service.export_bundle([EngineKind::Tsd, EngineKind::Gct]).expect("export bundle");
+    let blob = bundle_of(&service, &[EngineKind::Tsd, EngineKind::Gct]);
     // Every prefix of the blob is rejected — the bundle header, each entry
     // header, each payload, and the loss of trailing entries all count as
     // truncation, and none may panic.
@@ -188,7 +207,7 @@ fn bundle_import_rejects_duplicate_engine_tags() {
 #[test]
 fn bundle_import_refuses_the_retired_engine_tag() {
     let donor = fig1_service();
-    let good = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).expect("export bundle");
+    let good = bundle_of(&donor, &[EngineKind::Tsd, EngineKind::Gct]);
     let tsd_payload_len = IndexBundle::decode(good.clone()).unwrap().entries[0].1.as_ref().len();
     let tag_offsets =
         [BUNDLE_HEADER_BYTES, BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES + tsd_payload_len];
@@ -220,7 +239,7 @@ fn bundle_import_rejects_zero_entries() {
 #[test]
 fn bundle_import_rejects_wrong_fingerprint() {
     let donor = fig1_service();
-    let blob = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
+    let blob = donor.export_bundle([EngineKind::Gct]).unwrap();
 
     // Different vertex count.
     let smaller =
@@ -250,8 +269,7 @@ fn bundle_import_rejects_wrong_fingerprint() {
 #[test]
 fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
     let donor = fig1_service();
-    let kinds = [EngineKind::Tsd, EngineKind::Gct];
-    let good = donor.export_bundle(kinds).expect("export bundle");
+    let good = bundle_of(&donor, &[EngineKind::Tsd, EngineKind::Gct]);
     let first_payload_len = IndexBundle::decode(good.clone()).unwrap().entries[0].1.as_ref().len();
 
     // Flip a byte in the middle of the first (TSD) payload.
@@ -288,7 +306,7 @@ fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
 
 /// Every index is persisted with a payload checksum, the one-index case
 /// included: flipping either of the two low bits of any payload byte of
-/// Figure 1's TSD or GCT index, exported alone, is refused as
+/// Figure 1's TSD or GCT index, framed alone, is refused as
 /// `PayloadChecksum` and installs nothing. (Many such flips still parse
 /// as an index, so the index decoders alone cannot catch them.)
 #[test]
@@ -296,7 +314,7 @@ fn every_low_bit_flip_of_a_one_index_payload_is_refused() {
     let donor = fig1_service();
     let fresh = SearchService::from_arc(donor.graph());
     for kind in [EngineKind::Tsd, EngineKind::Gct] {
-        let good = donor.export_bundle([kind]).expect("export");
+        let good = bundle_of(&donor, &[kind]);
         let payload_at = BUNDLE_HEADER_BYTES + BUNDLE_ENTRY_HEADER_BYTES;
         assert!(good.len() > payload_at, "{kind}: the payload is not empty");
         for at in payload_at..good.len() {
@@ -331,36 +349,33 @@ fn bundle_import_rejects_the_checksumless_version_1_format() {
 }
 
 /// A bundle with one corrupt payload installs *nothing* — import is
-/// all-or-nothing, so a service is never left half-revived.
+/// all-or-nothing, so a service is never left half-revived, and one
+/// already serving an imported index keeps serving that very engine.
 #[test]
 fn bundle_with_one_corrupt_payload_installs_nothing() {
     let donor = fig1_service();
-    let good =
-        IndexBundle::decode(donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap())
-            .unwrap();
     let corrupt = IndexBundle::new(
-        good.fingerprint,
-        vec![
-            good.entries[0].clone(),
-            (EngineKind::Gct, bytes::Bytes::from_static(b"not a gct index")),
-        ],
-    );
+        donor.fingerprint(),
+        vec![(EngineKind::Gct, bytes::Bytes::from_static(b"not a gct index"))],
+    )
+    .encode();
     let fresh = SearchService::from_arc(donor.graph());
-    assert_eq!(
-        fresh.import_bundle(corrupt.encode()).unwrap_err(),
-        SearchError::Decode(DecodeError::BadMagic),
-        "the corrupt GCT payload must fail its own magic check"
-    );
-    assert!(fresh.built_engines().is_empty(), "the valid TSD entry must not have been installed");
+    let bad_magic = SearchError::Decode(DecodeError::BadMagic);
+    assert_eq!(fresh.import_bundle(corrupt.clone()).unwrap_err(), bad_magic);
+    assert!(fresh.built_engines().is_empty(), "the corrupt entry must not have been installed");
+
+    fresh.import_bundle(donor.export_bundle([EngineKind::Gct]).unwrap()).expect("import");
+    let serving = fresh.engine(EngineKind::Gct);
+    assert_eq!(fresh.import_bundle(corrupt).unwrap_err(), bad_magic);
+    assert!(Arc::ptr_eq(&serving, &fresh.engine(EngineKind::Gct)), "the engine was replaced");
 }
 
-/// The payload of `kind`'s index, exported alone.
+/// The payload of `kind`'s index over `donor`'s graph.
 fn exported_payload(donor: &SearchService, kind: EngineKind) -> Vec<u8> {
-    let mut bundle = IndexBundle::decode(donor.export_bundle([kind]).expect("export")).unwrap();
-    bundle.entries.remove(0).1.as_ref().to_vec()
+    build_engine(kind, donor.graph()).to_bytes().expect("an index").as_ref().to_vec()
 }
 
-/// Re-frames `kind`'s exported payload after `mutate` edits it: the
+/// Re-frames `kind`'s payload after `mutate` edits it: the
 /// bundle's entry checksum is recomputed over the edited bytes, so only
 /// the index decoder can refuse it.
 fn reframed(donor: &SearchService, kind: EngineKind, mutate: impl FnOnce(&mut [u8])) -> Bytes {
@@ -398,33 +413,38 @@ fn import_refuses_a_gct_entry_whose_members_end_past_the_list() {
     assert_refused_as_invalid(&donor, blob);
 }
 
-/// A TSD forest edge outside its owner's neighborhood would make the next
-/// query's context lookup panic; the import refuses it.
+/// A TSD entry is refused before its payload is decoded, since the
+/// service does not serve the TSD index: one whose forest edge leaves its
+/// owner's neighborhood (a query on it would panic) is refused as not
+/// served and installs nothing. `TsdEngine::from_parts` refuses the same
+/// payload as an invalid entry (`tests/index_roundtrip.rs`).
 #[test]
 fn import_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
     let donor = fig1_service();
+    let n = donor.graph().n();
     let blob = reframed(&donor, EngineKind::Tsd, |payload| {
-        // A 20-byte header, one edge count per vertex, then 12-byte edges:
-        // the first edge is the first non-empty forest's.
-        let n = donor.graph().n();
-        let owner = (0..n).find(|&v| u32_at(payload, 20 + 4 * v) > 0).expect("a forest");
-        let first_edge = 20 + 4 * n;
-        payload[first_edge..first_edge + 4].copy_from_slice(&(owner as u32).to_le_bytes());
+        move_first_forest_edge_to_its_owner(payload, n);
     });
-    assert_refused_as_invalid(&donor, blob);
+    let fresh = SearchService::from_arc(donor.graph());
+    assert_eq!(
+        fresh.import_bundle(blob).unwrap_err(),
+        SearchError::EngineNotServed { engine: EngineKind::Tsd }
+    );
+    assert!(fresh.built_engines().is_empty(), "a refused blob installs nothing");
+    assert_eq!(fresh.stats().engines_built, 0);
 }
 
-/// PR-3's known gap, closed in 0.4.0: `decode_engine` (vertex-count-only
-/// attachment) is crate-private, so the one public path that turns
-/// serialized bytes into a serving engine — `import_bundle` — checks the
-/// graph fingerprint. A stale blob from a same-shape graph (identical n
+/// The gap closed in 0.4.0: the one public path that turns serialized
+/// bytes into a *serving* engine — `import_bundle` — checks the graph
+/// fingerprint (`from_parts` attaches an index to a standalone engine, by
+/// vertex count and, for TSD, forest fit). A stale blob from a same-shape graph (identical n
 /// and m, one different edge) must be impossible to attach through any
 /// public surface.
 #[test]
 fn no_fingerprintless_public_decode_path_remains() {
     let donor = fig1_service();
     let churned = churned_same_shape(&donor);
-    let bundle = donor.export_bundle([EngineKind::Tsd, EngineKind::Gct]).unwrap();
+    let bundle = donor.export_bundle([EngineKind::Gct]).unwrap();
     assert!(
         matches!(churned.import_bundle(bundle), Err(SearchError::FingerprintMismatch { .. })),
         "import_bundle accepted a stale same-shape bundle"
@@ -444,7 +464,7 @@ proptest! {
         let spec = QuerySpec::new(k, 3.min(g.n())).expect("valid spec");
         let donor = SearchService::from_arc(g.clone());
         prop_assert_eq!(donor.fingerprint(), GraphFingerprint::of(&g));
-        for kind in [EngineKind::Tsd, EngineKind::Gct] {
+        for kind in SearchService::SERVED {
             let blob = donor.export_bundle([kind]).expect("export");
             let bundle = IndexBundle::decode(blob.clone()).expect("decode");
             prop_assert_eq!(bundle.kinds(), vec![kind]);
@@ -459,10 +479,12 @@ proptest! {
         }
     }
 
-    /// Mutated TSD and GCT payloads, re-wrapped in a fresh bundle so
-    /// every checksum matches: the import either refuses the blob, or
-    /// every query at k in 2..=8 and r in {1, n} answers without panicking
-    /// (debug builds check every arithmetic step on the way).
+    /// Mutated TSD and GCT payloads, attached the way each is attached —
+    /// GCT re-wrapped in a fresh bundle so every checksum matches and
+    /// imported, TSD decoded and attached with `from_parts` — are either
+    /// refused, or every query at k in 2..=8 and r in {1, n} answers
+    /// without panicking (debug builds check every arithmetic step on the
+    /// way).
     #[test]
     fn mutated_payloads_are_refused_or_answer_without_panicking(
         g in arb_graph(14, 48),
@@ -476,15 +498,23 @@ proptest! {
                 let len = payload.len();
                 payload[at % len] = byte;
             }
-            let blob = IndexBundle::new(donor.fingerprint(), vec![(kind, Bytes::from(payload))]);
-            let fresh = SearchService::from_arc(g.clone());
-            if fresh.import_bundle(blob.encode()).is_err() {
-                continue;
-            }
+            let payload = Bytes::from(payload);
+            let attached: Result<Arc<dyn DiversityEngine>, SearchError> = match kind {
+                EngineKind::Tsd => TsdIndex::from_bytes(payload)
+                    .map_err(SearchError::from)
+                    .and_then(|index| TsdEngine::from_parts(g.clone(), index))
+                    .map(|engine| Arc::new(engine) as Arc<dyn DiversityEngine>),
+                _ => {
+                    let blob = IndexBundle::new(donor.fingerprint(), vec![(kind, payload)]);
+                    let fresh = SearchService::from_arc(g.clone());
+                    fresh.import_bundle(blob.encode()).map(|_| fresh.engine(kind))
+                }
+            };
+            let Ok(engine) = attached else { continue };
             for k in 2..=8 {
                 for r in [1, g.n()] {
-                    let spec = QuerySpec::new(k, r).expect("valid spec").with_engine(kind);
-                    prop_assert!(fresh.top_r(&spec).is_ok(), "{} k={} r={}", kind, k, r);
+                    let spec = QuerySpec::new(k, r).expect("valid spec");
+                    prop_assert!(engine.top_r(&spec).is_ok(), "{} k={} r={}", kind, k, r);
                 }
             }
         }

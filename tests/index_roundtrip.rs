@@ -1,22 +1,21 @@
 //! Index serialization: round-trips must be lossless on arbitrary graphs,
 //! and decoding must reject corrupted blobs instead of panicking — at both
-//! the index layer (`TsdIndex`/`GctIndex`) and the engine
-//! surface (`DiversityEngine::to_bytes` revived through the service's
-//! fingerprinted `import_bundle`), whose failures unify into
-//! `SearchError`/`DecodeError`. Since 0.4.0 the fingerprint-less
-//! `decode_engine` factory is crate-private, so the *only* public way to
-//! revive serialized bytes as an engine is the bundle path.
+//! the index layer (`TsdIndex`/`GctIndex`) and the engine surface
+//! (`DiversityEngine::to_bytes`, revived through the service's
+//! fingerprinted `import_bundle` for GCT and `TsdEngine::from_parts` for
+//! TSD), whose failures unify into `SearchError`/`DecodeError`. The bundle
+//! path is the only way to attach serialized bytes to a *service*.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::arb_graph;
+use common::{arb_graph, move_first_forest_edge_to_its_owner};
 use proptest::prelude::*;
 
 use structural_diversity::search::{
-    build_engine, DecodeError, EngineKind, GctIndex, GraphFingerprint, IndexBundle, QuerySpec,
-    SearchError, SearchService, TsdIndex,
+    build_engine, paper_figure1_graph, DecodeError, DiversityEngine, EngineKind, GctIndex,
+    GraphFingerprint, IndexBundle, QuerySpec, SearchError, SearchService, TsdEngine, TsdIndex,
 };
 
 proptest! {
@@ -77,9 +76,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The trait-level capability path: serialize through
-    /// `DiversityEngine::to_bytes`, revive through the service's
-    /// fingerprinted import, and the revived engine answers queries
-    /// identically.
+    /// `DiversityEngine::to_bytes`, revive — the GCT index through the
+    /// service's fingerprinted import, the TSD index through
+    /// `TsdEngine::from_parts`, which checks it against the graph — and
+    /// the revived engine answers queries identically.
     #[test]
     fn engine_roundtrip_preserves_answers(g in arb_graph(16, 60), k in 2u32..5) {
         let g = Arc::new(g);
@@ -88,18 +88,41 @@ proptest! {
         for kind in [EngineKind::Tsd, EngineKind::Gct] {
             let engine = build_engine(kind, g.clone());
             let payload = engine.to_bytes().expect("index engines serialize");
-            // The only public revival path: frame the raw bytes as a
-            // fingerprinted one-entry bundle and import them into a service.
-            let blob = IndexBundle::new(fingerprint, vec![(kind, payload)]).encode();
-            let revived = SearchService::from_arc(g.clone());
-            prop_assert_eq!(revived.import_bundle(blob).expect("import"), vec![kind]);
+            let revived: Arc<dyn DiversityEngine> = if kind == EngineKind::Tsd {
+                let index = TsdIndex::from_bytes(payload).expect("decode");
+                Arc::new(TsdEngine::from_parts(g.clone(), index).expect("the index fits"))
+            } else {
+                // The one way onto a service: frame the raw bytes as a
+                // fingerprinted one-entry bundle and import them.
+                let blob = IndexBundle::new(fingerprint, vec![(kind, payload)]).encode();
+                let service = SearchService::from_arc(g.clone());
+                prop_assert_eq!(service.import_bundle(blob).expect("import"), vec![kind]);
+                service.engine(kind)
+            };
+            prop_assert_eq!(revived.kind(), kind);
             prop_assert_eq!(
                 engine.top_r(&spec).expect("query").scores(),
-                revived.top_r(&spec.with_engine(kind)).expect("query").scores(),
+                revived.top_r(&spec).expect("query").scores(),
                 "{} roundtrip changed answers", kind
             );
         }
     }
+}
+
+/// A TSD blob whose forest edge leaves its owner's neighborhood still
+/// decodes, but `from_parts` refuses to attach it, since a query on it
+/// would panic.
+#[test]
+fn from_parts_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
+    let (g, _, _) = paper_figure1_graph();
+    let g = Arc::new(g);
+    let mut payload = TsdIndex::build(&g).to_bytes().as_ref().to_vec();
+    move_first_forest_edge_to_its_owner(&mut payload, g.n());
+    let index = TsdIndex::from_bytes(payload.into()).expect("the blob still decodes");
+    assert_eq!(
+        TsdEngine::from_parts(g, index).unwrap_err(),
+        SearchError::Decode(DecodeError::InvalidEntry)
+    );
 }
 
 /// Non-index engines report the missing capability as a typed error.

@@ -1,9 +1,8 @@
 //! Live graph updates through the serving layer: after *any* sequence of
 //! update batches, answers served by the epoch-swapped `SearchService`
-//! must equal a service built fresh on the final graph — for both served
-//! indexes, with the Online and Bound scans' scores — and the TSD-index
-//! must have been *carried* across epochs incrementally
-//! (`incremental_tsd_carries > 0`), never rebuilt. Under update/query
+//! must equal a service built fresh on the final graph, with the Online
+//! and Bound scans' scores, and the GCT-index must have been *repaired*
+//! into each epoch (`gct_carried`), never rebuilt. Under update/query
 //! races, every answer must be internally consistent with some published
 //! epoch: never a blend of two graphs.
 
@@ -106,15 +105,14 @@ fn arb_hub_batches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The carried indexes are the rebuilt ones, byte for byte: with TSD
-    /// and GCT warm, after random batches, hub batches (several ops on one
-    /// vertex) and a batch growing the vertex set, the exported TSD and
-    /// GCT indexes equal a fresh service's on the final graph, and every
-    /// publishing batch carried GCT into an epoch that serves the
-    /// updater's own index `Arc`s. After every publishing batch the
-    /// served edge table and fingerprint equal those of a from-scratch
-    /// replay of the ops over an edge-set model, and the fresh service is
-    /// built from that replay, not from the served graph.
+    /// The carried index is the rebuilt one, byte for byte: with GCT warm,
+    /// after random batches, hub batches (several ops on one vertex) and a
+    /// batch growing the vertex set, the exported GCT index equals a fresh
+    /// service's on the final graph, and every publishing batch carried
+    /// GCT. After every publishing batch the served edge table and
+    /// fingerprint equal those of a from-scratch replay of the ops over an
+    /// edge-set model, and the fresh service is built from that replay,
+    /// not from the served graph.
     #[test]
     fn carried_indexes_equal_a_fresh_rebuild_byte_for_byte(
         g in arb_graph(14, 40),
@@ -123,7 +121,7 @@ proptest! {
     ) {
         let mut model = EdgeSetModel::of(&g);
         let live = SearchService::new(g);
-        live.wait_ready([EngineKind::Tsd, EngineKind::Gct]);
+        live.wait_ready([EngineKind::Gct]);
         let fresh_vertex = live.graph().n() as u32;
         let grow = vec![
             GraphUpdate::Insert { u: 0, v: fresh_vertex },
@@ -145,30 +143,24 @@ proptest! {
             if stats.applied > 0 {
                 prop_assert!(stats.gct_carried, "warm GCT must carry, batch {:?}", batch);
                 prop_assert!(stats.gct_repairs <= stats.tsd_repairs);
-                // Pointer probe: the epoch serves the updater's own indexes.
-                let cow = live.updater_cow().expect("updater state is retained");
-                prop_assert!(cow.indexes_alias_current_epoch, "{:?}", cow);
                 let (served, replay) = (live.graph(), model.replay());
                 prop_assert_eq!(served.edges(), replay.edges(), "after {:?}", batch);
                 prop_assert_eq!(live.fingerprint(), GraphFingerprint::of(&replay), "after {:?}", batch);
             }
         }
         let fresh = SearchService::new(model.replay());
-        for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            prop_assert_eq!(
-                live.export_bundle([kind]).unwrap(),
-                fresh.export_bundle([kind]).unwrap(),
-                "{} index diverged from the rebuild", kind
-            );
-        }
+        prop_assert_eq!(
+            live.export_bundle([EngineKind::Gct]).unwrap(),
+            fresh.export_bundle([EngineKind::Gct]).unwrap(),
+            "the GCT index diverged from the rebuild"
+        );
     }
 
     /// The acceptance property: drive a live service through an arbitrary
     /// edit script (batched), then check that `top_r` through every served
-    /// engine kind — post-`wait_ready`, so each kind serves through its
-    /// own engine — agrees exactly with a service built fresh on the final
+    /// engine kind agrees exactly with a service built fresh on the final
     /// graph and with the Online and Bound scans of that graph, and that
-    /// the TSD-index was maintained incrementally.
+    /// the GCT-index was maintained incrementally.
     #[test]
     fn served_answers_equal_a_fresh_rebuild_after_any_batch_sequence(
         g in arb_graph(14, 40),
@@ -176,9 +168,8 @@ proptest! {
         k in 2u32..5,
     ) {
         let live = SearchService::new(g);
-        // Warm TSD up front: the first batch then seeds its maintenance
-        // state from the *built index* (a carry), not from scratch.
-        live.wait_ready([EngineKind::Tsd]);
+        // Warm GCT up front: every batch then repairs the built index.
+        live.wait_ready([EngineKind::Gct]);
 
         let mut applied_total = 0usize;
         let mut epochs_published = 0usize;
@@ -188,7 +179,7 @@ proptest! {
             applied_total += stats.applied;
             if stats.applied > 0 {
                 epochs_published += 1;
-                prop_assert!(stats.tsd_carried, "warmed TSD must carry, batch {:?}", batch);
+                prop_assert!(stats.gct_carried, "warmed GCT must carry, batch {:?}", batch);
                 prop_assert!(stats.tsd_repairs >= 2 * stats.applied);
             }
         }
@@ -217,17 +208,15 @@ proptest! {
         let stats = live.stats();
         prop_assert_eq!(stats.updates_applied, applied_total);
         prop_assert_eq!(stats.epochs, 1 + epochs_published);
-        if epochs_published > 0 {
-            prop_assert!(
-                stats.incremental_tsd_carries > 0,
-                "TSD must have been maintained incrementally, not rebuilt: {:?}", stats
-            );
-            prop_assert_eq!(stats.incremental_tsd_carries, epochs_published);
-        }
+        prop_assert!(
+            stats.gct_repairs >= 2 * epochs_published,
+            "GCT must have been maintained incrementally, not rebuilt: {:?}", stats
+        );
+        prop_assert_eq!(stats.background_builds, 0, "no publish re-queued a build");
     }
 
     /// Social contexts (not just scores) survive the carry: the served
-    /// TSD engine's contexts equal the fresh service's after any script.
+    /// GCT engine's contexts equal the fresh service's after any script.
     #[test]
     fn served_contexts_equal_a_fresh_rebuild(
         g in arb_graph(12, 30),
@@ -235,15 +224,14 @@ proptest! {
         k in 2u32..5,
     ) {
         let live = SearchService::new(g);
-        live.wait_ready([EngineKind::Tsd]);
+        live.wait_ready([EngineKind::Gct]);
         for batch in &batches {
             live.apply_updates(batch).unwrap();
         }
         let final_graph = live.graph();
         let fresh = SearchService::new((*final_graph).clone());
-        fresh.wait_ready([EngineKind::Tsd]);
-        let live_engine = live.engine(EngineKind::Tsd);
-        let fresh_engine = fresh.engine(EngineKind::Tsd);
+        let live_engine = live.engine(EngineKind::Gct);
+        let fresh_engine = fresh.engine(EngineKind::Gct);
         for v in final_graph.vertices() {
             prop_assert_eq!(
                 live_engine.social_contexts(v, k),
@@ -288,8 +276,8 @@ fn reference_scores(g: &CsrGraph, k: u32, r: usize) -> Vec<u32> {
     scores
 }
 
-/// The race suite: query threads hammer the service across both served
-/// indexes while the test's own thread applies batches. Every answer must equal
+/// The race suite: query threads hammer the service's index while the
+/// test's own thread applies batches. Every answer must equal
 /// the reference on *some* published epoch — a query that blended two
 /// epochs would produce a score multiset no single graph yields (with
 /// overwhelming probability), and any disagreement between engines, or
@@ -307,7 +295,7 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
     let g = sample_graph();
     let n = g.n() as u32;
     let live = Arc::new(SearchService::new(g));
-    live.wait_ready([EngineKind::Tsd]);
+    live.wait_ready([EngineKind::Gct]);
 
     let batches = random_batches(n, 8, 40, 0x5EED_2026);
     // Every epoch's graph, recorded by the (single) updater right after
@@ -391,7 +379,7 @@ fn racing_queries_are_consistent_with_some_published_epoch() {
     }
     let stats = live.stats();
     assert_eq!(stats.epochs, batches.len() + 1);
-    assert_eq!(stats.incremental_tsd_carries, batches.len(), "every publish carried TSD");
+    assert_eq!(stats.foreground_fallbacks, 0, "every publish carried GCT warm");
 }
 
 /// Concurrent `apply_updates` calls from many threads serialize cleanly:
@@ -404,7 +392,7 @@ fn concurrent_updaters_serialize_without_losing_updates() {
     let g = sample_graph();
     let n = g.n() as u32;
     let live = Arc::new(SearchService::new(g.clone()));
-    live.wait_ready([EngineKind::Tsd]);
+    live.wait_ready([EngineKind::Gct]);
 
     // Disjoint insert sets per thread (edges chosen from disjoint vertex
     // strides), so the union is order-independent.
@@ -437,17 +425,15 @@ fn concurrent_updaters_serialize_without_losing_updates() {
     assert_eq!(live.graph().edges(), control.graph().edges());
     assert_eq!(live.fingerprint(), control.fingerprint());
 
-    let spec = QuerySpec::new(3, 10).unwrap().with_engine(EngineKind::Tsd);
-    live.wait_ready([EngineKind::Tsd]);
-    control.wait_ready([EngineKind::Tsd]);
+    let spec = QuerySpec::new(3, 10).unwrap().with_engine(EngineKind::Gct);
+    live.wait_ready([EngineKind::Gct]);
+    control.wait_ready([EngineKind::Gct]);
     assert_eq!(live.top_r(&spec).unwrap().scores(), control.top_r(&spec).unwrap().scores());
 }
 
-/// The 0.9 carry paths, end to end: after a *warm* update (both indexes
-/// built before the batch), the publish carries TSD incrementally,
-/// repairs GCT in place, and enqueues **no** background rebuild. The retained updater's COW
-/// graph must share adjacency storage with the published epoch (pointer
-/// probe through `updater_cow`, not just behavioral equality).
+/// The carry path, end to end: after a *warm* update (the index built
+/// before the batch), the publish repairs GCT in place and enqueues **no**
+/// background rebuild, and the repaired engine serves.
 #[test]
 fn warm_updates_carry_every_engine_without_background_rebuilds() {
     let live = SearchService::new(sample_graph());
@@ -457,7 +443,6 @@ fn warm_updates_carry_every_engine_without_background_rebuilds() {
 
     let stats = live.apply_updates(&[GraphUpdate::Insert { u: 0, v: grown }]).expect("apply");
     assert_eq!(stats.applied, 1);
-    assert!(stats.tsd_carried, "warm TSD must carry");
     assert!(stats.gct_carried, "warm GCT must repair in place");
     assert!(stats.gct_repairs > 0, "the touched egos were re-decomposed");
 
@@ -468,20 +453,13 @@ fn warm_updates_carry_every_engine_without_background_rebuilds() {
         "a fully-warm publish must not enqueue any background rebuild"
     );
 
-    // COW probe: the retained updater was rebased onto the published CSR,
-    // so every adjacency slot aliases the epoch's storage and none is
-    // owned — the ~2× update-session copy is gone.
-    let cow = live.updater_cow().expect("updater state is retained across publishes");
-    assert!(cow.aliases_current_epoch, "updater adjacency must alias the published epoch");
-    assert_eq!(cow.stats.owned, 0, "no overlay slot is materialized right after a publish");
-    assert!(cow.stats.shared > 0, "the shared slots are the epoch's own rows");
-
-    // The carried engines actually serve.
-    for kind in [EngineKind::Tsd, EngineKind::Gct] {
+    // The carried engine actually serves, with no build window.
+    for kind in [EngineKind::Gct, EngineKind::Auto] {
         let spec = QuerySpec::new(3, 5).unwrap().with_engine(kind);
         let served = live.top_r(&spec).expect("carried engine answers");
-        assert_eq!(served.metrics.engine, kind.name(), "{kind} must serve through its own engine");
+        assert_eq!(served.metrics.engine, "gct", "{kind} must serve through the GCT engine");
     }
+    assert_eq!(live.stats().foreground_fallbacks, before.foreground_fallbacks);
 }
 
 /// A batch must not be empty, and stale-epoch index blobs must be refused
@@ -491,7 +469,7 @@ fn empty_batches_error_and_stale_blobs_are_refused() {
     let live = SearchService::new(sample_graph());
     assert_eq!(live.apply_updates(&[]).unwrap_err(), SearchError::EmptyUpdateBatch);
 
-    let stale = live.export_bundle([EngineKind::Tsd, EngineKind::Gct]).expect("export");
+    let stale = live.export_bundle([EngineKind::Gct]).expect("export");
     let old_fingerprint = live.fingerprint();
     let stats = live.apply_updates(&[GraphUpdate::Insert { u: 0, v: 1 }]).unwrap();
     // email-enron-syn has edge (0,1)? Either way: force an applied update.
@@ -508,8 +486,8 @@ fn empty_batches_error_and_stale_blobs_are_refused() {
     );
 }
 
-/// Auto-routed traffic keeps flowing across epochs: the heuristic resolves
-/// against each epoch's engine population, and answers stay correct.
+/// Auto-routed traffic keeps flowing across epochs, whether or not the
+/// epoch's index was built yet, and answers stay correct.
 #[test]
 fn auto_traffic_survives_epoch_swaps() {
     let live = SearchService::new(sample_graph());
@@ -523,8 +501,8 @@ fn auto_traffic_survives_epoch_swaps() {
         *seen.entry(result.metrics.engine).or_default() += 1;
         live.apply_updates(batch).expect("apply");
     }
-    // However Auto routed each round, every query was answered.
-    assert_eq!(seen.values().sum::<usize>(), 4);
+    // Every round's query was answered, by the GCT index.
+    assert_eq!(seen.get("gct"), Some(&4), "{seen:?}");
 }
 
 /// Regression (0.6): `wait_ready` racing an `apply_updates` must leave the
@@ -545,7 +523,7 @@ fn wait_ready_covers_epochs_published_mid_join() {
     let g = sample_graph();
     for round in 0..6u64 {
         let service = SearchService::new(g.clone());
-        let kinds = [EngineKind::Gct, EngineKind::Tsd];
+        let mut kinds = Vec::new();
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 // Land the update inside the join's build window.
@@ -554,8 +532,9 @@ fn wait_ready_covers_epochs_published_mid_join() {
                     .apply_updates(&[GraphUpdate::Insert { u: 1, v: 7000 + round as u32 }])
                     .expect("update");
             });
-            service.wait_ready(kinds);
+            kinds = service.wait_ready([EngineKind::Gct, EngineKind::Tsd]);
         });
+        assert_eq!(kinds, [EngineKind::Gct], "the one served kind was joined");
         // No queries here — polling `built_engines` alone must show the
         // joined kinds warm on whatever epoch is now serving.
         let built = service.built_engines();

@@ -72,7 +72,7 @@ fn cold_spike_shares_one_pool_and_builds_exactly_once() {
             let references = &references;
             scope.spawn(move || {
                 for (service, reference) in services.iter().zip(references) {
-                    for kind in [EngineKind::Gct, EngineKind::Tsd, EngineKind::Auto] {
+                    for kind in [EngineKind::Gct, EngineKind::Auto] {
                         let spec = QuerySpec::new(3, 4).unwrap().with_engine(kind);
                         let result = service.top_r(&spec).unwrap_or_else(|e| {
                             panic!("spike {spike} on {kind}: query failed: {e}")
@@ -121,7 +121,7 @@ fn dropping_a_service_mid_build_is_non_blocking_and_leaves_the_pool_usable() {
     let survivor = spike_service(&pool, 0xBEEF);
 
     // Queue index builds, then drop the service with them in flight.
-    doomed.warmup([EngineKind::Tsd, EngineKind::Gct]);
+    doomed.warmup([EngineKind::Gct]);
     let dropped_at = Instant::now();
     drop(doomed);
     assert!(

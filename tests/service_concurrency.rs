@@ -90,13 +90,10 @@ fn eight_threads_serve_every_kind_identically() {
         "each engine must be built exactly once"
     );
     assert_eq!(stats.foreground_fallbacks, 0, "a warmed service never joins a build");
-    for kind in SearchService::SERVED {
-        assert_eq!(stats.queries_for(kind), THREADS * 2, "{kind} query count");
-    }
 }
 
-/// Auto routing under concurrency: whatever mix of engines the heuristic
-/// picks while racing, every answer must carry the reference score multiset.
+/// Auto routing under concurrency: racing the cold build, every answer
+/// must carry the reference score multiset.
 #[test]
 fn concurrent_auto_queries_agree_with_reference() {
     let g = figure1();
@@ -205,7 +202,7 @@ fn import_races_with_queries() {
             let service = service.clone();
             let reference = &reference;
             scope.spawn(move || {
-                for kind in [EngineKind::Gct, EngineKind::Tsd, EngineKind::Auto] {
+                for kind in [EngineKind::Gct, EngineKind::Auto] {
                     let spec = QuerySpec::new(4, 3).unwrap().with_engine(kind);
                     let result = service.top_r(&spec).expect("query during import");
                     assert_eq!(result.scores(), reference.scores());

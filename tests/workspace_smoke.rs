@@ -1,8 +1,8 @@
 //! Workspace smoke test: the umbrella crate's re-exports resolve and the
 //! paper's Figure-1 running example yields a top-1 diversity score of 3
 //! (vertex v's ego-network splits into three social contexts at k = 4)
-//! through every engine: the two indexes behind the `SearchService`
-//! facade, and the index-free scans built directly.
+//! through every engine: the GCT index behind the `SearchService` facade,
+//! and the other three built directly.
 
 use std::sync::Arc;
 
