@@ -1,8 +1,8 @@
 //! Table 3 micro-bench: TSD vs GCT index construction — the paper's
 //! sequential builds, plus the parallel-construction ablation (a
-//! beyond-the-paper extension): the chunked build `build_engine_in` runs
-//! for a `SearchService`, on pools of 1, 2 and the process-wide pool's
-//! thread count.
+//! beyond-the-paper extension): the chunked GCT build `build_engine_in`
+//! runs for a `SearchService`, on pools of 1, 2 and the process-wide
+//! pool's thread count.
 
 use std::sync::Arc;
 
@@ -29,12 +29,10 @@ fn bench_index_build(c: &mut Criterion) {
     threads.dedup();
     for t in threads {
         let pool = WorkerPool::new(t);
-        for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            let id = BenchmarkId::new(format!("{kind}_pooled_t{t}"), g.m());
-            group.bench_with_input(id, &g, |b, g| {
-                b.iter(|| build_engine_in(kind, g.clone(), &pool))
-            });
-        }
+        let id = BenchmarkId::new(format!("gct_pooled_t{t}"), g.m());
+        group.bench_with_input(id, &g, |b, g| {
+            b.iter(|| build_engine_in(EngineKind::Gct, g.clone(), &pool))
+        });
     }
     group.finish();
 }

@@ -334,7 +334,9 @@ pub const BENCH_HISTORY_DIR: &str = "bench/history";
 /// directory, so the bench trajectory accumulates comparable artifacts per
 /// run.
 ///
-/// Times here are single-shot wall-clock samples meant for trend-spotting
+/// The query and round-trip figures are means of 32 calls after one
+/// untimed call; the build, cold-query, update and fan-out figures are
+/// single shots. All are wall-clock samples meant for trend-spotting
 /// across CI runs, not criterion-grade statistics (the criterion benches
 /// under `crates/bench/benches/` are the precision instrument).
 pub fn bench_json(ctx: &ExpContext) {
@@ -342,6 +344,22 @@ pub fn bench_json(ctx: &ExpContext) {
     std::fs::write(BENCH_OUT, &json).expect("write bench json");
     println!("{json}");
     println!("[bench-json] wrote {BENCH_OUT}");
+}
+
+/// Timed calls behind each warmed query and round-trip figure of
+/// `bench-json`.
+const ROUND_TRIPS: usize = 32;
+
+/// The mean wall time, in milliseconds, of [`ROUND_TRIPS`] calls of `call`
+/// after one untimed call. The caller checks each answer inside `call`.
+fn mean_ms<T>(mut call: impl FnMut() -> T) -> f64 {
+    call();
+    let (_, elapsed) = time_it(|| {
+        for _ in 0..ROUND_TRIPS {
+            call();
+        }
+    });
+    elapsed.as_secs_f64() * 1e3 / ROUND_TRIPS as f64
 }
 
 /// Runs the perf-smoke measurement pass and returns the JSON document.
@@ -372,37 +390,35 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     // reused for the query measurements below: GCT through the serving
     // layer's own build path (`wait_ready` on an unscheduled kind builds on
     // the calling thread, so the timing is the build), and TSD, which the
-    // service does not serve, with `build_engine` on the same pool. Hybrid
-    // is the paper's Exp-4 competitor, not a serving engine: its build and
-    // query are timed on the index directly.
+    // service does not serve, with `build_engine`: the paper's sequential
+    // Algorithm 5. Hybrid is the paper's Exp-4 competitor, not a serving
+    // engine: its build and query are timed on the index directly.
     let service = Arc::new(SearchService::from_arc(shared.clone()));
     let (tsd, tsd_build) = time_it(|| build_engine(EngineKind::Tsd, shared.clone()));
     let (_, gct_build) = time_it(|| service.wait_ready([EngineKind::Gct]));
     let (hybrid, hybrid_build) = time_it(|| HybridIndex::build(&shared));
 
-    // Warmed per-engine query latency: GCT through the serving layer, TSD
-    // on the engine built above, and the index-free Online and Bound scans
-    // on their engines directly.
+    // Warmed per-engine query latency, sampled as the wire round trip
+    // below is (so `top_r_gct_ms` is its partner figure): GCT through the
+    // serving layer, TSD on the engine built above, and the index-free
+    // Online and Bound scans on their engines directly.
     let query = spec(4, 100, n);
     let mut engine_ms = Vec::new();
     for kind in EngineKind::ALL {
-        let (result, elapsed) = match kind {
-            EngineKind::Gct => time_it(|| service.top_r(&query.with_engine(kind))),
-            EngineKind::Tsd => time_it(|| tsd.top_r(&query)),
+        let ms = match kind {
+            EngineKind::Gct => {
+                mean_ms(|| service.top_r(&query.with_engine(kind)).expect("bench query"))
+            }
+            EngineKind::Tsd => mean_ms(|| tsd.top_r(&query).expect("bench query")),
             _ => {
                 let engine = build_engine(kind, shared.clone());
-                time_it(|| engine.top_r(&query))
+                mean_ms(|| engine.top_r(&query).expect("bench query"))
             }
         };
-        result.expect("bench query");
-        engine_ms.push(format!(
-            "    \"top_r_{}_ms\": {:.3}",
-            kind.name(),
-            elapsed.as_secs_f64() * 1e3
-        ));
+        engine_ms.push(format!("    \"top_r_{}_ms\": {ms:.3}", kind.name()));
     }
-    let (_, hybrid_elapsed) = time_it(|| hybrid.top_r(&shared, query.config()));
-    engine_ms.push(format!("    \"top_r_hybrid_ms\": {:.3}", hybrid_elapsed.as_secs_f64() * 1e3));
+    let hybrid_ms = mean_ms(|| hybrid.top_r(&shared, query.config()));
+    engine_ms.push(format!("    \"top_r_hybrid_ms\": {hybrid_ms:.3}"));
 
     // The live-update path: one served batch of inserts + removes against
     // the warm service, so the publish repairs GCT in place.
@@ -479,14 +495,7 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
             resp.outcomes
         );
     };
-    round_trip(&mut client, "warmup round trip");
-    const ROUND_TRIPS: usize = 32;
-    let (_, wire_elapsed) = time_it(|| {
-        for _ in 0..ROUND_TRIPS {
-            round_trip(&mut client, "round trip");
-        }
-    });
-    let round_trip_ms = wire_elapsed.as_secs_f64() * 1e3 / ROUND_TRIPS as f64;
+    let round_trip_ms = mean_ms(|| round_trip(&mut client, "round trip"));
 
     // The PR-10 datapoint: the same round trip while 64 connections are
     // held open against the readiness loop. The thread-per-connection
@@ -497,19 +506,13 @@ fn measure_bench_smoke(ctx: &ExpContext) -> String {
     let idle: Vec<sd_server::Client> = (1..CONCURRENT_CONNS)
         .map(|_| sd_server::Client::connect(server.local_addr()).expect("concurrent connect"))
         .collect();
-    round_trip(&mut client, "warmup under load");
-    let (_, concurrent_elapsed) = time_it(|| {
-        for _ in 0..ROUND_TRIPS {
-            round_trip(&mut client, "loaded round trip");
-        }
-    });
+    let concurrent_ms = mean_ms(|| round_trip(&mut client, "loaded round trip"));
     drop(idle);
     drop(client);
     server.shutdown();
-    let concurrent_ms = concurrent_elapsed.as_secs_f64() * 1e3 / ROUND_TRIPS as f64;
 
     format!(
-        "{{\n  \"schema\": \"sd-bench-smoke/7\",\n  \"dataset\": \"{}\",\n  \
+        "{{\n  \"schema\": \"sd-bench-smoke/8\",\n  \"dataset\": \"{}\",\n  \
          \"scale\": {},\n  \"n\": {n},\n  \"m\": {m},\n  \"machine_cores\": {},\n  \
          \"build\": {{\n    \
          \"tsd_ms\": {:.3},\n    \"gct_ms\": {:.3},\n    \"hybrid_ms\": {:.3}\n  }},\n  \

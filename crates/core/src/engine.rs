@@ -36,7 +36,7 @@ use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
 use crate::error::{DecodeError, SearchError};
 use crate::gct::GctIndex;
-use crate::parallel::{write_gct, write_tsd};
+use crate::parallel::write_gct;
 use crate::pool::{self, WorkerPool};
 use crate::tsd::TsdIndex;
 
@@ -205,9 +205,8 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     }
 
     /// The engine's shared [`TsdIndex`], if it is the TSD engine (size
-    /// accounting, or seeding a [`crate::dynamic::DynamicTsd`] with an
-    /// `Arc` clone instead of a rebuild). Every other engine returns
-    /// `None`.
+    /// accounting, or Hybrid's `build_from_tsd` without a rebuild). Every
+    /// other engine returns `None`.
     fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         None
     }
@@ -431,11 +430,12 @@ pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngi
 
 /// As [`build_engine`], on an explicit pool — how a
 /// [`crate::SearchService`] threads its pool down to the engines it
-/// builds. The TSD and GCT indexes are built in fixed vertex chunks on
-/// `pool` (inline, one chunk after another, on a 1-thread pool) and are
-/// byte-identical to [`TsdIndex::build`] / [`GctIndex::build`] (see
-/// [`crate::parallel`]). The Online and Bound engines have no index, and
-/// their scans run single-threaded.
+/// builds. Only the GCT-index is built on `pool`, in fixed vertex chunks
+/// (inline, one chunk after another, on a 1-thread pool), byte-identical
+/// to [`GctIndex::build`] (see [`crate::parallel`]). The TSD-index is
+/// built by [`TsdEngine::build`], the paper's single-threaded Algorithm 5,
+/// and the Online and Bound engines have no index; their scans run
+/// single-threaded.
 pub fn build_engine_in(
     kind: EngineKind,
     g: Arc<CsrGraph>,
@@ -444,10 +444,7 @@ pub fn build_engine_in(
     match kind {
         EngineKind::Online => Box::new(OnlineEngine::new(g)),
         EngineKind::Bound => Box::new(BoundEngine::new(g)),
-        EngineKind::Tsd => {
-            let index = write_tsd(pool, &g, g.vertices().collect());
-            Box::new(TsdEngine { index: Arc::new(index), g })
-        }
+        EngineKind::Tsd => Box::new(TsdEngine::build(g)),
         EngineKind::Auto | EngineKind::Gct => {
             let index = write_gct(pool, &g, g.vertices().collect());
             Box::new(GctEngine { index: Arc::new(index), g })

@@ -368,9 +368,9 @@ impl GctIndex {
     }
 
     /// This index over `n ≥ self.n()` vertices with the entry of
-    /// `repaired[i]` (ascending) replaced by `patch`'s entry `i`: the
-    /// GCT twin of [`crate::TsdIndex`]'s splice, copying the runs between
-    /// repaired vertices contiguously.
+    /// `repaired[i]` (ascending) replaced by `patch`'s entry `i`. Every
+    /// other vertex keeps its entry — runs between repaired vertices are
+    /// copied contiguously — and vertices new to this index are empty.
     pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &GctIndex) -> GctIndex {
         let mut out = GctBuilder::new(n);
         out.0.sn_tau.reserve(self.sn_tau.len() + patch.sn_tau.len());
@@ -575,7 +575,7 @@ mod tests {
     #[test]
     fn builds_keep_no_spare_capacity() {
         let g = crate::parallel::triangle_strip();
-        let pooled = crate::parallel::pooled_builds(&crate::pool::WorkerPool::new(2), &g).1;
+        let pooled = crate::parallel::pooled_build(&crate::pool::WorkerPool::new(2), &g);
         for (index, how) in [(GctIndex::build(&g), "sequential"), (pooled, "pooled")] {
             assert_eq!(index.starts.capacity(), index.starts.len(), "{how} starts");
             assert_eq!(index.sn_tau.capacity(), index.sn_tau.len(), "{how} sn_tau");

@@ -28,9 +28,8 @@
 //! vertex chunks on the shared worker pool, and the index answers it), and
 //! mutate the graph *under traffic* through epoch-swapped snapshots
 //! ([`SearchService::apply_updates`], which repairs the GCT-index from the
-//! epoch it replaces; [`dynamic::DynamicTsd`] maintains a TSD-index the
-//! same way outside the service) — all through `&self`, so one service
-//! shared via `Arc` serves any number of threads:
+//! epoch it replaces) — all through `&self`, so one service shared via
+//! `Arc` serves any number of threads:
 //!
 //! ```
 //! use sd_core::{paper_figure1_edges, QuerySpec, SearchService};
@@ -64,7 +63,6 @@ pub mod baselines;
 pub mod bound;
 pub mod cancel;
 pub mod config;
-pub mod dynamic;
 pub mod egonet;
 pub mod engine;
 pub mod envelope;
@@ -85,7 +83,6 @@ pub mod tsd;
 pub use bound::{sparsify, upper_bounds, Sparsified};
 pub use cancel::CancelToken;
 pub use config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
-pub use dynamic::DynamicTsd;
 pub use egonet::{AllEgoNetworks, EgoNetwork};
 pub use engine::{
     build_engine, build_engine_in, BoundEngine, DiversityEngine, EngineKind, GctEngine,

@@ -1,33 +1,33 @@
-//! Every index entry the serving path writes, on the shared
+//! Every GCT entry the serving path writes, on the shared
 //! [`crate::pool::WorkerPool`], with **deterministic static chunking**:
-//! every index is byte-identical to the paper's sequential build at any
+//! the index is byte-identical to the paper's sequential build at any
 //! thread count.
 //!
-//! One per-vertex body writes every entry: it extracts `v`'s ego-network
-//! from a [`CsrGraph`], decomposes it (bitmap peeling up to
+//! One writer, `write_gct`, writes the entries of an ascending vertex
+//! list: per vertex it extracts the ego-network from a [`CsrGraph`],
+//! decomposes it (bitmap peeling up to
 //! [`crate::gct::BITMAP_FALLBACK_THRESHOLD`] ego vertices, classic above),
-//! and takes its maximum spanning forest once. One chunked runner maps it
-//! over an ascending vertex list through [`WorkerPool::run_all`], the
-//! calling thread taking part, and `write_tsd` and `write_gct` append
-//! each vertex's TSD forest or GCT entry: over every vertex for
-//! [`crate::build_engine_in`]'s builds, over the affected egos for the
-//! repairs of [`crate::SearchService::apply_updates`] (GCT) and
-//! [`crate::dynamic::DynamicTsd::apply_batch`] (TSD). A 1-thread pool runs
-//! the chunks inline, one after another.
+//! takes its maximum spanning forest, and compresses it (Algorithm 8). It
+//! runs over every vertex for [`crate::build_engine_in`]'s GCT build, and
+//! over the affected egos for the repairs of
+//! [`crate::SearchService::apply_updates`]. The chunks run through
+//! [`WorkerPool::run_all`], the calling thread taking part; a 1-thread
+//! pool runs them inline, one after another.
 //!
-//! The Online and Bound engines are not here: they run the paper's
+//! The other engines are not here. Online and Bound run the paper's
 //! single-threaded Algorithms 3 and 4, so their search spaces are the
-//! paper's, and a [`crate::SearchService`] does not serve them.
+//! paper's, and the TSD-index is built by the sequential Algorithm 5
+//! ([`crate::TsdIndex::build`]), as every experiment times it.
 //!
 //! ## The determinism contract
 //!
 //! Chunk boundaries are fixed ([`SCAN_CHUNK`] listed vertices), *not*
 //! derived from the thread count. Each chunk assembles its own flat index,
 //! and the parts are concatenated in list order on the calling thread, so
-//! a build equals [`TsdIndex::build`] / [`GctIndex::build`] byte for byte
-//! (trussness does not depend on the peeling method). Those sequential
-//! builds stay as the references; only [`GctIndex::build`] lists triangles
-//! globally (Algorithm 7's one-shot extraction).
+//! a build equals [`GctIndex::build`] byte for byte (trussness does not
+//! depend on the peeling method). That sequential build stays as the
+//! reference, and lists triangles globally (Algorithm 7's one-shot
+//! extraction).
 //!
 //! This is a beyond-the-paper extension (the paper's implementation is
 //! single-threaded) and is benchmarked in `sd-bench` (`index_build.rs`).
@@ -40,15 +40,15 @@ use sd_truss::{vertex_trussness, TrussDecomposition};
 use crate::egonet::EgoNetwork;
 use crate::gct::{decompose, GctBuilder, GctIndex};
 use crate::pool::{Job, WorkerPool};
-use crate::tsd::{max_spanning_forest, TsdBuilder, TsdIndex};
+use crate::tsd::max_spanning_forest;
 
 /// Vertices per job in the pooled index writes. Fixed so chunk boundaries
 /// — and therefore indexes — never depend on the thread count.
 pub const SCAN_CHUNK: usize = 256;
 
-/// The one body that writes index entries (Algorithms 5 and 8): `v`'s
-/// ego-network in `g`, its truss decomposition, and the maximum spanning
-/// forest a TSD forest and a GCT entry are both written from.
+/// The one body that writes a GCT entry (Algorithm 8): `v`'s ego-network
+/// in `g`, its truss decomposition, and the maximum spanning forest the
+/// entry compresses.
 fn ego_forest(g: &CsrGraph, v: VertexId) -> (EgoNetwork, TrussDecomposition, Vec<(u32, u32, u32)>) {
     let ego = EgoNetwork::extract(g, v);
     let decomposition = decompose(&ego.graph);
@@ -77,23 +77,6 @@ fn write_chunks<I: Send + 'static>(
     pool.run_all(jobs)
 }
 
-/// The TSD forests of `vertices` (ascending) in `g`, in list order, as a
-/// TSD-index over `vertices.len()` vertices.
-pub(crate) fn write_tsd(
-    pool: &WorkerPool,
-    g: &Arc<CsrGraph>,
-    vertices: Arc<[VertexId]>,
-) -> TsdIndex {
-    TsdIndex::concat(write_chunks(pool, g, vertices, |g, chunk| {
-        let mut out = TsdBuilder::new(chunk.len());
-        for &v in chunk {
-            let (ego, _, forest) = ego_forest(g, v);
-            out.push_local_forest(&ego, &forest);
-        }
-        out.finish()
-    }))
-}
-
 /// The GCT entries of `vertices` (ascending) in `g`, in list order, as a
 /// GCT-index over `vertices.len()` vertices.
 pub(crate) fn write_gct(
@@ -120,11 +103,10 @@ pub(crate) fn triangle_strip() -> Arc<CsrGraph> {
     Arc::new(sd_graph::GraphBuilder::new().extend_edges(edges).build())
 }
 
-/// The TSD-index and the GCT-index of `g`, each written over every vertex,
-/// as a build writes them.
+/// The GCT-index of `g`, written over every vertex, as a build writes it.
 #[cfg(test)]
-pub(crate) fn pooled_builds(pool: &WorkerPool, g: &Arc<CsrGraph>) -> (TsdIndex, GctIndex) {
-    (write_tsd(pool, g, g.vertices().collect()), write_gct(pool, g, g.vertices().collect()))
+pub(crate) fn pooled_build(pool: &WorkerPool, g: &Arc<CsrGraph>) -> GctIndex {
+    write_gct(pool, g, g.vertices().collect())
 }
 
 #[cfg(test)]
@@ -137,12 +119,10 @@ mod tests {
     fn pooled_builds_are_byte_identical() {
         let (g, _, _) = paper_figure1_graph();
         for g in [Arc::new(g), triangle_strip()] {
-            let (tsd, gct) = (TsdIndex::build(&g).to_bytes(), GctIndex::build(&g).to_bytes());
+            let gct = GctIndex::build(&g).to_bytes();
             for threads in [1, 2, 4] {
-                let pool = WorkerPool::new(threads);
-                let (one, other) = pooled_builds(&pool, &g);
-                assert_eq!(one.to_bytes(), tsd, "tsd t={threads}");
-                assert_eq!(other.to_bytes(), gct, "gct t={threads}");
+                let pooled = pooled_build(&WorkerPool::new(threads), &g);
+                assert_eq!(pooled.to_bytes(), gct, "t={threads}");
             }
         }
     }
@@ -152,19 +132,13 @@ mod tests {
     #[test]
     fn a_listed_pass_writes_the_listed_entries_in_order() {
         let g = triangle_strip();
-        let (tsd, gct) = (TsdIndex::build(&g), GctIndex::build(&g));
+        let gct = GctIndex::build(&g);
         let listed: Vec<VertexId> = (0..g.n() as VertexId).step_by(3).collect();
         for threads in [1, 2] {
-            let pool = WorkerPool::new(threads);
-            let part = write_tsd(&pool, &g, listed.clone().into());
+            let part = write_gct(&WorkerPool::new(threads), &g, listed.clone().into());
             assert_eq!(part.n(), listed.len());
             for (i, &v) in listed.iter().enumerate() {
-                assert!(part.forest(i as VertexId).eq(tsd.forest(v)), "tsd {v} t={threads}");
-            }
-            let part = write_gct(&pool, &g, listed.clone().into());
-            assert_eq!(part.n(), listed.len());
-            for (i, &v) in listed.iter().enumerate() {
-                assert_eq!(part.entry(i as VertexId), gct.entry(v), "gct {v} t={threads}");
+                assert_eq!(part.entry(i as VertexId), gct.entry(v), "{v} t={threads}");
             }
         }
     }

@@ -102,11 +102,10 @@ use std::sync::{Arc, OnceLock};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use sd_graph::{CsrGraph, DynamicGraph, GraphUpdate};
+use sd_graph::{CsrGraph, DynamicGraph, GraphUpdate, VertexId};
 
 use crate::cancel::CancelToken;
 use crate::config::TopRResult;
-use crate::dynamic::apply_ops;
 use crate::engine::{build_engine_in, DiversityEngine, EngineKind, GctEngine, QuerySpec};
 use crate::envelope::{GraphFingerprint, IndexBundle};
 use crate::error::SearchError;
@@ -220,6 +219,59 @@ pub struct UpdateStats {
     pub n: usize,
     /// Edge count of the published graph.
     pub m: usize,
+}
+
+/// What one batch's ops did to the graph ([`apply_ops`]).
+#[derive(Default)]
+struct BatchRepair {
+    /// Ops that changed the graph.
+    applied: usize,
+    /// Ops rejected as no-ops (duplicate or self-loop inserts, removes of
+    /// absent edges).
+    rejected: usize,
+    /// `2 + |N(u) ∩ N(v)|` per applied op: the ego-networks each op
+    /// touched, counted once per op that touched them.
+    touched: usize,
+    /// Distinct ego-networks touched, each repaired once however many ops
+    /// touched it.
+    repaired: usize,
+}
+
+/// Applies `batch` to `graph` in order, and returns what it did with the
+/// ego-networks it touched: each applied op's endpoints and their common
+/// neighbors in the graph it left, sorted and deduplicated. A rejected op
+/// (duplicate or self-loop insert, absent remove) touches nothing.
+///
+/// This is the affected-ego strategy for the paper's Section 5.3 remark on
+/// dynamic graphs. Inserting or deleting edge `{u, v}` changes the
+/// ego-networks of exactly `u`, `v` (each gains or loses the other, with
+/// the ego edges it closes) and every common neighbor `w ∈ N(u) ∩ N(v)`
+/// (which gains or loses the ego edge `(u, v)`). Over a batch, the union
+/// of those sets covers every ego the batch changed: a vertex never
+/// touched as an endpoint keeps its neighbor set, so it is a common
+/// neighbor of every edit inside its ego. Rebuilding each distinct
+/// affected entry once against the final graph therefore restores the
+/// exact index (`tests/dynamic_updates.rs` checks this under random edit
+/// scripts).
+fn apply_ops(graph: &mut DynamicGraph, batch: &[GraphUpdate]) -> (BatchRepair, Arc<[VertexId]>) {
+    let mut out = BatchRepair::default();
+    let mut affected: Vec<VertexId> = Vec::new();
+    for &update in batch {
+        if !graph.apply(update) {
+            out.rejected += 1;
+            continue;
+        }
+        out.applied += 1;
+        let (u, v) = update.endpoints();
+        let before = affected.len();
+        affected.extend(graph.common_neighbors(u, v));
+        affected.extend([u, v]);
+        out.touched += affected.len() - before;
+    }
+    affected.sort_unstable();
+    affected.dedup();
+    out.repaired = affected.len();
+    (out, affected.into())
 }
 
 /// Everything per-graph: one immutable serving snapshot. Queries pin an
@@ -957,7 +1009,6 @@ mod tests {
     use crate::engine::build_engine;
     use crate::error::DecodeError;
     use crate::paper::paper_figure1_graph;
-    use sd_graph::VertexId;
 
     fn service() -> SearchService {
         let (g, _, _) = paper_figure1_graph();
@@ -1471,6 +1522,31 @@ mod tests {
         assert_eq!(s.stats().foreground_fallbacks, 0);
         let fresh = SearchService::new((*s.graph()).clone());
         assert_eq!(live.entries, fresh.top_r(&spec).unwrap().entries);
+    }
+
+    /// Ops that share egos repair each of them once: all three applied
+    /// ops below touch vertices 0 and 1, yet the batch re-decomposes fewer
+    /// egos than its ops touched, and the published index equals a full
+    /// build of the final graph.
+    #[test]
+    fn a_batch_repairs_each_affected_ego_once() {
+        let s = service();
+        s.wait_ready([EngineKind::Gct]);
+        let stats = s
+            .apply_updates(&[
+                GraphUpdate::Insert { u: 1, v: 6 },
+                GraphUpdate::Remove { u: 0, v: 1 },
+                GraphUpdate::Insert { u: 0, v: 1 },
+                GraphUpdate::Insert { u: 0, v: 1 }, // duplicate by now
+            ])
+            .unwrap();
+        assert_eq!((stats.applied, stats.rejected), (3, 1));
+        assert!(stats.gct_carried, "{stats:?}");
+        assert!(stats.tsd_repairs >= 2 * stats.applied, "{stats:?}");
+        assert!(stats.gct_repairs < stats.tsd_repairs, "{stats:?}");
+        let engine = s.core.current().cached().expect("the repair publishes warm");
+        let published = engine.gct_index().expect("a GCT engine").to_bytes();
+        assert_eq!(published, GctIndex::build(&s.graph()).to_bytes());
     }
 
     /// A batch on a service with nothing built publishes its snapshot and

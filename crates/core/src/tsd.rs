@@ -12,7 +12,6 @@
 //! Because the filtered forest is acyclic, `score(v)` needs no union-find:
 //! it is `#(endpoints touched) − #(edges kept)`.
 
-use std::ops::Range;
 use std::time::Instant;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -329,49 +328,13 @@ impl TsdIndex {
     pub fn index_size_bytes(&self) -> usize {
         20 + self.n() * 4 + self.total_edges() * 12
     }
-
-    /// This index over `n ≥ self.n()` vertices with the forest of
-    /// `repaired[i]` (ascending) replaced by `patch`'s forest `i`. Every
-    /// other vertex keeps its forest — runs between repaired vertices are
-    /// copied contiguously — and vertices new to this index are empty.
-    pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &TsdIndex) -> TsdIndex {
-        let mut out = TsdBuilder::new(n);
-        let edges = self.total_edges() + patch.total_edges();
-        out.eu.reserve(edges);
-        out.ew.reserve(edges);
-        out.weight.reserve(edges);
-        let mut next = 0usize;
-        for (i, &v) in repaired.iter().enumerate() {
-            out.extend_from(self, next..v as usize);
-            out.extend_from(patch, i..i + 1);
-            next = v as usize + 1;
-        }
-        out.extend_from(self, next..n);
-        out.finish()
-    }
-
-    /// The parts' forests in order, as one index over all their vertices:
-    /// how the pooled build ([`crate::parallel`]) joins its chunks. Each
-    /// part is freed as soon as it is copied.
-    pub(crate) fn concat(parts: Vec<TsdIndex>) -> TsdIndex {
-        let mut out = TsdBuilder::new(parts.iter().map(TsdIndex::n).sum());
-        let edges = parts.iter().map(TsdIndex::total_edges).sum();
-        out.eu.reserve_exact(edges);
-        out.ew.reserve_exact(edges);
-        out.weight.reserve_exact(edges);
-        for part in parts {
-            out.extend_from(&part, 0..part.n());
-        }
-        out.finish()
-    }
 }
 
 /// Core of Algorithm 5: the maximum spanning forest of the
 /// trussness-weighted ego-network, as `(u, w, weight)` triples in the ego's
 /// local ids, sorted by weight descending. Kruskal with a counting sort over
 /// weights, `O(m_v + τ*)`. The GCT-index compresses this same forest (see
-/// `GctBuilder::push_forest`), so one per-vertex body writes either index
-/// from it ([`crate::parallel`]).
+/// `GctBuilder::push_forest`).
 pub(crate) fn max_spanning_forest(
     local: &CsrGraph,
     decomposition: &sd_truss::TrussDecomposition,
@@ -425,13 +388,7 @@ impl TsdBuilder {
         ego: &EgoNetwork,
         decomposition: &sd_truss::TrussDecomposition,
     ) {
-        self.push_local_forest(ego, &max_spanning_forest(&ego.graph, decomposition));
-    }
-
-    /// Appends the forest of the vertex whose ego-network is `ego`, given
-    /// in the ego's local ids ([`max_spanning_forest`]).
-    pub(crate) fn push_local_forest(&mut self, ego: &EgoNetwork, forest: &[(u32, u32, u32)]) {
-        for &(a, b, weight) in forest {
+        for (a, b, weight) in max_spanning_forest(&ego.graph, decomposition) {
             self.eu.push(ego.vertices[a as usize]);
             self.ew.push(ego.vertices[b as usize]);
             self.weight.push(weight);
@@ -439,24 +396,8 @@ impl TsdBuilder {
         self.offsets.push(self.weight.len());
     }
 
-    /// Appends the forests of `vertices` from `index` with one contiguous
-    /// copy per array; vertices at or past `index.n()` get empty forests
-    /// (new, isolated vertices).
-    pub(crate) fn extend_from(&mut self, index: &TsdIndex, vertices: Range<usize>) {
-        let kept = vertices.start.min(index.n())..vertices.end.min(index.n());
-        let (first, last) = (index.offsets[kept.start], index.offsets[kept.end]);
-        let base = self.weight.len();
-        self.eu.extend_from_slice(&index.eu[first..last]);
-        self.ew.extend_from_slice(&index.ew[first..last]);
-        self.weight.extend_from_slice(&index.weight[first..last]);
-        self.offsets
-            .extend(index.offsets[kept.start + 1..=kept.end].iter().map(|&o| o - first + base));
-        let end = self.weight.len();
-        self.offsets.resize(self.offsets.len() + vertices.len() - kept.len(), end);
-    }
-
     /// Finishes the index, dropping the arrays' spare capacity: an index
-    /// lives as long as its epoch, so growth slack would stay with it.
+    /// lives as long as its engine, so growth slack would stay with it.
     pub fn finish(mut self) -> TsdIndex {
         self.offsets.shrink_to_fit();
         self.eu.shrink_to_fit();
@@ -473,18 +414,15 @@ mod tests {
     use crate::paper::paper_figure1_graph;
     use crate::score::social_contexts;
 
-    /// Neither the sequential nor the pooled build keeps growth slack:
-    /// every array's capacity is its length.
+    /// The build keeps no growth slack: every array's capacity is its
+    /// length.
     #[test]
     fn builds_keep_no_spare_capacity() {
-        let g = crate::parallel::triangle_strip();
-        let pooled = crate::parallel::pooled_builds(&crate::pool::WorkerPool::new(2), &g).0;
-        for (index, how) in [(TsdIndex::build(&g), "sequential"), (pooled, "pooled")] {
-            assert_eq!(index.offsets.capacity(), index.offsets.len(), "{how} offsets");
-            assert_eq!(index.eu.capacity(), index.eu.len(), "{how} eu");
-            assert_eq!(index.ew.capacity(), index.ew.len(), "{how} ew");
-            assert_eq!(index.weight.capacity(), index.weight.len(), "{how} weight");
-        }
+        let index = TsdIndex::build(&crate::parallel::triangle_strip());
+        assert_eq!(index.offsets.capacity(), index.offsets.len(), "offsets");
+        assert_eq!(index.eu.capacity(), index.eu.len(), "eu");
+        assert_eq!(index.ew.capacity(), index.ew.len(), "ew");
+        assert_eq!(index.weight.capacity(), index.weight.len(), "weight");
     }
 
     #[test]

@@ -10,20 +10,18 @@
 //! graph made with [`DynamicGraph::from_base`] starts with every
 //! per-vertex slot *inherited* — reads serve the base CSR's slices
 //! directly — and only the vertices an edit actually touches materialize
-//! an owned sorted vector. A long-lived updater therefore shares
-//! unmodified structure with the published snapshot it was seeded from
-//! instead of duplicating the whole adjacency (~2× graph memory);
-//! [`DynamicGraph::rebase`] re-arms the sharing against each freshly
-//! published CSR so the owned fraction stays proportional to the batch
-//! size, not to session length.
+//! an owned sorted vector. A batch of edits over a published snapshot
+//! therefore costs `O(n)` slot pointers plus the rows it touches, not a
+//! copy of the whole adjacency (~2× graph memory).
 //!
 //! A snapshot ([`DynamicGraph::to_csr`]) copies each vertex's row, owned
 //! or shared, into a rows-only [`crate::CsrGraph`] in `O(n + m)`; the
 //! edge ids that peeling reads are derived from those rows on first use,
-//! which nothing on a per-vertex path does. [`DynamicGraph::rebase`] then
-//! shares that snapshot's rows. This trusts the base: it must hold exactly
+//! which nothing on a per-vertex path does. The next batch starts over
+//! that snapshot with a fresh [`DynamicGraph::from_base`], so owned rows
+//! never outlive their batch. This trusts the base: it must hold exactly
 //! the adjacency of every row the overlay does not own, which
-//! [`DynamicGraph::from_base`] and [`DynamicGraph::rebase`] establish.
+//! [`DynamicGraph::from_base`] establishes.
 
 use std::sync::Arc;
 
@@ -71,21 +69,6 @@ pub struct BatchApplyStats {
     pub rejected: usize,
 }
 
-/// How much of a copy-on-write [`DynamicGraph`] is still borrowed from
-/// its base CSR vs. materialized as owned vectors. `shared + owned`
-/// equals the vertex count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CowStats {
-    /// Vertices whose neighbor list is served straight from the base CSR.
-    pub shared: usize,
-    /// Vertices whose neighbor list has been materialized (edited, or
-    /// created past the base's vertex range).
-    pub owned: usize,
-    /// Total `VertexId` entries held in owned vectors — the dynamic
-    /// layer's actual adjacency footprint beyond the shared base.
-    pub owned_entries: usize,
-}
-
 /// An undirected simple graph under edge insertions/deletions.
 #[derive(Clone, Debug, Default)]
 pub struct DynamicGraph {
@@ -117,44 +100,6 @@ impl DynamicGraph {
     pub fn from_base(base: Arc<CsrGraph>) -> Self {
         let (n, m) = (base.n(), base.m());
         DynamicGraph { base: Some(base), overlay: vec![None; n], m }
-    }
-
-    /// Re-arms copy-on-write sharing against a freshly snapshotted CSR.
-    ///
-    /// The caller guarantees `base` has exactly this graph's current
-    /// adjacency (the contract of [`Self::to_csr`] output); all owned
-    /// overlay vectors are dropped and every slot reverts to shared.
-    /// Every later read of an unedited row, snapshots included, is served
-    /// from `base`, so it is only as right as this guarantee.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `base` disagrees on vertex or edge
-    /// count, or on any vertex's neighbor list.
-    pub fn rebase(&mut self, base: Arc<CsrGraph>) {
-        debug_assert_eq!(base.n(), self.n(), "rebase target must match vertex count");
-        debug_assert_eq!(base.m(), self.m(), "rebase target must match edge count");
-        debug_assert!(
-            (0..self.n() as VertexId).all(|v| self.neighbors(v) == base.neighbors(v)),
-            "rebase target must hold this graph's adjacency, row for row"
-        );
-        self.overlay.clear();
-        self.overlay.resize(base.n(), None);
-        self.base = Some(base);
-    }
-
-    /// Shared-vs-owned accounting for the copy-on-write overlay.
-    pub fn cow_stats(&self) -> CowStats {
-        let mut stats = CowStats::default();
-        for slot in &self.overlay {
-            match slot {
-                None => stats.shared += 1,
-                Some(list) => {
-                    stats.owned += 1;
-                    stats.owned_entries += list.len();
-                }
-            }
-        }
-        stats
     }
 
     /// Number of vertices.
@@ -377,39 +322,18 @@ mod tests {
             GraphBuilder::new().extend_edges([(0, 1), (1, 2), (0, 2), (2, 3)]).build(),
         );
         let mut g = DynamicGraph::from_base(csr.clone());
-        assert_eq!(g.cow_stats(), CowStats { shared: 4, owned: 0, owned_entries: 0 });
+        let shared = |g: &DynamicGraph| g.overlay.iter().map(Option::is_none).collect::<Vec<_>>();
+        assert_eq!(shared(&g), [true; 4], "a fresh graph owns no row");
         // Untouched slots serve the base CSR's slices verbatim.
         for v in 0..4 {
             assert_eq!(g.neighbors(v).as_ptr(), csr.neighbors(v).as_ptr(), "v={v}");
         }
         // Removing {2, 3} materializes exactly those two endpoints.
         assert!(g.remove_edge(2, 3));
-        let stats = g.cow_stats();
-        assert_eq!((stats.shared, stats.owned), (2, 2));
-        let shared: Vec<bool> = g.overlay.iter().map(Option::is_none).collect();
-        assert_eq!(shared, [true, true, false, false], "only the endpoints materialized");
+        assert_eq!(shared(&g), [true, true, false, false], "only the endpoints materialized");
         assert_eq!(g.neighbors(0).as_ptr(), csr.neighbors(0).as_ptr(), "slot 0 still shared");
         assert_eq!(g.neighbors(2), &[0, 1]);
         assert_eq!(g.m(), 3);
-    }
-
-    #[test]
-    fn rebase_rearms_sharing_after_snapshot() {
-        let csr = GraphBuilder::new().extend_edges([(0, 1), (1, 2), (0, 2)]).build();
-        let mut g = DynamicGraph::from_csr(&csr);
-        g.insert_edge(0, 3);
-        g.insert_edge(2, 3);
-        assert!(g.cow_stats().owned > 0);
-        let snapshot = std::sync::Arc::new(g.to_csr());
-        g.rebase(snapshot.clone());
-        let stats = g.cow_stats();
-        assert_eq!((stats.owned, stats.shared), (0, 4), "all slots shared again");
-        for v in 0..4 {
-            assert_eq!(g.neighbors(v).as_ptr(), snapshot.neighbors(v).as_ptr(), "v={v}");
-        }
-        // Edits after the rebase still behave.
-        assert!(g.remove_edge(0, 3));
-        assert_eq!(g.to_csr().edges(), &[(0, 1), (0, 2), (1, 2), (2, 3)]);
     }
 
     #[test]

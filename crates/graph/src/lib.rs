@@ -47,6 +47,6 @@ pub use builder::GraphBuilder;
 pub use connectivity::{connected_components, is_connected};
 pub use csr::CsrGraph;
 pub use dsu::Dsu;
-pub use dynamic::{BatchApplyStats, CowStats, DynamicGraph, GraphUpdate};
+pub use dynamic::{BatchApplyStats, DynamicGraph, GraphUpdate};
 pub use stats::GraphStats;
 pub use types::{EdgeId, VertexId, INVALID_EDGE, INVALID_VERTEX};

@@ -1,34 +1,51 @@
-//! Property tests for dynamic TSD-index maintenance: after an arbitrary
-//! script of edge insertions and deletions, the incrementally-maintained
-//! index must agree exactly with a from-scratch rebuild — scores AND social
-//! contexts, for every k.
+//! Property tests for update maintenance: after an arbitrary script of edge
+//! insertions and deletions, each applied as its own
+//! `SearchService::apply_updates` batch, the repaired GCT-index must agree
+//! exactly with a from-scratch computation on the published graph — scores
+//! AND social contexts, for every k.
 
 mod common;
 
 use common::arb_graph;
 use proptest::prelude::*;
 
-use structural_diversity::search::dynamic::DynamicTsd;
-use structural_diversity::search::{all_scores, social_contexts};
+use structural_diversity::graph::{CsrGraph, GraphUpdate};
+use structural_diversity::search::{all_scores, social_contexts, EngineKind, SearchService};
 
-/// One edit: insert or delete an (attempted) edge.
-#[derive(Clone, Debug)]
-enum Edit {
-    Insert(u32, u32),
-    Remove(u32, u32),
-}
-
-fn arb_edits(n: u32, len: usize) -> impl Strategy<Value = Vec<Edit>> {
+fn arb_edits(n: u32, len: usize) -> impl Strategy<Value = Vec<GraphUpdate>> {
     proptest::collection::vec(
         (any::<bool>(), 0..n, 0..n).prop_map(|(ins, u, v)| {
             if ins {
-                Edit::Insert(u, v)
+                GraphUpdate::Insert { u, v }
             } else {
-                Edit::Remove(u, v)
+                GraphUpdate::Remove { u, v }
             }
         }),
         0..len,
     )
+}
+
+/// A service over `g` with its GCT-index built, so every applied batch
+/// repairs it.
+fn warm_service(g: CsrGraph) -> SearchService {
+    let service = SearchService::new(g);
+    service.wait_ready([EngineKind::Gct]);
+    service
+}
+
+/// Applies `edit` as a batch of its own. An edit that applies must publish
+/// a repaired GCT-index, not leave it to a rebuild.
+fn apply(service: &SearchService, edit: GraphUpdate) -> Result<(), TestCaseError> {
+    let stats = service.apply_updates(&[edit]).expect("a one-op batch");
+    prop_assert!(stats.applied == 0 || stats.gct_carried, "{:?}: {:?}", edit, stats);
+    Ok(())
+}
+
+/// The served GCT engine's scores at `k`, over every vertex of the
+/// published graph.
+fn served_scores(service: &SearchService, k: u32) -> Vec<u32> {
+    let engine = service.engine(EngineKind::Gct);
+    service.graph().vertices().map(|v| engine.score(v, k)).collect()
 }
 
 proptest! {
@@ -40,16 +57,12 @@ proptest! {
         edits in arb_edits(14, 12),
         k in 2u32..5,
     ) {
-        let mut dynamic = DynamicTsd::from_csr(&g);
-        for edit in &edits {
-            match *edit {
-                Edit::Insert(u, v) => { dynamic.insert_edge(u, v); }
-                Edit::Remove(u, v) => { dynamic.remove_edge(u, v); }
-            }
-            let snapshot = dynamic.graph().to_csr();
+        let service = warm_service(g);
+        for edit in edits {
+            apply(&service, edit)?;
             prop_assert_eq!(
-                dynamic.all_scores(k),
-                all_scores(&snapshot, k),
+                served_scores(&service, k),
+                all_scores(&service.graph(), k),
                 "after {:?}",
                 edit
             );
@@ -62,18 +75,15 @@ proptest! {
         edits in arb_edits(12, 8),
         k in 2u32..5,
     ) {
-        let mut dynamic = DynamicTsd::from_csr(&g);
+        let service = warm_service(g);
         for edit in edits {
-            match edit {
-                Edit::Insert(u, v) => { dynamic.insert_edge(u, v); }
-                Edit::Remove(u, v) => { dynamic.remove_edge(u, v); }
-            }
+            apply(&service, edit)?;
         }
-        let snapshot = dynamic.graph().to_csr();
-        for v in snapshot.vertices() {
+        let (graph, engine) = (service.graph(), service.engine(EngineKind::Gct));
+        for v in graph.vertices() {
             prop_assert_eq!(
-                dynamic.social_contexts(v, k),
-                social_contexts(&snapshot, v, k),
+                engine.social_contexts(v, k),
+                social_contexts(&graph, v, k),
                 "v={}", v
             );
         }
@@ -86,9 +96,9 @@ proptest! {
         prop_assume!(u < g.n() as u32 && v < g.n() as u32);
         prop_assume!(!g.has_edge(u, v));
         let before = all_scores(&g, k);
-        let mut dynamic = DynamicTsd::from_csr(&g);
-        dynamic.insert_edge(u, v);
-        dynamic.remove_edge(u, v);
-        prop_assert_eq!(dynamic.all_scores(k), before);
+        let service = warm_service(g);
+        apply(&service, GraphUpdate::Insert { u, v })?;
+        apply(&service, GraphUpdate::Remove { u, v })?;
+        prop_assert_eq!(served_scores(&service, k), before);
     }
 }

@@ -1,15 +1,16 @@
-//! Parallel-vs-sequential differential harness: building the indexes and
-//! fanning query batches out on a [`WorkerPool`] — at *any* thread count —
-//! must not change a single answer, search-space count or index byte.
-//! The pool promises more than equal score multisets: build chunks are
-//! fixed and joined in chunk order, so pooled indexes are
-//! **byte-identical** to the paper's sequential builds, and a fanned-out
-//! query runs the same single-threaded algorithm it runs alone. The
-//! reference is always the paper's sequential constructors
-//! ([`OnlineEngine::new`], [`BoundEngine::new`], [`TsdEngine::build`],
-//! [`GctEngine::build`]). This harness pins that promise across every
-//! engine, thread counts {1, 2, max}, two generator families, the
-//! `top_r_many` fan-out, and epoch swaps from live updates.
+//! Parallel-vs-sequential differential harness: building the GCT-index
+//! and fanning query batches out on a [`WorkerPool`] — at *any* thread
+//! count — must not change a single answer, search-space count or index
+//! byte. The pool promises more than equal score multisets: build chunks
+//! are fixed and joined in chunk order, so a pooled GCT-index is
+//! **byte-identical** to the paper's sequential build, and a fanned-out
+//! query runs the same single-threaded algorithm it runs alone. A TSD
+//! engine from [`build_engine_in`] is [`TsdEngine::build`] on any pool, so
+//! it matches by construction. The reference is always the paper's
+//! sequential constructors ([`OnlineEngine::new`], [`BoundEngine::new`],
+//! [`TsdEngine::build`], [`GctEngine::build`]). This harness pins that
+//! promise across every engine, thread counts {1, 2, max}, two generator
+//! families, the `top_r_many` fan-out, and epoch swaps from live updates.
 //!
 //! Every pooled run uses an explicit pool ([`build_engine_in`],
 //! [`SearchService::with_pool`]), so the parallel code paths execute even
@@ -105,8 +106,8 @@ proptest! {
 
     /// The headline property: every engine built by `build_engine_in` on
     /// a pool of every thread count returns byte-identical entries and
-    /// search spaces to the paper's sequential engine — the TSD/GCT
-    /// indexes are built on the pool, the Online/Bound scans run
+    /// search spaces to the paper's sequential engine — the GCT-index is
+    /// built on the pool, and the TSD build and the Online/Bound scans run
     /// single-threaded either way.
     #[test]
     fn pooled_engines_are_byte_identical_to_sequential(
