@@ -4,11 +4,12 @@
 //! The paper's experimental lineup (Algorithms 3–8) grew up as four
 //! differently shaped APIs — two free functions and two index structs
 //! whose `top_r` signatures disagreed. [`DiversityEngine`] unifies them:
-//! every engine is built from a graph via [`build_engine`] (or attached to
-//! a prebuilt index with `from_parts`), answers the same
-//! [`QuerySpec`], and reports per-query [`crate::SearchMetrics`]. The
-//! [`crate::SearchService`] facade sits on top of the GCT engine, adding
-//! lazy index construction, update repair, and batched queries.
+//! every engine is built from a graph via [`build_engine`] (the GCT engine
+//! can also be attached to a decoded index with [`GctEngine::from_parts`]),
+//! answers the same [`QuerySpec`], and reports per-query
+//! [`crate::SearchMetrics`]. The [`crate::SearchService`] facade sits on
+//! top of the GCT engine, adding lazy index construction, update repair,
+//! and batched queries.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -27,14 +28,13 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use serde::Serialize;
 
 use sd_graph::{CsrGraph, VertexId};
 
 use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
-use crate::error::{DecodeError, SearchError};
+use crate::error::SearchError;
 use crate::gct::GctIndex;
 use crate::parallel::write_gct;
 use crate::pool::{self, WorkerPool};
@@ -72,12 +72,6 @@ impl EngineKind {
             EngineKind::Tsd => "tsd",
             EngineKind::Gct => "gct",
         }
-    }
-
-    /// Whether this engine kind has a serialized index form
-    /// ([`DiversityEngine::to_bytes`], attached again with `from_parts`).
-    pub fn serializable(self) -> bool {
-        matches!(self, EngineKind::Tsd | EngineKind::Gct)
     }
 
     /// Stable on-disk tag used by each [`crate::envelope::IndexBundle`]
@@ -198,12 +192,6 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     /// clamping semantics (`r` truncated to `n`). Prefer [`Self::top_r`].
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult;
 
-    /// Serializes the engine's index, if it has one (TSD and GCT do;
-    /// the others return [`SearchError::SerializationUnsupported`]).
-    fn to_bytes(&self) -> Result<Bytes, SearchError> {
-        Err(SearchError::SerializationUnsupported { engine: self.name() })
-    }
-
     /// The engine's shared [`TsdIndex`], if it is the TSD engine (size
     /// accounting, or Hybrid's `build_from_tsd` without a rebuild). Every
     /// other engine returns `None`.
@@ -211,10 +199,9 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// The engine's shared [`GctIndex`], if it is the GCT engine — what
-    /// [`crate::SearchService::apply_updates`] reads from the epoch it
-    /// replaces, to repair only the affected entries instead of
-    /// re-decomposing the whole graph. Every other engine returns `None`.
+    /// The engine's shared [`GctIndex`], if it is the GCT engine (size
+    /// accounting, or the persisted bytes of [`GctIndex::to_bytes`]). Every
+    /// other engine returns `None`.
     fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         None
     }
@@ -308,21 +295,6 @@ impl TsdEngine {
         TsdEngine { g, index }
     }
 
-    /// Attaches a prebuilt index to its graph — a decoded one, say, from
-    /// [`TsdIndex::from_bytes`] — after checking that it fits: the vertex
-    /// counts must agree ([`SearchError::GraphMismatch`]), and every forest
-    /// must be a forest over its owner's neighborhood in `g`, or a query
-    /// would panic on it ([`DecodeError::InvalidEntry`]).
-    pub fn from_parts(g: Arc<CsrGraph>, index: TsdIndex) -> Result<Self, SearchError> {
-        if index.n() != g.n() {
-            return Err(SearchError::GraphMismatch { graph_n: g.n(), index_n: index.n() });
-        }
-        if !index.forests_fit(&g) {
-            return Err(DecodeError::InvalidEntry.into());
-        }
-        Ok(TsdEngine { g, index: Arc::new(index) })
-    }
-
     /// The underlying index (size accounting, forests, score profiles).
     pub fn index(&self) -> &TsdIndex {
         &self.index
@@ -350,10 +322,6 @@ impl DiversityEngine for TsdEngine {
         self.index.top_r(&self.g, config)
     }
 
-    fn to_bytes(&self) -> Result<Bytes, SearchError> {
-        Ok(self.index.to_bytes())
-    }
-
     fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         Some(&self.index)
     }
@@ -371,6 +339,13 @@ impl GctEngine {
     /// Builds the GCT-index of `g` (Algorithm 7).
     pub fn build(g: Arc<CsrGraph>) -> Self {
         let index = Arc::new(GctIndex::build(&g));
+        GctEngine { g, index }
+    }
+
+    /// As [`Self::build`], in fixed vertex chunks on `pool`, byte-identical
+    /// to the sequential build (see [`crate::parallel`]).
+    pub(crate) fn build_in(g: Arc<CsrGraph>, pool: &WorkerPool) -> Self {
+        let index = Arc::new(write_gct(pool, &g, g.vertices().collect()));
         GctEngine { g, index }
     }
 
@@ -410,10 +385,6 @@ impl DiversityEngine for GctEngine {
         self.index.top_r(config)
     }
 
-    fn to_bytes(&self) -> Result<Bytes, SearchError> {
-        Ok(self.index.to_bytes())
-    }
-
     fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         Some(&self.index)
     }
@@ -428,11 +399,10 @@ pub fn build_engine(kind: EngineKind, g: Arc<CsrGraph>) -> Box<dyn DiversityEngi
     build_engine_in(kind, g, pool::global())
 }
 
-/// As [`build_engine`], on an explicit pool — how a
-/// [`crate::SearchService`] threads its pool down to the engines it
-/// builds. Only the GCT-index is built on `pool`, in fixed vertex chunks
-/// (inline, one chunk after another, on a 1-thread pool), byte-identical
-/// to [`GctIndex::build`] (see [`crate::parallel`]). The TSD-index is
+/// As [`build_engine`], on an explicit pool. Only the GCT-index is built
+/// on `pool`, in fixed vertex chunks (inline, one chunk after another, on
+/// a 1-thread pool), byte-identical to [`GctIndex::build`] (see
+/// [`crate::parallel`]). The TSD-index is
 /// built by [`TsdEngine::build`], the paper's single-threaded Algorithm 5,
 /// and the Online and Bound engines have no index; their scans run
 /// single-threaded.
@@ -445,17 +415,13 @@ pub fn build_engine_in(
         EngineKind::Online => Box::new(OnlineEngine::new(g)),
         EngineKind::Bound => Box::new(BoundEngine::new(g)),
         EngineKind::Tsd => Box::new(TsdEngine::build(g)),
-        EngineKind::Auto | EngineKind::Gct => {
-            let index = write_gct(pool, &g, g.vertices().collect());
-            Box::new(GctEngine { index: Arc::new(index), g })
-        }
+        EngineKind::Auto | EngineKind::Gct => Box::new(GctEngine::build_in(g, pool)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::DecodeError;
     use crate::paper::paper_figure1_graph;
 
     fn figure1() -> (Arc<CsrGraph>, VertexId) {
@@ -511,58 +477,12 @@ mod tests {
     }
 
     #[test]
-    fn serialization_capability_split() {
-        let (g, _) = figure1();
-        for kind in EngineKind::ALL {
-            let engine = build_engine(kind, g.clone());
-            assert_eq!(engine.to_bytes().is_ok(), kind.serializable(), "{kind}");
-        }
-    }
-
-    /// An index serialized by its engine and attached again with
-    /// `from_parts` answers as the engine did.
-    #[test]
-    fn trait_level_roundtrip() {
-        let (g, v) = figure1();
-        let tsd = build_engine(EngineKind::Tsd, g.clone());
-        let gct = build_engine(EngineKind::Gct, g.clone());
-        let tsd_back = TsdEngine::from_parts(
-            g.clone(),
-            TsdIndex::from_bytes(tsd.to_bytes().unwrap()).unwrap(),
-        );
-        let gct_back = GctEngine::from_parts(
-            g.clone(),
-            GctIndex::from_bytes(gct.to_bytes().unwrap()).unwrap(),
-        );
-        let backs: [Box<dyn DiversityEngine>; 2] =
-            [Box::new(tsd_back.unwrap()), Box::new(gct_back.unwrap())];
-        for (engine, back) in [tsd, gct].iter().zip(&backs) {
-            for k in 2..=5 {
-                assert_eq!(back.score(v, k), engine.score(v, k), "{} k={k}", engine.name());
-            }
-        }
-    }
-
-    #[test]
-    fn decoding_rejects_garbage_and_wrong_kinds() {
-        let junk = TsdIndex::from_bytes(Bytes::from_static(b"junk")).unwrap_err();
-        assert_eq!(SearchError::from(junk), SearchError::Decode(DecodeError::Truncated));
-        // A TSD blob is not a GCT blob.
-        let (g, _) = figure1();
-        let tsd_blob = build_engine(EngineKind::Tsd, g).to_bytes().unwrap();
-        assert_eq!(GctIndex::from_bytes(tsd_blob).unwrap_err(), DecodeError::BadMagic);
-    }
-
-    #[test]
     fn from_parts_rejects_a_mismatched_graph() {
         let (g, _) = figure1();
         let smaller = Arc::new(
             sd_graph::GraphBuilder::new().extend_edges([(0u32, 1u32), (1, 2), (0, 2)]).build(),
         );
-        let mismatch = SearchError::GraphMismatch { graph_n: 3, index_n: g.n() };
-        let gct = GctEngine::from_parts(smaller.clone(), GctIndex::build(&g));
-        assert_eq!(gct.unwrap_err(), mismatch);
-        let tsd = TsdEngine::from_parts(smaller, TsdIndex::build(&g));
-        assert_eq!(tsd.unwrap_err(), mismatch);
+        let gct = GctEngine::from_parts(smaller, GctIndex::build(&g));
+        assert_eq!(gct.unwrap_err(), SearchError::GraphMismatch { graph_n: 3, index_n: g.n() });
     }
 }

@@ -1,16 +1,15 @@
 //! Fingerprinted index bundles: durable index blobs that can prove which
 //! graph they belong to.
 //!
-//! The raw `TsdIndex`/`GctIndex` wire formats carry no information about the
-//! graph they were built from, so attaching a persisted blob used to be
-//! validated by vertex count only — a snapshot taken before edge churn (same
-//! `n`, different edges) was accepted and silently served the *old* graph's
-//! answers. [`IndexBundle`] closes that hole: every persisted index — one or
-//! several, say TSD + GCT — is framed with a magic
-//! word, a format version, and the source graph's [`GraphFingerprint`]
-//! (`n`, `m`, and a checksum of the canonical edge list — edge order is
-//! deterministic, so equal edge sets hash equal), and each entry carries
-//! its engine kind and a checksum of its payload.
+//! The raw `GctIndex` format carries no information about the graph it
+//! was built from, so attaching a persisted blob used to be validated by
+//! vertex count only — a snapshot taken before edge churn (same `n`,
+//! different edges) was accepted and silently served the *old* graph's
+//! answers. [`IndexBundle`] closes that hole: every persisted index is
+//! framed with a magic word, a format version, and the source graph's
+//! [`GraphFingerprint`] (`n`, `m`, and a checksum of the canonical edge
+//! list — edge order is deterministic, so equal edge sets hash equal), and
+//! each entry carries its engine kind and a checksum of its payload.
 //! [`crate::SearchService::export_bundle`] writes one (`export_bundle([kind])`
 //! for a single index) and [`crate::SearchService::import_bundle`] refuses a
 //! blob whose fingerprint disagrees with the graph it serves, as

@@ -11,10 +11,11 @@ use std::fmt;
 
 use crate::engine::EngineKind;
 use crate::envelope::GraphFingerprint;
+use crate::service::SearchService;
 
-/// Decode failures shared by every serializable index format (TSD and GCT
-/// blobs and the [`crate::envelope::IndexBundle`] around them use the same
-/// framing discipline: magic word, length-checked body).
+/// Decode failures of the persisted formats: the GCT blob and the
+/// [`crate::envelope::IndexBundle`] around it use the same framing
+/// discipline (magic word, length-checked body).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeError {
     /// Wrong magic number — the blob is not this index format.
@@ -125,16 +126,12 @@ pub enum SearchError {
         /// Fingerprint recorded in the bundle.
         found: GraphFingerprint,
     },
-    /// The engine has no serialized form (only TSD and GCT do).
-    SerializationUnsupported {
-        /// Name of the engine that was asked to (de)serialize.
-        engine: &'static str,
-    },
     /// A [`crate::SearchService`] was asked for an engine it does not
     /// serve: it serves the GCT-index ([`crate::SearchService::SERVED`]),
     /// not the TSD-index or the index-free Online and Bound scans, which
-    /// [`crate::build_engine`] still builds. Refused before anything is
-    /// built, scanned or decoded.
+    /// [`crate::build_engine`] still builds. A query, export or bundle
+    /// entry naming one is refused before anything is built, scanned or
+    /// decoded.
     EngineNotServed {
         /// The kind the query asked for.
         engine: EngineKind,
@@ -179,11 +176,9 @@ impl fmt::Display for SearchError {
                      expected {expected}, bundle carries {found}"
                 )
             }
-            SearchError::SerializationUnsupported { engine } => {
-                write!(f, "the `{engine}` engine has no serialized form")
-            }
             SearchError::EngineNotServed { engine } => {
-                write!(f, "the service does not serve the `{engine}` engine; it serves tsd and gct")
+                let served = SearchService::SERVED.map(EngineKind::name).join(", ");
+                write!(f, "the service does not serve the `{engine}` engine; it serves {served}")
             }
             SearchError::EmptyBundleRequest => {
                 write!(f, "asked to export a bundle of zero engines")
@@ -224,6 +219,10 @@ mod tests {
         assert!(SearchError::from(DecodeError::BadMagic).to_string().contains("bad magic"));
         let refused = SearchError::EngineNotServed { engine: EngineKind::Online };
         assert!(refused.to_string().contains("`online`"), "{refused}");
+        assert_eq!(
+            SearchError::EngineNotServed { engine: EngineKind::Tsd }.to_string(),
+            "the service does not serve the `tsd` engine; it serves gct"
+        );
     }
 
     #[test]

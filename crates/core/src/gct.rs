@@ -337,8 +337,7 @@ impl GctIndex {
             let members = data.get_u32_le() as usize;
             let ses = data.get_u32_le() as usize;
             // Checked arithmetic: hostile per-entry counts must not wrap
-            // the length check on 32-bit targets (same discipline as
-            // `TsdIndex::from_bytes`).
+            // the length check on 32-bit targets.
             let need = sn
                 .checked_mul(8)
                 .and_then(|a| a.checked_add(members.checked_mul(4)?))

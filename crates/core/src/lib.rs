@@ -10,12 +10,15 @@
 //! Four interchangeable engines, matching the paper's experimental lineup,
 //! all behind the object-safe [`DiversityEngine`] trait:
 //!
-//! | engine | paper | [`EngineKind`] | preprocessing | serializable |
-//! |---|---|---|---|---|
-//! | online baseline | Algorithm 3 | `Online` | none | no |
-//! | bound-pruned | Algorithm 4 (sparsify + Lemma 2) | `Bound` | none | no |
-//! | TSD-index | Algorithms 5–6 | `Tsd` | max spanning forests | yes |
-//! | GCT-index | Algorithms 7–8 + Lemma 3 | `Gct` | compressed forests | yes |
+//! | engine | paper | [`EngineKind`] | preprocessing |
+//! |---|---|---|---|
+//! | online baseline | Algorithm 3 | `Online` | none |
+//! | bound-pruned | Algorithm 4 (sparsify + Lemma 2) | `Bound` | none |
+//! | TSD-index | Algorithms 5–6 | `Tsd` | max spanning forests |
+//! | GCT-index | Algorithms 7–8 + Lemma 3 | `Gct` | compressed forests |
+//!
+//! The GCT-index is the one index with a serialized form
+//! ([`GctIndex::to_bytes`]).
 //!
 //! The paper's Exp-4 competitor (per-k rankings) is a plain index in
 //! [`hybrid`] for that experiment, not an engine.

@@ -23,7 +23,7 @@
 //!   a concurrent [`SearchService::apply_updates`] can never tear a query
 //!   between two graphs;
 //! * the engine slot is an interior-mutable cache (an `RwLock`) holding an
-//!   `Arc<dyn DiversityEngine>`; construction happens under the slot's
+//!   `Arc<GctEngine>`; construction happens under the slot's
 //!   write lock, double-checked, so the index is built exactly once per
 //!   epoch no matter how many threads race;
 //! * **a cold query costs one parallel build**: [`SearchService::top_r`]
@@ -53,9 +53,9 @@
 //!   join is [`SearchService::wait_ready`], which returns once the index
 //!   is built — lending the calling thread to a build not yet started, so
 //!   it can never wait on an empty queue;
-//! * query, build, cold-query, and epoch counters are atomics, surfaced as
-//!   [`ServiceStats`] (including `epochs`, `updates_applied`, and
-//!   `gct_repairs`);
+//! * query, build and cold-query counters are atomics, surfaced as
+//!   [`ServiceStats`] (including `updates_applied` and `gct_repairs`),
+//!   with `epochs` read from the serving epoch;
 //! * persistence goes through one fingerprinted, checksummed frame:
 //!   [`SearchService::export_bundle`] writes the index behind the graph's
 //!   fingerprint, and [`SearchService::import_bundle`] reads it back.
@@ -128,29 +128,17 @@ const GROWTH_PER_OP: usize = 2;
 /// Construction happens *under the write lock* (double-checked), which is
 /// what makes "exactly one build per epoch" a structural guarantee rather
 /// than a counter discipline.
-type EngineSlot = RwLock<Option<Arc<dyn DiversityEngine>>>;
+type EngineSlot = RwLock<Option<Arc<GctEngine>>>;
 
 /// The one place that decides what a service serves:
 /// [`SearchService::SERVED`], which [`EngineKind::Auto`] names. Any other
-/// kind is [`SearchError::EngineNotServed`].
+/// kind is [`SearchError::EngineNotServed`], in a query, a warmup, an
+/// export and a bundle entry alike.
 fn served(kind: EngineKind) -> Result<(), SearchError> {
     if kind == EngineKind::Auto || SearchService::SERVED.contains(&kind) {
         Ok(())
     } else {
         Err(SearchError::EngineNotServed { engine: kind })
-    }
-}
-
-/// Whether `kind` may travel in a bundle this service writes or reads: an
-/// index-free kind has nothing to carry
-/// ([`SearchError::SerializationUnsupported`]), and an index the service
-/// does not serve is refused as [`served`] refuses it.
-fn bundled(kind: EngineKind) -> Result<(), SearchError> {
-    match kind {
-        EngineKind::Online | EngineKind::Bound => {
-            Err(SearchError::SerializationUnsupported { engine: kind.name() })
-        }
-        index => served(index),
     }
 }
 
@@ -170,8 +158,8 @@ pub struct ServiceStats {
     /// Queries that found their GCT-index unbuilt, and so joined its build
     /// before the index answered them.
     pub foreground_fallbacks: usize,
-    /// Epochs published so far; 1 until the first successful
-    /// [`SearchService::apply_updates`].
+    /// Epochs published so far, the serving epoch's id plus one; 1 until
+    /// the first successful [`SearchService::apply_updates`].
     pub epochs: usize,
     /// Edge updates that mutated the graph over the service's lifetime
     /// (rejected no-ops are not counted).
@@ -316,7 +304,7 @@ impl EpochState {
     /// Non-blocking cache probe: `None` when the engine was never built,
     /// and while it is *being* built (the builder holds the write lock) —
     /// the serving path's "is my index unbuilt" test.
-    fn cached(&self) -> Option<Arc<dyn DiversityEngine>> {
+    fn cached(&self) -> Option<Arc<GctEngine>> {
         self.slot.try_read()?.clone() // lock: engine.slot
     }
 
@@ -352,7 +340,6 @@ struct ServiceCore {
     engines_built: AtomicUsize,
     background_builds: AtomicUsize,
     foreground_fallbacks: AtomicUsize,
-    epochs: AtomicUsize,
     updates_applied: AtomicUsize,
     gct_repairs: AtomicUsize,
     parallel_queries: AtomicUsize,
@@ -368,7 +355,7 @@ impl ServiceCore {
     /// The GCT engine of `epoch`, built on the calling thread if absent.
     /// Blocks while another thread builds it (and then reuses that build);
     /// returns whether *this* call performed the build.
-    fn build_if_absent(&self, epoch: &EpochState) -> (Arc<dyn DiversityEngine>, bool) {
+    fn build_if_absent(&self, epoch: &EpochState) -> (Arc<GctEngine>, bool) {
         let cached = epoch.slot.read().clone(); // lock: engine.slot
         if let Some(engine) = cached {
             return (engine, false);
@@ -384,8 +371,7 @@ impl ServiceCore {
         // An index build runs its chunks under this write lock, through
         // `run_all`, which never runs another caller's jobs on this thread
         // and hands each chunk's output back by value, so no chunk locks.
-        let engine: Arc<dyn DiversityEngine> =
-            Arc::from(build_engine_in(EngineKind::Gct, epoch.graph.clone(), &self.pool));
+        let engine = Arc::new(GctEngine::build_in(epoch.graph.clone(), &self.pool));
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         *guard = Some(engine.clone());
         (engine, true)
@@ -393,7 +379,7 @@ impl ServiceCore {
 
     /// Installs an externally produced engine into `epoch`, replacing any
     /// cached one.
-    fn install(&self, epoch: &EpochState, engine: Arc<dyn DiversityEngine>) {
+    fn install(&self, epoch: &EpochState, engine: Arc<GctEngine>) {
         self.engines_built.fetch_add(1, Ordering::Relaxed);
         *epoch.slot.write() = Some(engine); // lock: engine.slot
     }
@@ -412,7 +398,7 @@ impl ServiceCore {
     /// [`Self::build_if_absent`] with a panicking build contained: the
     /// slot stays empty, the schedule latch resets, and `None` comes back,
     /// so a later query, job or `wait_ready` retries the build.
-    fn join_build(&self, epoch: &EpochState) -> Option<(Arc<dyn DiversityEngine>, bool)> {
+    fn join_build(&self, epoch: &EpochState) -> Option<(Arc<GctEngine>, bool)> {
         let build = catch_unwind(AssertUnwindSafe(|| self.build_if_absent(epoch)));
         if build.is_err() {
             epoch.scheduled.store(false, Ordering::Relaxed);
@@ -555,7 +541,6 @@ impl SearchService {
             engines_built: AtomicUsize::new(0),
             background_builds: AtomicUsize::new(0),
             foreground_fallbacks: AtomicUsize::new(0),
-            epochs: AtomicUsize::new(1),
             updates_applied: AtomicUsize::new(0),
             gct_repairs: AtomicUsize::new(0),
             parallel_queries: AtomicUsize::new(0),
@@ -595,12 +580,13 @@ impl SearchService {
     /// counters are exact; mutual consistency is best-effort under
     /// concurrent traffic (they are independent relaxed atomics).
     pub fn stats(&self) -> ServiceStats {
+        let epoch = self.core.current();
         ServiceStats {
             queries_served: self.core.queries_served.load(Ordering::Relaxed),
             engines_built: self.core.engines_built.load(Ordering::Relaxed),
             background_builds: self.core.background_builds.load(Ordering::Relaxed),
             foreground_fallbacks: self.core.foreground_fallbacks.load(Ordering::Relaxed),
-            epochs: self.core.epochs.load(Ordering::Relaxed),
+            epochs: epoch.id as usize + 1,
             updates_applied: self.core.updates_applied.load(Ordering::Relaxed),
             gct_repairs: self.core.gct_repairs.load(Ordering::Relaxed),
             pool_threads: self.core.pool.spawned_threads(),
@@ -789,7 +775,7 @@ impl SearchService {
         let snapshot = Arc::new(graph.to_csr());
         let next = Arc::new(EpochState::over(old.id + 1, snapshot.clone()));
         let built = old.slot.read().clone(); // lock: engine.slot
-        let old_index = built.as_deref().and_then(DiversityEngine::gct_index);
+        let old_index = built.as_deref().map(GctEngine::index);
         if let Some(index) = old_index {
             let patch = write_gct(&self.core.pool, &snapshot, affected.clone());
             let index = index.splice(snapshot.n(), &affected, &patch);
@@ -806,7 +792,6 @@ impl SearchService {
         // Publish: one pointer swap. In-flight queries keep their pinned
         // epoch; everything after this line sees the new graph.
         *self.core.current.write() = next.clone(); // lock: epoch.ptr
-        self.core.epochs.fetch_add(1, Ordering::Relaxed);
         self.core.updates_applied.fetch_add(repair.applied, Ordering::Relaxed);
         self.core.gct_repairs.fetch_add(gct_repairs, Ordering::Relaxed);
 
@@ -932,9 +917,9 @@ impl SearchService {
     /// over the *same* graph — accepts. [`EngineKind::Auto`] names the
     /// GCT-index, and a kind named twice is one entry. Fails *before
     /// building anything* with [`SearchError::EmptyBundleRequest`] if no
-    /// kind was named, and otherwise on the first named kind the bundle
-    /// cannot carry: [`SearchError::SerializationUnsupported`] for an
-    /// index-free kind, [`SearchError::EngineNotServed`] for TSD.
+    /// kind was named, and otherwise with [`SearchError::EngineNotServed`]
+    /// on the first named kind the service does not serve (Online, Bound
+    /// or TSD), as a query for it fails.
     pub fn export_bundle(
         &self,
         kinds: impl IntoIterator<Item = EngineKind>,
@@ -943,9 +928,9 @@ impl SearchService {
         if kinds.peek().is_none() {
             return Err(SearchError::EmptyBundleRequest);
         }
-        kinds.try_for_each(bundled)?;
+        kinds.try_for_each(served)?;
         let epoch = self.core.current();
-        let index = self.core.build_if_absent(&epoch).0.to_bytes()?;
+        let index = self.core.build_if_absent(&epoch).0.index().to_bytes();
         Ok(IndexBundle::new(epoch.fingerprint(), vec![(EngineKind::Gct, index)]).encode())
     }
 
@@ -953,11 +938,10 @@ impl SearchService {
     /// [`Self::export_bundle`], replacing any cached engine in the current
     /// epoch, and returns the installed kinds: `[Gct]`.
     ///
-    /// All-or-nothing, and refused before any payload is decoded when the
-    /// bundle names an entry this service cannot install:
-    /// [`SearchError::EngineNotServed`] for a TSD entry and
-    /// [`SearchError::SerializationUnsupported`] for an index-free one.
-    /// The fingerprint is checked next (wrong-graph and superseded-epoch
+    /// All-or-nothing, and refused with [`SearchError::EngineNotServed`]
+    /// before any payload is decoded when the bundle holds an entry for a
+    /// kind the service does not serve (Online, Bound or TSD). The
+    /// fingerprint is checked next (wrong-graph and superseded-epoch
     /// bundles are refused whole, as [`SearchError::FingerprintMismatch`]
     /// — a same-`n` snapshot from before edge churn cannot slip through),
     /// and the payload is decoded and checked before it is installed. This
@@ -965,7 +949,7 @@ impl SearchService {
     /// there is no fingerprint-less public decode path.
     pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
         let IndexBundle { fingerprint, entries } = IndexBundle::decode(blob)?;
-        entries.iter().try_for_each(|&(kind, _)| bundled(kind))?;
+        entries.iter().try_for_each(|&(kind, _)| served(kind))?;
         let epoch = self.core.current();
         if fingerprint != epoch.fingerprint() {
             return Err(SearchError::FingerprintMismatch {
@@ -1397,7 +1381,7 @@ mod tests {
         let s = service();
         assert_eq!(
             s.export_bundle([EngineKind::Gct, EngineKind::Online]).unwrap_err(),
-            SearchError::SerializationUnsupported { engine: "online" }
+            SearchError::EngineNotServed { engine: EngineKind::Online }
         );
         assert_eq!(s.export_bundle([]).unwrap_err(), SearchError::EmptyBundleRequest);
         assert!(s.built_engines().is_empty(), "failed exports must not cost engine builds");
@@ -1445,7 +1429,7 @@ mod tests {
         for kind in [EngineKind::Online, EngineKind::Bound] {
             assert_eq!(
                 s.export_bundle([kind]).unwrap_err(),
-                SearchError::SerializationUnsupported { engine: kind.name() }
+                SearchError::EngineNotServed { engine: kind }
             );
         }
         assert!(s.built_engines().is_empty(), "a failed export must not cost an engine build");

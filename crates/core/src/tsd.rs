@@ -14,19 +14,13 @@
 
 use std::time::Instant;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use sd_graph::{CsrGraph, Dsu, VertexId};
 use sd_truss::truss_decomposition;
 
 use crate::bound::finish_entries;
 use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
 use crate::egonet::EgoNetwork;
-use crate::error::DecodeError;
 use crate::topr::TopRCollector;
-
-/// Serialized-format magic ("TSD1").
-const MAGIC: u32 = 0x5453_4431;
 
 /// The TSD-index: for every vertex, the maximum spanning forest of its
 /// trussness-weighted ego-network, edges sorted by weight descending.
@@ -245,86 +239,11 @@ impl TsdIndex {
         profile
     }
 
-    /// Serializes to a compact binary blob (used for index-size accounting
-    /// in Table 3 and for persistence).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.offsets.len() * 4 + self.weight.len() * 12);
-        buf.put_u32_le(MAGIC);
-        buf.put_u64_le(self.n() as u64);
-        buf.put_u64_le(self.total_edges() as u64);
-        for v in 0..self.n() {
-            let count = self.offsets[v + 1] - self.offsets[v];
-            buf.put_u32_le(count as u32);
-        }
-        for i in 0..self.total_edges() {
-            buf.put_u32_le(self.eu[i]);
-            buf.put_u32_le(self.ew[i]);
-            buf.put_u32_le(self.weight[i]);
-        }
-        buf.freeze()
-    }
-
-    /// Deserializes a blob produced by [`Self::to_bytes`]. A forest whose
-    /// weights are not non-increasing fails with
-    /// [`DecodeError::InvalidEntry`]; forest endpoints are checked against
-    /// the graph when the index is attached to one on import.
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, DecodeError> {
-        if data.remaining() < 20 {
-            return Err(DecodeError::Truncated);
-        }
-        if data.get_u32_le() != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let n = data.get_u64_le() as usize;
-        let total = data.get_u64_le() as usize;
-        // Checked arithmetic: a hostile header must not wrap the length
-        // checks and trigger a huge allocation.
-        let need_counts = n.checked_mul(4).ok_or(DecodeError::Truncated)?;
-        if data.remaining() < need_counts {
-            return Err(DecodeError::Truncated);
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for _ in 0..n {
-            acc += data.get_u32_le() as usize;
-            offsets.push(acc);
-        }
-        let need_edges = total.checked_mul(12).ok_or(DecodeError::Truncated)?;
-        if acc != total || data.remaining() < need_edges {
-            return Err(DecodeError::Truncated);
-        }
-        let (mut eu, mut ew, mut weight) =
-            (Vec::with_capacity(total), Vec::with_capacity(total), Vec::with_capacity(total));
-        for _ in 0..total {
-            eu.push(data.get_u32_le());
-            ew.push(data.get_u32_le());
-            weight.push(data.get_u32_le());
-        }
-        let descending = offsets.windows(2).all(|o| weight[o[0]..o[1]].is_sorted_by(|a, b| a >= b));
-        if !descending {
-            return Err(DecodeError::InvalidEntry);
-        }
-        Ok(TsdIndex { offsets, eu, ew, weight })
-    }
-
-    /// Whether every vertex's forest is a forest over its neighborhood in
-    /// `g`: each edge joins two distinct members of `N(v)` and closes no
-    /// cycle (a self-loop or a cycle fails the union). A decoded index is
-    /// checked against its graph before it serves, since a query panics on
-    /// the first endpoint outside `N(v)`.
-    pub(crate) fn forests_fit(&self, g: &CsrGraph) -> bool {
-        (0..self.n() as VertexId).all(|v| {
-            let nbrs = g.neighbors(v);
-            let mut dsu = Dsu::new(nbrs.len());
-            self.forest(v).all(|(a, b, _)| match (nbrs.binary_search(&a), nbrs.binary_search(&b)) {
-                (Ok(a), Ok(b)) => dsu.union(a as u32, b as u32),
-                _ => false,
-            })
-        })
-    }
-
-    /// Serialized size in bytes (Table 3's "Index Size" column).
+    /// The index's size in bytes in a compact layout, the figure Table 3's
+    /// "Index Size" column reports: a 20-byte header, one 4-byte forest
+    /// length per vertex, and three 4-byte words `(u, w, weight)` per
+    /// forest edge. The TSD-index has no serialized form; the GCT-index is
+    /// the one persisted index.
     pub fn index_size_bytes(&self) -> usize {
         20 + self.n() * 4 + self.total_edges() * 12
     }
@@ -490,55 +409,6 @@ mod tests {
         assert!(f.len() < g.degree(v));
         // Weights descend.
         assert!(f.windows(2).all(|w| w[0].2 >= w[1].2));
-    }
-
-    #[test]
-    fn serialization_roundtrip() {
-        let (g, _, _) = paper_figure1_graph();
-        let index = TsdIndex::build(&g);
-        let blob = index.to_bytes();
-        assert_eq!(blob.len(), index.index_size_bytes());
-        let back = TsdIndex::from_bytes(blob).unwrap();
-        assert_eq!(index, back);
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
-        assert_eq!(TsdIndex::from_bytes(Bytes::from_static(b"nope")), Err(DecodeError::Truncated));
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(0xdead_beef);
-        buf.put_u64_le(0);
-        buf.put_u64_le(0);
-        assert_eq!(TsdIndex::from_bytes(buf.freeze()), Err(DecodeError::BadMagic));
-    }
-
-    /// A decoded forest must descend by weight, and fit its owner's
-    /// neighborhood: distinct endpoints in `N(v)`, no cycle.
-    #[test]
-    fn decoded_forests_are_checked() {
-        // K4: vertex 0's neighborhood is {1, 2, 3}.
-        let g = sd_graph::GraphBuilder::new()
-            .extend_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-            .build();
-        let index = |forest: &[(u32, u32, u32)]| {
-            let k = forest.len();
-            TsdIndex {
-                offsets: vec![0, k, k, k, k],
-                eu: forest.iter().map(|e| e.0).collect(),
-                ew: forest.iter().map(|e| e.1).collect(),
-                weight: forest.iter().map(|e| e.2).collect(),
-            }
-        };
-        assert!(index(&[(1, 2, 3), (2, 3, 3)]).forests_fit(&g));
-        for (what, forest) in [
-            ("a cycle", &[(1, 2, 3), (2, 3, 3), (1, 3, 3)][..]),
-            ("a loop", &[(1, 1, 3)][..]),
-            ("an endpoint outside N(v)", &[(0, 1, 3)][..]),
-        ] {
-            assert!(!index(forest).forests_fit(&g), "{what}");
-        }
-        let rising = index(&[(1, 2, 2), (2, 3, 3)]).to_bytes();
-        assert_eq!(TsdIndex::from_bytes(rising), Err(DecodeError::InvalidEntry));
     }
 
     #[test]

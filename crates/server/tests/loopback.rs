@@ -392,6 +392,7 @@ fn unserved_engine_fails_its_slot_and_the_frame_mate_answers() {
         };
         assert_eq!(*code, ErrorCode::BadRequest);
         assert!(message.contains(name), "{message}");
+        assert!(message.ends_with("it serves gct"), "{message}");
     }
     let expected =
         figure1_service().top_r(&QuerySpec::new(4, 1).unwrap().with_engine(EngineKind::Gct));

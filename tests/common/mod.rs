@@ -92,16 +92,3 @@ pub fn naive_kcore_vertices(g: &CsrGraph, k: u32) -> Vec<u32> {
     }
     (0..g.n() as u32).filter(|&v| alive[v as usize]).collect()
 }
-
-/// Moves the first forest edge of a serialized TSD index over `n`
-/// vertices so that one endpoint is the forest's owner, which is outside
-/// its own neighborhood. The blob still decodes; a query on it would
-/// panic.
-pub fn move_first_forest_edge_to_its_owner(payload: &mut [u8], n: usize) {
-    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes"));
-    // A 20-byte header, one edge count per vertex, then 12-byte edges:
-    // the first edge is the first non-empty forest's.
-    let owner = (0..n).find(|&v| u32_at(20 + 4 * v) > 0).expect("a forest");
-    let first_edge = 20 + 4 * n;
-    payload[first_edge..first_edge + 4].copy_from_slice(&(owner as u32).to_le_bytes());
-}

@@ -89,7 +89,9 @@ proptest! {
         }
     }
 
-    /// Insert-then-remove of the same edge restores all scores exactly.
+    /// Insert-then-remove of the same edge restores all scores exactly,
+    /// and the index served in between is the inserted graph's, so a
+    /// repair that published a stale index cannot pass.
     #[test]
     fn insert_remove_is_identity(g in arb_graph(14, 40), u in 0u32..14, v in 0u32..14, k in 2u32..5) {
         prop_assume!(u != v);
@@ -98,6 +100,11 @@ proptest! {
         let before = all_scores(&g, k);
         let service = warm_service(g);
         apply(&service, GraphUpdate::Insert { u, v })?;
+        prop_assert_eq!(
+            served_scores(&service, k),
+            all_scores(&service.graph(), k),
+            "after the insert"
+        );
         apply(&service, GraphUpdate::Remove { u, v })?;
         prop_assert_eq!(served_scores(&service, k), before);
     }

@@ -3,24 +3,23 @@
 //! carries any set of index kinds behind one fingerprint, and
 //! `export_bundle`/`import_bundle` must round-trip the served GCT index,
 //! while the import must reject — with typed errors, never a panic or a
-//! silently wrong engine — TSD entries, which the service does not serve,
-//! blobs from a different graph, truncation at every layer, unknown format
-//! versions, unknown and duplicate engine tags, zero-entry bundles, raw
-//! (unframed) index blobs, and any flipped payload bit.
+//! silently wrong engine — entries for the kinds the service does not
+//! serve, blobs from a different graph, truncation at every layer, unknown
+//! format versions, unknown and duplicate engine tags, zero-entry bundles,
+//! raw (unframed) index blobs, and any flipped payload bit.
 
 mod common;
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use common::{arb_graph, move_first_forest_edge_to_its_owner};
+use common::arb_graph;
 use proptest::prelude::*;
 
 use structural_diversity::graph::GraphBuilder;
 use structural_diversity::search::{
-    build_engine, DecodeError, DiversityEngine, EngineKind, GraphFingerprint, IndexBundle,
-    QuerySpec, SearchError, SearchService, TsdEngine, TsdIndex, BUNDLE_ENTRY_HEADER_BYTES,
-    BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
+    build_engine, DecodeError, EngineKind, GraphFingerprint, IndexBundle, QuerySpec, SearchError,
+    SearchService, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_VERSION,
 };
 
 fn fig1_service() -> SearchService {
@@ -30,20 +29,31 @@ fn fig1_service() -> SearchService {
     SearchService::new(g)
 }
 
-/// A bundle over `donor`'s graph holding the index of each of `kinds`,
-/// built with `build_engine`: the service itself exports GCT alone.
+/// The payload of `kind`'s entry in a bundle over `donor`'s graph: the
+/// GCT-index's bytes, built with `build_engine`, and a stand-in for any
+/// other kind. The bundle layer never decodes a payload, and the service
+/// refuses an entry for a kind it does not serve before decoding it, so
+/// no stand-in is ever read as an index.
+fn payload_of(donor: &SearchService, kind: EngineKind) -> Vec<u8> {
+    match kind {
+        EngineKind::Gct => {
+            let engine = build_engine(kind, donor.graph());
+            engine.gct_index().expect("the GCT engine's index").to_bytes().as_ref().to_vec()
+        }
+        _ => format!("a stand-in {kind} payload").into_bytes(),
+    }
+}
+
+/// A bundle over `donor`'s graph with one entry per kind of `kinds`
+/// ([`payload_of`]): the service itself exports GCT alone.
 fn bundle_of(donor: &SearchService, kinds: &[EngineKind]) -> Bytes {
-    let entries = kinds
-        .iter()
-        .map(|&kind| (kind, build_engine(kind, donor.graph()).to_bytes().expect("an index")))
-        .collect();
+    let entries = kinds.iter().map(|&kind| (kind, payload_of(donor, kind).into())).collect();
     IndexBundle::new(donor.fingerprint(), entries).encode()
 }
 
 /// Every engine kind goes through export as a one-entry bundle: the
-/// served GCT index round-trips into an equivalent engine, TSD is refused
-/// as not served, and the index-free ones fail with the typed capability
-/// error.
+/// served GCT index round-trips into an equivalent engine, and every other
+/// kind is refused as not served, as a query for it is.
 #[test]
 fn every_kind_roundtrips_or_reports_the_missing_capability() {
     let donor = fig1_service();
@@ -60,8 +70,7 @@ fn every_kind_roundtrips_or_reports_the_missing_capability() {
                 assert_eq!(revived.scores(), original.scores(), "{kind} roundtrip changed answers");
                 continue;
             }
-            EngineKind::Tsd => SearchError::EngineNotServed { engine: kind },
-            _ => SearchError::SerializationUnsupported { engine: kind.name() },
+            _ => SearchError::EngineNotServed { engine: kind },
         };
         assert_eq!(donor.export_bundle([kind]).unwrap_err(), refused, "{kind}");
     }
@@ -82,14 +91,14 @@ fn import_rejects_unknown_engine_tag_and_bad_magic() {
 
     // A raw index blob (no bundle frame) must be refused up front — its
     // magic is the index format's, not the bundle's.
-    let raw = service.engine(EngineKind::Gct).to_bytes().expect("raw index bytes");
+    let raw = service.engine(EngineKind::Gct).gct_index().expect("the served index").to_bytes();
     assert_eq!(service.import_bundle(raw).unwrap_err(), SearchError::Decode(DecodeError::BadMagic));
 }
 
 #[test]
 fn envelope_for_an_index_free_kind_is_refused_at_decode_time() {
     // Hand-craft a bundle entry claiming to carry an `online` index: the
-    // frame parses, but reviving the engine reports the missing capability.
+    // frame parses, but the service refuses a kind it does not serve.
     let service = fig1_service();
     let forged = IndexBundle::new(
         service.fingerprint(),
@@ -97,7 +106,7 @@ fn envelope_for_an_index_free_kind_is_refused_at_decode_time() {
     );
     assert_eq!(
         service.import_bundle(forged.encode()).unwrap_err(),
-        SearchError::SerializationUnsupported { engine: "online" }
+        SearchError::EngineNotServed { engine: EngineKind::Online }
     );
 }
 
@@ -122,10 +131,11 @@ fn churned_same_shape(donor: &SearchService) -> SearchService {
 // ---------------------------------------------------------------------------
 // Multi-index bundles ("SDIB").
 
-/// TSD + GCT still persist as one blob — the frame carries any set of
-/// index kinds — but the service serves GCT alone, so it refuses the
-/// bundle whole, before decoding any entry, and installs nothing; the GCT
-/// entry framed on its own imports and answers like the donor.
+/// A TSD entry and the GCT entry still frame as one blob — the frame
+/// carries any set of index kinds — but the service serves GCT alone, so
+/// it refuses the bundle whole, before decoding any entry, and installs
+/// nothing; the GCT entry framed on its own imports and answers like the
+/// donor.
 #[test]
 fn bundle_roundtrips_tsd_and_gct_as_one_artifact() {
     let donor = fig1_service();
@@ -304,11 +314,11 @@ fn bundle_import_rejects_payload_bitflips_via_the_entry_checksum() {
     assert!(fresh.built_engines().is_empty());
 }
 
-/// Every index is persisted with a payload checksum, the one-index case
-/// included: flipping either of the two low bits of any payload byte of
-/// Figure 1's TSD or GCT index, framed alone, is refused as
+/// Every entry is framed with a payload checksum, the one-entry case
+/// included: flipping either of the two low bits of any payload byte of a
+/// TSD entry or of Figure 1's GCT index, framed alone, is refused as
 /// `PayloadChecksum` and installs nothing. (Many such flips still parse
-/// as an index, so the index decoders alone cannot catch them.)
+/// as an index, so the index decoder alone cannot catch them.)
 #[test]
 fn every_low_bit_flip_of_a_one_index_payload_is_refused() {
     let donor = fig1_service();
@@ -370,18 +380,13 @@ fn bundle_with_one_corrupt_payload_installs_nothing() {
     assert!(Arc::ptr_eq(&serving, &fresh.engine(EngineKind::Gct)), "the engine was replaced");
 }
 
-/// The payload of `kind`'s index over `donor`'s graph.
-fn exported_payload(donor: &SearchService, kind: EngineKind) -> Vec<u8> {
-    build_engine(kind, donor.graph()).to_bytes().expect("an index").as_ref().to_vec()
-}
-
-/// Re-frames `kind`'s payload after `mutate` edits it: the
+/// Re-frames the GCT payload after `mutate` edits it: the
 /// bundle's entry checksum is recomputed over the edited bytes, so only
 /// the index decoder can refuse it.
-fn reframed(donor: &SearchService, kind: EngineKind, mutate: impl FnOnce(&mut [u8])) -> Bytes {
-    let mut payload = exported_payload(donor, kind);
+fn reframed(donor: &SearchService, mutate: impl FnOnce(&mut [u8])) -> Bytes {
+    let mut payload = payload_of(donor, EngineKind::Gct);
     mutate(&mut payload);
-    IndexBundle::new(donor.fingerprint(), vec![(kind, payload.into())]).encode()
+    IndexBundle::new(donor.fingerprint(), vec![(EngineKind::Gct, payload.into())]).encode()
 }
 
 fn u32_at(bytes: &[u8], at: usize) -> u32 {
@@ -402,7 +407,7 @@ fn assert_refused_as_invalid(donor: &SearchService, blob: Bytes) {
 #[test]
 fn import_refuses_a_gct_entry_whose_members_end_past_the_list() {
     let donor = fig1_service();
-    let blob = reframed(&donor, EngineKind::Gct, |payload| {
+    let blob = reframed(&donor, |payload| {
         // Entry 0's counts sit at 12..24, then `sn` trussness words, then
         // the member ends.
         let (sn, members) = (u32_at(payload, 12), u32_at(payload, 16));
@@ -413,18 +418,13 @@ fn import_refuses_a_gct_entry_whose_members_end_past_the_list() {
     assert_refused_as_invalid(&donor, blob);
 }
 
-/// A TSD entry is refused before its payload is decoded, since the
-/// service does not serve the TSD index: one whose forest edge leaves its
-/// owner's neighborhood (a query on it would panic) is refused as not
-/// served and installs nothing. `TsdEngine::from_parts` refuses the same
-/// payload as an invalid entry (`tests/index_roundtrip.rs`).
+/// A one-entry TSD bundle is refused as not served before its payload is
+/// decoded: its stand-in payload is no index at all, yet the import fails
+/// with `EngineNotServed`, not a decode error, and installs nothing.
 #[test]
-fn import_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
+fn import_refuses_a_one_entry_tsd_bundle_before_decoding_it() {
     let donor = fig1_service();
-    let n = donor.graph().n();
-    let blob = reframed(&donor, EngineKind::Tsd, |payload| {
-        move_first_forest_edge_to_its_owner(payload, n);
-    });
+    let blob = bundle_of(&donor, &[EngineKind::Tsd]);
     let fresh = SearchService::from_arc(donor.graph());
     assert_eq!(
         fresh.import_bundle(blob).unwrap_err(),
@@ -436,10 +436,10 @@ fn import_refuses_a_tsd_forest_edge_outside_its_owners_neighborhood() {
 
 /// The gap closed in 0.4.0: the one public path that turns serialized
 /// bytes into a *serving* engine — `import_bundle` — checks the graph
-/// fingerprint (`from_parts` attaches an index to a standalone engine, by
-/// vertex count and, for TSD, forest fit). A stale blob from a same-shape graph (identical n
-/// and m, one different edge) must be impossible to attach through any
-/// public surface.
+/// fingerprint (`GctEngine::from_parts` attaches an index to a standalone
+/// engine, by vertex count). A stale blob from a same-shape graph
+/// (identical n and m, one different edge) must be impossible to attach
+/// through any public surface.
 #[test]
 fn no_fingerprintless_public_decode_path_remains() {
     let donor = fig1_service();
@@ -479,12 +479,10 @@ proptest! {
         }
     }
 
-    /// Mutated TSD and GCT payloads, attached the way each is attached —
-    /// GCT re-wrapped in a fresh bundle so every checksum matches and
-    /// imported, TSD decoded and attached with `from_parts` — are either
-    /// refused, or every query at k in 2..=8 and r in {1, n} answers
-    /// without panicking (debug builds check every arithmetic step on the
-    /// way).
+    /// Mutated GCT payloads, re-wrapped in a fresh bundle so every
+    /// checksum matches and imported, are either refused, or every query
+    /// at k in 2..=8 and r in {1, n} answers without panicking (debug
+    /// builds check every arithmetic step on the way).
     #[test]
     fn mutated_payloads_are_refused_or_answer_without_panicking(
         g in arb_graph(14, 48),
@@ -492,29 +490,19 @@ proptest! {
     ) {
         let g = Arc::new(g);
         let donor = SearchService::from_arc(g.clone());
-        for kind in [EngineKind::Tsd, EngineKind::Gct] {
-            let mut payload = exported_payload(&donor, kind);
+        let blob = reframed(&donor, |payload| {
             for &(at, byte) in &mutations {
                 let len = payload.len();
                 payload[at % len] = byte;
             }
-            let payload = Bytes::from(payload);
-            let attached: Result<Arc<dyn DiversityEngine>, SearchError> = match kind {
-                EngineKind::Tsd => TsdIndex::from_bytes(payload)
-                    .map_err(SearchError::from)
-                    .and_then(|index| TsdEngine::from_parts(g.clone(), index))
-                    .map(|engine| Arc::new(engine) as Arc<dyn DiversityEngine>),
-                _ => {
-                    let blob = IndexBundle::new(donor.fingerprint(), vec![(kind, payload)]);
-                    let fresh = SearchService::from_arc(g.clone());
-                    fresh.import_bundle(blob.encode()).map(|_| fresh.engine(kind))
-                }
-            };
-            let Ok(engine) = attached else { continue };
+        });
+        let fresh = SearchService::from_arc(g.clone());
+        if fresh.import_bundle(blob).is_ok() {
+            let engine = fresh.engine(EngineKind::Gct);
             for k in 2..=8 {
                 for r in [1, g.n()] {
                     let spec = QuerySpec::new(k, r).expect("valid spec");
-                    prop_assert!(engine.top_r(&spec).is_ok(), "{} k={} r={}", kind, k, r);
+                    prop_assert!(engine.top_r(&spec).is_ok(), "k={} r={}", k, r);
                 }
             }
         }

@@ -1,15 +1,16 @@
-//! Golden blobs: the serialized TSD- and GCT-index of the paper's Figure-1
-//! graph, pinned word for word. `export_bundle` persists exactly these
-//! bytes as the payload of each index's bundle entry, so a change to
-//! either index's in-memory layout must leave `to_bytes` unchanged — and
-//! these tests fail on the first word that moves.
+//! Golden pins on the paper's Figure-1 graph. The serialized GCT-index is
+//! pinned word for word: `export_bundle` persists exactly these bytes as
+//! the payload of its bundle entry, so a change to the index's in-memory
+//! layout must leave `to_bytes` unchanged, and the test fails on the first
+//! word that moves. The TSD-index, which has no serialized form, is pinned
+//! forest by forest.
 
 use structural_diversity::graph::{CsrGraph, GraphBuilder};
 use structural_diversity::search::{paper_figure1_edges, GctIndex, TsdIndex};
 
-/// `TsdIndex::to_bytes` of Figure 1, as little-endian `u32` words: magic
-/// "TSD1", `n` and the forest-edge total (`u64`s, low word first), one
-/// forest length per vertex, then `(u, w, weight)` per forest edge.
+/// The TSD-index of Figure 1 as `u32` words: a 5-word header (the tag
+/// "TSD1", then `n` and the forest-edge total as `u64`s, low word first),
+/// one forest length per vertex, then `(u, w, weight)` per forest edge.
 #[rustfmt::skip]
 const FIGURE1_TSD_WORDS: [u32; 223] = [
     0x5453_4431, 17, 0, 67, 0, 12, 4, 4, 4, 4, 5, 3, 3, 3, 4, 4,
@@ -54,19 +55,23 @@ fn figure1() -> CsrGraph {
     GraphBuilder::new().extend_edges(paper_figure1_edges()).build()
 }
 
-/// The blob as little-endian `u32` words (every field of both formats is
-/// a `u32` or a `u64`, so the blobs are whole words).
+/// The blob as little-endian `u32` words (every field of the format is a
+/// `u32` or a `u64`, so the blob is whole words).
 fn words(blob: &[u8]) -> Vec<u32> {
     assert_eq!(blob.len() % 4, 0, "blob is not a whole number of words");
     blob.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect()
 }
 
 #[test]
-fn tsd_blob_of_figure_1_is_pinned() {
+fn tsd_forests_of_figure_1_are_pinned() {
     let index = TsdIndex::build(&figure1());
-    let blob = index.to_bytes();
-    assert_eq!(words(blob.as_ref()), FIGURE1_TSD_WORDS);
-    assert_eq!(TsdIndex::from_bytes(blob).unwrap(), index);
+    let (lengths, triples) = FIGURE1_TSD_WORDS[5..].split_at(index.n());
+    let mut edges = triples.chunks_exact(3).map(|t| (t[0], t[1], t[2]));
+    for (v, &len) in lengths.iter().enumerate() {
+        let want: Vec<_> = edges.by_ref().take(len as usize).collect();
+        assert_eq!(index.forest(v as u32).collect::<Vec<_>>(), want, "forest of vertex {v}");
+    }
+    assert_eq!(edges.next(), None, "a pinned forest edge is missing from the index");
 }
 
 #[test]
