@@ -11,8 +11,8 @@ fn bench_vary_r(c: &mut Criterion) {
     let dataset = sd_datasets::dataset("gowalla-syn").expect("registry");
     let g = Arc::new(dataset.generate(0.03));
     let tsd = TsdEngine::build(g.clone());
-    let hybrid = HybridIndex::build_from_tsd(tsd.index());
     let gct = GctEngine::build(g.clone());
+    let hybrid = HybridIndex::from_gct(gct.index());
 
     let mut group = c.benchmark_group("vary_r");
     group.sample_size(10);

@@ -268,8 +268,8 @@ pub fn table4(ctx: &ExpContext) {
 pub fn fig11(ctx: &ExpContext) {
     for d in ctx.figure_datasets() {
         let g = Arc::new(ctx.load(&d));
-        let hybrid = HybridIndex::build(&g);
         let gct = GctEngine::build(g.clone());
+        let hybrid = HybridIndex::from_gct(gct.index());
         let mut t = Table::new(["r", "Hybrid", "GCT"]);
         for r in [1usize, 60, 120, 180, 240, 300] {
             let qs = spec(3, r, g.n());

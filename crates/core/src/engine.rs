@@ -193,15 +193,15 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult;
 
     /// The engine's shared [`TsdIndex`], if it is the TSD engine (size
-    /// accounting, or Hybrid's `build_from_tsd` without a rebuild). Every
-    /// other engine returns `None`.
+    /// accounting). Every other engine returns `None`.
     fn tsd_index(&self) -> Option<&Arc<TsdIndex>> {
         None
     }
 
     /// The engine's shared [`GctIndex`], if it is the GCT engine (size
-    /// accounting, or the persisted bytes of [`GctIndex::to_bytes`]). Every
-    /// other engine returns `None`.
+    /// accounting, the persisted bytes of [`GctIndex::to_bytes`], or
+    /// Hybrid's [`crate::hybrid::HybridIndex::from_gct`] without a
+    /// rebuild). Every other engine returns `None`.
     fn gct_index(&self) -> Option<&Arc<GctIndex>> {
         None
     }
@@ -345,7 +345,7 @@ impl GctEngine {
     /// As [`Self::build`], in fixed vertex chunks on `pool`, byte-identical
     /// to the sequential build (see [`crate::parallel`]).
     pub(crate) fn build_in(g: Arc<CsrGraph>, pool: &WorkerPool) -> Self {
-        let index = Arc::new(write_gct(pool, &g, g.vertices().collect()));
+        let index = Arc::new(write_gct(pool, &g, g.vertices().collect()).finish());
         GctEngine { g, index }
     }
 

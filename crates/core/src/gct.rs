@@ -4,10 +4,18 @@
 //! The GCT-index compresses each vertex's TSD forest by collapsing every
 //! group of vertices connected through edges of one trussness level into a
 //! **supernode** (trussness + member list) and keeping only the
-//! **superedges** that bridge different levels. Queries use Lemma 3:
+//! **superedges** that bridge different levels. Lemma 3 scores a vertex:
 //! `score(v) = N_k − M_k` where `N_k` counts supernodes with trussness ≥ k
 //! and `M_k` superedges with weight ≥ k — here O(log) per vertex because
 //! both arrays are stored sorted descending.
+//!
+//! Beyond the paper, whose Section 6.3 query scores every vertex this way,
+//! the index keeps a per-k score order: for each k, the vertices with a
+//! nonzero score, by (score desc, vertex asc). A top-r query reads its
+//! first r vertices, so a warm query costs r, not n. The order is derived
+//! once per whole index (build, pooled build, import), and an update's
+//! splice carries it forward by moving only the repaired vertices. It is
+//! neither persisted nor counted in [`GctIndex::index_size_bytes`].
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -17,12 +25,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use sd_graph::{CsrGraph, Dsu, VertexId};
 use sd_truss::{vertex_trussness, TrussDecomposition};
 
-use crate::bound::finish_entries;
-use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
+use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
 use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::error::DecodeError;
 use crate::score::EgoDecomposition;
-use crate::topr::TopRCollector;
 use crate::tsd::max_spanning_forest;
 
 /// Serialized-format magic ("GCT1").
@@ -72,11 +78,22 @@ impl<'a> GctEntry<'a> {
     }
 
     /// Whether a decoded entry keeps the invariants queries rely on:
-    /// supernode trussness and superedge weights non-increasing, member
-    /// ends strictly increasing up to the member count (no supernode is
-    /// empty), members `< n`, and superedges `a < b <` the supernode
-    /// count, weighing at most both endpoints' trussness and forming no
-    /// cycle — so Lemma 3's `N_k − M_k` cannot underflow.
+    /// supernode trussness and superedge weights non-increasing and at
+    /// least 2, member ends strictly increasing up to the member count (no
+    /// supernode is empty), members `< n`, and superedges `a < b <` the
+    /// supernode count, weighing at most both endpoints' trussness and
+    /// forming no cycle — so Lemma 3's `N_k − M_k` cannot underflow, and is
+    /// nonzero exactly for k up to the top trussness.
+    ///
+    /// One more bounds the score order derived on import, and the derive's
+    /// scratch, by the blob: at each k up to the top trussness, k times the
+    /// score is at most the members of supernodes with trussness ≥ k. A
+    /// genuine entry keeps it, since each of its contexts at k is a
+    /// k-truss, which has at least k vertices, each a member of one such
+    /// supernode. So the top trussness is at most the member count (the
+    /// score is at least 1 up to it), a vertex enters the order at most
+    /// once per member, and its scores over every k sum to at most its
+    /// member count times ln(top).
     fn is_valid(&self, n: usize) -> bool {
         let mut end = 0;
         let ends = self.sn_end.iter().all(|&next| {
@@ -92,12 +109,23 @@ impl<'a> GctEntry<'a> {
                 && w <= tau[a as usize].min(tau[b as usize])
                 && dsu.union(a, b)
         });
+        // Checked last, on an entry whose score is at least 1 up to the top
+        // trussness: it stops by k = members + 1.
+        let contexts_fit = || {
+            (2..=tau.first().copied().unwrap_or(0)).all(|k| {
+                let members = self.sn_end[n_k(tau, k) - 1];
+                u64::from(k) * u64::from(self.score(k)) <= u64::from(members)
+            })
+        };
         tau.windows(2).all(|p| p[0] >= p[1])
+            && tau.last().is_none_or(|&t| t >= 2)
             && self.se.windows(2).all(|p| p[0].2 >= p[1].2)
+            && self.se.last().is_none_or(|&(_, _, w)| w >= 2)
             && ends
             && end as usize == self.members.len()
             && self.members.iter().all(|&m| (m as usize) < n)
             && superedges
+            && contexts_fit()
     }
 
     /// Social contexts at threshold `k`: union-find over qualifying
@@ -172,17 +200,22 @@ struct Start {
 /// The GCT-index of a whole graph: every vertex's supernodes, members and
 /// superedges in three shared flat arrays (four, counting the member
 /// ends), sliced per vertex by offsets — the layout [`crate::TsdIndex`]
-/// uses for its forests.
+/// uses for its forests — plus the per-k score order its top-r queries
+/// read.
 ///
 /// ```
 /// use sd_graph::GraphBuilder;
-/// use sd_core::{paper_figure1_edges, GctIndex};
+/// use sd_core::{paper_figure1_edges, DiversityConfig, GctIndex};
 ///
 /// let g = GraphBuilder::new().extend_edges(paper_figure1_edges()).build();
 /// let index = GctIndex::build(&g);
 /// // Lemma 3: score(v) = N_k − M_k, answered in O(log) per vertex.
 /// assert_eq!(index.score(0, 4), 3);
 /// assert_eq!(index.social_contexts(0, 4).len(), 3);
+/// // A top-r query reads the first r vertices of the order at k.
+/// let top = index.top_r(&DiversityConfig { k: 4, r: 1 });
+/// assert_eq!((top.entries[0].vertex, top.entries[0].score), (0, 3));
+/// assert_eq!(top.metrics.score_computations, 1);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GctIndex {
@@ -199,6 +232,9 @@ pub struct GctIndex {
     /// Superedges `(a, b, w)`, supernode indices local to their vertex,
     /// weight descending within each vertex.
     se: Vec<(u32, u32, u32)>,
+    /// The per-k score order of the entries above (empty while a
+    /// [`GctBuilder`] holds them).
+    order: ScoreOrder,
 }
 
 impl GctIndex {
@@ -262,25 +298,37 @@ impl GctIndex {
         self.entry(v).social_contexts(k)
     }
 
-    /// GCT top-r: exact scores are O(log) per vertex, so evaluate all and
-    /// collect (the O(m)-worst-case query of Section 6.3).
+    /// The largest supernode trussness of `v`'s entry, 0 if it has none:
+    /// `v` scores nonzero exactly at k in `2..=top`.
+    fn top(&self, v: VertexId) -> u32 {
+        let (s, e) = (self.starts[v as usize].sn, self.starts[v as usize + 1].sn);
+        if s < e {
+            self.sn_tau[s]
+        } else {
+            0
+        }
+    }
+
+    /// `(k, score(v, k))` for each k at which `v` scores nonzero.
+    fn scores(&self, v: VertexId) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let (s, e) = (self.starts[v as usize], self.starts[v as usize + 1]);
+        let (sn_tau, se) = (&self.sn_tau[s.sn..e.sn], &self.se[s.se..e.se]);
+        (2..=self.top(v)).map(move |k| (k, lemma_3(sn_tau, se, k))).filter(|&(_, score)| score > 0)
+    }
+
+    /// GCT top-r: the first `min(r, n)` vertices of the score order at
+    /// `k`, then zero-score vertices in id order, each with its stored
+    /// contexts. `score_computations` counts the vertices read, r when r
+    /// vertices score nonzero. This goes beyond the paper's Section 6.3
+    /// query, which scores all n vertices by Lemma 3 (O(m) worst case).
+    /// A `k` below 2 answers as k = 2.
     pub fn top_r(&self, config: &DiversityConfig) -> TopRResult {
-        let start = Instant::now();
-        let mut collector = TopRCollector::new(config.r);
-        let mut computations = 0usize;
-        for v in 0..self.n() as VertexId {
-            computations += 1;
-            collector.offer(v, self.score(v, config.k));
-        }
-        let entries = finish_entries(collector, |v| self.social_contexts(v, config.k));
-        TopRResult {
-            entries,
-            metrics: SearchMetrics {
-                score_computations: computations,
-                elapsed: start.elapsed(),
-                engine: "",
-            },
-        }
+        self.order.top_r(self.n(), config, |v, k| self.social_contexts(v, k))
+    }
+
+    /// The per-k score order, which the Exp-4 Hybrid index shares.
+    pub(crate) fn order(&self) -> &ScoreOrder {
+        &self.order
     }
 
     /// Serializes to a compact blob (Table 3 index-size accounting).
@@ -370,7 +418,10 @@ impl GctIndex {
     /// `repaired[i]` (ascending) replaced by `patch`'s entry `i`. Every
     /// other vertex keeps its entry — runs between repaired vertices are
     /// copied contiguously — and vertices new to this index are empty.
-    pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &GctIndex) -> GctIndex {
+    /// The score order is carried, not derived again
+    /// ([`ScoreOrder::carry`]).
+    pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &GctBuilder) -> GctIndex {
+        let patch = &patch.0;
         let mut out = GctBuilder::new(n);
         out.0.sn_tau.reserve(self.sn_tau.len() + patch.sn_tau.len());
         out.0.sn_end.reserve(self.sn_end.len() + patch.sn_end.len());
@@ -383,23 +434,259 @@ impl GctIndex {
             next = v as usize + 1;
         }
         out.extend_from(self, next..n);
-        out.finish()
+        GctIndex { order: self.order.carry(self, repaired, patch), ..out.shrink_to_fit().0 }
+    }
+}
+
+/// The per-k score order: for each k from 2 up to the largest supernode
+/// trussness, the vertices whose score at k is nonzero, by (score desc,
+/// vertex asc) — [`crate::TopRCollector`]'s tie rule. It is canonical: no
+/// trailing empty k and no run of zero vertices, so an order carried by
+/// [`GctIndex::splice`] equals (`==`) a fresh derive. Apart from that,
+/// every vector is exactly its length, so an epoch's order costs its size.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ScoreOrder {
+    /// The ranking at k is `per_k[k − 2]`.
+    per_k: Vec<Ranking>,
+}
+
+/// One k's ranking: vertex ids, plus the points where the score changes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Ranking {
+    /// The vertices with a nonzero score, by (score desc, vertex asc).
+    ids: Vec<VertexId>,
+    /// `(score, end)` per distinct score, descending: `ids[e..end]`
+    /// score `score`, where `e` is the previous run's end (0 first).
+    runs: Vec<(u32, u32)>,
+}
+
+/// The ranking at a k past every stored one.
+static EMPTY: Ranking = Ranking { ids: Vec::new(), runs: Vec::new() };
+
+impl ScoreOrder {
+    /// The order of a whole index: per k, a counting sort of the vertices
+    /// by score, filled in vertex order so tied ids come out ascending
+    /// with no comparison sort. Its scratch is one count per score up to
+    /// each k's largest; on import, [`GctEntry::is_valid`] bounds their sum
+    /// by the largest entry's member count times ln(top).
+    fn derive(index: &GctIndex) -> ScoreOrder {
+        let n = index.n() as VertexId;
+        let top = (0..n).map(|v| index.top(v)).max().unwrap_or(0);
+        // counts[k − 2][s]: how many vertices score s at k; below, where
+        // the next of them goes.
+        let mut counts: Vec<Vec<u32>> = vec![Vec::new(); top.saturating_sub(1) as usize];
+        for v in 0..n {
+            for (k, s) in index.scores(v) {
+                let count = &mut counts[k as usize - 2];
+                if count.len() <= s as usize {
+                    count.resize(s as usize + 1, 0);
+                }
+                count[s as usize] += 1;
+            }
+        }
+        let mut per_k: Vec<Ranking> = counts
+            .iter_mut()
+            .map(|count| {
+                let mut runs = Vec::with_capacity(count.iter().filter(|&&c| c > 0).count());
+                let mut end = 0;
+                for (s, c) in count.iter_mut().enumerate().rev().filter(|(_, c)| **c > 0) {
+                    let first = end;
+                    end += *c;
+                    *c = first;
+                    runs.push((s as u32, end));
+                }
+                Ranking { ids: vec![0; end as usize], runs }
+            })
+            .collect();
+        for v in 0..n {
+            for (k, s) in index.scores(v) {
+                let next = &mut counts[k as usize - 2][s as usize];
+                per_k[k as usize - 2].ids[*next as usize] = v;
+                *next += 1;
+            }
+        }
+        ScoreOrder { per_k }
     }
 
-    /// The parts' entries in order, as one index over all their vertices:
-    /// how the pooled build ([`crate::parallel`]) joins its chunks. Each
-    /// part is freed as soon as it is copied.
-    pub(crate) fn concat(parts: Vec<GctIndex>) -> GctIndex {
-        let mut out = GctBuilder::new(parts.iter().map(GctIndex::n).sum());
-        let sum = |len: fn(&GctIndex) -> usize| parts.iter().map(len).sum::<usize>();
-        out.0.sn_tau.reserve_exact(sum(|p| p.sn_tau.len()));
-        out.0.sn_end.reserve_exact(sum(|p| p.sn_end.len()));
-        out.0.members.reserve_exact(sum(|p| p.members.len()));
-        out.0.se.reserve_exact(sum(|p| p.se.len()));
-        for part in parts {
-            out.extend_from(&part, 0..part.n());
+    /// This order, the order of `old`, carried across
+    /// [`GctIndex::splice`]: per k, each repaired vertex whose score
+    /// changed leaves the place its old score gives it and enters at its
+    /// new score's, and the stretches in between are copied whole.
+    /// Vertices new to the index are isolated, score 0 and stay out. The
+    /// largest k may grow or shrink.
+    fn carry(&self, old: &GctIndex, repaired: &[VertexId], patch: &GctIndex) -> ScoreOrder {
+        let top = (0..patch.n() as VertexId).map(|i| patch.top(i)).max().unwrap_or(0);
+        let ks = self.per_k.len().max(top.saturating_sub(1) as usize);
+        let mut per_k: Vec<Ranking> = (0..ks)
+            .map(|i| {
+                let ranking = self.per_k.get(i).unwrap_or(&EMPTY);
+                ranking.carry(i as u32 + 2, old, repaired, patch)
+            })
+            .collect();
+        while per_k.last().is_some_and(|ranking| ranking.ids.is_empty()) {
+            per_k.pop();
         }
-        out.finish()
+        per_k.shrink_to_fit();
+        ScoreOrder { per_k }
+    }
+
+    /// The ranking at `k`; a `k` below 2 reads k = 2's.
+    fn ranking(&self, k: u32) -> &Ranking {
+        self.per_k.get(k.max(2) as usize - 2).unwrap_or(&EMPTY)
+    }
+
+    /// `score(v, k)` as the order holds it (0 when `v` is not ranked), by a
+    /// linear search.
+    pub(crate) fn score(&self, v: VertexId, k: u32) -> u32 {
+        let ranking = self.ranking(k);
+        ranking.ids.iter().position(|&u| u == v).map_or(0, |place| ranking.score_at(place))
+    }
+
+    /// The top-r query over vertices `0..n` at `k` (below 2, k = 2): the
+    /// first `min(r, n)` ranked vertices, then, if fewer are ranked,
+    /// unranked ones in id order with score 0, each with `contexts(v, k)`.
+    /// `score_computations` counts the vertices read.
+    pub(crate) fn top_r(
+        &self,
+        n: usize,
+        config: &DiversityConfig,
+        contexts: impl Fn(VertexId, u32) -> Vec<Vec<VertexId>>,
+    ) -> TopRResult {
+        let start = Instant::now();
+        let (k, r) = (config.k.max(2), config.r.min(n));
+        let ranking = self.ranking(k);
+        let mut picks: Vec<(VertexId, u32)> = Vec::with_capacity(r);
+        let mut from = 0;
+        for &(score, end) in &ranking.runs {
+            let end = (end as usize).min(r);
+            picks.extend(ranking.ids[from..end].iter().map(|&v| (v, score)));
+            if end == r {
+                break;
+            }
+            from = end;
+        }
+        let mut read = picks.len();
+        if picks.len() < r {
+            let mut ranked = ranking.ids.clone();
+            ranked.sort_unstable();
+            let mut ranked = ranked.into_iter().peekable();
+            for v in 0..n as VertexId {
+                if picks.len() == r {
+                    break;
+                }
+                read += 1;
+                if ranked.next_if_eq(&v).is_none() {
+                    picks.push((v, 0));
+                }
+            }
+        }
+        let entries = picks
+            .into_iter()
+            .map(|(vertex, score)| TopREntry { vertex, score, contexts: contexts(vertex, k) })
+            .collect();
+        TopRResult {
+            entries,
+            metrics: SearchMetrics {
+                score_computations: read,
+                elapsed: start.elapsed(),
+                engine: "",
+            },
+        }
+    }
+}
+
+impl Ranking {
+    /// The score of the vertex at `place`.
+    fn score_at(&self, place: usize) -> u32 {
+        self.runs[self.runs.partition_point(|&(_, end)| end as usize <= place)].0
+    }
+
+    /// Where `(score, v)` sits, or would: the number of ranked vertices
+    /// that outrank it.
+    fn place(&self, score: u32, v: VertexId) -> usize {
+        let run = self.runs.partition_point(|&(s, _)| s > score);
+        let from = if run == 0 { 0 } else { self.runs[run - 1].1 as usize };
+        match self.runs.get(run) {
+            Some(&(s, end)) if s == score => {
+                from + self.ids[from..end as usize].partition_point(|&u| u < v)
+            }
+            _ => from,
+        }
+    }
+
+    /// This ranking at `k`, carried across a splice (see
+    /// [`ScoreOrder::carry`]).
+    fn carry(&self, k: u32, old: &GctIndex, repaired: &[VertexId], patch: &GctIndex) -> Ranking {
+        // The place and old score of each repaired vertex ranked before,
+        // and the new score of each ranked now. A vertex whose score did
+        // not change keeps its place among the others, so it neither
+        // leaves nor enters.
+        let (mut leave, mut enter) = (Vec::new(), Vec::new());
+        for (i, &v) in repaired.iter().enumerate() {
+            let was = if (v as usize) < old.n() { old.score(v, k) } else { 0 };
+            let now = patch.score(i as VertexId, k);
+            if was == now {
+                continue;
+            }
+            if was > 0 {
+                let place = self.place(was, v);
+                debug_assert_eq!(self.ids.get(place), Some(&v), "k={k}");
+                leave.push((place, was));
+            }
+            if now > 0 {
+                enter.push((now, v));
+            }
+        }
+        leave.sort_unstable();
+        enter.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+
+        // Copy up to each entering vertex's place, skipping the leaving
+        // ones; the places are non-decreasing in rank order.
+        let mut ids = Vec::with_capacity(self.ids.len() - leave.len() + enter.len());
+        let mut from = 0;
+        let mut leaving = leave.iter().map(|&(place, _)| place).peekable();
+        let mut copy_to = |ids: &mut Vec<VertexId>, to: usize| {
+            while let Some(place) = leaving.next_if(|&place| place < to) {
+                ids.extend_from_slice(&self.ids[from..place]);
+                from = place + 1;
+            }
+            ids.extend_from_slice(&self.ids[from..to]);
+            from = to;
+        };
+        for &(now, v) in &enter {
+            copy_to(&mut ids, self.place(now, v));
+            ids.push(v);
+        }
+        copy_to(&mut ids, self.ids.len());
+
+        // Each score's count, as before, less what left, plus what entered.
+        let mut tally: Vec<(u32, u32)> = Vec::with_capacity(self.runs.len() + enter.len());
+        let mut from = 0;
+        for &(score, end) in &self.runs {
+            tally.push((score, end - from));
+            from = end;
+        }
+        let descending = |score: u32| move |&(s, _): &(u32, u32)| score.cmp(&s);
+        for &(_, was) in &leave {
+            if let Ok(i) = tally.binary_search_by(descending(was)) {
+                tally[i].1 -= 1;
+            }
+        }
+        for &(now, _) in &enter {
+            match tally.binary_search_by(descending(now)) {
+                Ok(i) => tally[i].1 += 1,
+                Err(i) => tally.insert(i, (now, 1)),
+            }
+        }
+        let mut end = 0;
+        tally.retain(|&(_, count)| count > 0);
+        for run in &mut tally {
+            end += run.1;
+            run.1 = end;
+        }
+        tally.shrink_to_fit();
+        debug_assert_eq!(end as usize, ids.len());
+        Ranking { ids, runs: tally }
     }
 }
 
@@ -415,6 +702,11 @@ pub(crate) fn decompose(ego: &CsrGraph) -> TrussDecomposition {
 }
 
 /// Builds a [`GctIndex`] vertex by vertex, straight into its flat arrays.
+///
+/// A builder holds entries without a score order: a pooled build's parts
+/// and an update's repair patch stay builders, and only [`Self::finish`]
+/// (or [`GctIndex::splice`], which carries the order) makes an index, so
+/// every index a query can reach is ordered.
 pub(crate) struct GctBuilder(GctIndex);
 
 impl GctBuilder {
@@ -428,7 +720,24 @@ impl GctBuilder {
             sn_end: Vec::new(),
             members: Vec::new(),
             se: Vec::new(),
+            order: ScoreOrder::default(),
         })
+    }
+
+    /// The parts' entries in order, as one builder over all their
+    /// vertices: how the pooled build ([`crate::parallel`]) joins its
+    /// chunks. Each part is freed as soon as it is copied.
+    pub(crate) fn concat(parts: Vec<GctBuilder>) -> GctBuilder {
+        let mut out = GctBuilder::new(parts.iter().map(|p| p.0.n()).sum());
+        let sum = |len: fn(&GctIndex) -> usize| parts.iter().map(|p| len(&p.0)).sum::<usize>();
+        out.0.sn_tau.reserve_exact(sum(|p| p.sn_tau.len()));
+        out.0.sn_end.reserve_exact(sum(|p| p.sn_end.len()));
+        out.0.members.reserve_exact(sum(|p| p.members.len()));
+        out.0.se.reserve_exact(sum(|p| p.se.len()));
+        for part in parts {
+            out.extend_from(&part.0, 0..part.0.n());
+        }
+        out
     }
 
     /// Where the next entry starts: the ends of the arrays so far.
@@ -548,17 +857,26 @@ impl GctBuilder {
         }
     }
 
-    /// Finishes the index, dropping the arrays' spare capacity: an index
-    /// lives as long as its epoch, and a pooled build's part lives beside
-    /// the others until they are concatenated.
-    pub(crate) fn finish(mut self) -> GctIndex {
+    /// Drops the arrays' spare capacity: an index lives as long as its
+    /// epoch, and a pooled build's part lives beside the others until they
+    /// are concatenated.
+    pub(crate) fn shrink_to_fit(mut self) -> Self {
         let index = &mut self.0;
         index.starts.shrink_to_fit();
         index.sn_tau.shrink_to_fit();
         index.sn_end.shrink_to_fit();
         index.members.shrink_to_fit();
         index.se.shrink_to_fit();
-        self.0
+        self
+    }
+
+    /// Finishes a whole index: drops spare capacity, then derives the
+    /// score order ([`ScoreOrder::derive`]) — once per build or import,
+    /// never per part or patch.
+    pub(crate) fn finish(self) -> GctIndex {
+        let mut index = self.shrink_to_fit().0;
+        index.order = ScoreOrder::derive(&index);
+        index
     }
 }
 
@@ -569,18 +887,35 @@ mod tests {
     use crate::paper::paper_figure1_graph;
     use crate::score::social_contexts;
 
-    /// Neither the sequential nor the pooled build keeps growth slack:
-    /// every array's capacity is its length.
+    /// Neither the sequential build, the pooled build nor a splice keeps
+    /// growth slack: every array's capacity is its length, the score
+    /// order's included.
     #[test]
     fn builds_keep_no_spare_capacity() {
         let g = crate::parallel::triangle_strip();
         let pooled = crate::parallel::pooled_build(&crate::pool::WorkerPool::new(2), &g);
-        for (index, how) in [(GctIndex::build(&g), "sequential"), (pooled, "pooled")] {
+        let sequential = GctIndex::build(&g);
+        let mut patch = GctBuilder::new(2);
+        patch.extend_from(&sequential, 3..4);
+        patch.extend_from(&sequential, 9..10);
+        let spliced = sequential.splice(g.n() + 2, &[3, 9], &patch);
+        for (index, how) in [(sequential, "sequential"), (pooled, "pooled"), (spliced, "spliced")] {
             assert_eq!(index.starts.capacity(), index.starts.len(), "{how} starts");
             assert_eq!(index.sn_tau.capacity(), index.sn_tau.len(), "{how} sn_tau");
             assert_eq!(index.sn_end.capacity(), index.sn_end.len(), "{how} sn_end");
             assert_eq!(index.members.capacity(), index.members.len(), "{how} members");
             assert_eq!(index.se.capacity(), index.se.len(), "{how} se");
+            let per_k = &index.order.per_k;
+            assert_eq!(per_k.capacity(), per_k.len(), "{how} per_k");
+            for (i, ranking) in per_k.iter().enumerate() {
+                assert_eq!(ranking.ids.capacity(), ranking.ids.len(), "{how} ids at k={}", i + 2);
+                assert_eq!(
+                    ranking.runs.capacity(),
+                    ranking.runs.len(),
+                    "{how} runs at k={}",
+                    i + 2
+                );
+            }
         }
     }
 
@@ -613,28 +948,103 @@ mod tests {
         }
     }
 
-    /// Splicing rebuilt entries over an index, with the vertex set grown,
-    /// equals building the grown graph's index from scratch.
-    #[test]
-    fn splice_replaces_entries_and_grows() {
-        let (g, _, _) = paper_figure1_graph();
-        let base = GctIndex::build(&g);
-        assert_eq!(base.splice(g.n(), &[], &GctBuilder::new(0).finish()), base);
-        let mut edges = g.edges().to_vec();
-        edges.extend([(1, 6), (0, 20)]);
-        let grown = sd_graph::GraphBuilder::new().extend_edges(edges).build();
-        let rebuilt = GctIndex::build(&grown);
-        // Repair the vertices whose entries changed, plus the new
-        // endpoint; 17..20 are new, isolated, and left to the splice.
-        let repaired: Vec<VertexId> = (0..grown.n() as VertexId)
-            .filter(|&v| v == 20 || (v as usize) < g.n() && base.entry(v) != rebuilt.entry(v))
-            .collect();
-        assert_eq!(repaired, vec![1, 6, 20], "the entries the inserts change");
+    /// `base` spliced into the index of `next` (`next.n() ≥ base.n()`) by
+    /// repairing every vertex whose entry changed, plus `also`; other new
+    /// vertices are left to the splice.
+    fn splice_to(base: &GctIndex, next: &CsrGraph, also: &[VertexId]) -> (GctIndex, Vec<VertexId>) {
+        let rebuilt = GctIndex::build(next);
+        let changed = |v: VertexId| match (v as usize) < base.n() {
+            true => base.entry(v) != rebuilt.entry(v),
+            false => rebuilt.entry(v).supernodes() > 0,
+        };
+        let repaired: Vec<VertexId> =
+            (0..next.n() as VertexId).filter(|&v| also.contains(&v) || changed(v)).collect();
         let mut patch = GctBuilder::new(repaired.len());
         for &v in &repaired {
             patch.extend_from(&rebuilt, v as usize..v as usize + 1);
         }
-        assert_eq!(base.splice(grown.n(), &repaired, &patch.finish()), rebuilt);
+        (base.splice(next.n(), &repaired, &patch), repaired)
+    }
+
+    /// Splicing rebuilt entries over an index, with the vertex set grown,
+    /// equals building the grown graph's index from scratch, its carried
+    /// score order included: also when a repair raises the largest stored
+    /// k, and when one empties it.
+    #[test]
+    fn splice_replaces_entries_and_grows() {
+        let (g, _, _) = paper_figure1_graph();
+        let base = GctIndex::build(&g);
+        assert_eq!(base.splice(g.n(), &[], &GctBuilder::new(0)), base);
+        let mut edges = g.edges().to_vec();
+        edges.extend([(1, 6), (0, 20)]);
+        let grown = sd_graph::GraphBuilder::new().extend_edges(edges.clone()).build();
+        // Repair the vertices whose entries changed, plus the new
+        // endpoint; 17..20 are new, isolated, and left to the splice.
+        let (spliced, repaired) = splice_to(&base, &grown, &[20]);
+        assert_eq!(repaired, vec![1, 6, 20], "the entries the inserts change");
+        assert_eq!(spliced, GctIndex::build(&grown));
+
+        // An 8-clique on new vertices 21..29 raises the largest k to 7.
+        let clique: Vec<(VertexId, VertexId)> =
+            (21..29).flat_map(|u| (u + 1..29).map(move |w| (u, w))).collect();
+        let with_clique = sd_graph::GraphBuilder::new()
+            .extend_edges(edges.iter().chain(&clique).copied())
+            .build();
+        let (raised, _) = splice_to(&spliced, &with_clique, &[]);
+        assert_eq!(raised, GctIndex::build(&with_clique));
+        assert_eq!(raised.order.per_k.len(), 6, "k = 2..=7");
+        assert!(spliced.order.per_k.len() < 6);
+
+        // Removing it again empties k = 5..=7, and the order drops them.
+        let without = sd_graph::GraphBuilder::with_min_vertices(with_clique.n())
+            .extend_edges(edges.iter().copied())
+            .build();
+        let (emptied, repaired) = splice_to(&raised, &without, &[]);
+        assert_eq!(repaired, (21..29).collect::<Vec<_>>());
+        assert_eq!(emptied, GctIndex::build(&without));
+        assert_eq!(emptied.order, spliced.order);
+    }
+
+    /// The top r at `k` as a [`crate::TopRCollector`] fed every vertex's
+    /// Lemma-3 score keeps them: the scan the order replaces.
+    fn collector_top_r(index: &GctIndex, k: u32, r: usize) -> Vec<(VertexId, u32)> {
+        let mut collector = crate::TopRCollector::new(r.min(index.n()));
+        for v in 0..index.n() as VertexId {
+            collector.offer(v, index.score(v, k));
+        }
+        collector.into_sorted()
+    }
+
+    /// A fresh order answers as the Lemma-3 scan: at every k up to one
+    /// past the largest stored, a k below 2 as k = 2, and at r around the
+    /// count of nonzero scores (ties at the r-th place and the zero fill
+    /// included) and above n, with r vertices read while r vertices score
+    /// nonzero.
+    #[test]
+    fn the_order_answers_as_a_scan_of_every_score() {
+        let (figure_1, _, _) = paper_figure1_graph();
+        for g in [std::sync::Arc::new(figure_1), crate::parallel::triangle_strip()] {
+            let index = GctIndex::build(&g);
+            let top_k = index.order.per_k.len() as u32 + 1;
+            assert!(top_k >= 2);
+            for k in 0..=top_k + 1 {
+                let at = k.max(2);
+                let nonzero = g.vertices().filter(|&v| index.score(v, at) > 0).count();
+                for r in [1, nonzero.saturating_sub(1), nonzero, nonzero + 1, g.n(), g.n() + 5] {
+                    let r = r.max(1);
+                    let got = index.top_r(&DiversityConfig { k, r });
+                    let picks: Vec<(VertexId, u32)> =
+                        got.entries.iter().map(|e| (e.vertex, e.score)).collect();
+                    assert_eq!(picks, collector_top_r(&index, at, r), "k={k} r={r}");
+                    for e in &got.entries {
+                        assert_eq!(e.contexts, index.social_contexts(e.vertex, at), "k={k} r={r}");
+                    }
+                    if r <= nonzero {
+                        assert_eq!(got.metrics.score_computations, r, "k={k} r={r}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -722,35 +1132,57 @@ mod tests {
         assert_eq!(GctIndex::from_bytes(buf.freeze()), Err(DecodeError::Truncated));
     }
 
-    /// Each entry invariant a query relies on is checked at decode time.
+    /// Each entry invariant a query relies on is checked at decode time,
+    /// and so is the bound that keeps the order an import derives within
+    /// the blob: 2^16 one-member contexts at every k fail it at once, and
+    /// so do two contexts at k = 4 over seven members.
     #[test]
     fn decode_rejects_entries_a_query_would_panic_on() {
-        // n = 4; vertex 0 holds supernodes {1, 2} (τ 4) and {3} (τ 3)
-        // joined by one superedge, and the other entries are empty.
+        // n = 8; vertex 0 holds supernodes {1, 2, 3, 4} (τ 4) and {5, 6, 7}
+        // (τ 3) joined by one superedge, and the other entries are empty.
+        // Each bad case breaks one invariant.
         let blob = |sn_tau: &[u32], sn_end: &[u32], members: &[u32], se: &[(u32, u32, u32)]| {
             let end = Start { sn: sn_tau.len(), member: members.len(), se: se.len() };
+            let mut starts = vec![Start::default()];
+            starts.resize(9, end);
             let index = GctIndex {
-                starts: vec![Start::default(), end, end, end, end],
+                starts,
                 sn_tau: sn_tau.to_vec(),
                 sn_end: sn_end.to_vec(),
                 members: members.to_vec(),
                 se: se.to_vec(),
+                order: ScoreOrder::default(),
             };
             index.to_bytes()
         };
-        let (tau, ends, members) = (&[4, 3][..], &[2, 3][..], &[1, 2, 3][..]);
+        let (tau, ends, members) = (&[4, 3][..], &[4, 7][..], &[1, 2, 3, 4, 5, 6, 7][..]);
         assert!(GctIndex::from_bytes(blob(tau, ends, members, &[(0, 1, 3)])).is_ok());
+        assert!(GctIndex::from_bytes(blob(&[4, 2], ends, members, &[])).is_ok());
+        assert!(GctIndex::from_bytes(blob(tau, ends, members, &[(0, 1, 2)])).is_ok());
+        assert!(GctIndex::from_bytes(blob(&[7], &[7], members, &[])).is_ok());
+        let many = 1u32 << 16;
+        let one_member_each = blob(
+            &vec![many; many as usize],
+            &(1..=many).collect::<Vec<_>>(),
+            &vec![1; many as usize],
+            &[],
+        );
         for (what, bad) in [
             ("trussness rises", blob(&[3, 4], ends, members, &[(0, 1, 3)])),
-            ("an empty supernode", blob(tau, &[0, 3], members, &[(0, 1, 3)])),
-            ("ends short of the members", blob(tau, &[1, 2], members, &[(0, 1, 3)])),
-            ("ends past the members", blob(tau, &[2, 4], members, &[(0, 1, 3)])),
-            ("a member past n", blob(tau, ends, &[1, 2, 4], &[(0, 1, 3)])),
+            ("trussness past the member count", blob(&[8], &[7], members, &[])),
+            ("more contexts than members at k", blob(&[4, 4], ends, members, &[])),
+            ("2^16 one-member contexts", one_member_each),
+            ("a trussness below 2", blob(&[4, 1], ends, members, &[])),
+            ("an empty supernode", blob(tau, &[7, 7], members, &[(0, 1, 3)])),
+            ("ends short of the members", blob(tau, &[4, 6], members, &[(0, 1, 3)])),
+            ("ends past the members", blob(tau, &[4, 8], members, &[(0, 1, 3)])),
+            ("a member past n", blob(tau, ends, &[1, 2, 3, 4, 5, 6, 8], &[(0, 1, 3)])),
             ("a superedge loop", blob(tau, ends, members, &[(1, 1, 3)])),
             ("a superedge past the supernodes", blob(tau, ends, members, &[(0, 2, 3)])),
             ("a superedge heavier than τ", blob(tau, ends, members, &[(0, 1, 4)])),
+            ("a superedge weight below 2", blob(tau, ends, members, &[(0, 1, 1)])),
             ("a superedge cycle", blob(tau, ends, members, &[(0, 1, 3), (0, 1, 3)])),
-            ("weights rise", blob(&[4, 3, 3], &[1, 2, 3], members, &[(0, 1, 2), (1, 2, 3)])),
+            ("weights rise", blob(&[4, 3, 3], &[4, 6, 7], members, &[(0, 1, 2), (1, 2, 3)])),
         ] {
             assert_eq!(GctIndex::from_bytes(bad), Err(DecodeError::InvalidEntry), "{what}");
         }

@@ -1,70 +1,40 @@
 //! The Hybrid competitor (Exp-4, Figure 11): answer materialization.
 //!
-//! Hybrid precomputes, for every threshold `k`, the complete vertex ranking
-//! by structural diversity. A query `(k, r)` then reads the top-r vertices
-//! directly and only pays for *social context* computation, which it performs
-//! online with Algorithm 2. The paper shows this is competitive at `r = 1`
-//! but loses to GCT as `r` grows — context recomputation dominates.
+//! Hybrid keeps, for every threshold `k`, the complete vertex ranking by
+//! structural diversity: the GCT-index's per-k score order, which it shares
+//! with [`GctIndex::top_r`]. A query `(k, r)` reads the first r vertices of
+//! that order, through the same function GCT's query does, zero fill
+//! included, and then computes each one's *social contexts* online with
+//! Algorithm 2, where GCT reads its stored ones. The paper shows this is
+//! competitive at `r = 1` but loses to GCT as `r` grows — context
+//! recomputation dominates.
 //!
 //! It is not a serving engine: the Exp-4 reproduction in `sd-bench` calls
 //! it directly.
 
-use std::time::Instant;
-
 use sd_graph::{CsrGraph, VertexId};
 
-use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
+use crate::config::{DiversityConfig, TopRResult};
+use crate::gct::{GctIndex, ScoreOrder};
 use crate::score::social_contexts;
-use crate::tsd::TsdIndex;
 
-/// Precomputed per-k rankings of positive-score vertices.
+/// The per-k rankings of positive-score vertices.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HybridIndex {
-    /// `rankings[k]` = `(score, vertex)` pairs sorted (score desc, vertex asc);
-    /// only vertices with positive score are stored. Index 0 and 1 are empty.
-    rankings: Vec<Vec<(u32, VertexId)>>,
+    /// The GCT-index's score order.
+    order: ScoreOrder,
     n: usize,
 }
 
 impl HybridIndex {
-    /// Builds the rankings by sweeping every vertex's TSD score profile.
+    /// Builds the GCT-index of `g` and keeps only its score order.
     pub fn build(g: &CsrGraph) -> Self {
-        let tsd = TsdIndex::build(g);
-        Self::build_from_tsd(&tsd)
+        Self::from_gct(&GctIndex::build(g))
     }
 
-    /// Builds from an existing TSD-index (shares the expensive decomposition).
-    pub fn build_from_tsd(tsd: &TsdIndex) -> Self {
-        let n = tsd.n();
-        let mut max_k = 2u32;
-        let mut profiles = Vec::with_capacity(n);
-        for v in 0..n as u32 {
-            let p = tsd.score_profile(v);
-            if let Some(&(w, _)) = p.first() {
-                max_k = max_k.max(w);
-            }
-            profiles.push(p);
-        }
-        let mut rankings: Vec<Vec<(u32, VertexId)>> = vec![Vec::new(); max_k as usize + 1];
-        for (v, profile) in profiles.iter().enumerate() {
-            // profile = [(w1, s1), (w2, s2), ...] with w descending; the
-            // score at threshold k is the entry with the smallest w ≥ k.
-            let Some(&(w1, _)) = profile.first() else { continue };
-            let mut idx = 0usize;
-            for k in (2..=w1).rev() {
-                while idx + 1 < profile.len() && profile[idx + 1].0 >= k {
-                    idx += 1;
-                }
-                let score = profile[idx].1;
-                if score > 0 {
-                    rankings[k as usize].push((score, v as VertexId));
-                }
-            }
-        }
-        for ranking in &mut rankings {
-            ranking.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        }
-        HybridIndex { rankings, n }
+    /// The score order of an existing GCT-index (shares its build).
+    pub fn from_gct(gct: &GctIndex) -> Self {
+        HybridIndex { order: gct.order().clone(), n: gct.n() }
     }
 
     /// Vertex count of the graph the rankings were materialized from.
@@ -72,63 +42,17 @@ impl HybridIndex {
         self.n
     }
 
-    /// Size in bytes of the rankings in a compact encoding: a 20-byte
-    /// header, then per level an 8-byte length and 8 bytes per `(score,
-    /// vertex)` entry (the Hybrid column of the paper's index-size
-    /// comparison).
-    pub fn index_size_bytes(&self) -> usize {
-        20 + self.rankings.iter().map(|r| 8 + r.len() * 8).sum::<usize>()
-    }
-
     /// `score(v)` at threshold `k` per the materialized rankings (0 when the
     /// vertex is absent).
     pub fn score(&self, v: VertexId, k: u32) -> u32 {
-        self.rankings
-            .get(k as usize)
-            .and_then(|r| r.iter().find(|&&(_, u)| u == v))
-            .map(|&(s, _)| s)
-            .unwrap_or(0)
+        self.order.score(v, k)
     }
 
     /// Query: read the precomputed top-r, then compute each winner's social
     /// contexts online (Algorithm 2) — the cost the paper measures in
     /// Figure 11.
     pub fn top_r(&self, g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
-        let start = Instant::now();
-        let ranking = self.rankings.get(config.k as usize).map(|r| r.as_slice()).unwrap_or(&[]);
-        let mut picks: Vec<(u32, VertexId)> = ranking.iter().take(config.r).copied().collect();
-        // Pad with zero-score vertices when r exceeds the positive-score
-        // population, matching the online algorithm's output size.
-        if picks.len() < config.r.min(self.n) {
-            let mut present = vec![false; self.n];
-            for &(_, v) in &picks {
-                present[v as usize] = true;
-            }
-            for v in 0..self.n as u32 {
-                if picks.len() >= config.r.min(self.n) {
-                    break;
-                }
-                if !present[v as usize] {
-                    picks.push((0, v));
-                }
-            }
-        }
-        let mut computations = 0usize;
-        let entries: Vec<TopREntry> = picks
-            .into_iter()
-            .map(|(score, vertex)| {
-                computations += 1;
-                TopREntry { vertex, score, contexts: social_contexts(g, vertex, config.k) }
-            })
-            .collect();
-        TopRResult {
-            entries,
-            metrics: SearchMetrics {
-                score_computations: computations,
-                elapsed: start.elapsed(),
-                engine: "",
-            },
-        }
+        self.order.top_r(self.n, config, |v, k| social_contexts(g, v, k))
     }
 }
 
@@ -174,5 +98,23 @@ mod tests {
         let a = hybrid.top_r(&g, &cfg);
         let b = online_top_r(&g, &cfg);
         assert_eq!(a.entries[0].contexts, b.entries[0].contexts);
+    }
+
+    /// Hybrid reads GCT's order: its vertices and scores are GCT's at every
+    /// r, zero fill included, and only the contexts are recomputed.
+    #[test]
+    fn answers_equal_gct_over_a_shared_build() {
+        let g = crate::parallel::triangle_strip();
+        let gct = GctIndex::build(&g);
+        let hybrid = HybridIndex::from_gct(&gct);
+        assert_eq!(hybrid, HybridIndex::build(&g));
+        for k in 2..=5 {
+            for r in [1, 100, g.n()] {
+                let cfg = DiversityConfig { k, r };
+                let (h, q) = (hybrid.top_r(&g, &cfg), gct.top_r(&cfg));
+                assert_eq!(h.entries, q.entries, "k={k} r={r}");
+                assert_eq!(h.metrics.score_computations, q.metrics.score_computations);
+            }
+        }
     }
 }

@@ -15,13 +15,16 @@
 //! | online baseline | Algorithm 3 | `Online` | none |
 //! | bound-pruned | Algorithm 4 (sparsify + Lemma 2) | `Bound` | none |
 //! | TSD-index | Algorithms 5–6 | `Tsd` | max spanning forests |
-//! | GCT-index | Algorithms 7–8 + Lemma 3 | `Gct` | compressed forests |
+//! | GCT-index | Algorithms 7–8 + Lemma 3 | `Gct` | compressed forests + per-k score order |
 //!
 //! The GCT-index is the one index with a serialized form
-//! ([`GctIndex::to_bytes`]).
+//! ([`GctIndex::to_bytes`]). Beyond the paper, whose GCT query scores every
+//! vertex by Lemma 3, it keeps a per-k score order, so a top-r query reads
+//! r vertices; the order is derived state, rebuilt on import, not persisted.
 //!
 //! The paper's Exp-4 competitor (per-k rankings) is a plain index in
-//! [`hybrid`] for that experiment, not an engine.
+//! [`hybrid`] for that experiment, not an engine: the GCT-index's score
+//! order with Algorithm 2's contexts.
 //!
 //! Build any engine with [`build_engine`], or let a [`SearchService`] own
 //! the graph and serve the GCT-index ([`SearchService::SERVED`], which

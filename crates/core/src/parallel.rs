@@ -24,7 +24,7 @@
 //! Chunk boundaries are fixed ([`SCAN_CHUNK`] listed vertices), *not*
 //! derived from the thread count. Each chunk assembles its own flat index,
 //! and the parts are concatenated in list order on the calling thread, so
-//! a build equals [`GctIndex::build`] byte for byte (trussness does not
+//! a build equals [`crate::GctIndex::build`] byte for byte (trussness does not
 //! depend on the peeling method). That sequential build stays as the
 //! reference, and lists triangles globally (Algorithm 7's one-shot
 //! extraction).
@@ -38,7 +38,7 @@ use sd_graph::{CsrGraph, VertexId};
 use sd_truss::{vertex_trussness, TrussDecomposition};
 
 use crate::egonet::EgoNetwork;
-use crate::gct::{decompose, GctBuilder, GctIndex};
+use crate::gct::{decompose, GctBuilder};
 use crate::pool::{Job, WorkerPool};
 use crate::tsd::max_spanning_forest;
 
@@ -77,20 +77,22 @@ fn write_chunks<I: Send + 'static>(
     pool.run_all(jobs)
 }
 
-/// The GCT entries of `vertices` (ascending) in `g`, in list order, as a
-/// GCT-index over `vertices.len()` vertices.
+/// The GCT entries of `vertices` (ascending) in `g`, in list order, over
+/// `vertices.len()` vertices: a whole index once [`GctBuilder::finish`]
+/// derives its score order, or an update's repair patch for
+/// `GctIndex::splice`, which carries the order instead.
 pub(crate) fn write_gct(
     pool: &WorkerPool,
     g: &Arc<CsrGraph>,
     vertices: Arc<[VertexId]>,
-) -> GctIndex {
-    GctIndex::concat(write_chunks(pool, g, vertices, |g, chunk| {
+) -> GctBuilder {
+    GctBuilder::concat(write_chunks(pool, g, vertices, |g, chunk| {
         let mut out = GctBuilder::new(chunk.len());
         for &v in chunk {
             let (ego, decomposition, forest) = ego_forest(g, v);
             out.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
         }
-        out.finish()
+        out.shrink_to_fit()
     }))
 }
 
@@ -105,24 +107,27 @@ pub(crate) fn triangle_strip() -> Arc<CsrGraph> {
 
 /// The GCT-index of `g`, written over every vertex, as a build writes it.
 #[cfg(test)]
-pub(crate) fn pooled_build(pool: &WorkerPool, g: &Arc<CsrGraph>) -> GctIndex {
-    write_gct(pool, g, g.vertices().collect())
+pub(crate) fn pooled_build(pool: &WorkerPool, g: &Arc<CsrGraph>) -> crate::GctIndex {
+    write_gct(pool, g, g.vertices().collect()).finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gct::GctIndex;
     use crate::paper::paper_figure1_graph;
 
-    /// Figure 1 is one chunk; the strip is three.
+    /// Figure 1 is one chunk; the strip is three. The pooled index equals
+    /// the sequential one, its score order included.
     #[test]
     fn pooled_builds_are_byte_identical() {
         let (g, _, _) = paper_figure1_graph();
         for g in [Arc::new(g), triangle_strip()] {
-            let gct = GctIndex::build(&g).to_bytes();
+            let gct = GctIndex::build(&g);
             for threads in [1, 2, 4] {
                 let pooled = pooled_build(&WorkerPool::new(threads), &g);
-                assert_eq!(pooled.to_bytes(), gct, "t={threads}");
+                assert_eq!(pooled.to_bytes(), gct.to_bytes(), "t={threads}");
+                assert_eq!(pooled, gct, "t={threads}");
             }
         }
     }
@@ -135,7 +140,7 @@ mod tests {
         let gct = GctIndex::build(&g);
         let listed: Vec<VertexId> = (0..g.n() as VertexId).step_by(3).collect();
         for threads in [1, 2] {
-            let part = write_gct(&WorkerPool::new(threads), &g, listed.clone().into());
+            let part = write_gct(&WorkerPool::new(threads), &g, listed.clone().into()).finish();
             assert_eq!(part.n(), listed.len());
             for (i, &v) in listed.iter().enumerate() {
                 assert_eq!(part.entry(i as VertexId), gct.entry(v), "{v} t={threads}");

@@ -1,4 +1,6 @@
-//! Bounded top-r accumulator shared by all search algorithms.
+//! Bounded top-r accumulator shared by the scanning search algorithms
+//! (Online, Bound, TSD and the baselines). The GCT-index and Hybrid read a
+//! score order kept under the same tie rule instead.
 //!
 //! Keeps the `r` best vertices offered so far under (score desc, vertex
 //! asc), whatever the offer order. A scan in vertex order thus replaces only

@@ -211,34 +211,6 @@ impl TsdIndex {
         }
     }
 
-    /// `score(v, k)` for every distinct threshold at which it changes:
-    /// returns descending `(k, score)` pairs; `score(v, q) = score` for the
-    /// entry with the smallest `k ≥ q`... i.e. piecewise-constant between
-    /// distinct forest weights. Used by the Exp-4 rankings builder.
-    pub fn score_profile(&self, v: VertexId) -> Vec<(u32, u32)> {
-        let s = self.offsets[v as usize];
-        let e = self.offsets[v as usize + 1];
-        let mut profile = Vec::new();
-        let mut endpoints: Vec<VertexId> = Vec::new();
-        let mut i = s;
-        while i < e {
-            let w = self.weight[i];
-            let mut j = i;
-            while j < e && self.weight[j] == w {
-                endpoints.push(self.eu[j]);
-                endpoints.push(self.ew[j]);
-                j += 1;
-            }
-            let mut uniq = endpoints.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            let edges = j - s;
-            profile.push((w, (uniq.len() - edges) as u32));
-            i = j;
-        }
-        profile
-    }
-
     /// The index's size in bytes in a compact layout, the figure Table 3's
     /// "Index Size" column reports: a 20-byte header, one 4-byte forest
     /// length per vertex, and three 4-byte words `(u, w, weight)` per
@@ -409,20 +381,5 @@ mod tests {
         assert!(f.len() < g.degree(v));
         // Weights descend.
         assert!(f.windows(2).all(|w| w[0].2 >= w[1].2));
-    }
-
-    #[test]
-    fn score_profile_consistent_with_score() {
-        let (g, _, _) = paper_figure1_graph();
-        let index = TsdIndex::build(&g);
-        let mut scratch = Vec::new();
-        for v in g.vertices() {
-            let profile = index.score_profile(v);
-            // Profile k values strictly descend.
-            assert!(profile.windows(2).all(|w| w[0].0 > w[1].0));
-            for &(k, s) in &profile {
-                assert_eq!(s, index.score(v, k, &mut scratch), "v={v} k={k}");
-            }
-        }
     }
 }

@@ -1,8 +1,9 @@
 //! Property tests for update maintenance: after an arbitrary script of edge
 //! insertions and deletions, each applied as its own
 //! `SearchService::apply_updates` batch, the repaired GCT-index must agree
-//! exactly with a from-scratch computation on the published graph — scores
-//! AND social contexts, for every k.
+//! exactly with a from-scratch computation on the published graph — scores,
+//! the whole top-r ranking its carried score order answers, AND social
+//! contexts, for every k.
 
 mod common;
 
@@ -10,7 +11,9 @@ use common::arb_graph;
 use proptest::prelude::*;
 
 use structural_diversity::graph::{CsrGraph, GraphUpdate};
-use structural_diversity::search::{all_scores, social_contexts, EngineKind, SearchService};
+use structural_diversity::search::{
+    all_scores, build_engine, social_contexts, EngineKind, QuerySpec, SearchService,
+};
 
 fn arb_edits(n: u32, len: usize) -> impl Strategy<Value = Vec<GraphUpdate>> {
     proptest::collection::vec(
@@ -48,6 +51,18 @@ fn served_scores(service: &SearchService, k: u32) -> Vec<u32> {
     service.graph().vertices().map(|v| engine.score(v, k)).collect()
 }
 
+/// The served top-r at `k` with r = n — the whole ranking the carried
+/// score order answers, zero fill included — against the Online scan's
+/// (Algorithm 3) on the published graph.
+fn served_ranking_is_online(service: &SearchService, k: u32) -> Result<(), TestCaseError> {
+    let graph = service.graph();
+    let spec = QuerySpec::new(k, graph.n()).expect("a valid spec");
+    let served = service.top_r(&spec).expect("the served query");
+    let online = build_engine(EngineKind::Online, graph).top_r(&spec).expect("the online scan");
+    prop_assert_eq!(served.entries, online.entries);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -66,6 +81,7 @@ proptest! {
                 "after {:?}",
                 edit
             );
+            served_ranking_is_online(&service, k)?;
         }
     }
 

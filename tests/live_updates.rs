@@ -20,7 +20,8 @@ use rand::{Rng, SeedableRng};
 use structural_diversity::datasets;
 use structural_diversity::graph::{CsrGraph, GraphBuilder, GraphUpdate};
 use structural_diversity::search::{
-    all_scores, build_engine, EngineKind, GraphFingerprint, QuerySpec, SearchError, SearchService,
+    all_scores, build_engine, EngineKind, GctIndex, GraphFingerprint, QuerySpec, SearchError,
+    SearchService,
 };
 
 /// The graph an update script should produce, replayed over a plain
@@ -109,9 +110,11 @@ proptest! {
     /// after random batches, hub batches (several ops on one vertex) and a
     /// batch growing the vertex set, the exported GCT index equals a fresh
     /// service's on the final graph, and every publishing batch carried
-    /// GCT. After every publishing batch the served edge table and
-    /// fingerprint equal those of a from-scratch replay of the ops over an
-    /// edge-set model, and the fresh service is built from that replay,
+    /// GCT. The exported bytes hold no score order, so the served index
+    /// must also equal (`==`) a fresh build of the replay, its carried
+    /// order included. After every publishing batch the served edge table
+    /// and fingerprint equal those of a from-scratch replay of the ops over
+    /// an edge-set model, and the fresh service is built from that replay,
     /// not from the served graph.
     #[test]
     fn carried_indexes_equal_a_fresh_rebuild_byte_for_byte(
@@ -153,6 +156,11 @@ proptest! {
             live.export_bundle([EngineKind::Gct]).unwrap(),
             fresh.export_bundle([EngineKind::Gct]).unwrap(),
             "the GCT index diverged from the rebuild"
+        );
+        let served = live.engine(EngineKind::Gct);
+        prop_assert!(
+            served.gct_index().is_some_and(|index| **index == GctIndex::build(&model.replay())),
+            "the served GCT index, its score order included, diverged from the rebuild"
         );
     }
 
