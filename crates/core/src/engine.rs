@@ -74,10 +74,10 @@ impl EngineKind {
         }
     }
 
-    /// Stable on-disk tag used by each [`crate::envelope::IndexBundle`]
-    /// entry header. [`EngineKind::Auto`] has no tag (it never names a concrete
-    /// index); tags are append-only across format revisions. Tag 5 is
-    /// retired and never reused: decoders refuse it as an unknown tag.
+    /// Stable one-byte tag naming a concrete kind on the wire (a query's
+    /// engine field in `sd-server`'s protocol). [`EngineKind::Auto`] is 0
+    /// (it never names a concrete index); tags are append-only. Tag 5 is
+    /// retired and never reused: [`Self::from_tag`] reads it as unknown.
     pub fn tag(self) -> u8 {
         match self {
             EngineKind::Auto => 0,

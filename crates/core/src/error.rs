@@ -1,11 +1,7 @@
-//! The unified error hierarchy of the search surface.
-//!
-//! Before the [`crate::engine::DiversityEngine`] redesign every failure mode
-//! had its own shape: invalid query parameters panicked inside
-//! `DiversityConfig::new`, and each serializable index carried a private
-//! decode enum (`TsdDecodeError` / `GctDecodeError`). A production query
-//! surface needs one `Result` type end to end, so everything folds into
-//! [`SearchError`].
+//! The unified error hierarchy of the search surface: every failure of a
+//! query, an update or an import is a [`SearchError`], and a
+//! persisted blob that fails to decode — the GCT-index, or the bundle
+//! frame around it — is a [`DecodeError`], which folds into it.
 
 use std::fmt;
 
@@ -20,42 +16,25 @@ use crate::service::SearchService;
 pub enum DecodeError {
     /// Wrong magic number — the blob is not this index format.
     BadMagic,
-    /// Input shorter than its own header promises.
+    /// Input shorter than its own header promises, or longer.
     Truncated,
-    /// A bundle written by a future (or corrupted) format revision.
+    /// A bundle written by another format revision: a retired one (1 and
+    /// 2 are no longer read), a future one, or a corrupted version field.
     UnsupportedVersion {
         /// The version the blob claims.
         version: u16,
     },
-    /// A bundle entry naming an engine tag this build does not know.
-    UnknownEngine {
-        /// The raw engine tag from the entry header.
-        tag: u8,
-    },
-    /// A bundle carrying two entries for the same engine — ambiguous, so
-    /// rejected rather than letting the last entry silently win.
-    DuplicateEngine {
-        /// The engine tag that appears more than once.
-        tag: u8,
-    },
-    /// A bundle with no entries at all; an empty bundle is never written by
-    /// [`crate::SearchService::export_bundle`], so reading one means the
-    /// blob was forged or corrupted.
-    EmptyBundle,
     /// A structurally valid frame whose contents violate the format's
     /// invariants (e.g. a vertex id at or beyond the declared vertex
     /// count) — decoding it would produce an index that panics at query
     /// time.
     InvalidEntry,
-    /// A bundle entry whose payload bytes hash to a different FNV-1a
-    /// checksum than its header records: the payload was corrupted (or
-    /// forged) after encoding. Caught at the frame layer, before the index
+    /// A bundle whose payload bytes hash to a different FNV-1a checksum
+    /// than its header records: the payload was corrupted (or forged)
+    /// after encoding. Caught at the frame layer, before the index
     /// decoder's structural checks, which cannot notice corruption that
     /// still parses.
-    PayloadChecksum {
-        /// Engine tag of the corrupted entry.
-        tag: u8,
-    },
+    PayloadChecksum,
 }
 
 impl fmt::Display for DecodeError {
@@ -66,18 +45,11 @@ impl fmt::Display for DecodeError {
             DecodeError::UnsupportedVersion { version } => {
                 write!(f, "unsupported index bundle format version {version}")
             }
-            DecodeError::UnknownEngine { tag } => {
-                write!(f, "index bundle names unknown engine tag {tag}")
-            }
-            DecodeError::DuplicateEngine { tag } => {
-                write!(f, "index bundle carries engine tag {tag} more than once")
-            }
-            DecodeError::EmptyBundle => write!(f, "index bundle carries no entries"),
             DecodeError::InvalidEntry => {
                 write!(f, "index blob carries an entry violating the format's invariants")
             }
-            DecodeError::PayloadChecksum { tag } => {
-                write!(f, "bundle entry for engine tag {tag} fails its payload checksum")
+            DecodeError::PayloadChecksum => {
+                write!(f, "index bundle payload fails its checksum")
             }
         }
     }
@@ -129,17 +101,12 @@ pub enum SearchError {
     /// A [`crate::SearchService`] was asked for an engine it does not
     /// serve: it serves the GCT-index ([`crate::SearchService::SERVED`]),
     /// not the TSD-index or the index-free Online and Bound scans, which
-    /// [`crate::build_engine`] still builds. A query, export or bundle
-    /// entry naming one is refused before anything is built, scanned or
-    /// decoded.
+    /// [`crate::build_engine`] still builds. A query naming one is refused
+    /// before anything is built or scanned.
     EngineNotServed {
         /// The kind the query asked for.
         engine: EngineKind,
     },
-    /// [`crate::SearchService::export_bundle`] was asked to bundle zero
-    /// engines — a request-side error, distinct from reading a forged
-    /// zero-entry bundle off the wire ([`DecodeError::EmptyBundle`]).
-    EmptyBundleRequest,
     /// [`crate::SearchService::apply_updates`] was handed an empty batch.
     /// Publishing an epoch costs a graph snapshot and engine invalidation,
     /// so an empty batch is a caller bug, not a no-op.
@@ -179,9 +146,6 @@ impl fmt::Display for SearchError {
             SearchError::EngineNotServed { engine } => {
                 let served = SearchService::SERVED.map(EngineKind::name).join(", ");
                 write!(f, "the service does not serve the `{engine}` engine; it serves {served}")
-            }
-            SearchError::EmptyBundleRequest => {
-                write!(f, "asked to export a bundle of zero engines")
             }
             SearchError::EmptyUpdateBatch => {
                 write!(f, "asked to apply an empty update batch")

@@ -52,8 +52,8 @@
 //! the engine rejects `r > n`) and every failure is a [`SearchError`].
 //! Index persistence goes through one fingerprinted frame, the
 //! [`IndexBundle`]: [`SearchService::export_bundle`] writes the GCT-index
-//! behind the graph's fingerprint, each entry with its own payload
-//! checksum, and [`SearchService::import_bundle`] refuses blobs
+//! behind the graph's fingerprint and a checksum of its bytes, and
+//! [`SearchService::import_bundle`] refuses blobs
 //! built from a different graph or corrupted on the way; there is no
 //! fingerprint-less public decode path. (The 0.2 single-threaded
 //! `Searcher` facade, deprecated in 0.3.0, is removed as of 0.4.0 — see
@@ -95,8 +95,7 @@ pub use engine::{
     OnlineEngine, QuerySpec, TsdEngine,
 };
 pub use envelope::{
-    GraphFingerprint, IndexBundle, BUNDLE_ENTRY_HEADER_BYTES, BUNDLE_HEADER_BYTES, BUNDLE_MAGIC,
-    BUNDLE_VERSION,
+    GraphFingerprint, IndexBundle, BUNDLE_HEADER_BYTES, BUNDLE_MAGIC, BUNDLE_VERSION,
 };
 pub use error::{DecodeError, SearchError};
 pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};
@@ -108,4 +107,4 @@ pub use sd_graph::GraphUpdate;
 pub use service::{SearchService, ServiceStats, UpdateStats};
 pub use tcp::{ktruss_communities, TcpIndex};
 pub use topr::TopRCollector;
-pub use tsd::{TsdBuilder, TsdIndex};
+pub use tsd::TsdIndex;

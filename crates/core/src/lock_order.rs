@@ -121,7 +121,7 @@ pub const SVC_UPDATER: LockClass = LockClass::new(10, "svc.updater");
 /// The serving-epoch pointer: readers pin a snapshot, updates swap it.
 pub const EPOCH_PTR: LockClass = LockClass::new(20, "epoch.ptr");
 
-/// One engine cache slot of an epoch (one per concrete kind).
+/// An epoch's engine cache slot: each epoch has one, for its GCT engine.
 pub const ENGINE_SLOT: LockClass = LockClass::new(30, "engine.slot");
 
 #[cfg(test)]

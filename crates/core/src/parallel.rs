@@ -35,7 +35,7 @@
 use std::sync::Arc;
 
 use sd_graph::{CsrGraph, VertexId};
-use sd_truss::{vertex_trussness, TrussDecomposition};
+use sd_truss::vertex_trussness;
 
 use crate::egonet::EgoNetwork;
 use crate::gct::{decompose, GctBuilder};
@@ -46,54 +46,41 @@ use crate::tsd::max_spanning_forest;
 /// — and therefore indexes — never depend on the thread count.
 pub const SCAN_CHUNK: usize = 256;
 
-/// The one body that writes a GCT entry (Algorithm 8): `v`'s ego-network
-/// in `g`, its truss decomposition, and the maximum spanning forest the
-/// entry compresses.
-fn ego_forest(g: &CsrGraph, v: VertexId) -> (EgoNetwork, TrussDecomposition, Vec<(u32, u32, u32)>) {
-    let ego = EgoNetwork::extract(g, v);
-    let decomposition = decompose(&ego.graph);
-    let forest = max_spanning_forest(&ego.graph, &decomposition);
-    (ego, decomposition, forest)
-}
-
-/// Runs `chunk` on each [`SCAN_CHUNK`] listed vertices of `vertices`
-/// (ascending) in `g`, one pool job per chunk, and returns the parts in
-/// chunk order whatever order they finished in.
-fn write_chunks<I: Send + 'static>(
-    pool: &WorkerPool,
-    g: &Arc<CsrGraph>,
-    vertices: Arc<[VertexId]>,
-    chunk: fn(&CsrGraph, &[VertexId]) -> I,
-) -> Vec<I> {
-    let total = vertices.len();
-    let jobs: Vec<Job<I>> = (0..total.div_ceil(SCAN_CHUNK))
-        .map(|c| {
-            let (graph, vertices) = (g.clone(), vertices.clone());
-            Box::new(move || {
-                chunk(&graph, &vertices[c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total)])
-            }) as Job<I>
-        })
-        .collect();
-    pool.run_all(jobs)
-}
-
 /// The GCT entries of `vertices` (ascending) in `g`, in list order, over
 /// `vertices.len()` vertices: a whole index once [`GctBuilder::finish`]
 /// derives its score order, or an update's repair patch for
-/// `GctIndex::splice`, which carries the order instead.
+/// `GctIndex::splice`, which carries the order instead. One pool job per
+/// [`SCAN_CHUNK`] listed vertices writes each vertex's entry (Algorithm 8):
+/// its ego-network in `g`, the ego's truss decomposition, and the maximum
+/// spanning forest the entry compresses. The parts come back in chunk
+/// order, whatever order they finished in.
 pub(crate) fn write_gct(
     pool: &WorkerPool,
     g: &Arc<CsrGraph>,
     vertices: Arc<[VertexId]>,
 ) -> GctBuilder {
-    GctBuilder::concat(write_chunks(pool, g, vertices, |g, chunk| {
-        let mut out = GctBuilder::new(chunk.len());
-        for &v in chunk {
-            let (ego, decomposition, forest) = ego_forest(g, v);
-            out.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
-        }
-        out.shrink_to_fit()
-    }))
+    let total = vertices.len();
+    let jobs: Vec<Job<GctBuilder>> = (0..total.div_ceil(SCAN_CHUNK))
+        .map(|c| {
+            let (g, vertices) = (g.clone(), vertices.clone());
+            Box::new(move || {
+                let chunk = &vertices[c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(total)];
+                let mut out = GctBuilder::new(chunk.len());
+                for &v in chunk {
+                    let ego = EgoNetwork::extract(&g, v);
+                    let decomposition = decompose(&ego.graph);
+                    let forest = max_spanning_forest(&ego.graph, &decomposition);
+                    out.push_forest(&ego, &forest, &vertex_trussness(&ego.graph, &decomposition));
+                }
+                out.shrink_to_fit()
+            }) as Job<GctBuilder>
+        })
+        .collect();
+    let parts = pool.run_all(jobs);
+    // Free the list before the concatenation allocates the whole index
+    // beside its parts: for a build, n ids at the build's peak.
+    drop(vertices);
+    GctBuilder::concat(parts)
 }
 
 /// A strip of triangles spanning three [`SCAN_CHUNK`]s and ending

@@ -13,10 +13,9 @@
 //!   compressed form of the TSD-index, and [`EngineKind::Auto`] names it.
 //!   The index-free Online and Bound scans (Algorithms 3 and 4) and the
 //!   uncompressed TSD-index (Algorithms 5–6) are the paper's baselines,
-//!   not a serving path: a query, warmup, export or import naming one of
-//!   them is refused with [`SearchError::EngineNotServed`] before anything
-//!   is built, scanned or decoded, and [`crate::build_engine`] still
-//!   builds them;
+//!   not a serving path: a query naming one of them is refused with
+//!   [`SearchError::EngineNotServed`] before anything is built or scanned,
+//!   a warmup skips it, and [`crate::build_engine`] still builds them;
 //! * all per-graph state — the `Arc<CsrGraph>`, its [`GraphFingerprint`],
 //!   and the engine slot — lives in one immutable *epoch*; queries clone
 //!   the current epoch's `Arc` and run entirely against that snapshot, so
@@ -57,8 +56,9 @@
 //!   [`ServiceStats`] (including `updates_applied` and `gct_repairs`),
 //!   with `epochs` read from the serving epoch;
 //! * persistence goes through one fingerprinted, checksummed frame:
-//!   [`SearchService::export_bundle`] writes the index behind the graph's
-//!   fingerprint, and [`SearchService::import_bundle`] reads it back.
+//!   [`SearchService::export_bundle`] writes the GCT-index behind the
+//!   graph's fingerprint, and [`SearchService::import_bundle`] reads it
+//!   back.
 //!   Every epoch has its own fingerprint, so the import refuses
 //!   blobs from any other graph — including this service's *own*
 //!   pre-update epochs. It is computed once per epoch, on first use
@@ -131,9 +131,12 @@ const GROWTH_PER_OP: usize = 2;
 type EngineSlot = RwLock<Option<Arc<GctEngine>>>;
 
 /// The one place that decides what a service serves:
-/// [`SearchService::SERVED`], which [`EngineKind::Auto`] names. Any other
-/// kind is [`SearchError::EngineNotServed`], in a query, a warmup, an
-/// export and a bundle entry alike.
+/// [`SearchService::SERVED`], which [`EngineKind::Auto`] names. It guards
+/// the calls that name a kind — queries, warmups and
+/// [`SearchService::engine`]: any other kind is
+/// [`SearchError::EngineNotServed`] to a query, is skipped by a warmup and
+/// is built uncached by `engine`. A bundle names no kind; its frame holds
+/// the GCT-index alone.
 fn served(kind: EngineKind) -> Result<(), SearchError> {
     if kind == EngineKind::Auto || SearchService::SERVED.contains(&kind) {
         Ok(())
@@ -214,8 +217,9 @@ pub struct UpdateStats {
 struct BatchRepair {
     /// Ops that changed the graph.
     applied: usize,
-    /// Ops rejected as no-ops (duplicate or self-loop inserts, removes of
-    /// absent edges).
+    /// Ops rejected: the no-ops [`apply_ops`] met (duplicate or self-loop
+    /// inserts, removes of absent edges), plus the ops past the batch's
+    /// growth bound, which never reach it.
     rejected: usize,
     /// `2 + |N(u) ∩ N(v)|` per applied op: the ego-networks each op
     /// touched, counted once per op that touched them.
@@ -721,7 +725,9 @@ impl SearchService {
     /// path is affected only by the final pointer swap. A batch in which
     /// *no* update applies (all duplicates/self-loops/absent removes)
     /// publishes nothing and leaves the epoch untouched; an empty batch is
-    /// an error ([`SearchError::EmptyUpdateBatch`]).
+    /// an error ([`SearchError::EmptyUpdateBatch`]). A batch whose ops or
+    /// repair panic fails with [`SearchError::Internal`] and publishes
+    /// nothing, so the next batch applies to the same epoch.
     ///
     /// Bundles exported from superseded epochs no longer
     /// match [`Self::fingerprint`], so re-importing them fails with
@@ -733,61 +739,28 @@ impl SearchService {
         }
         let _writer = self.updater.lock(); // lock: svc.updater
         let old = self.core.current();
-
-        // Drop the ops that would grow the vertex set past the batch's
-        // bound, before anything sized by a vertex id is allocated.
-        let limit = batch
-            .len()
-            .saturating_mul(GROWTH_PER_OP)
-            .saturating_add(GROWTH_FLOOR)
-            .saturating_add(old.graph.n());
-        let ops: Vec<GraphUpdate> = batch
-            .iter()
-            .copied()
-            .filter(|op| {
-                let (u, v) = op.endpoints();
-                (u.max(v) as usize) < limit
-            })
-            .collect();
-        let oversized = batch.len() - ops.len();
-
-        let mut graph = DynamicGraph::from_base(old.graph.clone());
-        let (repair, affected) = apply_ops(&mut graph, &ops);
-        let rejected = repair.rejected + oversized;
-        if repair.applied == 0 {
+        // A panic while the batch is staged fails this batch alone, as a
+        // panicking build fails its query: nothing is published.
+        let staged = catch_unwind(AssertUnwindSafe(|| self.stage(&old, batch)));
+        let (repair, next) = staged.map_err(|_| SearchError::Internal {
+            invariant: "an update batch is staged without panicking",
+        })??;
+        let Some(next) = next else {
             return Ok(UpdateStats {
                 epoch: old.id,
                 applied: 0,
-                rejected,
+                rejected: repair.rejected,
                 tsd_repairs: 0,
                 gct_repairs: 0,
                 gct_carried: false,
                 n: old.graph.n(),
                 m: old.graph.m(),
             });
-        }
-
-        // Assemble the next epoch off to the side, and install the
-        // repaired index so it is warm before anyone can query it. The
-        // engine `Arc` is cloned *out* of the old slot, so the repair does
-        // not run under the slot lock, where it would stall that epoch's
-        // importers.
-        let snapshot = Arc::new(graph.to_csr());
-        let next = Arc::new(EpochState::over(old.id + 1, snapshot.clone()));
-        let built = old.slot.read().clone(); // lock: engine.slot
-        let old_index = built.as_deref().map(GctEngine::index);
-        if let Some(index) = old_index {
-            let patch = write_gct(&self.core.pool, &snapshot, affected.clone());
-            let index = index.splice(snapshot.n(), &affected, &patch);
-            // The splice covers exactly the snapshot's vertices; surface a
-            // broken repair as an error (nothing published) rather than
-            // poisoning the service with a panic.
-            let engine = GctEngine::from_parts(snapshot.clone(), index).map_err(|_| {
-                SearchError::Internal { invariant: "a repaired index covers the repaired graph" }
-            })?;
-            self.core.install(&next, Arc::new(engine));
-        }
-        let gct_repairs = if old_index.is_some() { repair.repaired } else { 0 };
+        };
+        // Nobody else sees `next` yet, so its slot is built iff the batch
+        // repaired the old epoch's index into it.
+        let carried = next.is_built();
+        let gct_repairs = if carried { repair.repaired } else { 0 };
 
         // Publish: one pointer swap. In-flight queries keep their pinned
         // epoch; everything after this line sees the new graph.
@@ -805,13 +778,69 @@ impl SearchService {
         Ok(UpdateStats {
             epoch: next.id,
             applied: repair.applied,
-            rejected,
+            rejected: repair.rejected,
             tsd_repairs: repair.touched,
             gct_repairs,
-            gct_carried: old_index.is_some(),
-            n: snapshot.n(),
-            m: snapshot.m(),
+            gct_carried: carried,
+            n: next.graph.n(),
+            m: next.graph.m(),
         })
+    }
+
+    /// Everything [`Self::apply_updates`] does between taking the writer
+    /// lock and the publish: applies `batch` to `old`'s graph, and returns
+    /// what its ops did with the next epoch, assembled off to the side
+    /// with the repaired index installed — or with no epoch, when no op
+    /// applied.
+    fn stage(
+        &self,
+        old: &EpochState,
+        batch: &[GraphUpdate],
+    ) -> Result<(BatchRepair, Option<Arc<EpochState>>), SearchError> {
+        // Drop the ops that would grow the vertex set past the batch's
+        // bound, before anything sized by a vertex id is allocated.
+        let limit = batch
+            .len()
+            .saturating_mul(GROWTH_PER_OP)
+            .saturating_add(GROWTH_FLOOR)
+            .saturating_add(old.graph.n());
+        let ops: Vec<GraphUpdate> = batch
+            .iter()
+            .copied()
+            .filter(|op| {
+                let (u, v) = op.endpoints();
+                (u.max(v) as usize) < limit
+            })
+            .collect();
+
+        let mut graph = DynamicGraph::from_base(old.graph.clone());
+        let (mut repair, affected) = apply_ops(&mut graph, &ops);
+        repair.rejected += batch.len() - ops.len();
+        if repair.applied == 0 {
+            return Ok((repair, None));
+        }
+
+        // Install the repaired index so it is warm before anyone can query
+        // the epoch. The engine `Arc` is cloned *out* of the old slot, so
+        // the repair does not run under the slot lock, where it would stall
+        // that epoch's importers.
+        let snapshot = Arc::new(graph.to_csr());
+        let next = Arc::new(EpochState::over(old.id + 1, snapshot.clone()));
+        let built = old.slot.read().clone(); // lock: engine.slot
+        if let Some(engine) = built {
+            #[cfg(test)]
+            tests::fail_if_injected();
+            let patch = write_gct(&self.core.pool, &snapshot, affected.clone());
+            let index = engine.index().splice(snapshot.n(), &affected, &patch);
+            // The splice covers exactly the snapshot's vertices; surface a
+            // broken repair as an error (nothing published) rather than
+            // poisoning the service with a panic.
+            let engine = GctEngine::from_parts(snapshot, index).map_err(|_| {
+                SearchError::Internal { invariant: "a repaired index covers the repaired graph" }
+            })?;
+            self.core.install(&next, Arc::new(engine));
+        }
+        Ok((repair, Some(next)))
     }
 
     /// Answers one top-r query against one consistent epoch snapshot. A
@@ -914,42 +943,26 @@ impl SearchService {
     /// Serializes the GCT-index (building it if missing — this path
     /// blocks; it is an export, not a query) into one fingerprinted
     /// [`IndexBundle`] blob that [`Self::import_bundle`] — on a service
-    /// over the *same* graph — accepts. [`EngineKind::Auto`] names the
-    /// GCT-index, and a kind named twice is one entry. Fails *before
-    /// building anything* with [`SearchError::EmptyBundleRequest`] if no
-    /// kind was named, and otherwise with [`SearchError::EngineNotServed`]
-    /// on the first named kind the service does not serve (Online, Bound
-    /// or TSD), as a query for it fails.
-    pub fn export_bundle(
-        &self,
-        kinds: impl IntoIterator<Item = EngineKind>,
-    ) -> Result<Bytes, SearchError> {
-        let mut kinds = kinds.into_iter().peekable();
-        if kinds.peek().is_none() {
-            return Err(SearchError::EmptyBundleRequest);
-        }
-        kinds.try_for_each(served)?;
+    /// over the *same* graph — accepts.
+    pub fn export_bundle(&self) -> Bytes {
         let epoch = self.core.current();
-        let index = self.core.build_if_absent(&epoch).0.index().to_bytes();
-        Ok(IndexBundle::new(epoch.fingerprint(), vec![(EngineKind::Gct, index)]).encode())
+        let payload = self.core.build_if_absent(&epoch).0.index().to_bytes();
+        IndexBundle { fingerprint: epoch.fingerprint(), payload }.encode()
     }
 
     /// Installs the GCT-index carried by a bundle blob produced by
     /// [`Self::export_bundle`], replacing any cached engine in the current
-    /// epoch, and returns the installed kinds: `[Gct]`.
+    /// epoch.
     ///
-    /// All-or-nothing, and refused with [`SearchError::EngineNotServed`]
-    /// before any payload is decoded when the bundle holds an entry for a
-    /// kind the service does not serve (Online, Bound or TSD). The
-    /// fingerprint is checked next (wrong-graph and superseded-epoch
-    /// bundles are refused whole, as [`SearchError::FingerprintMismatch`]
-    /// — a same-`n` snapshot from before edge churn cannot slip through),
-    /// and the payload is decoded and checked before it is installed. This
-    /// is the *only* way to attach serialized index bytes to a service:
-    /// there is no fingerprint-less public decode path.
-    pub fn import_bundle(&self, blob: Bytes) -> Result<Vec<EngineKind>, SearchError> {
-        let IndexBundle { fingerprint, entries } = IndexBundle::decode(blob)?;
-        entries.iter().try_for_each(|&(kind, _)| served(kind))?;
+    /// All-or-nothing: the frame is decoded first, then the fingerprint
+    /// is checked (wrong-graph and superseded-epoch bundles are refused
+    /// whole, as [`SearchError::FingerprintMismatch`] — a same-`n`
+    /// snapshot from before edge churn cannot slip through), and the
+    /// payload is decoded and checked before it is installed. This is the
+    /// *only* way to attach serialized index bytes to a service: there is
+    /// no fingerprint-less public decode path.
+    pub fn import_bundle(&self, blob: Bytes) -> Result<(), SearchError> {
+        let IndexBundle { fingerprint, payload } = IndexBundle::decode(blob)?;
         let epoch = self.core.current();
         if fingerprint != epoch.fingerprint() {
             return Err(SearchError::FingerprintMismatch {
@@ -957,13 +970,7 @@ impl SearchService {
                 found: fingerprint,
             });
         }
-        // Kinds are unique per bundle, so this is the one GCT entry.
-        let engines = entries
-            .into_iter()
-            .map(|(_, payload)| {
-                GctEngine::from_parts(epoch.graph.clone(), GctIndex::from_bytes(payload)?)
-            })
-            .collect::<Result<Vec<_>, SearchError>>()?;
+        let engine = GctEngine::from_parts(epoch.graph.clone(), GctIndex::from_bytes(payload)?)?;
         // Install under the epoch-pointer read lock (which excludes the
         // publish swap) and re-verify the fingerprint there: an
         // `apply_updates` that landed while we decoded must fail the
@@ -980,10 +987,8 @@ impl SearchService {
                 found: fingerprint,
             });
         }
-        for engine in engines {
-            self.core.install(&guard, Arc::new(engine));
-        }
-        Ok(Self::SERVED.to_vec())
+        self.core.install(&guard, Arc::new(engine));
+        Ok(())
     }
 }
 
@@ -1081,9 +1086,9 @@ mod tests {
 
     /// The kinds a service does not serve — TSD among them — are refused
     /// before anything is built or scanned, on every path: one query, a
-    /// slot of a batch (its mates still answer), the all-or-nothing batch,
-    /// which then runs nothing, and an export. Warming or joining them
-    /// schedules and builds nothing.
+    /// slot of a batch (its mates still answer), and the all-or-nothing
+    /// batch, which then runs nothing. Warming or joining them schedules
+    /// and builds nothing.
     #[test]
     fn unserved_kinds_are_refused_on_a_cold_service_without_building() {
         let s = service();
@@ -1097,10 +1102,6 @@ mod tests {
         }
         assert_eq!(s.warmup(unserved), vec![]);
         assert_eq!(s.wait_ready(unserved), vec![]);
-        assert_eq!(
-            s.export_bundle([EngineKind::Tsd]).unwrap_err(),
-            SearchError::EngineNotServed { engine: EngineKind::Tsd }
-        );
         assert!(s.built_engines().is_empty());
         assert_eq!((s.stats().engines_built, s.queries_served()), (0, 0));
 
@@ -1365,9 +1366,8 @@ mod tests {
     #[test]
     fn bundle_roundtrip_through_the_service() {
         let s = service();
-        let blob = s.export_bundle([EngineKind::Gct]).unwrap();
         let fresh = service();
-        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Gct]);
+        fresh.import_bundle(s.export_bundle()).unwrap();
         assert_eq!(fresh.built_engines(), [EngineKind::Gct]);
         assert_eq!(fresh.stats().engines_built, 1);
         let result = fresh.top_r(&QuerySpec::new(4, 1).unwrap()).unwrap();
@@ -1377,36 +1377,9 @@ mod tests {
     }
 
     #[test]
-    fn export_bundle_rejects_index_free_kinds_and_empty_requests() {
-        let s = service();
-        assert_eq!(
-            s.export_bundle([EngineKind::Gct, EngineKind::Online]).unwrap_err(),
-            SearchError::EngineNotServed { engine: EngineKind::Online }
-        );
-        assert_eq!(s.export_bundle([]).unwrap_err(), SearchError::EmptyBundleRequest);
-        assert!(s.built_engines().is_empty(), "failed exports must not cost engine builds");
-    }
-
-    /// `Auto` names the GCT-index in an export, as it does in a query, and
-    /// a kind named twice, directly or through `Auto`, is one entry.
-    #[test]
-    fn export_bundle_resolves_auto_and_deduplicates() {
-        let exported_kinds =
-            |blob: Bytes| IndexBundle::decode(blob).expect("an exported bundle decodes").kinds();
-        let cold = service();
-        assert_eq!(
-            exported_kinds(cold.export_bundle([EngineKind::Auto]).unwrap()),
-            [EngineKind::Gct]
-        );
-        assert_eq!(cold.built_engines(), vec![EngineKind::Gct], "only GCT was built");
-        let twice = [EngineKind::Auto, EngineKind::Gct, EngineKind::Gct];
-        assert_eq!(exported_kinds(service().export_bundle(twice).unwrap()), [EngineKind::Gct]);
-    }
-
-    #[test]
     fn import_rejects_wrong_graph_and_garbage() {
         let s = service();
-        let bundle = s.export_bundle([EngineKind::Gct]).unwrap();
+        let bundle = s.export_bundle();
         let other = SearchService::new(
             sd_graph::GraphBuilder::new().extend_edges([(0, 1), (1, 2)]).build(),
         );
@@ -1421,18 +1394,6 @@ mod tests {
             s.import_bundle(Bytes::from_static(b"garbage")).unwrap_err(),
             SearchError::Decode(DecodeError::Truncated)
         );
-    }
-
-    #[test]
-    fn export_unsupported_kinds_fails_before_building_anything() {
-        let s = service();
-        for kind in [EngineKind::Online, EngineKind::Bound] {
-            assert_eq!(
-                s.export_bundle([kind]).unwrap_err(),
-                SearchError::EngineNotServed { engine: kind }
-            );
-        }
-        assert!(s.built_engines().is_empty(), "a failed export must not cost an engine build");
     }
 
     #[test]
@@ -1531,6 +1492,30 @@ mod tests {
         let engine = s.core.current().cached().expect("the repair publishes warm");
         let published = engine.gct_index().expect("a GCT engine").to_bytes();
         assert_eq!(published, GctIndex::build(&s.graph()).to_bytes());
+    }
+
+    /// A repair that panics fails its batch with `Internal` and publishes
+    /// nothing: the epoch, the graph and the applied count stay. The next
+    /// batch repairs the same epoch, and publishes an index equal to a
+    /// full build of its graph.
+    #[test]
+    fn a_panicking_repair_fails_its_batch_and_publishes_nothing() {
+        let s = service();
+        s.wait_ready([EngineKind::Gct]);
+        let (epoch, graph) = (s.epoch(), s.graph());
+        let batch = [GraphUpdate::Insert { u: 1, v: 6 }];
+        FAIL_BUILDS.set(true);
+        let err = s.apply_updates(&batch).unwrap_err();
+        FAIL_BUILDS.set(false);
+        assert!(matches!(err, SearchError::Internal { .. }), "{err:?}");
+        assert_eq!((s.epoch(), s.stats().updates_applied), (epoch, 0));
+        assert!(Arc::ptr_eq(&s.graph(), &graph), "the graph was not published");
+
+        let stats = s.apply_updates(&batch).unwrap();
+        assert_eq!((stats.epoch, stats.applied), (epoch + 1, 1));
+        assert!(stats.gct_carried, "{stats:?}");
+        let engine = s.core.current().cached().expect("the repair publishes warm");
+        assert_eq!(*engine.index(), GctIndex::build(&s.graph()));
     }
 
     /// A batch on a service with nothing built publishes its snapshot and
@@ -1656,7 +1641,7 @@ mod tests {
     #[test]
     fn stale_epoch_blobs_are_refused_after_updates() {
         let s = service();
-        let stale = s.export_bundle([EngineKind::Gct]).unwrap();
+        let stale = s.export_bundle();
         let old_fingerprint = s.fingerprint();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
         assert_eq!(
@@ -1665,9 +1650,8 @@ mod tests {
         );
         // The *new* epoch's export re-imports fine into a fresh service on
         // the same final graph.
-        let blob = s.export_bundle([EngineKind::Gct]).unwrap();
         let fresh = SearchService::new((*s.graph()).clone());
-        assert_eq!(fresh.import_bundle(blob).unwrap(), [EngineKind::Gct]);
+        fresh.import_bundle(s.export_bundle()).unwrap();
     }
 
     /// The fingerprint is computed on first use but is never stale: with
@@ -1678,7 +1662,7 @@ mod tests {
     fn an_unread_fingerprint_still_refuses_a_pre_batch_envelope() {
         let s = service();
         let old_graph = s.graph();
-        let before = s.export_bundle([EngineKind::Gct]).unwrap();
+        let before = s.export_bundle();
         s.apply_updates(&[GraphUpdate::Insert { u: 1, v: 6 }]).unwrap();
         assert!(s.core.current().fingerprint.get().is_none(), "the publish hashed nothing");
         assert_eq!(
@@ -1688,8 +1672,7 @@ mod tests {
                 found: GraphFingerprint::of(&old_graph),
             }
         );
-        let after = s.export_bundle([EngineKind::Gct]).unwrap();
-        assert_eq!(s.import_bundle(after).unwrap(), [EngineKind::Gct]);
+        s.import_bundle(s.export_bundle()).unwrap();
     }
 
     #[test]
@@ -1726,7 +1709,7 @@ mod tests {
             assert!(!s.top_r(&spec).unwrap().entries.is_empty(), "{kind:?}");
         }
         assert_eq!(s.fingerprint(), GraphFingerprint::of(&s.graph()));
-        s.export_bundle([EngineKind::Gct]).unwrap();
+        s.export_bundle();
         assert!(rows_only(&first), "the snapshot GCT was built on");
         assert!(rows_only(&s.graph()), "the published snapshot");
     }

@@ -53,12 +53,7 @@ impl TsdIndex {
     /// Algorithm 5: per vertex, extract the ego-network, truss-decompose it,
     /// and run Kruskal over edges in descending trussness.
     pub fn build(g: &CsrGraph) -> Self {
-        let mut builder = TsdBuilder::new(g.n());
-        for v in g.vertices() {
-            let ego = EgoNetwork::extract(g, v);
-            builder.push_vertex(&ego);
-        }
-        builder.finish()
+        Self::build_with_stats(g).0
     }
 
     /// As [`Self::build`], reporting per-phase timings (Table 4 of the
@@ -248,9 +243,8 @@ pub(crate) fn max_spanning_forest(
     forest
 }
 
-/// Incremental TSD-index construction; also reused by the GCT builder's
-/// benchmarking harness to time the forest phase separately.
-pub struct TsdBuilder {
+/// Incremental TSD-index construction, one vertex at a time in id order.
+struct TsdBuilder {
     offsets: Vec<usize>,
     eu: Vec<VertexId>,
     ew: Vec<VertexId>,
@@ -259,22 +253,16 @@ pub struct TsdBuilder {
 
 impl TsdBuilder {
     /// Builder for a graph of `n` vertices; vertices must be pushed in id order.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0);
         TsdBuilder { offsets, eu: Vec::new(), ew: Vec::new(), weight: Vec::new() }
     }
 
-    /// Computes the maximum spanning forest of the ego-network's
-    /// trussness-weighted graph and appends it.
-    pub fn push_vertex(&mut self, ego: &EgoNetwork) {
-        let decomposition = truss_decomposition(&ego.graph);
-        self.push_vertex_decomposed(ego, &decomposition);
-    }
-
-    /// As [`Self::push_vertex`] with a precomputed decomposition (lets the
-    /// caller time or parallelize the decomposition phase separately).
-    pub fn push_vertex_decomposed(
+    /// Appends the maximum spanning forest of the ego-network's
+    /// trussness-weighted graph, from its truss decomposition (which the
+    /// caller computes, so it can time that phase separately).
+    fn push_vertex_decomposed(
         &mut self,
         ego: &EgoNetwork,
         decomposition: &sd_truss::TrussDecomposition,
@@ -289,7 +277,7 @@ impl TsdBuilder {
 
     /// Finishes the index, dropping the arrays' spare capacity: an index
     /// lives as long as its engine, so growth slack would stay with it.
-    pub fn finish(mut self) -> TsdIndex {
+    fn finish(mut self) -> TsdIndex {
         self.offsets.shrink_to_fit();
         self.eu.shrink_to_fit();
         self.ew.shrink_to_fit();

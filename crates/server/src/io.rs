@@ -303,10 +303,11 @@ impl IoLoop {
         }
     }
 
-    /// A dispatched frame's response arrived from the pool (or an update
-    /// thread). A connection that disconnected meanwhile is simply gone:
-    /// the response is discarded unread, like the blocking server's
-    /// failed `write_all`.
+    /// Starts writing an encoded response: a dispatched frame's, arrived
+    /// from the pool (or an update thread), or one [`Self::respond`]
+    /// answered on this thread. A connection that disconnected meanwhile
+    /// is simply gone: the response is discarded unread, like the blocking
+    /// server's failed `write_all`.
     fn complete(&mut self, key: u64, bytes: Bytes, close_after: bool) {
         self.shared.requests_served.fetch_add(1, Ordering::Relaxed);
         let Some(entry) = self.conns.get_mut(&key) else { return };
@@ -324,12 +325,7 @@ impl IoLoop {
         reply_fp: sd_core::GraphFingerprint,
         close_after: bool,
     ) {
-        self.shared.requests_served.fetch_add(1, Ordering::Relaxed);
-        let bytes = response.to_frame(reply_fp).encode();
-        let Some(entry) = self.conns.get_mut(&key) else { return };
-        let ev = entry.conn.start_write(bytes, close_after);
-        self.step(key, ev);
-        self.rearm(key);
+        self.complete(key, response.to_frame(reply_fp).encode(), close_after);
     }
 
     /// Drain onset for this loop: refuse future connects (thread 0 drops
@@ -517,25 +513,13 @@ impl IoLoop {
     }
 }
 
-/// Flushes a frame to a connection that is being refused, without ever
-/// parking the accept path: a handful of short retries around
-/// `WouldBlock` (a fresh socket's send buffer is empty, so the first
-/// write all but always takes everything), then give up and close.
+/// Writes a frame to a connection that is being refused, in one
+/// non-blocking write, then closes it: the socket is fresh, so its send
+/// buffer is empty and takes the whole `Overloaded` frame. A write that
+/// fails or falls short is dropped with the connection; the accept path
+/// never waits on a refused peer.
 fn write_best_effort(mut stream: Box<dyn TransportStream>, bytes: Bytes) {
-    let mut written = 0usize;
-    let mut retries = 0u32;
-    while written < bytes.len() && retries < 20 {
-        match stream.write(&bytes.as_ref()[written..]) {
-            Ok(0) => return,
-            Ok(n) => written += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                retries += 1;
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+    let _ = stream.write(bytes.as_ref());
 }
 
 fn seal_outcomes(outcomes: Vec<Option<QueryOutcome>>) -> Vec<QueryOutcome> {

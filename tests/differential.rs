@@ -93,9 +93,9 @@ proptest! {
         let kinds = SearchService::SERVED;
 
         let donor = SearchService::from_arc(g.clone());
-        let blob = donor.export_bundle(kinds).expect("export bundle");
         let revived = SearchService::from_arc(g.clone());
-        prop_assert_eq!(revived.import_bundle(blob).expect("import bundle"), kinds.to_vec());
+        revived.import_bundle(donor.export_bundle()).expect("import bundle");
+        prop_assert_eq!(revived.built_engines(), kinds.to_vec());
 
         for r in [1usize, 3, 7] {
             let spec = QuerySpec::new(k, r.min(g.n())).expect("valid spec");

@@ -1,12 +1,14 @@
 //! Golden pins on the paper's Figure-1 graph. The serialized GCT-index is
-//! pinned word for word: `export_bundle` persists exactly these bytes as
-//! the payload of its bundle entry, so a change to the index's in-memory
-//! layout must leave `to_bytes` unchanged, and the test fails on the first
-//! word that moves. The TSD-index, which has no serialized form, is pinned
-//! forest by forest.
+//! pinned word for word, and so is the bundle `export_bundle` persists: a
+//! 48-byte header, then exactly these bytes as its payload. A change to
+//! the index's in-memory layout must leave `to_bytes` unchanged, and the
+//! test fails on the first word that moves. The TSD-index, which has no
+//! serialized form, is pinned forest by forest.
 
 use structural_diversity::graph::{CsrGraph, GraphBuilder};
-use structural_diversity::search::{paper_figure1_edges, GctIndex, TsdIndex};
+use structural_diversity::search::{
+    paper_figure1_edges, GctIndex, SearchService, TsdIndex, BUNDLE_HEADER_BYTES,
+};
 
 /// The TSD-index of Figure 1 as `u32` words: a 5-word header (the tag
 /// "TSD1", then `n` and the forest-edge total as `u64`s, low word first),
@@ -51,12 +53,25 @@ const FIGURE1_GCT_WORDS: [u32; 207] = [
     0, 9, 10, 12, 13, 1, 2, 0, 2, 2, 1, 3, 0, 0, 0,
 ];
 
+/// The header of Figure 1's bundle (format 3) as little-endian `u32`
+/// words: magic "SDIB", version 3 and its reserved zero half-word, the
+/// graph's fingerprint (`n`, `m` and the edge checksum), then the
+/// payload's FNV-1a checksum and its length, 828 bytes — each `u64` low
+/// word first.
+#[rustfmt::skip]
+const FIGURE1_BUNDLE_HEADER_WORDS: [u32; 12] = [
+    0x5344_4942, 3,
+    17, 0, 44, 0, 0x0921_c6e2, 0xc37b_e151,
+    0xf40b_c569, 0x53e2_20d2, 828, 0,
+];
+
 fn figure1() -> CsrGraph {
     GraphBuilder::new().extend_edges(paper_figure1_edges()).build()
 }
 
-/// The blob as little-endian `u32` words (every field of the format is a
-/// `u32` or a `u64`, so the blob is whole words).
+/// The blob as little-endian `u32` words (every GCT field is a `u32` or a
+/// `u64`, and the bundle header's two `u16`s share a word, so a blob is
+/// whole words).
 fn words(blob: &[u8]) -> Vec<u32> {
     assert_eq!(blob.len() % 4, 0, "blob is not a whole number of words");
     blob.chunks_exact(4).map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]])).collect()
@@ -80,4 +95,13 @@ fn gct_blob_of_figure_1_is_pinned() {
     let blob = index.to_bytes();
     assert_eq!(words(blob.as_ref()), FIGURE1_GCT_WORDS);
     assert_eq!(GctIndex::from_bytes(blob).unwrap(), index);
+}
+
+#[test]
+fn bundle_of_figure_1_is_pinned() {
+    let blob = SearchService::new(figure1()).export_bundle();
+    let words = words(blob.as_ref());
+    let (header, payload) = words.split_at(BUNDLE_HEADER_BYTES / 4);
+    assert_eq!(header, FIGURE1_BUNDLE_HEADER_WORDS);
+    assert_eq!(payload, FIGURE1_GCT_WORDS);
 }

@@ -153,8 +153,8 @@ proptest! {
         }
         let fresh = SearchService::new(model.replay());
         prop_assert_eq!(
-            live.export_bundle([EngineKind::Gct]).unwrap(),
-            fresh.export_bundle([EngineKind::Gct]).unwrap(),
+            live.export_bundle(),
+            fresh.export_bundle(),
             "the GCT index diverged from the rebuild"
         );
         let served = live.engine(EngineKind::Gct);
@@ -477,7 +477,7 @@ fn empty_batches_error_and_stale_blobs_are_refused() {
     let live = SearchService::new(sample_graph());
     assert_eq!(live.apply_updates(&[]).unwrap_err(), SearchError::EmptyUpdateBatch);
 
-    let stale = live.export_bundle([EngineKind::Gct]).expect("export");
+    let stale = live.export_bundle();
     let old_fingerprint = live.fingerprint();
     let stats = live.apply_updates(&[GraphUpdate::Insert { u: 0, v: 1 }]).unwrap();
     // email-enron-syn has edge (0,1)? Either way: force an applied update.

@@ -185,7 +185,7 @@ fn concurrent_batches_agree_with_singles() {
 fn import_races_with_queries() {
     let g = figure1();
     let donor = SearchService::new(g.clone());
-    let blob = donor.export_bundle([EngineKind::Gct]).expect("export");
+    let blob = donor.export_bundle();
     let online = build_engine(EngineKind::Online, donor.graph());
     let reference = online.top_r(&QuerySpec::new(4, 3).unwrap()).unwrap();
 
