@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use sd_core::{AllEgoNetworks, EgoDecomposition, EgoNetwork};
+use sd_core::{AllEgoNetworks, EgoNetwork};
+use sd_truss::{bitmap_truss_decomposition, truss_decomposition};
 
 fn bench_ego_phase(c: &mut Criterion) {
     let dataset = sd_datasets::dataset("wiki-vote-syn").expect("registry");
@@ -27,19 +28,18 @@ fn bench_ego_phase(c: &mut Criterion) {
 
     // Decomposition ablation on pre-extracted ego-networks.
     let egos: Vec<EgoNetwork> = g.vertices().map(|v| EgoNetwork::extract(&g, v)).collect();
-    for (name, method) in
-        [("decomp_classic", EgoDecomposition::Classic), ("decomp_bitmap", EgoDecomposition::Bitmap)]
-    {
-        group.bench_with_input(BenchmarkId::new(name, g.m()), &egos, |b, egos| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for ego in egos {
-                    acc += method.run(&ego.graph).max_trussness as u64;
-                }
-                acc
-            })
-        });
-    }
+    group.bench_with_input(BenchmarkId::new("decomp_classic", g.m()), &egos, |b, egos| {
+        b.iter(|| {
+            egos.iter().map(|ego| truss_decomposition(&ego.graph).max_trussness as u64).sum::<u64>()
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("decomp_bitmap", g.m()), &egos, |b, egos| {
+        b.iter(|| {
+            egos.iter()
+                .map(|ego| bitmap_truss_decomposition(&ego.graph).max_trussness as u64)
+                .sum::<u64>()
+        })
+    });
     group.finish();
 }
 

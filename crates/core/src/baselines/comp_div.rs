@@ -11,8 +11,7 @@ use std::time::Instant;
 
 use sd_graph::{CsrGraph, Dsu, VertexId};
 
-use crate::bound::finish_entries;
-use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
+use crate::config::{DiversityConfig, TopRResult};
 use crate::egonet::AllEgoNetworks;
 use crate::topr::TopRCollector;
 
@@ -30,7 +29,7 @@ fn comp_div_score_of(g: &CsrGraph, all: &AllEgoNetworks, v: VertexId, k: u32) ->
 }
 
 /// Connected components of `v`'s ego-network (including singleton neighbors),
-/// in global ids, ordered (size desc, first vertex asc).
+/// in global ids, in [`Dsu::groups`]' order.
 pub fn components_of_ego(g: &CsrGraph, all: &AllEgoNetworks, v: VertexId) -> Vec<Vec<VertexId>> {
     let nbrs = g.neighbors(v);
     // sd-lint: allow(no-panic) ego edges only connect members of N(v)
@@ -39,21 +38,7 @@ pub fn components_of_ego(g: &CsrGraph, all: &AllEgoNetworks, v: VertexId) -> Vec
     for &(a, b) in all.ego_edges(v) {
         dsu.union(local(a), local(b));
     }
-    let mut root_to_group: Vec<i32> = vec![-1; nbrs.len()];
-    let mut groups: Vec<Vec<VertexId>> = Vec::new();
-    for (l, &global) in nbrs.iter().enumerate() {
-        let root = dsu.find(l as u32) as usize;
-        let gi = if root_to_group[root] >= 0 {
-            root_to_group[root] as usize
-        } else {
-            root_to_group[root] = groups.len() as i32;
-            groups.push(Vec::new());
-            groups.len() - 1
-        };
-        groups[gi].push(global);
-    }
-    groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    groups
+    dsu.groups(nbrs.iter().enumerate().map(|(l, &global)| (l as u32, [global])))
 }
 
 /// Top-r by component-based structural diversity; contexts are the
@@ -62,25 +47,15 @@ pub fn comp_div_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
     let all = AllEgoNetworks::build(g);
     let mut collector = TopRCollector::new(config.r);
-    let mut computations = 0usize;
     for v in g.vertices() {
-        computations += 1;
         collector.offer(v, comp_div_score_of(g, &all, v, config.k));
     }
-    let entries = finish_entries(collector, |v| {
+    collector.finish(g.n(), start, |v| {
         components_of_ego(g, &all, v)
             .into_iter()
             .filter(|component| component.len() >= config.k as usize)
             .collect()
-    });
-    TopRResult {
-        entries,
-        metrics: SearchMetrics {
-            score_computations: computations,
-            elapsed: start.elapsed(),
-            engine: "",
-        },
-    }
+    })
 }
 
 #[cfg(test)]

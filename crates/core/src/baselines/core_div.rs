@@ -9,8 +9,7 @@ use std::time::Instant;
 use sd_graph::{CsrGraph, VertexId};
 use sd_truss::maximal_connected_kcores;
 
-use crate::bound::finish_entries;
-use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
+use crate::config::{DiversityConfig, TopRResult};
 use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::topr::TopRCollector;
 
@@ -44,21 +43,11 @@ pub fn core_div_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
     let all = AllEgoNetworks::build(g);
     let mut collector = TopRCollector::new(config.r);
-    let mut computations = 0usize;
     for v in g.vertices() {
         let ego = all.ego_graph(g, v);
-        computations += 1;
         collector.offer(v, core_div_contexts_of_ego(&ego, config.k).len() as u32);
     }
-    let entries = finish_entries(collector, |v| core_div_contexts(g, v, config.k));
-    TopRResult {
-        entries,
-        metrics: SearchMetrics {
-            score_computations: computations,
-            elapsed: start.elapsed(),
-            engine: "",
-        },
-    }
+    collector.finish(g.n(), start, |v| core_div_contexts(g, v, config.k))
 }
 
 #[cfg(test)]

@@ -9,9 +9,9 @@ use sd_graph::triangles::vertex_triangle_counts;
 use sd_graph::{CsrGraph, GraphBuilder};
 use sd_truss::truss_decomposition;
 
-use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
+use crate::config::{DiversityConfig, TopRResult};
 use crate::egonet::EgoNetwork;
-use crate::score::{social_contexts_of_ego, EgoDecomposition};
+use crate::score::social_contexts_of_ego;
 use crate::topr::TopRCollector;
 
 /// Outcome of graph sparsification, for the pruning-power reports
@@ -119,41 +119,21 @@ pub(crate) fn bound_top_r_with(
         // Property 1 guarantees the ego-network in G' yields the same social
         // contexts as in G.
         let ego = EgoNetwork::extract(reduced, v);
-        let contexts = social_contexts_of_ego(&ego, config.k, EgoDecomposition::Classic);
+        let contexts = social_contexts_of_ego(&ego, config.k);
         computations += 1;
         if collector.offer(v, contexts.len() as u32) {
             context_cache.push((v, contexts));
         }
     }
 
-    let entries = finish_entries(collector, |v| {
+    collector.finish(computations, start, |v| {
         context_cache
             .iter()
             .rev()
             .find(|(u, _)| *u == v)
             .map(|(_, c)| c.clone())
             .unwrap_or_default()
-    });
-    TopRResult {
-        entries,
-        metrics: SearchMetrics {
-            score_computations: computations,
-            elapsed: start.elapsed(),
-            engine: "",
-        },
-    }
-}
-
-/// Materializes collector output into entries with contexts supplied by `f`.
-pub(crate) fn finish_entries(
-    collector: TopRCollector,
-    mut f: impl FnMut(u32) -> Vec<Vec<u32>>,
-) -> Vec<TopREntry> {
-    collector
-        .into_sorted()
-        .into_iter()
-        .map(|(vertex, score)| TopREntry { vertex, score, contexts: f(vertex) })
-        .collect()
+    })
 }
 
 #[cfg(test)]

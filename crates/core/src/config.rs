@@ -1,6 +1,6 @@
 //! Query configuration and search metrics.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
@@ -57,7 +57,7 @@ pub struct TopREntry {
     pub vertex: VertexId,
     /// Its truss-based structural diversity `score(v) = |SC(v)|`.
     pub score: u32,
-    /// Its social contexts `SC(v)`, ordered by (size desc, first vertex asc).
+    /// Its social contexts `SC(v)`, in [`sd_graph::Dsu::groups`]' order.
     pub contexts: Vec<Vec<VertexId>>,
 }
 
@@ -92,6 +92,18 @@ pub struct TopRResult {
 }
 
 impl TopRResult {
+    /// A result whose metrics count `score_computations` and the time since
+    /// `start`, with the engine name left for [`crate::DiversityEngine`] to
+    /// stamp.
+    pub(crate) fn timed(
+        entries: Vec<TopREntry>,
+        score_computations: usize,
+        start: Instant,
+    ) -> Self {
+        let metrics = SearchMetrics { score_computations, elapsed: start.elapsed(), engine: "" };
+        TopRResult { entries, metrics }
+    }
+
     /// Scores of the entries, descending (for cross-method equivalence checks).
     pub fn scores(&self) -> Vec<u32> {
         self.entries.iter().map(|e| e.score).collect()

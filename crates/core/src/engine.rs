@@ -175,7 +175,7 @@ pub trait DiversityEngine: std::fmt::Debug + Send + Sync {
     fn score(&self, v: VertexId, k: u32) -> u32;
 
     /// The social contexts `SC(v)` at threshold `k`, in global vertex ids,
-    /// ordered (size desc, first vertex asc).
+    /// in [`sd_graph::Dsu::groups`]' order.
     fn social_contexts(&self, v: VertexId, k: u32) -> Vec<Vec<VertexId>>;
 
     /// Answers a top-r query. Validates `r ≤ n` against the engine's graph,

@@ -23,12 +23,13 @@ use std::time::{Duration, Instant};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use sd_graph::{CsrGraph, Dsu, VertexId};
-use sd_truss::{vertex_trussness, TrussDecomposition};
+use sd_truss::{
+    bitmap_truss_decomposition, truss_decomposition, vertex_trussness, TrussDecomposition,
+};
 
-use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
+use crate::config::{DiversityConfig, TopREntry, TopRResult};
 use crate::egonet::{AllEgoNetworks, EgoNetwork};
 use crate::error::DecodeError;
-use crate::score::EgoDecomposition;
 use crate::tsd::max_spanning_forest;
 
 /// Serialized-format magic ("GCT1").
@@ -129,8 +130,8 @@ impl<'a> GctEntry<'a> {
     }
 
     /// Social contexts at threshold `k`: union-find over qualifying
-    /// supernodes along qualifying superedges, member lists merged,
-    /// ordered (size desc, first vertex asc).
+    /// supernodes along qualifying superedges, member lists merged, in
+    /// [`Dsu::groups`]' order.
     pub fn social_contexts(&self, k: u32) -> Vec<Vec<VertexId>> {
         let (n_k, m_k) = (n_k(self.sn_tau, k), m_k(self.se, k));
         let mut dsu = Dsu::new(n_k);
@@ -138,24 +139,7 @@ impl<'a> GctEntry<'a> {
             debug_assert!((a as usize) < n_k && (b as usize) < n_k);
             dsu.union(a, b);
         }
-        let mut root_to_group: Vec<i32> = vec![-1; n_k];
-        let mut groups: Vec<Vec<VertexId>> = Vec::new();
-        for i in 0..n_k {
-            let root = dsu.find(i as u32) as usize;
-            let gi = if root_to_group[root] >= 0 {
-                root_to_group[root] as usize
-            } else {
-                root_to_group[root] = groups.len() as i32;
-                groups.push(Vec::new());
-                groups.len() - 1
-            };
-            groups[gi].extend_from_slice(self.members(i));
-        }
-        for group in &mut groups {
-            group.sort_unstable();
-        }
-        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-        groups
+        dsu.groups((0..n_k).map(|i| (i as u32, self.members(i))))
     }
 }
 
@@ -584,14 +568,7 @@ impl ScoreOrder {
             .into_iter()
             .map(|(vertex, score)| TopREntry { vertex, score, contexts: contexts(vertex, k) })
             .collect();
-        TopRResult {
-            entries,
-            metrics: SearchMetrics {
-                score_computations: read,
-                elapsed: start.elapsed(),
-                engine: "",
-            },
-        }
+        TopRResult::timed(entries, read, start)
     }
 }
 
@@ -693,12 +670,11 @@ impl Ranking {
 /// Algorithm 7's decomposition of one ego-network: bitmap peeling up to
 /// [`BITMAP_FALLBACK_THRESHOLD`] vertices, classic above.
 pub(crate) fn decompose(ego: &CsrGraph) -> TrussDecomposition {
-    let method = if ego.n() <= BITMAP_FALLBACK_THRESHOLD {
-        EgoDecomposition::Bitmap
+    if ego.n() <= BITMAP_FALLBACK_THRESHOLD {
+        bitmap_truss_decomposition(ego)
     } else {
-        EgoDecomposition::Classic
-    };
-    method.run(ego)
+        truss_decomposition(ego)
+    }
 }
 
 /// Builds a [`GctIndex`] vertex by vertex, straight into its flat arrays.

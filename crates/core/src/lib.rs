@@ -102,7 +102,7 @@ pub use gct::{GctIndex, BITMAP_FALLBACK_THRESHOLD};
 pub use online::all_scores;
 pub use paper::{paper_figure18_graph, paper_figure1_edges, paper_figure1_graph};
 pub use pool::{default_threads as default_pool_threads, Job, WorkerPool, MAX_POOL_THREADS};
-pub use score::{score, social_contexts, EgoDecomposition};
+pub use score::{score, social_contexts};
 pub use sd_graph::GraphUpdate;
 pub use service::{SearchService, ServiceStats, UpdateStats};
 pub use tcp::{ktruss_communities, TcpIndex};

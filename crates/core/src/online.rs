@@ -8,52 +8,26 @@ use std::time::Instant;
 
 use sd_graph::CsrGraph;
 
-use crate::config::{DiversityConfig, SearchMetrics, TopREntry, TopRResult};
-use crate::egonet::EgoNetwork;
-use crate::score::{social_contexts, social_contexts_of_ego, EgoDecomposition};
+use crate::config::{DiversityConfig, TopRResult};
+use crate::score::{score, social_contexts};
 use crate::topr::TopRCollector;
 
 /// Algorithm 3: full scan of all vertices. Crate-internal: reachable
-/// through `OnlineEngine` (or, for one release, `compat::online_top_r`).
+/// through `OnlineEngine`.
 pub(crate) fn online_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
     let mut collector = TopRCollector::new(config.r);
-    let mut computations = 0usize;
     for v in g.vertices() {
-        let ego = EgoNetwork::extract(g, v);
-        let contexts = social_contexts_of_ego(&ego, config.k, EgoDecomposition::Classic);
-        computations += 1;
-        collector.offer(v, contexts.len() as u32);
+        collector.offer(v, score(g, v, config.k));
     }
-    let entries = collector
-        .into_sorted()
-        .into_iter()
-        .map(|(vertex, score)| TopREntry {
-            vertex,
-            score,
-            contexts: social_contexts(g, vertex, config.k),
-        })
-        .collect();
-    TopRResult {
-        entries,
-        metrics: SearchMetrics {
-            score_computations: computations,
-            elapsed: start.elapsed(),
-            engine: "",
-        },
-    }
+    collector.finish(g.n(), start, |v| social_contexts(g, v, config.k))
 }
 
 /// Scores of every vertex (the full structural diversity profile); used by
 /// the effectiveness experiments (Figure 13's score-interval groups) and as
 /// the ground truth in tests.
 pub fn all_scores(g: &CsrGraph, k: u32) -> Vec<u32> {
-    g.vertices()
-        .map(|v| {
-            let ego = EgoNetwork::extract(g, v);
-            social_contexts_of_ego(&ego, k, EgoDecomposition::Classic).len() as u32
-        })
-        .collect()
+    g.vertices().map(|v| score(g, v, k)).collect()
 }
 
 #[cfg(test)]

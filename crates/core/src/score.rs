@@ -1,43 +1,15 @@
 //! Computing `score(v)` and the social contexts (Algorithm 2).
 
 use sd_graph::{CsrGraph, VertexId};
-use sd_truss::{
-    bitmap_truss_decomposition, maximal_connected_ktrusses, truss_decomposition, TrussDecomposition,
-};
+use sd_truss::{maximal_connected_ktrusses, truss_decomposition};
 
 use crate::egonet::EgoNetwork;
 
-/// Which truss-decomposition implementation to run inside ego-networks:
-/// the classic peeling of Algorithm 1 or the bitmap variant of Section 6.2.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EgoDecomposition {
-    /// Classic peeling with adjacency binary search (Algorithms 2–4, the
-    /// sequential TSD build, and index writes on the largest egos).
-    #[default]
-    Classic,
-    /// Bitmap-accelerated peeling (every other index write).
-    Bitmap,
-}
-
-impl EgoDecomposition {
-    /// Runs the selected decomposition on an ego-network graph.
-    pub fn run(self, ego: &CsrGraph) -> TrussDecomposition {
-        match self {
-            EgoDecomposition::Classic => truss_decomposition(ego),
-            EgoDecomposition::Bitmap => bitmap_truss_decomposition(ego),
-        }
-    }
-}
-
-/// Algorithm 2 on a pre-extracted ego-network: truss-decomposes it, keeps
-/// edges with trussness ≥ k, and returns the connected components as social
-/// contexts in **global** vertex ids.
-pub fn social_contexts_of_ego(
-    ego: &EgoNetwork,
-    k: u32,
-    method: EgoDecomposition,
-) -> Vec<Vec<VertexId>> {
-    let decomposition = method.run(&ego.graph);
+/// Algorithm 2 on a pre-extracted ego-network: truss-decomposes it by
+/// classic peeling, keeps edges with trussness ≥ k, and returns the
+/// connected components as social contexts in **global** vertex ids.
+pub fn social_contexts_of_ego(ego: &EgoNetwork, k: u32) -> Vec<Vec<VertexId>> {
+    let decomposition = truss_decomposition(&ego.graph);
     maximal_connected_ktrusses(&ego.graph, &decomposition, k)
         .into_iter()
         .map(|component| ego.to_global(&component))
@@ -47,7 +19,7 @@ pub fn social_contexts_of_ego(
 /// Algorithm 2: extracts `GN(v)`, truss-decomposes it, and returns `SC(v)`.
 pub fn social_contexts(g: &CsrGraph, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
     let ego = EgoNetwork::extract(g, v);
-    social_contexts_of_ego(&ego, k, EgoDecomposition::Classic)
+    social_contexts_of_ego(&ego, k)
 }
 
 /// `score(v) = |SC(v)|` (Definition 3).
@@ -114,10 +86,12 @@ mod tests {
     fn bitmap_and_classic_agree() {
         let (g, v, _) = paper_figure1_graph();
         let ego = EgoNetwork::extract(&g, v);
+        let classic = truss_decomposition(&ego.graph);
+        let bitmap = sd_truss::bitmap_truss_decomposition(&ego.graph);
         for k in 2..=6 {
             assert_eq!(
-                social_contexts_of_ego(&ego, k, EgoDecomposition::Classic),
-                social_contexts_of_ego(&ego, k, EgoDecomposition::Bitmap),
+                maximal_connected_ktrusses(&ego.graph, &classic, k),
+                maximal_connected_ktrusses(&ego.graph, &bitmap, k),
                 "k={k}"
             );
         }

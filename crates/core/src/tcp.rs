@@ -109,7 +109,9 @@ impl TcpIndex {
 /// Triangle-connected k-truss communities of the whole graph (the structure
 /// TCP-index/Equi-Truss answer queries about): edges with `τ ≥ k`, two edges
 /// connected when they share a triangle whose third edge also has `τ ≥ k`.
-/// Returns each community as its sorted vertex set, (size desc, first asc).
+/// Returns each community as its vertex set, in [`Dsu::groups`]' order.
+/// Communities can share vertices, so two can tie on size and first
+/// vertex; they then come in the order of their lowest edge ids.
 pub fn ktruss_communities(
     g: &CsrGraph,
     decomposition: &TrussDecomposition,
@@ -123,34 +125,14 @@ pub fn ktruss_communities(
             dsu.union(e_ab, e_bc);
         }
     });
-    // Group qualifying edges by root; communities with at least one edge.
-    let mut root_to_group: Vec<i32> = vec![-1; g.m()];
-    let mut groups: Vec<Vec<VertexId>> = Vec::new();
-    for e in 0..g.m() as u32 {
-        if !qualifies(e) {
-            continue;
-        }
-        // k-truss edges with no qualifying triangle form their own singleton
-        // communities only at k = 2 (support can be 0); for k >= 3 every
-        // qualifying edge sits in a qualifying triangle.
-        let root = dsu.find(e) as usize;
-        let gi = if root_to_group[root] >= 0 {
-            root_to_group[root] as usize
-        } else {
-            root_to_group[root] = groups.len() as i32;
-            groups.push(Vec::new());
-            groups.len() - 1
-        };
+    // k-truss edges with no qualifying triangle form their own singleton
+    // communities only at k = 2 (support can be 0); for k >= 3 every
+    // qualifying edge sits in a qualifying triangle.
+    let edges = (0..g.m() as u32).filter(|&e| qualifies(e));
+    dsu.groups(edges.map(|e| {
         let (u, v) = g.edge(e);
-        groups[gi].push(u);
-        groups[gi].push(v);
-    }
-    for group in &mut groups {
-        group.sort_unstable();
-        group.dedup();
-    }
-    groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    groups
+        (e, [u, v])
+    }))
 }
 
 #[cfg(test)]
@@ -228,5 +210,30 @@ mod tests {
         // …while the ego-network of q1 decomposes into two 3-truss social
         // contexts under the TSD semantics.
         assert_eq!(crate::score::score(&g, q1, 3), 2);
+    }
+
+    /// A windmill of 40 cliques of 3, 4 or 5 vertices sharing hub 0, the
+    /// sizes interleaved: every community starts at 0, so communities of
+    /// one size tie on (size, first vertex) and come in blade order, which
+    /// is the order of their first edges.
+    #[test]
+    fn tied_communities_keep_their_first_edge_order() {
+        let (mut edges, mut blades, mut next) = (Vec::new(), Vec::new(), 1);
+        for i in 0..40 {
+            let add = [2, 3, 2, 4, 3, 2, 2, 3][(7 * i + i / 3) % 8];
+            let blade: Vec<VertexId> = std::iter::once(0).chain(next..next + add).collect();
+            next += add;
+            for (a, &u) in blade.iter().enumerate() {
+                edges.extend(blade[a + 1..].iter().map(|&v| (u, v)));
+            }
+            blades.push(blade);
+        }
+        let g = GraphBuilder::new().extend_edges(edges).build();
+        let d = truss_decomposition(&g);
+        let expected: Vec<Vec<VertexId>> = (3..=5)
+            .rev()
+            .flat_map(|size| blades.iter().filter(move |b| b.len() == size).cloned())
+            .collect();
+        assert_eq!(ktruss_communities(&g, &d, 3), expected);
     }
 }

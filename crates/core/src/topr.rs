@@ -10,8 +10,11 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Instant;
 
 use sd_graph::VertexId;
+
+use crate::config::{TopREntry, TopRResult};
 
 /// Accumulates the top `r` `(vertex, score)` pairs.
 #[derive(Clone, Debug)]
@@ -73,6 +76,23 @@ impl TopRCollector {
     pub fn into_sorted(self) -> Vec<(VertexId, u32)> {
         let keys = self.heap.into_sorted_vec().into_iter();
         keys.map(|Reverse(key)| (!(key as u32), (key >> 32) as u32)).collect()
+    }
+
+    /// Finishes a scan that scored `score_computations` vertices since
+    /// `start`: the kept vertices by (score desc, vertex asc), each with
+    /// `contexts(vertex)`.
+    pub(crate) fn finish(
+        self,
+        score_computations: usize,
+        start: Instant,
+        mut contexts: impl FnMut(VertexId) -> Vec<Vec<VertexId>>,
+    ) -> TopRResult {
+        let entries = self
+            .into_sorted()
+            .into_iter()
+            .map(|(vertex, score)| TopREntry { vertex, score, contexts: contexts(vertex) })
+            .collect();
+        TopRResult::timed(entries, score_computations, start)
     }
 }
 

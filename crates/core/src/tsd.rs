@@ -17,8 +17,7 @@ use std::time::Instant;
 use sd_graph::{CsrGraph, Dsu, VertexId};
 use sd_truss::truss_decomposition;
 
-use crate::bound::finish_entries;
-use crate::config::{DiversityConfig, SearchMetrics, TopRResult};
+use crate::config::{DiversityConfig, TopRResult};
 use crate::egonet::EgoNetwork;
 use crate::topr::TopRCollector;
 
@@ -122,50 +121,20 @@ impl TsdIndex {
     }
 
     /// Algorithm 6 (retrieval form): the social contexts of `v`, grouped by
-    /// union-find over the filtered forest edges, in global vertex ids,
-    /// ordered (size desc, first vertex asc) like Algorithm 2's output.
+    /// union-find over the filtered forest edges, in global vertex ids, in
+    /// [`Dsu::groups`]' order.
     pub fn social_contexts(&self, g: &CsrGraph, v: VertexId, k: u32) -> Vec<Vec<VertexId>> {
-        self.social_contexts_among(g.neighbors(v), v, k)
-    }
-
-    /// [`Self::social_contexts`] given `v`'s sorted neighbor list `nbrs`
-    /// (which the forest's endpoints index into).
-    pub(crate) fn social_contexts_among(
-        &self,
-        nbrs: &[VertexId],
-        v: VertexId,
-        k: u32,
-    ) -> Vec<Vec<VertexId>> {
+        let nbrs = g.neighbors(v);
         // sd-lint: allow(no-panic) forest edges only connect members of N(v)
-        let local = |x: VertexId| nbrs.binary_search(&x).expect("forest endpoint in N(v)");
+        let local = |x: VertexId| nbrs.binary_search(&x).expect("forest endpoint in N(v)") as u32;
         let s = self.offsets[v as usize];
-        let len = self.prefix_len(v, k);
+        let edges = s..s + self.prefix_len(v, k);
         let mut dsu = Dsu::new(nbrs.len());
-        let mut touched = vec![false; nbrs.len()];
-        for i in s..s + len {
-            let (a, b) = (local(self.eu[i]), local(self.ew[i]));
-            dsu.union(a as u32, b as u32);
-            touched[a] = true;
-            touched[b] = true;
+        for i in edges.clone() {
+            dsu.union(local(self.eu[i]), local(self.ew[i]));
         }
-        let mut root_to_group: Vec<i32> = vec![-1; nbrs.len()];
-        let mut groups: Vec<Vec<VertexId>> = Vec::new();
-        for (l, &t) in touched.iter().enumerate() {
-            if !t {
-                continue;
-            }
-            let root = dsu.find(l as u32) as usize;
-            let gi = if root_to_group[root] >= 0 {
-                root_to_group[root] as usize
-            } else {
-                root_to_group[root] = groups.len() as i32;
-                groups.push(Vec::new());
-                groups.len() - 1
-            };
-            groups[gi].push(nbrs[l]);
-        }
-        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-        groups
+        let endpoints = edges.flat_map(|i| [self.eu[i], self.ew[i]]);
+        dsu.groups(endpoints.map(|x| (local(x), [x])))
     }
 
     /// TSD-index-based top-r search (Section 5.2): prune by `s̃core`, then
@@ -195,15 +164,7 @@ impl TsdIndex {
             computations += 1;
             collector.offer(v, score);
         }
-        let entries = finish_entries(collector, |v| self.social_contexts(g, v, config.k));
-        TopRResult {
-            entries,
-            metrics: SearchMetrics {
-                score_computations: computations,
-                elapsed: start.elapsed(),
-                engine: "",
-            },
-        }
+        collector.finish(computations, start, |v| self.social_contexts(g, v, config.k))
     }
 
     /// The index's size in bytes in a compact layout, the figure Table 3's

@@ -1,8 +1,12 @@
 //! Disjoint-set union (union-find) with path halving and union by size.
 //!
-//! Used for: social-context component identification, Kruskal's maximum
-//! spanning forest in TSD-index construction (Algorithm 5), and the Comp-Div
-//! baseline's per-ego-network component counting.
+//! Used for: grouping every social context, ego component and k-truss
+//! community into the one order all engines and baselines report
+//! ([`Dsu::groups`]), Kruskal's maximum spanning forests (the TSD- and
+//! GCT-index builds of Algorithms 5 and 7, and the TCP-index), and the
+//! GCT decoder's acyclic-superedge check.
+
+use crate::types::VertexId;
 
 /// Union-find over `0..len` with near-constant amortized operations.
 #[derive(Clone, Debug)]
@@ -10,13 +14,12 @@ pub struct Dsu {
     parent: Vec<u32>,
     /// Component size, valid only at roots.
     size: Vec<u32>,
-    components: usize,
 }
 
 impl Dsu {
     /// `len` singleton sets.
     pub fn new(len: usize) -> Self {
-        Dsu { parent: (0..len as u32).collect(), size: vec![1; len], components: len }
+        Dsu { parent: (0..len as u32).collect(), size: vec![1; len] }
     }
 
     /// Number of elements.
@@ -27,11 +30,6 @@ impl Dsu {
     /// Whether the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Current number of disjoint sets.
-    pub fn components(&self) -> usize {
-        self.components
     }
 
     /// Representative of `x`'s set (path halving).
@@ -55,28 +53,38 @@ impl Dsu {
         }
         self.parent[rb as usize] = ra;
         self.size[ra as usize] += self.size[rb as usize];
-        self.components -= 1;
         true
     }
 
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: u32, b: u32) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
-
-    /// Resets to `len` singletons without reallocating.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
+    /// The vertex ids of each set, given each element passed with the
+    /// (non-empty) ids it stands for. Every social context, component and
+    /// community in the workspace is listed in this one order:
+    ///
+    /// - each group ascending, without repeats;
+    /// - groups by (size desc, first vertex asc), and groups tied on both
+    ///   in the order their first element was passed.
+    ///
+    /// Sets none of whose elements were passed yield no group.
+    pub fn groups<I: AsRef<[VertexId]>>(
+        &mut self,
+        members: impl IntoIterator<Item = (u32, I)>,
+    ) -> Vec<Vec<VertexId>> {
+        let mut group_of = vec![u32::MAX; self.len()];
+        let mut groups: Vec<Vec<VertexId>> = Vec::new();
+        for (x, ids) in members {
+            let root = self.find(x) as usize;
+            if group_of[root] == u32::MAX {
+                group_of[root] = groups.len() as u32;
+                groups.push(Vec::new());
+            }
+            groups[group_of[root] as usize].extend_from_slice(ids.as_ref());
         }
-        self.size.fill(1);
-        self.components = self.parent.len();
+        for group in &mut groups {
+            group.sort_unstable();
+            group.dedup();
+        }
+        groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
+        groups
     }
 }
 
@@ -87,30 +95,37 @@ mod tests {
     #[test]
     fn unions_and_finds() {
         let mut d = Dsu::new(5);
-        assert_eq!(d.components(), 5);
         assert!(d.union(0, 1));
         assert!(d.union(1, 2));
         assert!(!d.union(0, 2));
-        assert_eq!(d.components(), 3);
-        assert!(d.connected(0, 2));
-        assert!(!d.connected(0, 3));
-        assert_eq!(d.set_size(2), 3);
-        assert_eq!(d.set_size(4), 1);
-    }
-
-    #[test]
-    fn reset_restores_singletons() {
-        let mut d = Dsu::new(4);
-        d.union(0, 3);
-        d.reset();
-        assert_eq!(d.components(), 4);
-        assert!(!d.connected(0, 3));
+        assert_eq!(d.find(0), d.find(2));
+        assert_ne!(d.find(0), d.find(3));
+        assert_ne!(d.find(3), d.find(4));
     }
 
     #[test]
     fn empty() {
         let d = Dsu::new(0);
         assert!(d.is_empty());
-        assert_eq!(d.components(), 0);
+    }
+
+    /// Overlapping ids merge ascending without repeats; groups come by
+    /// (size desc, first vertex asc), the tie between `[2, 8]` and
+    /// `[2, 6]` in first-seen order; element 6, never passed, yields
+    /// nothing.
+    #[test]
+    fn groups_are_ordered_by_size_then_first_vertex_then_first_seen() {
+        let mut d = Dsu::new(7);
+        d.union(0, 1);
+        d.union(2, 3);
+        let groups = d.groups([
+            (5, vec![8, 2]),
+            (1, vec![9, 7]),
+            (2, vec![5]),
+            (4, vec![6, 2]),
+            (0, vec![7, 3]),
+            (3, vec![4, 5]),
+        ]);
+        assert_eq!(groups, vec![vec![3, 7, 9], vec![2, 8], vec![2, 6], vec![4, 5]]);
     }
 }

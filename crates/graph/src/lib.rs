@@ -10,7 +10,9 @@
 //!   pairs; it canonicalizes, deduplicates, and drops self-loops.
 //! * [`triangles`] — triangle listing/counting via the forward (oriented)
 //!   algorithm, per-edge support, and per-vertex triangle counts.
-//! * [`Dsu`] — union-find with path halving and union by size.
+//! * [`Dsu`] — union-find with path halving and union by size;
+//!   [`Dsu::groups`] lists its sets in the one order every social context
+//!   is reported in.
 //! * [`PeelingBuckets`] — the bin-sort bucket queue used by both k-core and
 //!   k-truss peeling (O(1) pop-min and decrease-key).
 //! * [`edgelist`] — SNAP-style edge-list text I/O.

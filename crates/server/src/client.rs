@@ -216,7 +216,7 @@ impl Client {
         let request = Request::Query(QueryRequest { deadline_ms, queries });
         match self.request(&request, fingerprint)? {
             Response::Query(resp) => Ok(resp),
-            other => Err(ServeError::UnexpectedResponse { got: other.to_frame(fingerprint).verb }),
+            other => Err(ServeError::UnexpectedResponse { got: other.verb() }),
         }
     }
 
@@ -230,7 +230,7 @@ impl Client {
         let request = Request::Update(UpdateRequest { updates });
         match self.request(&request, fingerprint)? {
             Response::Update(resp) => Ok(resp),
-            other => Err(ServeError::UnexpectedResponse { got: other.to_frame(fingerprint).verb }),
+            other => Err(ServeError::UnexpectedResponse { got: other.verb() }),
         }
     }
 
@@ -241,7 +241,7 @@ impl Client {
     ) -> Result<TenantStatsWire, ServeError> {
         match self.request(&Request::Stats, fingerprint)? {
             Response::Stats(StatsResponse::Tenant(t)) => Ok(t),
-            other => Err(ServeError::UnexpectedResponse { got: other.to_frame(fingerprint).verb }),
+            other => Err(ServeError::UnexpectedResponse { got: other.verb() }),
         }
     }
 
@@ -250,9 +250,7 @@ impl Client {
     pub fn server_stats(&mut self) -> Result<ServerStatsWire, ServeError> {
         match self.request(&Request::Stats, server_scope())? {
             Response::Stats(StatsResponse::Server(s)) => Ok(s),
-            other => {
-                Err(ServeError::UnexpectedResponse { got: other.to_frame(server_scope()).verb })
-            }
+            other => Err(ServeError::UnexpectedResponse { got: other.verb() }),
         }
     }
 
@@ -261,9 +259,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         match self.request(&Request::Shutdown, server_scope())? {
             Response::Shutdown => Ok(()),
-            other => {
-                Err(ServeError::UnexpectedResponse { got: other.to_frame(server_scope()).verb })
-            }
+            other => Err(ServeError::UnexpectedResponse { got: other.verb() }),
         }
     }
 }

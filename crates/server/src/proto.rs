@@ -983,17 +983,29 @@ pub enum Response {
 }
 
 impl Response {
+    /// The verb this response is framed under.
+    pub fn verb(&self) -> Verb {
+        match self {
+            Response::Query(_) => Verb::QueryOk,
+            Response::Update(_) => Verb::UpdateOk,
+            Response::Stats(_) => Verb::StatsOk,
+            Response::Shutdown => Verb::ShutdownOk,
+            Response::Error(_) => Verb::Error,
+            Response::Overloaded(_) => Verb::Overloaded,
+        }
+    }
+
     /// Frames this response, echoing the request's `fingerprint`.
     pub fn to_frame(&self, fingerprint: GraphFingerprint) -> Frame {
-        let (verb, payload) = match self {
-            Response::Query(q) => (Verb::QueryOk, q.encode_payload()),
-            Response::Update(u) => (Verb::UpdateOk, u.encode_payload()),
-            Response::Stats(s) => (Verb::StatsOk, s.encode_payload()),
-            Response::Shutdown => (Verb::ShutdownOk, Bytes::new()),
-            Response::Error(e) => (Verb::Error, e.encode_payload()),
-            Response::Overloaded(o) => (Verb::Overloaded, o.encode_payload()),
+        let payload = match self {
+            Response::Query(q) => q.encode_payload(),
+            Response::Update(u) => u.encode_payload(),
+            Response::Stats(s) => s.encode_payload(),
+            Response::Shutdown => Bytes::new(),
+            Response::Error(e) => e.encode_payload(),
+            Response::Overloaded(o) => o.encode_payload(),
         };
-        Frame::new(verb, fingerprint, payload)
+        Frame::new(self.verb(), fingerprint, payload)
     }
 
     /// Interprets a frame as a response. Request verbs are
@@ -1147,6 +1159,7 @@ mod tests {
         ];
         for resp in responses {
             let frame = resp.to_frame(fp(11));
+            assert_eq!(resp.verb(), frame.verb);
             let wire = frame.encode();
             let back = Response::from_frame(&Frame::decode(wire).expect("frame")).expect("payload");
             assert_eq!(back, resp);

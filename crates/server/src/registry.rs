@@ -78,11 +78,6 @@ impl TenantRegistry {
         self.len() == 0
     }
 
-    /// Snapshot of every tenant, in registration order.
-    pub fn tenants(&self) -> Vec<Arc<Tenant>> {
-        self.tenants.read().clone() // lock: server.tenants
-    }
-
     /// Runs `visit` over every tenant **while holding the routing-table
     /// read lock** — the stats verb uses this so one response sees one
     /// consistent tenant set. Each visit typically pins the tenant's

@@ -7,8 +7,6 @@
 
 use sd_graph::{CsrGraph, Dsu, PeelingBuckets, VertexId};
 
-use crate::ktruss::collect_components;
-
 /// Result of core decomposition: per-vertex coreness.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoreDecomposition {
@@ -37,8 +35,7 @@ pub fn core_decomposition(g: &CsrGraph) -> CoreDecomposition {
 }
 
 /// Vertex sets of the maximal connected k-cores of `g` (the Core-Div
-/// baseline's social contexts), each sorted ascending, ordered by
-/// (size desc, first vertex asc).
+/// baseline's social contexts), in [`Dsu::groups`]' order.
 pub fn maximal_connected_kcores(g: &CsrGraph, k: u32) -> Vec<Vec<VertexId>> {
     let decomposition = core_decomposition(g);
     let in_core: Vec<bool> = decomposition.coreness.iter().map(|&c| c >= k).collect();
@@ -48,7 +45,7 @@ pub fn maximal_connected_kcores(g: &CsrGraph, k: u32) -> Vec<Vec<VertexId>> {
             dsu.union(u, v);
         }
     }
-    collect_components(g.n(), &in_core, &mut dsu)
+    dsu.groups(g.vertices().filter(|&v| in_core[v as usize]).map(|v| (v, [v])))
 }
 
 #[cfg(test)]

@@ -20,10 +20,9 @@ pub fn ktruss_edges(decomposition: &TrussDecomposition, k: u32) -> Vec<EdgeId> {
         .collect()
 }
 
-/// Vertex sets of the maximal connected k-trusses of `g`, each sorted
-/// ascending; the result is sorted by (size desc, first vertex asc) for
-/// deterministic output. Vertices incident to no qualifying edge appear in
-/// no component (a k-truss is edge-induced).
+/// Vertex sets of the maximal connected k-trusses of `g`, in
+/// [`Dsu::groups`]' order. Vertices incident to no qualifying edge appear
+/// in no component (a k-truss is edge-induced).
 pub fn maximal_connected_ktrusses(
     g: &CsrGraph,
     decomposition: &TrussDecomposition,
@@ -39,31 +38,7 @@ pub fn maximal_connected_ktrusses(
             in_truss[v as usize] = true;
         }
     }
-    collect_components(g.n(), &in_truss, &mut dsu)
-}
-
-/// Groups the marked vertices by their DSU root; shared by the k-truss and
-/// k-core component extractors.
-pub(crate) fn collect_components(n: usize, marked: &[bool], dsu: &mut Dsu) -> Vec<Vec<VertexId>> {
-    let mut root_to_group: Vec<i32> = vec![-1; n];
-    let mut groups: Vec<Vec<VertexId>> = Vec::new();
-    for (v, &is_marked) in marked.iter().enumerate() {
-        if !is_marked {
-            continue;
-        }
-        let root = dsu.find(v as u32) as usize;
-        let gi = if root_to_group[root] >= 0 {
-            root_to_group[root] as usize
-        } else {
-            root_to_group[root] = groups.len() as i32;
-            groups.push(Vec::new());
-            groups.len() - 1
-        };
-        groups[gi].push(v as VertexId);
-    }
-    // Vertices were visited ascending, so each group is already sorted.
-    groups.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-    groups
+    dsu.groups(g.vertices().filter(|&v| in_truss[v as usize]).map(|v| (v, [v])))
 }
 
 #[cfg(test)]

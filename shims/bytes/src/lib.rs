@@ -27,8 +27,9 @@ pub trait BufMut {
     fn put_u64_le(&mut self, value: u64);
 }
 
-/// Immutable byte buffer with a read position.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Immutable byte buffer with a read position. Two buffers are equal
+/// when their unread bytes are, as real `Bytes` compares contents.
+#[derive(Clone, Debug)]
 pub struct Bytes {
     data: Vec<u8>,
     pos: usize,
@@ -90,6 +91,14 @@ impl AsRef<[u8]> for Bytes {
         &self.data[self.pos..]
     }
 }
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
 
 impl Buf for Bytes {
     fn remaining(&self) -> usize {
@@ -186,6 +195,16 @@ mod tests {
         assert_eq!(bytes.remaining(), 8);
         assert_eq!(bytes.get_u64_le(), 42);
         assert!(bytes.is_empty());
+    }
+
+    #[test]
+    fn equality_compares_the_unread_bytes() {
+        let mut read = Bytes::from(vec![7, 1, 2]);
+        read.advance(1);
+        assert_eq!(read, Bytes::from(vec![1, 2]));
+        let whole = Bytes::from_static(b"abcdef");
+        assert_eq!(whole.slice(2..4), Bytes::from_static(b"cd"));
+        assert_ne!(whole, Bytes::from_static(b"abcde"));
     }
 
     #[test]
