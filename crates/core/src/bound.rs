@@ -61,48 +61,15 @@ pub fn upper_bounds(g: &CsrGraph, k: u32) -> Vec<u32> {
         .collect()
 }
 
-/// Which of Algorithm 4's two pruning techniques to enable, for the
-/// pruning ablation in this module's tests. Defaults to both, i.e. the
-/// full Algorithm 4, which is what `BoundEngine` runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct BoundOptions {
-    /// Apply Property 1 graph sparsification first.
-    pub(crate) sparsify: bool,
-    /// Order vertices by the Lemma 2 bound and early-terminate.
-    pub(crate) upper_bound: bool,
-}
-
-impl Default for BoundOptions {
-    fn default() -> Self {
-        BoundOptions { sparsify: true, upper_bound: true }
-    }
-}
-
 /// Algorithm 4: sparsify, sort by upper bound descending, and stop as soon
-/// as the best remaining bound cannot beat the current top-r floor, with
-/// the pruning techniques individually toggleable. Crate-internal:
-/// reachable through `BoundEngine`. A vertex tied with the r-th score and
-/// left unvisited is not returned, so tied members may differ from Online's.
-pub(crate) fn bound_top_r_with(
-    g: &CsrGraph,
-    config: &DiversityConfig,
-    options: BoundOptions,
-) -> TopRResult {
+/// as the best remaining bound cannot beat the current top-r floor.
+/// Crate-internal: reachable through `BoundEngine`. A vertex tied with the
+/// r-th score and left unvisited is not returned, so tied members may
+/// differ from Online's.
+pub(crate) fn bound_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
     let start = Instant::now();
-    let sparsified;
-    let reduced = if options.sparsify {
-        sparsified = sparsify(g, config.k);
-        &sparsified.graph
-    } else {
-        g
-    };
-
-    let bounds = if options.upper_bound {
-        upper_bounds(reduced, config.k)
-    } else {
-        // Degenerate bound: never prunes, never terminates early.
-        vec![u32::MAX; reduced.n()]
-    };
+    let reduced = sparsify(g, config.k).graph;
+    let bounds = upper_bounds(&reduced, config.k);
     let mut order: Vec<u32> = (0..reduced.n() as u32).collect();
     order.sort_unstable_by(|&a, &b| bounds[b as usize].cmp(&bounds[a as usize]));
 
@@ -118,7 +85,7 @@ pub(crate) fn bound_top_r_with(
         }
         // Property 1 guarantees the ego-network in G' yields the same social
         // contexts as in G.
-        let ego = EgoNetwork::extract(reduced, v);
+        let ego = EgoNetwork::extract(&reduced, v);
         let contexts = social_contexts_of_ego(&ego, config.k);
         computations += 1;
         if collector.offer(v, contexts.len() as u32) {
@@ -141,10 +108,6 @@ mod tests {
     use super::*;
     use crate::online::{all_scores, online_top_r};
     use crate::paper::paper_figure1_graph;
-
-    fn bound_top_r(g: &CsrGraph, config: &DiversityConfig) -> TopRResult {
-        bound_top_r_with(g, config, BoundOptions::default())
-    }
 
     #[test]
     fn bounds_dominate_scores() {
@@ -205,28 +168,6 @@ mod tests {
                 assert_eq!(a.scores(), b.scores(), "k={k} r={r}");
             }
         }
-    }
-
-    /// Every combination of the two pruning techniques yields the same
-    /// answer; pruning only changes how much work is done.
-    #[test]
-    fn ablation_combinations_agree() {
-        let (g, _, _) = paper_figure1_graph();
-        let cfg = DiversityConfig { k: 4, r: 2 };
-        let reference = online_top_r(&g, &cfg);
-        let mut search_spaces = Vec::new();
-        for sparsify in [false, true] {
-            for upper_bound in [false, true] {
-                let options = BoundOptions { sparsify, upper_bound };
-                let result = bound_top_r_with(&g, &cfg, options);
-                assert_eq!(result.scores(), reference.scores(), "{options:?}");
-                search_spaces.push((options, result.metrics.score_computations));
-            }
-        }
-        // The no-pruning variant evaluates everything; the full Algorithm 4
-        // evaluates strictly less on this fixture.
-        assert_eq!(search_spaces[0].1, g.n());
-        assert!(search_spaces[3].1 < search_spaces[0].1);
     }
 
     #[test]

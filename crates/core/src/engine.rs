@@ -32,7 +32,6 @@ use serde::Serialize;
 
 use sd_graph::{CsrGraph, VertexId};
 
-use crate::bound::BoundOptions;
 use crate::config::{DiversityConfig, TopRResult};
 use crate::error::SearchError;
 use crate::gct::GctIndex;
@@ -276,7 +275,7 @@ impl DiversityEngine for BoundEngine {
     }
 
     fn top_r_unchecked(&self, config: &DiversityConfig) -> TopRResult {
-        crate::bound::bound_top_r_with(&self.g, config, BoundOptions::default())
+        crate::bound::bound_top_r(&self.g, config)
     }
 }
 

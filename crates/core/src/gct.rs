@@ -11,11 +11,12 @@
 //!
 //! Beyond the paper, whose Section 6.3 query scores every vertex this way,
 //! the index keeps a per-k score order: for each k, the vertices with a
-//! nonzero score, by (score desc, vertex asc). A top-r query reads its
-//! first r vertices, so a warm query costs r, not n. The order is derived
-//! once per whole index (build, pooled build, import), and an update's
-//! splice carries it forward by moving only the repaired vertices. It is
-//! neither persisted nor counted in [`GctIndex::index_size_bytes`].
+//! nonzero score, grouped by score, highest first, each group ascending.
+//! A top-r query reads its first r vertices, so a warm query costs r, not
+//! n. The order is derived once per whole index (build, pooled build,
+//! import), and an update's splice carries it forward by moving only the
+//! repaired vertices, each from its old score's group to its new one's. It
+//! is neither persisted nor counted in [`GctIndex::index_size_bytes`].
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -86,15 +87,14 @@ impl<'a> GctEntry<'a> {
     /// forming no cycle — so Lemma 3's `N_k − M_k` cannot underflow, and is
     /// nonzero exactly for k up to the top trussness.
     ///
-    /// One more bounds the score order derived on import, and the derive's
-    /// scratch, by the blob: at each k up to the top trussness, k times the
-    /// score is at most the members of supernodes with trussness ≥ k. A
-    /// genuine entry keeps it, since each of its contexts at k is a
-    /// k-truss, which has at least k vertices, each a member of one such
-    /// supernode. So the top trussness is at most the member count (the
-    /// score is at least 1 up to it), a vertex enters the order at most
-    /// once per member, and its scores over every k sum to at most its
-    /// member count times ln(top).
+    /// One more bounds the score order derived on import by the blob: at
+    /// each k up to the top trussness, k times the score is at most the
+    /// members of supernodes with trussness ≥ k. A genuine entry keeps it,
+    /// since each of its contexts at k is a k-truss, which has at least k
+    /// vertices, each a member of one such supernode. So the top trussness
+    /// is at most the member count (the score is at least 1 up to it): a
+    /// vertex enters the order, and opens at most one score group, at most
+    /// once per member.
     fn is_valid(&self, n: usize) -> bool {
         let mut end = 0;
         let ends = self.sn_end.iter().all(|&next| {
@@ -402,7 +402,8 @@ impl GctIndex {
     /// `repaired[i]` (ascending) replaced by `patch`'s entry `i`. Every
     /// other vertex keeps its entry — runs between repaired vertices are
     /// copied contiguously — and vertices new to this index are empty.
-    /// The score order is carried, not derived again
+    /// The score order is carried, not derived again: each repaired vertex
+    /// whose score changed moves between score groups
     /// ([`ScoreOrder::carry`]).
     pub(crate) fn splice(&self, n: usize, repaired: &[VertexId], patch: &GctBuilder) -> GctIndex {
         let patch = &patch.0;
@@ -423,107 +424,114 @@ impl GctIndex {
 }
 
 /// The per-k score order: for each k from 2 up to the largest supernode
-/// trussness, the vertices whose score at k is nonzero, by (score desc,
-/// vertex asc) — [`crate::TopRCollector`]'s tie rule. It is canonical: no
-/// trailing empty k and no run of zero vertices, so an order carried by
-/// [`GctIndex::splice`] equals (`==`) a fresh derive. Apart from that,
-/// every vector is exactly its length, so an epoch's order costs its size.
+/// trussness, the vertices whose score at k is nonzero, in one ascending
+/// vertex list per distinct score, the groups highest score first. Read in
+/// order, the groups list the vertices by (score desc, vertex asc) —
+/// [`crate::TopRCollector`]'s tie rule. It is canonical: no empty group
+/// and no trailing empty k, so an order carried by [`GctIndex::splice`]
+/// equals (`==`) a fresh derive. Apart from that, every vector is exactly
+/// its length, so an epoch's order costs its size.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct ScoreOrder {
-    /// The ranking at k is `per_k[k − 2]`.
-    per_k: Vec<Ranking>,
+    /// The groups at k are `per_k[k − 2]`: `(score, vertices)`.
+    per_k: Vec<Vec<(u32, Vec<VertexId>)>>,
 }
-
-/// One k's ranking: vertex ids, plus the points where the score changes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Ranking {
-    /// The vertices with a nonzero score, by (score desc, vertex asc).
-    ids: Vec<VertexId>,
-    /// `(score, end)` per distinct score, descending: `ids[e..end]`
-    /// score `score`, where `e` is the previous run's end (0 first).
-    runs: Vec<(u32, u32)>,
-}
-
-/// The ranking at a k past every stored one.
-static EMPTY: Ranking = Ranking { ids: Vec::new(), runs: Vec::new() };
 
 impl ScoreOrder {
-    /// The order of a whole index: per k, a counting sort of the vertices
-    /// by score, filled in vertex order so tied ids come out ascending
-    /// with no comparison sort. Its scratch is one count per score up to
-    /// each k's largest; on import, [`GctEntry::is_valid`] bounds their sum
-    /// by the largest entry's member count times ln(top).
+    /// The order of a whole index: each vertex, in id order, pushed onto
+    /// its score's group at every k it scores at, so each group comes out
+    /// ascending with no sort.
     fn derive(index: &GctIndex) -> ScoreOrder {
-        let n = index.n() as VertexId;
-        let top = (0..n).map(|v| index.top(v)).max().unwrap_or(0);
-        // counts[k − 2][s]: how many vertices score s at k; below, where
-        // the next of them goes.
-        let mut counts: Vec<Vec<u32>> = vec![Vec::new(); top.saturating_sub(1) as usize];
-        for v in 0..n {
+        let mut order = ScoreOrder::default();
+        for v in 0..index.n() as VertexId {
             for (k, s) in index.scores(v) {
-                let count = &mut counts[k as usize - 2];
-                if count.len() <= s as usize {
-                    count.resize(s as usize + 1, 0);
-                }
-                count[s as usize] += 1;
+                order.group(k, s).push(v);
             }
         }
-        let mut per_k: Vec<Ranking> = counts
-            .iter_mut()
-            .map(|count| {
-                let mut runs = Vec::with_capacity(count.iter().filter(|&&c| c > 0).count());
-                let mut end = 0;
-                for (s, c) in count.iter_mut().enumerate().rev().filter(|(_, c)| **c > 0) {
-                    let first = end;
-                    end += *c;
-                    *c = first;
-                    runs.push((s as u32, end));
-                }
-                Ranking { ids: vec![0; end as usize], runs }
-            })
-            .collect();
-        for v in 0..n {
-            for (k, s) in index.scores(v) {
-                let next = &mut counts[k as usize - 2][s as usize];
-                per_k[k as usize - 2].ids[*next as usize] = v;
-                *next += 1;
-            }
-        }
-        ScoreOrder { per_k }
+        order.tidy();
+        order
     }
 
     /// This order, the order of `old`, carried across
-    /// [`GctIndex::splice`]: per k, each repaired vertex whose score
-    /// changed leaves the place its old score gives it and enters at its
-    /// new score's, and the stretches in between are copied whole.
+    /// [`GctIndex::splice`]: at each k, each repaired vertex whose score
+    /// changed leaves its old score's group and enters its new one's.
     /// Vertices new to the index are isolated, score 0 and stay out. The
     /// largest k may grow or shrink.
     fn carry(&self, old: &GctIndex, repaired: &[VertexId], patch: &GctIndex) -> ScoreOrder {
-        let top = (0..patch.n() as VertexId).map(|i| patch.top(i)).max().unwrap_or(0);
-        let ks = self.per_k.len().max(top.saturating_sub(1) as usize);
-        let mut per_k: Vec<Ranking> = (0..ks)
-            .map(|i| {
-                let ranking = self.per_k.get(i).unwrap_or(&EMPTY);
-                ranking.carry(i as u32 + 2, old, repaired, patch)
-            })
-            .collect();
-        while per_k.last().is_some_and(|ranking| ranking.ids.is_empty()) {
-            per_k.pop();
+        let mut order = self.clone();
+        for (i, &v) in repaired.iter().enumerate() {
+            let i = i as VertexId;
+            let known = (v as usize) < old.n();
+            let was_top = if known { old.top(v) } else { 0 };
+            for k in 2..=was_top.max(patch.top(i)) {
+                let was = if known { old.score(v, k) } else { 0 };
+                let now = patch.score(i, k);
+                if was == now {
+                    continue;
+                }
+                if was > 0 {
+                    let group = order.group(k, was);
+                    let at = group.binary_search(&v);
+                    debug_assert!(at.is_ok(), "v={v} k={k}");
+                    if let Ok(at) = at {
+                        group.remove(at);
+                    }
+                }
+                if now > 0 {
+                    let group = order.group(k, now);
+                    if let Err(at) = group.binary_search(&v) {
+                        // A plain insert would double an exact-length
+                        // group, and a publish holds two epochs' orders.
+                        group.reserve_exact(1);
+                        group.insert(at, v);
+                    }
+                }
+            }
         }
-        per_k.shrink_to_fit();
-        ScoreOrder { per_k }
+        order.tidy();
+        order
     }
 
-    /// The ranking at `k`; a `k` below 2 reads k = 2's.
-    fn ranking(&self, k: u32) -> &Ranking {
-        self.per_k.get(k.max(2) as usize - 2).unwrap_or(&EMPTY)
+    /// The group of the vertices scoring `score` at `k ≥ 2`, inserted
+    /// empty in score order (and its k stored) if absent.
+    fn group(&mut self, k: u32, score: u32) -> &mut Vec<VertexId> {
+        let at = k as usize - 2;
+        if self.per_k.len() <= at {
+            self.per_k.resize_with(at + 1, Vec::new);
+        }
+        let groups = &mut self.per_k[at];
+        let i = groups.binary_search_by(|&(s, _)| score.cmp(&s)).unwrap_or_else(|i| {
+            groups.insert(i, (score, Vec::new()));
+            i
+        });
+        &mut groups[i].1
     }
 
-    /// `score(v, k)` as the order holds it (0 when `v` is not ranked), by a
-    /// linear search.
+    /// Makes the order canonical: drops emptied groups, trailing empty k
+    /// and every vector's spare capacity.
+    fn tidy(&mut self) {
+        for groups in &mut self.per_k {
+            groups.retain(|(_, ids)| !ids.is_empty());
+            for (_, ids) in groups.iter_mut() {
+                ids.shrink_to_fit();
+            }
+            groups.shrink_to_fit();
+        }
+        while self.per_k.last().is_some_and(Vec::is_empty) {
+            self.per_k.pop();
+        }
+        self.per_k.shrink_to_fit();
+    }
+
+    /// The groups at `k`; a `k` below 2 reads k = 2's.
+    fn groups(&self, k: u32) -> &[(u32, Vec<VertexId>)] {
+        self.per_k.get(k.max(2) as usize - 2).map_or(&[], Vec::as_slice)
+    }
+
+    /// `score(v, k)` as the order holds it (0 when `v` is not ranked), by
+    /// a binary search per group.
     pub(crate) fn score(&self, v: VertexId, k: u32) -> u32 {
-        let ranking = self.ranking(k);
-        ranking.ids.iter().position(|&u| u == v).map_or(0, |place| ranking.score_at(place))
+        self.groups(k).iter().find(|(_, ids)| ids.binary_search(&v).is_ok()).map_or(0, |g| g.0)
     }
 
     /// The top-r query over vertices `0..n` at `k` (below 2, k = 2): the
@@ -538,20 +546,18 @@ impl ScoreOrder {
     ) -> TopRResult {
         let start = Instant::now();
         let (k, r) = (config.k.max(2), config.r.min(n));
-        let ranking = self.ranking(k);
+        let groups = self.groups(k);
         let mut picks: Vec<(VertexId, u32)> = Vec::with_capacity(r);
-        let mut from = 0;
-        for &(score, end) in &ranking.runs {
-            let end = (end as usize).min(r);
-            picks.extend(ranking.ids[from..end].iter().map(|&v| (v, score)));
-            if end == r {
+        for (score, ids) in groups {
+            if picks.len() == r {
                 break;
             }
-            from = end;
+            picks.extend(ids.iter().take(r - picks.len()).map(|&v| (v, *score)));
         }
         let mut read = picks.len();
         if picks.len() < r {
-            let mut ranked = ranking.ids.clone();
+            let mut ranked: Vec<VertexId> =
+                groups.iter().flat_map(|(_, ids)| ids).copied().collect();
             ranked.sort_unstable();
             let mut ranked = ranked.into_iter().peekable();
             for v in 0..n as VertexId {
@@ -569,101 +575,6 @@ impl ScoreOrder {
             .map(|(vertex, score)| TopREntry { vertex, score, contexts: contexts(vertex, k) })
             .collect();
         TopRResult::timed(entries, read, start)
-    }
-}
-
-impl Ranking {
-    /// The score of the vertex at `place`.
-    fn score_at(&self, place: usize) -> u32 {
-        self.runs[self.runs.partition_point(|&(_, end)| end as usize <= place)].0
-    }
-
-    /// Where `(score, v)` sits, or would: the number of ranked vertices
-    /// that outrank it.
-    fn place(&self, score: u32, v: VertexId) -> usize {
-        let run = self.runs.partition_point(|&(s, _)| s > score);
-        let from = if run == 0 { 0 } else { self.runs[run - 1].1 as usize };
-        match self.runs.get(run) {
-            Some(&(s, end)) if s == score => {
-                from + self.ids[from..end as usize].partition_point(|&u| u < v)
-            }
-            _ => from,
-        }
-    }
-
-    /// This ranking at `k`, carried across a splice (see
-    /// [`ScoreOrder::carry`]).
-    fn carry(&self, k: u32, old: &GctIndex, repaired: &[VertexId], patch: &GctIndex) -> Ranking {
-        // The place and old score of each repaired vertex ranked before,
-        // and the new score of each ranked now. A vertex whose score did
-        // not change keeps its place among the others, so it neither
-        // leaves nor enters.
-        let (mut leave, mut enter) = (Vec::new(), Vec::new());
-        for (i, &v) in repaired.iter().enumerate() {
-            let was = if (v as usize) < old.n() { old.score(v, k) } else { 0 };
-            let now = patch.score(i as VertexId, k);
-            if was == now {
-                continue;
-            }
-            if was > 0 {
-                let place = self.place(was, v);
-                debug_assert_eq!(self.ids.get(place), Some(&v), "k={k}");
-                leave.push((place, was));
-            }
-            if now > 0 {
-                enter.push((now, v));
-            }
-        }
-        leave.sort_unstable();
-        enter.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-
-        // Copy up to each entering vertex's place, skipping the leaving
-        // ones; the places are non-decreasing in rank order.
-        let mut ids = Vec::with_capacity(self.ids.len() - leave.len() + enter.len());
-        let mut from = 0;
-        let mut leaving = leave.iter().map(|&(place, _)| place).peekable();
-        let mut copy_to = |ids: &mut Vec<VertexId>, to: usize| {
-            while let Some(place) = leaving.next_if(|&place| place < to) {
-                ids.extend_from_slice(&self.ids[from..place]);
-                from = place + 1;
-            }
-            ids.extend_from_slice(&self.ids[from..to]);
-            from = to;
-        };
-        for &(now, v) in &enter {
-            copy_to(&mut ids, self.place(now, v));
-            ids.push(v);
-        }
-        copy_to(&mut ids, self.ids.len());
-
-        // Each score's count, as before, less what left, plus what entered.
-        let mut tally: Vec<(u32, u32)> = Vec::with_capacity(self.runs.len() + enter.len());
-        let mut from = 0;
-        for &(score, end) in &self.runs {
-            tally.push((score, end - from));
-            from = end;
-        }
-        let descending = |score: u32| move |&(s, _): &(u32, u32)| score.cmp(&s);
-        for &(_, was) in &leave {
-            if let Ok(i) = tally.binary_search_by(descending(was)) {
-                tally[i].1 -= 1;
-            }
-        }
-        for &(now, _) in &enter {
-            match tally.binary_search_by(descending(now)) {
-                Ok(i) => tally[i].1 += 1,
-                Err(i) => tally.insert(i, (now, 1)),
-            }
-        }
-        let mut end = 0;
-        tally.retain(|&(_, count)| count > 0);
-        for run in &mut tally {
-            end += run.1;
-            run.1 = end;
-        }
-        tally.shrink_to_fit();
-        debug_assert_eq!(end as usize, ids.len());
-        Ranking { ids, runs: tally }
     }
 }
 
@@ -883,14 +794,11 @@ mod tests {
             assert_eq!(index.se.capacity(), index.se.len(), "{how} se");
             let per_k = &index.order.per_k;
             assert_eq!(per_k.capacity(), per_k.len(), "{how} per_k");
-            for (i, ranking) in per_k.iter().enumerate() {
-                assert_eq!(ranking.ids.capacity(), ranking.ids.len(), "{how} ids at k={}", i + 2);
-                assert_eq!(
-                    ranking.runs.capacity(),
-                    ranking.runs.len(),
-                    "{how} runs at k={}",
-                    i + 2
-                );
+            for (i, groups) in per_k.iter().enumerate() {
+                assert_eq!(groups.capacity(), groups.len(), "{how} groups at k={}", i + 2);
+                for (score, ids) in groups {
+                    assert_eq!(ids.capacity(), ids.len(), "{how} score {score} at k={}", i + 2);
+                }
             }
         }
     }
@@ -991,15 +899,21 @@ mod tests {
         collector.into_sorted()
     }
 
-    /// A fresh order answers as the Lemma-3 scan: at every k up to one
-    /// past the largest stored, a k below 2 as k = 2, and at r around the
-    /// count of nonzero scores (ties at the r-th place and the zero fill
-    /// included) and above n, with r vertices read while r vertices score
-    /// nonzero.
+    /// A fresh order answers as the Lemma-3 scan — on Figure 1, on Figure 1
+    /// with its ids reversed (so its top score is seen last) and on the
+    /// triangle strip: at every k up to one past the largest stored, a k
+    /// below 2 as k = 2, and at r around the count of nonzero scores (ties
+    /// at the r-th place and the zero fill included) and above n, with r
+    /// vertices read while r vertices score nonzero.
     #[test]
     fn the_order_answers_as_a_scan_of_every_score() {
         let (figure_1, _, _) = paper_figure1_graph();
-        for g in [std::sync::Arc::new(figure_1), crate::parallel::triangle_strip()] {
+        let last = figure_1.n() as VertexId - 1;
+        let reversed = sd_graph::GraphBuilder::with_min_vertices(figure_1.n())
+            .extend_edges(figure_1.edges().iter().map(|&(u, w)| (last - u, last - w)))
+            .build();
+        let (figure_1, reversed) = (std::sync::Arc::new(figure_1), std::sync::Arc::new(reversed));
+        for g in [figure_1, reversed, crate::parallel::triangle_strip()] {
             let index = GctIndex::build(&g);
             let top_k = index.order.per_k.len() as u32 + 1;
             assert!(top_k >= 2);

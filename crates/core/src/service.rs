@@ -1046,8 +1046,7 @@ mod tests {
                 let s = SearchService::from_arc_with_pool(g.clone(), pool);
                 for (k, r) in queries.iter().copied() {
                     let spec = QuerySpec::new(k, r).unwrap().with_engine(EngineKind::Bound);
-                    let options = crate::bound::BoundOptions::default();
-                    let want = crate::bound::bound_top_r_with(&g, spec.config(), options);
+                    let want = crate::bound::bound_top_r(&g, spec.config());
                     let got = bound.top_r(&spec).unwrap();
                     let at = format!("n={} k={k} r={r} on {threads} threads", g.n());
                     assert_eq!(got.entries, want.entries, "{at}");

@@ -307,10 +307,10 @@ impl IoLoop {
     /// from the pool (or an update thread), or one [`Self::respond`]
     /// answered on this thread. A connection that disconnected meanwhile
     /// is simply gone: the response is discarded unread, like the blocking
-    /// server's failed `write_all`.
+    /// server's failed `write_all`, and not counted as served.
     fn complete(&mut self, key: u64, bytes: Bytes, close_after: bool) {
-        self.shared.requests_served.fetch_add(1, Ordering::Relaxed);
         let Some(entry) = self.conns.get_mut(&key) else { return };
+        self.shared.requests_served.fetch_add(1, Ordering::Relaxed);
         let ev = entry.conn.start_write(bytes, close_after);
         self.step(key, ev);
         self.rearm(key);

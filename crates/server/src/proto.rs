@@ -813,7 +813,8 @@ pub struct ServerStatsWire {
     /// Connections accepted over the server's lifetime (shed ones
     /// included).
     pub accepted_connections: u64,
-    /// Request frames fully handled (responses written).
+    /// Request frames answered: responses started on a connection still
+    /// open. A response whose peer has hung up is discarded uncounted.
     pub requests_served: u64,
     /// Queries that went through tenant batchers.
     pub queries_batched: u64,

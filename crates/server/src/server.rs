@@ -72,20 +72,18 @@ use crate::transport::{TcpTransport, Transport};
 pub struct ServerConfig {
     addr: String,
     io_threads: usize,
-    accept_backlog: i32,
     admission: AdmissionLimits,
     drain_grace: Duration,
 }
 
 impl ServerConfig {
-    /// The defaults: an ephemeral loopback port, 2 I/O threads, a
-    /// 128-deep accept backlog, default admission limits, and a 5 s
-    /// drain grace.
+    /// The defaults: an ephemeral loopback port, 2 I/O threads, default
+    /// admission limits, and a 5 s drain grace. The listener keeps the
+    /// accept backlog [`std::net::TcpListener::bind`] gives it.
     pub fn new() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
             io_threads: 2,
-            accept_backlog: 128,
             admission: AdmissionLimits::default(),
             drain_grace: Duration::from_secs(5),
         }
@@ -103,12 +101,6 @@ impl ServerConfig {
     /// count, independent of connection count.
     pub fn io_threads(mut self, io_threads: usize) -> ServerConfig {
         self.io_threads = io_threads;
-        self
-    }
-
-    /// Pending-connection slots in the listener's accept backlog.
-    pub fn accept_backlog(mut self, accept_backlog: i32) -> ServerConfig {
-        self.accept_backlog = accept_backlog;
         self
     }
 
@@ -174,14 +166,13 @@ impl Server {
     /// Binds a [`TcpTransport`] on `config.addr` and starts serving the
     /// tenants of `registry`.
     pub fn start(config: ServerConfig, registry: Arc<TenantRegistry>) -> io::Result<Server> {
-        let transport = TcpTransport::bind(&config.addr, config.accept_backlog)?;
+        let transport = TcpTransport::bind(&config.addr)?;
         Server::start_with_transport(Box::new(transport), config, registry)
     }
 
     /// As [`Server::start`], over any [`Transport`] — the seam a TLS or
-    /// Unix-socket front-end plugs into. `config.addr` and
-    /// `config.accept_backlog` are ignored (the transport already
-    /// bound).
+    /// Unix-socket front-end plugs into. `config.addr` is ignored (the
+    /// transport already bound).
     pub fn start_with_transport(
         transport: Box<dyn Transport>,
         config: ServerConfig,

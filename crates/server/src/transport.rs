@@ -57,14 +57,10 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Binds `addr` with `backlog` pending-connection slots and switches
-    /// the listener non-blocking, ready for poller registration.
-    pub fn bind(addr: &str, backlog: i32) -> io::Result<TcpTransport> {
+    /// Binds `addr` and switches the listener non-blocking, ready for
+    /// poller registration.
+    pub fn bind(addr: &str) -> io::Result<TcpTransport> {
         let listener = TcpListener::bind(addr)?;
-        // Re-issue listen(2) to apply the configured backlog: std's bind
-        // already listened, but listen on a listening socket just
-        // updates the queue depth.
-        polling::listen_backlog(listener.as_raw_fd(), backlog)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         Ok(TcpTransport { listener, local_addr })
@@ -122,7 +118,7 @@ mod tests {
 
     #[test]
     fn tcp_transport_accepts_nonblockingly() {
-        let transport = TcpTransport::bind("127.0.0.1:0", 16).expect("bind");
+        let transport = TcpTransport::bind("127.0.0.1:0").expect("bind");
         assert!(transport.accept().expect("empty backlog").is_none(), "no pending connection");
         let client = TcpStream::connect(transport.local_addr()).expect("connect");
         // The handshake may still be settling; poll briefly.

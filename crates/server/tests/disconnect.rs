@@ -2,7 +2,8 @@
 //! query is still queued must cancel that query, not burn a batch slot
 //! computing an answer nobody will read. The poller observes the hangup,
 //! flips the connection's [`sd_server::CancelToken`], and the batch
-//! leader skips the slot and counts it `cancelled`.
+//! leader skips the slot and counts it `cancelled`. The frame's reply,
+//! which no connection is left to take, is not counted as served.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -31,7 +32,9 @@ fn mid_query_disconnect_cancels_the_batched_query() {
     let registry = Arc::new(TenantRegistry::new(BatchLimits::default()));
     let key = registry.register(service.clone()).expect("register");
     let tenant = registry.lookup(&key).expect("registered above");
-    let server = Server::start(ServerConfig::new().addr("127.0.0.1:0"), registry).expect("bind");
+    // One I/O loop: it takes posted replies before it accepts or reads.
+    let config = ServerConfig::new().addr("127.0.0.1:0").io_threads(1);
+    let server = Server::start(config, registry).expect("bind");
 
     let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
     service.pool().submit(move || {
@@ -58,6 +61,19 @@ fn mid_query_disconnect_cancels_the_batched_query() {
 
     // The server-scope wire stats surface the counter too.
     assert_eq!(server.stats().cancelled, 1);
+
+    // Once one more job has run on the one-thread pool, the leader has
+    // posted the dropped frame's reply, and the I/O loop takes it before
+    // a later connection's request: the stats that request reads back do
+    // not count it.
+    let (ran_tx, ran_rx) = std::sync::mpsc::channel::<()>();
+    service.pool().submit(move || {
+        let _ = ran_tx.send(());
+    });
+    ran_rx.recv_timeout(Duration::from_secs(5)).expect("the pool to run one more job");
+    let mut stats_client = Client::connect(server.local_addr()).expect("connect");
+    let served = stats_client.server_stats().expect("server stats").requests_served;
+    assert_eq!(served, 0, "a reply to a client that hung up is not served");
 
     let report = server.shutdown();
     assert!(report.within_grace, "{report:?}");

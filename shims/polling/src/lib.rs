@@ -8,9 +8,6 @@
 //!   descriptors under an [`Interest`], `wait` for batches of [`Event`]s.
 //! - [`Waker`] — a pipe-backed wakeup: any thread calls
 //!   [`Waker::wake`], the poller's `wait` returns with the waker's key.
-//! - [`listen_backlog`] — re-issues `listen(2)` on an already-listening
-//!   socket to resize its accept backlog (an extension over the real
-//!   crate; Linux permits re-listening).
 //!
 //! Everything goes through **raw syscalls** (`core::arch::asm!`) — the
 //! same no-new-deps rule as the other shims means no `libc`. All
@@ -66,7 +63,6 @@ mod sys {
         pub const READ: usize = 0;
         pub const WRITE: usize = 1;
         pub const CLOSE: usize = 3;
-        pub const LISTEN: usize = 50;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
         pub const EPOLL_CREATE1: usize = 291;
@@ -78,7 +74,6 @@ mod sys {
         pub const READ: usize = 63;
         pub const WRITE: usize = 64;
         pub const CLOSE: usize = 57;
-        pub const LISTEN: usize = 201;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
         pub const EPOLL_CREATE1: usize = 20;
@@ -204,11 +199,6 @@ mod sys {
     pub fn close(fd: RawFd) {
         let _ = unsafe { syscall(nr::CLOSE, fd as usize, 0, 0, 0, 0) };
     }
-
-    pub fn listen(fd: RawFd, backlog: i32) -> io::Result<()> {
-        let ret = unsafe { syscall(nr::LISTEN, fd as usize, backlog as usize, 0, 0, 0) };
-        check(ret).map(|_| ())
-    }
 }
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -264,9 +254,6 @@ mod sys {
         unsupported()
     }
     pub fn close(_: RawFd) {}
-    pub fn listen(_: RawFd, _: i32) -> io::Result<()> {
-        unsupported()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -513,14 +500,6 @@ impl Drop for Waker {
     }
 }
 
-/// Re-issues `listen(2)` on an already-listening socket, resizing its
-/// accept backlog (Linux permits re-listening). An extension over the
-/// real `polling` crate for servers that want a backlog other than the
-/// standard library's fixed default.
-pub fn listen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
-    sys::listen(fd, backlog)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,15 +668,5 @@ mod tests {
         let n = poller.wait(&mut events, Some(Duration::from_millis(30))).expect("wait");
         assert_eq!(n, 0);
         assert!(started.elapsed() >= Duration::from_millis(25), "the timeout was honored");
-    }
-
-    #[test]
-    fn listen_backlog_reissues_listen() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listen_backlog(listener.as_raw_fd(), 4).expect("re-listen");
-        // The listener still accepts after the backlog change.
-        let addr = listener.local_addr().expect("addr");
-        let _client = TcpStream::connect(addr).expect("connect");
-        let (_conn, _) = listener.accept().expect("accept");
     }
 }
